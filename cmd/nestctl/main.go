@@ -27,8 +27,10 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"fmt"
 	"log"
 	"net/http"
+	"os"
 	"os/signal"
 	"syscall"
 	"time"
@@ -54,6 +56,9 @@ func main() {
 		autoCooldown = flag.Duration("autoscale-cooldown", 0, "per-job minimum spacing between autoscaler resizes (0: default 30s)")
 	)
 	flag.Parse()
+	if err := ensureDir("state-dir", *stateDir); err != nil {
+		log.Fatal(err)
+	}
 
 	ctl := fleet.NewController(fleet.Config{
 		LivenessDeadline:  *liveness,
@@ -109,4 +114,17 @@ func main() {
 	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Fatal(err)
 	}
+}
+
+// ensureDir creates the directory a flag names (and its parents) when the
+// flag is set: the placement WAL is opened inside it and would otherwise
+// fail silently on a fresh host.
+func ensureDir(flagName, dir string) error {
+	if dir == "" {
+		return nil
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return fmt.Errorf("-%s %s: %w", flagName, dir, err)
+	}
+	return nil
 }

@@ -40,9 +40,11 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"fmt"
 	"log"
 	"net/http"
 	"net/http/pprof"
+	"os"
 	"os/signal"
 	"runtime"
 	"syscall"
@@ -72,6 +74,11 @@ func main() {
 		heartbeat  = flag.Duration("heartbeat", 2*time.Second, "fleet heartbeat interval")
 	)
 	flag.Parse()
+	for _, d := range [][2]string{{"checkpoint-dir", *ckptDir}, {"ledger-dir", *ledgerDir}} {
+		if err := ensureDir(d[0], d[1]); err != nil {
+			log.Fatal(err)
+		}
+	}
 
 	effWorkers := *workers
 	if effWorkers <= 0 {
@@ -165,4 +172,17 @@ func main() {
 	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Fatal(err)
 	}
+}
+
+// ensureDir creates the directory a flag names (and its parents) when the
+// flag is set: the checkpoint persister and the ledgers write inside them
+// and would otherwise fail silently on a fresh host.
+func ensureDir(flagName, dir string) error {
+	if dir == "" {
+		return nil
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return fmt.Errorf("-%s %s: %w", flagName, dir, err)
+	}
+	return nil
 }

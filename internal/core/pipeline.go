@@ -46,10 +46,12 @@ type PipelineConfig struct {
 	// runtime arrangement. When false, nests run as serial simulations
 	// and redistribution is modelled analytically only.
 	Distributed bool
-	// NestWorkers bounds how many nests step concurrently within one
-	// parent step (they touch disjoint state, so results are identical to
-	// sequential stepping). Zero means runtime.GOMAXPROCS(0); one forces
-	// sequential stepping.
+	// NestWorkers bounds how many serial nests step concurrently within
+	// one parent step (they touch disjoint state, so results are identical
+	// to sequential stepping) and how many fields SaveState encodes at
+	// once. Zero means runtime.GOMAXPROCS(0); one forces sequential
+	// stepping. Distributed nests step in one dispatch over their owner
+	// ranks whatever its value.
 	NestWorkers int
 }
 
@@ -98,9 +100,10 @@ type Pipeline struct {
 	tracer *obs.Tracer
 	snaps  SnapshotSink
 
-	// Step scratch, reused across steps: the cell snapshot handed to
-	// distributed nests and the sorted nest-ID work list.
+	// Step scratch, reused across steps: the cell snapshot and nest list
+	// handed to distributed nest stepping and the sorted nest-ID work list.
 	cellScratch []wrfsim.Cell
+	nestScratch []*wrfsim.ParallelNest
 	idScratch   []int
 }
 
@@ -257,12 +260,12 @@ func (p *Pipeline) Step() error {
 	return nil
 }
 
-// stepNests advances every live nest by one parent step, stepping up to
-// NestWorkers nests concurrently. Nests touch pairwise-disjoint state —
-// serial nests own their fine fields and only read the parent; distributed
-// nests with disjoint processor sub-rectangles exchange messages between
-// disjoint rank sets — so concurrent stepping produces bit-identical
-// results to sequential stepping, in any schedule.
+// stepNests advances every live nest by one parent step. Distributed
+// nests go through one wrfsim.StepNests dispatch over exactly the ranks
+// that own a nest block — the ranks are the concurrency. Serial nests own
+// their fine fields and only read the parent, so up to NestWorkers of them
+// step concurrently with results bit-identical to sequential stepping, in
+// any schedule.
 func (p *Pipeline) stepNests(step int) error {
 	tr := p.tracer
 	if p.cfg.Distributed {
@@ -274,33 +277,26 @@ func (p *Pipeline) stepNests(step int) error {
 				f(id)
 			}
 		})
+		nests := p.nestScratch[:0]
+		for _, id := range ids {
+			nests = append(nests, p.dnests[id])
+		}
+		p.nestScratch = nests
 		// One cell snapshot serves every nest: they only read it.
 		p.cellScratch = p.model.AppendCells(p.cellScratch[:0])
-		cells := p.cellScratch
-		cfg := p.model.Config()
-		workers := p.nestWorkers(len(ids))
-		if workers > 1 && !p.disjointProcs(ids) {
-			// Overlapping sub-rectangles would share mailbox (from, tag)
-			// keys between nests; step sequentially instead.
-			workers = 1
+		var t0 time.Time
+		if tr != nil {
+			t0 = time.Now()
 		}
-		errs := make([]error, len(ids))
-		runBounded(workers, len(ids), func(i int) {
-			nest := p.dnests[ids[i]]
-			var t0 time.Time
-			if tr != nil {
-				t0 = time.Now()
-			}
-			errs[i] = nest.Step(p.compWorld, cfg, cells)
-			if tr != nil {
-				tr.Emit(obs.Event{Kind: obs.KindNestStep, Step: step,
-					NestID: ids[i], DurNS: time.Since(t0).Nanoseconds()})
-			}
-		})
-		// Deterministic error selection: smallest nest ID wins.
-		for _, err := range errs {
-			if err != nil {
-				return err
+		if err := wrfsim.StepNests(p.compWorld, p.model.Config(), p.cellScratch, nests); err != nil {
+			return err
+		}
+		if tr != nil {
+			// The nests advanced together, so each one's event carries the
+			// duration of the dispatch they shared.
+			dur := time.Since(t0).Nanoseconds()
+			for _, id := range ids {
+				tr.Emit(obs.Event{Kind: obs.KindNestStep, Step: step, NestID: id, DurNS: dur})
 			}
 		}
 		return nil
@@ -345,21 +341,6 @@ func (p *Pipeline) nestWorkers(n int) int {
 		w = runtime.GOMAXPROCS(0)
 	}
 	return min(w, n)
-}
-
-// disjointProcs reports whether the given nests' processor sub-rectangles
-// are pairwise disjoint (the allocator guarantees this; verify before
-// stepping nests concurrently over the shared compute world).
-func (p *Pipeline) disjointProcs(ids []int) bool {
-	for i := 0; i < len(ids); i++ {
-		ri := p.dnests[ids[i]].Procs()
-		for j := i + 1; j < len(ids); j++ {
-			if ri.Overlaps(p.dnests[ids[j]].Procs()) {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // runBounded invokes fn(i) for every i in [0, n) using at most workers

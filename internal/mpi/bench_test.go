@@ -31,12 +31,15 @@ func BenchmarkAlltoallv(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			scratch := make([]Scratch, n)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if err := w.Run(func(r *Rank) {
-					send := make([][]float64, n)
-					send[(r.ID()+n/2)%n] = make([]float64, 256)
-					all.Alltoallv(r, send)
+					s := &scratch[r.ID()]
+					s.Reset()
+					send := s.Rows(n)
+					send[(r.ID()+n/2)%n] = s.Buf(256)[:256]
+					all.AlltoallvInto(r, send, s)
 				}); err != nil {
 					b.Fatal(err)
 				}
@@ -45,37 +48,11 @@ func BenchmarkAlltoallv(b *testing.B) {
 	}
 }
 
-// BenchmarkAlltoallvSteady amortizes World.Run's goroutine-spawn cost over
-// 16 back-to-back exchanges, so it measures the collective itself (barrier
-// synchronization + copy costs) rather than rank startup.
-func BenchmarkAlltoallvSteady(b *testing.B) {
-	for _, n := range []int{16, 64} {
-		b.Run(fmt.Sprintf("ranks=%d", n), func(b *testing.B) {
-			w := benchWorld(b, n)
-			all, err := w.All()
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := w.Run(func(r *Rank) {
-					send := make([][]float64, n)
-					send[(r.ID()+n/2)%n] = make([]float64, 256)
-					for k := 0; k < 16; k++ {
-						all.Alltoallv(r, send)
-					}
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAlltoallvIntoSteady is the pooled counterpart of
-// BenchmarkAlltoallvSteady: send rows and receive rows both come from a
-// per-rank Scratch arena, so the steady state runs without heap allocation.
+// BenchmarkAlltoallvIntoSteady amortizes World.Run's goroutine-spawn cost
+// over 16 back-to-back exchanges, so it measures the collective itself
+// (barrier synchronization + copy costs) rather than rank startup. Send
+// rows and receive rows both come from a per-rank Scratch arena, so the
+// steady state runs without heap allocation.
 func BenchmarkAlltoallvIntoSteady(b *testing.B) {
 	for _, n := range []int{16, 64} {
 		b.Run(fmt.Sprintf("ranks=%d", n), func(b *testing.B) {
@@ -144,35 +121,9 @@ func BenchmarkBarrier(b *testing.B) {
 	}
 }
 
-func BenchmarkSendRecvPingPong(b *testing.B) {
-	w := benchWorld(b, 16)
-	payload := make([]float64, 1024)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := w.Run(func(r *Rank) {
-			const rounds = 16
-			switch r.ID() {
-			case 0:
-				for k := 0; k < rounds; k++ {
-					r.Send(1, k, payload)
-					r.Recv(1, k)
-				}
-			case 1:
-				for k := 0; k < rounds; k++ {
-					r.Recv(0, k)
-					r.Send(0, k, payload)
-				}
-			}
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSendRecvPingPongPooled is the pooled counterpart of
-// BenchmarkSendRecvPingPong: RecvInto reuses a caller buffer and recycles
-// the transport box, so Send draws from the payload pool instead of
-// allocating.
+// BenchmarkSendRecvPingPongPooled bounces a payload between two ranks:
+// RecvInto reuses a caller buffer and recycles the transport box, so Send
+// draws from the payload pool instead of allocating.
 func BenchmarkSendRecvPingPongPooled(b *testing.B) {
 	w := benchWorld(b, 16)
 	payload := make([]float64, 1024)

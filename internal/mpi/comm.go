@@ -13,9 +13,10 @@ import (
 // indexed by *communicator* rank (0..Size-1); the mapping to world ranks
 // is fixed at creation (sorted ascending).
 //
-// Data collectives (Bcast, Gatherv, Scatterv, Alltoallv, Allgatherv) use
-// two rendezvous: members publish buffers, the first rendezvous' hook
-// prices the exchange, members copy their results out, and the second
+// Data collectives (BcastInto, GathervInto, ScattervInto, AlltoallvInto,
+// AllgathervInto) use two rendezvous: members publish buffers, the first
+// rendezvous' hook prices the exchange, members copy their results out
+// into caller-owned buffers or a per-rank Scratch, and the second
 // rendezvous guarantees every member finished copying before any sender
 // may reuse its buffer. Barrier and the Allreduce reductions carry only a
 // scalar, so their reduce and release are fused into a single rendezvous
@@ -46,11 +47,6 @@ type Comm struct {
 	// collective, but never while anyone is two generations ahead.
 	redVals []float64
 	redOut  [2]redResult
-
-	// Allgatherv scratch: member payload offsets into the concatenation
-	// built once per call by the hook.
-	gathered []float64
-	offsets  []int
 }
 
 type redResult struct {
@@ -85,20 +81,13 @@ func (w *World) NewComm(ranks []int) (*Comm, error) {
 		flat:    make([][]float64, len(sorted)),
 		clocks:  make([]float64, len(sorted)),
 		redVals: make([]float64, len(sorted)),
-		offsets: make([]int, len(sorted)+1),
 	}
 	w.register(c)
 	return c, nil
 }
 
 // All returns a communicator spanning every world rank.
-func (w *World) All() (*Comm, error) {
-	ranks := make([]int, w.n)
-	for i := range ranks {
-		ranks[i] = i
-	}
-	return w.NewComm(ranks)
-}
+func (w *World) All() (*Comm, error) { return w.NewComm(w.all) }
 
 // Size returns the number of communicator members.
 func (c *Comm) Size() int { return len(c.ranks) }
@@ -123,25 +112,12 @@ func (c *Comm) me(r *Rank) int {
 	return i
 }
 
-// allocRows hands out a result row slice from s, or the heap when s is
-// nil (the copying-API wrappers).
-func allocRows(s *Scratch, n int) [][]float64 {
-	if s != nil {
-		return s.Rows(n)
-	}
-	return make([][]float64, n)
-}
-
-// copyInto copies src into a buffer from s (or the heap when s is nil),
-// preserving the copying API's empty→nil convention.
+// copyInto copies src into a buffer from s; an empty payload stays nil.
 func copyInto(s *Scratch, src []float64) []float64 {
 	if len(src) == 0 {
 		return nil
 	}
-	if s != nil {
-		return append(s.Buf(len(src)), src...)
-	}
-	return append([]float64(nil), src...)
+	return append(s.Buf(len(src)), src...)
 }
 
 // Barrier synchronizes the members and their clocks (all advance to the
@@ -197,15 +173,11 @@ func (c *Comm) AllreduceSum(r *Rank, v float64) float64 {
 	return out.val
 }
 
-// Bcast distributes root's buffer to every member; each member receives a
-// fresh copy. Clocks advance to the synchronized maximum plus the modelled
-// time of the slowest root→member message.
-func (c *Comm) Bcast(r *Rank, root int, data []float64) []float64 {
-	return c.BcastInto(r, root, data, nil)
-}
-
-// BcastInto is Bcast receiving into buf (reused from length zero, grown
-// only if too small) so steady-state broadcasts allocate nothing.
+// BcastInto distributes root's buffer to every member, each receiving its
+// copy in buf (reused from length zero, grown only if too small) so
+// steady-state broadcasts allocate nothing. Clocks advance to the
+// synchronized maximum plus the modelled time of the slowest root→member
+// message.
 func (c *Comm) BcastInto(r *Rank, root int, data []float64, buf []float64) []float64 {
 	me := c.me(r)
 	c.clocks[me] = r.clock
@@ -229,16 +201,11 @@ func (c *Comm) BcastInto(r *Rank, root int, data []float64, buf []float64) []flo
 	return out
 }
 
-// Gatherv collects every member's buffer at root. Root receives a slice
-// indexed by comm rank (fresh copies); other members receive nil. Clocks
-// advance to the synchronized maximum plus the modelled time of the
-// slowest member→root message.
-func (c *Comm) Gatherv(r *Rank, root int, data []float64) [][]float64 {
-	return c.GathervInto(r, root, data, nil)
-}
-
-// GathervInto is Gatherv drawing the root's result rows and payload copies
-// from s (valid until s.Reset). A nil s falls back to fresh allocations.
+// GathervInto collects every member's buffer at root. Root receives a
+// slice indexed by comm rank, rows and payload copies drawn from s (valid
+// until s.Reset); other members receive nil. Clocks advance to the
+// synchronized maximum plus the modelled time of the slowest member→root
+// message.
 func (c *Comm) GathervInto(r *Rank, root int, data []float64, s *Scratch) [][]float64 {
 	me := c.me(r)
 	c.clocks[me] = r.clock
@@ -255,7 +222,7 @@ func (c *Comm) GathervInto(r *Rank, root int, data []float64, s *Scratch) [][]fl
 	})
 	var out [][]float64
 	if me == root {
-		out = allocRows(s, len(c.ranks))
+		out = s.Rows(len(c.ranks))
 		for i := range c.ranks {
 			out[i] = copyInto(s, c.flat[i])
 		}
@@ -269,22 +236,16 @@ func (c *Comm) GathervInto(r *Rank, root int, data []float64, s *Scratch) [][]fl
 	return out
 }
 
-// Alltoallv performs the personalized all-to-all exchange at the heart of
-// nest redistribution (§IV): send[i] goes to comm rank i (nil or empty
+// AlltoallvInto performs the personalized all-to-all exchange at the heart
+// of nest redistribution (§IV): send[i] goes to comm rank i (nil or empty
 // slices send nothing, matching the paper's zero-count participation of
-// uninvolved ranks). The result is indexed by source comm rank, with fresh
-// buffers. All member clocks advance by the modelled exchange time,
+// uninvolved ranks). The result is indexed by source comm rank; its rows
+// and payload copies are drawn from s, the receive-side twin of building
+// send rows from the same scratch. Everything handed out stays valid until
+// s.Reset; the collective has returned on every member by the time any
+// member's call returns, so resetting after the results are consumed is
+// always safe. All member clocks advance by the modelled exchange time,
 // including the world's contention term.
-func (c *Comm) Alltoallv(r *Rank, send [][]float64) [][]float64 {
-	return c.AlltoallvInto(r, send, nil)
-}
-
-// AlltoallvInto is Alltoallv drawing the receive rows and payload copies
-// from s, the receive-side twin of building send rows from the same
-// scratch. Everything handed out stays valid until s.Reset; the collective
-// has returned on every member by the time any member's call returns, so
-// resetting after the results are consumed is always safe. A nil s falls
-// back to fresh allocations.
 func (c *Comm) AlltoallvInto(r *Rank, send [][]float64, s *Scratch) [][]float64 {
 	me := c.me(r)
 	if len(send) != len(c.ranks) {
@@ -309,7 +270,7 @@ func (c *Comm) AlltoallvInto(r *Rank, send [][]float64, s *Scratch) [][]float64 
 		c.msgs = msgs
 		c.sync = maxOf(c.clocks) + c.world.alltoallvTime(msgs)
 	})
-	out := allocRows(s, len(c.ranks))
+	out := s.Rows(len(c.ranks))
 	for i := range c.ranks {
 		if row := c.rows[i]; row != nil && len(row[me]) > 0 {
 			out[i] = copyInto(s, row[me])
@@ -324,16 +285,11 @@ func (c *Comm) AlltoallvInto(r *Rank, send [][]float64, s *Scratch) [][]float64 
 	return out
 }
 
-// Scatterv distributes root's per-member buffers: member i receives a
-// fresh copy of send[i]. Only root's send argument is consulted; other
-// members pass nil. Clocks advance to the synchronized maximum plus the
-// slowest root→member message.
-func (c *Comm) Scatterv(r *Rank, root int, send [][]float64) []float64 {
-	return c.ScattervInto(r, root, send, nil)
-}
-
-// ScattervInto is Scatterv receiving into buf (reused from length zero,
-// grown only if too small).
+// ScattervInto distributes root's per-member buffers: member i receives
+// send[i] in buf (reused from length zero, grown only if too small). Only
+// root's send argument is consulted; other members pass nil. Clocks
+// advance to the synchronized maximum plus the slowest root→member
+// message.
 func (c *Comm) ScattervInto(r *Rank, root int, send [][]float64, buf []float64) []float64 {
 	me := c.me(r)
 	c.clocks[me] = r.clock
@@ -359,39 +315,11 @@ func (c *Comm) ScattervInto(r *Rank, root int, send [][]float64, buf []float64) 
 	return out
 }
 
-// Allgatherv collects every member's buffer at every member: the result is
-// indexed by comm rank. Modelled as a gather to rank 0 followed by a
-// broadcast of the concatenation. The concatenation is materialized
-// exactly once per call (the old implementation copied every payload once
-// per receiving member); the returned rows are read-only views into it,
-// shared by all members. Callers that mutate their result use
-// AllgathervInto for owned copies.
-func (c *Comm) Allgatherv(r *Rank, data []float64) [][]float64 {
-	me := c.allgatherRendezvous(r, data)
-	out := make([][]float64, len(c.ranks))
-	for i := range out {
-		if lo, hi := c.offsets[i], c.offsets[i+1]; hi > lo {
-			out[i] = c.gathered[lo:hi:hi]
-		}
-	}
-	c.allgatherRelease(r, me)
-	return out
-}
-
-// AllgathervInto is Allgatherv copying each member's payload into buffers
-// from s (valid until s.Reset), for callers that need ownership of their
-// result rows.
+// AllgathervInto collects every member's buffer at every member: the
+// result is indexed by comm rank, each payload copied into buffers from s
+// (valid until s.Reset). Modelled as a gather to rank 0 followed by a
+// broadcast of the concatenation.
 func (c *Comm) AllgathervInto(r *Rank, data []float64, s *Scratch) [][]float64 {
-	me := c.allgatherRendezvous(r, data)
-	out := allocRows(s, len(c.ranks))
-	for i := range c.ranks {
-		out[i] = copyInto(s, c.flat[i])
-	}
-	c.allgatherRelease(r, me)
-	return out
-}
-
-func (c *Comm) allgatherRendezvous(r *Rank, data []float64) int {
 	me := c.me(r)
 	c.clocks[me] = r.clock
 	c.flat[me] = data
@@ -413,28 +341,18 @@ func (c *Comm) allgatherRendezvous(r *Rank, data []float64) int {
 			}
 		}
 		c.sync = maxOf(c.clocks) + worst + bc
-		// Materialize the concatenation once for all members. This is the
-		// call's only payload copy; the buffer is freshly allocated because
-		// the copying API's views may outlive the collective.
-		buf := make([]float64, 0, total)
-		c.offsets[0] = 0
-		for i := range c.ranks {
-			buf = append(buf, c.flat[i]...)
-			c.offsets[i+1] = len(buf)
-		}
-		c.gathered = buf
 	})
-	return me
-}
-
-func (c *Comm) allgatherRelease(r *Rank, me int) {
+	out := s.Rows(len(c.ranks))
+	for i := range c.ranks {
+		out[i] = copyInto(s, c.flat[i])
+	}
 	r.clock = c.sync
 	c.bar.await(me, func() {
-		c.gathered = nil
 		for i := range c.flat {
 			c.flat[i] = nil
 		}
 	})
+	return out
 }
 
 func maxOf(xs []float64) float64 {

@@ -24,7 +24,7 @@ func TestInjectedDelayAdvancesReceiverClock(t *testing.T) {
 			r.Compute(1.0)
 			r.Send(1, 7, []float64{42})
 		case 1:
-			got := r.Recv(0, 7)
+			got := r.RecvInto(0, 7, nil)
 			if len(got) != 1 || got[0] != 42 {
 				t.Errorf("payload %v", got)
 			}
@@ -61,10 +61,10 @@ func TestInjectedDropTimesOutReceiver(t *testing.T) {
 			case 0:
 				r.Send(1, 7, []float64{1})
 			case 1:
-				r.Recv(0, 7) // never arrives
+				r.RecvInto(0, 7, nil) // never arrives
 			case 2:
 				// An innocent blocked rank: must be poisoned free, not hang.
-				r.Recv(1, 9)
+				r.RecvInto(1, 9, nil)
 			}
 		})
 	}()
@@ -100,7 +100,7 @@ func TestMailboxDeliveryUnaffectedByForeignRules(t *testing.T) {
 			return
 		}
 		for i := 0; i < 5; i++ {
-			got := r.Recv(0, 3)
+			got := r.RecvInto(0, 3, nil)
 			if len(got) != 1 || got[0] != float64(i) {
 				t.Errorf("message %d = %v", i, got)
 			}
@@ -126,7 +126,7 @@ func TestInjectedCrashPoisonsWorld(t *testing.T) {
 	go func() {
 		done <- w.Run(func(r *Rank) {
 			if r.ID() == 0 {
-				r.Recv(1, 1) // rank 1 dies before sending
+				r.RecvInto(1, 1, nil) // rank 1 dies before sending
 			}
 		})
 	}()

@@ -59,7 +59,7 @@ func goldenSchedule(t testing.TB) []float64 {
 			}
 			send[to] = buf
 		}
-		all.Alltoallv(r, send)
+		all.AlltoallvInto(r, send, new(Scratch))
 		mark(r)
 
 		all.Barrier(r)
@@ -79,7 +79,7 @@ func goldenSchedule(t testing.TB) []float64 {
 		for k := range data {
 			data[k] = float64(id*10 + k)
 		}
-		all.Gatherv(r, 2, data)
+		all.GathervInto(r, 2, data, new(Scratch))
 		mark(r)
 
 		var bc []float64
@@ -89,7 +89,7 @@ func goldenSchedule(t testing.TB) []float64 {
 				bc[k] = float64(k)
 			}
 		}
-		all.Bcast(r, 3, bc)
+		all.BcastInto(r, 3, bc, nil)
 		mark(r)
 
 		var rows [][]float64
@@ -99,19 +99,19 @@ func goldenSchedule(t testing.TB) []float64 {
 				rows[i] = make([]float64, i+1)
 			}
 		}
-		all.Scatterv(r, 1, rows)
+		all.ScattervInto(r, 1, rows, nil)
 		mark(r)
 
 		ag := make([]float64, (id*2)%6)
 		for k := range ag {
 			ag[k] = float64(id*100 + k)
 		}
-		all.Allgatherv(r, ag)
+		all.AllgathervInto(r, ag, new(Scratch))
 		mark(r)
 
 		// Point-to-point ring shift with tags.
 		r.Send((id+1)%16, 5, []float64{float64(id)})
-		got := r.Recv((id+15)%16, 5)
+		got := r.RecvInto((id+15)%16, 5, nil)
 		if len(got) != 1 || got[0] != float64((id+15)%16) {
 			panic("ring payload wrong")
 		}

@@ -81,30 +81,35 @@ func (q *peerQueue) take(tag int) (envelope, bool) {
 // map[from,tag] keyed by every message with per-sender ring deques sized to
 // the world. Only the owning rank ever receives, so instead of a condition
 // variable that Broadcast every put to all sleepers, producers wake the
-// single consumer through a one-slot signal channel, and only when it has
-// actually parked.
+// single consumer through a one-slot signal channel, and only the producer
+// the consumer is actually parked on does: waiting holds that peer's rank
+// plus one (zero while the consumer runs), so a rank waiting on its east
+// neighbour is not woken by the other seven.
 type mailbox struct {
 	peers    []peerQueue
-	waiting  atomic.Bool
+	waiting  atomic.Int32
 	signal   chan struct{}
-	poisonC  chan struct{}
-	once     sync.Once
 	poisoned atomic.Bool
 }
 
 func (b *mailbox) init(n int) {
 	b.peers = make([]peerQueue, n)
 	b.signal = make(chan struct{}, 1)
-	b.poisonC = make(chan struct{})
 }
 
 func (b *mailbox) put(from, tag int, e envelope) {
 	b.peers[from].put(tag, e)
-	if b.waiting.Load() {
-		select {
-		case b.signal <- struct{}{}:
-		default: // consumer already has a pending wakeup
-		}
+	if b.waiting.Load() == int32(from)+1 {
+		b.wake()
+	}
+}
+
+// wake leaves one token in the signal channel; a full channel means the
+// consumer already has a pending wakeup.
+func (b *mailbox) wake() {
+	select {
+	case b.signal <- struct{}{}:
+	default:
 	}
 }
 
@@ -113,10 +118,11 @@ func (b *mailbox) put(from, tag int, e envelope) {
 // expires with no message, get returns ok=false instead of blocking
 // forever on a dropped message.
 //
-// Lost wakeups are impossible: the consumer publishes waiting=true and
-// then re-scans before parking, while producers enqueue and then check the
-// flag — sequential consistency of the atomics means at least one side
-// sees the other.
+// Lost wakeups are impossible: the consumer publishes the peer it waits on
+// and then re-scans before parking, while that peer's producers enqueue
+// and then check the flag — sequential consistency of the atomics means at
+// least one side sees the other. A token left over from a wait that the
+// re-scan satisfied only costs a later wait one spurious pass of the loop.
 func (b *mailbox) get(from, tag int, timeout time.Duration) (envelope, bool) {
 	q := &b.peers[from]
 	var expired <-chan time.Time
@@ -132,24 +138,30 @@ func (b *mailbox) get(from, tag int, timeout time.Duration) (envelope, bool) {
 		if e, ok := q.take(tag); ok {
 			return e, true
 		}
-		b.waiting.Store(true)
+		b.waiting.Store(int32(from) + 1)
 		if e, ok := q.take(tag); ok {
-			b.waiting.Store(false)
+			b.waiting.Store(0)
 			return e, true
 		}
-		select {
-		case <-b.signal:
-		case <-b.poisonC:
-			panic(panicPoisoned)
-		case <-expired:
-			b.waiting.Store(false)
-			return q.take(tag)
+		if expired == nil {
+			// A plain receive, as in barrier.await: poison buffers a token
+			// too, and the poisoned check above turns that wake into a panic.
+			<-b.signal
+		} else {
+			select {
+			case <-b.signal:
+			case <-expired:
+				b.waiting.Store(0)
+				return q.take(tag)
+			}
 		}
-		b.waiting.Store(false)
+		b.waiting.Store(0)
 	}
 }
 
+// poison permanently breaks the mailbox: a consumer parked now, or parking
+// later, wakes on the buffered token and panics with panicPoisoned.
 func (b *mailbox) poison() {
 	b.poisoned.Store(true)
-	b.once.Do(func() { close(b.poisonC) })
+	b.wake()
 }

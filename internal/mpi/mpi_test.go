@@ -68,7 +68,7 @@ func TestSendRecvDataIntegrity(t *testing.T) {
 			buf[0] = 99 // must not affect the receiver: payload is copied
 		}
 		if r.ID() == 1 {
-			got := r.Recv(0, 7)
+			got := r.RecvInto(0, 7, nil)
 			if len(got) != 3 || got[0] != 1 || got[2] != 3 {
 				panic("payload corrupted")
 			}
@@ -90,10 +90,10 @@ func TestSendRecvTagMatching(t *testing.T) {
 			r.Send(1, 1, []float64{1})
 		case 1:
 			// Receive in the opposite tag order.
-			if got := r.Recv(0, 1); got[0] != 1 {
+			if got := r.RecvInto(0, 1, nil); got[0] != 1 {
 				panic("tag 1 mismatched")
 			}
-			if got := r.Recv(0, 2); got[0] != 2 {
+			if got := r.RecvInto(0, 2, nil); got[0] != 2 {
 				panic("tag 2 mismatched")
 			}
 		}
@@ -111,7 +111,7 @@ func TestRecvAdvancesClock(t *testing.T) {
 			r.Compute(1.0)
 			r.Send(15, 0, make([]float64, 1000))
 		case 15:
-			r.Recv(0, 0)
+			r.RecvInto(0, 0, nil)
 			recvClock = r.Clock()
 		}
 	}); err != nil {
@@ -138,7 +138,7 @@ func TestPanicInRankIsReported(t *testing.T) {
 		// must wake them instead of deadlocking the test.
 		if r.ID() == 5 {
 			defer func() { recover() }() // the poison panic
-			r.Recv(3, 0)
+			r.RecvInto(3, 0, nil)
 		}
 	})
 	if err == nil {
@@ -202,7 +202,7 @@ func TestBcast(t *testing.T) {
 		if r.ID() == 2 {
 			data = []float64{42, 43}
 		}
-		got := all.Bcast(r, 2, data)
+		got := all.BcastInto(r, 2, data, nil)
 		if len(got) == 2 && got[0] == 42 && got[1] == 43 {
 			atomic.AddInt64(&ok, 1)
 		}
@@ -233,7 +233,7 @@ func TestGatherv(t *testing.T) {
 		for i := range data {
 			data[i] = float64(r.ID()*100 + i)
 		}
-		out := all.Gatherv(r, 0, data)
+		out := all.GathervInto(r, 0, data, new(Scratch))
 		if r.ID() == 0 {
 			rootGot = out
 		} else if out != nil {
@@ -274,7 +274,7 @@ func TestAlltoallvTransposesData(t *testing.T) {
 				send[to] = []float64{float64(r.ID()*1000 + to)}
 			}
 		}
-		recv := all.Alltoallv(r, send)
+		recv := all.AlltoallvInto(r, send, new(Scratch))
 		for from := range recv {
 			want := (from+r.ID())%3 == 0
 			if want {
@@ -300,7 +300,7 @@ func TestAlltoallvChargesTime(t *testing.T) {
 	if err := w.Run(func(r *Rank) {
 		send := make([][]float64, 16)
 		send[(r.ID()+8)%16] = make([]float64, 4096)
-		all.Alltoallv(r, send)
+		all.AlltoallvInto(r, send, new(Scratch))
 		clocks[r.ID()] = r.Clock()
 	}); err != nil {
 		t.Fatal(err)
@@ -328,7 +328,7 @@ func TestAlltoallvContentionIncreasesTime(t *testing.T) {
 			for to := range send {
 				send[to] = make([]float64, 1024)
 			}
-			all.Alltoallv(r, send)
+			all.AlltoallvInto(r, send, new(Scratch))
 			if r.ID() == 0 {
 				clock = r.Clock()
 			}
@@ -443,7 +443,7 @@ func TestVirtualTimeDeterminism(t *testing.T) {
 			r.Compute(float64(r.ID()) * 1e-4)
 			send := make([][]float64, 64)
 			send[(r.ID()*7+5)%64] = make([]float64, 100+r.ID())
-			all.Alltoallv(r, send)
+			all.AlltoallvInto(r, send, new(Scratch))
 			r.Compute(1e-3)
 			all.Barrier(r)
 			if r.ID() == 0 {
@@ -480,7 +480,7 @@ func TestScatterv(t *testing.T) {
 				send[i] = []float64{float64(i * 11)}
 			}
 		}
-		got := all.Scatterv(r, 2, send)
+		got := all.ScattervInto(r, 2, send, nil)
 		if len(got) != 1 || got[0] != float64(r.ID()*11) {
 			atomic.AddInt64(&bad, 1)
 		}
@@ -507,7 +507,7 @@ func TestAllgatherv(t *testing.T) {
 		for i := range data {
 			data[i] = float64(r.ID()*10 + i)
 		}
-		got := all.Allgatherv(r, data)
+		got := all.AllgathervInto(r, data, new(Scratch))
 		for from, buf := range got {
 			if len(buf) != from {
 				atomic.AddInt64(&bad, 1)

@@ -1,6 +1,9 @@
 package mpi
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -11,7 +14,7 @@ import (
 )
 
 // pooledWorld builds a 12-rank torus world with contention and send
-// overhead, so the equivalence runs exercise every cost-model term.
+// overhead, so the golden schedule exercises every cost-model term.
 func pooledWorld(t testing.TB) *World {
 	t.Helper()
 	g := geom.NewGrid(4, 3)
@@ -30,20 +33,18 @@ func pooledWorld(t testing.TB) *World {
 	return w
 }
 
-// collectiveTrace is one rank's observations over the equivalence
-// schedule: its clock after every operation and every payload value it
-// received, in order.
+// collectiveTrace is one rank's observations over the golden schedule:
+// its clock after every operation and every payload value it received, in
+// order.
 type collectiveTrace struct {
 	clocks   []float64
 	payloads []float64
 }
 
 // runCollectiveSchedule drives every collective plus point-to-point
-// traffic through either the copying APIs (pooled=false) or the
-// scratch/Into variants (pooled=true) and records per-rank traces. The
-// schedule repeats three times so pooled buffers are observed after reuse,
-// not just freshly grown.
-func runCollectiveSchedule(t *testing.T, pooled bool) []collectiveTrace {
+// traffic and records per-rank traces. The schedule repeats three times so
+// pooled buffers are observed after reuse, not just freshly grown.
+func runCollectiveSchedule(t *testing.T) []collectiveTrace {
 	t.Helper()
 	w := pooledWorld(t)
 	all, err := w.All()
@@ -69,31 +70,23 @@ func runCollectiveSchedule(t *testing.T, pooled bool) []collectiveTrace {
 			r.Compute(float64(id) * 3e-5)
 
 			// Alltoallv: a shifting sparse exchange.
-			send := allocRows(pooledScratch(pooled, s), n)
+			send := s.Rows(n)
 			to := (id + round + 1) % n
 			if to != id {
-				buf := copyBuf(pooledScratch(pooled, s), 40+id+round)
+				buf := s.Buf(40 + id + round)[:40+id+round]
 				for k := range buf {
 					buf[k] = float64(id*100 + round*10 + k%7)
 				}
 				send[to] = buf
 			}
-			if pooled {
-				observe(all.AlltoallvInto(r, send, s))
-			} else {
-				observe(all.Alltoallv(r, send))
-			}
+			observe(all.AlltoallvInto(r, send, s))
 
 			// Gatherv at a rotating root.
 			data := make([]float64, (id+round)%4)
 			for k := range data {
 				data[k] = float64(id*10 + k)
 			}
-			if pooled {
-				observe(all.GathervInto(r, round%n, data, s))
-			} else {
-				observe(all.Gatherv(r, round%n, data))
-			}
+			observe(all.GathervInto(r, round%n, data, s))
 
 			// Bcast from a rotating root.
 			var bc []float64
@@ -103,12 +96,8 @@ func runCollectiveSchedule(t *testing.T, pooled bool) []collectiveTrace {
 					bc[k] = float64(round*1000 + k)
 				}
 			}
-			if pooled {
-				bcastBuf = all.BcastInto(r, (round+5)%n, bc, bcastBuf)
-				observe([][]float64{bcastBuf})
-			} else {
-				observe([][]float64{all.Bcast(r, (round+5)%n, bc)})
-			}
+			bcastBuf = all.BcastInto(r, (round+5)%n, bc, bcastBuf)
+			observe([][]float64{bcastBuf})
 
 			// Scatterv from a rotating root.
 			var rows [][]float64
@@ -121,26 +110,17 @@ func runCollectiveSchedule(t *testing.T, pooled bool) []collectiveTrace {
 					}
 				}
 			}
-			if pooled {
-				scatterBuf = all.ScattervInto(r, (round+2)%n, rows, scatterBuf)
-				observe([][]float64{scatterBuf})
-			} else {
-				observe([][]float64{all.Scatterv(r, (round+2)%n, rows)})
-			}
+			scatterBuf = all.ScattervInto(r, (round+2)%n, rows, scatterBuf)
+			observe([][]float64{scatterBuf})
 
 			// Allgatherv.
 			ag := make([]float64, (id*2+round)%5)
 			for k := range ag {
 				ag[k] = float64(id*100 + round*7 + k)
 			}
-			if pooled {
-				observe(all.AllgathervInto(r, ag, s))
-			} else {
-				observe(all.Allgatherv(r, ag))
-			}
+			observe(all.AllgathervInto(r, ag, s))
 
-			// Reductions and barrier (identical in both modes — included so
-			// the surrounding clocks line up only if their timing matches).
+			// Reductions and barrier.
 			tr.payloads = append(tr.payloads,
 				all.AllreduceMax(r, float64((id+round)%7)),
 				all.AllreduceSum(r, float64(id+round)))
@@ -149,12 +129,8 @@ func runCollectiveSchedule(t *testing.T, pooled bool) []collectiveTrace {
 
 			// Point-to-point ring shift.
 			r.Send((id+1)%n, 64+round, []float64{float64(id), float64(round)})
-			if pooled {
-				p2pBuf = r.RecvInto((id+n-1)%n, 64+round, p2pBuf)
-				observe([][]float64{p2pBuf})
-			} else {
-				observe([][]float64{r.Recv((id+n-1)%n, 64+round)})
-			}
+			p2pBuf = r.RecvInto((id+n-1)%n, 64+round, p2pBuf)
+			observe([][]float64{p2pBuf})
 			all.Barrier(r)
 			tr.clocks = append(tr.clocks, r.Clock())
 		}
@@ -165,49 +141,48 @@ func runCollectiveSchedule(t *testing.T, pooled bool) []collectiveTrace {
 	return traces
 }
 
-// pooledScratch selects the scratch for send-side buffers: the rank's
-// arena in pooled mode, fresh heap buffers otherwise.
-func pooledScratch(pooled bool, s *Scratch) *Scratch {
-	if pooled {
-		return s
-	}
-	return nil
-}
+// The frozen golden of runCollectiveSchedule, captured from the copying
+// collectives (Alltoallv, Gatherv, Bcast, Scatterv, Allgatherv, Recv)
+// before they were deleted: the trace sizes, an FNV-1a digest over the
+// bits of every rank's clock marks and then payload words in rank order,
+// and the clock every rank ends on.
+const (
+	goldenPooledClockMarks   = 288
+	goldenPooledPayloadWords = 3672
+	goldenPooledDigest       = 0x1dccb867417c6aba
+	goldenPooledFinalClock   = 0.0011100457142857144
+)
 
-// copyBuf returns a full-length buffer of size c from the scratch (or the
-// heap when s is nil).
-func copyBuf(s *Scratch, c int) []float64 {
-	if s != nil {
-		return s.Buf(c)[:c]
+// TestPooledCollectivesMatchGolden is the collective-equivalence golden
+// test: the scratch/Into collectives must produce the virtual clocks (the
+// modelled Alltoallv/collective times) and payloads, bit for bit, that the
+// copying API they replaced produced on every rank.
+func TestPooledCollectivesMatchGolden(t *testing.T) {
+	traces := runCollectiveSchedule(t)
+	h := fnv.New64a()
+	hash := func(vs []float64) {
+		var b [8]byte
+		for _, v := range vs {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+			h.Write(b[:])
+		}
 	}
-	return make([]float64, c)
-}
-
-// TestPooledCollectivesMatchCopying is the collective-equivalence golden
-// test: the scratch/Into variants must produce bit-identical virtual
-// clocks (the modelled Alltoallv/collective times) and bit-identical
-// payloads on every rank, compared to the copying APIs.
-func TestPooledCollectivesMatchCopying(t *testing.T) {
-	copying := runCollectiveSchedule(t, false)
-	pooled := runCollectiveSchedule(t, true)
-	for id := range copying {
-		a, b := copying[id], pooled[id]
-		if len(a.clocks) != len(b.clocks) {
-			t.Fatalf("rank %d: %d vs %d clock marks", id, len(a.clocks), len(b.clocks))
+	marks, words := 0, 0
+	for id, tr := range traces {
+		hash(tr.clocks)
+		hash(tr.payloads)
+		marks += len(tr.clocks)
+		words += len(tr.payloads)
+		if last := tr.clocks[len(tr.clocks)-1]; last != goldenPooledFinalClock {
+			t.Errorf("rank %d final clock %.17g, golden %.17g", id, last, goldenPooledFinalClock)
 		}
-		for i := range a.clocks {
-			if a.clocks[i] != b.clocks[i] {
-				t.Errorf("rank %d clock mark %d: copying %g, pooled %g", id, i, a.clocks[i], b.clocks[i])
-			}
-		}
-		if len(a.payloads) != len(b.payloads) {
-			t.Fatalf("rank %d: %d vs %d payload words", id, len(a.payloads), len(b.payloads))
-		}
-		for i := range a.payloads {
-			if a.payloads[i] != b.payloads[i] {
-				t.Errorf("rank %d payload word %d: copying %g, pooled %g", id, i, a.payloads[i], b.payloads[i])
-			}
-		}
+	}
+	if marks != goldenPooledClockMarks || words != goldenPooledPayloadWords {
+		t.Errorf("%d clock marks and %d payload words, golden %d and %d",
+			marks, words, goldenPooledClockMarks, goldenPooledPayloadWords)
+	}
+	if got := h.Sum64(); got != goldenPooledDigest {
+		t.Errorf("trace digest %#x, golden %#x", got, uint64(goldenPooledDigest))
 	}
 }
 

@@ -57,36 +57,15 @@ func (r *Rank) Send(to, tag int, data []float64) {
 	r.clock += r.world.cfg.SendOverhead
 }
 
-// Recv blocks until a message with the given source and tag arrives and
-// returns its payload. Ownership of the buffer transfers to the caller
-// (it never returns to the world's pool — RecvInto is the recycling
-// variant). The rank's clock advances to the message's modelled arrival
-// time if that is later. Under a fault plan with a receive timeout, a
-// receive that outlives the bound (a dropped message) panics the rank;
-// World.Run recovers it and reports the failure.
-func (r *Rank) Recv(from, tag int) []float64 {
-	e := r.recv(from, tag)
-	if e.pb == nil {
-		return nil
-	}
-	return e.pb.data
-}
-
-// RecvInto is Recv copying the payload into buf (reused from length zero,
-// grown only if too small) and recycling the transport buffer, so
-// steady-state point-to-point traffic allocates nothing. It returns the
-// filled buffer.
+// RecvInto blocks until a message with the given source and tag arrives,
+// copies its payload into buf (reused from length zero, grown only if too
+// small) and recycles the transport buffer, so steady-state point-to-point
+// traffic allocates nothing. It returns the filled buffer. The rank's
+// clock advances to the message's modelled arrival time if that is later.
+// Under a fault plan with a receive timeout, a receive that outlives the
+// bound (a dropped message) panics the rank; World.Run recovers it and
+// reports the failure.
 func (r *Rank) RecvInto(from, tag int, buf []float64) []float64 {
-	e := r.recv(from, tag)
-	if e.pb == nil {
-		return buf[:0]
-	}
-	out := append(buf[:0], e.pb.data...)
-	r.world.putPayload(e.pb)
-	return out
-}
-
-func (r *Rank) recv(from, tag int) envelope {
 	if from < 0 || from >= r.world.n {
 		panic(fmt.Sprintf("mpi: recv from invalid rank %d", from))
 	}
@@ -97,5 +76,7 @@ func (r *Rank) recv(from, tag int) envelope {
 	if arrival := e.sentAt + e.pairTime; arrival > r.clock {
 		r.clock = arrival
 	}
-	return e
+	out := append(buf[:0], e.pb.data...)
+	r.world.putPayload(e.pb)
+	return out
 }

@@ -45,6 +45,7 @@ type Config struct {
 type World struct {
 	n      int
 	cfg    Config
+	all    []int // every rank, ascending: Run's dispatch set
 	boxes  []mailbox
 	faults atomic.Pointer[faults.Plan]
 
@@ -82,9 +83,11 @@ func NewWorld(n int, cfg Config) (*World, error) {
 	w := &World{
 		n:     n,
 		cfg:   cfg,
+		all:   make([]int, n),
 		boxes: make([]mailbox, n),
 	}
 	for i := range w.boxes {
+		w.all[i] = i
 		w.boxes[i].init(n)
 	}
 	if cfg.Faults != nil {
@@ -104,25 +107,73 @@ func (w *World) SetFaults(p *faults.Plan) { w.faults.Store(p) }
 // rank finishes. A panic in any rank is captured, the world is poisoned so
 // blocked ranks fail fast instead of deadlocking, and the first panic is
 // returned as an error.
-func (w *World) Run(fn func(r *Rank)) error {
-	var wg sync.WaitGroup
-	wg.Add(w.n)
-	for id := 0; id < w.n; id++ {
-		go func(id int) {
-			defer wg.Done()
-			r := &Rank{id: id, world: w}
-			defer func() {
-				if p := recover(); p != nil {
-					w.fail(fmt.Errorf("mpi: rank %d panicked: %v", id, p))
-				}
-			}()
-			if plan := w.faults.Load(); plan != nil {
-				plan.CrashPoint(id) // may panic: an injected rank crash
+func (w *World) Run(fn func(r *Rank)) error { return w.RunOn(w.all, fn) }
+
+// RunOn is Run over a subset of the world: fn executes once on each of
+// the given ranks (strictly ascending world rank numbers) and no
+// goroutine is spawned for any other rank — a step in which 40 of 256
+// ranks own work dispatches 40. Under a fault plan the crash point of
+// every rank left out is still evaluated, inline, so an injected crash of
+// an idle rank fails the same dispatch it would have failed under Run. A
+// world that has already failed runs nothing and reports its first
+// failure.
+func (w *World) RunOn(ranks []int, fn func(r *Rank)) error {
+	for i, id := range ranks {
+		if id < 0 || id >= w.n || (i > 0 && id <= ranks[i-1]) {
+			return fmt.Errorf("mpi: RunOn ranks must be ascending in [0,%d), got %d at %d", w.n, id, i)
+		}
+	}
+	plan := w.faults.Load()
+	if plan != nil && len(ranks) < w.n {
+		next := 0
+		for id := 0; id < w.n; id++ {
+			if next < len(ranks) && ranks[next] == id {
+				next++
+				continue
 			}
-			fn(r)
-		}(id)
+			w.crashPoint(plan, id)
+		}
+	}
+	if err := w.failure(); err != nil {
+		return err
+	}
+	// One Rank array per dispatch, not one Rank per goroutine.
+	rs := make([]Rank, len(ranks))
+	var wg sync.WaitGroup
+	wg.Add(len(ranks))
+	for i, id := range ranks {
+		rs[i] = Rank{id: id, world: w}
+		go w.runRank(&rs[i], plan, fn, &wg)
 	}
 	wg.Wait()
+	return w.failure()
+}
+
+// runRank is one rank's goroutine: the injected crash point, then fn,
+// with any panic turned into a world failure.
+func (w *World) runRank(r *Rank, plan *faults.Plan, fn func(r *Rank), wg *sync.WaitGroup) {
+	defer wg.Done()
+	defer w.recoverRank(r.id)
+	plan.CrashPoint(r.id) // may panic: an injected rank crash
+	fn(r)
+}
+
+// crashPoint evaluates the fault plan's crash point for a rank RunOn does
+// not spawn.
+func (w *World) crashPoint(plan *faults.Plan, id int) {
+	defer w.recoverRank(id)
+	plan.CrashPoint(id)
+}
+
+// recoverRank, deferred, records a rank's panic as the world's failure.
+func (w *World) recoverRank(id int) {
+	if p := recover(); p != nil {
+		w.fail(fmt.Errorf("mpi: rank %d panicked: %v", id, p))
+	}
+}
+
+// failure returns the first recorded rank failure, nil on a healthy world.
+func (w *World) failure() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if len(w.failures) > 0 {

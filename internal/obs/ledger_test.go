@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -158,5 +159,47 @@ func TestTracerLedgerIntegration(t *testing.T) {
 	}
 	if n := strings.Count(string(data), "\n"); n != 10 {
 		t.Fatalf("ledger has %d lines, want 10", n)
+	}
+}
+
+// TestConcurrentEmittersWriteLedgerInSeqOrder: eight goroutines emit at
+// once; the ledger must hold every event exactly once with Seq strictly
+// increasing — the order a reader replays it in.
+func TestConcurrentEmittersWriteLedgerInSeqOrder(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.jsonl")
+	l, err := OpenLedger(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := New(Options{Buffer: 16, Ledger: l})
+	const emitters, each = 8, 250
+	var wg sync.WaitGroup
+	wg.Add(emitters)
+	for g := 0; g < emitters; g++ {
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				tr.Emit(Event{Kind: KindNestStep, Step: i, NestID: g, DurNS: 1})
+			}
+		}(g)
+	}
+	wg.Wait()
+	if err := tr.LedgerErr(); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, skipped, err := ReadLedgerFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if skipped != 0 || len(got) != emitters*each {
+		t.Fatalf("ledger has %d events (%d skipped), want %d", len(got), skipped, emitters*each)
+	}
+	for i, e := range got {
+		if e.Seq != int64(i+1) {
+			t.Fatalf("ledger line %d carries seq %d: appended out of sequence", i+1, e.Seq)
+		}
 	}
 }

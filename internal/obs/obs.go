@@ -47,10 +47,11 @@ const (
 	// KindRedist is one executed in-place Alltoallv redistribution of a
 	// distributed nest.
 	KindRedist Kind = "redist"
-	// KindNestStep is one nest's advance within a pipeline step. Nests may
-	// step concurrently, so these events overlap each other and the
-	// enclosing "nests" phase — they feed a per-nest latency aggregate,
-	// never timeline phase sums.
+	// KindNestStep is one nest's advance within a pipeline step. Nests
+	// step concurrently (distributed nests in one shared dispatch, whose
+	// duration each of their events carries), so these events overlap each
+	// other and the enclosing "nests" phase — they feed a per-nest latency
+	// aggregate, never timeline phase sums.
 	KindNestStep Kind = "nest-step"
 	// KindJob records job lifecycle transitions (submitted, attempt,
 	// paused, retry, done, failed, cancelled).
@@ -130,6 +131,11 @@ type Tracer struct {
 	dropped int64
 	ledger  *Ledger
 	ledErr  error
+	// ledMu orders ledger appends by Seq: Emit takes it while still
+	// holding mu, so the emitter that drew the lower Seq writes first, and
+	// releases mu before the write, so the ring is never locked across
+	// file I/O done by its own emitter.
+	ledMu sync.Mutex
 
 	aggs  map[string]*agg
 	order []string
@@ -173,7 +179,8 @@ func aggName(e Event) string {
 // Emit records one event: sequence number and timestamp are assigned
 // here. The event is appended to the ring (evicting the oldest when
 // full), folded into its streaming aggregate, and appended to the ledger
-// when one is attached.
+// when one is attached — in Seq order, whatever the interleaving of
+// concurrent emitters.
 func (t *Tracer) Emit(e Event) {
 	if t == nil {
 		return
@@ -202,9 +209,14 @@ func (t *Tracer) Emit(e Event) {
 		a.hist.ObserveNS(e.DurNS)
 	}
 	led := t.ledger
+	if led != nil {
+		t.ledMu.Lock()
+	}
 	t.mu.Unlock()
 	if led != nil {
-		if err := led.Append(e); err != nil {
+		err := led.Append(e)
+		t.ledMu.Unlock()
+		if err != nil {
 			t.mu.Lock()
 			if t.ledErr == nil {
 				t.ledErr = err

@@ -121,7 +121,8 @@ func BenchmarkHaloExchange(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := w.Run(func(r *mpi.Rank) {
-			pm.exchangeHalo(r, pm.local[r.ID()])
+			st := pm.local[r.ID()]
+			st.halo.exchange(r, st.qcloud, pm.step*16)
 		}); err != nil {
 			b.Fatal(err)
 		}

@@ -45,31 +45,14 @@ type rankState struct {
 	block  geom.Rect // owned region in domain coordinates
 	qcloud *field.Field
 	olr    *field.Field
-	// next and ext are the advection double buffer and the halo-extended
-	// source field, reused every step so steady-state stepping allocates
-	// nothing. sendBuf is the halo-strip staging buffer (Rank.Send copies
-	// payloads, so one buffer serves all neighbours). None carry state
-	// between steps and none are checkpointed.
-	next    *field.Field
-	ext     *field.Field
-	sendBuf []float64
-	// recvBuf is the halo-strip receive buffer (Rank.RecvInto fills it and
-	// recycles the transport buffer, so the exchange allocates nothing).
-	recvBuf []float64
-	// nbrs is the rank's fixed 8-neighbourhood, precomputed at
-	// construction (the parent decomposition never changes).
-	nbrs []neighbour
+	// next is the advection double buffer and halo the rank's exchange
+	// plan with its halo-extended source field, both reused every step so
+	// steady-state stepping allocates nothing (the parent decomposition
+	// never changes, so the plan is built once). Neither carries state
+	// between steps and neither is checkpointed.
+	next *field.Field
+	halo haloPlan
 }
-
-// neighbour is one halo-exchange partner direction.
-type neighbour struct {
-	dx, dy int
-}
-
-// haloWidth is the stencil reach of one advection step in cells. The
-// ambient flow moves well under one cell per 2-minute step, so a width of
-// 2 is conservative.
-const haloWidth = 2
 
 // NewParallelModel builds a distributed model over a freshly created
 // world of pg.Size() ranks using the given (possibly nil) network for the
@@ -101,26 +84,14 @@ func NewParallelModel(cfg Config, pg geom.Grid, world *mpi.World) (*ParallelMode
 			return nil, fmt.Errorf("wrfsim: rank %d block %v narrower than the %d-cell halo; use fewer ranks",
 				r, blk, haloWidth)
 		}
-		st := &rankState{
+		pm.local[r] = &rankState{
 			block:  blk,
 			qcloud: field.New(blk.Width(), blk.Height()),
 			olr:    field.New(blk.Width(), blk.Height()),
 			next:   field.New(blk.Width(), blk.Height()),
-			ext:    field.New(blk.Width()+2*haloWidth, blk.Height()+2*haloWidth),
+			halo:   newHaloPlan(pg, pm.dist, pg.Coord(r)),
 		}
-		st.olr.Fill(cfg.OLRClear)
-		me := pg.Coord(r)
-		for dy := -1; dy <= 1; dy++ {
-			for dx := -1; dx <= 1; dx++ {
-				if dx == 0 && dy == 0 {
-					continue
-				}
-				if pg.Bounds().Contains(geom.Point{X: me.X + dx, Y: me.Y + dy}) {
-					st.nbrs = append(st.nbrs, neighbour{dx, dy})
-				}
-			}
-		}
-		pm.local[r] = st
+		pm.local[r].olr.Fill(cfg.OLRClear)
 	}
 	return pm, nil
 }
@@ -184,7 +155,7 @@ func (pm *ParallelModel) rankStep(r *mpi.Rank, st *rankState, cells []Cell) {
 
 	// Build the halo-extended field: interior from the local block,
 	// borders received from the up-to-8 neighbours.
-	ext := pm.exchangeHalo(r, st)
+	ext := st.halo.exchange(r, st.qcloud, pm.step*16)
 
 	// Semi-Lagrangian advection reading from the extended field, plus
 	// decay, fused into one pass. Departure points clamp to the global
@@ -209,87 +180,6 @@ func (pm *ParallelModel) rankStep(r *mpi.Rank, st *rankState, cells []Cell) {
 	}
 	r.Compute(float64(st.block.Area()) * 2e-8)
 }
-
-// exchangeHalo sends border strips to the eight neighbours and assembles
-// the halo-extended local field. Cells outside the global domain remain
-// at the clamped border values' defaults (they are never read thanks to
-// the departure-point clamping above, but are filled with the nearest
-// interior value for safety).
-func (pm *ParallelModel) exchangeHalo(r *mpi.Rank, st *rankState) *field.Field {
-	me := pm.pg.Coord(r.ID())
-	w, h := st.block.Width(), st.block.Height()
-	// Reuse the rank's extended buffer; zero it first so cells no strip
-	// rewrites (the outside-domain corners) stay at their fresh-field value.
-	ext := st.ext
-	ext.Fill(0)
-	// Interior copy.
-	ext.SetSub(geom.NewRect(haloWidth, haloWidth, w, h), st.qcloud)
-
-	// Post sends first (non-blocking mailbox semantics), then receive.
-	// The payload for neighbour (dx,dy) is the strip of our block that
-	// lies within haloWidth of the shared boundary. Rank.Send copies the
-	// payload, so one staging buffer serves every neighbour in turn.
-	for _, n := range st.nbrs {
-		strip := pm.ownStrip(st, n.dx, n.dy)
-		payload := st.sendBuf[:0]
-		strip.Cells(func(p geom.Point) {
-			payload = append(payload, st.qcloud.At(p.X-st.block.X0, p.Y-st.block.Y0))
-		})
-		st.sendBuf = payload
-		r.Send(pm.pg.Rank(geom.Point{X: me.X + n.dx, Y: me.Y + n.dy}), pm.step*16+tag(n.dx, n.dy), payload)
-	}
-	for _, n := range st.nbrs {
-		from := geom.Point{X: me.X + n.dx, Y: me.Y + n.dy}
-		// The neighbour sent its strip facing us: its (dx,dy) towards us is
-		// (-dx,-dy). RecvInto reuses the rank's receive buffer and recycles
-		// the transport buffer.
-		payload := r.RecvInto(pm.pg.Rank(from), pm.step*16+tag(-n.dx, -n.dy), st.recvBuf)
-		st.recvBuf = payload
-		their := pm.local[pm.pg.Rank(from)].block
-		strip := stripOf(their, -n.dx, -n.dy)
-		if strip.Area() != len(payload) {
-			panic(fmt.Sprintf("halo payload %d != strip %v", len(payload), strip))
-		}
-		i := 0
-		strip.Cells(func(p geom.Point) {
-			ex := p.X - st.block.X0 + haloWidth
-			ey := p.Y - st.block.Y0 + haloWidth
-			if ex >= 0 && ex < ext.NX && ey >= 0 && ey < ext.NY {
-				ext.Set(ex, ey, payload[i])
-			}
-			i++
-		})
-	}
-	return ext
-}
-
-// ownStrip returns the region of our block that the neighbour in
-// direction (dx, dy) needs as halo.
-func (pm *ParallelModel) ownStrip(st *rankState, dx, dy int) geom.Rect {
-	return stripOf(st.block, dx, dy)
-}
-
-// stripOf returns the part of block within haloWidth of its boundary
-// facing direction (dx, dy).
-func stripOf(block geom.Rect, dx, dy int) geom.Rect {
-	out := block
-	switch dx {
-	case -1:
-		out.X1 = min(out.X1, out.X0+haloWidth)
-	case 1:
-		out.X0 = max(out.X0, out.X1-haloWidth)
-	}
-	switch dy {
-	case -1:
-		out.Y1 = min(out.Y1, out.Y0+haloWidth)
-	case 1:
-		out.Y0 = max(out.Y0, out.Y1-haloWidth)
-	}
-	return out
-}
-
-// tag encodes a neighbour direction into a message tag in [0, 9).
-func tag(dx, dy int) int { return (dy+1)*3 + (dx + 1) }
 
 // depositInto adds the cell's Gaussian source restricted to the owned
 // block (same maths as the serial Model.deposit at ratio 1).

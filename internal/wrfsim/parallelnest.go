@@ -28,28 +28,33 @@ type ParallelNest struct {
 	procs geom.Rect // current processor sub-rectangle
 	nx    int       // fine extents
 	ny    int
-	// local[rank] is the block owned by that rank (nil for ranks outside
-	// the sub-grid). A slice, not a map: each rank's goroutine writes only
-	// its own element, which is race-free.
-	local []*field.Field
-	// next, ext, and sendBuf are per-rank step scratch (advection double
-	// buffer, halo-extended source, halo staging buffer), indexed like
-	// local and touched only by the owning rank's goroutine. They are
-	// sized lazily in Step — block shapes change on Redistribute — carry
-	// no state between substeps, and are never checkpointed.
-	next    []*field.Field
-	ext     []*field.Field
-	sendBuf [][]float64
-	recvBuf [][]float64
+	// local[rank] is that rank's share of the nest (nil for ranks outside
+	// the sub-grid), rebuilt whenever procs changes. A slice, not a map:
+	// each rank's goroutine touches only its own element, which is
+	// race-free.
+	local []*nestRank
 	// redistScratch[rank] is that rank's Alltoallv arena, reused across
-	// redistributions (indexed like local: each rank touches only its own
-	// element, which is race-free).
+	// redistributions (indexed and touched like local).
 	redistScratch []mpi.Scratch
 	steps         int
 
 	// tracer, when set, receives one redist event per executed Alltoallv.
 	// It is runtime wiring, not state: checkpoints never carry it.
 	tracer *obs.Tracer
+}
+
+// nestRank is one owner rank's share of a distributed nest: its block of
+// the fine field plus step scratch, the advection double buffer and the
+// cached halo plan. The scratch is built by the rank's first step on a
+// decomposition (next == nil until then), so scatter and Redistribute stay
+// as cheap as moving the data; it carries no state between substeps and is
+// never checkpointed. scatter and Redistribute replace the whole nestRank,
+// so a plan never outlives the blocks it was built for.
+type nestRank struct {
+	block geom.Rect // owned fine cells
+	f     *field.Field
+	next  *field.Field
+	halo  haloPlan
 }
 
 // SetTracer installs a structured tracer on the nest (nil removes it);
@@ -84,29 +89,28 @@ func (m *Model) NewParallelNest(id int, region geom.Rect, pg geom.Grid, procs ge
 // scatter distributes a full fine field into per-rank blocks over procs.
 func (n *ParallelNest) scatter(fine *field.Field, procs geom.Rect) error {
 	dist := geom.NewBlockDist(n.nx, n.ny, procs)
-	local := make([]*field.Field, n.pg.Size())
-	var bad geom.Rect
-	ok := true
-	dist.Blocks(func(p geom.Point, blk geom.Rect) {
-		if blk.Width() < haloWidth || blk.Height() < haloWidth {
-			ok = false
-			bad = blk
-			return
-		}
-		local[n.pg.Rank(p)] = fine.Sub(blk)
-	})
-	if !ok {
-		return fmt.Errorf("wrfsim: nest %d block %v narrower than the %d-cell halo; use fewer ranks",
-			n.ID, bad, haloWidth)
+	if err := n.checkHalo(dist); err != nil {
+		return err
 	}
 	n.procs = procs
-	n.local = local
-	n.next = make([]*field.Field, n.pg.Size())
-	n.ext = make([]*field.Field, n.pg.Size())
-	n.sendBuf = make([][]float64, n.pg.Size())
-	n.recvBuf = make([][]float64, n.pg.Size())
+	n.local = make([]*nestRank, n.pg.Size())
+	dist.Blocks(func(p geom.Point, blk geom.Rect) {
+		n.local[n.pg.Rank(p)] = &nestRank{block: blk, f: fine.Sub(blk)}
+	})
 	n.redistScratch = make([]mpi.Scratch, n.pg.Size())
 	return nil
+}
+
+// checkHalo rejects a decomposition with a block narrower than the halo.
+func (n *ParallelNest) checkHalo(dist geom.BlockDist) error {
+	var err error
+	dist.Blocks(func(_ geom.Point, blk geom.Rect) {
+		if err == nil && (blk.Width() < haloWidth || blk.Height() < haloWidth) {
+			err = fmt.Errorf("wrfsim: nest %d block %v over %v narrower than the %d-cell halo; use fewer ranks",
+				n.ID, blk, dist.Procs, haloWidth)
+		}
+	})
+	return err
 }
 
 // Procs returns the current processor sub-rectangle.
@@ -118,127 +122,98 @@ func (n *ParallelNest) Size() (nx, ny int) { return n.nx, n.ny }
 // StepCount returns completed fine substeps.
 func (n *ParallelNest) StepCount() int { return n.steps }
 
-// Step advances the nest through NestRatio fine substeps on the world,
-// mirroring the serial Nest physics. Ranks outside the nest's sub-grid
-// return immediately (in the paper's framework they are busy with other
-// nests). cells must be the parent model's current cell population.
+// Step advances the nest through NestRatio fine substeps on the world: the
+// one-nest case of StepNests. cells must be the parent model's current
+// cell population.
 func (n *ParallelNest) Step(w *mpi.World, cfg Config, cells []Cell) error {
-	if w.Size() != n.pg.Size() {
-		return fmt.Errorf("wrfsim: world of %d ranks for grid of %d", w.Size(), n.pg.Size())
-	}
-	dist := geom.NewBlockDist(n.nx, n.ny, n.procs)
-	dtFine := cfg.Dt / NestRatio
-	ux := cfg.FlowU * dtFine * NestRatio // fine cells per substep
-	vy := cfg.FlowV * dtFine * NestRatio
-	decay := math.Exp(-dtFine / cfg.DecayTau)
+	return StepNests(w, cfg, cells, []*ParallelNest{n})
+}
 
-	for s := 0; s < NestRatio; s++ {
-		err := w.Run(func(r *mpi.Rank) {
-			me := n.pg.Coord(r.ID())
-			if !n.procs.Contains(me) {
-				return
-			}
-			blk := dist.BlockOf(me)
-			f := n.local[r.ID()]
-
-			// Deposit the scaled sources into the owned block.
-			for _, c := range cells {
-				scaled := c
-				scaled.Peak = c.Peak / NestRatio
-				depositNest(f, blk, scaled, cfg.Dt, n.Region)
-			}
-			r.Compute(float64(blk.Area()) * 5e-9)
-
-			ext := n.exchangeNestHalo(r, dist, blk, f)
-
-			// Advect+decay into the rank's double buffer, then swap it
-			// with the owned block.
-			rid := r.ID()
-			next := n.next[rid]
-			if next == nil || next.NX != blk.Width() || next.NY != blk.Height() {
-				next = field.New(blk.Width(), blk.Height())
-			}
-			field.AdvectDecay(next, ext, field.AdvectSpec{
-				UX: ux, VY: vy,
-				GX0: blk.X0, GY0: blk.Y0,
-				GNX: n.nx, GNY: n.ny,
-				OffX: haloWidth, OffY: haloWidth,
-				Decay: decay,
-			})
-			n.local[rid], n.next[rid] = next, f
-			r.Compute(float64(blk.Area()) * 2e-8)
-		})
-		if err != nil {
-			return err
+// StepNests advances every given nest by one parent step — NestRatio fine
+// substeps, mirroring the serial Nest physics — in a single dispatch over
+// exactly the ranks that own a nest block: "each nested simulation is
+// executed on disjoint subsets of the total number of processors", all of
+// them at once, and ranks that own nothing are never woken. Each rank runs
+// its substeps back to back; the halo messages, tagged by substep, are the
+// only synchronisation the physics needs.
+//
+// Nests whose processor sub-rectangles overlap would share mailbox
+// (from, tag) keys, so when the owner table finds one rank claimed twice
+// the nests are stepped one dispatch each, in the order given. cells must
+// be the parent model's current cell population.
+func StepNests(w *mpi.World, cfg Config, cells []Cell, nests []*ParallelNest) error {
+	owner := make([]*ParallelNest, w.Size())
+	ranks := make([]int, 0, w.Size())
+	for _, n := range nests {
+		if w.Size() != n.pg.Size() {
+			return fmt.Errorf("wrfsim: world of %d ranks for grid of %d", w.Size(), n.pg.Size())
 		}
-		n.steps++
+		for rank, st := range n.local {
+			if st == nil {
+				continue
+			}
+			if owner[rank] != nil {
+				for _, one := range nests {
+					if err := one.Step(w, cfg, cells); err != nil {
+						return err
+					}
+				}
+				return nil
+			}
+			owner[rank] = n
+		}
+	}
+	for rank, n := range owner {
+		if n != nil {
+			ranks = append(ranks, rank)
+		}
+	}
+	dtFine := cfg.Dt / NestRatio
+	spec := field.AdvectSpec{
+		UX:   cfg.FlowU * dtFine * NestRatio, // fine cells per substep
+		VY:   cfg.FlowV * dtFine * NestRatio,
+		OffX: haloWidth, OffY: haloWidth,
+		Decay: math.Exp(-dtFine / cfg.DecayTau),
+	}
+	err := w.RunOn(ranks, func(r *mpi.Rank) {
+		owner[r.ID()].stepRank(r, cfg, cells, spec)
+	})
+	if err != nil {
+		return err
+	}
+	for _, n := range nests {
+		n.steps += NestRatio
 	}
 	return nil
 }
 
-// exchangeNestHalo mirrors ParallelModel.exchangeHalo on the nest's
-// sub-grid.
-func (n *ParallelNest) exchangeNestHalo(r *mpi.Rank, dist geom.BlockDist, blk geom.Rect, f *field.Field) *field.Field {
-	rid := r.ID()
-	me := n.pg.Coord(rid)
-	// Reuse the rank's extended buffer; zero it first so cells no strip
-	// rewrites stay at their fresh-field value.
-	ext := n.ext[rid]
-	if ext == nil || ext.NX != blk.Width()+2*haloWidth || ext.NY != blk.Height()+2*haloWidth {
-		ext = field.New(blk.Width()+2*haloWidth, blk.Height()+2*haloWidth)
-		n.ext[rid] = ext
-	} else {
-		ext.Fill(0)
+// stepRank is one owner rank's work for one parent step of the nest.
+func (n *ParallelNest) stepRank(r *mpi.Rank, cfg Config, cells []Cell, spec field.AdvectSpec) {
+	st := n.local[r.ID()]
+	blk := st.block
+	if st.next == nil {
+		st.next = field.New(blk.Width(), blk.Height())
+		st.halo = newHaloPlan(n.pg, geom.NewBlockDist(n.nx, n.ny, n.procs), n.pg.Coord(r.ID()))
 	}
-	ext.SetSub(geom.NewRect(haloWidth, haloWidth, blk.Width(), blk.Height()), f)
+	spec.GX0, spec.GY0 = blk.X0, blk.Y0
+	spec.GNX, spec.GNY = n.nx, n.ny
+	for s := 0; s < NestRatio; s++ {
+		// Deposit the scaled sources into the owned block: the fine grid
+		// takes a third of the parent's per-step source per substep.
+		for _, c := range cells {
+			c.Peak /= NestRatio
+			depositNest(st.f, blk, c, cfg.Dt, n.Region)
+		}
+		r.Compute(float64(blk.Area()) * 5e-9)
 
-	type nb struct{ dx, dy int }
-	neighbours := make([]nb, 0, 8)
-	for dy := -1; dy <= 1; dy++ {
-		for dx := -1; dx <= 1; dx++ {
-			if dx == 0 && dy == 0 {
-				continue
-			}
-			p := geom.Point{X: me.X + dx, Y: me.Y + dy}
-			if n.procs.Contains(p) {
-				neighbours = append(neighbours, nb{dx, dy})
-			}
-		}
+		ext := st.halo.exchange(r, st.f, (n.steps+s)*16)
+
+		// Advect+decay into the double buffer, then swap it with the
+		// owned block.
+		field.AdvectDecay(st.next, ext, spec)
+		st.f, st.next = st.next, st.f
+		r.Compute(float64(blk.Area()) * 2e-8)
 	}
-	// Rank.Send copies payloads, so one staging buffer per rank serves
-	// every neighbour in turn.
-	for _, nbr := range neighbours {
-		strip := stripOf(blk, nbr.dx, nbr.dy)
-		payload := n.sendBuf[rid][:0]
-		strip.Cells(func(p geom.Point) {
-			payload = append(payload, f.At(p.X-blk.X0, p.Y-blk.Y0))
-		})
-		n.sendBuf[rid] = payload
-		to := n.pg.Rank(geom.Point{X: me.X + nbr.dx, Y: me.Y + nbr.dy})
-		r.Send(to, n.steps*16+tag(nbr.dx, nbr.dy), payload)
-	}
-	for _, nbr := range neighbours {
-		from := geom.Point{X: me.X + nbr.dx, Y: me.Y + nbr.dy}
-		// RecvInto reuses the rank's staging buffer and recycles the
-		// transport buffer, keeping the steady-state exchange allocation-free.
-		payload := r.RecvInto(n.pg.Rank(from), n.steps*16+tag(-nbr.dx, -nbr.dy), n.recvBuf[rid])
-		n.recvBuf[rid] = payload
-		theirBlk := dist.BlockOf(from)
-		strip := stripOf(theirBlk, -nbr.dx, -nbr.dy)
-		if strip.Area() != len(payload) {
-			panic(fmt.Sprintf("nest halo payload %d != strip %v", len(payload), strip))
-		}
-		i := 0
-		strip.Cells(func(p geom.Point) {
-			ex := p.X - blk.X0 + haloWidth
-			ey := p.Y - blk.Y0 + haloWidth
-			if ex >= 0 && ex < ext.NX && ey >= 0 && ey < ext.NY {
-				ext.Set(ex, ey, payload[i])
-			}
-			i++
-		})
-	}
-	return ext
 }
 
 // depositNest adds the cell's Gaussian source restricted to the owned
@@ -278,18 +253,8 @@ func (n *ParallelNest) Redistribute(w *mpi.World, newProcs geom.Rect) (float64, 
 	}
 	oldDist := geom.NewBlockDist(n.nx, n.ny, n.procs)
 	newDist := geom.NewBlockDist(n.nx, n.ny, newProcs)
-	// Pre-check the new decomposition's halo viability.
-	var bad geom.Rect
-	ok := true
-	newDist.Blocks(func(_ geom.Point, blk geom.Rect) {
-		if blk.Width() < haloWidth || blk.Height() < haloWidth {
-			ok = false
-			bad = blk
-		}
-	})
-	if !ok {
-		return 0, fmt.Errorf("wrfsim: nest %d new block %v narrower than the %d-cell halo",
-			n.ID, bad, haloWidth)
+	if err := n.checkHalo(newDist); err != nil {
+		return 0, err
 	}
 
 	all, err := w.All()
@@ -302,7 +267,7 @@ func (n *ParallelNest) Redistribute(w *mpi.World, newProcs geom.Rect) (float64, 
 		wallStart = time.Now()
 	}
 	oldProcs := n.procs
-	newLocal := make([]*field.Field, n.pg.Size())
+	newLocal := make([]*nestRank, n.pg.Size())
 	var elapsed float64
 	runErr := w.Run(func(r *mpi.Rank) {
 		me := n.pg.Coord(r.ID())
@@ -315,9 +280,8 @@ func (n *ParallelNest) Redistribute(w *mpi.World, newProcs geom.Rect) (float64, 
 		start := r.Clock()
 
 		send := s.Rows(n.pg.Size())
-		if n.procs.Contains(me) {
-			myBlock := oldDist.BlockOf(me)
-			f := n.local[r.ID()]
+		if st := n.local[r.ID()]; st != nil {
+			myBlock, f := st.block, st.f
 			newDist.Blocks(func(recv geom.Point, rblk geom.Rect) {
 				inter := myBlock.Intersect(rblk)
 				if inter.Empty() {
@@ -352,7 +316,7 @@ func (n *ParallelNest) Redistribute(w *mpi.World, newProcs geom.Rect) (float64, 
 					i++
 				})
 			}
-			newLocal[r.ID()] = out
+			newLocal[r.ID()] = &nestRank{block: myBlock, f: out}
 		}
 		if r.ID() == 0 {
 			elapsed = r.Clock() - start
@@ -402,7 +366,7 @@ func (n *ParallelNest) GatherInto(out *field.Field) *field.Field {
 	}
 	dist := geom.NewBlockDist(n.nx, n.ny, n.procs)
 	dist.Blocks(func(p geom.Point, blk geom.Rect) {
-		out.SetSub(blk, n.local[n.pg.Rank(p)])
+		out.SetSub(blk, n.local[n.pg.Rank(p)].f)
 	})
 	return out
 }
