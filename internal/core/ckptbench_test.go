@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"testing"
 
 	"nestdiff/internal/geom"
@@ -20,22 +19,6 @@ func benchCkptPipeline(b *testing.B) *Pipeline {
 		b.Fatalf("scenario spawned %d nests, want >= 2", len(p.Nests()))
 	}
 	return p
-}
-
-// BenchmarkCheckpointSaveV1Gob is the pre-v2 baseline: one reflective gob
-// encode of the full pipelineState per checkpoint.
-func BenchmarkCheckpointSaveV1Gob(b *testing.B) {
-	p := benchCkptPipeline(b)
-	var buf bytes.Buffer
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf.Reset()
-		if err := p.saveStateV1(&buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(buf.Len()), "ckpt-bytes")
 }
 
 // BenchmarkCheckpointEncodeFull measures a v2 full base: binary field
@@ -61,18 +44,8 @@ func BenchmarkCheckpointEncodeFull(b *testing.B) {
 // cut emits a thin replay delta. Run with a fixed -benchtime (e.g. 200x):
 // every iteration advances the simulation one step.
 func BenchmarkCheckpointEncodeDelta(b *testing.B) {
-	benchEncodeDelta(b, false)
-}
-
-// BenchmarkCheckpointEncodeFieldDelta is the same cut with XOR+RLE field
-// diffs instead of replay directives — the restore-without-replay flavor.
-func BenchmarkCheckpointEncodeFieldDelta(b *testing.B) {
-	benchEncodeDelta(b, true)
-}
-
-func benchEncodeDelta(b *testing.B, fieldDeltas bool) {
 	p := benchCkptPipeline(b)
-	cw := NewCheckpointWriter(CheckpointWriterOptions{MaxDeltas: 1 << 30, FieldDeltas: fieldDeltas})
+	cw := NewCheckpointWriter(CheckpointWriterOptions{MaxDeltas: 1 << 30})
 	if _, _, err := cw.Encode(p); err != nil { // the chain's full base
 		b.Fatal(err)
 	}

@@ -1,19 +1,10 @@
 package core
 
 import (
-	"encoding/binary"
 	"hash/crc32"
 	"math"
 	"testing"
 )
-
-func floatsFromBytes(b []byte) []float64 {
-	out := make([]float64, len(b)/8)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-	return out
-}
 
 func bitsEqual(a, b []float64) bool {
 	if len(a) != len(b) {
@@ -56,132 +47,40 @@ func crcOfBytes(b []byte) uint32 {
 	return crc32.Checksum(b, ckptCRC)
 }
 
-// TestXORRLERoundTrip: deterministic shapes — all-zero diff, sparse
-// changes, dense changes, runs straddling the word-run hysteresis.
-func TestXORRLERoundTrip(t *testing.T) {
-	const n = 257
-	prev := make([]float64, n)
-	for i := range prev {
-		prev[i] = float64(i) * 1.25e-3
-	}
-	cases := map[string]func() []float64{
-		"unchanged": func() []float64 {
-			return append([]float64(nil), prev...)
-		},
-		"one changed word": func() []float64 {
-			cur := append([]float64(nil), prev...)
-			cur[n/2] = math.Pi
-			return cur
-		},
-		"dense change": func() []float64 {
-			cur := make([]float64, n)
-			for i := range cur {
-				cur[i] = prev[i]*0.99 + 1e-9
-			}
-			return cur
-		},
-		"alternating short runs": func() []float64 {
-			cur := append([]float64(nil), prev...)
-			for i := 0; i < n; i += 7 {
-				cur[i] = -cur[i]
-			}
-			return cur
-		},
-		"nan and inf": func() []float64 {
-			cur := append([]float64(nil), prev...)
-			cur[0] = math.NaN()
-			cur[n-1] = math.Inf(-1)
-			return cur
-		},
-	}
-	for name, mk := range cases {
-		t.Run(name, func(t *testing.T) {
-			cur := mk()
-			enc := appendXORRLE(nil, cur, prev)
-			if err := scanXORRLE(n, enc); err != nil {
-				t.Fatalf("scan rejected a writer-produced stream: %v", err)
-			}
-			dst := append([]float64(nil), prev...)
-			if err := applyXORRLE(dst, enc); err != nil {
-				t.Fatal(err)
-			}
-			if !bitsEqual(dst, cur) {
-				t.Fatal("XOR+RLE round trip diverged")
-			}
-		})
-	}
-}
-
-// TestXORRLERejectsTruncatedStream: scan and apply must agree that a
-// stream not covering the whole field is invalid, without panicking.
-func TestXORRLERejectsTruncatedStream(t *testing.T) {
-	cur := []float64{1, 2, 3, 4}
-	prev := []float64{1, 2, 0, 4}
-	enc := appendXORRLE(nil, cur, prev)
-	for cutAt := 0; cutAt < len(enc); cutAt++ {
-		if err := scanXORRLE(len(cur), enc[:cutAt]); err == nil {
-			t.Fatalf("scan accepted a stream truncated to %d of %d bytes", cutAt, len(enc))
+// TestParseFieldBoundsDimensionsBeforeMultiplying: parseField must reject
+// dimensions whose product wraps around to a plausible sample count, and
+// must agree with itself on what it accepts whether or not it decodes.
+func TestParseFieldBoundsDimensionsBeforeMultiplying(t *testing.T) {
+	valid := appendField(nil, 3, 2, []float64{1, 2, 3, 4, 5, 6})
+	for _, decode := range []bool{false, true} {
+		nx, ny, data, err := parseField(valid, decode)
+		if err != nil || nx != 3 || ny != 2 || (data != nil) != decode {
+			t.Fatalf("decode=%v: parseField = %dx%d, %v, %v", decode, nx, ny, data, err)
 		}
-		dst := append([]float64(nil), prev...)
-		if err := applyXORRLE(dst, enc[:cutAt]); err == nil {
-			t.Fatalf("apply accepted a stream truncated to %d of %d bytes", cutAt, len(enc))
+	}
+	rejects := map[string][]byte{
+		"short":            valid[:7],
+		"zero dimension":   appendField(nil, 0, 6, nil),
+		"one sample short": valid[:len(valid)-8],
+		"trailing byte":    append(append([]byte(nil), valid...), 0),
+		// 8*nx*ny == 16 (mod 2^64): two samples of payload pass a length
+		// check made after the multiplication.
+		"product wraps to 2": overflowWitnessField(),
+	}
+	for name, b := range rejects {
+		for _, decode := range []bool{false, true} {
+			if _, _, _, err := parseField(b, decode); err == nil {
+				t.Fatalf("%s (decode=%v) accepted", name, decode)
+			}
 		}
 	}
 }
 
-// FuzzFieldCodec drives the v2 field codec round trip from arbitrary byte
-// strings: raw encode/decode must be the identity on bit patterns, the
-// XOR+RLE diff of any (cur, prev) pair must apply back to cur bit-exactly,
-// and scan must accept exactly the streams apply accepts.
-func FuzzFieldCodec(f *testing.F) {
-	f.Add([]byte{}, []byte{})
-	f.Add(
-		[]byte{0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8},
-		[]byte{0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 9},
-	)
-	f.Add(make([]byte, 8*64), make([]byte, 8*64))
-	f.Fuzz(func(t *testing.T, curB, prevB []byte) {
-		cur := floatsFromBytes(curB)
-		prev := floatsFromBytes(prevB)
-		// The codec diffs equal-shape fields; pad or trim prev to match.
-		for len(prev) < len(cur) {
-			prev = append(prev, 0)
-		}
-		prev = prev[:len(cur)]
-
-		raw := appendRawField(nil, cur)
-		out := make([]float64, len(cur))
-		decodeRawField(out, raw)
-		if !bitsEqual(out, cur) {
-			t.Fatal("raw field round trip diverged")
-		}
-		if fieldCRC(cur, make([]byte, 64)) != crcOfBytes(raw) {
-			t.Fatal("fieldCRC disagrees with CRC of the raw encoding")
-		}
-
-		enc := appendXORRLE(nil, cur, prev)
-		if err := scanXORRLE(len(cur), enc); err != nil {
-			t.Fatalf("scan rejected a writer-produced stream: %v", err)
-		}
-		dst := append([]float64(nil), prev...)
-		if err := applyXORRLE(dst, enc); err != nil {
-			t.Fatalf("apply rejected a writer-produced stream: %v", err)
-		}
-		if !bitsEqual(dst, cur) {
-			t.Fatal("XOR+RLE round trip diverged")
-		}
-
-		// Arbitrary bytes fed to the decoder must never panic, and scan
-		// must be at least as strict as apply.
-		if len(cur) > 0 {
-			junk := enc
-			if len(curB) > 0 {
-				junk = curB
-			}
-			applyErr := applyXORRLE(make([]float64, len(cur)), junk)
-			if scanErr := scanXORRLE(len(cur), junk); scanErr == nil && applyErr != nil {
-				t.Fatalf("scan accepted a stream apply rejects: %v", applyErr)
-			}
-		}
-	})
+// overflowWitnessField is a field payload whose dimensions multiply to
+// -9223372036854775806 as int64 — so 8*nx*ny wraps to 16 — followed by
+// exactly 16 sample bytes.
+func overflowWitnessField() []byte {
+	b := appendU32(nil, 2147549185)
+	b = appendU32(b, 4294836226)
+	return append(b, make([]byte, 16)...)
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/gob"
 	"fmt"
 	"hash/crc32"
-	"runtime"
 	"slices"
 
 	"nestdiff/internal/field"
@@ -38,67 +37,28 @@ type CheckpointWriterOptions struct {
 	// blobs the next Encode emits a full base. Zero means the default (8);
 	// negative disables deltas entirely, so every Encode is a full base.
 	MaxDeltas int
-	// Workers bounds how many nests encode concurrently (the same knob as
-	// PipelineConfig.NestWorkers). Zero means runtime.GOMAXPROCS(0).
-	Workers int
-	// FieldDeltas makes delta blobs carry XOR+RLE field diffs instead of a
-	// replay directive. Diffs restore without re-executing any steps, but
-	// advected fields change every word every step, so a diff costs nearly
-	// as many bytes as a full base. The default (false) writes deltas as a
-	// target step plus per-field CRCs — a few hundred bytes — and restore
-	// re-executes the delta's steps deterministically, verifying the CRCs.
-	FieldDeltas bool
 }
 
 const defaultMaxDeltas = 8
 
-// modelShadow is the writer's copy of the parent field as of the previous
-// blob in the current chain — the XOR baseline for model deltas.
-type modelShadow struct {
-	data   []float64
-	nx, ny int
-	step   int
-	valid  bool
-}
-
-// nestShadow is the writer's copy of one nest as of the previous blob:
-// geometry for the dirty test, samples for the XOR baseline, and (for
-// distributed nests) a pooled gather target double-buffered against data.
-type nestShadow struct {
-	region geom.Rect
-	procs  geom.Rect
-	nx, ny int
-	steps  int
-	dist   bool
-	data   []float64
-	gather *field.Field
-}
-
-// nestWork is one planned nest record: which nest, encoded how.
-type nestWork struct {
-	id   int
-	kind byte // recNestFull or recNestXOR
-}
-
-// CheckpointWriter encodes pipeline checkpoints as NDCP v2 blobs,
-// producing delta blobs between bounded full bases. All buffers — the two
-// output arenas, the per-nest encode buffers, the field shadows — are
-// pooled, so steady-state encoding of an unchanged topology allocates
-// only what gob needs for the small metadata record.
+// CheckpointWriter encodes pipeline checkpoints as NDCP v2 blobs: a full
+// base, then replay-directive deltas until the chain bound forces the next
+// base. All buffers — the two output arenas, the per-nest encode buffers,
+// the gather targets of distributed nests — are pooled, so steady-state
+// encoding of an unchanged topology allocates only what gob needs for the
+// small metadata record.
 //
-// The writer assumes it sees every checkpoint of one pipeline in order:
-// its shadows are the XOR baselines, valid only if every blob it returned
-// since the last full base was actually committed. A caller that drops a
-// blob (failed write) or mutates the pipeline outside stepping (elastic
-// resize) must call Invalidate so the next Encode re-bases.
+// The writer assumes it sees every checkpoint of one pipeline in order: a
+// delta restores only on top of the blobs since the last full base, so
+// every blob it returned since then must actually have been committed. A
+// caller that drops a blob (failed write) or mutates the pipeline outside
+// stepping (elastic resize) must call Invalidate so the next Encode
+// re-bases.
 //
 // Not safe for concurrent use; Encode must not run while the pipeline is
 // stepping.
 type CheckpointWriter struct {
 	opts CheckpointWriterOptions
-
-	model modelShadow
-	nests map[int]*nestShadow
 
 	// Chain bookkeeping: valid gates delta encoding, deltas counts blobs
 	// since the last base, seq/prevCRC seed the next blob's header links.
@@ -121,26 +81,28 @@ type CheckpointWriter struct {
 	metaRaw bytes.Buffer
 	meta    ckptMetaV2
 
-	// Reused planning/encode scratch.
+	// Reused encode scratch. ids is the live nest IDs of the current
+	// Encode in ascending order; gathers[i] and nestBufs[i] are the pooled
+	// gather target (distributed nests only) and record buffer of ids[i].
 	ids      []int
-	rm       []int
-	work     []nestWork
+	gathers  []*field.Field
 	nestBufs [][]byte
 	cells    []wrfsim.Cell
 	crc      []byte
 }
 
-// NewCheckpointWriter returns a writer with empty shadows: its first
-// Encode emits a full base.
+// NewCheckpointWriter returns a writer whose first Encode emits a full
+// base.
 func NewCheckpointWriter(opts CheckpointWriterOptions) *CheckpointWriter {
-	return &CheckpointWriter{opts: opts, nests: make(map[int]*nestShadow)}
+	return &CheckpointWriter{opts: opts}
 }
 
 // Invalidate forces the next Encode to emit a full base blob. Callers use
-// it when a returned blob was not durably committed (so the shadows no
-// longer describe the last persisted state) or when pipeline state changed
-// outside stepping (elastic resize redistributes fields ULP-equivalently,
-// not bit-identically).
+// it when a returned blob was not durably committed (so the chain on disk
+// no longer ends where the writer thinks it does) or when pipeline state
+// changed outside stepping (elastic resize redistributes fields
+// ULP-equivalently, not bit-identically, so a replay from the old base
+// would fail its CRCs).
 func (cw *CheckpointWriter) Invalidate() { cw.valid = false }
 
 func (cw *CheckpointWriter) maxDeltas() int {
@@ -151,13 +113,6 @@ func (cw *CheckpointWriter) maxDeltas() int {
 		return defaultMaxDeltas
 	}
 	return cw.opts.MaxDeltas
-}
-
-func (cw *CheckpointWriter) workers() int {
-	if cw.opts.Workers > 0 {
-		return cw.opts.Workers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // Encode captures the pipeline's current state as one v2 blob and reports
@@ -173,9 +128,7 @@ func (cw *CheckpointWriter) Encode(p *Pipeline) (blob []byte, full bool, err err
 	var hdr [ckptV2HeaderLen]byte
 	buf = append(buf, hdr[:]...)
 
-	// Metadata record first. gob encoding is the only fallible step and it
-	// runs before any shadow is touched, so a failed Encode leaves the
-	// writer's XOR baselines describing the last returned blob.
+	// Metadata record first; gob encoding is the only fallible step.
 	if full {
 		cw.metaEnc = gob.NewEncoder(&cw.metaRaw)
 	}
@@ -185,8 +138,8 @@ func (cw *CheckpointWriter) Encode(p *Pipeline) (blob []byte, full bool, err err
 		Time: p.model.Time(),
 		Step: p.model.StepCount(),
 	}
-	if full || cw.opts.FieldDeltas {
-		// Replay deltas rebuild everything below from the base, so their
+	if full {
+		// A delta's replay rebuilds everything below from the base, so its
 		// metadata record carries only the step bookkeeping above.
 		cw.cells = p.model.AppendCells(cw.cells[:0])
 		meta.Cfg = p.cfg
@@ -206,9 +159,13 @@ func (cw *CheckpointWriter) Encode(p *Pipeline) (blob []byte, full bool, err err
 	buf = append(buf, cw.metaRaw.Bytes()...)
 	buf = endRecord(buf, start)
 
-	if full || cw.opts.FieldDeltas {
-		buf = cw.encodeModel(buf, p, full)
-		buf = cw.encodeNests(buf, p, full)
+	cw.collectNests(p)
+	if full {
+		q := p.model.QCloud()
+		buf, start = beginRecord(buf, recModelRaw)
+		buf = appendField(buf, q.NX, q.NY, q.Data)
+		buf = endRecord(buf, start)
+		buf = cw.encodeNests(buf, p)
 	} else {
 		buf = cw.encodeReplay(buf, p)
 	}
@@ -234,45 +191,12 @@ func (cw *CheckpointWriter) Encode(p *Pipeline) (blob []byte, full bool, err err
 	return buf, full, nil
 }
 
-// encodeModel appends the parent field record: raw on a base (or shape
-// change), XOR against the shadow on a delta, nothing at all when the
-// model has not stepped since the previous blob (field mutations only
-// happen inside Pipeline.Step, so an unchanged step count means an
-// unchanged field).
-func (cw *CheckpointWriter) encodeModel(buf []byte, p *Pipeline, full bool) []byte {
-	q := p.model.QCloud()
-	step := p.model.StepCount()
-	sh := &cw.model
-	var start int
-	switch {
-	case full || !sh.valid || sh.nx != q.NX || sh.ny != q.NY:
-		buf, start = beginRecord(buf, recModelRaw)
-		buf = appendU32(buf, uint32(q.NX))
-		buf = appendU32(buf, uint32(q.NY))
-		buf = appendRawField(buf, q.Data)
-		buf = endRecord(buf, start)
-	case step == sh.step:
-		return buf
-	default:
-		buf, start = beginRecord(buf, recModelXOR)
-		buf = appendU32(buf, uint32(q.NX))
-		buf = appendU32(buf, uint32(q.NY))
-		buf = appendXORRLE(buf, q.Data, sh.data)
-		buf = endRecord(buf, start)
-	}
-	sh.data = append(sh.data[:0], q.Data...)
-	sh.nx, sh.ny, sh.step, sh.valid = q.NX, q.NY, step, true
-	return buf
-}
-
-// encodeNests plans one record (or none) per live nest, encodes the
-// planned records concurrently into pooled per-nest buffers, and stitches
-// them into buf in nest-ID order, followed by removal records for nests
-// that vanished since the previous blob.
-func (cw *CheckpointWriter) encodeNests(buf []byte, p *Pipeline, full bool) []byte {
-	dist := p.cfg.Distributed
+// collectNests fills cw.ids with the pipeline's live nest IDs in ascending
+// order and sizes the per-nest scratch to match, dropping the gather
+// targets of positions that no longer exist.
+func (cw *CheckpointWriter) collectNests(p *Pipeline) {
 	ids := cw.ids[:0]
-	if dist {
+	if p.cfg.Distributed {
 		for id := range p.dnests {
 			ids = append(ids, id)
 		}
@@ -283,187 +207,81 @@ func (cw *CheckpointWriter) encodeNests(buf []byte, p *Pipeline, full bool) []by
 	}
 	slices.Sort(ids)
 	cw.ids = ids
-
-	work := cw.work[:0]
-	for _, id := range ids {
-		var region, procs geom.Rect
-		var nx, ny, steps int
-		if dist {
-			n := p.dnests[id]
-			region, procs, steps = n.Region, n.Procs(), n.StepCount()
-			nx, ny = n.Size()
-		} else {
-			n := p.nests[id]
-			q := n.QCloud()
-			region, steps = n.Region, n.StepCount()
-			nx, ny = q.NX, q.NY
-		}
-		sh, ok := cw.nests[id]
-		if !ok {
-			sh = &nestShadow{}
-			cw.nests[id] = sh
-		}
-		kind := byte(recNestFull)
-		if !full && ok && sh.region == region && sh.procs == procs &&
-			sh.nx == nx && sh.ny == ny && sh.dist == dist {
-			if sh.steps == steps {
-				kind = 0 // bit-identical to the previous blob: omit
-			} else {
-				kind = recNestXOR
-			}
-		}
-		sh.region, sh.procs, sh.nx, sh.ny, sh.dist, sh.steps = region, procs, nx, ny, dist, steps
-		if kind != 0 {
-			work = append(work, nestWork{id: id, kind: kind})
-		}
-	}
-	cw.work = work
-
-	// Nests that vanished since the previous blob. On a base the shadows
-	// are simply pruned: the base rewrites the world, so absence is enough.
-	rm := cw.rm[:0]
-	for id := range cw.nests {
-		live := false
-		if dist {
-			_, live = p.dnests[id]
-		} else {
-			_, live = p.nests[id]
-		}
-		if !live {
-			rm = append(rm, id)
-		}
-	}
-	slices.Sort(rm)
-	cw.rm = rm
-
-	for len(cw.nestBufs) < len(work) {
+	for len(cw.nestBufs) < len(ids) {
 		cw.nestBufs = append(cw.nestBufs, nil)
+		cw.gathers = append(cw.gathers, nil)
 	}
-	bufs := cw.nestBufs
-	runBounded(cw.workers(), len(work), func(i int) {
-		bufs[i] = cw.encodeNest(p, work[i], bufs[i][:0], dist)
-	})
-	for i := range work {
-		buf = append(buf, bufs[i]...)
-	}
+	clear(cw.gathers[len(ids):])
+}
 
-	var start int
-	for _, id := range rm {
-		delete(cw.nests, id)
-		if !full {
-			buf, start = beginRecord(buf, recNestRemove)
-			buf = appendU32(buf, uint32(id))
-			buf = endRecord(buf, start)
-		}
+// nestSamples returns the fine field of nest ids[i]: the nest's own array
+// in serial mode, the blocks gathered into the position's pooled target in
+// distributed mode (reallocated only when the nest at that position
+// changes shape). It touches only position i, so positions run
+// concurrently.
+func (cw *CheckpointWriter) nestSamples(p *Pipeline, i int) []float64 {
+	if !p.cfg.Distributed {
+		return p.nests[cw.ids[i]].QCloud().Data
+	}
+	cw.gathers[i] = p.dnests[cw.ids[i]].GatherInto(cw.gathers[i])
+	return cw.gathers[i].Data
+}
+
+// encodeNests encodes one recNestFull per live nest, concurrently under the
+// pipeline's NestWorkers bound into pooled per-nest buffers, and stitches
+// them into buf in nest-ID order.
+func (cw *CheckpointWriter) encodeNests(buf []byte, p *Pipeline) []byte {
+	n := len(cw.ids)
+	runBounded(p.nestWorkers(n), n, func(i int) {
+		cw.nestBufs[i] = cw.encodeNest(cw.nestBufs[i][:0], p, i)
+	})
+	for _, nb := range cw.nestBufs[:n] {
+		buf = append(buf, nb...)
 	}
 	return buf
 }
 
-// encodeNest encodes one planned nest record into nb and refreshes the
-// nest's shadow. It touches only its own nest's state, so the planned
-// records encode concurrently.
-func (cw *CheckpointWriter) encodeNest(p *Pipeline, w nestWork, nb []byte, dist bool) []byte {
-	sh := cw.nests[w.id]
-	var cur []float64
-	if dist {
-		sh.gather = p.dnests[w.id].GatherInto(sh.gather)
-		cur = sh.gather.Data
+// encodeNest appends the complete record of nest ids[i] to nb.
+func (cw *CheckpointWriter) encodeNest(nb []byte, p *Pipeline, i int) []byte {
+	id := cw.ids[i]
+	var region, procs geom.Rect
+	var nx, ny, steps int
+	var flags byte
+	if p.cfg.Distributed {
+		n := p.dnests[id]
+		region, procs, steps = n.Region, n.Procs(), n.StepCount()
+		nx, ny = n.Size()
+		flags = nestFlagDistributed
 	} else {
-		cur = p.nests[w.id].QCloud().Data
+		n := p.nests[id]
+		q := n.QCloud()
+		region, steps = n.Region, n.StepCount()
+		nx, ny = q.NX, q.NY
 	}
-	var start int
-	if w.kind == recNestFull {
-		nb, start = beginRecord(nb, recNestFull)
-		nb = appendU32(nb, uint32(w.id))
-		nb = appendRect(nb, sh.region)
-		nb = appendU32(nb, uint32(sh.steps))
-		var flags byte
-		if dist {
-			flags |= 1
-		}
-		nb = append(nb, flags)
-		nb = appendRect(nb, sh.procs)
-		nb = appendU32(nb, uint32(sh.nx))
-		nb = appendU32(nb, uint32(sh.ny))
-		nb = appendRawField(nb, cur)
-	} else {
-		nb, start = beginRecord(nb, recNestXOR)
-		nb = appendU32(nb, uint32(w.id))
-		nb = appendU32(nb, uint32(sh.steps))
-		nb = appendXORRLE(nb, cur, sh.data)
-	}
-	nb = endRecord(nb, start)
-
-	// Refresh the XOR baseline. Distributed nests double-buffer: the
-	// gathered field becomes the baseline and the old baseline becomes the
-	// next gather target (same shape in steady state, so no allocation).
-	if dist {
-		old := sh.data
-		sh.data = sh.gather.Data
-		if len(old) == len(sh.data) {
-			sh.gather.Data = old
-		} else {
-			sh.gather = nil
-		}
-	} else {
-		sh.data = append(sh.data[:0], cur...)
-	}
-	return nb
+	nb, start := beginRecord(nb, recNestFull)
+	nb = appendU32(nb, uint32(id))
+	nb = appendRect(nb, region)
+	nb = appendU32(nb, uint32(steps))
+	nb = append(nb, flags)
+	nb = appendRect(nb, procs)
+	nb = appendField(nb, nx, ny, cw.nestSamples(p, i))
+	return endRecord(nb, start)
 }
 
-// encodeReplay appends the thin delta record: the step the restore must
+// encodeReplay appends the delta record: the step the restore must
 // re-execute to, plus CRCs of the model and every live nest field at that
-// step so the replayed state is provably bit-identical. Shadows in this
-// mode hold only the pooled gather scratch for distributed nests.
+// step so the replayed state is provably bit-identical.
 func (cw *CheckpointWriter) encodeReplay(buf []byte, p *Pipeline) []byte {
-	dist := p.cfg.Distributed
-	ids := cw.ids[:0]
-	if dist {
-		for id := range p.dnests {
-			ids = append(ids, id)
-		}
-	} else {
-		for id := range p.nests {
-			ids = append(ids, id)
-		}
-	}
-	slices.Sort(ids)
-	cw.ids = ids
-
-	for id := range cw.nests {
-		live := false
-		if dist {
-			_, live = p.dnests[id]
-		} else {
-			_, live = p.nests[id]
-		}
-		if !live {
-			delete(cw.nests, id)
-		}
-	}
-
 	if cw.crc == nil {
 		cw.crc = make([]byte, 4096)
 	}
 	buf, start := beginRecord(buf, recReplay)
 	buf = appendU32(buf, uint32(p.model.StepCount()))
 	buf = appendU32(buf, fieldCRC(p.model.QCloud().Data, cw.crc))
-	buf = appendUvarint(buf, uint64(len(ids)))
-	for _, id := range ids {
-		var cur []float64
-		if dist {
-			sh := cw.nests[id]
-			if sh == nil {
-				sh = &nestShadow{}
-				cw.nests[id] = sh
-			}
-			sh.gather = p.dnests[id].GatherInto(sh.gather)
-			cur = sh.gather.Data
-		} else {
-			cur = p.nests[id].QCloud().Data
-		}
+	buf = appendUvarint(buf, uint64(len(cw.ids)))
+	for i, id := range cw.ids {
 		buf = appendU32(buf, uint32(id))
-		buf = appendU32(buf, fieldCRC(cur, cw.crc))
+		buf = appendU32(buf, fieldCRC(cw.nestSamples(p, i), cw.crc))
 	}
 	return endRecord(buf, start)
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"hash/crc32"
 	"testing"
 
 	"nestdiff/internal/geom"
@@ -20,12 +21,47 @@ func cutBlob(t *testing.T, cw *CheckpointWriter, p *Pipeline) ([]byte, bool) {
 	return append([]byte(nil), blob...), full
 }
 
+// sealBlob assembles a v2 blob from records with the package's own framing,
+// so a test can hand the reader content no writer produces behind CRCs
+// that all check out. h supplies the chain position (delta, seq, link).
+func sealBlob(h blobHeader, recs []record) []byte {
+	buf := make([]byte, ckptV2HeaderLen)
+	for _, r := range recs {
+		var start int
+		buf, start = beginRecord(buf, r.kind)
+		buf = append(buf, r.payload...)
+		buf = endRecord(buf, start)
+	}
+	payload := buf[ckptV2HeaderLen:]
+	h.payloadLen = uint64(len(payload))
+	h.crc = crc32.Checksum(payload, ckptCRC)
+	putBlobHeader(buf, h)
+	return buf
+}
+
+// openBlob parses a valid blob into its header and records.
+func openBlob(t testing.TB, blob []byte) (blobHeader, []record) {
+	t.Helper()
+	h, payload, _, err := parseBlob(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := splitRecords(payload, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h, recs
+}
+
+// retiredKinds are the record numbers of the field-diff delta records
+// (recModelXOR, recNestXOR, recNestRemove) no writer emits any more.
+var retiredKinds = []byte{3, 5, 6}
+
 // runDeltaChainRoundTrip cuts a full base at step k, then delta
 // checkpoints every interval steps, restores the assembled chain, and
 // verifies the resumed run reproduces the uninterrupted run's adaptation
-// events and final nest set exactly — both delta flavors must be
-// bit-identical to the full-save path.
-func runDeltaChainRoundTrip(t *testing.T, distributed, fieldDeltas bool) {
+// events and final nest set exactly — bit-identical to the full-save path.
+func runDeltaChainRoundTrip(t *testing.T, distributed bool) {
 	t.Helper()
 	const k, segs, interval, total = 60, 4, 20, 180
 	const cut = k + segs*interval
@@ -37,7 +73,7 @@ func runDeltaChainRoundTrip(t *testing.T, distributed, fieldDeltas bool) {
 	}
 
 	chk := checkpointPipeline(t, g, Diffusion, distributed)
-	cw := NewCheckpointWriter(CheckpointWriterOptions{MaxDeltas: 64, FieldDeltas: fieldDeltas})
+	cw := NewCheckpointWriter(CheckpointWriterOptions{MaxDeltas: 64})
 	if err := chk.Run(k); err != nil {
 		t.Fatal(err)
 	}
@@ -61,9 +97,8 @@ func runDeltaChainRoundTrip(t *testing.T, distributed, fieldDeltas bool) {
 	eventsAtCut := len(chk.Events())
 
 	// Replay deltas must be materially smaller than the base they extend —
-	// that is the point of the chain. Field-diff deltas of advected fields
-	// are not (every word changes), which is why replay is the default.
-	if avg := deltaBytes / segs; !fieldDeltas && avg >= len(base)/20 {
+	// that is the point of the chain.
+	if avg := deltaBytes / segs; avg >= len(base)/20 {
 		t.Fatalf("average replay delta blob %d bytes, want well under 1/20 of the %d-byte base", avg, len(base))
 	}
 
@@ -101,45 +136,15 @@ func runDeltaChainRoundTrip(t *testing.T, distributed, fieldDeltas bool) {
 		t.Fatal(err)
 	}
 
-	refEvents, resEvents := ref.Events(), resumed.Events()
-	if len(refEvents) != len(resEvents) {
-		t.Fatalf("event count diverged: uninterrupted %d, resumed %d", len(refEvents), len(resEvents))
-	}
-	if len(refEvents) == eventsAtCut {
-		t.Fatal("no adaptation events after the last delta; tail comparison is vacuous")
-	}
-	for i := eventsAtCut; i < len(refEvents); i++ {
-		a, b := refEvents[i], resEvents[i]
-		if a.Step != b.Step || !stepMetricsEqual(a.Metrics, b.Metrics) ||
-			a.ExecutedRedistTime != b.ExecutedRedistTime {
-			t.Fatalf("event %d diverged:\nuninterrupted %+v\nresumed       %+v", i, a, b)
-		}
-	}
-	a, b := ref.ActiveSet(), resumed.ActiveSet()
-	if len(a) != len(b) {
-		t.Fatalf("final nest sets differ in size: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("final nest %d differs: %+v vs %+v", i, a[i], b[i])
-		}
-	}
+	requireSameTail(t, ref, resumed, eventsAtCut)
 }
 
 func TestCheckpointDeltaChainRoundTripSerial(t *testing.T) {
-	runDeltaChainRoundTrip(t, false, false)
+	runDeltaChainRoundTrip(t, false)
 }
 
 func TestCheckpointDeltaChainRoundTripDistributed(t *testing.T) {
-	runDeltaChainRoundTrip(t, true, false)
-}
-
-func TestCheckpointFieldDeltaChainRoundTripSerial(t *testing.T) {
-	runDeltaChainRoundTrip(t, false, true)
-}
-
-func TestCheckpointFieldDeltaChainRoundTripDistributed(t *testing.T) {
-	runDeltaChainRoundTrip(t, true, true)
+	runDeltaChainRoundTrip(t, true)
 }
 
 // TestCheckpointWriterMaxDeltasForcesBase: the chain length bound. After
@@ -270,6 +275,11 @@ func TestRestoreDeltaChainBrokenTailFallsBack(t *testing.T) {
 		{"torn first delta", func() []byte {
 			return chain[:len(base)+len(d1)/2]
 		}, 60},
+		{"retired record kind in final delta", func() []byte {
+			h, recs := openBlob(t, d2)
+			recs = append(recs, record{kind: retiredKinds[1], payload: make([]byte, 8)})
+			return append(chain[:len(base)+len(d1):len(base)+len(d1)], sealBlob(h, recs)...)
+		}, 65},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -288,18 +298,25 @@ func TestRestoreDeltaChainBrokenTailFallsBack(t *testing.T) {
 		})
 	}
 
-	t.Run("torn base is fatal", func(t *testing.T) {
-		data := chain[:len(base)/2]
-		err := ValidateCheckpoint(data)
-		if err == nil {
-			t.Fatal("torn base accepted")
-		}
-		if errors.Is(err, ErrDeltaChainBroken) {
-			t.Fatalf("torn base reported as a recoverable broken chain: %v", err)
-		}
-		net, model, oracle := testEnv(t, g)
-		if _, err := RestorePipeline(bytes.NewReader(data), net, model, oracle); err == nil {
-			t.Fatal("torn base restored")
-		}
-	})
+	fatal := map[string][]byte{
+		"torn base": chain[:len(base)/2],
+	}
+	h, recs := openBlob(t, base)
+	recs = append(recs, record{kind: retiredKinds[1], payload: make([]byte, 8)})
+	fatal["retired record kind in base"] = sealBlob(h, recs)
+	for name, data := range fatal {
+		t.Run(name+" is fatal", func(t *testing.T) {
+			err := ValidateCheckpoint(data)
+			if err == nil {
+				t.Fatal("damaged base accepted")
+			}
+			if errors.Is(err, ErrDeltaChainBroken) {
+				t.Fatalf("damaged base reported as a recoverable broken chain: %v", err)
+			}
+			net, model, oracle := testEnv(t, g)
+			if _, err := RestorePipeline(bytes.NewReader(data), net, model, oracle); err == nil {
+				t.Fatal("damaged base restored")
+			}
+		})
+	}
 }

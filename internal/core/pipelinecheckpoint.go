@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"slices"
 
 	"nestdiff/internal/field"
 	"nestdiff/internal/geom"
@@ -21,9 +20,10 @@ import (
 // envelope. It nests the two existing checkpoint formats — the weather
 // model's (wrfsim/checkpoint.go) and the tracker's (checkpoint.go) — and
 // adds the pipeline-only state: the live nest fields, the active set, the
-// ID counter and the recorded events. v1 is kept as a restore path (and as
-// the benchmark baseline); new checkpoints are written in the v2 binary
-// format (ckptcodec.go, ckptwriter.go).
+// ID counter and the recorded events. v1 is decode-only: nothing writes it
+// any more, and the committed testdata/v1-diffusion-60step.ckpt pins that
+// old files keep restoring. Checkpoints are written in the v2 binary format
+// (ckptcodec.go, ckptwriter.go).
 type pipelineState struct {
 	Version int
 	Cfg     PipelineConfig
@@ -77,7 +77,7 @@ var ckptCRC = crc32.MakeTable(crc32.Castagnoli)
 // checkpoint repeatedly should hold a CheckpointWriter instead: it reuses
 // its buffers and emits delta blobs between bases.
 func (p *Pipeline) SaveState(w io.Writer) error {
-	cw := NewCheckpointWriter(CheckpointWriterOptions{MaxDeltas: -1, Workers: p.cfg.NestWorkers})
+	cw := NewCheckpointWriter(CheckpointWriterOptions{MaxDeltas: -1})
 	blob, _, err := cw.Encode(p)
 	if err != nil {
 		return err
@@ -88,75 +88,48 @@ func (p *Pipeline) SaveState(w io.Writer) error {
 	return nil
 }
 
-// saveStateV1 writes the legacy v1 envelope (gob pipelineState). It is
-// retained as the baseline for the checkpoint benchmarks and to generate
-// v1 fixtures for the cross-version restore tests; the v1 *read* path is
-// what guarantees old checkpoint files keep restoring.
-func (p *Pipeline) saveStateV1(w io.Writer) error {
-	var model bytes.Buffer
-	if err := p.model.Save(&model); err != nil {
-		return err
+// envelopeVersion checks the header prefix both envelope generations
+// share — length and magic — and returns the envelope version, which is
+// one of the two this package reads.
+func envelopeVersion(data []byte) (byte, error) {
+	if len(data) < ckptHeaderLen {
+		return 0, fmt.Errorf("core: load pipeline state: truncated checkpoint header (%d bytes)", len(data))
 	}
-	var tracker bytes.Buffer
-	if err := p.tracker.SaveState(&tracker); err != nil {
-		return err
+	if !bytes.Equal(data[:4], ckptMagic[:]) {
+		return 0, fmt.Errorf("core: load pipeline state: bad magic %q (not a nestdiff pipeline checkpoint)", data[:4])
 	}
-	st := pipelineState{
-		Version: pipelineStateVersion,
-		Cfg:     p.cfg,
-		Model:   model.Bytes(),
-		Tracker: tracker.Bytes(),
-		Set:     append(scenario.Set(nil), p.set...),
-		NextID:  p.nextID,
-		Events:  append([]AdaptationEvent(nil), p.events...),
+	if v := data[4]; v != ckptEnvelopeVersion && v != ckptEnvelopeV2 {
+		return 0, fmt.Errorf("core: load pipeline state: unsupported checkpoint envelope version %d", v)
 	}
-	if p.cfg.Distributed {
-		for id, n := range p.dnests {
-			fine := n.Gather()
-			st.Nests = append(st.Nests, nestState{
-				ID: id, Region: n.Region,
-				NX: fine.NX, NY: fine.NY,
-				Data:  append([]float64(nil), fine.Data...),
-				Steps: n.StepCount(),
-				Procs: n.Procs(),
-			})
-		}
-	} else {
-		for id, n := range p.nests {
-			q := n.QCloud()
-			st.Nests = append(st.Nests, nestState{
-				ID: id, Region: n.Region,
-				NX: q.NX, NY: q.NY,
-				Data:  append([]float64(nil), q.Data...),
-				Steps: n.StepCount(),
-			})
-		}
+	return data[4], nil
+}
+
+// v1Payload checks a v1 envelope — a plausible payload length that
+// accounts for every byte after the header, and the payload CRC — and
+// returns the gob payload.
+func v1Payload(data []byte) ([]byte, error) {
+	n := binary.LittleEndian.Uint64(data[5:13])
+	if n == 0 || n > ckptMaxPayload {
+		return nil, fmt.Errorf("core: load pipeline state: implausible payload length %d (corrupt header)", n)
 	}
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(st); err != nil {
-		return fmt.Errorf("core: save pipeline state: %w", err)
+	payload := data[ckptHeaderLen:]
+	if uint64(len(payload)) != n {
+		return nil, fmt.Errorf("core: load pipeline state: torn checkpoint (%d payload bytes, header promises %d)", len(payload), n)
 	}
-	var hdr [ckptHeaderLen]byte
-	copy(hdr[:4], ckptMagic[:])
-	hdr[4] = ckptEnvelopeVersion
-	binary.LittleEndian.PutUint64(hdr[5:13], uint64(payload.Len()))
-	binary.LittleEndian.PutUint32(hdr[13:17], crc32.Checksum(payload.Bytes(), ckptCRC))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("core: save pipeline state: %w", err)
+	if crc32.Checksum(payload, ckptCRC) != binary.LittleEndian.Uint32(data[13:17]) {
+		return nil, fmt.Errorf("core: load pipeline state: checksum mismatch (corrupt checkpoint)")
 	}
-	if _, err := w.Write(payload.Bytes()); err != nil {
-		return fmt.Errorf("core: save pipeline state: %w", err)
-	}
-	return nil
+	return payload, nil
 }
 
 // ValidateCheckpoint checks that data is a complete, uncorrupted pipeline
-// checkpoint without decoding any payload. For a v1 envelope that means
-// magic, version, exact payload length and CRC-32C; for a v2 chain it
-// walks every blob — header, payload CRC, record framing with per-record
-// CRCs, and base→delta link continuity. It is the cheap integrity test the
-// scheduler's startup recovery scan runs over every *.ckpt file before
-// re-registering the job.
+// checkpoint without decoding any field samples. For a v1 envelope that
+// means magic, version, exact payload length and CRC-32C; for a v2 chain it
+// is the same walk RestorePipeline makes — headers, payload and record
+// CRCs, base→delta link continuity, blob shapes, field dimensions and the
+// gob metadata — stopping short only of converting the samples. It is the
+// cheap integrity test the scheduler's startup recovery scan runs over
+// every *.ckpt file before re-registering the job.
 //
 // A v2 chain whose base is intact but whose delta tail is torn, corrupt or
 // discontinuous returns an error matching ErrDeltaChainBroken (via
@@ -165,77 +138,19 @@ func (p *Pipeline) saveStateV1(w io.Writer) error {
 // the truncation. Any other non-nil error means the checkpoint is
 // unusable.
 func ValidateCheckpoint(data []byte) error {
-	if len(data) < ckptHeaderLen {
-		return fmt.Errorf("core: validate checkpoint: %d bytes is shorter than the envelope header", len(data))
+	v, err := envelopeVersion(data)
+	if err != nil {
+		return err
 	}
-	if !bytes.Equal(data[:4], ckptMagic[:]) {
-		return fmt.Errorf("core: validate checkpoint: bad magic %q (not a nestdiff pipeline checkpoint)", data[:4])
+	if v == ckptEnvelopeVersion {
+		_, err := v1Payload(data)
+		return err
 	}
-	switch data[4] {
-	case ckptEnvelopeVersion:
-		n := binary.LittleEndian.Uint64(data[5:13])
-		if n == 0 || n > ckptMaxPayload {
-			return fmt.Errorf("core: validate checkpoint: implausible payload length %d (corrupt header)", n)
-		}
-		if uint64(len(data)-ckptHeaderLen) != n {
-			return fmt.Errorf("core: validate checkpoint: torn checkpoint (%d payload bytes, header promises %d)", len(data)-ckptHeaderLen, n)
-		}
-		if sum := crc32.Checksum(data[ckptHeaderLen:], ckptCRC); sum != binary.LittleEndian.Uint32(data[13:17]) {
-			return fmt.Errorf("core: validate checkpoint: checksum mismatch (corrupt checkpoint)")
-		}
-		return nil
-	case ckptEnvelopeV2:
-		return validateChainV2(data)
-	default:
-		return fmt.Errorf("core: validate checkpoint: unsupported envelope version %d", data[4])
+	st, err := walkChain(data, false)
+	if err != nil {
+		return err
 	}
-}
-
-// validateChainV2 walks a v2 blob chain structurally: blob headers and
-// CRCs, record framing, and link continuity. Errors on the base blob are
-// fatal; errors after an intact base wrap ErrDeltaChainBroken.
-func validateChainV2(data []byte) error {
-	var recs []record
-	off := 0
-	first := true
-	var prevSeq, prevCRC uint32
-	for off < len(data) {
-		h, payload, size, err := parseBlob(data[off:])
-		if err != nil {
-			if first {
-				return err
-			}
-			return fmt.Errorf("%w: blob %d: %v", ErrDeltaChainBroken, prevSeq+1, err)
-		}
-		if h.delta {
-			if first {
-				return fmt.Errorf("core: validate checkpoint: chain starts with a delta blob (missing base)")
-			}
-			if h.seq != prevSeq+1 || h.link != prevCRC {
-				return fmt.Errorf("%w: delta %d does not continue blob %d", ErrDeltaChainBroken, h.seq, prevSeq)
-			}
-		} else if h.seq != 0 || h.link != 0 {
-			err := fmt.Errorf("core: validate checkpoint: base blob with nonzero chain links")
-			if first {
-				return err
-			}
-			return fmt.Errorf("%w: %v", ErrDeltaChainBroken, err)
-		}
-		recs, err = splitRecords(payload, recs[:0])
-		if err == nil && (len(recs) == 0 || recs[0].kind != recMeta) {
-			err = fmt.Errorf("core: load pipeline state: blob does not start with a metadata record")
-		}
-		if err != nil {
-			if first {
-				return err
-			}
-			return fmt.Errorf("%w: %v", ErrDeltaChainBroken, err)
-		}
-		prevSeq, prevCRC = h.seq, h.crc
-		first = false
-		off += size
-	}
-	return nil
+	return st.broken
 }
 
 // RestorePipeline rebuilds a pipeline from a checkpoint written by
@@ -251,35 +166,21 @@ func RestorePipeline(r io.Reader, net topology.Network, model *perfmodel.ExecMod
 	if err != nil {
 		return nil, fmt.Errorf("core: load pipeline state: %w", err)
 	}
-	if len(data) < ckptHeaderLen {
-		return nil, fmt.Errorf("core: load pipeline state: truncated checkpoint header (%d bytes)", len(data))
+	v, err := envelopeVersion(data)
+	if err != nil {
+		return nil, err
 	}
-	if !bytes.Equal(data[:4], ckptMagic[:]) {
-		return nil, fmt.Errorf("core: load pipeline state: bad magic %q (not a nestdiff pipeline checkpoint)", data[:4])
-	}
-	switch data[4] {
-	case ckptEnvelopeVersion:
+	if v == ckptEnvelopeVersion {
 		return restorePipelineV1(data, net, model, oracle)
-	case ckptEnvelopeV2:
-		return restorePipelineV2(data, net, model, oracle)
-	default:
-		return nil, fmt.Errorf("core: load pipeline state: unsupported checkpoint envelope version %d", data[4])
 	}
+	return restorePipelineV2(data, net, model, oracle)
 }
 
 // restorePipelineV1 decodes the legacy single-gob envelope.
 func restorePipelineV1(data []byte, net topology.Network, model *perfmodel.ExecModel, oracle *perfmodel.Oracle) (*Pipeline, error) {
-	n := binary.LittleEndian.Uint64(data[5:13])
-	if n == 0 || n > ckptMaxPayload {
-		return nil, fmt.Errorf("core: load pipeline state: implausible payload length %d (corrupt header)", n)
-	}
-	if uint64(len(data)-ckptHeaderLen) < n {
-		return nil, fmt.Errorf("core: load pipeline state: torn checkpoint (%d payload bytes, header promises %d)",
-			len(data)-ckptHeaderLen, n)
-	}
-	payload := data[ckptHeaderLen : ckptHeaderLen+int(n)]
-	if sum := crc32.Checksum(payload, ckptCRC); sum != binary.LittleEndian.Uint32(data[13:17]) {
-		return nil, fmt.Errorf("core: load pipeline state: checksum mismatch (corrupt checkpoint)")
+	payload, err := v1Payload(data)
+	if err != nil {
+		return nil, err
 	}
 	var st pipelineState
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&st); err != nil {
@@ -325,14 +226,22 @@ func restorePipelineV1(data []byte, net topology.Network, model *perfmodel.ExecM
 	return p, nil
 }
 
-// chainNest is the accumulated restore-time state of one nest.
+// chainNest is one nest of a base blob.
 type chainNest struct {
+	id     int
 	region geom.Rect
 	procs  geom.Rect
 	nx, ny int
 	steps  int
-	dist   bool
 	data   []float64
+}
+
+// replayDirective is a delta blob's content: the step the restore must
+// re-execute to and the field CRCs the result must match.
+type replayDirective struct {
+	step     int
+	modelCRC uint32
+	nests    []replayNestCRC
 }
 
 // replayNestCRC is one nest's recorded identity in a replay directive.
@@ -341,309 +250,163 @@ type replayNestCRC struct {
 	crc uint32
 }
 
-// chainV2 is the state accumulated while replaying a v2 blob chain.
+// chainV2 is what a walk of a v2 blob chain yields: the state of the last
+// intact base, and the directive of the last intact delta after it.
 type chainV2 struct {
-	meta     ckptMetaV2
-	model    []float64
-	modelNX  int
-	modelNY  int
-	hasModel bool
-	nests    map[int]*chainNest
-	// Replay directive from the last valid thin delta: the restore must
-	// re-execute the pipeline to replayStep and verify the CRCs. meta then
-	// describes the base state the replay starts from, not replayStep.
-	hasReplay      bool
-	replayStep     int
-	replayModelCRC uint32
-	replayNests    []replayNestCRC
-	// broken records that a delta tail was discarded (the chain replays
-	// from its longest valid prefix).
-	broken bool
+	meta  ckptMetaV2
+	model []float64   // nil when the walk did not decode samples
+	nests []chainNest // ascending ID
+	// replay is nil when the chain's intact prefix ends on its base. meta
+	// describes the base the replay starts from, not the replay's step.
+	replay *replayDirective
+	// broken is why the walk stopped before the end of the data, wrapping
+	// ErrDeltaChainBroken; the state is that of the blobs before it.
+	broken error
 }
 
-// fixed layout sizes of the binary nest/model record prefixes.
-const (
-	nestFullPrefix = 4 + 16 + 4 + 1 + 16 + 8 // id, region, steps, flags, procs, nx, ny
-	nestXORPrefix  = 4 + 4                   // id, steps
-	fieldDimPrefix = 4 + 4                   // nx, ny
-)
-
-// replayChain replays a v2 blob chain from the start of data, validating
-// each blob in full (scan) before mutating the accumulated state (apply).
-// A damaged first blob is a fatal error; damage after that marks the chain
-// broken and returns the state as of the last intact blob.
-func replayChain(data []byte) (*chainV2, error) {
-	st := &chainV2{nests: make(map[int]*chainNest)}
+// walkChain is the one reader of a v2 blob chain, behind both
+// ValidateCheckpoint (decode false: field samples are length-checked only)
+// and RestorePipeline. Every blob is checked in full — header, payload CRC,
+// link to its predecessor, record framing and CRCs, blob shape, metadata —
+// before it changes the result. Damage to the first blob is an error;
+// damage after it ends the walk with the state so far and sets broken.
+func walkChain(data []byte, decode bool) (*chainV2, error) {
+	st := &chainV2{}
 	feeder := &byteFeeder{}
 	var dec *gob.Decoder
 	var recs []record
-	off := 0
-	first := true
-	var prevSeq, prevCRC uint32
-	for off < len(data) {
+	var prev blobHeader
+	for off := 0; off < len(data); {
 		h, payload, size, err := parseBlob(data[off:])
+		switch {
+		case err != nil:
+		case h.delta && off == 0:
+			err = fmt.Errorf("core: load pipeline state: chain starts with a delta blob (missing base)")
+		case h.delta && (h.seq != prev.seq+1 || h.link != prev.crc):
+			err = fmt.Errorf("core: load pipeline state: delta %d does not continue blob %d", h.seq, prev.seq)
+		case !h.delta && (h.seq != 0 || h.link != 0):
+			err = fmt.Errorf("core: load pipeline state: base blob with nonzero chain links")
+		default:
+			recs, err = splitRecords(payload, recs[:0])
+		}
+		if err == nil {
+			if !h.delta {
+				// A base restarts the chain-scoped gob stream.
+				dec = gob.NewDecoder(feeder)
+			}
+			err = st.readBlob(recs, h.delta, dec, feeder, decode)
+		}
 		if err != nil {
-			if first {
+			if off == 0 {
 				return nil, err
 			}
-			st.broken = true
-			return st, nil
+			st.broken = fmt.Errorf("%w: blob %d: %v", ErrDeltaChainBroken, prev.seq+1, err)
+			break
 		}
-		if h.delta {
-			if first {
-				return nil, fmt.Errorf("core: load pipeline state: chain starts with a delta blob (missing base)")
-			}
-			if h.seq != prevSeq+1 || h.link != prevCRC {
-				st.broken = true
-				return st, nil
-			}
-		} else if h.seq != 0 || h.link != 0 {
-			if first {
-				return nil, fmt.Errorf("core: load pipeline state: base blob with nonzero chain links")
-			}
-			st.broken = true
-			return st, nil
-		}
-		recs, err = splitRecords(payload, recs[:0])
-		if err != nil {
-			if first {
-				return nil, err
-			}
-			st.broken = true
-			return st, nil
-		}
-		if !h.delta {
-			// A full base rewrites the world: drop accumulated state and
-			// restart the chain-scoped gob stream.
-			clear(st.nests)
-			st.hasModel = false
-			dec = nil
-		}
-		if err := scanBlobRecords(st, recs, h.delta); err != nil {
-			if first {
-				return nil, err
-			}
-			st.broken = true
-			return st, nil
-		}
-		if dec == nil {
-			feeder.data = nil
-			dec = gob.NewDecoder(feeder)
-		}
-		feeder.data = recs[0].payload
-		var meta ckptMetaV2
-		if derr := dec.Decode(&meta); derr != nil || len(feeder.data) != 0 {
-			if first {
-				if derr == nil {
-					derr = fmt.Errorf("trailing bytes after metadata")
-				}
-				return nil, fmt.Errorf("core: load pipeline state: checkpoint metadata: %w", derr)
-			}
-			st.broken = true
-			return st, nil
-		}
-		hadReplay, err := applyBlobRecords(st, recs[1:])
-		if err != nil {
-			// scanBlobRecords guarantees this cannot happen; treat it as a
-			// broken tail rather than corrupting the caller.
-			if first {
-				return nil, err
-			}
-			st.broken = true
-			return st, nil
-		}
-		if !hadReplay {
-			// Field-bearing blob: its metadata describes the accumulated
-			// field state and supersedes any earlier replay directive. A
-			// thin delta keeps the base metadata — replay regenerates the
-			// events, tracker and cells it omits.
-			st.meta = meta
-			st.hasReplay = false
-		}
-		prevSeq, prevCRC = h.seq, h.crc
-		first = false
+		prev = h
 		off += size
-	}
-	if first {
-		return nil, fmt.Errorf("core: load pipeline state: empty checkpoint chain")
 	}
 	return st, nil
 }
 
-// scanBlobRecords validates every record of one blob against the
-// accumulated state without mutating it, so apply cannot fail halfway.
-func scanBlobRecords(st *chainV2, recs []record, delta bool) error {
+// readBlob parses one blob's records — a base is recMeta, recModelRaw,
+// recNestFull*, a delta is recMeta, recReplay, and any other kind or order
+// is rejected — and only then folds it into st: a base replaces the state
+// wholesale, a delta replaces the replay directive.
+func (st *chainV2) readBlob(recs []record, delta bool, dec *gob.Decoder, feeder *byteFeeder, decode bool) error {
 	if len(recs) == 0 || recs[0].kind != recMeta {
 		return fmt.Errorf("core: load pipeline state: blob does not start with a metadata record")
 	}
-	var seen [recReplay + 1]bool
+	var meta ckptMetaV2
+	feeder.data = recs[0].payload
+	if err := dec.Decode(&meta); err != nil {
+		return fmt.Errorf("core: load pipeline state: checkpoint metadata: %w", err)
+	}
+	if len(feeder.data) != 0 {
+		return fmt.Errorf("core: load pipeline state: checkpoint metadata: trailing bytes")
+	}
+	recs = recs[1:]
+	if delta {
+		// The delta's own metadata is step bookkeeping the replay
+		// regenerates; the base's stays.
+		if len(recs) != 1 || recs[0].kind != recReplay {
+			return fmt.Errorf("core: load pipeline state: delta blob is not a single replay directive")
+		}
+		rp, err := parseReplay(recs[0].payload)
+		if err != nil {
+			return err
+		}
+		st.replay = rp
+		return nil
+	}
+	if len(recs) == 0 || recs[0].kind != recModelRaw {
+		return fmt.Errorf("core: load pipeline state: base blob has no model field after its metadata")
+	}
+	nx, ny, model, err := parseField(recs[0].payload, decode)
+	if err != nil {
+		return err
+	}
+	if nx != meta.MCfg.NX || ny != meta.MCfg.NY {
+		return fmt.Errorf("core: load pipeline state: %dx%d model field under metadata for a %dx%d domain", nx, ny, meta.MCfg.NX, meta.MCfg.NY)
+	}
+	nests := make([]chainNest, 0, len(recs)-1)
 	for _, rec := range recs[1:] {
 		b := rec.payload
-		switch rec.kind {
-		case recMeta:
-			return fmt.Errorf("core: load pipeline state: duplicate metadata record")
-		case recModelRaw:
-			if len(b) < fieldDimPrefix {
-				return fmt.Errorf("core: load pipeline state: short model record")
-			}
-			nx := int(binary.LittleEndian.Uint32(b[0:4]))
-			ny := int(binary.LittleEndian.Uint32(b[4:8]))
-			if nx <= 0 || ny <= 0 || nx*ny > 1<<24 {
-				return fmt.Errorf("core: load pipeline state: implausible model domain %dx%d", nx, ny)
-			}
-			if len(b) != fieldDimPrefix+8*nx*ny {
-				return fmt.Errorf("core: load pipeline state: model record has %d bytes for %dx%d", len(b), nx, ny)
-			}
-		case recModelXOR:
-			if len(b) < fieldDimPrefix {
-				return fmt.Errorf("core: load pipeline state: short model record")
-			}
-			nx := int(binary.LittleEndian.Uint32(b[0:4]))
-			ny := int(binary.LittleEndian.Uint32(b[4:8]))
-			if !st.hasModel || nx != st.modelNX || ny != st.modelNY {
-				return fmt.Errorf("core: load pipeline state: model delta without a matching base field")
-			}
-			if err := scanXORRLE(nx*ny, b[fieldDimPrefix:]); err != nil {
-				return err
-			}
-		case recNestFull:
-			if len(b) < nestFullPrefix {
-				return fmt.Errorf("core: load pipeline state: short nest record")
-			}
-			nx := int(binary.LittleEndian.Uint32(b[41:45]))
-			ny := int(binary.LittleEndian.Uint32(b[45:49]))
-			if nx <= 0 || ny <= 0 || nx*ny > 1<<24 {
-				return fmt.Errorf("core: load pipeline state: implausible nest domain %dx%d", nx, ny)
-			}
-			if len(b) != nestFullPrefix+8*nx*ny {
-				id := binary.LittleEndian.Uint32(b[0:4])
-				return fmt.Errorf("core: nest %d field has %d samples for %dx%d", id, (len(b)-nestFullPrefix)/8, nx, ny)
-			}
-		case recNestXOR:
-			if len(b) < nestXORPrefix {
-				return fmt.Errorf("core: load pipeline state: short nest record")
-			}
-			id := int(binary.LittleEndian.Uint32(b[0:4]))
-			n, ok := st.nests[id]
-			if !ok {
-				return fmt.Errorf("core: load pipeline state: delta for unknown nest %d", id)
-			}
-			if err := scanXORRLE(len(n.data), b[nestXORPrefix:]); err != nil {
-				return err
-			}
-		case recNestRemove:
-			if len(b) != 4 {
-				return fmt.Errorf("core: load pipeline state: short nest record")
-			}
-			id := int(binary.LittleEndian.Uint32(b[0:4]))
-			if _, ok := st.nests[id]; !ok {
-				return fmt.Errorf("core: load pipeline state: removal of unknown nest %d", id)
-			}
-		case recReplay:
-			if seen[recReplay] {
-				return fmt.Errorf("core: load pipeline state: duplicate replay directive")
-			}
-			if len(b) < 9 {
-				return fmt.Errorf("core: load pipeline state: short replay directive")
-			}
-			n, used := binary.Uvarint(b[8:])
-			if used <= 0 || n > 1<<16 {
-				return fmt.Errorf("core: load pipeline state: implausible replay nest count")
-			}
-			if len(b) != 8+used+8*int(n) {
-				return fmt.Errorf("core: load pipeline state: replay directive has %d bytes for %d nests", len(b), n)
-			}
-		default:
-			return fmt.Errorf("core: load pipeline state: unknown record kind %d", rec.kind)
+		if rec.kind != recNestFull || len(b) < nestFullPrefix {
+			return fmt.Errorf("core: load pipeline state: record kind %d (%d bytes) where a base blob needs a nest", rec.kind, len(b))
 		}
-		seen[rec.kind] = true
-		if !delta && (rec.kind == recModelXOR || rec.kind == recNestXOR || rec.kind == recNestRemove || rec.kind == recReplay) {
-			return fmt.Errorf("core: load pipeline state: delta record in a base blob")
+		n := chainNest{
+			id:     int(binary.LittleEndian.Uint32(b[0:4])),
+			region: decodeRect(b[4:20]),
+			steps:  int(binary.LittleEndian.Uint32(b[20:24])),
+			procs:  decodeRect(b[25:41]),
 		}
+		if len(nests) > 0 && n.id <= nests[len(nests)-1].id {
+			return fmt.Errorf("core: load pipeline state: nest %d out of order in a base blob", n.id)
+		}
+		if n.nx, n.ny, n.data, err = parseField(b[nestFullPrefix:], decode); err != nil {
+			return fmt.Errorf("%w (nest %d)", err, n.id)
+		}
+		nests = append(nests, n)
 	}
-	if seen[recReplay] && (seen[recModelRaw] || seen[recModelXOR] || seen[recNestFull] || seen[recNestXOR] || seen[recNestRemove]) {
-		return fmt.Errorf("core: load pipeline state: replay directive alongside field records")
-	}
+	*st = chainV2{meta: meta, model: model, nests: nests}
 	return nil
 }
 
-// applyBlobRecords folds one scanned blob's field records into the
-// accumulated state, reporting whether the blob carried a replay
-// directive.
-func applyBlobRecords(st *chainV2, recs []record) (bool, error) {
-	hadReplay := false
-	for _, rec := range recs {
-		b := rec.payload
-		switch rec.kind {
-		case recModelRaw:
-			nx := int(binary.LittleEndian.Uint32(b[0:4]))
-			ny := int(binary.LittleEndian.Uint32(b[4:8]))
-			if cap(st.model) < nx*ny {
-				st.model = make([]float64, nx*ny)
-			}
-			st.model = st.model[:nx*ny]
-			decodeRawField(st.model, b[fieldDimPrefix:])
-			st.modelNX, st.modelNY, st.hasModel = nx, ny, true
-		case recModelXOR:
-			if err := applyXORRLE(st.model, b[fieldDimPrefix:]); err != nil {
-				return false, err
-			}
-		case recNestFull:
-			id := int(binary.LittleEndian.Uint32(b[0:4]))
-			n := st.nests[id]
-			if n == nil {
-				n = &chainNest{}
-				st.nests[id] = n
-			}
-			n.region = decodeRect(b[4:20])
-			n.steps = int(binary.LittleEndian.Uint32(b[20:24]))
-			n.dist = b[24]&1 != 0
-			n.procs = decodeRect(b[25:41])
-			n.nx = int(binary.LittleEndian.Uint32(b[41:45]))
-			n.ny = int(binary.LittleEndian.Uint32(b[45:49]))
-			if cap(n.data) < n.nx*n.ny {
-				n.data = make([]float64, n.nx*n.ny)
-			}
-			n.data = n.data[:n.nx*n.ny]
-			decodeRawField(n.data, b[nestFullPrefix:])
-		case recNestXOR:
-			id := int(binary.LittleEndian.Uint32(b[0:4]))
-			n := st.nests[id]
-			n.steps = int(binary.LittleEndian.Uint32(b[4:8]))
-			if err := applyXORRLE(n.data, b[nestXORPrefix:]); err != nil {
-				return false, err
-			}
-		case recNestRemove:
-			delete(st.nests, int(binary.LittleEndian.Uint32(b[0:4])))
-		case recReplay:
-			hadReplay = true
-			st.hasReplay = true
-			st.replayStep = int(binary.LittleEndian.Uint32(b[0:4]))
-			st.replayModelCRC = binary.LittleEndian.Uint32(b[4:8])
-			n, used := binary.Uvarint(b[8:])
-			b = b[8+used:]
-			st.replayNests = st.replayNests[:0]
-			for i := 0; i < int(n); i++ {
-				st.replayNests = append(st.replayNests, replayNestCRC{
-					id:  int(binary.LittleEndian.Uint32(b[0:4])),
-					crc: binary.LittleEndian.Uint32(b[4:8]),
-				})
-				b = b[8:]
-			}
+// parseReplay decodes a replay directive: target step, model CRC, nest
+// count, then one (id, CRC) pair per nest.
+func parseReplay(b []byte) (*replayDirective, error) {
+	if len(b) < 9 {
+		return nil, fmt.Errorf("core: load pipeline state: short replay directive")
+	}
+	n, used := binary.Uvarint(b[8:])
+	if used <= 0 || n > 1<<16 {
+		return nil, fmt.Errorf("core: load pipeline state: implausible replay nest count")
+	}
+	if len(b) != 8+used+8*int(n) {
+		return nil, fmt.Errorf("core: load pipeline state: replay directive has %d bytes for %d nests", len(b), n)
+	}
+	rp := &replayDirective{
+		step:     int(binary.LittleEndian.Uint32(b[0:4])),
+		modelCRC: binary.LittleEndian.Uint32(b[4:8]),
+		nests:    make([]replayNestCRC, n),
+	}
+	b = b[8+used:]
+	for i := range rp.nests {
+		rp.nests[i] = replayNestCRC{
+			id:  int(binary.LittleEndian.Uint32(b[8*i:])),
+			crc: binary.LittleEndian.Uint32(b[8*i+4:]),
 		}
 	}
-	return hadReplay, nil
+	return rp, nil
 }
 
-// restorePipelineV2 replays a v2 blob chain and rebuilds the pipeline from
-// the accumulated state.
+// restorePipelineV2 walks a v2 blob chain, rebuilds the pipeline from its
+// base, and re-executes it to the last intact delta's step.
 func restorePipelineV2(data []byte, net topology.Network, model *perfmodel.ExecModel, oracle *perfmodel.Oracle) (*Pipeline, error) {
-	st, err := replayChain(data)
+	st, err := walkChain(data, true)
 	if err != nil {
 		return nil, err
-	}
-	if !st.hasModel {
-		return nil, fmt.Errorf("core: load pipeline state: checkpoint base has no model field")
 	}
 	meta := st.meta
 	m, err := wrfsim.RestoreModel(meta.MCfg, st.model, meta.Cells, meta.RNG, meta.Time, meta.Step)
@@ -661,30 +424,24 @@ func restorePipelineV2(data []byte, net topology.Network, model *perfmodel.ExecM
 	p.set = meta.Set
 	p.nextID = meta.NextID
 	p.events = meta.Events
-	ids := make([]int, 0, len(st.nests))
-	for id := range st.nests {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	for _, id := range ids {
-		ns := st.nests[id]
+	for _, ns := range st.nests {
 		fine := &field.Field{NX: ns.nx, NY: ns.ny, Data: ns.data}
 		if meta.Cfg.Distributed {
-			n, err := wrfsim.RestoreParallelNest(id, ns.region, tr.Grid(), ns.procs, fine, ns.steps)
+			n, err := wrfsim.RestoreParallelNest(ns.id, ns.region, tr.Grid(), ns.procs, fine, ns.steps)
 			if err != nil {
-				return nil, fmt.Errorf("core: restore nest %d: %w", id, err)
+				return nil, fmt.Errorf("core: restore nest %d: %w", ns.id, err)
 			}
-			p.dnests[id] = n
+			p.dnests[ns.id] = n
 		} else {
-			n, err := wrfsim.RestoreNest(id, ns.region, fine, ns.steps)
+			n, err := wrfsim.RestoreNest(ns.id, ns.region, fine, ns.steps)
 			if err != nil {
-				return nil, fmt.Errorf("core: restore nest %d: %w", id, err)
+				return nil, fmt.Errorf("core: restore nest %d: %w", ns.id, err)
 			}
-			p.nests[id] = n
+			p.nests[ns.id] = n
 		}
 	}
-	if st.hasReplay {
-		if err := replayToDirective(p, st); err != nil {
+	if st.replay != nil {
+		if err := replayToDirective(p, st.replay); err != nil {
 			return nil, err
 		}
 	}
@@ -696,11 +453,11 @@ func restorePipelineV2(data []byte, net topology.Network, model *perfmodel.ExecM
 // writer checkpointed, via the directive's model and per-nest CRCs. The
 // pipeline is deterministic, so this reproduces exactly the steps the
 // original run took between the base and the delta cut.
-func replayToDirective(p *Pipeline, st *chainV2) error {
-	k := st.replayStep - p.StepCount()
+func replayToDirective(p *Pipeline, rp *replayDirective) error {
+	k := rp.step - p.StepCount()
 	if k < 0 {
 		return fmt.Errorf("core: load pipeline state: replay directive targets step %d behind the base at step %d",
-			st.replayStep, p.StepCount())
+			rp.step, p.StepCount())
 	}
 	if k > 0 {
 		if err := p.Run(k); err != nil {
@@ -708,17 +465,17 @@ func replayToDirective(p *Pipeline, st *chainV2) error {
 		}
 	}
 	chunk := make([]byte, 4096)
-	if got := fieldCRC(p.model.QCloud().Data, chunk); got != st.replayModelCRC {
+	if got := fieldCRC(p.model.QCloud().Data, chunk); got != rp.modelCRC {
 		return fmt.Errorf("core: load pipeline state: model field diverged during delta replay (checkpoint crc %#x, replayed %#x)",
-			st.replayModelCRC, got)
+			rp.modelCRC, got)
 	}
 	live := len(p.nests) + len(p.dnests)
-	if live != len(st.replayNests) {
+	if live != len(rp.nests) {
 		return fmt.Errorf("core: load pipeline state: %d nests after delta replay, checkpoint recorded %d",
-			live, len(st.replayNests))
+			live, len(rp.nests))
 	}
 	var gather *field.Field
-	for _, rn := range st.replayNests {
+	for _, rn := range rp.nests {
 		var cur []float64
 		if p.cfg.Distributed {
 			n := p.dnests[rn.id]

@@ -209,10 +209,30 @@ func TestRestorePipelineRejectsTornAndCorruptEnvelopes(t *testing.T) {
 			c[0] = 'X'
 			return c
 		}, "bad magic"},
+		// Field dimensions whose product wraps to the two samples the record
+		// carries: every CRC checks out, so only bounding each dimension
+		// before multiplying keeps the restore from slicing out of range.
+		{"model dimensions overflow", func(b []byte) []byte {
+			h, recs := openBlob(t, b)
+			recs[1].payload = overflowWitnessField()
+			return sealBlob(h, recs)
+		}, "implausible field domain"},
+		{"nest dimensions overflow", func(b []byte) []byte {
+			h, recs := openBlob(t, b)
+			if len(recs) < 3 || recs[2].kind != recNestFull {
+				t.Fatal("checkpoint has no nest record to corrupt")
+			}
+			recs[2].payload = append(recs[2].payload[:nestFullPrefix:nestFullPrefix], overflowWitnessField()...)
+			return sealBlob(h, recs)
+		}, "implausible field domain"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := RestorePipeline(bytes.NewReader(tc.mutate(ckpt)), net, model, oracle)
+			data := tc.mutate(ckpt)
+			if err := ValidateCheckpoint(data); err == nil {
+				t.Fatalf("%s passed validation", tc.name)
+			}
+			_, err := RestorePipeline(bytes.NewReader(data), net, model, oracle)
 			if err == nil {
 				t.Fatalf("%s accepted", tc.name)
 			}

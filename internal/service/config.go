@@ -354,8 +354,8 @@ func newRun(cfg JobConfig) (*run, error) {
 
 // restoreRun rebuilds a run from a pause checkpoint: the machine and
 // performance models are reconstructed from the config (they are
-// configuration, not state) and the pipeline is restored from the gob
-// checkpoint. The schedule cursor is recomputed from the restored step
+// configuration, not state) and the pipeline is restored from the NDCP
+// checkpoint chain. The schedule cursor is recomputed from the restored step
 // count, so genesis continues exactly where it left off.
 func restoreRun(cfg JobConfig, checkpoint []byte) (*run, error) {
 	cfg = cfg.withDefaults()
