@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"nestdiff/internal/field"
 	"nestdiff/internal/geom"
@@ -10,19 +9,14 @@ import (
 	"nestdiff/internal/redist"
 )
 
-// redistScratch recycles per-rank exchange arenas across redistribution
-// calls. Every buffer handed out is consumed inside the rank closure
-// before the arena returns to the pool, so a pooled arena is never
-// referenced by two calls at once.
-var redistScratch = sync.Pool{New: func() any { return new(mpi.Scratch) }}
-
 // RedistributeField executes a nest redistribution as the modified WRF
 // does (§IV): the nest field starts block-distributed over the old
-// processor sub-rectangle, every rank of the process grid participates in
-// one MPI_Alltoallv — senders ship the intersections of their old block
-// with each receiver's new block, uninvolved ranks contribute zero counts
-// — and the field ends block-distributed over the new sub-rectangle. The
-// reassembled field and the modelled exchange time are returned.
+// processor sub-rectangle, one MPI_Alltoallv ships the intersections of
+// every sender's old block with each receiver's new block
+// (redist.Exchange; every rank reads its old block from src and writes its
+// new block into the result, which are disjoint), and the field ends
+// block-distributed over the new sub-rectangle. The reassembled field and
+// the modelled exchange time are returned.
 //
 // The world must span exactly the process grid. src must match the
 // transfer's nest extents; the data moved is one float64 per grid point
@@ -39,74 +33,15 @@ func RedistributeField(w *mpi.World, g geom.Grid, tr redist.Transfer, src *field
 		!g.Bounds().ContainsRect(tr.Old) || !g.Bounds().ContainsRect(tr.New) {
 		return nil, 0, fmt.Errorf("core: invalid sub-rectangles %v -> %v", tr.Old, tr.New)
 	}
-	oldDist := geom.NewBlockDist(tr.NX, tr.NY, tr.Old)
-	newDist := geom.NewBlockDist(tr.NX, tr.NY, tr.New)
-
-	all, err := w.All()
+	dst := field.New(tr.NX, tr.NY)
+	whole := func(f *field.Field) func(int) redist.Window {
+		return func(int) redist.Window { return redist.Window{F: f} }
+	}
+	elapsed, _, err := redist.Exchange(w, g,
+		geom.NewBlockDist(tr.NX, tr.NY, tr.Old), geom.NewBlockDist(tr.NX, tr.NY, tr.New),
+		make([]mpi.Scratch, g.Size()), whole(src), whole(dst))
 	if err != nil {
 		return nil, 0, err
-	}
-	dst := field.New(tr.NX, tr.NY)
-	var elapsed float64
-	runErr := w.Run(func(r *mpi.Rank) {
-		me := g.Coord(r.ID())
-		s := redistScratch.Get().(*mpi.Scratch)
-		s.Reset()
-		start := r.Clock()
-
-		// Senders fill their rows; everyone else sends all-zero counts.
-		// Send and receive rows both come from the rank's scratch arena;
-		// Alltoallv copies receive rows out before its final rendezvous, so
-		// nothing references the arena once the collective returns.
-		send := s.Rows(g.Size())
-		if tr.Old.Contains(me) {
-			myBlock := oldDist.BlockOf(me)
-			newDist.Blocks(func(recv geom.Point, rblk geom.Rect) {
-				inter := myBlock.Intersect(rblk)
-				if inter.Empty() {
-					return
-				}
-				payload := s.Buf(inter.Area())
-				inter.Cells(func(p geom.Point) {
-					payload = append(payload, src.At(p.X, p.Y))
-				})
-				send[g.Rank(recv)] = payload
-			})
-		}
-
-		recv := all.AlltoallvInto(r, send, s)
-
-		// Receivers reassemble their new block. The geometry is recomputed
-		// symmetrically, so payloads carry no headers.
-		if tr.New.Contains(me) {
-			myBlock := newDist.BlockOf(me)
-			for from := 0; from < g.Size(); from++ {
-				payload := recv[from]
-				if len(payload) == 0 {
-					continue
-				}
-				sender := g.Coord(from)
-				if !tr.Old.Contains(sender) {
-					panic(fmt.Sprintf("payload from non-sender rank %d", from))
-				}
-				inter := oldDist.BlockOf(sender).Intersect(myBlock)
-				if inter.Area() != len(payload) {
-					panic(fmt.Sprintf("payload size %d != intersection %v", len(payload), inter))
-				}
-				i := 0
-				inter.Cells(func(p geom.Point) {
-					dst.Set(p.X, p.Y, payload[i])
-					i++
-				})
-			}
-		}
-		if r.ID() == 0 {
-			elapsed = r.Clock() - start
-		}
-		redistScratch.Put(s)
-	})
-	if runErr != nil {
-		return nil, 0, runErr
 	}
 	return dst, elapsed, nil
 }

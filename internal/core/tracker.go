@@ -200,17 +200,6 @@ func (t *Tracker) fineSizes(set scenario.Set) map[int][2]int {
 	return out
 }
 
-// actualRedistTime models the measured redistribution time: the §IV-C1
-// per-pair time plus the link-contention term the predictor does not see.
-func (t *Tracker) actualRedistTime(plans []redist.Plan) float64 {
-	m := redist.Measure(t.net, plans)
-	time := m.Time
-	if t.opts.ContentionBytesPerSec > 0 {
-		time += m.HopBytes / t.opts.ContentionBytesPerSec
-	}
-	return time
-}
-
 // execTimes returns the actual (oracle) and predicted execution time of an
 // allocation: nests run simultaneously on disjoint processor subsets, so
 // the interval cost is the maximum over nests.
@@ -239,7 +228,6 @@ func (t *Tracker) execTimes(a *alloc.Allocation, set scenario.Set) (actual, pred
 type candidate struct {
 	strategy  Strategy
 	a         *alloc.Allocation
-	plans     []redist.Plan
 	actRedist float64
 	actExec   float64
 	predRe    float64
@@ -247,8 +235,13 @@ type candidate struct {
 	metrics   redist.Metrics
 }
 
-func (t *Tracker) evaluate(strategy Strategy, a *alloc.Allocation, set scenario.Set) (candidate, error) {
-	plans, err := redist.PlansForChange(t.grid, t.cur.Rects, a.Rects, t.fineSizes(set), t.opts.ElemBytes)
+// evaluate builds and measures the redistribution from the current
+// allocation to a. One Measure serves both sides of the comparison: the
+// §IV-C1 per-pair time plus the predictor's calibrated contention estimate
+// is the prediction, the same time plus the contention term the predictor
+// does not see is the actual.
+func (t *Tracker) evaluate(strategy Strategy, a *alloc.Allocation, set scenario.Set, sizes map[int][2]int) (candidate, error) {
+	plans, err := redist.PlansForChange(t.grid, t.cur.Rects, a.Rects, sizes, t.opts.ElemBytes)
 	if err != nil {
 		return candidate{}, err
 	}
@@ -257,15 +250,17 @@ func (t *Tracker) evaluate(strategy Strategy, a *alloc.Allocation, set scenario.
 		return candidate{}, err
 	}
 	m := redist.Measure(t.net, plans)
-	predRe := m.Time
+	predRe, actRe := m.Time, m.Time
 	if t.opts.PredictedContentionBytesPerSec > 0 {
 		predRe += m.HopBytes / t.opts.PredictedContentionBytesPerSec
+	}
+	if t.opts.ContentionBytesPerSec > 0 {
+		actRe += m.HopBytes / t.opts.ContentionBytesPerSec
 	}
 	return candidate{
 		strategy:  strategy,
 		a:         a,
-		plans:     plans,
-		actRedist: t.actualRedistTime(plans),
+		actRedist: actRe,
 		actExec:   actExec,
 		predRe:    predRe,
 		predExec:  predExec,
@@ -313,6 +308,7 @@ func (t *Tracker) Apply(set scenario.Set) (StepMetrics, error) {
 		return StepMetrics{}, err
 	}
 
+	sizes := t.fineSizes(set)
 	traced := t.tracer != nil
 	var scratchNS, diffusionNS int64
 	var cands []candidate
@@ -328,7 +324,7 @@ func (t *Tracker) Apply(set scenario.Set) (StepMetrics, error) {
 		if traced {
 			scratchNS = time.Since(t0).Nanoseconds()
 		}
-		c, err := t.evaluate(Scratch, a, set)
+		c, err := t.evaluate(Scratch, a, set, sizes)
 		if err != nil {
 			return StepMetrics{}, err
 		}
@@ -346,7 +342,7 @@ func (t *Tracker) Apply(set scenario.Set) (StepMetrics, error) {
 		if traced {
 			diffusionNS = time.Since(t0).Nanoseconds()
 		}
-		c, err := t.evaluate(Diffusion, a, set)
+		c, err := t.evaluate(Diffusion, a, set, sizes)
 		if err != nil {
 			return StepMetrics{}, err
 		}

@@ -1,0 +1,111 @@
+package geom
+
+import "fmt"
+
+// BlockOverlaps is the set of non-empty intersections between the blocks
+// of two block distributions of one domain — the messages of the
+// redistribution Alltoallv (§IV, Fig. 3). Block distributions are
+// separable: block (i, j) of one overlaps block (k, l) of the other
+// exactly when column i overlaps column k and row j overlaps row l, so the
+// 2D schedule is the product of two 1D tables (after Sudarsan & Ribbens).
+// Building the tables costs one sweep of each axis's cuts; enumerating
+// costs one step per intersection, never a test of a pair that does not
+// intersect.
+type BlockOverlaps struct {
+	from, to BlockDist
+	xs, ys   []span
+}
+
+// span is one non-empty overlap along one axis: cells [lo, hi) are owned by
+// block from of the sending distribution and block to of the receiving one.
+type span struct {
+	from, to int
+	lo, hi   int
+}
+
+// axisSpans merges the cuts that divide n cells into p and into q blocks
+// and returns their non-empty overlaps ordered by p-block, then q-block.
+// Blocks left empty because a side has more blocks than cells fall out as
+// empty overlaps.
+func axisSpans(n, p, q int) []span {
+	out := make([]span, 0, p+q)
+	for i, k := 0, 0; i < p && k < q; {
+		iEnd, kEnd := (i+1)*n/p, (k+1)*n/q
+		if lo, hi := max(i*n/p, k*n/q), min(iEnd, kEnd); lo < hi {
+			out = append(out, span{from: i, to: k, lo: lo, hi: hi})
+		}
+		// Whichever block ends first is done; on a shared cut both are.
+		if iEnd <= kEnd {
+			i++
+		}
+		if kEnd <= iEnd {
+			k++
+		}
+	}
+	return out
+}
+
+// Overlaps returns the intersections of b's blocks (the senders) with the
+// blocks of to (the receivers). Both must distribute the same domain.
+func (b BlockDist) Overlaps(to BlockDist) BlockOverlaps {
+	if b.NX != to.NX || b.NY != to.NY {
+		panic(fmt.Sprintf("geom: overlaps of a %dx%d domain with a %dx%d domain", b.NX, b.NY, to.NX, to.NY))
+	}
+	return BlockOverlaps{
+		from: b,
+		to:   to,
+		xs:   axisSpans(b.NX, b.Procs.Width(), to.Procs.Width()),
+		ys:   axisSpans(b.NY, b.Procs.Height(), to.Procs.Height()),
+	}
+}
+
+// Len returns the number of intersections Each visits.
+func (o BlockOverlaps) Len() int { return len(o.xs) * len(o.ys) }
+
+// Kept returns how many of the intersections have the same processor on
+// both sides: data that stays where it is.
+func (o BlockOverlaps) Kept() int {
+	kept := func(spans []span, fromOrigin, toOrigin int) int {
+		n := 0
+		for _, s := range spans {
+			if fromOrigin+s.from == toOrigin+s.to {
+				n++
+			}
+		}
+		return n
+	}
+	return kept(o.xs, o.from.Procs.X0, o.to.Procs.X0) * kept(o.ys, o.from.Procs.Y0, o.to.Procs.Y0)
+}
+
+// Each calls fn for every intersection with the parent-grid points of the
+// sending and receiving processors and the shared domain cells, senders in
+// row-major sub-grid order and, for one sender, receivers in row-major
+// order: the order of a loop over all sender blocks around a loop over all
+// receiver blocks, keeping the pairs that intersect.
+func (o BlockOverlaps) Each(fn func(from, to Point, cells Rect)) {
+	for y0 := 0; y0 < len(o.ys); {
+		y1 := runEnd(o.ys, y0)
+		for x0 := 0; x0 < len(o.xs); {
+			x1 := runEnd(o.xs, x0)
+			sender := Point{o.from.Procs.X0 + o.xs[x0].from, o.from.Procs.Y0 + o.ys[y0].from}
+			for _, y := range o.ys[y0:y1] {
+				for _, x := range o.xs[x0:x1] {
+					fn(sender,
+						Point{o.to.Procs.X0 + x.to, o.to.Procs.Y0 + y.to},
+						Rect{X0: x.lo, Y0: y.lo, X1: x.hi, Y1: y.hi})
+				}
+			}
+			x0 = x1
+		}
+		y0 = y1
+	}
+}
+
+// runEnd returns the end of the run of spans sharing spans[i]'s sender.
+func runEnd(spans []span, i int) int {
+	j := i + 1
+	for j < len(spans) && spans[j].from == spans[i].from {
+		j++
+	}
+	return j
+}

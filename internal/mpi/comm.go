@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"nestdiff/internal/topology"
@@ -22,10 +23,11 @@ import (
 // scalar, so their reduce and release are fused into a single rendezvous
 // with a parity-double-buffered result slot.
 type Comm struct {
-	world *World
-	ranks []int       // comm rank → world rank, ascending
-	index map[int]int // world rank → comm rank
-	bar   *barrier
+	world  *World
+	ranks  []int       // comm rank → world rank, ascending
+	index  map[int]int // world rank → comm rank
+	bar    *barrier
+	shared bool // the world's All communicator: Free leaves it registered
 
 	// Data-collective scratch, valid between the two rendezvous of one
 	// collective call. clocks is written by each member (own slot only)
@@ -86,8 +88,35 @@ func (w *World) NewComm(ranks []int) (*Comm, error) {
 	return c, nil
 }
 
-// All returns a communicator spanning every world rank.
-func (w *World) All() (*Comm, error) { return w.NewComm(w.all) }
+// All returns the communicator spanning every world rank. The world builds
+// it on first use and owns it: every call returns the same *Comm, so the
+// per-interval callers (one PDA invocation each) do not grow the world's
+// poison list, and Free leaves it alone.
+func (w *World) All() (*Comm, error) {
+	w.allOnce.Do(func() {
+		if w.allComm, w.allErr = w.NewComm(w.all); w.allErr == nil {
+			w.allComm.shared = true
+		}
+	})
+	return w.allComm, w.allErr
+}
+
+// Free releases a communicator built with NewComm for one exchange: the
+// world forgets it, so a long run that builds a communicator per
+// redistribution holds none of them. Call it after the dispatch that used
+// the communicator has returned; a freed communicator must not be used
+// again (a later world failure no longer reaches it).
+func (c *Comm) Free() {
+	if c.shared {
+		return
+	}
+	w := c.world
+	w.mu.Lock()
+	if i := slices.Index(w.comms, c); i >= 0 {
+		w.comms = slices.Delete(w.comms, i, i+1)
+	}
+	w.mu.Unlock()
+}
 
 // Size returns the number of communicator members.
 func (c *Comm) Size() int { return len(c.ranks) }

@@ -54,9 +54,14 @@ type World struct {
 	// nothing.
 	payloads sync.Pool
 
+	// The all-ranks communicator, built by the first All.
+	allOnce sync.Once
+	allComm *Comm
+	allErr  error
+
 	mu       sync.Mutex
 	failures []error
-	comms    []*Comm
+	comms    []*Comm // live communicators: the poison list
 	poisoned bool
 }
 

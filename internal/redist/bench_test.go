@@ -18,15 +18,22 @@ func benchNet(b *testing.B, g geom.Grid) topology.Network {
 }
 
 func BenchmarkBuildPlan(b *testing.B) {
-	for _, procs := range []int{8, 16, 32} {
-		b.Run(fmt.Sprintf("subgrid=%dx%d", procs, procs), func(b *testing.B) {
+	// Three shifted square moves, whose old and new cuts coincide, then
+	// 32x32 -> 16x32: 600 cells divide raggedly over 32 ranks (18 or 19
+	// each) and over 16 (37 or 38), so every new column spans two old ones.
+	for _, c := range []struct{ old, new geom.Rect }{
+		{geom.NewRect(0, 0, 8, 8), geom.NewRect(4, 4, 8, 8)},
+		{geom.NewRect(0, 0, 16, 16), geom.NewRect(8, 8, 16, 16)},
+		{geom.NewRect(0, 0, 32, 32), geom.NewRect(16, 16, 32, 32)},
+		{geom.NewRect(0, 0, 32, 32), geom.NewRect(16, 16, 16, 32)},
+	} {
+		name := fmt.Sprintf("subgrid=%dx%d", c.old.Width(), c.old.Height())
+		if c.new.Width() != c.old.Width() {
+			name += fmt.Sprintf("->%dx%d", c.new.Width(), c.new.Height())
+		}
+		b.Run(name, func(b *testing.B) {
 			g := geom.NewGrid(64, 64)
-			tr := Transfer{
-				NestID: 1, NX: 600, NY: 600,
-				Old:       geom.NewRect(0, 0, procs, procs),
-				New:       geom.NewRect(procs/2, procs/2, procs, procs),
-				ElemBytes: 4096,
-			}
+			tr := Transfer{NestID: 1, NX: 600, NY: 600, Old: c.old, New: c.new, ElemBytes: 4096}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := BuildPlan(g, tr); err != nil {

@@ -10,6 +10,7 @@ package redist
 
 import (
 	"fmt"
+	"slices"
 
 	"nestdiff/internal/geom"
 	"nestdiff/internal/topology"
@@ -38,6 +39,9 @@ type Plan struct {
 // with a non-empty intersection contributes one message carrying the
 // intersection's payload; intersections owned by the same rank move no
 // data (maximizing those is exactly the goal of the diffusion strategy).
+// Messages are ordered by sender, then receiver, both row-major over their
+// sub-grids: ascending rank on both sides, the order Exchange's Alltoallv
+// prices them in.
 func BuildPlan(g geom.Grid, tr Transfer) (Plan, error) {
 	if tr.ElemBytes <= 0 {
 		return Plan{}, fmt.Errorf("redist: nest %d: non-positive element size %d", tr.NestID, tr.ElemBytes)
@@ -48,28 +52,21 @@ func BuildPlan(g geom.Grid, tr Transfer) (Plan, error) {
 	if tr.Old.Empty() || tr.New.Empty() {
 		return Plan{}, fmt.Errorf("redist: nest %d: empty sub-grid", tr.NestID)
 	}
-	oldDist := geom.NewBlockDist(tr.NX, tr.NY, tr.Old)
-	newDist := geom.NewBlockDist(tr.NX, tr.NY, tr.New)
+	ov := geom.NewBlockDist(tr.NX, tr.NY, tr.Old).Overlaps(geom.NewBlockDist(tr.NX, tr.NY, tr.New))
 	p := Plan{Transfer: tr, TotalBytes: tr.NX * tr.NY * tr.ElemBytes}
-	oldDist.Blocks(func(sender geom.Point, sblk geom.Rect) {
-		if sblk.Empty() {
+	if n := ov.Len() - ov.Kept(); n > 0 { // a plan that moves nothing keeps Msgs nil
+		p.Msgs = make([]topology.Message, 0, n)
+	}
+	ov.Each(func(sender, receiver geom.Point, cells geom.Rect) {
+		bytes := cells.Area() * tr.ElemBytes
+		if sender == receiver {
+			p.LocalBytes += bytes
 			return
 		}
-		newDist.Blocks(func(receiver geom.Point, rblk geom.Rect) {
-			inter := sblk.Intersect(rblk)
-			if inter.Empty() {
-				return
-			}
-			bytes := inter.Area() * tr.ElemBytes
-			if sender == receiver {
-				p.LocalBytes += bytes
-				return
-			}
-			p.Msgs = append(p.Msgs, topology.Message{
-				From:  g.Rank(sender),
-				To:    g.Rank(receiver),
-				Bytes: bytes,
-			})
+		p.Msgs = append(p.Msgs, topology.Message{
+			From:  g.Rank(sender),
+			To:    g.Rank(receiver),
+			Bytes: bytes,
 		})
 	})
 	return p, nil
@@ -140,7 +137,7 @@ func PlansForChange(g geom.Grid, old, nw map[int]geom.Rect, sizes map[int][2]int
 			ids = append(ids, id)
 		}
 	}
-	sortInts(ids)
+	slices.Sort(ids)
 	plans := make([]Plan, 0, len(ids))
 	for _, id := range ids {
 		sz, ok := sizes[id]
@@ -161,12 +158,4 @@ func PlansForChange(g geom.Grid, old, nw map[int]geom.Rect, sizes map[int][2]int
 		plans = append(plans, p)
 	}
 	return plans, nil
-}
-
-func sortInts(v []int) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
-	}
 }

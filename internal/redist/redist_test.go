@@ -104,6 +104,25 @@ func TestBuildPlanConservesBytes(t *testing.T) {
 			t.Fatalf("trial %d: %d remote + %d local != %d total",
 				trial, remote, p.LocalBytes, p.TotalBytes)
 		}
+		if len(p.Msgs) != cap(p.Msgs) {
+			t.Fatalf("trial %d: %d messages in a list allocated for %d", trial, len(p.Msgs), cap(p.Msgs))
+		}
+	}
+}
+
+func TestBuildPlanAllocatesPlanAndAxisTablesOnly(t *testing.T) {
+	// 1 024 messages: the message list at its exact length plus the two
+	// axis tables, never a grown-and-copied list.
+	g := geom.NewGrid(64, 64)
+	tr := Transfer{NestID: 1, NX: 600, NY: 600,
+		Old: geom.NewRect(0, 0, 32, 32), New: geom.NewRect(16, 16, 32, 32), ElemBytes: 4096}
+	var p Plan
+	allocs := testing.AllocsPerRun(20, func() { p, _ = BuildPlan(g, tr) })
+	if allocs > 4 {
+		t.Fatalf("BuildPlan allocates %v times for a 32x32 -> 32x32 transfer, want <= 4", allocs)
+	}
+	if len(p.Msgs) == 0 || len(p.Msgs) != cap(p.Msgs) {
+		t.Fatalf("plan has %d messages in a list of capacity %d", len(p.Msgs), cap(p.Msgs))
 	}
 }
 

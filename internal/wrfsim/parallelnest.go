@@ -9,6 +9,7 @@ import (
 	"nestdiff/internal/geom"
 	"nestdiff/internal/mpi"
 	"nestdiff/internal/obs"
+	"nestdiff/internal/redist"
 )
 
 // ParallelNest is a nested simulation whose fine-resolution field lives
@@ -241,9 +242,9 @@ func depositNest(f *field.Field, blk geom.Rect, c Cell, dt float64, region geom.
 
 // Redistribute moves the nest's distributed state from its current
 // sub-rectangle to newProcs with one Alltoallv (§IV, Fig. 3): senders ship
-// the intersections of their old block with each receiver's new block,
-// uninvolved ranks participate with zero counts. Returns the modelled
-// exchange time.
+// the intersections of their old block with each receiver's new block
+// (redist.Exchange, dispatched on the old and new owners only). Returns
+// the modelled exchange time.
 func (n *ParallelNest) Redistribute(w *mpi.World, newProcs geom.Rect) (float64, error) {
 	if w.Size() != n.pg.Size() {
 		return 0, fmt.Errorf("wrfsim: world of %d ranks for grid of %d", w.Size(), n.pg.Size())
@@ -257,10 +258,6 @@ func (n *ParallelNest) Redistribute(w *mpi.World, newProcs geom.Rect) (float64, 
 		return 0, err
 	}
 
-	all, err := w.All()
-	if err != nil {
-		return 0, err
-	}
 	tr := n.tracer
 	var wallStart time.Time
 	if tr != nil {
@@ -268,82 +265,28 @@ func (n *ParallelNest) Redistribute(w *mpi.World, newProcs geom.Rect) (float64, 
 	}
 	oldProcs := n.procs
 	newLocal := make([]*nestRank, n.pg.Size())
-	var elapsed float64
-	runErr := w.Run(func(r *mpi.Rank) {
-		me := n.pg.Coord(r.ID())
-		// Send and receive rows both come from the rank's own scratch
-		// arena; Alltoallv copies receive rows out before its final
-		// rendezvous, so rewinding here cannot race with a peer still
-		// reading a previous redistribution's payloads.
-		s := &n.redistScratch[r.ID()]
-		s.Reset()
-		start := r.Clock()
-
-		send := s.Rows(n.pg.Size())
-		if st := n.local[r.ID()]; st != nil {
-			myBlock, f := st.block, st.f
-			newDist.Blocks(func(recv geom.Point, rblk geom.Rect) {
-				inter := myBlock.Intersect(rblk)
-				if inter.Empty() {
-					return
-				}
-				payload := s.Buf(inter.Area())
-				inter.Cells(func(p geom.Point) {
-					payload = append(payload, f.At(p.X-myBlock.X0, p.Y-myBlock.Y0))
-				})
-				send[n.pg.Rank(recv)] = payload
-			})
-		}
-
-		recv := all.AlltoallvInto(r, send, s)
-
-		if newProcs.Contains(me) {
-			myBlock := newDist.BlockOf(me)
-			out := field.New(myBlock.Width(), myBlock.Height())
-			for from := 0; from < n.pg.Size(); from++ {
-				payload := recv[from]
-				if len(payload) == 0 {
-					continue
-				}
-				sender := n.pg.Coord(from)
-				inter := oldDist.BlockOf(sender).Intersect(myBlock)
-				if inter.Area() != len(payload) {
-					panic(fmt.Sprintf("redistribution payload %d != intersection %v", len(payload), inter))
-				}
-				i := 0
-				inter.Cells(func(p geom.Point) {
-					out.Set(p.X-myBlock.X0, p.Y-myBlock.Y0, payload[i])
-					i++
-				})
-			}
-			newLocal[r.ID()] = &nestRank{block: myBlock, f: out}
-		}
-		if r.ID() == 0 {
-			elapsed = r.Clock() - start
-		}
+	newDist.Blocks(func(p geom.Point, blk geom.Rect) {
+		newLocal[n.pg.Rank(p)] = &nestRank{block: blk, f: field.New(blk.Width(), blk.Height())}
 	})
-	if runErr != nil {
-		return 0, runErr
+	window := func(local []*nestRank) func(rank int) redist.Window {
+		return func(rank int) redist.Window {
+			st := local[rank]
+			return redist.Window{F: st.f, X0: st.block.X0, Y0: st.block.Y0}
+		}
+	}
+	elapsed, moved, err := redist.Exchange(w, n.pg, oldDist, newDist, n.redistScratch, window(n.local), window(newLocal))
+	if err != nil {
+		return 0, err
 	}
 	n.procs = newProcs
 	n.local = newLocal
 	if tr != nil {
-		// Remote payload of the executed exchange: every old-block/new-block
-		// intersection whose owner changed, at 8 bytes per float64 sample.
-		remote := 0
-		oldDist.Blocks(func(sp geom.Point, sblk geom.Rect) {
-			newDist.Blocks(func(rp geom.Point, rblk geom.Rect) {
-				if sp != rp {
-					remote += sblk.Intersect(rblk).Area()
-				}
-			})
-		})
 		tr.Emit(obs.Event{
 			Kind:        obs.KindRedist,
 			NestID:      n.ID,
 			DurNS:       time.Since(wallStart).Nanoseconds(),
 			Actual:      elapsed,
-			RedistBytes: int64(remote) * 8,
+			RedistBytes: int64(moved) * 8, // one float64 per sample
 			Detail:      fmt.Sprintf("procs %v -> %v", oldProcs, newProcs),
 		})
 	}
