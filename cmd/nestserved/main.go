@@ -42,6 +42,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -92,9 +93,14 @@ func main() {
 		TileCacheBytes:  *tileCache,
 		SnapshotEvery:   *snapEvery,
 	})
+	// Listen before joining the fleet: the controller may proxy a job to the
+	// advertised address the moment it has the registration.
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		log.Fatal(err)
+	}
 	var agent *service.Agent
 	if *controller != "" {
-		var err error
 		agent, err = service.StartAgent(service.AgentConfig{
 			ControllerURL:     *controller,
 			WorkerID:          *workerID,
@@ -125,7 +131,6 @@ func main() {
 		}()
 	}
 	srv := &http.Server{
-		Addr:    *addr,
 		Handler: service.NewHandler(sched),
 		// A stalled or malicious client must not pin a connection (or a
 		// handler goroutine) forever.
@@ -140,8 +145,8 @@ func main() {
 
 	errc := make(chan error, 1)
 	go func() {
-		log.Printf("listening on %s with %d workers", *addr, effWorkers)
-		errc <- srv.ListenAndServe()
+		log.Printf("listening on %s with %d workers", ln.Addr(), effWorkers)
+		errc <- srv.Serve(ln)
 	}()
 
 	select {

@@ -101,10 +101,12 @@ type Pipeline struct {
 	snaps  SnapshotSink
 
 	// Step scratch, reused across steps: the cell snapshot and nest list
-	// handed to distributed nest stepping and the sorted nest-ID work list.
-	cellScratch []wrfsim.Cell
-	nestScratch []*wrfsim.ParallelNest
-	idScratch   []int
+	// handed to distributed nest stepping, the sorted nest-ID work list and
+	// the split files of the last PDA invocation.
+	cellScratch  []wrfsim.Cell
+	nestScratch  []*wrfsim.ParallelNest
+	idScratch    []int
+	splitScratch []wrfsim.Split
 }
 
 // NewPipeline assembles a pipeline around an existing model and tracker.
@@ -421,10 +423,11 @@ func (p *Pipeline) adapt() error {
 	if tr != nil {
 		t0 = time.Now()
 	}
-	splits, err := p.model.Splits(p.cfg.WRFGrid)
+	splits, err := p.model.SplitsInto(p.splitScratch, p.cfg.WRFGrid)
 	if err != nil {
 		return err
 	}
+	p.splitScratch = splits
 	loader := func(rank int) (wrfsim.Split, error) {
 		if rank < 0 || rank >= len(splits) {
 			return wrfsim.Split{}, fmt.Errorf("core: no split for rank %d", rank)

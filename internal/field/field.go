@@ -57,11 +57,19 @@ func (f *Field) Bounds() geom.Rect { return geom.NewRect(0, 0, f.NX, f.NY) }
 
 // Sub returns a copy of the samples inside r, which must lie within the
 // field.
-func (f *Field) Sub(r geom.Rect) *Field {
+func (f *Field) Sub(r geom.Rect) *Field { return f.SubInto(nil, r) }
+
+// SubInto copies the samples inside r, which must lie within the field,
+// into out, reallocating only when out is nil or the wrong shape — the
+// allocation-free counterpart of Sub for callers that keep a scratch field
+// across calls.
+func (f *Field) SubInto(out *Field, r geom.Rect) *Field {
 	if !f.Bounds().ContainsRect(r) || r.Empty() {
 		panic(fmt.Sprintf("field: sub-region %v outside %dx%d", r, f.NX, f.NY))
 	}
-	out := New(r.Width(), r.Height())
+	if out == nil || out.NX != r.Width() || out.NY != r.Height() {
+		out = New(r.Width(), r.Height())
+	}
 	for y := 0; y < r.Height(); y++ {
 		src := (r.Y0+y)*f.NX + r.X0
 		copy(out.Data[y*out.NX:(y+1)*out.NX], f.Data[src:src+r.Width()])

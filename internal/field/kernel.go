@@ -42,14 +42,33 @@ type AdvectSpec struct {
 	Decay float64
 }
 
+// advectScratch is the pooled per-column table of one AdvectDecay call:
+// for every fast-path column its departure sample index and the two
+// bilinear x weights. A sync.Pool keeps concurrent callers — parallel
+// ranks, concurrently stepped nests — allocation-free without sharing
+// mutable state.
+type advectScratch struct {
+	x0     []int
+	fx, wx []float64
+}
+
+var advectPool = sync.Pool{New: func() any { return new(advectScratch) }}
+
 // AdvectDecay fills dst row-wise with the uniform-flow semi-Lagrangian
 // advection of src, folding the decay multiply into the same pass. It is
 // bit-for-bit identical to evaluating the spec's reference formula per
-// point, but hoists everything the uniform flow keeps constant out of the
-// inner loop: the departure-row weights and row base pointers are computed
-// once per row, the columns where any clamp could engage are resolved once
-// per call, and the interior walks raw slices with no bounds-checked
-// At/Bilinear calls and no math.Floor.
+// point, but computes everything the uniform flow keeps constant once: the
+// columns where any clamp could engage are resolved once per call, each
+// remaining column's departure index and x weights (x0, fx, 1-fx) go into a
+// table once per call, and the departure-row weights and row base slices
+// once per row. The table holds exactly the values the per-point formula
+// computes, so the row loop only multiplies and adds what the reference
+// multiplies and adds, in the same order.
+//
+// When the departure index is the column index plus one constant — always
+// so for a flow under one cell per step — the row loop reads its source
+// rows contiguously with no gather and no bounds check; otherwise it
+// gathers through the index table.
 //
 // dst and src must not alias; dst extents are the iteration space.
 func AdvectDecay(dst, src *Field, sp AdvectSpec) {
@@ -91,6 +110,29 @@ func AdvectDecay(dst, src *Field, sp AdvectSpec) {
 		xHi--
 	}
 
+	// Column table over [xLo, xHi). shift is x0-x of the first column;
+	// contiguous stays true while every column shares it.
+	n := xHi - xLo
+	s := advectPool.Get().(*advectScratch)
+	if cap(s.fx) < n {
+		s.x0 = make([]int, n)
+		s.fx = make([]float64, n)
+		s.wx = make([]float64, n)
+	}
+	x0s, fxs, wxs := s.x0[:n], s.fx[:n], s.wx[:n]
+	shift, contiguous := 0, true
+	for i := range x0s {
+		px := (float64(sp.GX0+xLo+i) - sp.UX) - shiftX
+		x0 := int(px) // px >= 0 on the fast path, so truncation == floor
+		fx := px - float64(x0)
+		x0s[i], fxs[i], wxs[i] = x0, fx, 1-fx
+		if i == 0 {
+			shift = x0 - xLo
+		} else if x0-(xLo+i) != shift {
+			contiguous = false
+		}
+	}
+
 	decay := sp.Decay
 	for y := 0; y < dst.NY; y++ {
 		gy := clampF(float64(sp.GY0+y)-sp.VY, 0, hiGY)
@@ -103,7 +145,7 @@ func AdvectDecay(dst, src *Field, sp AdvectSpec) {
 		for x := xHi; x < dst.NX; x++ {
 			out[x] = src.Bilinear(srcX(x), py) * decay
 		}
-		if xLo >= xHi {
+		if n == 0 {
 			continue
 		}
 		// Row terms, hoisted: Bilinear's y clamp, floor and fractional
@@ -118,30 +160,96 @@ func AdvectDecay(dst, src *Field, sp AdvectSpec) {
 		wy0 := 1 - fy
 		row0 := src.Data[y0*src.NX : y0*src.NX+src.NX]
 		row1 := src.Data[y1*src.NX : y1*src.NX+src.NX]
-		for x := xLo; x < xHi; x++ {
-			px := (float64(sp.GX0+x) - sp.UX) - shiftX
-			x0 := int(px) // px >= 0 on the fast path
-			fx := px - float64(x0)
-			wx0 := 1 - fx
-			top := row0[x0]*wx0 + row0[x0+1]*fx
-			bot := row1[x0]*wx0 + row1[x0+1]*fx
-			out[x] = (top*wy0 + bot*fy) * decay
+		out = out[xLo:][:n]
+		if !contiguous {
+			for i, x0 := range x0s {
+				top := row0[x0]*wxs[i] + row0[x0+1]*fxs[i]
+				bot := row1[x0]*wxs[i] + row1[x0+1]*fxs[i]
+				out[i] = (top*wy0 + bot*fy) * decay
+			}
+			continue
+		}
+		// Column i reads source samples lo+i and lo+i+1: carry the left
+		// sample over from the previous column and index the right one by
+		// i, so every slice below has length n and needs no bounds check.
+		lo := xLo + shift
+		l0, l1 := row0[lo], row1[lo]
+		r0s, r1s := row0[lo+1:][:n], row1[lo+1:][:n]
+		for i, fx := range fxs {
+			r0, r1 := r0s[i], r1s[i]
+			top := l0*wxs[i] + r0*fx
+			bot := l1*wxs[i] + r1*fx
+			out[i] = (top*wy0 + bot*fy) * decay
+			l0, l1 = r0, r1
+		}
+	}
+	advectPool.Put(s)
+}
+
+// GaussStamp is a separable Gaussian deposit in two parts: Build computes
+// the clipped window's per-axis weight tables — O(W+H) exponentials — and
+// AddTo accumulates their outer product into a field. A caller depositing
+// the same source several times (a nest's substeps) builds once and applies
+// many times; a stamp's tables are reused across builds, so a long-lived
+// stamp allocates nothing in steady state. The zero value is an empty stamp.
+type GaussStamp struct {
+	x0, y0 int       // window origin in the target field's own coordinates
+	wx     []float64 // exp(−(x−cx)²·inv) per window column
+	wy     []float64 // amp·exp(−(y−cy)²·inv) per window row
+}
+
+// Build sets the stamp to amp·exp(−((x−cx)²+(y−cy)²)·inv) over the
+// inclusive coordinate range [x0,x1]×[y0,y1], where (x, y) run in the
+// caller's (global) coordinates and the sample (x, y) lives at
+// (x−offX, y−offY) of the field AddTo is given. An inverted range builds the
+// empty stamp.
+func (s *GaussStamp) Build(cx, cy, amp, inv float64, x0, y0, x1, y1, offX, offY int) {
+	if x1 < x0 || y1 < y0 {
+		s.wx, s.wy = s.wx[:0], s.wy[:0]
+		return
+	}
+	w := x1 - x0 + 1
+	h := y1 - y0 + 1
+	if cap(s.wx) < w {
+		s.wx = make([]float64, w)
+	}
+	if cap(s.wy) < h {
+		s.wy = make([]float64, h)
+	}
+	s.x0, s.y0 = x0-offX, y0-offY
+	s.wx, s.wy = s.wx[:w], s.wy[:h]
+	for i := range s.wx {
+		dx := float64(x0+i) - cx
+		s.wx[i] = math.Exp(-(dx * dx) * inv)
+	}
+	for j := range s.wy {
+		dy := float64(y0+j) - cy
+		s.wy[j] = amp * math.Exp(-(dy*dy)*inv)
+	}
+}
+
+// AddTo accumulates the stamp into f. The window the stamp was built for
+// must lie inside f.
+func (s *GaussStamp) AddTo(f *Field) {
+	for j, rowAmp := range s.wy {
+		base := (s.y0+j)*f.NX + s.x0
+		row := f.Data[base : base+len(s.wx)]
+		for i, wv := range s.wx {
+			row[i] += rowAmp * wv
 		}
 	}
 }
 
-// gaussScratch is the pooled 1D weight-table scratch of the separable
-// Gaussian deposit kernel. A sync.Pool (rather than per-field buffers)
-// keeps concurrent depositors — parallel ranks, concurrently stepped
-// nests — allocation-free without sharing mutable state.
-type gaussScratch struct{ wx, wy []float64 }
-
-var gaussPool = sync.Pool{New: func() any { return new(gaussScratch) }}
+// stampPool backs the one-shot AddSeparableGaussian. A sync.Pool (rather
+// than per-field buffers) keeps concurrent depositors allocation-free
+// without sharing mutable state.
+var stampPool = sync.Pool{New: func() any { return new(GaussStamp) }}
 
 // AddSeparableGaussian accumulates amp·exp(−((x−cx)²+(y−cy)²)·inv) into f
 // over the inclusive coordinate range [x0,x1]×[y0,y1], where (x, y) run in
 // the caller's (global) coordinates and the sample (x, y) lives at
 // f(x−offX, y−offY). The range, shifted by the offsets, must lie inside f.
+// It is GaussStamp's Build and AddTo in one call.
 //
 // The Gaussian separates into per-axis 1D weight tables — O(W+H)
 // exponentials instead of O(W·H) — followed by an outer-product
@@ -149,35 +257,8 @@ var gaussPool = sync.Pool{New: func() any { return new(gaussScratch) }}
 // independently, results match the fused per-point exponential to a few
 // ULPs rather than exactly.
 func (f *Field) AddSeparableGaussian(cx, cy, amp, inv float64, x0, y0, x1, y1, offX, offY int) {
-	if x1 < x0 || y1 < y0 {
-		return
-	}
-	w := x1 - x0 + 1
-	h := y1 - y0 + 1
-	s := gaussPool.Get().(*gaussScratch)
-	if cap(s.wx) < w {
-		s.wx = make([]float64, w)
-	}
-	if cap(s.wy) < h {
-		s.wy = make([]float64, h)
-	}
-	wx := s.wx[:w]
-	wy := s.wy[:h]
-	for i := range wx {
-		dx := float64(x0+i) - cx
-		wx[i] = math.Exp(-(dx * dx) * inv)
-	}
-	for j := range wy {
-		dy := float64(y0+j) - cy
-		wy[j] = math.Exp(-(dy * dy) * inv)
-	}
-	for j := 0; j < h; j++ {
-		rowAmp := amp * wy[j]
-		base := (y0+j-offY)*f.NX + (x0 - offX)
-		row := f.Data[base : base+w]
-		for i, wv := range wx {
-			row[i] += rowAmp * wv
-		}
-	}
-	gaussPool.Put(s)
+	s := stampPool.Get().(*GaussStamp)
+	s.Build(cx, cy, amp, inv, x0, y0, x1, y1, offX, offY)
+	s.AddTo(f)
+	stampPool.Put(s)
 }

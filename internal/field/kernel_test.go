@@ -129,6 +129,87 @@ func TestAdvectDecayRandomizedExactEquivalence(t *testing.T) {
 	}
 }
 
+// checkAdvectMatchesReference runs the kernel and the per-point reference
+// on one spec and requires every sample to agree bit-for-bit.
+func checkAdvectMatchesReference(t *testing.T, src *Field, w, h int, sp AdvectSpec) {
+	t.Helper()
+	want := New(w, h)
+	referenceAdvectDecay(want, src, sp)
+	got := New(w, h)
+	AdvectDecay(got, src, sp)
+	for i := range want.Data {
+		if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+			t.Fatalf("%dx%d %+v: sample (%d,%d) = %g, want %g (must be bit-identical)",
+				w, h, sp, i%w, i/w, got.Data[i], want.Data[i])
+		}
+	}
+}
+
+// TestAdvectDecayWideFieldCrossesBinades pins the column table on a field
+// wide enough that float64(x)-UX loses the flow's low bits as x grows: with
+// a flow far below one ulp of the larger columns, the departure index is
+// x-1 on the left of the field and x on the right, so no single shift
+// describes the row and the kernel must gather.
+func TestAdvectDecayWideFieldCrossesBinades(t *testing.T) {
+	rng := rand.New(rand.NewSource(97))
+	const nx, ny = 4500, 3
+	src := randomField(rng, nx, ny)
+	for _, ux := range []float64{1e-13, 3e-13, -1e-13, 1 - 1e-13, 0.24} {
+		checkAdvectMatchesReference(t, src, nx, ny,
+			AdvectSpec{UX: ux, VY: 0.06, GNX: nx, GNY: ny, Decay: 0.978})
+	}
+}
+
+// FuzzAdvectDecay holds the kernel to the per-point reference, bit for
+// bit, over arbitrary flows, block placements and halo widths.
+func FuzzAdvectDecay(f *testing.F) {
+	ulp := func(v float64, n int) float64 {
+		for ; n > 0; n-- {
+			v = math.Nextafter(v, math.Inf(1))
+		}
+		for ; n < 0; n++ {
+			v = math.Nextafter(v, math.Inf(-1))
+		}
+		return v
+	}
+	// ux, vy, global extents, block origin and extents, halo, data seed.
+	// Sub-cell flow, whole domain: the contiguous path the models take.
+	f.Add(0.24, 0.06, 47, 31, 0, 0, 47, 31, 0, int64(1))
+	// |flow| > 1 cell and negative flow.
+	f.Add(2.5, -1.9, 47, 31, 0, 0, 47, 31, 0, int64(2))
+	f.Add(-3.75, 4.2, 60, 44, 20, 11, 20, 22, 2, int64(3))
+	f.Add(250.0, -250.0, 47, 31, 0, 0, 47, 31, 0, int64(4))
+	// Flows within one ulp of an integer, either side, and of zero.
+	f.Add(ulp(1, 1), ulp(2, -1), 47, 31, 0, 0, 47, 31, 0, int64(5))
+	f.Add(ulp(1, -1), ulp(-1, 1), 60, 44, 20, 11, 20, 22, 2, int64(6))
+	f.Add(ulp(0, 1), ulp(0, -1), 47, 31, 0, 0, 47, 31, 0, int64(7))
+	f.Add(1.0, -2.0, 47, 31, 0, 0, 47, 31, 0, int64(8))
+	// One-column and one-row fields.
+	f.Add(0.4, 0.7, 1, 31, 0, 0, 1, 31, 0, int64(9))
+	f.Add(0.4, 0.7, 47, 1, 0, 0, 47, 1, 0, int64(10))
+	f.Add(-0.4, 0.7, 60, 44, 59, 0, 1, 44, 2, int64(11))
+	// Halo blocks touching each of the four global borders.
+	f.Add(0.4, 0.7, 60, 44, 0, 11, 6, 5, 2, int64(12))    // west
+	f.Add(-1.3, 0.2, 60, 44, 54, 11, 6, 5, 2, int64(13))  // east
+	f.Add(0.4, -0.7, 60, 44, 20, 0, 25, 21, 2, int64(14)) // north
+	f.Add(2.5, 1.9, 60, 44, 20, 23, 25, 21, 2, int64(15)) // south
+	f.Fuzz(func(t *testing.T, ux, vy float64, gnx, gny, x0, y0, w, h, halo int, seed int64) {
+		if math.IsNaN(ux) || math.IsNaN(vy) {
+			t.Skip("the reference formula indexes out of range on a NaN flow")
+		}
+		norm := func(v, n int) int { return ((v % n) + n) % n }
+		gnx, gny = 1+norm(gnx, 96), 1+norm(gny, 64)
+		w, h = 1+norm(w, gnx), 1+norm(h, gny)
+		x0, y0 = norm(x0, gnx-w+1), norm(y0, gny-h+1)
+		halo = norm(halo, 4)
+		src := randomField(rand.New(rand.NewSource(seed)), w+2*halo, h+2*halo)
+		checkAdvectMatchesReference(t, src, w, h, AdvectSpec{
+			UX: ux, VY: vy, GX0: x0, GY0: y0, GNX: gnx, GNY: gny,
+			OffX: halo, OffY: halo, Decay: 0.96,
+		})
+	})
+}
+
 func TestAdvectDecayPanics(t *testing.T) {
 	f := New(4, 4)
 	mustPanic(t, "aliased dst", func() {
@@ -189,26 +270,41 @@ func mustPanic(t *testing.T, name string, fn func()) {
 }
 
 // BenchmarkAdvect compares the fused kernel against the per-point
-// reference it replaced, on the default parent domain extents.
+// reference it replaced, on the default parent domain extents and on a
+// 25×21 halo block (a distributed nest rank's share), where per-call
+// set-up is a visible part of the cost.
 func BenchmarkAdvect(b *testing.B) {
-	src := New(180, 105)
-	for i := range src.Data {
-		src.Data[i] = float64(i % 89)
+	fill := func(f *Field) *Field {
+		for i := range f.Data {
+			f.Data[i] = float64(i % 89)
+		}
+		return f
 	}
-	dst := New(180, 105)
-	sp := AdvectSpec{UX: 0.45, VY: 0.3, GNX: 180, GNY: 105, Decay: 0.95}
-	b.Run("fused", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			AdvectDecay(dst, src, sp)
+	const halo = 2
+	for _, c := range []struct {
+		name     string
+		dst, src *Field
+		sp       AdvectSpec
+	}{
+		{"180x105", New(180, 105), fill(New(180, 105)),
+			AdvectSpec{UX: 0.45, VY: 0.3, GNX: 180, GNY: 105, Decay: 0.95}},
+		{"halo25x21", New(25, 21), fill(New(25+2*halo, 21+2*halo)),
+			AdvectSpec{UX: 0.24, VY: 0.06, GX0: 25, GY0: 42, GNX: 150, GNY: 126,
+				OffX: halo, OffY: halo, Decay: 0.95}},
+	} {
+		for _, k := range []struct {
+			name string
+			fn   func(dst, src *Field, sp AdvectSpec)
+		}{{"fused", AdvectDecay}, {"reference", referenceAdvectDecay}} {
+			b.Run(c.name+"/"+k.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					k.fn(c.dst, c.src, c.sp)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(c.dst.Data)), "ns/cell")
+			})
 		}
-	})
-	b.Run("reference", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			referenceAdvectDecay(dst, src, sp)
-		}
-	})
+	}
 }
 
 // BenchmarkDeposit compares the separable Gaussian deposit against the

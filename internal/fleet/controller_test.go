@@ -309,8 +309,10 @@ func TestControllerPauseResumeRoutesToOwner(t *testing.T) {
 	}
 	snap := decodeSnap(t, resp)
 
+	// Past its first step: a job is running while it still builds its
+	// pipeline, and a pause landing there parks it at step 0.
 	pollFleet(t, ctlSrv.URL, snap.ID, "running", func(sn service.Snapshot) bool {
-		return sn.State == service.StateRunning
+		return sn.State == service.StateRunning && sn.Step > 0
 	})
 	presp, err := http.Post(ctlSrv.URL+"/jobs/"+snap.ID+"/pause", "application/json", nil)
 	if err != nil {

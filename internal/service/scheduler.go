@@ -1283,9 +1283,11 @@ func (s *Scheduler) finish(j *Job, state JobState, err error, r *run) {
 		detail = err.Error()
 	}
 	j.emitJobEventLocked(string(state), detail)
-	epoch := j.epoch
+	// Under j.mu, as Cancel does it: whoever sees the terminal state sees
+	// the mirror gone, even when the persister is still mid-fsync on an
+	// earlier checkpoint of this job.
+	s.removeCheckpointFile(j.ID, j.epoch)
 	j.mu.Unlock()
-	s.removeCheckpointFile(j.ID, epoch)
 }
 
 // finishFenced terminates a superseded running copy. It deliberately

@@ -110,15 +110,21 @@ func (c Cell) Intensity() float64 {
 type Model struct {
 	cfg    Config
 	qcloud *field.Field
-	olr    *field.Field
+	// olr is the OLR diagnostic, a pure function of qcloud recomputed on
+	// read: whatever changes qcloud sets olrStale, and OLR() refreshes.
+	olr      *field.Field
+	olrStale bool
 	// scratch is the advection double buffer: each step advects qcloud
 	// into scratch and swaps the two, so steady-state stepping allocates
 	// nothing. It is derived state and never checkpointed.
 	scratch *field.Field
-	cells   []Cell
-	rng     *rng.SplitMix64
-	time    float64
-	step    int
+	// stamps is the step's source term, rebuilt every step: derived state
+	// like scratch.
+	stamps sourceStamps
+	cells  []Cell
+	rng    *rng.SplitMix64
+	time   float64
+	step   int
 }
 
 // NewModel builds a model from cfg. It returns an error on non-physical
@@ -157,7 +163,16 @@ func (m *Model) StepCount() int { return m.step }
 func (m *Model) QCloud() *field.Field { return m.qcloud }
 
 // OLR returns the live outgoing long-wave radiation field (do not mutate).
-func (m *Model) OLR() *field.Field { return m.olr }
+// The diagnostic is computed on demand — here, when the cloud water has
+// changed since the last read — so a run that analyzes every fifth step
+// pays for one pass in five. Like Step, it must not run concurrently with
+// anything else on the model.
+func (m *Model) OLR() *field.Field {
+	if m.olrStale {
+		m.updateOLR()
+	}
+	return m.olr
+}
 
 // Cells returns a copy of the live convective cells.
 func (m *Model) Cells() []Cell { return append([]Cell(nil), m.cells...) }
@@ -178,8 +193,8 @@ func (m *Model) InjectCell(c Cell) error {
 }
 
 // Step advances the simulation by one Dt: cell life cycles and drift,
-// spontaneous genesis, source deposition, semi-Lagrangian advection,
-// exponential decay, and the OLR diagnostic.
+// spontaneous genesis, source deposition, semi-Lagrangian advection and
+// exponential decay. The OLR diagnostic is left stale for OLR() to refresh.
 func (m *Model) Step() {
 	dt := m.cfg.Dt
 
@@ -221,9 +236,8 @@ func (m *Model) Step() {
 	}
 
 	// Source deposition.
-	for _, c := range m.cells {
-		m.deposit(m.qcloud, c, 1, geom.Point{})
-	}
+	m.stamps.build(m.cells, dt, 1, geom.Point{}, m.qcloud.Bounds())
+	m.stamps.addTo(m.qcloud)
 
 	// Fused semi-Lagrangian advection + exponential decay on the ambient
 	// flow, into the double buffer (no steady-state allocation).
@@ -233,30 +247,57 @@ func (m *Model) Step() {
 		Decay: math.Exp(-dt / m.cfg.DecayTau),
 	})
 	m.qcloud, m.scratch = m.scratch, m.qcloud
+	m.olrStale = true
 
-	m.updateOLR()
 	m.time += dt
 	m.step++
 }
 
-// deposit adds the cell's Gaussian source to f at the given resolution
-// ratio relative to the parent grid, with f's origin at parent-grid point
-// origin. The parent field uses ratio 1 and origin (0,0); nests pass their
-// region origin and refinement ratio.
-func (m *Model) deposit(f *field.Field, c Cell, ratio int, origin geom.Point) {
-	inten := c.Intensity() * m.cfg.Dt / 60 // per-minute normalization
-	if inten <= 0 {
-		return
-	}
+// sourceStamps is one target field's share of a parent step's cloud-water
+// source: one Gaussian stamp per active cell that reaches the field, built
+// once per parent step and added in each of the target grid's substeps. The slice and its
+// stamps' tables are reused from step to step.
+type sourceStamps []field.GaussStamp
+
+// build stamps every cell's source for a target grid refined ratio× over
+// the parent with its (0, 0) sample at parent grid point origin. own is
+// the part of that grid the target field holds, in the grid's own
+// coordinates, the field's (0, 0) sample at own's north-west corner: the
+// whole grid for the serial model and nests, one rank's block for the
+// distributed ones. A grid refined ratio× takes ratio substeps per parent
+// step, and each deposits 1/ratio of the parent's per-step source.
+func (s *sourceStamps) build(cells []Cell, dt float64, ratio int, origin geom.Point, own geom.Rect) {
+	st := (*s)[:0]
 	r := float64(ratio)
-	cx := (c.X - float64(origin.X)) * r
-	cy := (c.Y - float64(origin.Y)) * r
-	rad := c.Radius * r
-	x0 := max(0, int(cx-3*rad))
-	x1 := min(f.NX-1, int(cx+3*rad)+1)
-	y0 := max(0, int(cy-3*rad))
-	y1 := min(f.NY-1, int(cy+3*rad)+1)
-	f.AddSeparableGaussian(cx, cy, inten, 1/(2*rad*rad), x0, y0, x1, y1, 0, 0)
+	for _, c := range cells {
+		c.Peak /= r
+		inten := c.Intensity() * dt / 60 // per-minute normalization
+		if inten <= 0 {
+			continue
+		}
+		cx := (c.X - float64(origin.X)) * r
+		cy := (c.Y - float64(origin.Y)) * r
+		rad := c.Radius * r
+		x0, x1 := max(own.X0, int(cx-3*rad)), min(own.X1-1, int(cx+3*rad)+1)
+		y0, y1 := max(own.Y0, int(cy-3*rad)), min(own.Y1-1, int(cy+3*rad)+1)
+		if x1 < x0 || y1 < y0 {
+			continue // the source misses this field
+		}
+		if len(st) < cap(st) {
+			st = st[:len(st)+1] // keeps the old stamp's tables
+		} else {
+			st = append(st, field.GaussStamp{})
+		}
+		st[len(st)-1].Build(cx, cy, inten, 1/(2*rad*rad), x0, y0, x1, y1, own.X0, own.Y0)
+	}
+	*s = st
+}
+
+// addTo deposits the stamped sources into f, in cell order.
+func (s sourceStamps) addTo(f *field.Field) {
+	for i := range s {
+		s[i].AddTo(f)
+	}
 }
 
 func (m *Model) updateOLR() {
@@ -267,6 +308,7 @@ func (m *Model) updateOLR() {
 		}
 		m.olr.Data[i] = olr
 	}
+	m.olrStale = false
 }
 
 // defaultMergePeakCap bounds merged-system intensification when the

@@ -24,7 +24,10 @@ type Nest struct {
 	// into it and swaps the two, so steady-state stepping allocates nothing.
 	// It carries no state between substeps and is never checkpointed.
 	scratch *field.Field
-	steps   int
+	// stamps is the parent step's source term on the fine grid, built once
+	// per Step and added in every substep: derived state like scratch.
+	stamps sourceStamps
+	steps  int
 }
 
 // SpawnNest creates a nest over the given parent region, initializing it
@@ -63,14 +66,9 @@ func (n *Nest) Step(m *Model) {
 	ux := m.cfg.FlowU * dtFine * NestRatio // flow in fine cells per substep
 	vy := m.cfg.FlowV * dtFine * NestRatio
 	decay := math.Exp(-dtFine / m.cfg.DecayTau)
+	n.stamps.build(m.cells, m.cfg.Dt, NestRatio, geom.Point{X: n.Region.X0, Y: n.Region.Y0}, n.qcloud.Bounds())
 	for s := 0; s < NestRatio; s++ {
-		for _, c := range m.cells {
-			// The fine grid deposits a third of the parent's per-step source
-			// per substep.
-			scaled := c
-			scaled.Peak = c.Peak / NestRatio
-			m.deposit(n.qcloud, scaled, NestRatio, geom.Point{X: n.Region.X0, Y: n.Region.Y0})
-		}
+		n.stamps.addTo(n.qcloud)
 		field.AdvectDecay(n.scratch, n.qcloud, field.AdvectSpec{
 			UX: ux, VY: vy,
 			GNX: n.qcloud.NX, GNY: n.qcloud.NY,
@@ -87,5 +85,5 @@ func (n *Nest) Step(m *Model) {
 func (n *Nest) Feedback(m *Model) {
 	coarse := field.Coarsen(n.qcloud, NestRatio)
 	m.qcloud.SetSub(n.Region, coarse)
-	m.updateOLR()
+	m.olrStale = true
 }

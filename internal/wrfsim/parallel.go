@@ -45,13 +45,14 @@ type rankState struct {
 	block  geom.Rect // owned region in domain coordinates
 	qcloud *field.Field
 	olr    *field.Field
-	// next is the advection double buffer and halo the rank's exchange
-	// plan with its halo-extended source field, both reused every step so
-	// steady-state stepping allocates nothing (the parent decomposition
-	// never changes, so the plan is built once). Neither carries state
-	// between steps and neither is checkpointed.
-	next *field.Field
-	halo haloPlan
+	// next is the advection double buffer, halo the rank's exchange plan
+	// with its halo-extended source field and stamps the step's source term
+	// on the block, all reused every step so steady-state stepping allocates
+	// nothing (the parent decomposition never changes, so the plan is built
+	// once). None carries state between steps and none is checkpointed.
+	next   *field.Field
+	halo   haloPlan
+	stamps sourceStamps
 }
 
 // NewParallelModel builds a distributed model over a freshly created
@@ -148,9 +149,8 @@ func (pm *ParallelModel) rankStep(r *mpi.Rank, st *rankState, cells []Cell) {
 	cfg := pm.cfg
 	// Deposit the global cells into the local block (serial-model
 	// deposit restricted to owned cells).
-	for _, c := range cells {
-		depositInto(st.qcloud, st.block, c, cfg.Dt)
-	}
+	st.stamps.build(cells, cfg.Dt, 1, geom.Point{}, st.block)
+	st.stamps.addTo(st.qcloud)
 	r.Compute(float64(st.block.Area()) * 5e-9)
 
 	// Build the halo-extended field: interior from the local block,
@@ -179,21 +179,6 @@ func (pm *ParallelModel) rankStep(r *mpi.Rank, st *rankState, cells []Cell) {
 		st.olr.Data[i] = olr
 	}
 	r.Compute(float64(st.block.Area()) * 2e-8)
-}
-
-// depositInto adds the cell's Gaussian source restricted to the owned
-// block (same maths as the serial Model.deposit at ratio 1).
-func depositInto(f *field.Field, block geom.Rect, c Cell, dt float64) {
-	inten := c.Intensity() * dt / 60
-	if inten <= 0 {
-		return
-	}
-	rad := c.Radius
-	x0 := max(block.X0, int(c.X-3*rad))
-	x1 := min(block.X1-1, int(c.X+3*rad)+1)
-	y0 := max(block.Y0, int(c.Y-3*rad))
-	y1 := min(block.Y1-1, int(c.Y+3*rad)+1)
-	f.AddSeparableGaussian(c.X, c.Y, inten, 1/(2*rad*rad), x0, y0, x1, y1, block.X0, block.Y0)
 }
 
 // Splits returns every rank's current state as split files, directly from

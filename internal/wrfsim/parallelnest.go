@@ -45,17 +45,19 @@ type ParallelNest struct {
 }
 
 // nestRank is one owner rank's share of a distributed nest: its block of
-// the fine field plus step scratch, the advection double buffer and the
-// cached halo plan. The scratch is built by the rank's first step on a
-// decomposition (next == nil until then), so scatter and Redistribute stay
-// as cheap as moving the data; it carries no state between substeps and is
-// never checkpointed. scatter and Redistribute replace the whole nestRank,
-// so a plan never outlives the blocks it was built for.
+// the fine field plus step scratch: the advection double buffer, the
+// cached halo plan and the parent step's source stamps. The scratch is
+// built by the rank's first step on a decomposition (next == nil until
+// then), so scatter and Redistribute stay as cheap as moving the data; it
+// carries no state between substeps and is never checkpointed. scatter and
+// Redistribute replace the whole nestRank, so a plan never outlives the
+// blocks it was built for.
 type nestRank struct {
-	block geom.Rect // owned fine cells
-	f     *field.Field
-	next  *field.Field
-	halo  haloPlan
+	block  geom.Rect // owned fine cells
+	f      *field.Field
+	next   *field.Field
+	halo   haloPlan
+	stamps sourceStamps
 }
 
 // SetTracer installs a structured tracer on the nest (nil removes it);
@@ -198,13 +200,10 @@ func (n *ParallelNest) stepRank(r *mpi.Rank, cfg Config, cells []Cell, spec fiel
 	}
 	spec.GX0, spec.GY0 = blk.X0, blk.Y0
 	spec.GNX, spec.GNY = n.nx, n.ny
+	st.stamps.build(cells, cfg.Dt, NestRatio, geom.Point{X: n.Region.X0, Y: n.Region.Y0}, blk)
 	for s := 0; s < NestRatio; s++ {
-		// Deposit the scaled sources into the owned block: the fine grid
-		// takes a third of the parent's per-step source per substep.
-		for _, c := range cells {
-			c.Peak /= NestRatio
-			depositNest(st.f, blk, c, cfg.Dt, n.Region)
-		}
+		// Deposit the sources into the owned block.
+		st.stamps.addTo(st.f)
 		r.Compute(float64(blk.Area()) * 5e-9)
 
 		ext := st.halo.exchange(r, st.f, (n.steps+s)*16)
@@ -215,29 +214,6 @@ func (n *ParallelNest) stepRank(r *mpi.Rank, cfg Config, cells []Cell, spec fiel
 		st.f, st.next = st.next, st.f
 		r.Compute(float64(blk.Area()) * 2e-8)
 	}
-}
-
-// depositNest adds the cell's Gaussian source restricted to the owned
-// fine block (same maths as the serial Model.deposit at NestRatio with
-// the region origin).
-func depositNest(f *field.Field, blk geom.Rect, c Cell, dt float64, region geom.Rect) {
-	inten := c.Intensity() * dt / 60
-	if inten <= 0 {
-		return
-	}
-	ratio := float64(NestRatio)
-	cx := (c.X - float64(region.X0)) * ratio
-	cy := (c.Y - float64(region.Y0)) * ratio
-	rad := c.Radius * ratio
-	nx := region.Width() * NestRatio
-	ny := region.Height() * NestRatio
-	// Global fine-domain extent of the source (as the serial deposit
-	// computes it), intersected with the owned block.
-	x0 := max(blk.X0, max(0, int(cx-3*rad)))
-	x1 := min(blk.X1-1, min(nx-1, int(cx+3*rad)+1))
-	y0 := max(blk.Y0, max(0, int(cy-3*rad)))
-	y1 := min(blk.Y1-1, min(ny-1, int(cy+3*rad)+1))
-	f.AddSeparableGaussian(cx, cy, inten, 1/(2*rad*rad), x0, y0, x1, y1, blk.X0, blk.Y0)
 }
 
 // Redistribute moves the nest's distributed state from its current
@@ -319,5 +295,5 @@ func (n *ParallelNest) GatherInto(out *field.Field) *field.Field {
 func (n *ParallelNest) Feedback(m *Model) {
 	coarse := field.Coarsen(n.Gather(), NestRatio)
 	m.qcloud.SetSub(n.Region, coarse)
-	m.updateOLR()
+	m.olrStale = true
 }

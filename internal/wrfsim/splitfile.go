@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"nestdiff/internal/field"
 	"nestdiff/internal/geom"
@@ -26,26 +27,36 @@ type Split struct {
 }
 
 // Splits decomposes the model's current state over a Px×Py process grid
-// and returns one Split per rank, in rank order.
-func (m *Model) Splits(pg geom.Grid) ([]Split, error) {
+// and returns one Split per rank, in rank order. The result is the
+// caller's: nothing the model does later changes it.
+func (m *Model) Splits(pg geom.Grid) ([]Split, error) { return m.SplitsInto(nil, pg) }
+
+// SplitsInto is Splits into the caller's buffer: buf's backing array and
+// the fields of the splits it already holds are overwritten and returned
+// wherever their shapes still fit, so a caller that hands each call's
+// result to the next allocates nothing once the buffer is warm. Whatever
+// was read out of buf before the call is invalid after it.
+func (m *Model) SplitsInto(buf []Split, pg geom.Grid) ([]Split, error) {
 	if pg.Px > m.cfg.NX || pg.Py > m.cfg.NY {
 		return nil, fmt.Errorf("wrfsim: process grid %dx%d larger than domain %dx%d",
 			pg.Px, pg.Py, m.cfg.NX, m.cfg.NY)
 	}
+	olr := m.OLR()
 	bd := geom.NewBlockDist(m.cfg.NX, m.cfg.NY, pg.Bounds())
-	out := make([]Split, 0, pg.Size())
+	buf = slices.Grow(buf[:0], pg.Size())[:pg.Size()]
 	bd.Blocks(func(p geom.Point, blk geom.Rect) {
-		out = append(out, Split{
+		s := &buf[pg.Rank(p)]
+		*s = Split{
 			Rank:   pg.Rank(p),
 			Px:     pg.Px,
 			Py:     pg.Py,
 			Bounds: blk,
 			Step:   m.step,
-			QCloud: m.qcloud.Sub(blk),
-			OLR:    m.olr.Sub(blk),
-		})
+			QCloud: m.qcloud.SubInto(s.QCloud, blk),
+			OLR:    olr.SubInto(s.OLR, blk),
+		}
 	})
-	return out, nil
+	return buf, nil
 }
 
 const (
