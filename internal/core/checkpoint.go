@@ -33,8 +33,8 @@ type trackerState struct {
 
 const trackerStateVersion = 1
 
-// state captures the tracker's serializable state (shared by the gob v1
-// envelope and the inline v2 checkpoint metadata).
+// state captures the tracker's serializable state (shared by SaveState's
+// gob stream and the pipeline checkpoint's inline metadata).
 func (t *Tracker) state() trackerState {
 	st := trackerState{
 		Version:  trackerStateVersion,
@@ -79,7 +79,7 @@ func RestoreTracker(r io.Reader, net topology.Network, model *perfmodel.ExecMode
 }
 
 // restoreTrackerState rebuilds a tracker from an already-decoded state
-// (shared by the gob v1 path and the inline v2 checkpoint metadata).
+// (shared by RestoreTracker and the pipeline checkpoint's inline metadata).
 func restoreTrackerState(st trackerState, net topology.Network, model *perfmodel.ExecModel, oracle *perfmodel.Oracle) (*Tracker, error) {
 	if st.Version != trackerStateVersion {
 		return nil, fmt.Errorf("core: unsupported tracker state version %d", st.Version)

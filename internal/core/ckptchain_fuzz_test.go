@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"os"
+	"hash/crc32"
 	"testing"
 
 	"nestdiff/internal/geom"
@@ -119,7 +119,7 @@ func editChain(blobs []looseBlob, step []byte) []looseBlob {
 
 // FuzzCheckpointChain drives the checkpoint reader with chains whose
 // content is arbitrary but whose checksums all hold. An input is a source —
-// the real base+2-delta chain, the v1 fixture, or a base whose model
+// the real base+2-delta chain, a retired v1 envelope, or a base whose model
 // dimensions overflow their product — and an edit script: the source is
 // opened without CRC checks, edited step by step, and re-sealed with the
 // package's own framing, each delta re-linked to the blob before it unless
@@ -159,10 +159,11 @@ func FuzzCheckpointChain(f *testing.F) {
 		steps = append(steps, p.StepCount())
 		chain = append(chain, blob...)
 	}
-	v1, err := os.ReadFile(v1FixturePath)
-	if err != nil {
-		f.Fatal(err)
-	}
+	// A well-formed envelope of the retired v1 generation (17-byte header,
+	// one opaque payload): the reader must refuse it however it is mangled.
+	v1 := append([]byte("NDCP\x01"), make([]byte, 12+120)...)
+	binary.LittleEndian.PutUint64(v1[5:13], 120)
+	binary.LittleEndian.PutUint32(v1[13:17], crc32.Checksum(v1[17:], ckptCRC))
 	bh, brecs := openBlob(f, pristine[0])
 	brecs[1].payload = overflowWitnessField()
 	sources := [][]byte{chain, v1, sealBlob(bh, brecs)}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/gob"
 	"fmt"
@@ -11,41 +10,9 @@ import (
 	"nestdiff/internal/field"
 	"nestdiff/internal/geom"
 	"nestdiff/internal/perfmodel"
-	"nestdiff/internal/scenario"
 	"nestdiff/internal/topology"
 	"nestdiff/internal/wrfsim"
 )
-
-// pipelineState is the gob-serialized form of a Pipeline in the v1
-// envelope. It nests the two existing checkpoint formats — the weather
-// model's (wrfsim/checkpoint.go) and the tracker's (checkpoint.go) — and
-// adds the pipeline-only state: the live nest fields, the active set, the
-// ID counter and the recorded events. v1 is decode-only: nothing writes it
-// any more, and the committed testdata/v1-diffusion-60step.ckpt pins that
-// old files keep restoring. Checkpoints are written in the v2 binary format
-// (ckptcodec.go, ckptwriter.go).
-type pipelineState struct {
-	Version int
-	Cfg     PipelineConfig
-	Model   []byte // wrfsim.Model checkpoint
-	Tracker []byte // Tracker checkpoint
-	Set     scenario.Set
-	NextID  int
-	Events  []AdaptationEvent
-	Nests   []nestState
-}
-
-// nestState captures one live nested simulation, serial or distributed.
-type nestState struct {
-	ID     int
-	Region geom.Rect
-	NX, NY int
-	Data   []float64
-	Steps  int
-	Procs  geom.Rect // distributed mode only
-}
-
-const pipelineStateVersion = 1
 
 // Checkpoint envelope: the payload is framed by a fixed header so that
 // RestorePipeline can reject torn or corrupt files outright instead of
@@ -53,19 +20,16 @@ const pipelineStateVersion = 1
 //
 //	magic "NDCP" (4) | envelope version (1) | payload length (8, LE) | CRC-32C of payload (4)
 //
-// Version 1 frames a single gob payload; version 2 extends the header and
-// frames a chain of binary blobs (see ckptcodec.go). A write that dies
-// mid-checkpoint leaves a file that fails the length check; a bit flip
-// anywhere in the payload fails the checksum.
+// Version 2, the only one read or written, extends this header and frames
+// a chain of binary blobs (see ckptcodec.go); version 1 framed a single gob
+// payload and is rejected as unsupported. A write that dies mid-checkpoint
+// leaves a file that fails the length check; a bit flip anywhere in the
+// payload fails the checksum.
 var ckptMagic = [4]byte{'N', 'D', 'C', 'P'}
 
-const (
-	ckptEnvelopeVersion = 1
-	ckptHeaderLen       = 4 + 1 + 8 + 4
-	// ckptMaxPayload bounds the allocation a (possibly corrupt) header can
-	// demand.
-	ckptMaxPayload = 1 << 32
-)
+// ckptMaxPayload bounds the allocation a (possibly corrupt) header can
+// demand.
+const ckptMaxPayload = 1 << 32
 
 var ckptCRC = crc32.MakeTable(crc32.Castagnoli)
 
@@ -88,64 +52,21 @@ func (p *Pipeline) SaveState(w io.Writer) error {
 	return nil
 }
 
-// envelopeVersion checks the header prefix both envelope generations
-// share — length and magic — and returns the envelope version, which is
-// one of the two this package reads.
-func envelopeVersion(data []byte) (byte, error) {
-	if len(data) < ckptHeaderLen {
-		return 0, fmt.Errorf("core: load pipeline state: truncated checkpoint header (%d bytes)", len(data))
-	}
-	if !bytes.Equal(data[:4], ckptMagic[:]) {
-		return 0, fmt.Errorf("core: load pipeline state: bad magic %q (not a nestdiff pipeline checkpoint)", data[:4])
-	}
-	if v := data[4]; v != ckptEnvelopeVersion && v != ckptEnvelopeV2 {
-		return 0, fmt.Errorf("core: load pipeline state: unsupported checkpoint envelope version %d", v)
-	}
-	return data[4], nil
-}
-
-// v1Payload checks a v1 envelope — a plausible payload length that
-// accounts for every byte after the header, and the payload CRC — and
-// returns the gob payload.
-func v1Payload(data []byte) ([]byte, error) {
-	n := binary.LittleEndian.Uint64(data[5:13])
-	if n == 0 || n > ckptMaxPayload {
-		return nil, fmt.Errorf("core: load pipeline state: implausible payload length %d (corrupt header)", n)
-	}
-	payload := data[ckptHeaderLen:]
-	if uint64(len(payload)) != n {
-		return nil, fmt.Errorf("core: load pipeline state: torn checkpoint (%d payload bytes, header promises %d)", len(payload), n)
-	}
-	if crc32.Checksum(payload, ckptCRC) != binary.LittleEndian.Uint32(data[13:17]) {
-		return nil, fmt.Errorf("core: load pipeline state: checksum mismatch (corrupt checkpoint)")
-	}
-	return payload, nil
-}
-
 // ValidateCheckpoint checks that data is a complete, uncorrupted pipeline
-// checkpoint without decoding any field samples. For a v1 envelope that
-// means magic, version, exact payload length and CRC-32C; for a v2 chain it
-// is the same walk RestorePipeline makes — headers, payload and record
-// CRCs, base→delta link continuity, blob shapes, field dimensions and the
-// gob metadata — stopping short only of converting the samples. It is the
-// cheap integrity test the scheduler's startup recovery scan runs over
-// every *.ckpt file before re-registering the job.
+// checkpoint without decoding any field samples: the same walk
+// RestorePipeline makes — headers, payload and record CRCs, base→delta link
+// continuity, blob shapes, field dimensions and the gob metadata —
+// stopping short only of converting the samples. It is the cheap integrity
+// test the scheduler's startup recovery scan runs over every *.ckpt file
+// before re-registering the job.
 //
-// A v2 chain whose base is intact but whose delta tail is torn, corrupt or
+// A chain whose base is intact but whose delta tail is torn, corrupt or
 // discontinuous returns an error matching ErrDeltaChainBroken (via
 // errors.Is): the checkpoint still restores — RestorePipeline falls back
 // to the longest valid prefix — but the caller may want to count or log
 // the truncation. Any other non-nil error means the checkpoint is
 // unusable.
 func ValidateCheckpoint(data []byte) error {
-	v, err := envelopeVersion(data)
-	if err != nil {
-		return err
-	}
-	if v == ckptEnvelopeVersion {
-		_, err := v1Payload(data)
-		return err
-	}
 	st, err := walkChain(data, false)
 	if err != nil {
 		return err
@@ -157,73 +78,20 @@ func ValidateCheckpoint(data []byte) error {
 // SaveState or assembled from a CheckpointWriter's blob chain, attaching
 // the given machine and performance models (they are configuration, not
 // state, like RestoreTracker's). The restored pipeline continues exactly
-// where the saved one stopped. A v2 chain with a broken delta tail
-// restores from the longest valid prefix — the run re-executes the lost
-// steps, which is exactly the crash-retry semantics the scheduler needs —
-// while a damaged base (or v1 envelope) is rejected outright.
+// where the saved one stopped. A chain with a broken delta tail restores
+// from the longest valid prefix — the run re-executes the lost steps, which
+// is exactly the crash-retry semantics the scheduler needs — while a
+// damaged base is rejected outright.
 func RestorePipeline(r io.Reader, net topology.Network, model *perfmodel.ExecModel, oracle *perfmodel.Oracle) (*Pipeline, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("core: load pipeline state: %w", err)
 	}
-	v, err := envelopeVersion(data)
+	st, err := walkChain(data, true)
 	if err != nil {
 		return nil, err
 	}
-	if v == ckptEnvelopeVersion {
-		return restorePipelineV1(data, net, model, oracle)
-	}
-	return restorePipelineV2(data, net, model, oracle)
-}
-
-// restorePipelineV1 decodes the legacy single-gob envelope.
-func restorePipelineV1(data []byte, net topology.Network, model *perfmodel.ExecModel, oracle *perfmodel.Oracle) (*Pipeline, error) {
-	payload, err := v1Payload(data)
-	if err != nil {
-		return nil, err
-	}
-	var st pipelineState
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&st); err != nil {
-		return nil, fmt.Errorf("core: load pipeline state: %w", err)
-	}
-	if st.Version != pipelineStateVersion {
-		return nil, fmt.Errorf("core: unsupported pipeline state version %d", st.Version)
-	}
-	m, err := wrfsim.Load(bytes.NewReader(st.Model))
-	if err != nil {
-		return nil, err
-	}
-	tr, err := RestoreTracker(bytes.NewReader(st.Tracker), net, model, oracle)
-	if err != nil {
-		return nil, err
-	}
-	p, err := NewPipeline(m, tr, st.Cfg)
-	if err != nil {
-		return nil, err
-	}
-	p.set = st.Set
-	p.nextID = st.NextID
-	p.events = st.Events
-	for _, ns := range st.Nests {
-		fine := &field.Field{NX: ns.NX, NY: ns.NY, Data: ns.Data}
-		if len(ns.Data) != ns.NX*ns.NY {
-			return nil, fmt.Errorf("core: nest %d field has %d samples for %dx%d", ns.ID, len(ns.Data), ns.NX, ns.NY)
-		}
-		if st.Cfg.Distributed {
-			n, err := wrfsim.RestoreParallelNest(ns.ID, ns.Region, tr.Grid(), ns.Procs, fine, ns.Steps)
-			if err != nil {
-				return nil, fmt.Errorf("core: restore nest %d: %w", ns.ID, err)
-			}
-			p.dnests[ns.ID] = n
-		} else {
-			n, err := wrfsim.RestoreNest(ns.ID, ns.Region, fine, ns.Steps)
-			if err != nil {
-				return nil, fmt.Errorf("core: restore nest %d: %w", ns.ID, err)
-			}
-			p.nests[ns.ID] = n
-		}
-	}
-	return p, nil
+	return st.restore(net, model, oracle)
 }
 
 // chainNest is one nest of a base blob.
@@ -276,7 +144,7 @@ func walkChain(data []byte, decode bool) (*chainV2, error) {
 	var dec *gob.Decoder
 	var recs []record
 	var prev blobHeader
-	for off := 0; off < len(data); {
+	for off := 0; off == 0 || off < len(data); { // empty data fails as a truncated first header
 		h, payload, size, err := parseBlob(data[off:])
 		switch {
 		case err != nil:
@@ -401,13 +269,9 @@ func parseReplay(b []byte) (*replayDirective, error) {
 	return rp, nil
 }
 
-// restorePipelineV2 walks a v2 blob chain, rebuilds the pipeline from its
-// base, and re-executes it to the last intact delta's step.
-func restorePipelineV2(data []byte, net topology.Network, model *perfmodel.ExecModel, oracle *perfmodel.Oracle) (*Pipeline, error) {
-	st, err := walkChain(data, true)
-	if err != nil {
-		return nil, err
-	}
+// restore rebuilds the pipeline from a decoded chain's base and re-executes
+// it to the last intact delta's step.
+func (st *chainV2) restore(net topology.Network, model *perfmodel.ExecModel, oracle *perfmodel.Oracle) (*Pipeline, error) {
 	meta := st.meta
 	m, err := wrfsim.RestoreModel(meta.MCfg, st.model, meta.Cells, meta.RNG, meta.Time, meta.Step)
 	if err != nil {

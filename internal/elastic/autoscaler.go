@@ -5,9 +5,9 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
+	"nestdiff/internal/obs"
 	"nestdiff/internal/perfmodel"
 )
 
@@ -135,14 +135,19 @@ type Autoscaler struct {
 	mu   sync.Mutex
 	last map[string]time.Time // last resize per job
 
-	grows    atomic.Int64
-	shrinks  atomic.Int64
-	failures atomic.Int64
+	counters AutoscalerCounters
+}
+
+// AutoscalerCounters are the handles the autoscaler increments. Its owner
+// declares them in its own metric registry, so they exist on /metrics
+// whether or not an autoscaler is running.
+type AutoscalerCounters struct {
+	Grows, Shrinks, Failures *obs.Counter
 }
 
 // NewAutoscaler builds an autoscaler over a target. With Budget <= 0 the
 // Tick and Run loops are no-ops.
-func NewAutoscaler(t Target, cfg AutoscalerConfig) (*Autoscaler, error) {
+func NewAutoscaler(t Target, cfg AutoscalerConfig, counters AutoscalerCounters) (*Autoscaler, error) {
 	if t == nil {
 		return nil, fmt.Errorf("elastic: nil autoscaler target")
 	}
@@ -157,16 +162,12 @@ func NewAutoscaler(t Target, cfg AutoscalerConfig) (*Autoscaler, error) {
 		}
 	}
 	return &Autoscaler{
-		target: t,
-		cfg:    cfg,
-		model:  model,
-		last:   make(map[string]time.Time),
+		target:   t,
+		cfg:      cfg,
+		model:    model,
+		last:     make(map[string]time.Time),
+		counters: counters,
 	}, nil
-}
-
-// Counters returns the grow/shrink/failure totals (for metrics export).
-func (a *Autoscaler) Counters() (grows, shrinks, failures int64) {
-	return a.grows.Load(), a.shrinks.Load(), a.failures.Load()
 }
 
 // Run ticks the autoscaler until ctx is cancelled.
@@ -209,13 +210,13 @@ func (a *Autoscaler) Tick(now time.Time) []Decision {
 		a.last[j.ID] = now // failures cool down too: no hammering a broken path
 		a.mu.Unlock()
 		if d.Err != nil {
-			a.failures.Add(1)
+			a.counters.Failures.Add(1)
 		} else {
 			used += to - j.Cores
 			if to > j.Cores {
-				a.grows.Add(1)
+				a.counters.Grows.Add(1)
 			} else {
-				a.shrinks.Add(1)
+				a.counters.Shrinks.Add(1)
 			}
 		}
 		out = append(out, d)

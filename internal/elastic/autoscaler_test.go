@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"nestdiff/internal/obs"
 )
 
 // fakeTarget is an in-memory fleet: resizes apply instantly, and every
@@ -70,6 +72,12 @@ type clockTarget struct {
 func (c clockTarget) Jobs() ([]JobLoad, error)          { return c.f.Jobs() }
 func (c clockTarget) Resize(id string, procs int) error { return c.f.resize(id, procs, *c.now) }
 
+// newCounters returns unregistered handles, as good as registered ones to
+// the autoscaler.
+func newCounters() AutoscalerCounters {
+	return AutoscalerCounters{Grows: new(obs.Counter), Shrinks: new(obs.Counter), Failures: new(obs.Counter)}
+}
+
 // TestAutoscalerSoak drives a hot/idle/paused job mix through many
 // decision passes under a fleet budget: the hot job must grow at least
 // once, the idle job must shrink at least once, the budget must never be
@@ -88,6 +96,7 @@ func TestAutoscalerSoak(t *testing.T) {
 	const budget = 128
 	cooldown := 5 * time.Second
 	now := time.Unix(1700000000, 0)
+	counters := newCounters()
 	as, err := NewAutoscaler(clockTarget{f: ft, now: &now}, AutoscalerConfig{
 		Budget:   budget,
 		Cooldown: cooldown,
@@ -95,7 +104,7 @@ func TestAutoscalerSoak(t *testing.T) {
 		// predicted speedup justifies a grow.
 		GrowMargin:        1e-9,
 		RedistBytesPerSec: 1e18,
-	})
+	}, counters)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +117,7 @@ func TestAutoscalerSoak(t *testing.T) {
 		}
 	}
 
-	grows, shrinks, failures := as.Counters()
+	grows, shrinks, failures := counters.Grows.Load(), counters.Shrinks.Load(), counters.Failures.Load()
 	if grows < 1 {
 		t.Fatalf("soak produced %d grows, want >= 1", grows)
 	}
@@ -164,10 +173,11 @@ func TestAutoscalerFailuresCoolDown(t *testing.T) {
 		},
 	}
 	now := time.Unix(1700000000, 0)
+	counters := newCounters()
 	as, err := NewAutoscaler(clockTarget{f: ft, now: &now}, AutoscalerConfig{
 		Budget:   64,
 		Cooldown: 10 * time.Second,
-	})
+	}, counters)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +192,7 @@ func TestAutoscalerFailuresCoolDown(t *testing.T) {
 	if ds := as.Tick(now.Add(11 * time.Second)); len(ds) != 1 {
 		t.Fatalf("tick after cooldown issued %+v, want one decision", ds)
 	}
-	if _, _, failures := as.Counters(); failures != 2 {
+	if failures := counters.Failures.Load(); failures != 2 {
 		t.Fatalf("%d failures recorded, want 2", failures)
 	}
 	if ft.jobs["idle"].Cores != 32 {
@@ -192,14 +202,14 @@ func TestAutoscalerFailuresCoolDown(t *testing.T) {
 
 // TestAutoscalerDisabled pins the off switch and constructor errors.
 func TestAutoscalerDisabled(t *testing.T) {
-	if _, err := NewAutoscaler(nil, AutoscalerConfig{Budget: 8}); err == nil {
+	if _, err := NewAutoscaler(nil, AutoscalerConfig{Budget: 8}, newCounters()); err == nil {
 		t.Fatal("nil target accepted")
 	}
 	ft := &fakeTarget{jobs: map[string]*JobLoad{
 		"idle": {ID: "idle", State: "running", Cores: 32, ActiveNests: 0, StepsLeft: 500},
 	}}
 	now := time.Unix(1700000000, 0)
-	as, err := NewAutoscaler(clockTarget{f: ft, now: &now}, AutoscalerConfig{Budget: 0})
+	as, err := NewAutoscaler(clockTarget{f: ft, now: &now}, AutoscalerConfig{Budget: 0}, newCounters())
 	if err != nil {
 		t.Fatal(err)
 	}

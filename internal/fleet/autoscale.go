@@ -106,12 +106,11 @@ func (c *Controller) EnableAutoscaler(cfg elastic.AutoscalerConfig) error {
 	if cfg.Budget <= 0 {
 		return nil
 	}
-	as, err := elastic.NewAutoscaler(autoscaleTarget{c}, cfg)
+	as, err := elastic.NewAutoscaler(autoscaleTarget{c}, cfg, c.metrics.autoscale)
 	if err != nil {
 		return err
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	c.autoscaler = as
 	c.autoCancel = cancel
 	c.wg.Add(1)
 	go func() {
@@ -120,9 +119,5 @@ func (c *Controller) EnableAutoscaler(cfg elastic.AutoscalerConfig) error {
 	}()
 	return nil
 }
-
-// Autoscaler returns the attached autoscaler (nil when disabled) — a
-// testing and stats aid.
-func (c *Controller) Autoscaler() *elastic.Autoscaler { return c.autoscaler }
 
 var _ elastic.Target = autoscaleTarget{}

@@ -216,13 +216,13 @@ func TestFleetChaosWorkerDeathAdoptionBitIdentical(t *testing.T) {
 	// miss the tight liveness deadline too and re-register — a detector
 	// false-positive that cannot double-run the job (the adoption counters
 	// below stay exact).
-	if got := ctl.Metrics().WorkersDead(); got < 1 {
+	if got := ctl.Metrics().Value("nestctl_fleet_workers_dead_total"); got < 1 {
 		t.Fatalf("workers dead counter = %d, want >= 1", got)
 	}
-	if got := ctl.Metrics().Adoptions(); got != 1 {
+	if got := ctl.Metrics().Value("nestctl_fleet_adoptions_total"); got != 1 {
 		t.Fatalf("adoptions counter = %d, want 1", got)
 	}
-	if survivor.sched.Metrics().JobsAdopted() != 1 {
+	if survivor.sched.Metrics().Value("nestserved_jobs_adopted_total") != 1 {
 		t.Fatal("survivor scheduler did not count the adoption")
 	}
 	if n := len(plan.Injections()); n != 1 {
@@ -326,7 +326,7 @@ func TestFleetChaosDeathBeforeFirstCheckpointRestartsFromScratch(t *testing.T) {
 	if placements[0].WorkerID != survivorID || placements[0].Adoptions != 1 {
 		t.Fatalf("placement after scratch adoption = %+v", placements[0])
 	}
-	if survivor.sched.Metrics().JobsAdopted() != 1 {
+	if survivor.sched.Metrics().Value("nestserved_jobs_adopted_total") != 1 {
 		t.Fatal("survivor did not count the adoption")
 	}
 	if !reflect.DeepEqual(final.ActiveNests, refFinal.ActiveNests) {

@@ -14,8 +14,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"nestdiff/internal/elastic"
 	"nestdiff/internal/faults"
+	"nestdiff/internal/obs"
 	"nestdiff/internal/service"
 )
 
@@ -101,9 +101,7 @@ type Controller struct {
 	// cheap half of the compaction trigger.
 	walAppends atomic.Int64
 
-	// autoscaler, when enabled, shifts cores between placements against
-	// the fleet budget; autoCancel stops its loop on Close.
-	autoscaler *elastic.Autoscaler
+	// autoCancel stops the autoscaler's loop, when one is enabled, on Close.
 	autoCancel context.CancelFunc
 
 	// moveMu serializes migration passes: the sweep's rebalance and an
@@ -170,7 +168,6 @@ func (c *Controller) replayState(path string) {
 		switch rec.Op {
 		case walOpRegister:
 			c.reg.restore(rec.Worker, rec.URL, true, now)
-			c.metrics.workersRegistered.Add(1)
 		case walOpDead:
 			c.reg.markDead(rec.Worker)
 			c.metrics.workersDead.Add(1)
@@ -301,8 +298,9 @@ func (c *Controller) Close() {
 	c.wal.close()
 }
 
-// Metrics returns the controller's counters (testing aid).
-func (c *Controller) Metrics() *metrics { return c.metrics }
+// Metrics returns the controller's metric table; tests read one family
+// with Value. The roll-up families are as of the latest Stats.
+func (c *Controller) Metrics() *obs.Registry { return c.metrics.reg }
 
 // sweeper runs the periodic liveness check, adoption pass and placement
 // state refresh.

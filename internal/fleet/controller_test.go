@@ -269,7 +269,7 @@ func TestControllerPlacesProxiesAndCompletes(t *testing.T) {
 		}
 	}
 
-	if got := ctl.Metrics().JobsPlaced(); got != jobs {
+	if got := ctl.Metrics().Value("nestctl_fleet_jobs_placed_total"); got != jobs {
 		t.Fatalf("jobs placed counter = %d, want %d", got, jobs)
 	}
 
@@ -393,7 +393,7 @@ func TestControllerShedsWhenWorkerSaturated(t *testing.T) {
 	if !sawTooMany {
 		t.Fatal("never saw a 429 from a 1-slot, 1-queue worker")
 	}
-	if ctl.Metrics().RejectedSaturated() == 0 {
+	if ctl.Metrics().Value("nestctl_fleet_jobs_rejected_total") == 0 {
 		t.Fatal("saturation not counted")
 	}
 	// Hard-stop the worker: Shutdown would wait out the slow jobs.
@@ -421,8 +421,8 @@ func TestControllerMaxPendingSheds(t *testing.T) {
 	if ra := resp.Header.Get("Retry-After"); ra != "7" {
 		t.Fatalf("Retry-After = %q, want the configured 7", ra)
 	}
-	if ctl.Metrics().RejectedSaturated() != 1 {
-		t.Fatalf("shed counter = %d, want 1", ctl.Metrics().RejectedSaturated())
+	if ctl.Metrics().Value("nestctl_fleet_jobs_rejected_total") != 1 {
+		t.Fatalf("shed counter = %d, want 1", ctl.Metrics().Value("nestctl_fleet_jobs_rejected_total"))
 	}
 	w.sched.Kill()
 }
@@ -461,11 +461,11 @@ func TestControllerAggregatesFleetMetrics(t *testing.T) {
 	if stats.WorkersLive != 2 {
 		t.Fatalf("workers live = %d, want 2", stats.WorkersLive)
 	}
-	if stats.JobsCompleted != jobs {
-		t.Fatalf("fleet jobs completed = %d, want %d", stats.JobsCompleted, jobs)
+	if got := stats.Counters["nestctl_fleet_jobs_completed_total"]; got != jobs {
+		t.Fatalf("fleet jobs completed = %d, want %d", got, jobs)
 	}
-	if want := int64(jobs * steps); stats.StepsExecuted != want {
-		t.Fatalf("fleet steps executed = %d, want %d", stats.StepsExecuted, want)
+	if got, want := stats.Counters["nestctl_fleet_steps_executed_total"], int64(jobs*steps); got != want {
+		t.Fatalf("fleet steps executed = %d, want %d", got, want)
 	}
 	if stats.WorkerSlots != 4 {
 		t.Fatalf("fleet worker slots = %d, want 4", stats.WorkerSlots)

@@ -58,7 +58,6 @@ func (c *Controller) Handler() http.Handler {
 			return
 		}
 		if c.reg.upsert(hello.ID, hello.URL, time.Now()) {
-			c.metrics.workersRegistered.Add(1)
 			c.journal(walRecord{Op: walOpRegister, Worker: hello.ID, URL: hello.URL})
 		}
 		writeJSON(w, http.StatusOK, map[string]string{

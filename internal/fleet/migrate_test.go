@@ -145,7 +145,7 @@ func TestFleetJoinRebalanceMigratesOnlyToNewcomer(t *testing.T) {
 			}
 		}
 	}
-	if got, want := ctl.Metrics().Migrations(), int64(len(expectMove)); got != want {
+	if got, want := ctl.Metrics().Value("nestctl_fleet_migrations_total"), int64(len(expectMove)); got != want {
 		t.Fatalf("migrations = %d, want exactly %d (only the newcomer's jobs move)", got, want)
 	}
 
@@ -209,10 +209,10 @@ func TestFleetDrainHandsOffEverything(t *testing.T) {
 	}
 	// The drained worker's local copies were fenced, not cancelled — the
 	// fence push lands synchronously inside the drain.
-	if got := w1.sched.Metrics().JobsFenced(); got != int64(owned) {
+	if got := w1.sched.Metrics().Value("nestserved_jobs_fenced_total"); got != int64(owned) {
 		t.Fatalf("drained worker fenced %d copies, want %d", got, owned)
 	}
-	if ctl.Metrics().Drains() == 0 {
+	if ctl.Metrics().Value("nestctl_fleet_drains_total") == 0 {
 		t.Fatal("drain not counted")
 	}
 

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -182,7 +183,7 @@ func TestFleetChaosSplitBrainPartitionFencesStaleOwner(t *testing.T) {
 	if fencedSnap.State != service.StateFenced {
 		t.Fatalf("victim copy ended %s, want fenced", fencedSnap.State)
 	}
-	if got := victim.sched.Metrics().JobsFenced(); got != 1 {
+	if got := victim.sched.Metrics().Value("nestserved_jobs_fenced_total"); got != 1 {
 		t.Fatalf("victim jobsFenced = %d, want 1", got)
 	}
 
@@ -197,13 +198,13 @@ func TestFleetChaosSplitBrainPartitionFencesStaleOwner(t *testing.T) {
 	// self-heals by re-registration, and which cannot move the job because
 	// the controller→victim link is still down. The adoption count below is
 	// the assertion that actually guards against double execution.
-	if got := ctl.Metrics().WorkersDead(); got < 1 {
+	if got := ctl.Metrics().Value("nestctl_fleet_workers_dead_total"); got < 1 {
 		t.Fatalf("workers dead = %d, want >= 1 (the partitioned victim)", got)
 	}
-	if got := ctl.Metrics().Adoptions(); got != 1 {
+	if got := ctl.Metrics().Value("nestctl_fleet_adoptions_total"); got != 1 {
 		t.Fatalf("adoptions = %d, want exactly 1", got)
 	}
-	if survivor.sched.Metrics().JobsAdopted() != 1 {
+	if survivor.sched.Metrics().Value("nestserved_jobs_adopted_total") != 1 {
 		t.Fatal("survivor did not count the adoption")
 	}
 
@@ -246,6 +247,20 @@ func TestFleetChaosSplitBrainPartitionFencesStaleOwner(t *testing.T) {
 	if parts != 2 || heals != 1 {
 		t.Fatalf("fault log recorded %d partitions and %d heals, want 2 and 1:\n%+v",
 			parts, heals, plan.Injections())
+	}
+
+	// With the controller→victim direction healed too, the victim's /statz
+	// is reachable again and its fence shows in the fleet-wide roll-up: the
+	// generic key-wise sum carries every worker counter, including the ones
+	// the hand-written aggregation transported and then dropped.
+	plan.Heal(faults.ControllerNode, victimID)
+	const want = "nestctl_fleet_jobs_fenced_total 1\n"
+	deadline := time.Now().Add(30 * time.Second)
+	for !strings.Contains(fetchText(t, ctlSrv.URL+"/metrics"), want) {
+		if time.Now().After(deadline) {
+			t.Fatalf("controller /metrics never showed %q:\n%s", want, fetchText(t, ctlSrv.URL+"/metrics"))
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 
@@ -331,12 +346,12 @@ func TestFleetChaosAsymmetricPartitionHealMigratesHome(t *testing.T) {
 	if ps[0].Adoptions != 1 {
 		t.Fatalf("adoptions = %d, want exactly 1", ps[0].Adoptions)
 	}
-	if got := ctl.Metrics().Migrations(); got < 1 {
+	if got := ctl.Metrics().Value("nestctl_fleet_migrations_total"); got < 1 {
 		t.Fatalf("migrations = %d, want >= 1 (the homecoming)", got)
 	}
 	// The victim's stale epoch-1 copy was fenced before the homecoming
 	// import replaced it.
-	if got := victim.sched.Metrics().JobsFenced(); got < 1 {
+	if got := victim.sched.Metrics().Value("nestserved_jobs_fenced_total"); got < 1 {
 		t.Fatalf("victim jobsFenced = %d, want >= 1", got)
 	}
 	vsnap, err := victim.sched.Get(snap.ID)

@@ -122,7 +122,7 @@ func TestFleetResizeRoundTrip(t *testing.T) {
 	if got := findPlacement(t, ctl, snap.ID).Epoch; got != epochBefore {
 		t.Fatalf("resize moved the placement epoch %d -> %d; a cfg change must not re-fence", epochBefore, got)
 	}
-	if got := ctl.Metrics().ResizesObserved(); got < 1 {
+	if got := ctl.Metrics().Value("nestctl_fleet_resizes_observed_total"); got < 1 {
 		t.Fatalf("resizes_observed = %d, want >= 1", got)
 	}
 
@@ -217,20 +217,20 @@ func TestFleetAutoscalerGrowsAndShrinks(t *testing.T) {
 				}
 			}
 		}
-		grows, shrinks, _ := ctl.Autoscaler().Counters()
+		grows, shrinks := ctl.Metrics().Value("nestctl_fleet_autoscale_grows_total"), ctl.Metrics().Value("nestctl_fleet_autoscale_shrinks_total")
 		if sawGrown && sawShrunk && grows >= 1 && shrinks >= 1 {
 			break
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	grows, shrinks, _ := ctl.Autoscaler().Counters()
+	grows, shrinks := ctl.Metrics().Value("nestctl_fleet_autoscale_grows_total"), ctl.Metrics().Value("nestctl_fleet_autoscale_shrinks_total")
 	if !sawGrown || grows < 1 {
 		t.Fatalf("hot job never grew (grows=%d, sawGrown=%v)", grows, sawGrown)
 	}
 	if !sawShrunk || shrinks < 1 {
 		t.Fatalf("idle job never shrank (shrinks=%d, sawShrunk=%v)", shrinks, sawShrunk)
 	}
-	if got := ctl.Metrics().AutoscaleResizes(); got < 2 {
+	if got := ctl.Metrics().Value("nestctl_fleet_autoscale_resizes_total"); got < 2 {
 		t.Fatalf("autoscale_resizes = %d, want >= 2", got)
 	}
 
@@ -342,7 +342,7 @@ func TestFleetWALCompactionAndCrashRestart(t *testing.T) {
 	// compaction check must fire.
 	linesBefore := countWALLines(t, walPath)
 	ctl.Sweep()
-	if got := ctl.Metrics().WALCompactions(); got != 1 {
+	if got := ctl.Metrics().Value("nestctl_fleet_wal_compactions_total"); got != 1 {
 		t.Fatalf("wal_compactions = %d after a terminal-dominated sweep, want 1", got)
 	}
 	linesAfter := countWALLines(t, walPath)
@@ -352,7 +352,7 @@ func TestFleetWALCompactionAndCrashRestart(t *testing.T) {
 	// The compacted journal still appends: a sweep with nothing to do
 	// must not compact again (the append counter was reset).
 	ctl.Sweep()
-	if got := ctl.Metrics().WALCompactions(); got != 1 {
+	if got := ctl.Metrics().Value("nestctl_fleet_wal_compactions_total"); got != 1 {
 		t.Fatalf("idle sweep re-compacted: wal_compactions = %d", got)
 	}
 	before := ctl.Placements()
@@ -361,7 +361,8 @@ func TestFleetWALCompactionAndCrashRestart(t *testing.T) {
 	// snapshot .tmp but before the rename, and its final append is torn.
 	srv.Close()
 	ctl.Close()
-	if err := os.WriteFile(walPath+".tmp", []byte(`{"crc":1,"rec":{"op":"pla`), 0o644); err != nil {
+	staleTmp := walPath + ".tmp-123456" // core.WriteFileAtomic's temp pattern
+	if err := os.WriteFile(staleTmp, []byte(`{"crc":1,"rec":{"op":"pla`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.OpenFile(walPath, os.O_WRONLY|os.O_APPEND, 0o644)
@@ -373,10 +374,10 @@ func TestFleetWALCompactionAndCrashRestart(t *testing.T) {
 
 	ctl2 := NewController(mkCfg())
 	defer ctl2.Close()
-	if _, err := os.Stat(walPath + ".tmp"); !os.IsNotExist(err) {
+	if _, err := os.Stat(staleTmp); !os.IsNotExist(err) {
 		t.Fatalf("stale compaction .tmp survived restart (err=%v)", err)
 	}
-	if got := ctl2.Metrics().WALTruncations(); got != 1 {
+	if got := ctl2.Metrics().Value("nestctl_fleet_wal_truncations_total"); got != 1 {
 		t.Fatalf("wal truncations after torn tail = %d, want 1", got)
 	}
 	after := ctl2.Placements()

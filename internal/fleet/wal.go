@@ -7,7 +7,10 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
+	"path/filepath"
 	"sync"
+
+	"nestdiff/internal/core"
 )
 
 // The placement WAL makes the control plane's decisions durable: every
@@ -77,9 +80,14 @@ type wal struct {
 // and returns the decoded records plus the number of corrupt trailing
 // lines truncated.
 func openWAL(path string) (*wal, []walRecord, int64, error) {
-	// A stale .tmp is a compaction that died before its rename; the real
-	// WAL is untouched, so the leftover is just garbage to clear.
-	os.Remove(path + ".tmp")
+	// A stale temp file (core.WriteFileAtomic's <base>.tmp-*) is a
+	// compaction that died before its rename; the real WAL is untouched, so
+	// the leftover is just garbage to clear.
+	if stale, err := filepath.Glob(path + ".tmp-*"); err == nil {
+		for _, tmp := range stale {
+			os.Remove(tmp)
+		}
+	}
 	data, err := os.ReadFile(path)
 	if err != nil && !os.IsNotExist(err) {
 		return nil, nil, 0, fmt.Errorf("fleet: open wal: %w", err)
@@ -165,12 +173,12 @@ func encodeWALLine(rec walRecord) ([]byte, error) {
 }
 
 // compact atomically replaces the journal with a snapshot of the given
-// records: write to <path>.tmp, fsync, rename over the live file, then
-// swap the append handle. A crash before the rename leaves the old WAL
-// intact (openWAL clears the stale .tmp); a crash after it leaves the
-// compact WAL, which replays to the same state by construction. Appends
-// are held out by w.mu for the duration, so no record can land between
-// the snapshot and the swap.
+// records (core.WriteFileAtomic: temp file, fsync, rename, directory
+// fsync), then swaps the append handle. A crash before the rename leaves
+// the old WAL intact (openWAL clears the stale temp); a crash after it
+// leaves the compact WAL, which replays to the same state by construction.
+// Appends are held out by w.mu for the duration, so no record can land
+// between the snapshot and the swap.
 func (w *wal) compact(records []walRecord) error {
 	if w == nil {
 		return nil
@@ -185,27 +193,7 @@ func (w *wal) compact(records []walRecord) error {
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	tmp := w.path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("fleet: compact wal: %w", err)
-	}
-	if _, err := f.Write(buf.Bytes()); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("fleet: compact wal: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("fleet: compact wal: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("fleet: compact wal: %w", err)
-	}
-	if err := os.Rename(tmp, w.path); err != nil {
-		os.Remove(tmp)
+	if err := core.WriteFileAtomic(w.path, buf.Bytes(), 0o644); err != nil {
 		return fmt.Errorf("fleet: compact wal: %w", err)
 	}
 	nf, err := os.OpenFile(w.path, os.O_WRONLY|os.O_APPEND, 0o644)

@@ -252,7 +252,7 @@ func TestControllerRestartServesSamePlacementTable(t *testing.T) {
 	if !reflect.DeepEqual(before, after) {
 		t.Fatalf("replayed placements differ structurally:\nbefore %+v\nafter  %+v", before, after)
 	}
-	if got := ctlB.Metrics().WALTruncations(); got != 1 {
+	if got := ctlB.Metrics().Value("nestctl_fleet_wal_truncations_total"); got != 1 {
 		t.Fatalf("wal truncations after torn tail = %d, want 1", got)
 	}
 	// Membership replayed live: both workers are present without anyone
@@ -261,7 +261,7 @@ func TestControllerRestartServesSamePlacementTable(t *testing.T) {
 	if len(live) != 2 {
 		t.Fatalf("replayed live workers = %+v, want 2", live)
 	}
-	if got := ctlB.Metrics().Adoptions(); got != 0 {
+	if got := ctlB.Metrics().Value("nestctl_fleet_adoptions_total"); got != 0 {
 		t.Fatalf("restart caused %d adoptions, want 0", got)
 	}
 

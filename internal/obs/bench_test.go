@@ -8,7 +8,7 @@ import (
 // eventSite mimics an instrumented hot-path site exactly as core and
 // service write it: one nil check, and only behind it the time.Now pair
 // and the Emit. The disabled sub-benchmark is the cost every production
-// step pays when tracing is off; BENCH_obs.json records both numbers.
+// step pays when tracing is off (nestbench row obs.emit_disabled_ns).
 func eventSite(tr *Tracer, step int) {
 	var t0 time.Time
 	if tr != nil {

@@ -11,7 +11,8 @@ import (
 // through terminal state — at several worker-pool sizes. Each op is one
 // 20-step cells-scenario job on a 256-core torus; ReportMetric adds
 // steps/sec so pool scaling is visible in simulation work, not just job
-// bookkeeping. Baseline figures live in BENCH_service.json.
+// bookkeeping. The live end-to-end figure is nestbench's serve-fleet
+// ops_per_s; the first baseline is recorded in CHANGES.md, PR 1.
 func BenchmarkSchedulerThroughput(b *testing.B) {
 	for _, workers := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
@@ -20,7 +21,8 @@ func BenchmarkSchedulerThroughput(b *testing.B) {
 	}
 	// The traced variant measures the full tracing cost a job opts into
 	// (ring buffer + streaming histograms, no ledger); compare against
-	// workers=1 for the tracer-on/off throughput delta in BENCH_obs.json.
+	// workers=1 for the tracer-on/off throughput delta (nestbench row
+	// obs.trace_overhead_pct).
 	b.Run("workers=1-traced", func(b *testing.B) {
 		cfg := smallJob(20)
 		cfg.Trace = true
@@ -58,7 +60,7 @@ func benchScheduler(b *testing.B, workers int, cfg JobConfig) {
 	}
 	b.StopTimer()
 
-	steps := float64(s.Metrics().StepsExecuted())
+	steps := float64(s.Metrics().Value("nestserved_steps_executed_total"))
 	b.ReportMetric(steps/b.Elapsed().Seconds(), "steps/sec")
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "jobs/sec")
 }

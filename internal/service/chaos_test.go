@@ -91,7 +91,7 @@ func TestChaosCrashRetryMatchesFaultFreeRun(t *testing.T) {
 	if final.Retries != 1 {
 		t.Fatalf("retries = %d, want exactly 1 (one injected crash)", final.Retries)
 	}
-	if got := s.Metrics().JobRetries(); got != 1 {
+	if got := s.Metrics().Value("nestserved_job_retries_total"); got != 1 {
 		t.Fatalf("job_retries counter = %d, want 1", got)
 	}
 	if n := len(cfg.Faults.Injections()); n != 1 {
@@ -167,7 +167,7 @@ func TestChaosWorkerPanicRecovered(t *testing.T) {
 	if !strings.Contains(final.Error, "panicked") || !strings.Contains(final.Error, "goroutine") {
 		t.Fatalf("failure error lacks panic + stack trace: %q", final.Error)
 	}
-	if got := s.Metrics().WorkerPanics(); got != 1 {
+	if got := s.Metrics().Value("nestserved_worker_panics_total"); got != 1 {
 		t.Fatalf("worker_panics counter = %d, want 1", got)
 	}
 
@@ -201,7 +201,7 @@ func TestChaosPanicIsRetriedLikeAnyFailure(t *testing.T) {
 	if final.Retries != 1 {
 		t.Fatalf("retries = %d, want 1", final.Retries)
 	}
-	if got := s.Metrics().WorkerPanics(); got != 1 {
+	if got := s.Metrics().Value("nestserved_worker_panics_total"); got != 1 {
 		t.Fatalf("worker_panics counter = %d, want 1", got)
 	}
 }
@@ -224,10 +224,10 @@ func TestChaosCheckpointWriteFailureKeepsLastGood(t *testing.T) {
 		t.Fatalf("job finished %s (error %q), want done", final.State, final.Error)
 	}
 	m := s.Metrics()
-	if got := m.CheckpointFailures(); got != 1 {
+	if got := m.Value("nestserved_checkpoint_failures_total"); got != 1 {
 		t.Fatalf("checkpoint_failures counter = %d, want 1", got)
 	}
-	if got := m.AutoCheckpoints(); got != 3 {
+	if got := m.Value("nestserved_auto_checkpoints_total"); got != 3 {
 		t.Fatalf("auto_checkpoints counter = %d, want 3 (one of four writes torn)", got)
 	}
 }
@@ -284,7 +284,7 @@ func TestChaosRetriesExhausted(t *testing.T) {
 	if final.Retries != 2 {
 		t.Fatalf("retries = %d, want 2", final.Retries)
 	}
-	if got := s.Metrics().JobsFailed(); got != 1 {
+	if got := s.Metrics().Value("nestserved_jobs_failed_total"); got != 1 {
 		t.Fatalf("jobs_failed counter = %d, want 1", got)
 	}
 }

@@ -30,13 +30,13 @@ import (
 // a higher epoch than its own copy of the job. A worker that was merely
 // partitioned — not dead — therefore cannot clobber the checkpoints of
 // the survivor that adopted its job, no matter how long the partition
-// lasts. Version 1 files (no epoch field) decode with epoch 0.
+// lasts. Version 1 files (no epoch field; nothing writes them any more)
+// are rejected as unsupported.
 var jobCkptMagic = [4]byte{'N', 'D', 'J', 'B'}
 
 const (
-	jobCkptVersion     = 2
-	jobCkptV1HeaderLen = 4 + 1 + 4 + 4
-	jobCkptHeaderLen   = jobCkptV1HeaderLen + 8
+	jobCkptVersion   = 2
+	jobCkptHeaderLen = 4 + 1 + 4 + 4 + 8
 	// jobCkptMaxConfig bounds the allocation a corrupt header can demand.
 	jobCkptMaxConfig = 1 << 24
 )
@@ -63,39 +63,30 @@ func encodeJobCheckpoint(cfg JobConfig, epoch int64, state []byte) ([]byte, erro
 	return out, nil
 }
 
-// jobCkptHeader validates the fixed-size header and returns the version's
-// header length, the config length and the epoch (0 for version 1).
-func jobCkptHeader(data []byte) (hdrLen int, cfgLen uint32, epoch int64, err error) {
-	if len(data) < jobCkptV1HeaderLen {
-		return 0, 0, 0, fmt.Errorf("service: job checkpoint: %d bytes is shorter than the header", len(data))
+// jobCkptHeader validates the fixed-size header and returns the config
+// length and the epoch.
+func jobCkptHeader(data []byte) (cfgLen uint32, epoch int64, err error) {
+	if len(data) < jobCkptHeaderLen {
+		return 0, 0, fmt.Errorf("service: job checkpoint: %d bytes is shorter than the header", len(data))
 	}
 	if string(data[:4]) != string(jobCkptMagic[:]) {
-		return 0, 0, 0, fmt.Errorf("service: job checkpoint: bad magic %q", data[:4])
+		return 0, 0, fmt.Errorf("service: job checkpoint: bad magic %q", data[:4])
 	}
-	switch data[4] {
-	case 1:
-		hdrLen = jobCkptV1HeaderLen
-	case jobCkptVersion:
-		hdrLen = jobCkptHeaderLen
-		if len(data) < hdrLen {
-			return 0, 0, 0, fmt.Errorf("service: job checkpoint: %d bytes is shorter than the v2 header", len(data))
-		}
-		epoch = int64(binary.LittleEndian.Uint64(data[13:21]))
-	default:
-		return 0, 0, 0, fmt.Errorf("service: job checkpoint: unsupported version %d", data[4])
+	if data[4] != jobCkptVersion {
+		return 0, 0, fmt.Errorf("service: job checkpoint: unsupported version %d", data[4])
 	}
 	cfgLen = binary.LittleEndian.Uint32(data[5:9])
 	if cfgLen == 0 || cfgLen > jobCkptMaxConfig {
-		return 0, 0, 0, fmt.Errorf("service: job checkpoint: implausible config length %d", cfgLen)
+		return 0, 0, fmt.Errorf("service: job checkpoint: implausible config length %d", cfgLen)
 	}
-	return hdrLen, cfgLen, epoch, nil
+	return cfgLen, int64(binary.LittleEndian.Uint64(data[13:21])), nil
 }
 
 // jobCheckpointEpoch reads the placement epoch from an envelope without
 // decoding the config or pipeline payload — the cheap check the persist
 // path runs before overwriting a shared-store file.
 func jobCheckpointEpoch(data []byte) (int64, error) {
-	_, _, epoch, err := jobCkptHeader(data)
+	_, epoch, err := jobCkptHeader(data)
 	return epoch, err
 }
 
@@ -113,14 +104,14 @@ func jobCheckpointEpoch(data []byte) (int64, error) {
 // still restorable, and core.RestorePipeline falls back to it. Callers
 // decide whether to resume from the prefix or reject the file.
 func decodeJobCheckpoint(data []byte) (JobConfig, int64, []byte, error) {
-	hdrLen, n, epoch, err := jobCkptHeader(data)
+	n, epoch, err := jobCkptHeader(data)
 	if err != nil {
 		return JobConfig{}, 0, nil, err
 	}
-	if uint32(len(data)-hdrLen) < n {
-		return JobConfig{}, 0, nil, fmt.Errorf("service: job checkpoint: torn file (%d bytes after header, config claims %d)", len(data)-hdrLen, n)
+	if uint32(len(data)-jobCkptHeaderLen) < n {
+		return JobConfig{}, 0, nil, fmt.Errorf("service: job checkpoint: torn file (%d bytes after header, config claims %d)", len(data)-jobCkptHeaderLen, n)
 	}
-	cfgJSON := data[hdrLen : hdrLen+int(n)]
+	cfgJSON := data[jobCkptHeaderLen : jobCkptHeaderLen+int(n)]
 	if sum := crc32.Checksum(cfgJSON, jobCkptCRC); sum != binary.LittleEndian.Uint32(data[9:13]) {
 		return JobConfig{}, 0, nil, fmt.Errorf("service: job checkpoint: config checksum mismatch")
 	}
@@ -131,7 +122,7 @@ func decodeJobCheckpoint(data []byte) (JobConfig, int64, []byte, error) {
 	if err := cfg.Validate(); err != nil {
 		return JobConfig{}, 0, nil, fmt.Errorf("service: job checkpoint: %w", err)
 	}
-	state := data[hdrLen+int(n):]
+	state := data[jobCkptHeaderLen+int(n):]
 	if len(state) == 0 {
 		return cfg, epoch, nil, nil
 	}

@@ -36,10 +36,10 @@ func TestChaosRetryFromDeltaChainMatchesFaultFree(t *testing.T) {
 	if final.Retries != 1 {
 		t.Fatalf("retries = %d, want exactly 1", final.Retries)
 	}
-	if got := s.Metrics().DeltaCheckpoints(); got < 5 {
+	if got := s.Metrics().Value("nestserved_delta_checkpoints_total"); got < 5 {
 		t.Fatalf("delta checkpoints = %d, want a real chain (>= 5)", got)
 	}
-	if got := s.Metrics().FullCheckpoints(); got < 1 {
+	if got := s.Metrics().Value("nestserved_full_checkpoints_total"); got < 1 {
 		t.Fatalf("full checkpoints = %d, want at least the base (and the re-base after retry)", got)
 	}
 	if !reflect.DeepEqual(final.ActiveNests, refSnap.ActiveNests) {
@@ -78,7 +78,7 @@ func TestTornFinalDeltaDrill(t *testing.T) {
 	}
 	path := filepath.Join(dir, snap.ID+".ckpt")
 	waitFor(t, old, snap.ID, "two persisted delta appends", func(sn Snapshot) bool {
-		return old.Metrics().CheckpointAppends() >= 2
+		return old.Metrics().Value("nestserved_checkpoint_appends_total") >= 2
 	})
 	old.Kill() // hard death: only the disk survives
 
@@ -93,13 +93,13 @@ func TestTornFinalDeltaDrill(t *testing.T) {
 
 	s := NewScheduler(SchedulerConfig{Workers: 1, CheckpointDir: dir})
 	defer s.Shutdown(context.Background())
-	if got := s.Metrics().CheckpointsRecovered(); got != 1 {
+	if got := s.Metrics().Value("nestserved_checkpoints_recovered_total"); got != 1 {
 		t.Fatalf("checkpoints recovered = %d, want 1", got)
 	}
-	if got := s.Metrics().CheckpointsTruncated(); got != 1 {
+	if got := s.Metrics().Value("nestserved_checkpoints_truncated_total"); got != 1 {
 		t.Fatalf("checkpoints truncated = %d, want 1 (the torn delta tail)", got)
 	}
-	if got := s.Metrics().CheckpointsCorrupt(); got != 0 {
+	if got := s.Metrics().Value("nestserved_checkpoints_corrupt_total"); got != 0 {
 		t.Fatalf("checkpoints corrupt = %d, want 0 (a torn tail is not a corrupt file)", got)
 	}
 
@@ -156,11 +156,11 @@ func TestDeltaAppendsGrowTheFileInPlace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	appends0 := s.Metrics().CheckpointAppends()
+	appends0 := s.Metrics().Value("nestserved_checkpoint_appends_total")
 	waitFor(t, s, snap.ID, "delta appends", func(sn Snapshot) bool {
-		return s.Metrics().CheckpointAppends() >= appends0+3
+		return s.Metrics().Value("nestserved_checkpoint_appends_total") >= appends0+3
 	})
-	appends := s.Metrics().CheckpointAppends() - appends0
+	appends := s.Metrics().Value("nestserved_checkpoint_appends_total") - appends0
 	grown, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)

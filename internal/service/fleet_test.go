@@ -67,7 +67,7 @@ func TestQueueFullSheds429WithRetryAfter(t *testing.T) {
 	if !sawShed {
 		t.Fatal("1-slot, 1-queue worker never shed a submission")
 	}
-	if s.Metrics().QueueFullRejections() == 0 {
+	if s.Metrics().Value("nestserved_queue_full_rejections_total") == 0 {
 		t.Fatal("queue-full rejection not counted")
 	}
 
@@ -114,10 +114,10 @@ func TestSchedulerRecoversCheckpointsAtStartup(t *testing.T) {
 
 	s := NewScheduler(SchedulerConfig{Workers: 1, CheckpointDir: dir})
 	defer s.Shutdown(context.Background())
-	if got := s.Metrics().CheckpointsRecovered(); got != 1 {
+	if got := s.Metrics().Value("nestserved_checkpoints_recovered_total"); got != 1 {
 		t.Fatalf("checkpoints recovered = %d, want 1", got)
 	}
-	if got := s.Metrics().CheckpointsCorrupt(); got != 1 {
+	if got := s.Metrics().Value("nestserved_checkpoints_corrupt_total"); got != 1 {
 		t.Fatalf("corrupt checkpoints = %d, want 1", got)
 	}
 	if _, err := s.Get("garbage"); !errors.Is(err, ErrNotFound) {
@@ -214,7 +214,7 @@ func TestCheckpointExportImportRoundTrip(t *testing.T) {
 	if iresp.StatusCode != http.StatusCreated || imported.State != StatePaused {
 		t.Fatalf("import = %d, snapshot %+v", iresp.StatusCode, imported)
 	}
-	if b.Metrics().JobsImported() != 1 {
+	if b.Metrics().Value("nestserved_jobs_imported_total") != 1 {
 		t.Fatal("import not counted")
 	}
 
@@ -308,7 +308,7 @@ func TestSchedulerResumeFromQueueNoDoubleRun(t *testing.T) {
 
 	// Let the worker chew through the stale entries; the job must stay
 	// done and no further steps may execute.
-	doneSteps := s.Metrics().StepsExecuted()
+	doneSteps := s.Metrics().Value("nestserved_steps_executed_total")
 	time.Sleep(50 * time.Millisecond)
 	again, err := s.Get(queued.ID)
 	if err != nil {
@@ -317,7 +317,7 @@ func TestSchedulerResumeFromQueueNoDoubleRun(t *testing.T) {
 	if again.State != StateDone || again.Step != steps {
 		t.Fatalf("stale queue entry re-ran the job: %+v", again)
 	}
-	if got := s.Metrics().StepsExecuted(); got != doneSteps {
+	if got := s.Metrics().Value("nestserved_steps_executed_total"); got != doneSteps {
 		t.Fatalf("steps kept executing after completion: %d -> %d", doneSteps, got)
 	}
 	if final.Events != steps/5 {

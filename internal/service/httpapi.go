@@ -321,7 +321,7 @@ func NewHandler(s *Scheduler) http.Handler {
 
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		s.WritePrometheus(w)
+		s.Metrics().WritePrometheus(w)
 	})
 
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {

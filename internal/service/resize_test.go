@@ -66,11 +66,11 @@ func TestSchedulerResizeAppliesAtStepBoundary(t *testing.T) {
 		t.Fatalf("clean resize caused %d retries", final.Retries)
 	}
 	m := s.Metrics()
-	if m.JobsResized() != 1 {
-		t.Fatalf("job_resizes_total = %d, want 1", m.JobsResized())
+	if m.Value("nestserved_job_resizes_total") != 1 {
+		t.Fatalf("job_resizes_total = %d, want 1", m.Value("nestserved_job_resizes_total"))
 	}
-	if m.ResizeFailures() != 0 {
-		t.Fatalf("job_resize_failures_total = %d, want 0", m.ResizeFailures())
+	if m.Value("nestserved_job_resize_failures_total") != 0 {
+		t.Fatalf("job_resize_failures_total = %d, want 0", m.Value("nestserved_job_resize_failures_total"))
 	}
 }
 
@@ -109,8 +109,8 @@ func TestSchedulerResizeQueuedAndTerminal(t *testing.T) {
 	if err := s.ResizeJob(queued.ID, 64); !errors.Is(err, ErrBadTransition) {
 		t.Fatalf("resize of a done job returned %v, want ErrBadTransition", err)
 	}
-	if m := s.Metrics(); m.JobsResized() != 0 {
-		t.Fatalf("repricing a queued job counted as %d live resizes", m.JobsResized())
+	if m := s.Metrics(); m.Value("nestserved_job_resizes_total") != 0 {
+		t.Fatalf("repricing a queued job counted as %d live resizes", m.Value("nestserved_job_resizes_total"))
 	}
 }
 
@@ -153,8 +153,8 @@ func TestChaosCrashDuringResizeRecoversAtOldSize(t *testing.T) {
 		t.Fatalf("fault plan recorded %+v, want one resize-crash injection", inj)
 	}
 	m := s.Metrics()
-	if m.JobsResized() != 0 {
-		t.Fatalf("job_resizes_total = %d after a crashed resize, want 0", m.JobsResized())
+	if m.Value("nestserved_job_resizes_total") != 0 {
+		t.Fatalf("job_resizes_total = %d after a crashed resize, want 0", m.Value("nestserved_job_resizes_total"))
 	}
 
 	if !reflect.DeepEqual(final.ActiveNests, refSnap.ActiveNests) {

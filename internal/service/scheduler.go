@@ -84,7 +84,7 @@ type SchedulerConfig struct {
 // Scheduler runs simulation jobs on a bounded worker pool.
 type Scheduler struct {
 	cfg     SchedulerConfig
-	metrics *Metrics
+	metrics *metrics
 	tiles   *serve.Cache
 
 	mu     sync.Mutex
@@ -115,14 +115,14 @@ func NewScheduler(cfg SchedulerConfig) *Scheduler {
 		cfg.QueueDepth = 256
 	}
 	s := &Scheduler{
-		cfg:     cfg,
-		metrics: newMetrics(),
-		tiles:   serve.NewCache(cfg.TileCacheBytes),
-		jobs:    make(map[string]*Job),
-		queue:   make(chan *Job, cfg.QueueDepth),
-		quit:    make(chan struct{}),
-		kill:    make(chan struct{}),
+		cfg:   cfg,
+		tiles: serve.NewCache(cfg.TileCacheBytes),
+		jobs:  make(map[string]*Job),
+		queue: make(chan *Job, cfg.QueueDepth),
+		quit:  make(chan struct{}),
+		kill:  make(chan struct{}),
 	}
+	s.metrics = newMetrics(s)
 	if cfg.CheckpointDir != "" && !cfg.DisableRecovery {
 		s.recoverCheckpoints()
 	}
@@ -186,8 +186,9 @@ func (s *Scheduler) Ready() bool {
 	return !s.closed
 }
 
-// Metrics returns the scheduler's counters.
-func (s *Scheduler) Metrics() *Metrics { return s.metrics }
+// Metrics returns the scheduler's metric table; tests read one family with
+// Value.
+func (s *Scheduler) Metrics() *obs.Registry { return s.metrics.reg }
 
 // Submit validates, registers and enqueues a job, returning its snapshot.
 func (s *Scheduler) Submit(cfg JobConfig) (Snapshot, error) {
@@ -1030,7 +1031,7 @@ func (s *Scheduler) autoCheckpoint(j *Job, r *run, cfg JobConfig) {
 	} else {
 		s.metrics.deltaCheckpoints.Add(1)
 	}
-	s.metrics.checkpointBytes.Store(int64(len(chain)))
+	s.metrics.checkpointBytes.Set(int64(len(chain)))
 	s.metrics.checkpointBytesTotal.Add(int64(len(blob)))
 	s.enqueuePersist(j, chain, tail, full, nil)
 }
@@ -1256,7 +1257,7 @@ func (s *Scheduler) park(j *Job, r *run) {
 	} else {
 		s.metrics.deltaCheckpoints.Add(1)
 	}
-	s.metrics.checkpointBytes.Store(int64(len(chain)))
+	s.metrics.checkpointBytes.Set(int64(len(chain)))
 	s.metrics.checkpointBytesTotal.Add(int64(len(blob)))
 	done := make(chan struct{})
 	s.enqueuePersist(j, chain, tail, full, done)
@@ -1321,7 +1322,7 @@ func (s *Scheduler) CountsByState() map[JobState]int {
 	return out
 }
 
-// states lists every lifecycle state in display order.
-func states() []JobState {
+// States lists every lifecycle state in display order.
+func States() []JobState {
 	return []JobState{StateQueued, StateRunning, StatePaused, StateRetrying, StateDone, StateFailed, StateCancelled, StateFenced}
 }

@@ -87,11 +87,11 @@ func TestSchedulerRunsJobToCompletion(t *testing.T) {
 		t.Fatal("no cumulative execution time recorded")
 	}
 	m := s.Metrics()
-	if m.StepsExecuted() != 40 {
-		t.Fatalf("steps executed counter = %d, want 40", m.StepsExecuted())
+	if m.Value("nestserved_steps_executed_total") != 40 {
+		t.Fatalf("steps executed counter = %d, want 40", m.Value("nestserved_steps_executed_total"))
 	}
-	if m.AdaptationEvents() != 8 {
-		t.Fatalf("adaptation events counter = %d, want 8", m.AdaptationEvents())
+	if m.Value("nestserved_adaptation_events_total") != 8 {
+		t.Fatalf("adaptation events counter = %d, want 8", m.Value("nestserved_adaptation_events_total"))
 	}
 }
 
@@ -270,7 +270,7 @@ func TestSchedulerConcurrentJobs(t *testing.T) {
 			t.Fatalf("job %s finished %s (error %q)", id, final.State, final.Error)
 		}
 	}
-	if got := s.Metrics().StepsExecuted(); got != 6*20 {
+	if got := s.Metrics().Value("nestserved_steps_executed_total"); got != 6*20 {
 		t.Fatalf("steps executed = %d, want %d", got, 6*20)
 	}
 	if len(s.List()) != 6 {

@@ -473,7 +473,8 @@ func TestServeTileCacheMetricsExposed(t *testing.T) {
 
 // BenchmarkStepLatencyUnderReadLoad measures step latency of a live run
 // with zero readers and with 8 paced readers (~800 reads/s) hammering the
-// snapshot + tile path — the interference number of BENCH_serve.json.
+// snapshot + tile path — the interference number nestbench reports as
+// serve.reader_lateness_p50_ms beside serve-fleet's ops_per_s.
 func BenchmarkStepLatencyUnderReadLoad(b *testing.B) {
 	for _, readers := range []int{0, 8} {
 		b.Run(fmt.Sprintf("readers-%d", readers), func(b *testing.B) {
