@@ -67,8 +67,17 @@ func BenchmarkSplits(b *testing.B) {
 func benchParallelModel(b *testing.B, px, py int) (*ParallelModel, *mpi.World) {
 	b.Helper()
 	cfg := DefaultConfig()
+	return benchParallelModelFlow(b, px, py, cfg.FlowU*cfg.Dt, cfg.FlowV*cfg.Dt)
+}
+
+// benchParallelModelFlow is benchParallelModel under a flow of (ux, vy)
+// cells per step.
+func benchParallelModelFlow(b *testing.B, px, py int, ux, vy float64) (*ParallelModel, *mpi.World) {
+	b.Helper()
+	cfg := DefaultConfig()
 	cfg.NX, cfg.NY = 96, 72
 	cfg.SpawnRate = 0
+	cfg.FlowU, cfg.FlowV = ux/cfg.Dt, vy/cfg.Dt
 	pg := geom.NewGrid(px, py)
 	net, err := topology.NewTorus3D(pg, topology.TorusDimsFor(pg.Size()), topology.DefaultTorusParams())
 	if err != nil {
@@ -89,7 +98,7 @@ func benchParallelModel(b *testing.B, px, py int) (*ParallelModel, *mpi.World) {
 }
 
 // BenchmarkParallelModelStep measures one distributed parent step: deposit,
-// 8-neighbour halo exchange (the mailbox hot path), fused advection, OLR.
+// halo exchange (the mailbox hot path), fused advection, OLR.
 func BenchmarkParallelModelStep(b *testing.B) {
 	for _, ranks := range [][2]int{{4, 3}, {6, 4}} {
 		b.Run(fmt.Sprintf("ranks=%d", ranks[0]*ranks[1]), func(b *testing.B) {
@@ -108,24 +117,47 @@ func BenchmarkParallelModelStep(b *testing.B) {
 	}
 }
 
-// BenchmarkHaloExchange isolates the 8-neighbour halo exchange (strip
-// staging, point-to-point sends, receive + scatter into the extended
-// field) from the rest of the distributed step, so the mailbox and
-// receive-path cost is measured without the compute kernels.
+// BenchmarkHaloExchange isolates the halo exchange (strip staging,
+// point-to-point sends, receive + scatter into the extended field) from
+// the rest of the distributed step, so the mailbox and receive-path cost is
+// measured without the compute kernels. msgs/exchange and bytes/exchange
+// count one exchange of the whole 6x4 world: an 8-neighbour exchange of
+// 2-cell strips there was 136 messages and 22 656 bytes; the stencil reach
+// of an oblique sub-cell flow needs 53 one-cell strips (3 of 8 per interior
+// rank), and zero flow keeps as many for its weight-zero high-side reads.
 func BenchmarkHaloExchange(b *testing.B) {
-	pm, w := benchParallelModel(b, 6, 4)
-	if err := pm.Step(); err != nil { // warm per-rank buffers
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := w.Run(func(r *mpi.Rank) {
-			st := pm.local[r.ID()]
-			st.halo.exchange(r, st.qcloud, pm.step*16)
-		}); err != nil {
-			b.Fatal(err)
-		}
+	for _, tc := range []struct {
+		name   string
+		ux, vy float64
+	}{
+		{"upwind", 0.24, 0.06},
+		{"zero-flow", 0, 0},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			pm, w := benchParallelModelFlow(b, 6, 4, tc.ux, tc.vy)
+			if err := pm.Step(); err != nil { // warm per-rank buffers
+				b.Fatal(err)
+			}
+			msgs, cells := 0, 0
+			for _, st := range pm.local {
+				msgs += len(st.halo.sends)
+				for _, l := range st.halo.sends {
+					cells += l.rect.Area()
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := w.Run(func(r *mpi.Rank) {
+					st := pm.local[r.ID()]
+					st.halo.exchange(r, st.qcloud, pm.step*16)
+				}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(msgs), "msgs/exchange")
+			b.ReportMetric(float64(cells*8), "bytes/exchange") // one float64 per cell
+		})
 	}
 }
 

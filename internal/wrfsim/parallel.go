@@ -12,7 +12,7 @@ import (
 // ParallelModel runs the parent simulation distributed over the ranks of
 // an MPI world, the way WRF itself runs: the domain is block-decomposed
 // over the Px×Py process grid, each rank steps its block locally, and the
-// semi-Lagrangian advection reads up to haloWidth cells into the
+// semi-Lagrangian advection reads up to haloWidth cells into the upwind
 // neighbours' blocks, exchanged point-to-point each step. Split files
 // come straight from rank-local state — no gather of the global field is
 // ever needed, which is exactly why the paper's analysis pipeline works
@@ -72,6 +72,10 @@ func NewParallelModel(cfg Config, pg geom.Grid, world *mpi.World) (*ParallelMode
 		return nil, fmt.Errorf("wrfsim: process grid %dx%d larger than domain %dx%d",
 			pg.Px, pg.Py, cfg.NX, cfg.NY)
 	}
+	ux, vy := cfg.FlowU*cfg.Dt, cfg.FlowV*cfg.Dt // cells per step, as rankStep advects
+	if err := checkReach(ux, vy); err != nil {
+		return nil, err
+	}
 	pm := &ParallelModel{
 		cfg:   cfg,
 		pg:    pg,
@@ -90,7 +94,7 @@ func NewParallelModel(cfg Config, pg geom.Grid, world *mpi.World) (*ParallelMode
 			qcloud: field.New(blk.Width(), blk.Height()),
 			olr:    field.New(blk.Width(), blk.Height()),
 			next:   field.New(blk.Width(), blk.Height()),
-			halo:   newHaloPlan(pg, pm.dist, pg.Coord(r)),
+			halo:   newHaloPlan(pg, pm.dist, pg.Coord(r), ux, vy),
 		}
 		pm.local[r].olr.Fill(cfg.OLRClear)
 	}
@@ -153,8 +157,8 @@ func (pm *ParallelModel) rankStep(r *mpi.Rank, st *rankState, cells []Cell) {
 	st.stamps.addTo(st.qcloud)
 	r.Compute(float64(st.block.Area()) * 5e-9)
 
-	// Build the halo-extended field: interior from the local block,
-	// borders received from the up-to-8 neighbours.
+	// Build the halo-extended field: interior from the local block, the
+	// border cells the advection below reads from the upwind neighbours.
 	ext := st.halo.exchange(r, st.qcloud, pm.step*16)
 
 	// Semi-Lagrangian advection reading from the extended field, plus

@@ -75,6 +75,10 @@ func (m *Model) NewParallelNest(id int, region geom.Rect, pg geom.Grid, procs ge
 	if procs.Empty() || !pg.Bounds().ContainsRect(procs) {
 		return nil, fmt.Errorf("wrfsim: invalid processor sub-rectangle %v", procs)
 	}
+	spec := nestAdvectSpec(m.cfg)
+	if err := checkReach(spec.UX, spec.VY); err != nil {
+		return nil, err
+	}
 	fine := field.Refine(m.qcloud, region, NestRatio)
 	n := &ParallelNest{
 		ID:     id,
@@ -145,6 +149,12 @@ func (n *ParallelNest) Step(w *mpi.World, cfg Config, cells []Cell) error {
 // the nests are stepped one dispatch each, in the order given. cells must
 // be the parent model's current cell population.
 func StepNests(w *mpi.World, cfg Config, cells []Cell, nests []*ParallelNest) error {
+	// A restored nest meets the flow here first, so this is where a reach
+	// beyond the halo is refused for it.
+	spec := nestAdvectSpec(cfg)
+	if err := checkReach(spec.UX, spec.VY); err != nil {
+		return err
+	}
 	owner := make([]*ParallelNest, w.Size())
 	ranks := make([]int, 0, w.Size())
 	for _, n := range nests {
@@ -171,13 +181,6 @@ func StepNests(w *mpi.World, cfg Config, cells []Cell, nests []*ParallelNest) er
 			ranks = append(ranks, rank)
 		}
 	}
-	dtFine := cfg.Dt / NestRatio
-	spec := field.AdvectSpec{
-		UX:   cfg.FlowU * dtFine * NestRatio, // fine cells per substep
-		VY:   cfg.FlowV * dtFine * NestRatio,
-		OffX: haloWidth, OffY: haloWidth,
-		Decay: math.Exp(-dtFine / cfg.DecayTau),
-	}
 	err := w.RunOn(ranks, func(r *mpi.Rank) {
 		owner[r.ID()].stepRank(r, cfg, cells, spec)
 	})
@@ -190,13 +193,30 @@ func StepNests(w *mpi.World, cfg Config, cells []Cell, nests []*ParallelNest) er
 	return nil
 }
 
+// nestAdvectSpec is the block-independent part of a distributed nest's
+// advection pass under cfg: the serial Nest's flow and decay per fine
+// substep, reading a halo-extended source.
+func nestAdvectSpec(cfg Config) field.AdvectSpec {
+	dtFine := cfg.Dt / NestRatio
+	return field.AdvectSpec{
+		UX:   cfg.FlowU * dtFine * NestRatio, // fine cells per substep
+		VY:   cfg.FlowV * dtFine * NestRatio,
+		OffX: haloWidth, OffY: haloWidth,
+		Decay: math.Exp(-dtFine / cfg.DecayTau),
+	}
+}
+
 // stepRank is one owner rank's work for one parent step of the nest.
 func (n *ParallelNest) stepRank(r *mpi.Rank, cfg Config, cells []Cell, spec field.AdvectSpec) {
 	st := n.local[r.ID()]
 	blk := st.block
 	if st.next == nil {
 		st.next = field.New(blk.Width(), blk.Height())
-		st.halo = newHaloPlan(n.pg, geom.NewBlockDist(n.nx, n.ny, n.procs), n.pg.Coord(r.ID()))
+	}
+	// The plan follows the flow as well as the blocks, and the flow arrives
+	// with every step's cfg.
+	if st.halo.ext == nil || st.halo.ux != spec.UX || st.halo.vy != spec.VY {
+		st.halo = newHaloPlan(n.pg, geom.NewBlockDist(n.nx, n.ny, n.procs), n.pg.Coord(r.ID()), spec.UX, spec.VY)
 	}
 	spec.GX0, spec.GY0 = blk.X0, blk.Y0
 	spec.GNX, spec.GNY = n.nx, n.ny

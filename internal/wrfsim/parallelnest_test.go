@@ -12,8 +12,17 @@ import (
 func setupNestPair(t *testing.T, procs geom.Rect) (*Model, *Nest, *ParallelNest, geom.Grid) {
 	t.Helper()
 	cfg := DefaultConfig()
+	return setupNestPairFlow(t, procs, cfg.FlowU, cfg.FlowV)
+}
+
+// setupNestPairFlow is setupNestPair under an ambient flow of (flowU, flowV)
+// grid points per second.
+func setupNestPairFlow(t *testing.T, procs geom.Rect, flowU, flowV float64) (*Model, *Nest, *ParallelNest, geom.Grid) {
+	t.Helper()
+	cfg := DefaultConfig()
 	cfg.NX, cfg.NY = 96, 72
 	cfg.SpawnRate = 0
+	cfg.FlowU, cfg.FlowV = flowU, flowV
 	m, err := NewModel(cfg)
 	if err != nil {
 		t.Fatal(err)
