@@ -7,7 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"slices"
+	"unsafe"
 
 	"nestdiff/internal/geom"
 )
@@ -210,16 +210,39 @@ func decodeRect(b []byte) geom.Rect {
 	}
 }
 
-// appendRawField appends the samples as little-endian float64 words,
-// growing the buffer once up front so the hot loop is store-only.
-func appendRawField(b []byte, data []float64) []byte {
-	off := len(b)
-	b = slices.Grow(b, 8*len(data))[:off+8*len(data)]
+// sampleBytes views data's memory as its little-endian encoding, without
+// a copy (writes through the view write the samples). ok is false on a
+// big-endian host, where callers take the per-sample path.
+func sampleBytes(data []float64) (b []byte, ok bool) {
+	if binary.NativeEndian.Uint16([]byte{1, 0}) != 1 {
+		return nil, false
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(data))), 8*len(data)), true
+}
+
+// appendSamplesLE and getSamplesLE are the per-sample codec: the fallback
+// on a big-endian host and the oracle for sampleBytes on a little-endian
+// one.
+func appendSamplesLE(b []byte, data []float64) []byte {
 	for _, v := range data {
-		binary.LittleEndian.PutUint64(b[off:off+8], math.Float64bits(v))
-		off += 8
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 	}
 	return b
+}
+
+func getSamplesLE(out []float64, b []byte) {
+	for i := range out {
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	}
+}
+
+// appendRawField appends the samples as little-endian float64 words: one
+// copy of the field's memory on a little-endian host.
+func appendRawField(b []byte, data []float64) []byte {
+	if v, ok := sampleBytes(data); ok {
+		return append(b, v...)
+	}
+	return appendSamplesLE(b, data)
 }
 
 // ckptMaxFieldSamples bounds the float64 array a (possibly hostile) field
@@ -260,29 +283,23 @@ func parseField(b []byte, decode bool) (nx, ny int, data []float64, err error) {
 }
 
 // fieldCRC is the CRC-32C of a field's raw little-endian encoding — the
-// same bytes appendRawField would emit — staged through the caller's
-// chunk (len >= 8) so no full byte copy is materialized. The chunk is a
-// parameter because crc32.Update's table dispatch leaks its buffer, which
-// would force a stack chunk to the heap on every call.
-func fieldCRC(data []float64, chunk []byte) uint32 {
-	var sum uint32
-	for off := 0; off < len(data); {
-		n := min(len(data)-off, len(chunk)/8)
-		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint64(chunk[8*i:], math.Float64bits(data[off+i]))
-		}
-		sum = crc32.Update(sum, ckptCRC, chunk[:8*n])
-		off += n
+// same bytes appendRawField would emit — taken straight over the samples'
+// memory on a little-endian host, so a cut copies nothing.
+func fieldCRC(data []float64) uint32 {
+	if v, ok := sampleBytes(data); ok {
+		return crc32.Checksum(v, ckptCRC)
 	}
-	return sum
+	return crc32.Checksum(appendSamplesLE(nil, data), ckptCRC)
 }
 
 // decodeRawField reads little-endian float64 words into out (len(b) must
-// be exactly 8*len(out); callers check).
+// be exactly 8*len(out); callers check). b may sit at any byte offset.
 func decodeRawField(out []float64, b []byte) {
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8 : i*8+8]))
+	if v, ok := sampleBytes(out); ok {
+		copy(v, b)
+		return
 	}
+	getSamplesLE(out, b)
 }
 
 // appendUvarint appends v in unsigned varint encoding.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"hash/crc32"
 	"math"
 	"testing"
@@ -34,11 +35,60 @@ func TestRawFieldRoundTrip(t *testing.T) {
 	if !bitsEqual(in, out) {
 		t.Fatalf("raw round trip diverged:\nin  %v\nout %v", in, out)
 	}
-	// fieldCRC must match the CRC of the raw encoding regardless of how
-	// the staging chunk divides the field.
-	for _, chunkLen := range []int{8, 24, 4096} {
-		if got, want := fieldCRC(in, make([]byte, chunkLen)), crcOfBytes(enc); got != want {
-			t.Fatalf("fieldCRC (chunk %d) = %#x, want CRC of the raw encoding %#x", chunkLen, got, want)
+	if got, want := fieldCRC(in), crcOfBytes(enc); got != want {
+		t.Fatalf("fieldCRC = %#x, want CRC of the raw encoding %#x", got, want)
+	}
+}
+
+// TestRawFieldViewMatchesPerSampleEncoding: on this host the codec works
+// on a byte view of the samples' memory. The view must be exactly the
+// per-sample little-endian encoding (the big-endian fallback, which is
+// also the oracle) for every bit pattern and for lengths around the old
+// 4 KB staging chunk, fieldCRC must be the CRC of those bytes, and a
+// decode must round-trip from a source at an odd byte offset.
+func TestRawFieldViewMatchesPerSampleEncoding(t *testing.T) {
+	patterns := []float64{
+		// ±0, ±Inf, quiet, signalling and negative NaN payloads
+		0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
+		math.Float64frombits(0x7ff0000000000001), math.Float64frombits(0xfff8dead0000beef),
+		// subnormals
+		5e-324, -5e-324, math.Float64frombits(0x000fffffffffffff), math.SmallestNonzeroFloat64 * 3,
+		// normals
+		1, -2.75e-308, math.MaxFloat64, math.Pi,
+	}
+	for _, n := range []int{0, 1, 511, 512, 513, 4097} {
+		data := make([]float64, n)
+		for i := range data {
+			data[i] = patterns[(i*7)%len(patterns)]
+		}
+		oracle := appendSamplesLE(nil, data)
+		if len(oracle) != 8*n {
+			t.Fatalf("n=%d: per-sample encoding is %d bytes", n, len(oracle))
+		}
+		view, ok := sampleBytes(data)
+		if !ok {
+			t.Skip("big-endian host: the codec takes the per-sample path")
+		}
+		if !bytes.Equal(view, oracle) {
+			t.Fatalf("n=%d: byte view differs from the per-sample encoding", n)
+		}
+		if enc := appendRawField([]byte{0xAA}, data); enc[0] != 0xAA || !bytes.Equal(enc[1:], oracle) {
+			t.Fatalf("n=%d: appendRawField differs from the per-sample encoding", n)
+		}
+		if got, want := fieldCRC(data), crcOfBytes(oracle); got != want {
+			t.Fatalf("n=%d: fieldCRC = %#x, want CRC of the per-sample bytes %#x", n, got, want)
+		}
+		// Decode from an odd offset inside a larger buffer, through the
+		// view and through the fallback.
+		src := append(append([]byte{1, 2, 3}, oracle...), 4, 5)[3 : 3+8*n]
+		for name, decode := range map[string]func([]float64, []byte){
+			"view": decodeRawField, "per-sample": getSamplesLE,
+		} {
+			out := make([]float64, n)
+			decode(out, src)
+			if !bitsEqual(out, data) {
+				t.Fatalf("n=%d: %s decode from an odd offset diverged", n, name)
+			}
 		}
 	}
 }

@@ -43,10 +43,9 @@ const defaultMaxDeltas = 8
 
 // CheckpointWriter encodes pipeline checkpoints as NDCP v2 blobs: a full
 // base, then replay-directive deltas until the chain bound forces the next
-// base. All buffers — the two output arenas, the per-nest encode buffers,
-// the gather targets of distributed nests — are pooled, so steady-state
-// encoding of an unchanged topology allocates only what gob needs for the
-// small metadata record.
+// base. All buffers — the two output arenas and the gather targets of
+// distributed nests — are pooled, so steady-state encoding of an unchanged
+// topology allocates only what gob needs for the small metadata record.
 //
 // The writer assumes it sees every checkpoint of one pipeline in order: a
 // delta restores only on top of the blobs since the last full base, so
@@ -82,13 +81,11 @@ type CheckpointWriter struct {
 	meta    ckptMetaV2
 
 	// Reused encode scratch. ids is the live nest IDs of the current
-	// Encode in ascending order; gathers[i] and nestBufs[i] are the pooled
-	// gather target (distributed nests only) and record buffer of ids[i].
-	ids      []int
-	gathers  []*field.Field
-	nestBufs [][]byte
-	cells    []wrfsim.Cell
-	crc      []byte
+	// Encode in ascending order; gathers[i] is the pooled gather target of
+	// ids[i] (distributed nests only).
+	ids     []int
+	gathers []*field.Field
+	cells   []wrfsim.Cell
 }
 
 // NewCheckpointWriter returns a writer whose first Encode emits a full
@@ -165,7 +162,9 @@ func (cw *CheckpointWriter) Encode(p *Pipeline) (blob []byte, full bool, err err
 		buf, start = beginRecord(buf, recModelRaw)
 		buf = appendField(buf, q.NX, q.NY, q.Data)
 		buf = endRecord(buf, start)
-		buf = cw.encodeNests(buf, p)
+		for i := range cw.ids {
+			buf = cw.encodeNest(buf, p, i)
+		}
 	} else {
 		buf = cw.encodeReplay(buf, p)
 	}
@@ -192,8 +191,8 @@ func (cw *CheckpointWriter) Encode(p *Pipeline) (blob []byte, full bool, err err
 }
 
 // collectNests fills cw.ids with the pipeline's live nest IDs in ascending
-// order and sizes the per-nest scratch to match, dropping the gather
-// targets of positions that no longer exist.
+// order and sizes the gather targets to match, dropping those of positions
+// that no longer exist.
 func (cw *CheckpointWriter) collectNests(p *Pipeline) {
 	ids := cw.ids[:0]
 	if p.cfg.Distributed {
@@ -207,8 +206,7 @@ func (cw *CheckpointWriter) collectNests(p *Pipeline) {
 	}
 	slices.Sort(ids)
 	cw.ids = ids
-	for len(cw.nestBufs) < len(ids) {
-		cw.nestBufs = append(cw.nestBufs, nil)
+	for len(cw.gathers) < len(ids) {
 		cw.gathers = append(cw.gathers, nil)
 	}
 	clear(cw.gathers[len(ids):])
@@ -217,8 +215,7 @@ func (cw *CheckpointWriter) collectNests(p *Pipeline) {
 // nestSamples returns the fine field of nest ids[i]: the nest's own array
 // in serial mode, the blocks gathered into the position's pooled target in
 // distributed mode (reallocated only when the nest at that position
-// changes shape). It touches only position i, so positions run
-// concurrently.
+// changes shape).
 func (cw *CheckpointWriter) nestSamples(p *Pipeline, i int) []float64 {
 	if !p.cfg.Distributed {
 		return p.nests[cw.ids[i]].QCloud().Data
@@ -227,22 +224,10 @@ func (cw *CheckpointWriter) nestSamples(p *Pipeline, i int) []float64 {
 	return cw.gathers[i].Data
 }
 
-// encodeNests encodes one recNestFull per live nest, concurrently under the
-// pipeline's NestWorkers bound into pooled per-nest buffers, and stitches
-// them into buf in nest-ID order.
-func (cw *CheckpointWriter) encodeNests(buf []byte, p *Pipeline) []byte {
-	n := len(cw.ids)
-	runBounded(p.nestWorkers(n), n, func(i int) {
-		cw.nestBufs[i] = cw.encodeNest(cw.nestBufs[i][:0], p, i)
-	})
-	for _, nb := range cw.nestBufs[:n] {
-		buf = append(buf, nb...)
-	}
-	return buf
-}
-
-// encodeNest appends the complete record of nest ids[i] to nb.
-func (cw *CheckpointWriter) encodeNest(nb []byte, p *Pipeline, i int) []byte {
+// encodeNest appends the complete record of nest ids[i] to buf. A base
+// appends its nests one after another in ID order: with samples encoded as
+// one copy of their memory, a concurrent per-nest encode did not pay.
+func (cw *CheckpointWriter) encodeNest(buf []byte, p *Pipeline, i int) []byte {
 	id := cw.ids[i]
 	var region, procs geom.Rect
 	var nx, ny, steps int
@@ -258,30 +243,27 @@ func (cw *CheckpointWriter) encodeNest(nb []byte, p *Pipeline, i int) []byte {
 		region, steps = n.Region, n.StepCount()
 		nx, ny = q.NX, q.NY
 	}
-	nb, start := beginRecord(nb, recNestFull)
-	nb = appendU32(nb, uint32(id))
-	nb = appendRect(nb, region)
-	nb = appendU32(nb, uint32(steps))
-	nb = append(nb, flags)
-	nb = appendRect(nb, procs)
-	nb = appendField(nb, nx, ny, cw.nestSamples(p, i))
-	return endRecord(nb, start)
+	buf, start := beginRecord(buf, recNestFull)
+	buf = appendU32(buf, uint32(id))
+	buf = appendRect(buf, region)
+	buf = appendU32(buf, uint32(steps))
+	buf = append(buf, flags)
+	buf = appendRect(buf, procs)
+	buf = appendField(buf, nx, ny, cw.nestSamples(p, i))
+	return endRecord(buf, start)
 }
 
 // encodeReplay appends the delta record: the step the restore must
 // re-execute to, plus CRCs of the model and every live nest field at that
 // step so the replayed state is provably bit-identical.
 func (cw *CheckpointWriter) encodeReplay(buf []byte, p *Pipeline) []byte {
-	if cw.crc == nil {
-		cw.crc = make([]byte, 4096)
-	}
 	buf, start := beginRecord(buf, recReplay)
 	buf = appendU32(buf, uint32(p.model.StepCount()))
-	buf = appendU32(buf, fieldCRC(p.model.QCloud().Data, cw.crc))
+	buf = appendU32(buf, fieldCRC(p.model.QCloud().Data))
 	buf = appendUvarint(buf, uint64(len(cw.ids)))
 	for i, id := range cw.ids {
 		buf = appendU32(buf, uint32(id))
-		buf = appendU32(buf, fieldCRC(cw.nestSamples(p, i), cw.crc))
+		buf = appendU32(buf, fieldCRC(cw.nestSamples(p, i)))
 	}
 	return endRecord(buf, start)
 }

@@ -191,6 +191,43 @@ func TestCheckpointWriterNegativeMaxDeltasAlwaysFull(t *testing.T) {
 	}
 }
 
+// TestCheckpointDeltaCutZeroAlloc: once the chain's base is cut, a delta
+// cut allocates nothing — not for the metadata record, the field CRCs or
+// the gathers of distributed nests — in either nest mode, at several
+// states of a run with live nests.
+func TestCheckpointDeltaCutZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is perturbed by the race detector")
+	}
+	for _, distributed := range []bool{false, true} {
+		p := checkpointPipeline(t, geom.NewGrid(8, 6), Diffusion, distributed)
+		if err := p.Run(60); err != nil {
+			t.Fatal(err)
+		}
+		cw := NewCheckpointWriter(CheckpointWriterOptions{MaxDeltas: 1 << 30})
+		if _, full := cutBlob(t, cw, p); !full {
+			t.Fatal("first cut was not a full base")
+		}
+		for seg := 0; seg < 3; seg++ {
+			if err := p.Run(15); err != nil {
+				t.Fatal(err)
+			}
+			if n := len(p.Nests()) + len(p.DistributedNests()); n < 2 {
+				t.Fatalf("distributed=%v step %d: %d nests, want >= 2", distributed, p.StepCount(), n)
+			}
+			allocs := testing.AllocsPerRun(20, func() {
+				if _, full, err := cw.Encode(p); err != nil || full {
+					t.Fatalf("delta cut: full=%v err=%v", full, err)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("distributed=%v step %d: %.1f allocations per delta cut, want 0",
+					distributed, p.StepCount(), allocs)
+			}
+		}
+	}
+}
+
 // TestCheckpointWriterInvalidateForcesBase: after Invalidate (the
 // scheduler calls it on failed persists and after elastic resizes) the
 // next cut must be a self-contained full base with reset chain links.

@@ -48,10 +48,10 @@ type PipelineConfig struct {
 	Distributed bool
 	// NestWorkers bounds how many serial nests step concurrently within
 	// one parent step (they touch disjoint state, so results are identical
-	// to sequential stepping) and how many fields SaveState encodes at
-	// once. Zero means runtime.GOMAXPROCS(0); one forces sequential
-	// stepping. Distributed nests step in one dispatch over their owner
-	// ranks whatever its value.
+	// to sequential stepping). Zero means runtime.GOMAXPROCS(0); one
+	// forces sequential stepping. Distributed nests step in one dispatch
+	// over their owner ranks, and checkpoints encode nests one after
+	// another, whatever its value.
 	NestWorkers int
 }
 

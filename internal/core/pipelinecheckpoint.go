@@ -328,8 +328,7 @@ func replayToDirective(p *Pipeline, rp *replayDirective) error {
 			return fmt.Errorf("core: load pipeline state: delta replay: %w", err)
 		}
 	}
-	chunk := make([]byte, 4096)
-	if got := fieldCRC(p.model.QCloud().Data, chunk); got != rp.modelCRC {
+	if got := fieldCRC(p.model.QCloud().Data); got != rp.modelCRC {
 		return fmt.Errorf("core: load pipeline state: model field diverged during delta replay (checkpoint crc %#x, replayed %#x)",
 			rp.modelCRC, got)
 	}
@@ -355,7 +354,7 @@ func replayToDirective(p *Pipeline, rp *replayDirective) error {
 			}
 			cur = n.QCloud().Data
 		}
-		if got := fieldCRC(cur, chunk); got != rn.crc {
+		if got := fieldCRC(cur); got != rn.crc {
 			return fmt.Errorf("core: load pipeline state: nest %d field diverged during delta replay (checkpoint crc %#x, replayed %#x)",
 				rn.id, rn.crc, got)
 		}
