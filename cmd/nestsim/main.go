@@ -72,13 +72,14 @@ func main() {
 	}
 
 	// Weather model driven by the chosen scripted scenario.
-	sched, nx, ny, err := buildSchedule(*scen, *steps, *seed)
+	sched, nx, ny, err := scenario.Scripted(*scen, *steps, *seed)
 	if err != nil {
 		log.Fatal(err)
 	}
 	wcfg := wrfsim.DefaultConfig()
 	wcfg.NX, wcfg.NY = nx, ny
 	wcfg.SpawnRate = 0
+	wcfg.Genesis = sched
 	// The cyclone scenario renews its own core in place; merging those
 	// renewals would double-count the same system.
 	wcfg.MergeEnabled = strings.ToLower(*scen) != "cyclone"
@@ -113,16 +114,9 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
-	si := 0
 	reported := 0
 	interrupted := false
 	for step := 0; step < *steps && !interrupted; step++ {
-		for si < len(sched) && sched[si].AtStep == step {
-			if err := m.InjectCell(sched[si].Cell); err != nil {
-				log.Fatal(err)
-			}
-			si++
-		}
 		if err := pipe.RunContext(ctx, 1); err != nil {
 			if errors.Is(err, context.Canceled) {
 				fmt.Printf("\ninterrupted at step %d of %d\n", pipe.StepCount(), *steps)
@@ -204,27 +198,4 @@ func parseStrategy(s string) (core.Strategy, error) {
 		return core.Dynamic, nil
 	}
 	return 0, fmt.Errorf("unknown strategy %q (want scratch, diffusion or dynamic)", s)
-}
-
-// buildSchedule resolves the named scenario to a genesis schedule and the
-// domain extents it was designed for.
-func buildSchedule(name string, steps int, seed int64) ([]scenario.TimedCell, int, int, error) {
-	switch strings.ToLower(name) {
-	case "monsoon":
-		mc := scenario.DefaultMonsoonConfig()
-		mc.Steps = steps
-		mc.Seed = seed
-		return scenario.MonsoonSchedule(mc), mc.NX, mc.NY, nil
-	case "cyclone":
-		cc := scenario.DefaultCycloneConfig()
-		cc.Steps = steps
-		cc.Seed = seed
-		return scenario.CycloneSchedule(cc), cc.NX, cc.NY, nil
-	case "burst":
-		bc := scenario.DefaultBurstConfig()
-		bc.Steps = steps
-		bc.Seed = seed
-		return scenario.BurstSchedule(bc), bc.NX, bc.NY, nil
-	}
-	return nil, 0, 0, fmt.Errorf("unknown scenario %q (want monsoon, cyclone or burst)", name)
 }

@@ -18,11 +18,11 @@ func main() {
 	// The scripted Mumbai-2005-like monsoon over the Indian region.
 	mc := nestdiff.DefaultMonsoonConfig()
 	mc.Steps = 240 // 8 simulated hours at 2-minute steps
-	schedule := nestdiff.MonsoonSchedule(mc)
 
 	wcfg := nestdiff.DefaultWeatherConfig()
 	wcfg.NX, wcfg.NY = mc.NX, mc.NY
 	wcfg.SpawnRate = 0 // genesis comes from the script
+	wcfg.Genesis = nestdiff.MonsoonSchedule(mc)
 	model, err := nestdiff.NewWeatherModel(wcfg)
 	if err != nil {
 		log.Fatal(err)
@@ -47,17 +47,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	si := 0
-	for step := 0; step < mc.Steps; step++ {
-		for si < len(schedule) && schedule[si].AtStep == step {
-			if err := model.InjectCell(schedule[si].Cell); err != nil {
-				log.Fatal(err)
-			}
-			si++
-		}
-		if err := pipe.Run(1); err != nil {
-			log.Fatal(err)
-		}
+	if err := pipe.Run(mc.Steps); err != nil {
+		log.Fatal(err)
 	}
 
 	fmt.Printf("simulated %.0f hours; %d adaptation points\n",

@@ -19,9 +19,7 @@ import (
 // monsoonRun is a pipeline on the 256-rank torus driven by the monsoon
 // genesis schedule — the track-distributed benchmark workload in small.
 type monsoonRun struct {
-	p     *Pipeline
-	sched []scenario.TimedCell
-	si    int
+	p *Pipeline
 }
 
 func newMonsoonRun(t testing.TB, seed int64, distributed bool) *monsoonRun {
@@ -31,6 +29,7 @@ func newMonsoonRun(t testing.TB, seed int64, distributed bool) *monsoonRun {
 	wcfg := wrfsim.DefaultConfig()
 	wcfg.NX, wcfg.NY = mc.NX, mc.NY
 	wcfg.SpawnRate = 0
+	wcfg.Genesis = scenario.MonsoonSchedule(mc)
 	wcfg.MergeEnabled = true
 	wcfg.DecayTau = 2400
 	wcfg.OLRPerQ = 10
@@ -49,26 +48,13 @@ func newMonsoonRun(t testing.TB, seed int64, distributed bool) *monsoonRun {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &monsoonRun{p: p, sched: scenario.MonsoonSchedule(mc)}
-}
-
-// inject adds the cells scheduled for the upcoming parent step.
-func (r *monsoonRun) inject(t testing.TB) {
-	t.Helper()
-	for ; r.si < len(r.sched) && r.sched[r.si].AtStep == r.p.StepCount(); r.si++ {
-		if err := r.p.Model().InjectCell(r.sched[r.si].Cell); err != nil {
-			t.Fatal(err)
-		}
-	}
+	return &monsoonRun{p: p}
 }
 
 func (r *monsoonRun) run(t testing.TB, steps int) {
 	t.Helper()
-	for i := 0; i < steps; i++ {
-		r.inject(t)
-		if err := r.p.Step(); err != nil {
-			t.Fatal(err)
-		}
+	if err := r.p.Run(steps); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -78,7 +64,6 @@ func (r *monsoonRun) run(t testing.TB, steps int) {
 func (r *monsoonRun) stepPerNest(t testing.TB) {
 	t.Helper()
 	p := r.p
-	r.inject(t)
 	p.model.Step()
 	ids := p.sortedNestIDs(len(p.dnests), func(f func(int)) {
 		for id := range p.dnests {
@@ -211,7 +196,6 @@ func TestFusedDispatchKeepsFaultDrills(t *testing.T) {
 		}
 		r.p.SetFaultPlan(faults.NewPlan(1).CrashRank(33, idle))
 		r.run(t, 1) // step 32: scheduled for later, must not fire
-		r.inject(t)
 		err := r.p.Step()
 		if err == nil || !strings.Contains(err.Error(), "injected crash of rank") {
 			t.Fatalf("step 33 returned %v, want the injected crash of idle rank %d", err, idle)
@@ -229,7 +213,6 @@ func TestFusedDispatchKeepsFaultDrills(t *testing.T) {
 		}
 		plan := faults.NewPlan(1).DropMessage(from, to, faults.Wildcard, 1).WithRecvTimeout(100 * time.Millisecond)
 		r.p.SetFaultPlan(plan)
-		r.inject(t)
 		done := make(chan error, 1)
 		go func() { done <- r.p.Step() }()
 		select {

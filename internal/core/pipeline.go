@@ -626,8 +626,12 @@ func (p *Pipeline) matchROIs(rects []geom.Rect) scenario.Set {
 // is one which was output by PDA in the previous invocation as well as in
 // the current invocation", §IV); the rest are new nests numbered from
 // *nextID. Each existing nest matches at most one rectangle (largest
-// overlap wins, deterministically).
+// overlap wins, deterministically). No rectangles give a nil set, the
+// value a checkpoint's gob round trip restores an empty set as.
 func MatchROIs(prev scenario.Set, rects []geom.Rect, nextID *int) scenario.Set {
+	if len(rects) == 0 {
+		return nil
+	}
 	used := make(map[int]bool, len(prev))
 	out := make(scenario.Set, 0, len(rects))
 	type match struct {

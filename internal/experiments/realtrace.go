@@ -27,10 +27,10 @@ type RealTraceResult struct {
 // scenario seed, not on any allocation strategy, so it can be replayed
 // fairly through every tracker.
 func RealTraceSets(mc scenario.MonsoonConfig, pg geom.Grid, maxNests int) ([]scenario.Set, error) {
-	sched := scenario.MonsoonSchedule(mc)
 	wcfg := wrfsim.DefaultConfig()
 	wcfg.NX, wcfg.NY = mc.NX, mc.NY
 	wcfg.SpawnRate = 0
+	wcfg.Genesis = scenario.MonsoonSchedule(mc)
 	wcfg.MergeEnabled = true // drifting systems may cluster (§I)
 	m, err := wrfsim.NewModel(wcfg)
 	if err != nil {
@@ -40,14 +40,7 @@ func RealTraceSets(mc scenario.MonsoonConfig, pg geom.Grid, maxNests int) ([]sce
 	var sets []scenario.Set
 	var cur scenario.Set
 	nextID := 1
-	si := 0
 	for step := 0; step < mc.Steps; step++ {
-		for si < len(sched) && sched[si].AtStep == step {
-			if err := m.InjectCell(sched[si].Cell); err != nil {
-				return nil, err
-			}
-			si++
-		}
 		m.Step()
 		splits, err := m.Splits(pg)
 		if err != nil {

@@ -13,6 +13,7 @@ import (
 
 	"nestdiff/internal/core"
 	"nestdiff/internal/faults"
+	"nestdiff/internal/scenario"
 	"nestdiff/internal/service"
 )
 
@@ -120,10 +121,29 @@ func waitSched(t *testing.T, s *service.Scheduler, id, what string, cond func(se
 // shared store, and the resumed run finishes bit-identically to a run
 // that was never interrupted — same nest set, same adaptation-event
 // trace, same cumulative cost model.
+//
+// The monsoon case runs the default, scripted scenario with a cut every 5
+// steps: the base is cut at step 5, where the schedule's first storm is
+// due, so the survivor's replay from that base must inject it.
 func TestFleetChaosWorkerDeathAdoptionBitIdentical(t *testing.T) {
 	const steps = 60
-	cfg := chaosFleetJob(steps)
+	t.Run("cells", func(t *testing.T) { workerDeathAdoptionDrill(t, chaosFleetJob(steps)) })
+	t.Run("monsoon", func(t *testing.T) {
+		cfg := chaosFleetJob(steps)
+		cfg.Scenario, cfg.Seed = "monsoon", 2607
+		cfg.NX, cfg.NY, cfg.Cells = 0, 0, nil
+		cfg.AutoCheckpointSteps = 5
+		mc := scenario.DefaultMonsoonConfig()
+		mc.Steps, mc.Seed = steps, cfg.Seed
+		if sched := scenario.MonsoonSchedule(mc); len(sched) == 0 || sched[0].AtStep != 5 {
+			t.Fatalf("monsoon schedule opens %+v; the drill needs a storm at the base step 5", sched[:min(1, len(sched))])
+		}
+		workerDeathAdoptionDrill(t, cfg)
+	})
+}
 
+func workerDeathAdoptionDrill(t *testing.T, cfg service.JobConfig) {
+	steps := cfg.Steps
 	// Ground truth: the same job on an undisturbed single scheduler.
 	ref := service.NewScheduler(service.SchedulerConfig{Workers: 1})
 	defer ref.Shutdown(context.Background())

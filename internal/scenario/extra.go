@@ -1,8 +1,10 @@
 package scenario
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 
 	"nestdiff/internal/wrfsim"
 )
@@ -130,4 +132,25 @@ func BurstSchedule(cfg BurstConfig) []TimedCell {
 	}
 	sortSchedule(out)
 	return out
+}
+
+// Scripted resolves a scripted scenario by name — monsoon, cyclone or
+// burst, at its default configuration with the given length and seed — to
+// its genesis schedule and the domain extents it was designed for.
+func Scripted(name string, steps int, seed int64) ([]TimedCell, int, int, error) {
+	switch strings.ToLower(name) {
+	case "monsoon":
+		mc := DefaultMonsoonConfig()
+		mc.Steps, mc.Seed = steps, seed
+		return MonsoonSchedule(mc), mc.NX, mc.NY, nil
+	case "cyclone":
+		cc := DefaultCycloneConfig()
+		cc.Steps, cc.Seed = steps, seed
+		return CycloneSchedule(cc), cc.NX, cc.NY, nil
+	case "burst":
+		bc := DefaultBurstConfig()
+		bc.Steps, bc.Seed = steps, seed
+		return BurstSchedule(bc), bc.NX, bc.NY, nil
+	}
+	return nil, 0, 0, fmt.Errorf("scenario: unknown scripted scenario %q (want monsoon, cyclone or burst)", name)
 }

@@ -6,11 +6,9 @@ import (
 	"nestdiff/internal/wrfsim"
 )
 
-// TimedCell schedules a convective-cell genesis at a simulation step.
-type TimedCell struct {
-	AtStep int
-	Cell   wrfsim.Cell
-}
+// TimedCell schedules a convective-cell genesis at a simulation step; a
+// schedule drives the model as its wrfsim.Config.Genesis.
+type TimedCell = wrfsim.TimedCell
 
 // MonsoonConfig parameterizes the Mumbai-2005-like scripted scenario.
 type MonsoonConfig struct {
@@ -41,8 +39,8 @@ func DefaultMonsoonConfig() MonsoonConfig {
 // MonsoonSchedule builds a deterministic genesis schedule that keeps about
 // cfg.Systems organized cloud systems alive at any time, clustered in
 // recurring genesis regions (west coast, Bay of Bengal, central belt) the
-// way monsoon convection organizes. Inject each TimedCell into the model
-// when the simulation reaches its step.
+// way monsoon convection organizes. The schedule is ascending in AtStep,
+// ready to be the model's wrfsim.Config.Genesis.
 func MonsoonSchedule(cfg MonsoonConfig) []TimedCell {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	// Genesis basins as fractions of the domain: (x, y, spread).

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"reflect"
 	"testing"
 
 	"nestdiff/internal/geom"
@@ -214,24 +215,18 @@ func TestMonsoonScheduleDrivesModel(t *testing.T) {
 	// The schedule must actually produce detectable storms in the model.
 	mc := DefaultMonsoonConfig()
 	mc.Steps = 200
-	sched := MonsoonSchedule(mc)
 	wcfg := wrfsim.DefaultConfig()
 	wcfg.NX, wcfg.NY = mc.NX, mc.NY
 	wcfg.SpawnRate = 0
+	wcfg.Genesis = MonsoonSchedule(mc)
 	m, err := wrfsim.NewModel(wcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	si := 0
-	lowOLRSeen := false
+	cellsSeen, lowOLRSeen := false, false
 	for step := 0; step < mc.Steps; step++ {
-		for si < len(sched) && sched[si].AtStep == step {
-			if err := m.InjectCell(sched[si].Cell); err != nil {
-				t.Fatal(err)
-			}
-			si++
-		}
 		m.Step()
+		cellsSeen = cellsSeen || len(m.Cells()) > 0
 		if step%25 == 24 {
 			for _, v := range m.OLR().Data {
 				if v <= 200 {
@@ -241,7 +236,7 @@ func TestMonsoonScheduleDrivesModel(t *testing.T) {
 			}
 		}
 	}
-	if si == 0 {
+	if !cellsSeen {
 		t.Fatal("no cells injected")
 	}
 	if !lowOLRSeen {
@@ -284,27 +279,20 @@ func TestCycloneDrivesTrackingChurn(t *testing.T) {
 	// over the run and count distinct nest identities.
 	cfg := DefaultCycloneConfig()
 	cfg.Steps = 300
-	sched := CycloneSchedule(cfg)
 	wcfg := wrfsim.DefaultConfig()
 	wcfg.NX, wcfg.NY = cfg.NX, cfg.NY
 	wcfg.SpawnRate = 0
 	wcfg.DecayTau = 2400
+	wcfg.Genesis = CycloneSchedule(cfg)
 	m, err := wrfsim.NewModel(wcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	si := 0
 	// Track the active core: the location of the QCLOUD maximum follows
 	// the cyclone (the total-cloud centroid would not — older cloud
 	// advects east with the ambient monsoon flow).
 	var cores []float64
 	for step := 0; step < cfg.Steps; step++ {
-		for si < len(sched) && sched[si].AtStep == step {
-			if err := m.InjectCell(sched[si].Cell); err != nil {
-				t.Fatal(err)
-			}
-			si++
-		}
 		m.Step()
 		if step%50 == 49 {
 			q := m.QCloud()
@@ -345,5 +333,22 @@ func TestBurstScheduleShape(t *testing.T) {
 				t.Fatalf("burst %d cell at step %d outside window [%d, %d]", b, at, start, start+20)
 			}
 		}
+	}
+}
+
+func TestScriptedResolvesByName(t *testing.T) {
+	mc := DefaultMonsoonConfig()
+	mc.Steps, mc.Seed = 120, 9
+	sched, nx, ny, err := Scripted("Monsoon", mc.Steps, mc.Seed)
+	if err != nil || nx != mc.NX || ny != mc.NY || !reflect.DeepEqual(sched, MonsoonSchedule(mc)) {
+		t.Fatalf("Scripted(monsoon) = %d entries on %dx%d, %v; want MonsoonSchedule on %dx%d", len(sched), nx, ny, err, mc.NX, mc.NY)
+	}
+	for _, name := range []string{"cyclone", "burst"} {
+		if sched, _, _, err := Scripted(name, 300, 1); err != nil || len(sched) == 0 {
+			t.Fatalf("Scripted(%s) = %d entries, %v", name, len(sched), err)
+		}
+	}
+	if _, _, _, err := Scripted("cells", 10, 1); err == nil {
+		t.Fatal("Scripted accepted a scenario with no script")
 	}
 }

@@ -116,6 +116,63 @@ func TestChaosCrashRetryMatchesFaultFreeRun(t *testing.T) {
 	}
 }
 
+// monsoonChaosJob is chaosJob on the default, scripted scenario: storms are
+// born on the monsoon schedule throughout the run (at steps 5, 29, 32, 40,
+// … for the default seed), and cuts every 5 steps make most retries restore
+// through a delta replay that crosses one of them.
+func monsoonChaosJob(steps int) JobConfig {
+	cfg := chaosJob(steps)
+	cfg.Scenario = "monsoon"
+	cfg.NX, cfg.NY, cfg.Cells = 0, 0, nil
+	cfg.AutoCheckpointSteps = 5
+	return cfg
+}
+
+// TestChaosMonsoonCrashRetrySweep is the crash-retry claim on the default
+// scenario, swept over crash steps: wherever the crash lands, the retry
+// restores a base plus delta replay that must see the scheduled storms,
+// and the job finishes after exactly one retry, identical to a run that
+// never crashed.
+func TestChaosMonsoonCrashRetrySweep(t *testing.T) {
+	const steps = 240
+	refSnap, refEvents := runFaultFree(t, monsoonChaosJob(steps))
+
+	crashes := []int{23, 37, 52, 68, 97, 113, 148, 199}
+	s := NewScheduler(SchedulerConfig{Workers: 2})
+	defer s.Shutdown(context.Background())
+	ids := make([]string, len(crashes))
+	for i, at := range crashes {
+		cfg := monsoonChaosJob(steps)
+		cfg.Faults = faults.NewPlan(int64(at)).CrashRank(at, faults.Wildcard)
+		snap, err := s.Submit(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = snap.ID
+	}
+	for i, id := range ids {
+		what := fmt.Sprintf("crash at step %d", crashes[i])
+		final := waitFor(t, s, id, "terminal", func(sn Snapshot) bool { return sn.State.Terminal() })
+		if final.State != StateDone || final.Retries != 1 {
+			t.Fatalf("%s: finished %s after %d retries (error %q), want done after 1", what, final.State, final.Retries, final.Error)
+		}
+		if !reflect.DeepEqual(final.ActiveNests, refSnap.ActiveNests) {
+			t.Fatalf("%s: final nest sets diverged:\nchaos      %+v\nfault-free %+v", what, final.ActiveNests, refSnap.ActiveNests)
+		}
+		events, err := s.JobEvents(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(events, refEvents) {
+			t.Fatalf("%s: event traces diverged: %d events, fault-free %d", what, len(events), len(refEvents))
+		}
+		if final.ExecTime != refSnap.ExecTime || final.RedistTime != refSnap.RedistTime {
+			t.Fatalf("%s: cumulative costs diverged: exec %g vs %g, redist %g vs %g",
+				what, final.ExecTime, refSnap.ExecTime, final.RedistTime, refSnap.RedistTime)
+		}
+	}
+}
+
 // TestChaosCrashBeforeFirstCheckpointRestartsFromScratch: with no good
 // checkpoint yet, the retry re-runs the job from the start — and still
 // converges to the fault-free trace.

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"hash/crc32"
 	"io"
 	"net/http"
@@ -13,6 +14,7 @@ import (
 	"testing"
 
 	"nestdiff/internal/core"
+	"nestdiff/internal/wrfsim"
 )
 
 // TestV1EnvelopesRejectedAsUnsupported: the first-generation envelopes —
@@ -108,3 +110,56 @@ func TestV1EnvelopesRejectedAsUnsupported(t *testing.T) {
 type importError struct{ body string }
 
 func (e *importError) Error() string { return e.body }
+
+// TestRestoreRunRefusesCheckpointWithoutSchedule: a checkpoint carries its
+// model's genesis schedule, and restoreRun refuses one whose schedule is
+// not the job's. A monsoon base cut by a model with no schedule (written
+// before the model carried it, or for another job) would otherwise resume
+// with no future storms. A cells job, whose schedule is empty on both
+// sides, restores as before.
+func TestRestoreRunRefusesCheckpointWithoutSchedule(t *testing.T) {
+	save := func(p *core.Pipeline) []byte {
+		var buf bytes.Buffer
+		if err := p.SaveState(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+
+	monsoon := monsoonChaosJob(40)
+	r, err := newRun(monsoon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mcfg := r.pipe.Model().Config()
+	want := len(mcfg.Genesis)
+	mcfg.Genesis = nil
+	bare, err := wrfsim.NewModel(mcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := core.NewPipeline(bare, r.pipe.Tracker(), r.pipe.Config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = restoreRun(monsoon, save(p))
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("0-entry genesis schedule, scenario %q generates %d", "monsoon", want)) {
+		t.Fatalf("restore of a schedule-less monsoon base: %v, want a refusal naming 0 and %d entries", err, want)
+	}
+
+	cells := smallJob(40)
+	r, err = newRun(cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.pipe.Run(10); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := restoreRun(cells, save(r.pipe))
+	if err != nil {
+		t.Fatalf("cells job restore: %v", err)
+	}
+	if restored.pipe.StepCount() != 10 {
+		t.Fatalf("cells job restored at step %d, want 10", restored.pipe.StepCount())
+	}
+}

@@ -19,6 +19,7 @@ package service
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 
 	"nestdiff/internal/core"
@@ -237,34 +238,17 @@ func buildMachine(cfg JobConfig) (*machine, error) {
 	return &machine{grid: m.Grid, net: m.Net, model: m.Model, oracle: m.Oracle}, nil
 }
 
-// buildSchedule resolves the scenario to a genesis schedule plus the
-// domain extents it was designed for ("cells" has an empty schedule; its
-// storms are injected at model build).
+// buildSchedule resolves the scenario to the model's genesis schedule plus
+// the domain extents it was designed for ("cells" has an empty schedule;
+// its storms are injected at model build).
 func buildSchedule(cfg JobConfig) ([]scenario.TimedCell, int, int, error) {
-	switch strings.ToLower(cfg.Scenario) {
-	case "monsoon":
-		mc := scenario.DefaultMonsoonConfig()
-		mc.Steps = cfg.Steps
-		mc.Seed = cfg.Seed
-		return scenario.MonsoonSchedule(mc), mc.NX, mc.NY, nil
-	case "cyclone":
-		cc := scenario.DefaultCycloneConfig()
-		cc.Steps = cfg.Steps
-		cc.Seed = cfg.Seed
-		return scenario.CycloneSchedule(cc), cc.NX, cc.NY, nil
-	case "burst":
-		bc := scenario.DefaultBurstConfig()
-		bc.Steps = cfg.Steps
-		bc.Seed = cfg.Seed
-		return scenario.BurstSchedule(bc), bc.NX, bc.NY, nil
-	case "cells":
-		nx, ny := cfg.NX, cfg.NY
-		if nx == 0 || ny == 0 {
-			nx, ny = 96, 72
-		}
-		return nil, nx, ny, nil
+	if strings.ToLower(cfg.Scenario) != "cells" {
+		return scenario.Scripted(cfg.Scenario, cfg.Steps, cfg.Seed)
 	}
-	return nil, 0, 0, fmt.Errorf("service: unknown scenario %q", cfg.Scenario)
+	if cfg.NX == 0 || cfg.NY == 0 {
+		return nil, 96, 72, nil
+	}
+	return nil, cfg.NX, cfg.NY, nil
 }
 
 // wrfGridFor picks the split-file decomposition: the explicit override, or
@@ -279,16 +263,14 @@ func wrfGridFor(cfg JobConfig, nx, ny int) geom.Grid {
 	return geom.NewGrid(8, 6)
 }
 
-// run is a job's executable state: the pipeline plus the scenario
-// schedule cursor and the delta-checkpoint writer tracking the pipeline's
-// dirty state across checkpoints. It is owned by exactly one worker
-// goroutine at a time; the writer's shadow state dies with the attempt, so
-// every restored run opens its chain with a full base checkpoint.
+// run is a job's executable state: the pipeline plus the delta-checkpoint
+// writer tracking the pipeline's dirty state across checkpoints. It is
+// owned by exactly one worker goroutine at a time; the writer's shadow state
+// dies with the attempt, so every restored run opens its chain with a full
+// base checkpoint.
 type run struct {
-	pipe  *core.Pipeline
-	sched []scenario.TimedCell
-	si    int
-	ckw   *core.CheckpointWriter
+	pipe *core.Pipeline
+	ckw  *core.CheckpointWriter
 }
 
 // newCkptWriter builds the run's checkpoint writer from the job config.
@@ -318,6 +300,7 @@ func newRun(cfg JobConfig) (*run, error) {
 	wcfg := wrfsim.DefaultConfig()
 	wcfg.NX, wcfg.NY = nx, ny
 	wcfg.SpawnRate = 0
+	wcfg.Genesis = sched
 	wcfg.Seed = cfg.Seed
 	if strings.ToLower(cfg.Scenario) != "cells" {
 		// Compact-storm parameterization (as in cmd/nestsim): sharper OLR
@@ -349,14 +332,16 @@ func newRun(cfg JobConfig) (*run, error) {
 	if cfg.Faults != nil {
 		pipe.SetFaultPlan(cfg.Faults)
 	}
-	return &run{pipe: pipe, sched: sched, ckw: newCkptWriter(cfg)}, nil
+	return &run{pipe: pipe, ckw: newCkptWriter(cfg)}, nil
 }
 
 // restoreRun rebuilds a run from a pause checkpoint: the machine and
 // performance models are reconstructed from the config (they are
 // configuration, not state) and the pipeline is restored from the NDCP
-// checkpoint chain. The schedule cursor is recomputed from the restored step
-// count, so genesis continues exactly where it left off.
+// checkpoint chain, genesis schedule included. A checkpoint whose schedule
+// is not the one the config generates is refused: it was written for
+// another job, or before the model carried its schedule, and would resume
+// without the storms still to come.
 func restoreRun(cfg JobConfig, checkpoint []byte) (*run, error) {
 	cfg = cfg.withDefaults()
 	m, err := buildMachine(cfg)
@@ -375,25 +360,12 @@ func restoreRun(cfg JobConfig, checkpoint []byte) (*run, error) {
 	if err != nil {
 		return nil, err
 	}
-	si := 0
-	for si < len(sched) && sched[si].AtStep < pipe.StepCount() {
-		si++
+	if got := pipe.Model().Config().Genesis; !slices.Equal(got, sched) {
+		return nil, fmt.Errorf("service: checkpoint carries a %d-entry genesis schedule, scenario %q generates %d",
+			len(got), cfg.Scenario, len(sched))
 	}
 	if cfg.Faults != nil {
 		pipe.SetFaultPlan(cfg.Faults)
 	}
-	return &run{pipe: pipe, sched: sched, si: si, ckw: newCkptWriter(cfg)}, nil
-}
-
-// step injects the storms scheduled for the upcoming parent step, then
-// advances the pipeline by one step.
-func (r *run) step() error {
-	at := r.pipe.StepCount()
-	for r.si < len(r.sched) && r.sched[r.si].AtStep == at {
-		if err := r.pipe.Model().InjectCell(r.sched[r.si].Cell); err != nil {
-			return err
-		}
-		r.si++
-	}
-	return r.pipe.Step()
+	return &run{pipe: pipe, ckw: newCkptWriter(cfg)}, nil
 }

@@ -63,8 +63,27 @@ func TestChaosRetryFromDeltaChainMatchesFaultFree(t *testing.T) {
 // the longest valid prefix, and the resumed run must finish bit-identical
 // to a fault-free run.
 func TestTornFinalDeltaDrill(t *testing.T) {
-	const steps = 80
-	cfg := chaosJob(steps)
+	tornFinalDeltaDrill(t, chaosJob(80))
+}
+
+// TestTornFinalDeltaDrillMonsoon is the torn-tail drill on the default,
+// scripted scenario. The base is cut at step 5 and a storm is scheduled
+// at step 5, so the resumed run's replay to the first intact delta (step
+// 10 or later) must inject it.
+func TestTornFinalDeltaDrillMonsoon(t *testing.T) {
+	cfg := monsoonChaosJob(80)
+	sched, _, _, err := buildSchedule(cfg.withDefaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sched) == 0 || sched[0].AtStep != 5 {
+		t.Fatalf("monsoon schedule opens %+v; the drill needs a storm at the base step 5", sched[:min(1, len(sched))])
+	}
+	tornFinalDeltaDrill(t, cfg)
+}
+
+func tornFinalDeltaDrill(t *testing.T, cfg JobConfig) {
+	steps := cfg.Steps
 	cfg.StepDelayMS = 1 // slow enough to die mid-run
 	cfg.AutoCheckpointSteps = 5
 	cfg.CkptDeltaMax = 100 // only the first cut is full: the file tail is always a delta

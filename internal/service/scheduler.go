@@ -951,7 +951,7 @@ func (s *Scheduler) runJob(j *Job) {
 			return
 		}
 		stepStart := time.Now()
-		if err := r.step(); err != nil {
+		if err := r.pipe.Step(); err != nil {
 			s.retryOrFail(j, err)
 			return
 		}

@@ -182,10 +182,8 @@ func TestSchedulerPauseResumeMatchesUninterruptedRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for r.pipe.StepCount() < direct.Steps {
-		if err := r.step(); err != nil {
-			t.Fatal(err)
-		}
+	if err := r.pipe.Run(direct.Steps); err != nil {
+		t.Fatal(err)
 	}
 	want := r.pipe.ActiveSet()
 	if len(final.ActiveNests) != len(want) {

@@ -64,10 +64,10 @@ func TestServeGoldenSnapshotEquivalence(t *testing.T) {
 		}()
 	}
 	for step := 0; step < cfg.Steps; step++ {
-		if err := plain.step(); err != nil {
+		if err := plain.pipe.Step(); err != nil {
 			t.Fatal(err)
 		}
-		if err := served.step(); err != nil {
+		if err := served.pipe.Step(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -515,7 +515,7 @@ func BenchmarkStepLatencyUnderReadLoad(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := r.step(); err != nil {
+				if err := r.pipe.Step(); err != nil {
 					b.Fatal(err)
 				}
 			}

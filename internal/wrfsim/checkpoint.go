@@ -55,7 +55,8 @@ func (m *Model) RNGState() uint64 { return m.rng.State }
 
 // RestoreModel rebuilds a model from previously checkpointed state (the
 // non-gob counterpart of Load, used by the binary checkpoint codec). It
-// takes ownership of qcloud and cells.
+// takes ownership of qcloud and cells. cfg is checked like NewModel's, and
+// the Genesis schedule resumes at its first entry due at or after step.
 func RestoreModel(cfg Config, qcloud []float64, cells []Cell, rngState uint64, simTime float64, step int) (*Model, error) {
 	// Bound the allocation implied by the decoded configuration before
 	// trusting it (same guard as the split-file parser).
@@ -75,6 +76,9 @@ func RestoreModel(cfg Config, qcloud []float64, cells []Cell, rngState uint64, s
 	m.rng.State = rngState
 	m.time = simTime
 	m.step = step
+	for m.genesis < len(cfg.Genesis) && cfg.Genesis[m.genesis].AtStep < step {
+		m.genesis++
+	}
 	m.updateOLR()
 	return m, nil
 }

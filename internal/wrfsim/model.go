@@ -46,8 +46,12 @@ type Config struct {
 
 	// SpawnRate is the expected number of spontaneous convective-cell
 	// geneses per simulated hour (0 disables spontaneous genesis; scripted
-	// scenarios inject cells explicitly).
+	// scenarios set Genesis instead).
 	SpawnRate float64
+	// Genesis is a scripted storm schedule, ascending in AtStep: each cell
+	// is injected at the top of the step that starts at its AtStep. Being
+	// configuration, it travels in every checkpoint of the model.
+	Genesis []TimedCell
 	// DiurnalAmplitude in [0, 1] modulates spontaneous genesis with the
 	// diurnal cycle of tropical convection (peak in the afternoon, minimum
 	// before dawn): the expectation is scaled by
@@ -97,6 +101,64 @@ type Cell struct {
 	Life   float64 // total lifetime in seconds
 }
 
+// TimedCell schedules a convective-cell genesis at a simulation step.
+type TimedCell struct {
+	AtStep int
+	Cell   Cell
+}
+
+// validCell rejects a cell with no extent, strength or lifetime.
+func validCell(c Cell) error {
+	if c.Radius <= 0 || c.Peak <= 0 || c.Life <= 0 {
+		return fmt.Errorf("wrfsim: non-physical cell %+v", c)
+	}
+	return nil
+}
+
+// validate rejects configurations no model can run.
+func (cfg *Config) validate() error {
+	if cfg.NX <= 0 || cfg.NY <= 0 {
+		return fmt.Errorf("wrfsim: invalid domain %dx%d", cfg.NX, cfg.NY)
+	}
+	if cfg.Dt <= 0 {
+		return fmt.Errorf("wrfsim: invalid time step %g", cfg.Dt)
+	}
+	if cfg.DecayTau <= 0 {
+		return fmt.Errorf("wrfsim: invalid decay time %g", cfg.DecayTau)
+	}
+	for i, g := range cfg.Genesis {
+		if g.AtStep < 0 || (i > 0 && g.AtStep < cfg.Genesis[i-1].AtStep) {
+			return fmt.Errorf("wrfsim: genesis entry %d at step %d breaks the schedule's ascending order", i, g.AtStep)
+		}
+		if err := validCell(g.Cell); err != nil {
+			return fmt.Errorf("wrfsim: genesis entry %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
+// advanceCells steps the storm population one Dt from step, identically
+// for both models: the scripted geneses due at step join (cfg.Genesis from
+// *next on), then every cell ages and drifts, and cells past their life or
+// well outside the domain die.
+func (cfg *Config) advanceCells(cells []Cell, next *int, step int) []Cell {
+	for ; *next < len(cfg.Genesis) && cfg.Genesis[*next].AtStep == step; *next++ {
+		cells = append(cells, cfg.Genesis[*next].Cell)
+	}
+	dt := cfg.Dt
+	alive := cells[:0]
+	for _, c := range cells {
+		c.Age += dt
+		c.X += c.VX * dt
+		c.Y += c.VY * dt
+		if c.Age < c.Life && c.X > -3*c.Radius && c.X < float64(cfg.NX)+3*c.Radius &&
+			c.Y > -3*c.Radius && c.Y < float64(cfg.NY)+3*c.Radius {
+			alive = append(alive, c)
+		}
+	}
+	return alive
+}
+
 // Intensity returns the cell's current source strength: a half-sine
 // envelope over its lifetime (genesis → peak → decay).
 func (c Cell) Intensity() float64 {
@@ -125,19 +187,16 @@ type Model struct {
 	rng    *rng.SplitMix64
 	time   float64
 	step   int
+	// genesis indexes the next cfg.Genesis entry, derived from step and
+	// never checkpointed.
+	genesis int
 }
 
 // NewModel builds a model from cfg. It returns an error on non-physical
-// configurations.
+// configurations, including an unsorted or non-physical Genesis schedule.
 func NewModel(cfg Config) (*Model, error) {
-	if cfg.NX <= 0 || cfg.NY <= 0 {
-		return nil, fmt.Errorf("wrfsim: invalid domain %dx%d", cfg.NX, cfg.NY)
-	}
-	if cfg.Dt <= 0 {
-		return nil, fmt.Errorf("wrfsim: invalid time step %g", cfg.Dt)
-	}
-	if cfg.DecayTau <= 0 {
-		return nil, fmt.Errorf("wrfsim: invalid decay time %g", cfg.DecayTau)
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
 	m := &Model{
 		cfg:     cfg,
@@ -182,34 +241,23 @@ func (m *Model) Cells() []Cell { return append([]Cell(nil), m.cells...) }
 // a scratch slice across steps.
 func (m *Model) AppendCells(buf []Cell) []Cell { return append(buf, m.cells...) }
 
-// InjectCell adds a convective cell (scripted scenarios use this for
-// reproducible genesis; the Mumbai-2005-like scenario is built this way).
+// InjectCell adds a convective cell now. A schedule known up front belongs
+// in Config.Genesis instead, where checkpoints carry it.
 func (m *Model) InjectCell(c Cell) error {
-	if c.Radius <= 0 || c.Peak <= 0 || c.Life <= 0 {
-		return fmt.Errorf("wrfsim: non-physical cell %+v", c)
+	if err := validCell(c); err != nil {
+		return err
 	}
 	m.cells = append(m.cells, c)
 	return nil
 }
 
-// Step advances the simulation by one Dt: cell life cycles and drift,
-// spontaneous genesis, source deposition, semi-Lagrangian advection and
-// exponential decay. The OLR diagnostic is left stale for OLR() to refresh.
+// Step advances the simulation by one Dt: scripted genesis, cell life
+// cycles and drift, spontaneous genesis, source deposition, semi-Lagrangian
+// advection and exponential decay. The OLR diagnostic is left stale for
+// OLR() to refresh.
 func (m *Model) Step() {
 	dt := m.cfg.Dt
-
-	// Cell life cycle and drift.
-	alive := m.cells[:0]
-	for _, c := range m.cells {
-		c.Age += dt
-		c.X += c.VX * dt
-		c.Y += c.VY * dt
-		if c.Age < c.Life && c.X > -3*c.Radius && c.X < float64(m.cfg.NX)+3*c.Radius &&
-			c.Y > -3*c.Radius && c.Y < float64(m.cfg.NY)+3*c.Radius {
-			alive = append(alive, c)
-		}
-	}
-	m.cells = alive
+	m.cells = m.cfg.advanceCells(m.cells, &m.genesis, m.step)
 
 	if m.cfg.MergeEnabled {
 		m.mergeCells()

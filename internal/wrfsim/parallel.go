@@ -32,7 +32,8 @@ type ParallelModel struct {
 	// local[r] between collectives.
 	local []*rankState
 
-	cells []Cell // global, stepped identically on the driver
+	cells   []Cell // global, stepped identically on the calling goroutine
+	genesis int    // as on Model
 	// cellScratch is the per-step snapshot handed to rank goroutines,
 	// reused across steps (Run is synchronous, so the buffer is idle again
 	// by the time Step returns).
@@ -59,8 +60,8 @@ type rankState struct {
 // world of pg.Size() ranks using the given (possibly nil) network for the
 // virtual clock.
 func NewParallelModel(cfg Config, pg geom.Grid, world *mpi.World) (*ParallelModel, error) {
-	if cfg.NX <= 0 || cfg.NY <= 0 || cfg.Dt <= 0 || cfg.DecayTau <= 0 {
-		return nil, fmt.Errorf("wrfsim: invalid configuration")
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
 	if cfg.SpawnRate != 0 {
 		return nil, fmt.Errorf("wrfsim: parallel model requires a scripted cell schedule (SpawnRate must be 0)")
@@ -103,8 +104,8 @@ func NewParallelModel(cfg Config, pg geom.Grid, world *mpi.World) (*ParallelMode
 
 // InjectCell adds a convective cell; cells are global state.
 func (pm *ParallelModel) InjectCell(c Cell) error {
-	if c.Radius <= 0 || c.Peak <= 0 || c.Life <= 0 {
-		return fmt.Errorf("wrfsim: non-physical cell %+v", c)
+	if err := validCell(c); err != nil {
+		return err
 	}
 	pm.cells = append(pm.cells, c)
 	return nil
@@ -116,23 +117,14 @@ func (pm *ParallelModel) Time() float64 { return pm.time }
 // StepCount returns completed steps.
 func (pm *ParallelModel) StepCount() int { return pm.step }
 
-// Step advances every rank by one Dt: cell update (replicated), local
-// deposit, halo exchange, local semi-Lagrangian advection + decay, local
-// OLR diagnostic.
+// Step advances every rank by one Dt: scripted genesis and cell update
+// (replicated), local deposit, halo exchange, local semi-Lagrangian
+// advection + decay, local OLR diagnostic.
 func (pm *ParallelModel) Step() error {
-	// Cell life cycle (identical to the serial model, driver-side).
+	// Genesis and cell life cycle (identical to the serial model, on the
+	// calling goroutine).
 	dt := pm.cfg.Dt
-	alive := pm.cells[:0]
-	for _, c := range pm.cells {
-		c.Age += dt
-		c.X += c.VX * dt
-		c.Y += c.VY * dt
-		if c.Age < c.Life && c.X > -3*c.Radius && c.X < float64(pm.cfg.NX)+3*c.Radius &&
-			c.Y > -3*c.Radius && c.Y < float64(pm.cfg.NY)+3*c.Radius {
-			alive = append(alive, c)
-		}
-	}
-	pm.cells = alive
+	pm.cells = pm.cfg.advanceCells(pm.cells, &pm.genesis, pm.step)
 	pm.cellScratch = append(pm.cellScratch[:0], pm.cells...)
 	cells := pm.cellScratch
 
