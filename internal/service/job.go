@@ -10,39 +10,6 @@ import (
 	"nestdiff/internal/serve"
 )
 
-// JobState is one stage of the job lifecycle:
-//
-//	queued → running → done
-//	                 ↘ failed (retries exhausted, deadline, or no retry policy)
-//	running → retrying → queued (backoff elapsed; resumes from the last
-//	                             good checkpoint)
-//	queued/running/retrying → cancelled
-//	queued/running/retrying ⇄ paused (running pauses through a checkpoint)
-//	any non-terminal → fenced (the fleet moved the job elsewhere; this
-//	                           copy is dead and must not touch the store)
-type JobState string
-
-const (
-	StateQueued    JobState = "queued"
-	StateRunning   JobState = "running"
-	StatePaused    JobState = "paused"
-	StateRetrying  JobState = "retrying"
-	StateDone      JobState = "done"
-	StateFailed    JobState = "failed"
-	StateCancelled JobState = "cancelled"
-	// StateFenced marks a job copy superseded by a higher placement epoch:
-	// the controller adopted or migrated the job onto another worker while
-	// this worker was partitioned or draining. A fenced copy terminates at
-	// its next step boundary and — unlike a cancelled job — never deletes
-	// the shared checkpoint file, which now belongs to the new owner.
-	StateFenced JobState = "fenced"
-)
-
-// Terminal reports whether no further transitions are possible.
-func (s JobState) Terminal() bool {
-	return s == StateDone || s == StateFailed || s == StateCancelled || s == StateFenced
-}
-
 // Job is one scheduled simulation. Its snapshot fields are guarded by mu;
 // the executing pipeline itself is owned exclusively by the worker
 // goroutine currently running the job and is never reachable from other
@@ -51,26 +18,26 @@ type Job struct {
 	ID  string
 	Cfg JobConfig
 
-	mu         sync.Mutex
-	state      JobState
-	step       int
-	events     []core.AdaptationEvent
-	activeSet  scenario.Set
-	execTime   float64
-	redistTime float64
-	execRedist float64
-	err        error
-	checkpoint []byte // encoded checkpoint chain while paused or awaiting retry
-	lastGood   []byte // restorable chain as of the last cleanly cut checkpoint
-	retries    int    // retry attempts consumed so far
-	epoch      int64  // fleet placement epoch (0: not fleet-managed)
-	resizeReq  int    // requested processor count (0: none pending)
-	started    time.Time
-	pauseReq   bool
-	cancelReq  bool
-	fenceReq   bool
-	created    time.Time
-	updated    time.Time
+	mu           sync.Mutex
+	state        JobState
+	step         int
+	events       []core.AdaptationEvent
+	activeSet    scenario.Set
+	execTime     float64
+	redistTime   float64
+	execRedist   float64
+	err          error
+	checkpoint   []byte    // encoded checkpoint chain while paused or awaiting retry
+	lastGood     []byte    // restorable chain as of the last cleanly cut checkpoint
+	retries      int       // retry attempts consumed so far
+	epoch        int64     // fleet placement epoch (0: not fleet-managed)
+	resizeReq    int       // requested processor count (0: none pending)
+	stop         stopReq   // request standing against a running job
+	fenceEpoch   int64     // epoch of a pending fence; j.epoch once it settles
+	started      time.Time // first run attempt began
+	attemptStart time.Time // current run attempt began
+	created      time.Time
+	updated      time.Time
 
 	// tracer is the job's structured tracer (nil unless Cfg.Trace); ledger
 	// is its optional on-disk JSONL backing (nil without a scheduler
@@ -204,11 +171,11 @@ func (j *Job) observe(p *core.Pipeline) []core.AdaptationEvent {
 	return fresh
 }
 
-// rebase resets the job's progress view to exactly the restored
-// pipeline's state. After a retry restores an older checkpoint, the job
-// may have observed events past the checkpoint; rebasing discards that
-// rolled-back progress so observe's incremental append stays consistent
-// and the final trace matches a fault-free run.
+// rebase resets the job's progress view to exactly a freshly built or
+// restored pipeline's state. A retry restarts from an older checkpoint (or
+// from scratch), so the job may have observed events past it; rebasing
+// discards that rolled-back progress so observe's incremental append stays
+// consistent and the final trace matches a fault-free run.
 func (j *Job) rebase(p *core.Pipeline) {
 	events := p.Events()
 	j.mu.Lock()
@@ -250,50 +217,25 @@ func (j *Job) emitJobEvent(phase, detail string) {
 	j.emitJobEventLocked(phase, detail)
 }
 
-// closeLedgerIfTerminal syncs and closes the trace ledger once the job
-// can make no further transitions. Safe to call repeatedly (Close is
-// idempotent) and from any goroutine.
-func (j *Job) closeLedgerIfTerminal() {
-	j.mu.Lock()
-	led := j.ledger
-	terminal := j.state.Terminal()
-	j.mu.Unlock()
-	if terminal && led != nil {
-		led.Close()
-	}
-}
-
-// appendCheckpoint folds one encoded checkpoint blob into the job's
-// restorable chain and returns the chain. A full base starts a fresh
-// chain; a delta extends it in place. Extending is safe against
-// concurrent readers of older chain values: a reader's slice header keeps
-// its shorter length, and bytes below that length are never rewritten
-// (growth past capacity reallocates, leaving the old array intact).
-func (j *Job) appendCheckpoint(blob []byte, full bool) []byte {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.appendCheckpointLocked(blob, full)
-}
-
-// appendCheckpointLocked is appendCheckpoint for callers holding j.mu.
+// appendCheckpointLocked folds one encoded checkpoint blob into the job's
+// restorable chain, returns the chain, and wakes exporters waiting for a
+// fresh cut. A full base starts a fresh chain; a delta extends it in place.
+// Extending is safe against concurrent readers of older chain values: a
+// reader's slice header keeps its shorter length, and bytes below that
+// length are never rewritten (growth past capacity reallocates, leaving the
+// old array intact). Callers hold j.mu.
 func (j *Job) appendCheckpointLocked(blob []byte, full bool) []byte {
 	if full {
 		j.lastGood = append([]byte(nil), blob...)
 	} else {
 		j.lastGood = append(j.lastGood, blob...)
 	}
-	j.bumpCkptGenLocked()
-	return j.lastGood
-}
-
-// bumpCkptGenLocked advances the checkpoint generation and wakes
-// waiters. Callers hold j.mu.
-func (j *Job) bumpCkptGenLocked() {
 	j.ckptGen++
 	if j.ckptCh != nil {
 		close(j.ckptCh)
 		j.ckptCh = nil
 	}
+	return j.lastGood
 }
 
 // takeCkptWant consumes a pending fresh-checkpoint demand. The worker
@@ -357,31 +299,4 @@ func (j *Job) takeResize() int {
 	procs := j.resizeReq
 	j.resizeReq = 0
 	return procs
-}
-
-// interruption is the worker's between-steps decision.
-type interruption int
-
-const (
-	keepRunning interruption = iota
-	pauseRequested
-	cancelRequested
-	fenceRequested
-)
-
-// poll reports whether a fence, cancel or pause was requested since the
-// last step; fence wins over cancel wins over pause (a fenced copy must
-// terminate without the store cleanup a cancel performs).
-func (j *Job) poll() interruption {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	switch {
-	case j.fenceReq:
-		return fenceRequested
-	case j.cancelReq:
-		return cancelRequested
-	case j.pauseReq:
-		return pauseRequested
-	}
-	return keepRunning
 }

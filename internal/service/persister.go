@@ -143,7 +143,7 @@ func (p *persister) apply(op ckptOp) {
 			p.s.metrics.checkpointsFenced.Add(1)
 			op.j.mu.Lock()
 			if op.j.state == StateRunning {
-				op.j.fenceReq = true
+				p.s.fenceLocked(op.j, prevEpoch)
 			}
 			op.j.mu.Unlock()
 			return

@@ -458,7 +458,8 @@ func (s *Scheduler) ExportCheckpoint(id string) ([]byte, error) {
 // while this worker was partitioned or draining. Unlike Cancel, a fence
 // never touches the shared checkpoint store — the file now belongs to the
 // new owner. Fencing a terminal or unknown job is a no-op (the copy is
-// already gone); a running job fences at its next step boundary.
+// already gone); a running job fences at its next step boundary, and until
+// then keeps its own epoch and cuts no checkpoint.
 //
 // The epoch is the fence's validity token, not advice: the command kills
 // this copy only when epoch is strictly greater than the copy's own. A
@@ -473,28 +474,19 @@ func (s *Scheduler) Fence(id string, epoch int64) error {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state.Terminal() {
-		return nil
-	}
-	if epoch <= j.epoch {
-		return nil // stale fence: this copy is the epoch's rightful owner
-	}
-	j.epoch = epoch
-	switch j.state {
-	case StateQueued, StatePaused, StateRetrying:
-		j.state = StateFenced
-		j.checkpoint = nil
-		j.pauseReq, j.cancelReq, j.fenceReq = false, false, false
-		j.updated = time.Now()
-		j.emitJobEventLocked("fenced", fmt.Sprintf("epoch %d superseded", epoch))
-		if j.ledger != nil {
-			j.ledger.Close()
-		}
-		s.metrics.jobsFenced.Add(1)
-	case StateRunning:
-		j.fenceReq = true
+	if epoch > j.epoch {
+		s.fenceLocked(j, epoch)
 	}
 	return nil
+}
+
+// fenceLocked supersedes j's copy by a higher placement epoch. The epoch
+// waits beside the stop request and becomes j.epoch only when the copy
+// settles fenced, so nothing the copy still writes carries the adopter's
+// epoch. Callers hold j.mu.
+func (s *Scheduler) fenceLocked(j *Job, epoch int64) {
+	j.fenceEpoch = max(j.fenceEpoch, epoch)
+	s.settleLocked(j, evFence, nil)
 }
 
 // JobEpochReport is one entry of the heartbeat's job-epoch report.
@@ -594,61 +586,16 @@ func (s *Scheduler) List() []Snapshot {
 	return out
 }
 
-// Cancel terminates a job. Queued and paused jobs cancel immediately;
-// running jobs cancel at the next step boundary.
-func (s *Scheduler) Cancel(id string) error {
-	j, err := s.lookup(id)
-	if err != nil {
-		return err
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	switch j.state {
-	case StateQueued, StatePaused, StateRetrying:
-		j.state = StateCancelled
-		j.checkpoint = nil
-		j.updated = time.Now()
-		j.emitJobEventLocked("cancelled", "")
-		if j.ledger != nil {
-			j.ledger.Close()
-		}
-		s.metrics.jobsCancelled.Add(1)
-		s.removeCheckpointFile(j.ID, j.epoch)
-		return nil
-	case StateRunning:
-		j.cancelReq = true
-		return nil
-	}
-	return fmt.Errorf("%w: cancel a %s job", ErrBadTransition, j.state)
-}
+// Cancel terminates a job. Queued, paused and retrying jobs cancel at
+// once; a running job cancels at its next step boundary, whatever its
+// attempt reaches first.
+func (s *Scheduler) Cancel(id string) error { return s.request(id, evCancel) }
 
 // Pause suspends a job. A queued job pauses in place (and resumes from
-// the start); a running job checkpoints at the next step boundary and
+// the start), a retrying one with the checkpoint its retry would have
+// resumed from; a running job checkpoints at the next step boundary and
 // parks, freeing its worker.
-func (s *Scheduler) Pause(id string) error {
-	j, err := s.lookup(id)
-	if err != nil {
-		return err
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	switch j.state {
-	case StateQueued, StateRetrying:
-		// A retrying job parks with the checkpoint its retry would have
-		// resumed from; its backoff timer sees the state change and drops.
-		j.state = StatePaused
-		j.updated = time.Now()
-		j.emitJobEventLocked("paused", "")
-		s.metrics.pauses.Add(1)
-		return nil
-	case StateRunning:
-		if !j.pauseReq {
-			j.pauseReq = true
-		}
-		return nil
-	}
-	return fmt.Errorf("%w: pause a %s job", ErrBadTransition, j.state)
-}
+func (s *Scheduler) Pause(id string) error { return s.request(id, evPause) }
 
 // Resume re-enqueues a paused job; if it holds a checkpoint it continues
 // from the paused step, bit-identically to a never-paused run.
@@ -663,29 +610,20 @@ func (s *Scheduler) Resume(id string) error {
 	if closed {
 		return ErrShuttingDown
 	}
-	j.mu.Lock()
-	if j.state != StatePaused {
-		state := j.state
-		j.mu.Unlock()
-		return fmt.Errorf("%w: resume a %s job", ErrBadTransition, state)
-	}
-	j.state = StateQueued
-	j.pauseReq = false
-	j.updated = time.Now()
-	j.mu.Unlock()
-
-	select {
-	case s.queue <- j:
-	default:
-		j.mu.Lock()
-		j.state = StatePaused
-		j.mu.Unlock()
+	if _, _, err = s.settle(j, evResume, nil); errors.Is(err, ErrQueueFull) {
 		s.metrics.queueFullRejections.Add(1)
-		return fmt.Errorf("%w (%d jobs)", ErrQueueFull, s.cfg.QueueDepth)
 	}
-	s.metrics.resumes.Add(1)
-	j.emitJobEvent("resumed", "")
-	return nil
+	return err
+}
+
+// request applies one API request to a job.
+func (s *Scheduler) request(id string, ev jobEvent) error {
+	j, err := s.lookup(id)
+	if err != nil {
+		return err
+	}
+	_, _, err = s.settle(j, ev, nil)
+	return err
 }
 
 // ResizeJob changes a job's processor count. A job that has not started
@@ -706,8 +644,8 @@ func (s *Scheduler) ResizeJob(id string, procs int) error {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state.Terminal() {
-		return fmt.Errorf("%w: resize a %s job", ErrBadTransition, j.state)
+	if _, _, err := s.settleLocked(j, evResize, nil); err != nil {
+		return err
 	}
 	if procs == j.Cfg.Cores && j.resizeReq == 0 {
 		return nil
@@ -739,7 +677,7 @@ func (s *Scheduler) resizeRun(j *Job, r *run, cfg *JobConfig, procs int) {
 		return
 	}
 	from := cfg.Cores
-	s.autoCheckpoint(j, r, *cfg)
+	s.autoCheckpoint(j, r)
 	if cfg.Faults != nil {
 		cfg.Faults.ResizeCrash()
 	}
@@ -773,7 +711,7 @@ func (s *Scheduler) resizeRun(j *Job, r *run, cfg *JobConfig, procs int) {
 	if tr := j.obsTracer(); tr != nil {
 		tr.EmitPhase(r.pipe.StepCount(), "resize", d)
 	}
-	s.autoCheckpoint(j, r, *cfg)
+	s.autoCheckpoint(j, r)
 }
 
 // Shutdown drains the scheduler: no new submissions or resumes are
@@ -842,35 +780,15 @@ func (s *Scheduler) worker() {
 // the worker goroutine and its pool survive.
 func (s *Scheduler) runJob(j *Job) {
 	j.mu.Lock()
-	if j.state != StateQueued {
+	if _, fx, _ := s.settleLocked(j, evStart, nil); !fx.run {
 		// Cancelled or paused while sitting in the queue channel, or a
 		// stale queue entry from a pause/resume cycle.
 		j.mu.Unlock()
 		return
 	}
-	j.state = StateRunning
-	j.err = nil
-	if j.started.IsZero() {
-		j.started = time.Now()
-	}
-	started := j.started
-	j.updated = time.Now()
-	cfg := j.Cfg
-	checkpoint := j.checkpoint
-	tr := j.tracer
+	started, cfg, checkpoint, tr := j.started, j.Cfg, j.checkpoint, j.tracer
 	j.mu.Unlock()
 
-	// Deferred in reverse execution order: the panic handler runs first
-	// (its retry/fail events must precede the attempt record), then the
-	// attempt wall-time event, then — once the state is settled — the
-	// ledger close if the job turned terminal.
-	defer j.closeLedgerIfTerminal()
-	attemptStart := time.Now()
-	defer func() {
-		if tr != nil {
-			tr.Emit(obs.Event{Kind: obs.KindJob, Phase: "attempt", DurNS: time.Since(attemptStart).Nanoseconds()})
-		}
-	}()
 	defer func() {
 		if p := recover(); p != nil {
 			s.metrics.workerPanics.Add(1)
@@ -906,14 +824,15 @@ func (s *Scheduler) runJob(j *Job) {
 	j.pub.SetIdle(false)
 	defer j.pub.SetIdle(true)
 	if len(checkpoint) > 0 {
-		// The restored pipeline may be older than the job's last observed
-		// progress (a retry rolls back to the last good checkpoint), and a
-		// restore can change the grid — cached tiles from the previous
+		// A restore can change the grid: cached tiles from the previous
 		// attempt's epoch must never serve again.
 		j.pub.BumpEpoch()
 		s.tiles.InvalidateJob(j.ID)
-		j.rebase(r.pipe)
 	}
+	// The job's view starts as exactly the built pipeline's: a retry rolls
+	// back progress the failed attempt observed, and from here on every
+	// step is observed before the next boundary can settle the job.
+	j.rebase(r.pipe)
 
 	delay := time.Duration(cfg.StepDelayMS) * time.Millisecond
 	deadline := time.Duration(cfg.DeadlineMS) * time.Millisecond
@@ -925,29 +844,23 @@ func (s *Scheduler) runJob(j *Job) {
 			// parking, checkpointing or touching disk, like a real crash.
 			return
 		}
+		ev := evBoundary
 		if s.quitting() {
-			s.park(j, r)
-			return
+			ev = evDrain
 		}
-		switch j.poll() {
-		case fenceRequested:
-			s.finishFenced(j, r)
-			return
-		case cancelRequested:
-			s.finish(j, StateCancelled, nil, r)
-			s.metrics.jobsCancelled.Add(1)
-			return
-		case pauseRequested:
+		switch to, fx, _ := s.settle(j, ev, nil); {
+		case fx.park:
 			s.park(j, r)
+			return
+		case to != StateRunning:
 			return
 		}
 		if procs := j.takeResize(); procs > 0 {
 			s.resizeRun(j, r, &cfg, procs)
 		}
 		if deadline > 0 && time.Since(started) > deadline {
-			s.finish(j, StateFailed, fmt.Errorf("%w (%s over %d steps, %d done)",
-				ErrDeadlineExceeded, deadline, cfg.Steps, r.pipe.StepCount()), r)
-			s.metrics.jobsFailed.Add(1)
+			s.settle(j, evDeadline, fmt.Errorf("%w (%s over %d steps, %d done)",
+				ErrDeadlineExceeded, deadline, cfg.Steps, r.pipe.StepCount()))
 			return
 		}
 		stepStart := time.Now()
@@ -974,10 +887,10 @@ func (s *Scheduler) runJob(j *Job) {
 			// cutting it here costs the loop exactly one normal
 			// auto-checkpoint, never more.
 			lastCkpt = r.pipe.StepCount()
-			s.autoCheckpoint(j, r, cfg)
+			s.autoCheckpoint(j, r)
 		} else if every > 0 && r.pipe.StepCount()-lastCkpt >= every && r.pipe.StepCount() < cfg.Steps {
 			lastCkpt = r.pipe.StepCount()
-			s.autoCheckpoint(j, r, cfg)
+			s.autoCheckpoint(j, r)
 		}
 		if delay > 0 {
 			sleepStart := time.Now()
@@ -987,20 +900,30 @@ func (s *Scheduler) runJob(j *Job) {
 			}
 		}
 	}
-	s.finish(j, StateDone, nil, r)
-	s.metrics.jobsCompleted.Add(1)
-	s.metrics.jobDur.Observe(time.Since(started))
+	s.settle(j, evDone, nil)
 }
 
-// autoCheckpoint snapshots a running job so a later retry loses at most
-// AutoCheckpointSteps steps. The pipeline is encoded by the run's delta
-// checkpoint writer — a full base or, when only some nests changed since
-// the last cut, a delta blob a fraction of the size — and the encoded
-// chain is handed to the background persister, so the step loop never
-// waits on file I/O. A failed write (injected or real) is counted and
-// skipped: the previous good chain stays authoritative and the writer's
-// dirty tracking is invalidated, forcing the next cut to a full base.
-func (s *Scheduler) autoCheckpoint(j *Job, r *run, cfg JobConfig) {
+// autoCheckpoint cuts a running job's periodic checkpoint, so a later
+// retry loses at most AutoCheckpointSteps steps, and hands it to the
+// persister without waiting: the step loop never waits on file I/O.
+func (s *Scheduler) autoCheckpoint(j *Job, r *run) {
+	if op, err := s.cut(j, r); err == nil {
+		s.metrics.autoCheckpoints.Add(1)
+		s.persist(op, false)
+	}
+}
+
+// cut encodes a boundary checkpoint with the run's delta writer — a full
+// base or, when only some nests changed since the last cut, a delta blob —
+// folds it into the job's restorable chain, and returns the op that mirrors
+// the chain to the store. The op is captured under the lock that appends,
+// so a later resize or epoch change cannot mislabel bytes encoded before
+// it. The blob replays through the fault plan's checkpoint writer, so
+// injected torn or failed writes keep their meaning. A failed cut is
+// counted and invalidates the writer: the previous good chain stays
+// authoritative and the next cut is a full base. A copy with a fence
+// pending cuts nothing; the store now belongs to its adopter.
+func (s *Scheduler) cut(j *Job, r *run) (ckptOp, error) {
 	start := time.Now()
 	defer func() {
 		d := time.Since(start)
@@ -1011,21 +934,20 @@ func (s *Scheduler) autoCheckpoint(j *Job, r *run, cfg JobConfig) {
 	}()
 	blob, full, err := r.ckw.Encode(r.pipe)
 	s.metrics.ckptEncodeDur.Observe(time.Since(start))
-	if err == nil && cfg.Faults != nil {
-		// The encoded bytes replay through the fault plan's checkpoint
-		// writer so injected torn/failed writes keep their semantics.
-		if _, werr := cfg.Faults.WrapCheckpoint(io.Discard).Write(blob); werr != nil {
-			err = werr
-		}
+	if err == nil && j.Cfg.Faults != nil {
+		_, err = j.Cfg.Faults.WrapCheckpoint(io.Discard).Write(blob)
 	}
 	if err != nil {
 		r.ckw.Invalidate()
 		s.metrics.checkpointFailures.Add(1)
-		return
+		return ckptOp{}, err
 	}
-	chain := j.appendCheckpoint(blob, full)
-	tail := chain[len(chain)-len(blob):]
-	s.metrics.autoCheckpoints.Add(1)
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.stop == stopFence {
+		return ckptOp{}, errFencePending
+	}
+	chain := j.appendCheckpointLocked(blob, full)
 	if full {
 		s.metrics.fullCheckpoints.Add(1)
 	} else {
@@ -1033,94 +955,51 @@ func (s *Scheduler) autoCheckpoint(j *Job, r *run, cfg JobConfig) {
 	}
 	s.metrics.checkpointBytes.Set(int64(len(chain)))
 	s.metrics.checkpointBytesTotal.Add(int64(len(blob)))
-	s.enqueuePersist(j, chain, tail, full, nil)
+	return ckptOp{j: j, id: j.ID, cfg: j.Cfg, epoch: j.epoch, chain: chain, tail: chain[len(chain)-len(blob):], full: full}, nil
 }
 
-// enqueuePersist hands a checkpoint chain to the background persister
-// (no-op without a CheckpointDir). The job's config and epoch are
-// captured under j.mu now — not when the op is applied — so a concurrent
-// resize or epoch bump can't mislabel bytes encoded before it. When done
-// is non-nil it is closed once the op has been applied (or dropped by a
-// kill); park waits on it so a drain leaves complete files.
-func (s *Scheduler) enqueuePersist(j *Job, chain, tail []byte, full bool, done chan struct{}) {
+// errFencePending is cut's refusal on a copy awaiting its fence.
+var errFencePending = errors.New("service: fence pending")
+
+// persist hands a cut to the background persister (a no-op without a
+// CheckpointDir); with wait, it returns once the write has landed. A kill
+// abandons the hand-off and the wait, as a crash would.
+func (s *Scheduler) persist(op ckptOp, wait bool) {
 	if s.pers == nil {
-		if done != nil {
-			close(done)
-		}
 		return
 	}
-	j.mu.Lock()
-	op := ckptOp{j: j, id: j.ID, cfg: j.Cfg, epoch: j.epoch, chain: chain, tail: tail, full: full, done: done}
-	j.mu.Unlock()
+	if wait {
+		op.done = make(chan struct{})
+	}
 	select {
 	case s.pers.ops <- op:
 	case <-s.kill:
-		if done != nil {
-			close(done)
+		return
+	}
+	if wait {
+		select {
+		case <-op.done:
+		case <-s.kill:
 		}
 	}
 }
 
-// retryOrFail decides what a failed attempt becomes: a scheduled retry
-// from the last good checkpoint, or a terminal failure. Deadline
-// overruns never reach here (they fail terminally in runJob); a cancel
-// requested while the attempt was dying wins over both.
+// retryOrFail settles a failed attempt: a retry from the last good
+// checkpoint (with none yet, from scratch) while the retry budget lasts, a
+// terminal failure after it — unless a cancel or fence requested meanwhile
+// wins. Deadline overruns never reach here; they fail terminally in runJob.
 func (s *Scheduler) retryOrFail(j *Job, err error) {
 	j.mu.Lock()
-	if j.state != StateRunning {
-		// Already transitioned elsewhere; nothing to decide.
-		j.mu.Unlock()
-		return
+	ev := evFail
+	if j.retries < j.Cfg.MaxRetries {
+		ev = evRetry
 	}
-	if j.fenceReq {
-		j.state = StateFenced
-		j.err = nil
-		j.checkpoint = nil
-		j.pauseReq, j.cancelReq, j.fenceReq = false, false, false
-		j.updated = time.Now()
-		j.emitJobEventLocked("fenced", "")
-		j.mu.Unlock()
-		s.metrics.jobsFenced.Add(1)
-		return
-	}
-	if j.cancelReq {
-		j.state = StateCancelled
-		j.err = nil
-		j.checkpoint = nil
-		j.pauseReq, j.cancelReq = false, false
-		j.updated = time.Now()
-		j.emitJobEventLocked("cancelled", "")
-		epoch := j.epoch
-		j.mu.Unlock()
-		s.metrics.jobsCancelled.Add(1)
-		s.removeCheckpointFile(j.ID, epoch)
-		return
-	}
-	if j.retries >= j.Cfg.MaxRetries {
-		j.state = StateFailed
-		j.err = err
-		j.checkpoint = nil
-		j.pauseReq = false
-		j.updated = time.Now()
-		j.emitJobEventLocked("failed", err.Error())
-		j.mu.Unlock()
-		s.metrics.jobsFailed.Add(1)
-		return
-	}
-	j.retries++
-	attempt := j.retries
-	j.state = StateRetrying
-	j.err = err
-	// Resume from the last good auto-checkpoint; with none yet, the nil
-	// checkpoint restarts the job from scratch.
-	j.checkpoint = j.lastGood
-	j.pauseReq = false
-	j.updated = time.Now()
-	j.emitJobEventLocked("retry", fmt.Sprintf("attempt %d: %v", attempt, err))
-	cfg := j.Cfg // copied under mu: a concurrent resize mutates Cfg.Cores
+	to, _, _ := s.settleLocked(j, ev, err)
+	attempt, cfg := j.retries, j.Cfg // under mu: a concurrent resize mutates Cfg.Cores
 	j.mu.Unlock()
-	s.metrics.jobRetries.Add(1)
-	s.scheduleRetry(j, retryBackoff(cfg, j.ID, attempt))
+	if to == StateRetrying {
+		s.scheduleRetry(j, retryBackoff(cfg, j.ID, attempt))
+	}
 }
 
 // retryBackoff is exponential in the attempt number with ±25% jitter,
@@ -1138,56 +1017,33 @@ func retryBackoff(cfg JobConfig, id string, attempt int) time.Duration {
 	return time.Duration(float64(d) * (0.75 + 0.5*rng.Float64()))
 }
 
-// scheduleRetry re-enqueues j after the backoff elapses. The timer
-// goroutine is tracked by retryWG so Shutdown drains it; on a drain the
-// retrying job parks as paused with its checkpoint, exactly like a
-// running job caught by a drain.
+// scheduleRetry re-enqueues j once the backoff elapses, waiting out
+// another backoff whenever the queue is full. The timer goroutine is
+// tracked by retryWG so Shutdown drains it; a drain parks the retrying job
+// as paused with its checkpoint, exactly like a running job caught by a
+// drain.
 func (s *Scheduler) scheduleRetry(j *Job, backoff time.Duration) {
 	s.retryWG.Add(1)
 	go func() {
 		defer s.retryWG.Done()
 		t := time.NewTimer(backoff)
 		defer t.Stop()
-		select {
-		case <-t.C:
-		case <-s.kill:
-			return
-		case <-s.quit:
-			s.parkRetrying(j)
-			return
-		}
-		j.mu.Lock()
-		if j.state != StateRetrying {
-			// Cancelled or paused while waiting out the backoff.
-			j.mu.Unlock()
-			return
-		}
-		j.state = StateQueued
-		j.updated = time.Now()
-		j.mu.Unlock()
-		select {
-		case s.queue <- j:
-		case <-s.kill:
-		case <-s.quit:
-			j.mu.Lock()
-			if j.state == StateQueued {
-				j.state = StatePaused
-				j.updated = time.Now()
+		for {
+			select {
+			case <-t.C:
+			case <-s.kill:
+				return
+			case <-s.quit:
+				s.settle(j, evDrain, nil)
+				return
 			}
-			j.mu.Unlock()
+			// A job paused, cancelled or fenced meanwhile ignores the backoff.
+			if _, _, err := s.settle(j, evBackoff, nil); !errors.Is(err, ErrQueueFull) {
+				return
+			}
+			t.Reset(backoff)
 		}
 	}()
-}
-
-// parkRetrying converts a backoff wait into a paused job during a drain.
-func (s *Scheduler) parkRetrying(j *Job) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state == StateRetrying {
-		j.state = StatePaused
-		j.updated = time.Now()
-		j.emitJobEventLocked("paused", "drain while awaiting retry")
-	}
 }
 
 // removeCheckpointFile drops a terminal job's persisted checkpoint —
@@ -1203,111 +1059,27 @@ func (s *Scheduler) removeCheckpointFile(id string, epoch int64) {
 	s.pers.remove(id, epoch)
 }
 
-// park checkpoints a running job and leaves it paused. If the pause
-// checkpoint itself fails to write (an injected or real I/O error), the
-// job falls back to its last good auto-checkpoint — losing at most
-// AutoCheckpointSteps steps — and only fails when no checkpoint exists at
-// all. Unlike auto-checkpoints, a park waits for its persist to land:
-// the worker is parking anyway, and a drain must leave complete files.
+// park checkpoints a running job and settles it with whatever request
+// stands once the cut is done: paused on the fresh chain or, if the cut
+// failed, on the last good one; failed when no chain exists at all; and
+// cancelled or fenced when such a request arrived meanwhile. Unlike an
+// auto-checkpoint, a park waits for its persist to land: the worker is
+// parking anyway, and a drain must leave complete files.
 func (s *Scheduler) park(j *Job, r *run) {
-	ckptStart := time.Now()
-	blob, full, err := r.ckw.Encode(r.pipe)
-	s.metrics.ckptEncodeDur.Observe(time.Since(ckptStart))
-	if err == nil && j.Cfg.Faults != nil {
-		if _, werr := j.Cfg.Faults.WrapCheckpoint(io.Discard).Write(blob); werr != nil {
-			err = werr
+	op, err := s.cut(j, r)
+	j.mu.Lock()
+	ev, cause := evParked, error(nil)
+	if err != nil {
+		cause = fmt.Errorf("service: pause checkpoint: %w", err)
+		if len(j.lastGood) == 0 {
+			ev = evParkLost
 		}
 	}
-	s.metrics.ckptDur.Observe(time.Since(ckptStart))
-	if tr := j.obsTracer(); tr != nil {
-		tr.EmitPhase(r.pipe.StepCount(), "checkpoint", time.Since(ckptStart))
-	}
-	j.mu.Lock()
-	j.pauseReq = false
-	if err != nil {
-		r.ckw.Invalidate()
-		s.metrics.checkpointFailures.Add(1)
-		if len(j.lastGood) > 0 {
-			j.checkpoint = j.lastGood
-			j.state = StatePaused
-			j.updated = time.Now()
-			j.emitJobEventLocked("paused", "pause checkpoint failed; kept last good auto-checkpoint")
-			j.mu.Unlock()
-			s.metrics.pauses.Add(1)
-			return
-		}
-		j.state = StateFailed
-		j.err = fmt.Errorf("service: pause checkpoint: %w", err)
-		j.updated = time.Now()
-		j.emitJobEventLocked("failed", j.err.Error())
-		j.mu.Unlock()
-		s.metrics.jobsFailed.Add(1)
-		return
-	}
-	chain := j.appendCheckpointLocked(blob, full)
-	tail := chain[len(chain)-len(blob):]
-	j.checkpoint = chain
-	j.state = StatePaused
-	j.updated = time.Now()
-	j.emitJobEventLocked("paused", "")
+	to, _, _ := s.settleLocked(j, ev, cause)
 	j.mu.Unlock()
-	s.metrics.pauses.Add(1)
-	if full {
-		s.metrics.fullCheckpoints.Add(1)
-	} else {
-		s.metrics.deltaCheckpoints.Add(1)
+	if err == nil && to == StatePaused {
+		s.persist(op, true)
 	}
-	s.metrics.checkpointBytes.Set(int64(len(chain)))
-	s.metrics.checkpointBytesTotal.Add(int64(len(blob)))
-	done := make(chan struct{})
-	s.enqueuePersist(j, chain, tail, full, done)
-	select {
-	case <-done:
-	case <-s.kill:
-	}
-}
-
-// finish moves a job to a terminal state.
-func (s *Scheduler) finish(j *Job, state JobState, err error, r *run) {
-	if r != nil {
-		j.observe(r.pipe)
-	}
-	j.mu.Lock()
-	j.state = state
-	j.err = err
-	j.checkpoint = nil
-	j.pauseReq = false
-	j.cancelReq = false
-	j.updated = time.Now()
-	detail := ""
-	if err != nil {
-		detail = err.Error()
-	}
-	j.emitJobEventLocked(string(state), detail)
-	// Under j.mu, as Cancel does it: whoever sees the terminal state sees
-	// the mirror gone, even when the persister is still mid-fsync on an
-	// earlier checkpoint of this job.
-	s.removeCheckpointFile(j.ID, j.epoch)
-	j.mu.Unlock()
-}
-
-// finishFenced terminates a superseded running copy. It deliberately
-// skips every store interaction finish performs: the checkpoint file now
-// belongs to the adopter, and deleting or rewriting it here would be
-// exactly the split-brain race fencing exists to prevent.
-func (s *Scheduler) finishFenced(j *Job, r *run) {
-	if r != nil {
-		j.observe(r.pipe)
-	}
-	j.mu.Lock()
-	j.state = StateFenced
-	j.err = nil
-	j.checkpoint = nil
-	j.pauseReq, j.cancelReq, j.fenceReq = false, false, false
-	j.updated = time.Now()
-	j.emitJobEventLocked("fenced", "local copy superseded by a newer placement epoch")
-	j.mu.Unlock()
-	s.metrics.jobsFenced.Add(1)
 }
 
 // CountsByState returns the number of jobs in each lifecycle state — the
@@ -1320,9 +1092,4 @@ func (s *Scheduler) CountsByState() map[JobState]int {
 		out[j.State()]++
 	}
 	return out
-}
-
-// States lists every lifecycle state in display order.
-func States() []JobState {
-	return []JobState{StateQueued, StateRunning, StatePaused, StateRetrying, StateDone, StateFailed, StateCancelled, StateFenced}
 }
