@@ -1,7 +1,8 @@
 // Command experiments regenerates the tables and figures of the paper's
 // evaluation section on the simulated substrates. Each experiment prints
 // the rows/series the paper reports; absolute times are modelled, so the
-// comparisons (who wins, by what factor) are the meaningful output.
+// comparisons (who wins, by what factor) are the meaningful output. At the
+// default flags `-run all` prints internal/experiments/testdata/paper_tables.golden.
 //
 // Usage:
 //
@@ -12,311 +13,42 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
-	"fmt"
 	"log"
-	"math"
 	"os"
 	"os/signal"
 	"strings"
 	"syscall"
 
-	"nestdiff/internal/alloc"
 	"nestdiff/internal/experiments"
-	"nestdiff/internal/scenario"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("experiments: ")
-	var (
-		run   = flag.String("run", "all", "experiment: all|table1|table2|fig8|fig9|table4|fig10|fig11|real|dynamic|fig12")
-		cases = flag.Int("cases", 70, "synthetic reconfiguration cases (paper: 70)")
-		seed  = flag.Int64("seed", 1913, "scenario seed")
-		steps = flag.Int("steps", 300, "monsoon steps for the real-trace experiment")
-	)
+	s := experiments.Paper
+	run := flag.String("run", "all", "experiment: all|table1|table2|fig8|fig9|table4|fig10|fig11|real|dynamic|fig12|scaling|insertion|mapping|pdascale|contention|links|weights")
+	flag.IntVar(&s.Cases, "cases", s.Cases, "synthetic reconfiguration cases (paper: 70)")
+	flag.Int64Var(&s.Seed, "seed", s.Seed, "scenario seed")
+	flag.IntVar(&s.Steps, "steps", s.Steps, "monsoon steps for the real-trace experiment")
 	flag.Parse()
-
-	runners := map[string]func() error{
-		"table1":     table1,
-		"table2":     table2,
-		"fig8":       fig8,
-		"fig9":       fig9,
-		"table4":     func() error { return table4(*cases, *seed) },
-		"fig10":      func() error { return figSeries(*cases, *seed, "hopbytes") },
-		"fig11":      func() error { return figSeries(*cases, *seed, "overlap") },
-		"real":       func() error { return realTrace(*steps) },
-		"dynamic":    func() error { return dynamic(*seed) },
-		"fig12":      func() error { return dynamic(*seed) },
-		"scaling":    func() error { return scaling(*seed) },
-		"insertion":  func() error { return insertion(*cases, *seed) },
-		"mapping":    func() error { return mapping(*cases, *seed) },
-		"pdascale":   pdaScaling,
-		"contention": func() error { return contention(*seed) },
-	}
-	order := []string{"table1", "table2", "fig8", "fig9", "table4", "fig10", "fig11",
-		"real", "dynamic", "scaling", "insertion", "mapping", "pdascale", "contention"}
 
 	// Ctrl-C stops the suite between experiments; the one in flight is
 	// allowed to finish so its output stays complete.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stopSignals()
 
-	name := strings.ToLower(*run)
-	if name == "all" {
-		for _, n := range order {
-			if ctx.Err() != nil {
-				log.Printf("interrupted before %s; stopping", n)
-				return
-			}
-			if err := runners[n](); err != nil {
-				log.Fatalf("%s: %v", n, err)
-			}
-			fmt.Println()
-		}
-		return
-	}
-	r, ok := runners[name]
-	if !ok {
-		log.Printf("unknown experiment %q", name)
+	err := experiments.NewReport(s).Write(ctx, os.Stdout, strings.ToLower(*run))
+	switch {
+	case err == nil:
+	case errors.Is(err, experiments.ErrUnknownSection):
+		log.Print(err)
 		flag.Usage()
 		os.Exit(2)
+	case errors.Is(err, context.Canceled):
+		log.Printf("%v; stopping", err)
+	default:
+		log.Fatal(err)
 	}
-	if err := r(); err != nil {
-		log.Fatalf("%s: %v", name, err)
-	}
-}
-
-func printRows(title string, rows []alloc.Row) {
-	fmt.Printf("%s\n%-8s %-10s %s\n", title, "Nest ID", "Start Rank", "Processor sub-grid")
-	for _, r := range rows {
-		fmt.Printf("%-8d %-10d %dx%d\n", r.NestID, r.StartRank, r.Width, r.Height)
-	}
-}
-
-func table1() error {
-	rows, err := experiments.Table1()
-	if err != nil {
-		return err
-	}
-	printRows("Table I — processor allocation on 1024 cores (5 nests, weights .1:.1:.2:.25:.35)", rows)
-	return nil
-}
-
-func table2() error {
-	rows, err := experiments.Table2()
-	if err != nil {
-		return err
-	}
-	printRows("Table II — partition from scratch on 1024 cores (nests 3,5,6, weights .27:.42:.31)", rows)
-	fmt.Println("note: the paper lists 19x13/19x19 for nests 3/6, inconsistent with its own")
-	fmt.Println("weights (0.27/0.58 of 32 rows is 15); see EXPERIMENTS.md.")
-	return nil
-}
-
-func fig8() error {
-	res, err := experiments.Fig8()
-	if err != nil {
-		return err
-	}
-	fmt.Println("Fig. 8 — tree-based hierarchical diffusion (delete 1,2,4; retain 3,5; add 6)")
-	fmt.Printf("old tree: %s\n", res.OldTree)
-	fmt.Printf("new tree: %s\n", res.NewTree)
-	printRows("new allocation:", res.NewRows)
-	for _, id := range []int{3, 5} {
-		fmt.Printf("nest %d: old/new processor overlap %d cells (scratch: %d)\n",
-			id, res.OverlapCells[id], res.ScratchOverlapCells[id])
-	}
-	return nil
-}
-
-func fig9() error {
-	res, err := experiments.Fig9()
-	if err != nil {
-		return err
-	}
-	fmt.Println("Fig. 9 — nearest-neighbour clustering comparison (monsoon snapshots)")
-	fmt.Printf("snapshots analyzed:                 %d\n", res.Snapshots)
-	fmt.Printf("overlapping pairs, 2-hop baseline:  %d\n", res.SimpleOverlapsTotal)
-	fmt.Printf("overlapping pairs, 1+2-hop + 30%%:   %d\n", res.OursOverlapsTotal)
-	fmt.Printf("showcase snapshot at step %d: ours disjoint, baseline %d overlapping pairs\n",
-		res.ShowcaseStep, res.ShowcaseSimpleOverlaps)
-	fmt.Printf("  our clusters:      %v\n", res.ShowcaseOursRects)
-	fmt.Printf("  baseline clusters: %v\n", res.ShowcaseSimpleRects)
-	return nil
-}
-
-func table4(cases int, seed int64) error {
-	rows, results, err := experiments.Table4(cases, seed)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("Table IV — mean redistribution-time improvement, diffusion vs scratch (%d synthetic cases)\n", cases)
-	fmt.Printf("%-18s %-12s (paper)\n", "Configuration", "Improvement")
-	paper := []string{"15%", "25%", "10%"}
-	for i, r := range rows {
-		fmt.Printf("%-18s %6.1f%%      %s\n", r.Configuration, r.ImprovementPercent, paper[i])
-	}
-	fmt.Println()
-	fmt.Println("supporting aggregates (§V-D/E):")
-	for _, res := range results {
-		fmt.Printf("  %-18s exec penalty %.1f%% | avg hop-bytes %.2f -> %.2f | overlap %.1f%% -> %.1f%%\n",
-			res.Machine, res.ExecPenaltyPercent,
-			res.MeanScratchHopBytes, res.MeanDiffusionHopBytes,
-			res.MeanScratchOverlap, res.MeanDiffusionOverlap)
-	}
-	return nil
-}
-
-func figSeries(cases int, seed int64, kind string) error {
-	m, err := experiments.BGL(1024)
-	if err != nil {
-		return err
-	}
-	res, err := experiments.RunSynthetic(m, cases, seed)
-	if err != nil {
-		return err
-	}
-	switch kind {
-	case "hopbytes":
-		fmt.Println("Fig. 10 — average hop-bytes per case, BG/L 1024 cores")
-		fmt.Println("case,scratch,diffusion")
-		for _, c := range res.Cases {
-			fmt.Printf("%d,%.3f,%.3f\n", c.Case, c.ScratchHopBytes, c.DiffusionHopBytes)
-		}
-		fmt.Printf("mean,%.2f,%.2f   (paper: 5.25 vs 2.44)\n",
-			res.MeanScratchHopBytes, res.MeanDiffusionHopBytes)
-	case "overlap":
-		fmt.Println("Fig. 11 — sender/receiver overlap percent per case, BG/L 1024 cores")
-		fmt.Println("case,scratch,diffusion")
-		for _, c := range res.Cases {
-			fmt.Printf("%d,%.1f,%.1f\n", c.Case, c.ScratchOverlap, c.DiffusionOverlap)
-		}
-		fmt.Printf("mean,%.1f,%.1f\n", res.MeanScratchOverlap, res.MeanDiffusionOverlap)
-	}
-	return nil
-}
-
-func realTrace(steps int) error {
-	fmt.Println("§V-D — real (monsoon-trace) test cases")
-	mc := scenario.DefaultMonsoonConfig()
-	mc.Steps = steps
-	for _, cores := range []int{512, 1024} {
-		m, err := experiments.BGL(cores)
-		if err != nil {
-			return err
-		}
-		res, err := experiments.RunRealTrace(m, mc)
-		if err != nil {
-			return err
-		}
-		paper := map[int]string{512: "14%", 1024: "12%"}
-		fmt.Printf("%-16s improvement %5.1f%% total / %5.1f%% per-case (paper: %s) over %d reconfigurations, up to %d nests\n",
-			m.Name, res.TotalRedistImprovementPercent, res.RedistImprovementPercent,
-			paper[cores], res.Reconfigurations, res.MaxNests)
-	}
-	return nil
-}
-
-func dynamic(seed int64) error {
-	m, err := experiments.BGL(1024)
-	if err != nil {
-		return err
-	}
-	res, err := experiments.RunDynamic(m, 12, seed)
-	if err != nil {
-		return err
-	}
-	fmt.Println("§V-F / Fig. 12 — dynamic strategy, 12 reconfigurations on BG/L 1024 cores")
-	fmt.Printf("picked: scratch %d, tree-based %d (paper: 2 and 10)\n",
-		res.PickedScratch, res.PickedDiffusion)
-	fmt.Printf("correct decisions: %d of %d (paper: 10 of 12)\n",
-		res.CorrectPicks, res.Reconfigurations)
-	fmt.Printf("execution-time prediction Pearson r: %.2f (paper: 0.9)\n", res.PearsonR)
-	fmt.Println("\nFig. 12 totals (seconds):")
-	fmt.Printf("%-12s %-12s %-12s %s\n", "strategy", "execution", "redistribution", "total")
-	for _, s := range []string{"tree-based", "scratch", "dynamic"} {
-		key := s
-		if s == "tree-based" {
-			key = "diffusion"
-		}
-		e, r := res.ExecTotal[key], res.RedistTotal[key]
-		fmt.Printf("%-12s %-12.1f %-14.1f %.1f\n", s, e, r, e+r)
-	}
-	return nil
-}
-
-func scaling(seed int64) error {
-	fmt.Println("Ablation — scaling with processor count (§IV-B scalability claim)")
-	rows, err := experiments.ScalingStudy([]int{64, 256, 1024, 4096}, 25, seed)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%-8s %-14s %-22s %-22s\n", "cores", "improvement", "mean max hops (S/D)", "avg hop-bytes (S/D)")
-	for _, r := range rows {
-		fmt.Printf("%-8d %6.1f%%        %6.1f / %-6.1f        %6.2f / %-6.2f\n",
-			r.Cores, r.RedistImprovementPercent,
-			r.ScratchMaxHops, r.DiffusionMaxHops,
-			r.ScratchHopBytes, r.DiffusionHopBytes)
-	}
-	return nil
-}
-
-func insertion(cases int, seed int64) error {
-	fmt.Println("Ablation — Algorithm 3 free-slot insertion policy (closest weight vs first free)")
-	res, err := experiments.InsertionPolicyAblation(1024, cases, seed)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%-16s %-18s %s\n", "policy", "mean aspect ratio", "mean exec time")
-	fmt.Printf("%-16s %-18.3f %.2f s\n", "closest-weight", res.ClosestAspect, res.ClosestExec)
-	fmt.Printf("%-16s %-18.3f %.2f s\n", "first-free", res.FirstFreeAspect, res.FirstFreeExec)
-	return nil
-}
-
-func mapping(cases int, seed int64) error {
-	fmt.Println("Ablation — folding-based topology mapping vs row-major placement (BG/L 1024)")
-	res, err := experiments.MappingAblation(1024, cases, seed)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%-12s %-18s %s\n", "mapping", "avg hop-bytes", "total redist time")
-	fmt.Printf("%-12s %-18.2f %.3f s\n", "folded", res.FoldedHopBytes, res.FoldedRedistTime)
-	fmt.Printf("%-12s %-18.2f %.3f s\n", "linear", res.LinearHopBytes, res.LinearRedistTime)
-	return nil
-}
-
-func pdaScaling() error {
-	fmt.Println("Extension — parallel NNC (paper future work): analysis time vs rank count")
-	rows, err := experiments.PDAScaling([]int{1, 4, 16, 60, 180})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%-8s %-22s %-22s\n", "ranks", "Alg.1 (root NNC)", "parallel NNC")
-	for _, r := range rows {
-		fmt.Printf("%-8d %8.3f ms (%d nests) %8.3f ms (%d nests)\n",
-			r.Ranks, r.RootNNCClock*1e3, r.RootNNCNests, r.ParallelClock*1e3, r.ParallelNests)
-	}
-	return nil
-}
-
-func contention(seed int64) error {
-	fmt.Println("Ablation — dynamic-strategy sensitivity to redistribution-prediction calibration")
-	m, err := experiments.BGL(1024)
-	if err != nil {
-		return err
-	}
-	rows, err := experiments.ContentionSweep(m, 12, seed, []float64{1.0, 1.5, 3.0, math.Inf(1)})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%-22s %-14s %s\n", "contention estimate", "correct picks", "excess over per-step best")
-	for _, r := range rows {
-		label := fmt.Sprintf("%.1fx true", r.EstimateFactor)
-		if math.IsInf(r.EstimateFactor, 1) {
-			label = "ignored"
-		}
-		fmt.Printf("%-22s %d of %-10d %.2f%%\n", label, r.CorrectPicks, r.Total, r.ExcessPercent)
-	}
-	return nil
 }

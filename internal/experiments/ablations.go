@@ -1,266 +1,82 @@
 package experiments
 
 import (
-	"fmt"
-
 	"nestdiff/internal/alloc"
-	"nestdiff/internal/core"
 	"nestdiff/internal/geom"
 	"nestdiff/internal/scenario"
-	"nestdiff/internal/stats"
 	"nestdiff/internal/topology"
 )
 
 // This file holds the ablation studies DESIGN.md calls out: they isolate
 // the individual design choices behind the paper's numbers.
 //
-//   - ScalingStudy quantifies §IV-B's scalability argument: "the maximum
+//   - Scaling quantifies §IV-B's scalability argument: "the maximum
 //     number of hops between old and new set of processors is likely to
 //     increase for the scratch method with larger total processor count".
-//   - InsertionPolicyAblation isolates Algorithm 3's closest-sibling-
-//     weight insertion (vs. filling the first free slot), the mechanism
-//     behind the square-like rectangles of Fig. 6/7.
-//   - MappingAblation isolates the folding-based topology-aware mapping
-//     (vs. naive row-major placement) on the torus.
+//   - Insertion isolates Algorithm 3's closest-sibling-weight insertion
+//     (vs. filling the first free slot), the mechanism behind the
+//     square-like rectangles of Fig. 6/7.
+//   - Mapping isolates the folding-based topology-aware mapping (vs. naive
+//     row-major placement) on the torus.
+//   - Weights isolates the model-predicted allocation weights (vs. plain
+//     nest area).
 
-// ScalingRow is one machine size in the scaling study.
-type ScalingRow struct {
-	Cores                    int
-	RedistImprovementPercent float64
-	ScratchMaxHops           float64 // mean over cases of the longest route
-	DiffusionMaxHops         float64
-	ScratchHopBytes          float64
-	DiffusionHopBytes        float64
-}
-
-// ScalingStudy replays the synthetic churn on BG/L partitions of growing
-// size and reports how the scratch/diffusion gap evolves.
-func ScalingStudy(coreCounts []int, cases int, seed int64) ([]ScalingRow, error) {
-	model, oracle, err := Model()
-	if err != nil {
-		return nil, err
-	}
-	var rows []ScalingRow
-	for _, cores := range coreCounts {
+// Scaling replays the synthetic churn on BG/L partitions of 64, 256, 1024
+// and 4096 cores and reports how the scratch/diffusion gap evolves.
+func (r *Report) Scaling() ([]*SyntheticResult, error) {
+	var ms []Machine
+	for _, cores := range []int{64, 256, 1024, 4096} {
 		m, err := BGL(cores)
 		if err != nil {
 			return nil, err
 		}
-		cfg := scenario.DefaultSyntheticConfig()
-		cfg.Steps = cases
-		cfg.Seed = seed
-		sets, err := scenario.Generate(cfg)
-		if err != nil {
-			return nil, err
-		}
-		trS, err := core.NewTracker(m.Grid, m.Net, model, oracle, core.Scratch, core.DefaultOptions())
-		if err != nil {
-			return nil, err
-		}
-		trD, err := core.NewTracker(m.Grid, m.Net, model, oracle, core.Diffusion, core.DefaultOptions())
-		if err != nil {
-			return nil, err
-		}
-		row := ScalingRow{Cores: cores}
-		var sRe, dRe []float64
-		n := 0
-		for i, set := range sets {
-			smS, err := trS.Apply(set)
-			if err != nil {
-				return nil, err
-			}
-			smD, err := trD.Apply(set)
-			if err != nil {
-				return nil, err
-			}
-			if i == 0 {
-				continue
-			}
-			sRe = append(sRe, smS.RedistTime)
-			dRe = append(dRe, smD.RedistTime)
-			row.ScratchMaxHops += float64(smS.Redist.MaxHops)
-			row.DiffusionMaxHops += float64(smD.Redist.MaxHops)
-			row.ScratchHopBytes += smS.Redist.AvgHopBytes
-			row.DiffusionHopBytes += smD.Redist.AvgHopBytes
-			n++
-		}
-		imp, err := stats.MeanImprovementPercent(sRe, dRe)
-		if err != nil {
-			return nil, err
-		}
-		row.RedistImprovementPercent = imp
-		row.ScratchMaxHops /= float64(n)
-		row.DiffusionMaxHops /= float64(n)
-		row.ScratchHopBytes /= float64(n)
-		row.DiffusionHopBytes /= float64(n)
-		rows = append(rows, row)
+		ms = append(ms, m)
 	}
-	return rows, nil
+	return r.variants(ms...)
 }
 
 // InsertionAblationResult compares Algorithm 3's closest-weight insertion
-// with the naive first-free-slot policy over a churn sequence.
+// with the naive first-free-slot policy over the synthetic churn.
 type InsertionAblationResult struct {
-	Cases int
-	// MeanAspectRatio of the resulting partitions (lower = more square =
+	// Mean aspect ratio of the resulting partitions (lower = more square =
 	// faster nests, per Fig. 6/7).
 	ClosestAspect   float64
 	FirstFreeAspect float64
-	// MeanExecTime under the oracle.
+	// Mean execution time under the oracle.
 	ClosestExec   float64
 	FirstFreeExec float64
 }
 
-// InsertionPolicyAblation replays a churn sequence through two diffusion
+// Insertion replays the synthetic churn on BG/L 1024 through two diffusion
 // variants differing only in the free-slot insertion policy.
-func InsertionPolicyAblation(cores, cases int, seed int64) (*InsertionAblationResult, error) {
-	m, err := BGL(cores)
-	if err != nil {
-		return nil, err
-	}
-	model, oracle, err := Model()
-	if err != nil {
-		return nil, err
-	}
-	cfg := scenario.DefaultSyntheticConfig()
-	cfg.Steps = cases
-	cfg.Seed = seed
-	sets, err := scenario.Generate(cfg)
-	if err != nil {
-		return nil, err
-	}
-
-	run := func(policy alloc.InsertionPolicy) (aspect, exec float64, err error) {
-		var cur *alloc.Allocation
-		var prev scenario.Set
-		n := 0
-		for _, set := range sets {
-			weights := make(map[int]float64, len(set))
-			share := max(1, m.Grid.Size()/max(1, len(set)))
-			for _, spec := range set {
-				nx, ny := spec.FineSize(3)
-				w, err := model.Predict(nx, ny, share)
-				if err != nil {
-					return 0, 0, err
+func (r *Report) Insertion() (*InsertionAblationResult, error) {
+	return cached(r, "insertion", func() (*InsertionAblationResult, error) {
+		diffuse := func(policy alloc.InsertionPolicy) placeFunc {
+			return func(g geom.Grid, prev *alloc.Allocation, prevSet, set scenario.Set, w map[int]float64) (*alloc.Allocation, error) {
+				if prev == nil {
+					return alloc.Scratch(g, w)
 				}
-				weights[spec.ID] = w
-			}
-			if cur == nil {
-				cur, err = alloc.Scratch(m.Grid, weights)
-				if err != nil {
-					return 0, 0, err
-				}
-			} else {
-				d := scenario.DiffSets(prev, set)
-				change := alloc.Change{Deleted: d.Deleted,
-					Retained: map[int]float64{}, Added: map[int]float64{}}
+				d := scenario.DiffSets(prevSet, set)
+				change := alloc.Change{Deleted: d.Deleted, Retained: map[int]float64{}, Added: map[int]float64{}}
 				for _, id := range d.Retained {
-					change.Retained[id] = weights[id]
+					change.Retained[id] = w[id]
 				}
 				for _, id := range d.Added {
-					change.Added[id] = weights[id]
+					change.Added[id] = w[id]
 				}
-				cur, err = alloc.DiffusionWithPolicy(m.Grid, cur, change, policy)
-				if err != nil {
-					return 0, 0, err
-				}
+				return alloc.DiffusionWithPolicy(g, prev, change, policy)
 			}
-			prev = set
-			aspect += cur.MeanAspectRatio()
-			stepExec := 0.0
-			for _, spec := range set {
-				nx, ny := spec.FineSize(3)
-				r := cur.Rects[spec.ID]
-				if t := oracle.ExecTime(nx, ny, r.Area(), r.AspectRatio()); t > stepExec {
-					stepExec = t
-				}
-			}
-			exec += stepExec
-			n++
 		}
-		return aspect / float64(n), exec / float64(n), nil
-	}
-
-	res := &InsertionAblationResult{Cases: cases}
-	if res.ClosestAspect, res.ClosestExec, err = run(alloc.ClosestWeight); err != nil {
-		return nil, err
-	}
-	if res.FirstFreeAspect, res.FirstFreeExec, err = run(alloc.FirstFree); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// MappingAblationResult compares the folding-based topology-aware mapping
-// with naive row-major placement on the same torus.
-type MappingAblationResult struct {
-	Cores            int
-	FoldedHopBytes   float64 // diffusion strategy, mean avg hop-bytes
-	LinearHopBytes   float64
-	FoldedRedistTime float64
-	LinearRedistTime float64
-}
-
-// MappingAblation replays the synthetic churn under the diffusion
-// strategy on two torus variants differing only in rank placement.
-func MappingAblation(cores, cases int, seed int64) (*MappingAblationResult, error) {
-	px, py := geom.NearSquareFactors(cores)
-	g := geom.NewGrid(px, py)
-	dims := topology.TorusDimsFor(cores)
-	folded, err := topology.NewTorus3D(g, dims, topology.DefaultTorusParams())
-	if err != nil {
-		return nil, err
-	}
-	linear, err := topology.NewTorus3DLinear(g, dims, topology.DefaultTorusParams())
-	if err != nil {
-		return nil, err
-	}
-	model, oracle, err := Model()
-	if err != nil {
-		return nil, err
-	}
-	cfg := scenario.DefaultSyntheticConfig()
-	cfg.Steps = cases
-	cfg.Seed = seed
-	sets, err := scenario.Generate(cfg)
-	if err != nil {
-		return nil, err
-	}
-
-	res := &MappingAblationResult{Cores: cores}
-	variants := []struct {
-		name string
-		net  topology.Network
-	}{{"folded", folded}, {"linear", linear}}
-	for _, v := range variants {
-		variant, net := v.name, v.net
-		tr, err := core.NewTracker(g, net, model, oracle, core.Diffusion, core.DefaultOptions())
-		if err != nil {
+		res := &InsertionAblationResult{}
+		var err error
+		if res.ClosestAspect, res.ClosestExec, err = r.allocSweep(predicted, diffuse(alloc.ClosestWeight)); err != nil {
 			return nil, err
 		}
-		var hb, rt float64
-		n := 0
-		for i, set := range sets {
-			sm, err := tr.Apply(set)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: mapping %s step %d: %w", variant, i, err)
-			}
-			if i == 0 {
-				continue
-			}
-			hb += sm.Redist.AvgHopBytes
-			rt += sm.RedistTime
-			n++
+		if res.FirstFreeAspect, res.FirstFreeExec, err = r.allocSweep(predicted, diffuse(alloc.FirstFree)); err != nil {
+			return nil, err
 		}
-		hb /= float64(n)
-		switch variant {
-		case "folded":
-			res.FoldedHopBytes, res.FoldedRedistTime = hb, rt
-		case "linear":
-			res.LinearHopBytes, res.LinearRedistTime = hb, rt
-		}
-	}
-	return res, nil
+		return res, nil
+	})
 }
 
 // WeightAblationResult compares the paper's model-predicted nest weights
@@ -268,72 +84,100 @@ func MappingAblation(cores, cases int, seed int64) (*MappingAblationResult, erro
 // shares from *predicted execution times* (§IV); plain area ignores the
 // per-nest overheads and communication terms the model captures.
 type WeightAblationResult struct {
-	Cases int
 	// Mean per-step execution time (max over simultaneously running
 	// nests) under each weighting.
 	ModelExec float64
 	AreaExec  float64
 }
 
-// WeightPolicyAblation replays a churn sequence allocating with both
-// weight policies and compares the resulting oracle execution times.
-func WeightPolicyAblation(cores, cases int, seed int64) (*WeightAblationResult, error) {
-	m, err := BGL(cores)
-	if err != nil {
-		return nil, err
-	}
-	model, oracle, err := Model()
-	if err != nil {
-		return nil, err
-	}
-	cfg := scenario.DefaultSyntheticConfig()
-	cfg.Steps = cases
-	cfg.Seed = seed
-	sets, err := scenario.Generate(cfg)
-	if err != nil {
-		return nil, err
-	}
-	run := func(useModel bool) (float64, error) {
-		total := 0.0
-		n := 0
-		for _, set := range sets {
-			weights := make(map[int]float64, len(set))
-			share := max(1, m.Grid.Size()/max(1, len(set)))
-			for _, spec := range set {
-				nx, ny := spec.FineSize(3)
-				if useModel {
-					w, err := model.Predict(nx, ny, share)
-					if err != nil {
-						return 0, err
-					}
-					weights[spec.ID] = w
-				} else {
-					weights[spec.ID] = float64(nx) * float64(ny)
-				}
-			}
-			a, err := alloc.Scratch(m.Grid, weights)
-			if err != nil {
-				return 0, err
-			}
-			stepExec := 0.0
-			for _, spec := range set {
-				nx, ny := spec.FineSize(3)
-				r := a.Rects[spec.ID]
-				if t := oracle.ExecTime(nx, ny, r.Area(), r.AspectRatio()); t > stepExec {
-					stepExec = t
-				}
-			}
-			total += stepExec
-			n++
+// Weights replays the synthetic churn on BG/L 1024 allocating every set
+// from scratch under both weight policies.
+func (r *Report) Weights() (*WeightAblationResult, error) {
+	return cached(r, "weights", func() (*WeightAblationResult, error) {
+		place := func(g geom.Grid, _ *alloc.Allocation, _, _ scenario.Set, w map[int]float64) (*alloc.Allocation, error) {
+			return alloc.Scratch(g, w)
 		}
-		return total / float64(n), nil
+		area := func(nx, ny, _ int) (float64, error) { return float64(nx) * float64(ny), nil }
+		res := &WeightAblationResult{}
+		var err error
+		if _, res.ModelExec, err = r.allocSweep(predicted, place); err != nil {
+			return nil, err
+		}
+		if _, res.AreaExec, err = r.allocSweep(area, place); err != nil {
+			return nil, err
+		}
+		return res, nil
+	})
+}
+
+// placeFunc allocates set on g given its weights and the previous
+// allocation (nil at the first set).
+type placeFunc func(g geom.Grid, prev *alloc.Allocation, prevSet, set scenario.Set, w map[int]float64) (*alloc.Allocation, error)
+
+// predicted weighs a nest by its predicted execution time at an equal
+// processor share, as the trackers do (§IV).
+func predicted(nx, ny, share int) (float64, error) {
+	model, _, err := Model()
+	if err != nil {
+		return 0, err
 	}
-	res := &WeightAblationResult{Cases: cases}
-	if res.ModelExec, err = run(true); err != nil {
+	return model.Predict(nx, ny, share)
+}
+
+// allocSweep allocates every set of the synthetic churn on BG/L 1024 with
+// weigh and place, without a tracker, and returns the mean aspect ratio of
+// the partitions and the mean oracle execution time of the slowest nest.
+func (r *Report) allocSweep(weigh func(nx, ny, share int) (float64, error), place placeFunc) (aspect, exec float64, err error) {
+	m, err := BGL(1024)
+	if err != nil {
+		return 0, 0, err
+	}
+	sets, err := r.syntheticSets(r.Cases)
+	if err != nil {
+		return 0, 0, err
+	}
+	_, oracle, err := Model()
+	if err != nil {
+		return 0, 0, err
+	}
+	var cur *alloc.Allocation
+	var prev scenario.Set
+	for _, set := range sets {
+		weights := make(map[int]float64, len(set))
+		share := max(1, m.Grid.Size()/max(1, len(set)))
+		for _, spec := range set {
+			nx, ny := spec.FineSize(3)
+			if weights[spec.ID], err = weigh(nx, ny, share); err != nil {
+				return 0, 0, err
+			}
+		}
+		if cur, err = place(m.Grid, cur, prev, set, weights); err != nil {
+			return 0, 0, err
+		}
+		prev = set
+		aspect += cur.MeanAspectRatio()
+		stepExec := 0.0
+		for _, spec := range set {
+			nx, ny := spec.FineSize(3)
+			rect := cur.Rects[spec.ID]
+			stepExec = max(stepExec, oracle.ExecTime(nx, ny, rect.Area(), rect.AspectRatio()))
+		}
+		exec += stepExec
+	}
+	return aspect / float64(len(sets)), exec / float64(len(sets)), nil
+}
+
+// Mapping replays the synthetic churn on BG/L 1024 with the folding-based
+// topology-aware mapping (the machine itself) and with naive row-major
+// rank placement on the same torus, in that order.
+func (r *Report) Mapping() ([]*SyntheticResult, error) {
+	m, err := BGL(1024)
+	if err != nil {
 		return nil, err
 	}
-	if res.AreaExec, err = run(false); err != nil {
+	net, err := topology.NewTorus3DLinear(m.Grid, topology.TorusDimsFor(m.Cores), topology.DefaultTorusParams())
+	if err != nil {
 		return nil, err
 	}
-	return res, nil
+	return r.variants(m, Machine{Name: m.Name + " (row-major)", Cores: m.Cores, Grid: m.Grid, Net: net})
 }

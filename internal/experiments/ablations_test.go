@@ -1,43 +1,33 @@
 package experiments
 
-import (
-	"math"
-	"testing"
-
-	"nestdiff/internal/geom"
-	"nestdiff/internal/topology"
-)
+import "testing"
 
 func TestScalingStudyShape(t *testing.T) {
-	rows, err := ScalingStudy([]int{64, 256, 1024}, 15, 1913)
+	rows, err := paper.Scaling()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 3 {
+	if len(rows) != 4 {
 		t.Fatalf("%d rows", len(rows))
 	}
 	for _, r := range rows {
 		if r.RedistImprovementPercent <= 0 {
 			t.Errorf("%d cores: improvement %.1f%%", r.Cores, r.RedistImprovementPercent)
 		}
-		if r.DiffusionHopBytes >= r.ScratchHopBytes {
+		if r.MeanDiffusionHopBytes >= r.MeanScratchHopBytes {
 			t.Errorf("%d cores: diffusion hop-bytes %.2f >= scratch %.2f",
-				r.Cores, r.DiffusionHopBytes, r.ScratchHopBytes)
+				r.Cores, r.MeanDiffusionHopBytes, r.MeanScratchHopBytes)
 		}
 	}
 	// §IV-B: the scratch method's routes lengthen with machine size.
-	if rows[2].ScratchMaxHops <= rows[0].ScratchMaxHops {
-		t.Errorf("scratch max hops did not grow with cores: %.1f (64) vs %.1f (1024)",
-			rows[0].ScratchMaxHops, rows[2].ScratchMaxHops)
-	}
-	// Diffusion's routes stay shorter than scratch's on the big machine.
-	if rows[2].DiffusionHopBytes >= rows[2].ScratchHopBytes {
-		t.Error("diffusion lost its hop advantage at scale")
+	if rows[2].MeanScratchMaxHops <= rows[0].MeanScratchMaxHops {
+		t.Errorf("scratch max hops did not grow with cores: %.1f (%d) vs %.1f (%d)",
+			rows[0].MeanScratchMaxHops, rows[0].Cores, rows[2].MeanScratchMaxHops, rows[2].Cores)
 	}
 }
 
 func TestInsertionPolicyAblation(t *testing.T) {
-	res, err := InsertionPolicyAblation(1024, 40, 1913)
+	res, err := paper.Insertion()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,37 +42,34 @@ func TestInsertionPolicyAblation(t *testing.T) {
 		t.Errorf("closest-weight exec %.2f worse than first-free %.2f",
 			res.ClosestExec, res.FirstFreeExec)
 	}
-	t.Logf("insertion ablation: aspect %.3f vs %.3f, exec %.2fs vs %.2fs",
-		res.ClosestAspect, res.FirstFreeAspect, res.ClosestExec, res.FirstFreeExec)
 }
 
 func TestMappingAblation(t *testing.T) {
-	res, err := MappingAblation(1024, 25, 1913)
+	results, err := paper.Mapping()
 	if err != nil {
 		t.Fatal(err)
 	}
+	folded, linear := results[0], results[1]
 	// The folding-based mapping is what turns process-grid locality into
 	// torus locality: without it, the diffusion strategy's traffic crosses
 	// more links.
-	if res.FoldedHopBytes >= res.LinearHopBytes {
+	if folded.MeanDiffusionHopBytes >= linear.MeanDiffusionHopBytes {
 		t.Errorf("folded mapping hop-bytes %.2f not below linear %.2f",
-			res.FoldedHopBytes, res.LinearHopBytes)
+			folded.MeanDiffusionHopBytes, linear.MeanDiffusionHopBytes)
 	}
-	if res.FoldedRedistTime > res.LinearRedistTime*1.02 {
+	if folded.DiffusionRedistTotal > linear.DiffusionRedistTotal*1.02 {
 		t.Errorf("folded mapping redistribution %.3f worse than linear %.3f",
-			res.FoldedRedistTime, res.LinearRedistTime)
+			folded.DiffusionRedistTotal, linear.DiffusionRedistTotal)
 	}
-	t.Logf("mapping ablation: hop-bytes %.2f (folded) vs %.2f (linear), redist %.2fs vs %.2fs",
-		res.FoldedHopBytes, res.LinearHopBytes, res.FoldedRedistTime, res.LinearRedistTime)
 }
 
 func TestPDAScaling(t *testing.T) {
-	rows, err := PDAScaling([]int{1, 4, 16, 60})
+	rows, err := paper.PDAScaling()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 4 {
-		t.Fatalf("%d rows", len(rows))
+	if len(rows) != 5 || rows[3].Ranks != 60 {
+		t.Fatalf("rows %+v, want 5 with 60 ranks fourth", rows)
 	}
 	for _, r := range rows {
 		if r.RootNNCNests == 0 || r.ParallelNests == 0 {
@@ -113,11 +100,7 @@ func TestPDAScaling(t *testing.T) {
 }
 
 func TestContentionSweep(t *testing.T) {
-	m, err := BGL(1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := ContentionSweep(m, 12, 1913, []float64{1.0, 1.5, 3.0, math.Inf(1)})
+	rows, err := paper.Contention()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +115,7 @@ func TestContentionSweep(t *testing.T) {
 			rows[len(rows)-1].CorrectPicks, rows[len(rows)-1].Total)
 	}
 	for _, r := range rows {
-		if r.Total != 12 {
+		if r.Total != paper.Reconfigs {
 			t.Fatalf("total = %d", r.Total)
 		}
 		if r.CorrectPicks*2 < r.Total {
@@ -142,36 +125,23 @@ func TestContentionSweep(t *testing.T) {
 			t.Errorf("factor %.1f: negative excess %.2f%%", r.EstimateFactor, r.ExcessPercent)
 		}
 	}
-	t.Logf("contention sweep: %+v", rows)
 }
 
 func TestDiffusionAdvantageSurvivesLinkContentionModel(t *testing.T) {
 	// The headline result must not be an artifact of the per-pair cost
 	// model: replaying the synthetic churn on the DOR link-contention
 	// torus must still favour diffusion.
-	px, py := geom.NearSquareFactors(1024)
-	g := geom.NewGrid(px, py)
-	base, err := topology.NewTorus3D(g, topology.TorusDimsFor(1024), topology.DefaultTorusParams())
+	results, err := paper.LinkContention()
 	if err != nil {
 		t.Fatal(err)
 	}
-	dor, err := topology.NewDORTorus(base)
-	if err != nil {
-		t.Fatal(err)
+	if res := results[1]; res.RedistImprovementPercent <= 0 {
+		t.Fatalf("diffusion loses under link contention on %s: %.1f%%", res.Machine, res.RedistImprovementPercent)
 	}
-	m := Machine{Name: "BG/L 1024 (DOR)", Cores: 1024, Grid: g, Net: dor}
-	res, err := RunSynthetic(m, 20, 1913)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.RedistImprovementPercent <= 0 {
-		t.Fatalf("diffusion loses under link contention: %.1f%%", res.RedistImprovementPercent)
-	}
-	t.Logf("DOR contention model: improvement %.1f%% (per-pair model gives ~36%%)", res.RedistImprovementPercent)
 }
 
 func TestWeightPolicyAblation(t *testing.T) {
-	res, err := WeightPolicyAblation(1024, 30, 1913)
+	res, err := paper.Weights()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,5 +152,4 @@ func TestWeightPolicyAblation(t *testing.T) {
 		t.Fatalf("model weights (%.2fs) worse than area weights (%.2fs)",
 			res.ModelExec, res.AreaExec)
 	}
-	t.Logf("weight ablation: model %.2fs vs area %.2fs per step", res.ModelExec, res.AreaExec)
 }

@@ -19,62 +19,58 @@ type ContentionRow struct {
 	ExcessPercent float64
 }
 
-// ContentionSweep quantifies the sensitivity of §IV-C's dynamic selection
-// to the quality of the redistribution-time prediction. The paper reports
-// 10/12 correct with its model; this sweep shows how the decision quality
-// degrades as the predictor's contention estimate drifts from reality.
-func ContentionSweep(m Machine, reconfigs int, seed int64, factors []float64) ([]ContentionRow, error) {
-	model, oracle, err := Model()
-	if err != nil {
-		return nil, err
-	}
-	cfg := scenario.DefaultSyntheticConfig()
-	cfg.Steps = reconfigs
-	cfg.Seed = seed
-	sets, err := scenario.Generate(cfg)
-	if err != nil {
-		return nil, err
-	}
-	base := core.DefaultOptions()
-	var rows []ContentionRow
-	for _, f := range factors {
-		opts := base
-		if math.IsInf(f, 1) {
-			opts.PredictedContentionBytesPerSec = 0 // predictor ignores contention
-		} else {
-			opts.PredictedContentionBytesPerSec = base.ContentionBytesPerSec * f
-		}
-		tr, err := core.NewTracker(m.Grid, m.Net, model, oracle, core.Dynamic, opts)
+// Contention quantifies the sensitivity of §IV-C's dynamic selection to
+// the quality of the redistribution-time prediction, on the dynamic study's
+// reconfigurations (BG/L 1024). The paper reports 10/12 correct with its
+// model; this sweep shows how the decision quality degrades as the
+// predictor's contention estimate (1.0×, 1.5×, 3.0× the true one, or
+// ignored) drifts from reality.
+func (r *Report) Contention() ([]ContentionRow, error) {
+	return cached(r, "contention", func() ([]ContentionRow, error) {
+		m, err := BGL(1024)
 		if err != nil {
 			return nil, err
 		}
-		row := ContentionRow{EstimateFactor: f}
-		var actual, best float64
-		for i, set := range sets {
-			sm, err := tr.Apply(set)
-			if err != nil {
-				return nil, err
+		sets, err := r.syntheticSets(r.Reconfigs)
+		if err != nil {
+			return nil, err
+		}
+		base := core.DefaultOptions()
+		rows := []ContentionRow{{EstimateFactor: 1.0}, {EstimateFactor: 1.5}, {EstimateFactor: 3.0}, {EstimateFactor: math.Inf(1)}}
+		lanes := make([]lane, len(rows))
+		for k, row := range rows {
+			opts := base
+			if math.IsInf(row.EstimateFactor, 1) {
+				opts.PredictedContentionBytesPerSec = 0 // predictor ignores contention
+			} else {
+				opts.PredictedContentionBytesPerSec = base.ContentionBytesPerSec * row.EstimateFactor
 			}
-			if i == 0 {
-				continue
-			}
-			row.Total++
-			if sm.DynamicCorrect {
-				row.CorrectPicks++
-			}
-			actual += sm.ExecTime + sm.RedistTime
-			stepBest := math.Inf(1)
-			for _, v := range sm.CandidateTotals {
-				if v < stepBest {
-					stepBest = v
+			lanes[k] = lane{m, core.Dynamic, opts}
+		}
+		actual, best := make([]float64, len(rows)), make([]float64, len(rows))
+		_, err = replay(sets, lanes, func(_ scenario.Set, _ []*core.Tracker, sms []core.StepMetrics) error {
+			for k, sm := range sms {
+				rows[k].Total++
+				if sm.DynamicCorrect {
+					rows[k].CorrectPicks++
 				}
+				actual[k] += sm.ExecTime + sm.RedistTime
+				stepBest := math.Inf(1)
+				for _, v := range sm.CandidateTotals {
+					stepBest = min(stepBest, v)
+				}
+				best[k] += stepBest
 			}
-			best += stepBest
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
-		if best > 0 {
-			row.ExcessPercent = 100 * (actual - best) / best
+		for k := range rows {
+			if best[k] > 0 {
+				rows[k].ExcessPercent = 100 * (actual[k] - best[k]) / best[k]
+			}
 		}
-		rows = append(rows, row)
-	}
-	return rows, nil
+		return rows, nil
+	})
 }

@@ -1,7 +1,7 @@
 package experiments
 
 import (
-	"fmt"
+	"slices"
 
 	"nestdiff/internal/core"
 	"nestdiff/internal/scenario"
@@ -30,76 +30,75 @@ type DynamicResult struct {
 	PearsonR float64
 }
 
-// RunDynamic reproduces the dynamic-strategy experiment with the given
-// number of reconfigurations (12 in the paper) on the machine.
-func RunDynamic(m Machine, reconfigs int, seed int64) (*DynamicResult, error) {
-	cfg := scenario.DefaultSyntheticConfig()
-	cfg.Steps = reconfigs
-	cfg.Seed = seed
-	sets, err := scenario.Generate(cfg)
-	if err != nil {
-		return nil, err
-	}
-	model, oracle, err := Model()
-	if err != nil {
-		return nil, err
-	}
-	res := &DynamicResult{
-		Machine:          m.Name,
-		Reconfigurations: reconfigs,
-		ExecTotal:        map[string]float64{},
-		RedistTotal:      map[string]float64{},
-	}
-	var predExec, actExec []float64
-	opts := core.DefaultOptions()
-	for _, strategy := range []core.Strategy{core.Diffusion, core.Scratch, core.Dynamic} {
-		tr, err := core.NewTracker(m.Grid, m.Net, model, oracle, strategy, opts)
+// Dynamic reproduces the dynamic-strategy experiment: the report's
+// Reconfigs (12 in the paper) through all three strategies on BG/L 1024.
+func (r *Report) Dynamic() (*DynamicResult, error) {
+	return cached(r, "dynamic", func() (*DynamicResult, error) {
+		m, err := BGL(1024)
 		if err != nil {
 			return nil, err
 		}
-		for i, set := range sets {
-			sm, err := tr.Apply(set)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: %v step %d: %w", strategy, i, err)
-			}
-			if i == 0 {
-				continue
-			}
-			// Correlate actual vs predicted execution time per nest (the
-			// paper validates the predictor over nest configurations).
-			for _, spec := range set {
-				r, ok := tr.Allocation().Rects[spec.ID]
-				if !ok {
-					continue
-				}
-				nx, ny := spec.FineSize(opts.Ratio)
-				p, err := model.PredictRect(nx, ny, r)
-				if err != nil {
-					return nil, err
-				}
-				predExec = append(predExec, p)
-				actExec = append(actExec, oracle.ExecTime(nx, ny, r.Area(), r.AspectRatio()))
-			}
-			if strategy == core.Dynamic {
-				switch sm.Used {
-				case core.Scratch:
-					res.PickedScratch++
-				case core.Diffusion:
-					res.PickedDiffusion++
-				}
-				if sm.DynamicCorrect {
-					res.CorrectPicks++
-				}
-			}
+		sets, err := r.syntheticSets(r.Reconfigs)
+		if err != nil {
+			return nil, err
 		}
-		exec, red := tr.Totals()
-		res.ExecTotal[strategy.String()] = exec
-		res.RedistTotal[strategy.String()] = red
-	}
-	r, err := stats.Pearson(actExec, predExec)
-	if err != nil {
-		return nil, err
-	}
-	res.PearsonR = r
-	return res, nil
+		model, oracle, err := Model()
+		if err != nil {
+			return nil, err
+		}
+		res := &DynamicResult{
+			Machine:          m.Name,
+			Reconfigurations: r.Reconfigs,
+			ExecTotal:        map[string]float64{},
+			RedistTotal:      map[string]float64{},
+		}
+		opts := core.DefaultOptions()
+		strategies := []core.Strategy{core.Diffusion, core.Scratch, core.Dynamic}
+		lanes := make([]lane, len(strategies))
+		for k, s := range strategies {
+			lanes[k] = lane{m, s, opts}
+		}
+		// Actual vs predicted execution time per nest (the paper validates
+		// the predictor over nest configurations), kept per strategy and
+		// correlated strategy after strategy.
+		predExec, actExec := make([][]float64, len(lanes)), make([][]float64, len(lanes))
+		trs, err := replay(sets, lanes, func(set scenario.Set, trs []*core.Tracker, sms []core.StepMetrics) error {
+			for k, tr := range trs {
+				for _, spec := range set {
+					rect, ok := tr.Allocation().Rects[spec.ID]
+					if !ok {
+						continue
+					}
+					nx, ny := spec.FineSize(opts.Ratio)
+					p, err := model.PredictRect(nx, ny, rect)
+					if err != nil {
+						return err
+					}
+					predExec[k] = append(predExec[k], p)
+					actExec[k] = append(actExec[k], oracle.ExecTime(nx, ny, rect.Area(), rect.AspectRatio()))
+				}
+			}
+			dyn := sms[2]
+			switch dyn.Used {
+			case core.Scratch:
+				res.PickedScratch++
+			case core.Diffusion:
+				res.PickedDiffusion++
+			}
+			if dyn.DynamicCorrect {
+				res.CorrectPicks++
+			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		for k, tr := range trs {
+			res.ExecTotal[strategies[k].String()], res.RedistTotal[strategies[k].String()] = tr.Totals()
+		}
+		if res.PearsonR, err = stats.Pearson(slices.Concat(actExec...), slices.Concat(predExec...)); err != nil {
+			return nil, err
+		}
+		return res, nil
+	})
 }

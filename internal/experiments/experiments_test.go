@@ -1,34 +1,83 @@
 package experiments
 
 import (
+	"bytes"
+	"context"
+	"os"
+	"regexp"
+	"strings"
 	"testing"
-
-	"nestdiff/internal/scenario"
 )
 
-func TestTable1ReproducesPaper(t *testing.T) {
-	rows, err := Table1()
+// paper is the one run of the evaluation every test in this package reads.
+var paper = NewReport(Paper)
+
+const golden = "testdata/paper_tables.golden"
+
+// TestPaperTables pins the whole report at the paper's settings. After an
+// intended change, regenerate it from the repository root with
+//
+//	go run ./cmd/experiments > internal/experiments/testdata/paper_tables.golden
+func TestPaperTables(t *testing.T) {
+	var got bytes.Buffer
+	if err := paper.Write(context.Background(), &got, "all"); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(golden)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []struct {
-		id, start, w, h int
-	}{
-		{1, 0, 13, 8}, {2, 256, 13, 8}, {3, 512, 13, 16}, {4, 13, 19, 13}, {5, 429, 19, 19},
+	g, w := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	line := func(ls []string, i int) string {
+		if i < len(ls) {
+			return ls[i]
+		}
+		return "(end of output)"
 	}
-	if len(rows) != len(want) {
-		t.Fatalf("%d rows", len(rows))
-	}
-	for i, w := range want {
-		r := rows[i]
-		if r.NestID != w.id || r.StartRank != w.start || r.Width != w.w || r.Height != w.h {
-			t.Errorf("row %d = %+v, want %+v", i, r, w)
+	for i := range max(len(g), len(w)) {
+		if line(g, i) != line(w, i) {
+			t.Fatalf("%s:%d differs from the report:\n got: %q\nwant: %q", golden, i+1, line(g, i), line(w, i))
 		}
 	}
 }
 
+// TestExperimentsDocQuotesGolden holds EXPERIMENTS.md's paper and ablation
+// block (everything before "### Checkpoint/restart") to the golden: every
+// number it puts in bold must be a number the report prints.
+func TestExperimentsDocQuotesGolden(t *testing.T) {
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	block, _, ok := strings.Cut(string(doc), "### Checkpoint/restart")
+	if !ok {
+		t.Fatal(`EXPERIMENTS.md has no "### Checkpoint/restart" section to end the paper block`)
+	}
+	number := regexp.MustCompile(`\d+(?:\.\d+)?`)
+	printed := map[string]bool{}
+	for _, n := range number.FindAllString(string(want), -1) {
+		printed[n] = true
+	}
+	quoted := 0
+	for _, m := range regexp.MustCompile(`\*\*([^*]+)\*\*`).FindAllStringSubmatch(block, -1) {
+		for _, n := range number.FindAllString(m[1], -1) {
+			quoted++
+			if !printed[n] {
+				t.Errorf("EXPERIMENTS.md quotes **%s**, but %s is not a number of %s", m[1], n, golden)
+			}
+		}
+	}
+	if quoted == 0 {
+		t.Fatal("EXPERIMENTS.md's paper block bolds no number")
+	}
+}
+
 func TestTable2Shape(t *testing.T) {
-	rows, err := Table2()
+	rows, err := paper.Table2()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +92,7 @@ func TestTable2Shape(t *testing.T) {
 }
 
 func TestFig8DiffusionOverlap(t *testing.T) {
-	res, err := Fig8()
+	res, err := paper.Fig8()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +110,7 @@ func TestFig8DiffusionOverlap(t *testing.T) {
 }
 
 func TestFig9ClusteringComparison(t *testing.T) {
-	res, err := Fig9()
+	res, err := paper.Fig9()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,28 +131,16 @@ func TestFig9ClusteringComparison(t *testing.T) {
 	if len(res.ShowcaseOursRects) == 0 || res.ShowcaseSimpleOverlaps == 0 {
 		t.Fatalf("showcase malformed: %+v", res)
 	}
-	t.Logf("fig9: %d snapshots, overlaps ours=%d simple=%d, showcase at step %d",
-		res.Snapshots, res.OursOverlapsTotal, res.SimpleOverlapsTotal, res.ShowcaseStep)
 }
 
 func TestRunSyntheticBGL1024Shape(t *testing.T) {
-	m, err := BGL(1024)
+	results, err := paper.Table4()
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunSynthetic(m, 20, 1913)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Cases) != 20 {
-		t.Fatalf("%d cases", len(res.Cases))
-	}
-	if res.RedistImprovementPercent <= 0 {
-		t.Fatalf("diffusion does not improve redistribution: %+v%%", res.RedistImprovementPercent)
-	}
-	if res.MeanDiffusionHopBytes >= res.MeanScratchHopBytes {
-		t.Fatalf("hop-bytes: diffusion %.2f >= scratch %.2f",
-			res.MeanDiffusionHopBytes, res.MeanScratchHopBytes)
+	res := results[0]
+	if res.Cores != 1024 || len(res.Cases) != paper.Cases {
+		t.Fatalf("%s: %d cases", res.Machine, len(res.Cases))
 	}
 	if res.MeanDiffusionOverlap <= res.MeanScratchOverlap {
 		t.Fatalf("overlap: diffusion %.1f%% <= scratch %.1f%%",
@@ -115,128 +152,35 @@ func TestRunSyntheticBGL1024Shape(t *testing.T) {
 	}
 }
 
-func TestTable4Shapes(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-machine sweep")
-	}
-	rows, results, err := Table4(25, 1913)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("%d rows", len(rows))
-	}
-	for _, r := range rows {
-		if r.ImprovementPercent <= 0 {
-			t.Errorf("%s: improvement %.1f%%, want positive", r.Configuration, r.ImprovementPercent)
-		}
-	}
-	// Paper shape: the torus gains more than the switched cluster at equal
-	// core count (25% on BG/L 256 vs 10% on fist 256).
-	if rows[1].ImprovementPercent <= rows[2].ImprovementPercent {
-		t.Errorf("BG/L 256 improvement %.1f%% not above fist 256 %.1f%%",
-			rows[1].ImprovementPercent, rows[2].ImprovementPercent)
-	}
-	if len(results) != 3 {
-		t.Fatalf("%d results", len(results))
-	}
-}
-
-func TestRunDynamicShape(t *testing.T) {
-	m, err := BGL(1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := RunDynamic(m, 12, 1913)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.PickedScratch+res.PickedDiffusion != 12 {
-		t.Fatalf("picks %d + %d != 12", res.PickedScratch, res.PickedDiffusion)
-	}
-	// Paper: dynamic correct in 10/12; demand a clear majority.
-	if res.CorrectPicks*3 < 12*2 {
-		t.Fatalf("correct picks %d of 12", res.CorrectPicks)
-	}
-	// Paper: prediction Pearson r ≈ 0.9.
-	if res.PearsonR < 0.7 {
-		t.Fatalf("Pearson r = %.3f", res.PearsonR)
-	}
-	// Fig. 12 shape: diffusion has the lowest redistribution total;
-	// dynamic's total is competitive with the best pure strategy.
-	if res.RedistTotal["diffusion"] >= res.RedistTotal["scratch"] {
-		t.Errorf("diffusion redistribution %.3g not below scratch %.3g",
-			res.RedistTotal["diffusion"], res.RedistTotal["scratch"])
-	}
-	bestTotal := res.ExecTotal["diffusion"] + res.RedistTotal["diffusion"]
-	if s := res.ExecTotal["scratch"] + res.RedistTotal["scratch"]; s < bestTotal {
-		bestTotal = s
-	}
-	dyn := res.ExecTotal["dynamic"] + res.RedistTotal["dynamic"]
-	if dyn > bestTotal*1.10 {
-		t.Errorf("dynamic total %.3g more than 10%% above best pure %.3g", dyn, bestTotal)
-	}
-}
-
 func TestRealTraceSetsDetectsChurn(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full monsoon simulation")
-	}
-	mc := scenario.DefaultMonsoonConfig()
-	mc.Steps = 150
-	m, err := BGL(256)
+	results, err := paper.RealTrace()
 	if err != nil {
 		t.Fatal(err)
 	}
-	sets, err := RealTraceSets(mc, m.Grid, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sets) != mc.Steps {
-		t.Fatalf("%d sets for %d steps", len(sets), mc.Steps)
-	}
-	maxNests, changes := 0, 0
-	for i, s := range sets {
-		if len(s) > maxNests {
-			maxNests = len(s)
+	for _, res := range results {
+		if len(res.Cases) != paper.Steps-1 {
+			t.Fatalf("%s: %d cases for %d analysis points", res.Machine, len(res.Cases), paper.Steps)
 		}
-		if i > 0 && setsDiffer(sets[i-1], s) {
-			changes++
+		if res.MaxNests == 0 {
+			t.Fatalf("%s: monsoon trace produced no nests", res.Machine)
+		}
+		if res.Reconfigurations == 0 {
+			t.Fatalf("%s: monsoon trace produced no reconfigurations", res.Machine)
 		}
 	}
-	if maxNests == 0 {
-		t.Fatal("monsoon trace produced no nests")
-	}
-	if changes == 0 {
-		t.Fatal("monsoon trace produced no reconfigurations")
-	}
-	t.Logf("real trace: %d analysis points, %d reconfigurations, up to %d nests",
-		len(sets), changes, maxNests)
 }
 
 func TestRunRealTraceImproves(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full monsoon simulation")
-	}
-	mc := scenario.DefaultMonsoonConfig()
-	mc.Steps = 150
-	m, err := BGL(256)
+	results, err := paper.RealTrace()
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunRealTrace(m, mc)
-	if err != nil {
-		t.Fatal(err)
+	for _, res := range results {
+		if res.RedistImprovementPercent <= 0 || res.TotalRedistImprovementPercent <= 0 {
+			t.Errorf("%s: diffusion improvement %.1f%% per case, %.1f%% total; want positive",
+				res.Machine, res.RedistImprovementPercent, res.TotalRedistImprovementPercent)
+		}
 	}
-	if res.Reconfigurations == 0 {
-		t.Fatal("no reconfigurations in real trace")
-	}
-	if res.RedistImprovementPercent <= 0 {
-		t.Fatalf("real trace: diffusion improvement %.1f%%, want positive",
-			res.RedistImprovementPercent)
-	}
-	t.Logf("real trace on %s: %.1f%% redistribution improvement over %d reconfigs (max %d nests)",
-		m.Name, res.RedistImprovementPercent, res.Reconfigurations, res.MaxNests)
 }
 
 func TestMachines(t *testing.T) {

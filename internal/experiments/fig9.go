@@ -44,7 +44,9 @@ func fig9ModelConfig(mc scenario.MonsoonConfig) wrfsim.Config {
 
 // Fig9 runs the scripted monsoon scenario, clustering the split-file
 // aggregates with both policies at regular snapshots.
-func Fig9() (*Fig9Result, error) {
+func (r *Report) Fig9() (*Fig9Result, error) { return cached(r, "fig9", fig9) }
+
+func fig9() (*Fig9Result, error) {
 	mc := scenario.DefaultMonsoonConfig()
 	mc.Steps = 400
 	sched := scenario.MonsoonSchedule(mc)

@@ -3,8 +3,9 @@
 // examples, the Fig. 8 diffusion walk-through, the Fig. 9 clustering
 // comparison, the Table IV synthetic redistribution improvements, the
 // Fig. 10 hop-bytes and Fig. 11 overlap series, the real-trace runs of
-// §V-D, and the dynamic-strategy study of §V-F / Fig. 12. cmd/experiments
-// prints these; the root bench harness times them.
+// §V-D, the dynamic-strategy study of §V-F / Fig. 12, and the ablations.
+// A Report runs them once at one Settings; cmd/experiments prints it and
+// testdata/paper_tables.golden pins it at the paper's settings.
 package experiments
 
 import (

@@ -25,8 +25,10 @@ type PDAScalingRow struct {
 }
 
 // PDAScaling builds a many-storm snapshot on a fine split-file grid and
-// runs both analysis variants across rank counts.
-func PDAScaling(rankCounts []int) ([]PDAScalingRow, error) {
+// runs both analysis variants on 1 to 180 analysis ranks.
+func (r *Report) PDAScaling() ([]PDAScalingRow, error) { return cached(r, "pdascale", pdaScaling) }
+
+func pdaScaling() ([]PDAScalingRow, error) {
 	mc := scenario.DefaultMonsoonConfig()
 	mc.Steps = 220
 	sched := scenario.MonsoonSchedule(mc)
@@ -62,7 +64,7 @@ func PDAScaling(rankCounts []int) ([]PDAScalingRow, error) {
 	opt.OLRFractionThreshold = 0.05
 
 	var rows []PDAScalingRow
-	for _, n := range rankCounts {
+	for _, n := range []int{1, 4, 16, 60, 180} {
 		newWorld := func() (*mpi.World, error) {
 			net, err := topology.NewSwitched(n, 8, topology.DefaultSwitchedParams())
 			if err != nil {

@@ -21,12 +21,12 @@ type RealTraceResult struct {
 	MaxNests         int
 }
 
-// RealTraceSets runs the scripted monsoon scenario and detection pipeline
+// realTraceSets runs the scripted monsoon scenario and detection pipeline
 // (model → split files → PDA → ROI matching) and returns the nest
 // configuration at every analysis point. The trace depends only on the
 // scenario seed, not on any allocation strategy, so it can be replayed
 // fairly through every tracker.
-func RealTraceSets(mc scenario.MonsoonConfig, pg geom.Grid, maxNests int) ([]scenario.Set, error) {
+func realTraceSets(mc scenario.MonsoonConfig, pg geom.Grid, maxNests int) ([]scenario.Set, error) {
 	wcfg := wrfsim.DefaultConfig()
 	wcfg.NX, wcfg.NY = mc.NX, mc.NY
 	wcfg.SpawnRate = 0
@@ -59,37 +59,45 @@ func RealTraceSets(mc scenario.MonsoonConfig, pg geom.Grid, maxNests int) ([]sce
 	return sets, nil
 }
 
-// RunRealTrace reproduces the §V-D real test cases on a machine: the
-// Mumbai-2005-calibrated monsoon trace replayed through scratch and
-// diffusion. The paper reports 14% (512 cores) and 12% (1024 cores)
-// redistribution improvements.
-func RunRealTrace(m Machine, mc scenario.MonsoonConfig) (*RealTraceResult, error) {
-	// The detection process grid matches the machine's WRF decomposition
-	// scaled to the model domain: use the machine grid directly when it
-	// fits, else a near-square grid bounded by the domain.
-	pg := m.Grid
-	if pg.Px > mc.NX || pg.Py > mc.NY {
-		return nil, fmt.Errorf("experiments: process grid %dx%d exceeds domain %dx%d",
-			pg.Px, pg.Py, mc.NX, mc.NY)
-	}
-	sets, err := RealTraceSets(mc, pg, 9)
-	if err != nil {
-		return nil, err
-	}
-	base, err := runSets(m, sets)
-	if err != nil {
-		return nil, err
-	}
-	res := &RealTraceResult{SyntheticResult: base}
-	for i := 1; i < len(sets); i++ {
-		if setsDiffer(sets[i-1], sets[i]) {
-			res.Reconfigurations++
+// RealTrace reproduces the §V-D real test cases on BG/L 512 and 1024: the
+// Mumbai-2005-calibrated monsoon trace of the report's Steps replayed
+// through scratch and diffusion. The paper reports 14% (512 cores) and 12%
+// (1024 cores) redistribution improvements.
+func (r *Report) RealTrace() ([]*RealTraceResult, error) {
+	return cached(r, "real", func() ([]*RealTraceResult, error) {
+		mc := scenario.DefaultMonsoonConfig()
+		mc.Steps = r.Steps
+		var out []*RealTraceResult
+		for _, cores := range []int{512, 1024} {
+			m, err := BGL(cores)
+			if err != nil {
+				return nil, err
+			}
+			// The detection process grid is the machine's WRF decomposition,
+			// which must fit the model domain.
+			if m.Grid.Px > mc.NX || m.Grid.Py > mc.NY {
+				return nil, fmt.Errorf("experiments: process grid %dx%d exceeds domain %dx%d",
+					m.Grid.Px, m.Grid.Py, mc.NX, mc.NY)
+			}
+			sets, err := realTraceSets(mc, m.Grid, 9)
+			if err != nil {
+				return nil, err
+			}
+			base, err := runSets(m, sets)
+			if err != nil {
+				return nil, err
+			}
+			res := &RealTraceResult{SyntheticResult: base}
+			for i := 1; i < len(sets); i++ {
+				if setsDiffer(sets[i-1], sets[i]) {
+					res.Reconfigurations++
+				}
+				res.MaxNests = max(res.MaxNests, len(sets[i]))
+			}
+			out = append(out, res)
 		}
-		if len(sets[i]) > res.MaxNests {
-			res.MaxNests = len(sets[i])
-		}
-	}
-	return res, nil
+		return out, nil
+	})
 }
 
 func setsDiffer(a, b scenario.Set) bool {

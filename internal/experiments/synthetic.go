@@ -1,11 +1,10 @@
 package experiments
 
 import (
-	"fmt"
-
 	"nestdiff/internal/core"
 	"nestdiff/internal/scenario"
 	"nestdiff/internal/stats"
+	"nestdiff/internal/topology"
 )
 
 // CaseMetrics compares the two strategies on one reconfiguration case.
@@ -23,11 +22,15 @@ type CaseMetrics struct {
 	// Execution time of the resulting allocation.
 	ScratchExec   float64
 	DiffusionExec float64
+	// Longest route of the redistribution, in hops.
+	ScratchMaxHops   int
+	DiffusionMaxHops int
 }
 
 // SyntheticResult aggregates a synthetic churn run on one machine.
 type SyntheticResult struct {
 	Machine string
+	Cores   int
 	Cases   []CaseMetrics
 	// RedistImprovementPercent is the mean per-case improvement of
 	// diffusion over scratch in redistribution time (Table IV).
@@ -36,6 +39,8 @@ type SyntheticResult struct {
 	// times instead — robust to near-zero cases; used for the real-trace
 	// headline.
 	TotalRedistImprovementPercent float64
+	ScratchRedistTotal            float64
+	DiffusionRedistTotal          float64
 	// ExecPenaltyPercent is the mean increase in execution time of
 	// diffusion over scratch (§V-D reports ≈4%).
 	ExecPenaltyPercent float64
@@ -45,133 +50,132 @@ type SyntheticResult struct {
 	MeanDiffusionHopBytes float64
 	MeanScratchOverlap    float64
 	MeanDiffusionOverlap  float64
+	// Mean longest route per case (§IV-B's scalability argument).
+	MeanScratchMaxHops   float64
+	MeanDiffusionMaxHops float64
 }
 
-// RunSynthetic replays the same synthetic nest-churn sequence through a
-// scratch tracker and a diffusion tracker on the given machine and
-// compares them per reconfiguration case (Table IV, Figs. 10–11).
-func RunSynthetic(m Machine, cases int, seed int64) (*SyntheticResult, error) {
-	cfg := scenario.DefaultSyntheticConfig()
-	cfg.Steps = cases
-	cfg.Seed = seed
-	sets, err := scenario.Generate(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return runSets(m, sets)
+// synthetic replays the report's synthetic churn on m through a scratch
+// and a diffusion tracker, kept per machine name.
+func (r *Report) synthetic(m Machine) (*SyntheticResult, error) {
+	return cached(r, "synthetic/"+m.Name, func() (*SyntheticResult, error) {
+		sets, err := r.syntheticSets(r.Cases)
+		if err != nil {
+			return nil, err
+		}
+		return runSets(m, sets)
+	})
 }
 
-// runSets feeds an identical set sequence through both pure strategies.
+// runSets feeds an identical set sequence through both pure strategies and
+// compares them per reconfiguration case.
 func runSets(m Machine, sets []scenario.Set) (*SyntheticResult, error) {
-	model, oracle, err := Model()
-	if err != nil {
-		return nil, err
-	}
-	newTracker := func(s core.Strategy) (*core.Tracker, error) {
-		return core.NewTracker(m.Grid, m.Net, model, oracle, s, core.DefaultOptions())
-	}
-	trS, err := newTracker(core.Scratch)
-	if err != nil {
-		return nil, err
-	}
-	trD, err := newTracker(core.Diffusion)
-	if err != nil {
-		return nil, err
-	}
-	res := &SyntheticResult{Machine: m.Name}
-	for i, set := range sets {
-		smS, err := trS.Apply(set)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: scratch step %d: %w", i, err)
-		}
-		smD, err := trD.Apply(set)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: diffusion step %d: %w", i, err)
-		}
-		if i == 0 {
-			continue // initial allocation has no redistribution
-		}
+	res := &SyntheticResult{Machine: m.Name, Cores: m.Cores}
+	opts := core.DefaultOptions()
+	lanes := []lane{{m, core.Scratch, opts}, {m, core.Diffusion, opts}}
+	_, err := replay(sets, lanes, func(_ scenario.Set, _ []*core.Tracker, sms []core.StepMetrics) error {
+		s, d := sms[0], sms[1]
 		res.Cases = append(res.Cases, CaseMetrics{
-			Case:              i,
-			ScratchRedist:     smS.RedistTime,
-			DiffusionRedist:   smD.RedistTime,
-			ScratchHopBytes:   smS.Redist.AvgHopBytes,
-			DiffusionHopBytes: smD.Redist.AvgHopBytes,
-			ScratchOverlap:    smS.Redist.OverlapPercent,
-			DiffusionOverlap:  smD.Redist.OverlapPercent,
-			ScratchExec:       smS.ExecTime,
-			DiffusionExec:     smD.ExecTime,
+			Case:              len(res.Cases) + 1,
+			ScratchRedist:     s.RedistTime,
+			DiffusionRedist:   d.RedistTime,
+			ScratchHopBytes:   s.Redist.AvgHopBytes,
+			DiffusionHopBytes: d.Redist.AvgHopBytes,
+			ScratchOverlap:    s.Redist.OverlapPercent,
+			DiffusionOverlap:  d.Redist.OverlapPercent,
+			ScratchExec:       s.ExecTime,
+			DiffusionExec:     d.ExecTime,
+			ScratchMaxHops:    s.Redist.MaxHops,
+			DiffusionMaxHops:  d.Redist.MaxHops,
 		})
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return res.finish()
 }
 
 func (res *SyntheticResult) finish() (*SyntheticResult, error) {
-	var sRe, dRe, sEx, dEx, sHB, dHB, sOv, dOv []float64
-	for _, c := range res.Cases {
-		sRe = append(sRe, c.ScratchRedist)
-		dRe = append(dRe, c.DiffusionRedist)
-		sEx = append(sEx, c.ScratchExec)
-		dEx = append(dEx, c.DiffusionExec)
-		sHB = append(sHB, c.ScratchHopBytes)
-		dHB = append(dHB, c.DiffusionHopBytes)
-		sOv = append(sOv, c.ScratchOverlap)
-		dOv = append(dOv, c.DiffusionOverlap)
+	col := func(f func(CaseMetrics) float64) []float64 {
+		out := make([]float64, len(res.Cases))
+		for i, c := range res.Cases {
+			out[i] = f(c)
+		}
+		return out
 	}
+	sRe := col(func(c CaseMetrics) float64 { return c.ScratchRedist })
+	dRe := col(func(c CaseMetrics) float64 { return c.DiffusionRedist })
 	imp, err := stats.MeanImprovementPercent(sRe, dRe)
 	if err != nil {
 		return nil, err
 	}
 	res.RedistImprovementPercent = imp
-	var sSum, dSum float64
 	for i := range sRe {
-		sSum += sRe[i]
-		dSum += dRe[i]
+		res.ScratchRedistTotal += sRe[i]
+		res.DiffusionRedistTotal += dRe[i]
 	}
-	res.TotalRedistImprovementPercent = stats.ImprovementPercent(sSum, dSum)
-	pen, err := stats.MeanImprovementPercent(sEx, dEx)
+	res.TotalRedistImprovementPercent = stats.ImprovementPercent(res.ScratchRedistTotal, res.DiffusionRedistTotal)
+	pen, err := stats.MeanImprovementPercent(
+		col(func(c CaseMetrics) float64 { return c.ScratchExec }),
+		col(func(c CaseMetrics) float64 { return c.DiffusionExec }))
 	if err != nil {
 		return nil, err
 	}
 	res.ExecPenaltyPercent = -pen // positive = diffusion slower
-	res.MeanScratchHopBytes = stats.Mean(sHB)
-	res.MeanDiffusionHopBytes = stats.Mean(dHB)
-	res.MeanScratchOverlap = stats.Mean(sOv)
-	res.MeanDiffusionOverlap = stats.Mean(dOv)
+	res.MeanScratchHopBytes = stats.Mean(col(func(c CaseMetrics) float64 { return c.ScratchHopBytes }))
+	res.MeanDiffusionHopBytes = stats.Mean(col(func(c CaseMetrics) float64 { return c.DiffusionHopBytes }))
+	res.MeanScratchOverlap = stats.Mean(col(func(c CaseMetrics) float64 { return c.ScratchOverlap }))
+	res.MeanDiffusionOverlap = stats.Mean(col(func(c CaseMetrics) float64 { return c.DiffusionOverlap }))
+	res.MeanScratchMaxHops = stats.Mean(col(func(c CaseMetrics) float64 { return float64(c.ScratchMaxHops) }))
+	res.MeanDiffusionMaxHops = stats.Mean(col(func(c CaseMetrics) float64 { return float64(c.DiffusionMaxHops) }))
 	return res, nil
-}
-
-// Table4Row is one line of Table IV.
-type Table4Row struct {
-	Configuration      string
-	ImprovementPercent float64
 }
 
 // Table4 regenerates Table IV: mean redistribution-time improvement of
 // tree-based hierarchical diffusion over partition from scratch for the
-// synthetic test cases on BG/L 1024, BG/L 256 and fist 256.
-func Table4(cases int, seed int64) ([]Table4Row, []*SyntheticResult, error) {
-	configs := []struct {
-		name string
-		mk   func() (Machine, error)
-	}{
-		{"BG/L 1024 cores", func() (Machine, error) { return BGL(1024) }},
-		{"BG/L 256 cores", func() (Machine, error) { return BGL(256) }},
-		{"fist 256 cores", func() (Machine, error) { return Fist(256) }},
-	}
-	var rows []Table4Row
-	var results []*SyntheticResult
-	for _, c := range configs {
-		m, err := c.mk()
+// synthetic test cases on BG/L 1024, BG/L 256 and fist 256. The first
+// result is the BG/L 1024 replay behind Figs. 10 and 11.
+func (r *Report) Table4() ([]*SyntheticResult, error) {
+	var ms []Machine
+	for _, c := range []struct {
+		mk    func(int) (Machine, error)
+		cores int
+	}{{BGL, 1024}, {BGL, 256}, {Fist, 256}} {
+		m, err := c.mk(c.cores)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		res, err := RunSynthetic(m, cases, seed)
-		if err != nil {
-			return nil, nil, err
-		}
-		rows = append(rows, Table4Row{Configuration: c.name, ImprovementPercent: res.RedistImprovementPercent})
-		results = append(results, res)
+		ms = append(ms, m)
 	}
-	return rows, results, nil
+	return r.variants(ms...)
+}
+
+// variants is the synthetic replay on each machine.
+func (r *Report) variants(ms ...Machine) ([]*SyntheticResult, error) {
+	out := make([]*SyntheticResult, len(ms))
+	for i, m := range ms {
+		var err error
+		if out[i], err = r.synthetic(m); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// LinkContention replays the synthetic churn on BG/L 1024 priced first by
+// §IV-C1's per-pair maximum (the machine itself), then by dimension-ordered
+// routing and per-link byte loads (topology.DORTorus: an exchange takes its
+// most-loaded link's drain time), to show the diffusion advantage is a
+// property of the traffic pattern, not of the cost model.
+func (r *Report) LinkContention() ([]*SyntheticResult, error) {
+	m, err := BGL(1024)
+	if err != nil {
+		return nil, err
+	}
+	dor, err := topology.NewDORTorus(m.Net.(*topology.Torus3D))
+	if err != nil {
+		return nil, err
+	}
+	return r.variants(m, Machine{Name: m.Name + " (DOR)", Cores: m.Cores, Grid: m.Grid, Net: dor})
 }

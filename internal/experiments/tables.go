@@ -13,7 +13,7 @@ var table2Weights = map[int]float64{3: 0.27, 5: 0.42, 6: 0.31}
 
 // Table1 regenerates Table I: Huffman processor allocation of 5 nests on
 // 1024 cores.
-func Table1() ([]alloc.Row, error) {
+func (*Report) Table1() ([]alloc.Row, error) {
 	a, err := alloc.Scratch(geom.NewGrid(32, 32), paperWeights)
 	if err != nil {
 		return nil, err
@@ -23,7 +23,7 @@ func Table1() ([]alloc.Row, error) {
 
 // Table2 regenerates Table II: partition-from-scratch reallocation for the
 // surviving nest set {3, 5, 6}.
-func Table2() ([]alloc.Row, error) {
+func (*Report) Table2() ([]alloc.Row, error) {
 	a, err := alloc.Scratch(geom.NewGrid(32, 32), table2Weights)
 	if err != nil {
 		return nil, err
@@ -49,7 +49,7 @@ type Fig8Result struct {
 // Fig8 regenerates the tree-based hierarchical diffusion example: deleting
 // nests 1, 2, 4; retaining 3, 5 (weights 0.27, 0.42); adding nest 6
 // (0.31).
-func Fig8() (*Fig8Result, error) {
+func (*Report) Fig8() (*Fig8Result, error) {
 	g := geom.NewGrid(32, 32)
 	old, err := alloc.Scratch(g, paperWeights)
 	if err != nil {
