@@ -1,6 +1,7 @@
 // Command nesttrace summarizes a nestdiff trace ledger: the append-only
-// JSONL event log a traced job writes when nestserved runs with
-// -ledger-dir (or any JSONL stream of obs.Event lines).
+// event log a traced job writes when nestserved runs with -ledger-dir.
+// The input must be a ledger, one CRC-framed obs.Event per line
+// ({"crc":...,"rec":{...}}); a bare JSONL stream of events is not one.
 //
 // Usage:
 //
@@ -13,8 +14,9 @@
 // decision tally — how often the dynamic predictor picked the candidate
 // that actually turned out cheaper, and the total regret when it did not.
 //
-// A torn final line (the job's process died mid-append) is skipped and
-// reported, never fatal.
+// Reading stops at the first torn or corrupt line (the job's process died
+// mid-append); the lines from there on are reported as skipped, never
+// fatal.
 package main
 
 import (
@@ -67,7 +69,7 @@ func main() {
 func report(out *os.File, path string, s obs.Summary, skipped int) {
 	fmt.Fprintf(out, "ledger %s: %d events through step %d", path, s.Events, s.Steps)
 	if skipped > 0 {
-		fmt.Fprintf(out, " (%d unparseable line(s) skipped)", skipped)
+		fmt.Fprintf(out, " (%d torn or corrupt line(s) skipped)", skipped)
 	}
 	fmt.Fprintln(out)
 

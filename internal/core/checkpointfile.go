@@ -1,78 +1,13 @@
 package core
 
 import (
-	"bytes"
-	"fmt"
 	"os"
-	"path/filepath"
 
-	"nestdiff/internal/perfmodel"
-	"nestdiff/internal/topology"
+	"nestdiff/internal/durable"
 )
 
-// WriteFileAtomic writes data to path so that a crash at any instant
-// leaves either the previous file or the complete new one, never a torn
-// mix: the bytes go to a temporary file in the same directory, which is
-// fsynced, renamed over path, and the directory entry is fsynced too.
+// WriteFileAtomic is durable.WriteFileAtomic under the name
+// cmd/nestbench's checkpoint workload calls.
 func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("core: atomic write %s: %w", path, err)
-	}
-	tmpName := tmp.Name()
-	cleanup := func() {
-		tmp.Close()
-		os.Remove(tmpName)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		cleanup()
-		return fmt.Errorf("core: atomic write %s: %w", path, err)
-	}
-	if err := tmp.Sync(); err != nil {
-		cleanup()
-		return fmt.Errorf("core: atomic write %s: fsync: %w", path, err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("core: atomic write %s: %w", path, err)
-	}
-	if err := os.Chmod(tmpName, perm); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("core: atomic write %s: %w", path, err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("core: atomic write %s: %w", path, err)
-	}
-	// Persist the rename itself; without the directory fsync a crash can
-	// roll the directory entry back even though the data blocks survived.
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
-	return nil
-}
-
-// SaveStateFile checkpoints the pipeline to path atomically: the full
-// enveloped checkpoint is staged in memory first, so an encoding failure
-// never touches the file, and the write itself is temp+fsync+rename.
-func (p *Pipeline) SaveStateFile(path string) error {
-	var buf bytes.Buffer
-	if err := p.SaveState(&buf); err != nil {
-		return err
-	}
-	return WriteFileAtomic(path, buf.Bytes(), 0o644)
-}
-
-// RestorePipelineFile rebuilds a pipeline from a checkpoint file written
-// by SaveStateFile, rejecting torn or corrupt files via the envelope
-// checks of RestorePipeline.
-func RestorePipelineFile(path string, net topology.Network, model *perfmodel.ExecModel, oracle *perfmodel.Oracle) (*Pipeline, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("core: open checkpoint: %w", err)
-	}
-	defer f.Close()
-	return RestorePipeline(f, net, model, oracle)
+	return durable.WriteFileAtomic(path, data, perm)
 }

@@ -3,8 +3,6 @@ package core
 import (
 	"bytes"
 	"errors"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -240,66 +238,6 @@ func TestRestorePipelineRejectsTornAndCorruptEnvelopes(t *testing.T) {
 				t.Fatalf("%s: error %q does not mention %q", tc.name, err, tc.wantSub)
 			}
 		})
-	}
-}
-
-// TestSaveStateFileAtomicRoundTrip: the file-based checkpoint writes
-// atomically (no temp debris), restores identically, and a torn on-disk
-// file is rejected.
-func TestSaveStateFileAtomicRoundTrip(t *testing.T) {
-	g := geom.NewGrid(8, 6)
-	net, model, oracle := testEnv(t, g)
-	p := checkpointPipeline(t, g, Diffusion, false)
-	if err := p.Run(20); err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	path := filepath.Join(dir, "pipe.ckpt")
-	if err := p.SaveStateFile(path); err != nil {
-		t.Fatal(err)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 || entries[0].Name() != "pipe.ckpt" {
-		t.Fatalf("checkpoint dir contents %v, want only pipe.ckpt", entries)
-	}
-	restored, err := RestorePipelineFile(path, net, model, oracle)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored.StepCount() != p.StepCount() {
-		t.Fatalf("restored at step %d, want %d", restored.StepCount(), p.StepCount())
-	}
-
-	// Overwriting keeps the old checkpoint readable until the rename: a
-	// second save over the same path must still leave exactly one file.
-	if err := p.Run(10); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.SaveStateFile(path); err != nil {
-		t.Fatal(err)
-	}
-	restored, err = RestorePipelineFile(path, net, model, oracle)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored.StepCount() != p.StepCount() {
-		t.Fatalf("overwritten checkpoint at step %d, want %d", restored.StepCount(), p.StepCount())
-	}
-
-	// A torn on-disk file (e.g. copied off a dying node) is rejected.
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	torn := filepath.Join(dir, "torn.ckpt")
-	if err := os.WriteFile(torn, raw[:len(raw)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := RestorePipelineFile(torn, net, model, oracle); err == nil {
-		t.Fatal("torn on-disk checkpoint accepted")
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"nestdiff/internal/durable"
 	"nestdiff/internal/faults"
 	"nestdiff/internal/obs"
 	"nestdiff/internal/service"
@@ -89,8 +90,8 @@ type Controller struct {
 	// drops its deadline: SSE proxy streams stay open as long as the
 	// client and worker do, which the 10s control-call timeout would kill.
 	stream   *http.Client
-	wal      *wal   // nil without StateDir
-	instance string // fresh per process; lets agents detect restarts
+	wal      *durable.Log[walRecord] // nil without StateDir
+	instance string                  // fresh per process; lets agents detect restarts
 
 	mu         sync.Mutex
 	placements map[string]*placement
@@ -155,13 +156,13 @@ func NewController(cfg Config) *Controller {
 // (counted, not fatal — availability beats durability for a control plane
 // whose workers keep running regardless).
 func (c *Controller) replayState(path string) {
-	w, records, truncated, err := openWAL(path)
+	w, records, truncated, err := durable.Open[walRecord](path)
 	if err != nil {
 		c.metrics.walFailures.Add(1)
 		return
 	}
 	c.wal = w
-	c.metrics.walTruncations.Add(truncated)
+	c.metrics.walTruncations.Add(int64(truncated))
 	now := time.Now()
 	for _, rec := range records {
 		c.metrics.walRecords.Add(1)
@@ -255,21 +256,16 @@ func (c *Controller) journal(rec walRecord) {
 	if c.wal == nil {
 		return
 	}
-	if err := c.wal.append(rec); err != nil {
+	err := c.wal.Append(rec)
+	if err == nil {
+		err = c.wal.Sync()
+	}
+	if err != nil {
 		c.metrics.walFailures.Add(1)
 		return
 	}
 	c.metrics.walRecords.Add(1)
 	c.walAppends.Add(1)
-}
-
-// journalConfig marshals a job config for a place record.
-func journalConfig(cfg service.JobConfig) json.RawMessage {
-	b, err := json.Marshal(cfg)
-	if err != nil {
-		return nil
-	}
-	return b
 }
 
 // Instance returns the controller's process-unique instance ID. Heartbeat
@@ -295,7 +291,7 @@ func (c *Controller) Close() {
 		}
 	})
 	c.wg.Wait()
-	c.wal.close()
+	c.wal.Close()
 }
 
 // Metrics returns the controller's metric table; tests read one family
@@ -371,40 +367,13 @@ func (c *Controller) CompactWAL() error {
 	if c.wal == nil {
 		return nil
 	}
-	if err := c.wal.compact(c.snapshotRecords()); err != nil {
+	if err := c.wal.Compact(c.snapshotRecords()); err != nil {
 		c.metrics.walFailures.Add(1)
 		return err
 	}
 	c.walAppends.Store(0)
 	c.metrics.walCompactions.Add(1)
 	return nil
-}
-
-// snapshotRecords builds the minimal record sequence whose replay
-// reproduces the controller's current durable state.
-func (c *Controller) snapshotRecords() []walRecord {
-	var recs []walRecord
-	for _, w := range c.reg.all() {
-		recs = append(recs, walRecord{Op: walOpRegister, Worker: w.ID, URL: w.URL})
-		if !w.Live {
-			recs = append(recs, walRecord{Op: walOpDead, Worker: w.ID})
-		}
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, id := range c.order {
-		p := c.placements[id]
-		recs = append(recs, walRecord{Op: walOpPlace, JobID: p.ID, Worker: p.WorkerID,
-			Epoch: p.Epoch, Cfg: journalConfig(p.cfg)})
-		for i := 0; i < p.Adoptions; i++ {
-			recs = append(recs, walRecord{Op: walOpAdopt, JobID: p.ID, Worker: p.WorkerID, Epoch: p.Epoch})
-		}
-		if p.floor > p.Epoch {
-			recs = append(recs, walRecord{Op: walOpEpoch, JobID: p.ID, Epoch: p.floor})
-		}
-		recs = append(recs, walRecord{Op: walOpState, JobID: p.ID, State: string(p.State)})
-	}
-	return recs
 }
 
 // adoptOrphans re-homes every non-terminal placement whose owner is not

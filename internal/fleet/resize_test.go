@@ -361,7 +361,7 @@ func TestFleetWALCompactionAndCrashRestart(t *testing.T) {
 	// snapshot .tmp but before the rename, and its final append is torn.
 	srv.Close()
 	ctl.Close()
-	staleTmp := walPath + ".tmp-123456" // core.WriteFileAtomic's temp pattern
+	staleTmp := walPath + ".tmp-123456" // durable.WriteFileAtomic's temp pattern
 	if err := os.WriteFile(staleTmp, []byte(`{"crc":1,"rec":{"op":"pla`), 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -3,16 +3,20 @@ package fleet
 import (
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
+	"nestdiff/internal/durable"
 	"nestdiff/internal/service"
 )
+
+// openWAL opens a placement WAL the way the controller does.
+var openWAL = durable.Open[walRecord]
 
 func walTestRecords() []walRecord {
 	cfgJSON, _ := json.Marshal(fleetJob(20))
@@ -35,11 +39,11 @@ func TestWALAppendReplayRoundTrip(t *testing.T) {
 	}
 	want := walTestRecords()
 	for _, rec := range want {
-		if err := w.append(rec); err != nil {
+		if err := w.Append(rec); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := w.close(); err != nil {
+	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -47,7 +51,7 @@ func TestWALAppendReplayRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer w2.close()
+	defer w2.Close()
 	if truncated != 0 {
 		t.Fatalf("clean wal reported %d truncations", truncated)
 	}
@@ -67,11 +71,11 @@ func TestWALTornTailTruncatedAndRepaired(t *testing.T) {
 	}
 	want := walTestRecords()
 	for _, rec := range want {
-		if err := w.append(rec); err != nil {
+		if err := w.Append(rec); err != nil {
 			t.Fatal(err)
 		}
 	}
-	w.close()
+	w.Close()
 	goodLen := int64(0)
 	if fi, err := os.Stat(path); err == nil {
 		goodLen = fi.Size()
@@ -101,10 +105,10 @@ func TestWALTornTailTruncatedAndRepaired(t *testing.T) {
 
 	// The repaired journal accepts appends and replays them.
 	extra := walRecord{Op: walOpDead, Worker: "w1"}
-	if err := w2.append(extra); err != nil {
+	if err := w2.Append(extra); err != nil {
 		t.Fatal(err)
 	}
-	w2.close()
+	w2.Close()
 	_, got, truncated, err = openWAL(path)
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +120,7 @@ func TestWALTornTailTruncatedAndRepaired(t *testing.T) {
 
 // TestWALMidFileCorruptionPoisonsTail: a bad line invalidates everything
 // after it — later records may describe state built on the lost mutation,
-// so only the clean prefix is trusted.
+// so only the clean prefix is trusted, and open cuts the file back to it.
 func TestWALMidFileCorruptionPoisonsTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "placements.wal")
 	w, _, _, err := openWAL(path)
@@ -124,28 +128,92 @@ func TestWALMidFileCorruptionPoisonsTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	recs := walTestRecords()
-	w.append(recs[0])
-	w.close()
-	data, _ := os.ReadFile(path)
-	data = append(data, []byte("not json at all\n")...)
+	w.Append(recs[0])
+	w.Close()
+	prefix, _ := os.ReadFile(path)
 	// A structurally valid line after the corruption must NOT be trusted.
-	lineJSON, _ := json.Marshal(recs[2])
-	good, _ := json.Marshal(walLine{CRC: crc32.Checksum(lineJSON, walCRC), Rec: lineJSON})
-	data = append(data, append(good, '\n')...)
+	data := append(append([]byte{}, prefix...), "not json at all\n"...)
+	data = append(data, walFrozenLines[2]...)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
 
-	got, goodBytes, truncated := replayWAL(data)
+	w, got, truncated, err := openWAL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
 	if len(got) != 1 || got[0].Op != walOpRegister {
 		t.Fatalf("replay past corruption: %+v", got)
 	}
 	if truncated != 2 {
 		t.Fatalf("truncated = %d, want 2 (the bad line and the orphaned good one)", truncated)
 	}
-	wantGood := int64(0)
-	if fi, err := os.Stat(path); err == nil {
-		wantGood = fi.Size()
+	if fi, err := os.Stat(path); err != nil || fi.Size() != int64(len(prefix)) {
+		t.Fatalf("file not cut to the good prefix: %v, want %d bytes", fi.Size(), len(prefix))
 	}
-	if goodBytes != wantGood {
-		t.Fatalf("good prefix = %d bytes, want %d", goodBytes, wantGood)
+}
+
+// walFrozenRecords and walFrozenLines pin the on-disk WAL format: the
+// lines are the bytes the journal wrote for these records before it moved
+// onto internal/durable, and a controller must keep writing (and reading)
+// exactly them.
+var walFrozenRecords = []walRecord{
+	{Op: walOpRegister, Worker: "w1", URL: "http://127.0.0.1:18081"},
+	{Op: walOpPlace, JobID: "f-1", Worker: "w1", Epoch: 1, Cfg: json.RawMessage(`{"cores":256,"strategy":"diffusion","note":"<a&b>"}`)},
+	{Op: walOpEpoch, JobID: "f-1", Epoch: 7},
+	{Op: walOpCfg, JobID: "f-1", Cfg: json.RawMessage(`{ "cores" : 18 }`)},
+	{Op: walOpState, JobID: "f-1", State: "done"},
+	{Op: walOpDead, Worker: "w\u2028<1>"},
+}
+
+var walFrozenLines = []string{
+	`{"crc":4280652024,"rec":{"op":"register","worker":"w1","url":"http://127.0.0.1:18081"}}` + "\n",
+	`{"crc":3886368898,"rec":{"op":"place","job":"f-1","worker":"w1","epoch":1,"cfg":{"cores":256,"strategy":"diffusion","note":"\u003ca\u0026b\u003e"}}}` + "\n",
+	`{"crc":1447054254,"rec":{"op":"epoch","job":"f-1","epoch":7}}` + "\n",
+	`{"crc":2390975111,"rec":{"op":"cfg","job":"f-1","cfg":{"cores":18}}}` + "\n",
+	`{"crc":483952643,"rec":{"op":"state","job":"f-1","state":"done"}}` + "\n",
+	`{"crc":691009337,"rec":{"op":"dead","worker":"w\u2028\u003c1\u003e"}}` + "\n",
+}
+
+// TestWALFrameBytesFrozen: appended and compacted journals are byte-equal
+// to the frozen lines, and the frozen lines replay to the records.
+func TestWALFrameBytesFrozen(t *testing.T) {
+	want := strings.Join(walFrozenLines, "")
+	path := filepath.Join(t.TempDir(), "placements.wal")
+	w, _, _, err := openWAL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range walFrozenRecords {
+		if err := w.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, _ := os.ReadFile(path); string(got) != want {
+		t.Fatalf("appended journal bytes changed:\ngot  %q\nwant %q", got, want)
+	}
+	if err := w.Compact(walFrozenRecords); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	if got, _ := os.ReadFile(path); string(got) != want {
+		t.Fatalf("compacted journal bytes changed:\ngot  %q\nwant %q", got, want)
+	}
+	w, got, truncated, err := openWAL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if truncated != 0 || len(got) != len(walFrozenRecords) {
+		t.Fatalf("frozen journal replayed %d records, %d truncated", len(got), truncated)
+	}
+	for i, rec := range got {
+		wantRec := walFrozenRecords[i]
+		if rec.Op != wantRec.Op || rec.JobID != wantRec.JobID || rec.Worker != wantRec.Worker ||
+			rec.URL != wantRec.URL || rec.Epoch != wantRec.Epoch || rec.State != wantRec.State {
+			t.Fatalf("record %d = %+v, want %+v", i, rec, wantRec)
+		}
 	}
 }
 
@@ -167,7 +235,7 @@ func TestWALCorruptTailFixtureReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer w.close()
+	defer w.Close()
 	if truncated != 1 {
 		t.Fatalf("fixture truncations = %d, want 1", truncated)
 	}

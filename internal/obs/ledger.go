@@ -1,135 +1,38 @@
 package obs
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"os"
-	"sync"
+
+	"nestdiff/internal/durable"
 )
 
-// Ledger is an append-only JSONL event log on disk. Each event is one
-// self-contained JSON line written with a single Write call, so a crash
-// at any instant tears at most the final line — which ReadLedger
-// recovers from by dropping it. Reopening an existing ledger first
-// terminates any torn final line left by a previous crash, so appends
-// after a restart never merge into leftover garbage.
-type Ledger struct {
-	mu   sync.Mutex
-	f    *os.File
-	path string
-}
+// Ledger is a traced job's append-only event log on disk: a durable.Log
+// of Event records, one CRC-framed JSON line per event written with a
+// single Write call. A crash tears at most the final frame; reopening the
+// ledger truncates it, so appends after a restart read back cleanly.
+type Ledger = durable.Log[Event]
 
-// OpenLedger opens (creating if needed) an append-only ledger at path.
+// OpenLedger opens (creating if needed) the ledger at path, cutting any
+// torn tail a previous crash left.
 func OpenLedger(path string) (*Ledger, error) {
-	// O_RDWR rather than O_WRONLY: the torn-line repair below reads the
-	// last byte back.
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+	l, _, _, err := durable.Open[Event](path)
 	if err != nil {
 		return nil, fmt.Errorf("obs: open ledger: %w", err)
 	}
-	// Repair a torn final line from a previous crash: if the file is
-	// non-empty and does not end in a newline, terminate the partial line
-	// so it reads back as one unparseable (skipped) line instead of
-	// corrupting the next append.
-	if st, err := f.Stat(); err == nil && st.Size() > 0 {
-		var last [1]byte
-		if _, err := f.ReadAt(last[:], st.Size()-1); err == nil && last[0] != '\n' {
-			if _, err := f.Write([]byte{'\n'}); err != nil {
-				f.Close()
-				return nil, fmt.Errorf("obs: repair ledger: %w", err)
-			}
-		}
-	}
-	return &Ledger{f: f, path: path}, nil
+	return l, nil
 }
 
-// Path returns the ledger's file path.
-func (l *Ledger) Path() string {
-	if l == nil {
-		return ""
-	}
-	return l.path
-}
-
-// Append writes one event as a JSON line.
-func (l *Ledger) Append(e Event) error {
-	if l == nil {
-		return nil
-	}
-	b, err := json.Marshal(e)
-	if err != nil {
-		return fmt.Errorf("obs: marshal event: %w", err)
-	}
-	b = append(b, '\n')
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.f == nil {
-		return errors.New("obs: ledger closed")
-	}
-	if _, err := l.f.Write(b); err != nil {
-		return fmt.Errorf("obs: append ledger: %w", err)
-	}
-	return nil
-}
-
-// Sync flushes the ledger to stable storage.
-func (l *Ledger) Sync() error {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.f == nil {
-		return nil
-	}
-	return l.f.Sync()
-}
-
-// Close syncs and closes the ledger. Close is idempotent.
-func (l *Ledger) Close() error {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.f == nil {
-		return nil
-	}
-	err := l.f.Sync()
-	if cerr := l.f.Close(); err == nil {
-		err = cerr
-	}
-	l.f = nil
-	return err
-}
-
-// ReadLedger decodes a JSONL event stream. Unparseable lines — a torn
-// final line from a crash, or one terminated by a later repair — are
-// skipped and counted, never fatal: the ledger is an append-only log and
-// every intact line stands on its own. Only I/O errors are returned.
+// ReadLedger decodes a ledger stream up to its first torn or corrupt
+// frame. skipped counts the frames from there to the end, which are never
+// trusted: only I/O errors are returned.
 func ReadLedger(r io.Reader) (events []Event, skipped int, err error) {
-	br := bufio.NewReader(r)
-	for {
-		line, rerr := br.ReadBytes('\n')
-		if rerr != nil && !errors.Is(rerr, io.EOF) {
-			return events, skipped, fmt.Errorf("obs: read ledger: %w", rerr)
-		}
-		if trimmed := bytes.TrimSpace(line); len(trimmed) > 0 {
-			var e Event
-			if jerr := json.Unmarshal(trimmed, &e); jerr != nil {
-				skipped++
-			} else {
-				events = append(events, e)
-			}
-		}
-		if rerr != nil {
-			return events, skipped, nil
-		}
+	events, skipped, err = durable.Read[Event](r)
+	if err != nil {
+		return events, skipped, fmt.Errorf("obs: read ledger: %w", err)
 	}
+	return events, skipped, nil
 }
 
 // ReadLedgerFile reads a ledger from disk via ReadLedger.

@@ -106,8 +106,9 @@ func TestLedgerTornFinalLineRecovery(t *testing.T) {
 
 func TestLedgerReopenAfterTearKeepsAppendsParseable(t *testing.T) {
 	path := tornLedger(t, 5)
-	// A daemon restart reopens the ledger and appends more events; the
-	// torn line must not swallow them.
+	// A daemon restart reopens the ledger and appends more events. The
+	// reopen cuts the torn frame, so the append lands right after the
+	// intact prefix and nothing is left to skip.
 	l, err := OpenLedger(path)
 	if err != nil {
 		t.Fatal(err)
@@ -122,11 +123,47 @@ func TestLedgerReopenAfterTearKeepsAppendsParseable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if skipped != 1 {
-		t.Fatalf("skipped = %d, want 1", skipped)
+	if skipped != 0 {
+		t.Fatalf("skipped = %d, want 0 (the reopen cut the torn frame)", skipped)
 	}
 	if len(got) != 5 || got[4].Seq != 6 {
 		t.Fatalf("recovered %d events (last %+v), want 5 ending in seq 6", len(got), got[len(got)-1])
+	}
+}
+
+// TestLedgerFlippedByteStopsReadAtThatFrame: a corrupt frame in the
+// middle of a ledger ends the trusted prefix; the intact frames after it
+// are counted as skipped, not returned.
+func TestLedgerFlippedByteStopsReadAtThatFrame(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "flipped.jsonl")
+	l, err := OpenLedger(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 5; i++ {
+		if err := l.Append(Event{Seq: int64(i), Kind: KindStep, Step: i, DurNS: 1000}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(data), "\n")
+	third := len(lines[0]) + len(lines[1]) + len(lines[2])/2
+	data[third] ^= 0x01
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, skipped, err := ReadLedgerFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || got[1].Seq != 2 || skipped != 3 {
+		t.Fatalf("read %d events (%d skipped), want 2 ending in seq 2 and 3 skipped", len(got), skipped)
 	}
 }
 

@@ -5,9 +5,10 @@
 //
 // Events land in a bounded ring buffer (the most recent events win; the
 // number of evicted events is reported alongside) and, optionally, in an
-// append-only JSONL ledger on disk. Duration-carrying events additionally
-// feed streaming log-linear latency histograms, so per-phase p50/p90/p99
-// are available without retaining every event.
+// append-only ledger on disk (CRC-framed JSON lines, see Ledger).
+// Duration-carrying events additionally feed streaming log-linear latency
+// histograms, so per-phase p50/p90/p99 are available without retaining
+// every event.
 //
 // Like internal/faults, every method is safe on a nil *Tracer and returns
 // immediately, so a disabled tracer costs one pointer check per event
@@ -107,7 +108,7 @@ type Event struct {
 type Options struct {
 	// Buffer bounds the in-memory event ring. Zero means 4096.
 	Buffer int
-	// Ledger, when non-nil, receives every event as one JSONL line. The
+	// Ledger, when non-nil, receives every event as one framed line. The
 	// tracer does not own the ledger; closing it is the caller's job.
 	Ledger *Ledger
 }

@@ -8,7 +8,7 @@ import (
 	"path/filepath"
 	"sync"
 
-	"nestdiff/internal/core"
+	"nestdiff/internal/durable"
 )
 
 // The persister is the scheduler's asynchronous checkpoint-persistence
@@ -159,7 +159,7 @@ func (p *persister) apply(op ckptOp) {
 	crc := crc32.Checksum(cfgJSON, jobCkptCRC)
 	if op.tail != nil && !op.full && f.valid && f.epoch == op.epoch && f.cfgCRC == crc {
 		if st, err := os.Stat(path); err == nil && st.Size() == f.size {
-			if err := appendFileSync(path, op.tail); err == nil {
+			if err := durable.AppendFileSync(path, op.tail); err == nil {
 				f.size += int64(len(op.tail))
 				f.mu.Unlock()
 				p.s.metrics.checkpointAppends.Add(1)
@@ -178,7 +178,7 @@ func (p *persister) apply(op ckptOp) {
 		p.s.metrics.checkpointFailures.Add(1)
 		return
 	}
-	if err := core.WriteFileAtomic(path, env, 0o644); err != nil {
+	if err := durable.WriteFileAtomic(path, env, 0o644); err != nil {
 		f.valid = false
 		f.mu.Unlock()
 		p.s.metrics.checkpointFailures.Add(1)
@@ -189,23 +189,6 @@ func (p *persister) apply(op ckptOp) {
 	f.epoch = op.epoch
 	f.cfgCRC = crc
 	f.mu.Unlock()
-}
-
-// appendFileSync appends b to path and fsyncs before closing.
-func appendFileSync(path string, b []byte) error {
-	fd, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := fd.Write(b); err != nil {
-		fd.Close()
-		return err
-	}
-	if err := fd.Sync(); err != nil {
-		fd.Close()
-		return err
-	}
-	return fd.Close()
 }
 
 // remove synchronously deletes a terminal job's file (unless a

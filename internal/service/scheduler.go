@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"io/fs"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -151,28 +152,40 @@ func (s *Scheduler) recoverCheckpoints() {
 	}
 	sort.Strings(paths)
 	for _, p := range paths {
-		data, err := os.ReadFile(p)
-		if err != nil {
-			s.metrics.checkpointsCorrupt.Add(1)
+		id := strings.TrimSuffix(filepath.Base(p), ".ckpt")
+		cfg, epoch, state, ok := s.readJobFile(id)
+		if !ok {
 			continue
 		}
-		cfg, epoch, state, err := decodeJobCheckpoint(data)
-		if err != nil {
-			if !errors.Is(err, core.ErrDeltaChainBroken) {
-				s.metrics.checkpointsCorrupt.Add(1)
-				continue
-			}
-			// A torn delta tail (the process died mid-append): the intact
-			// chain prefix is still restorable, so recover from it.
-			s.metrics.checkpointsTruncated.Add(1)
-		}
-		id := strings.TrimSuffix(filepath.Base(p), ".ckpt")
 		if _, err := s.Import(id, epoch, cfg, state); err != nil {
 			s.metrics.checkpointsCorrupt.Add(1)
 			continue
 		}
 		s.metrics.checkpointsRecovered.Add(1)
 	}
+}
+
+// readJobFile reads and decodes <CheckpointDir>/<id>.ckpt. A torn delta
+// tail (the writer died mid-append) counts in checkpoints_truncated and
+// yields the intact chain prefix, which is still restorable. Any other
+// read or decode failure counts in checkpoints_corrupt. ok is false for a
+// missing (uncounted) or corrupt file.
+func (s *Scheduler) readJobFile(id string) (cfg JobConfig, epoch int64, state []byte, ok bool) {
+	data, err := os.ReadFile(filepath.Join(s.cfg.CheckpointDir, id+".ckpt"))
+	if err == nil {
+		cfg, epoch, state, err = decodeJobCheckpoint(data)
+	}
+	switch {
+	case err == nil:
+	case errors.Is(err, core.ErrDeltaChainBroken):
+		s.metrics.checkpointsTruncated.Add(1)
+	case errors.Is(err, fs.ErrNotExist):
+		return cfg, 0, nil, false
+	default:
+		s.metrics.checkpointsCorrupt.Add(1)
+		return cfg, 0, nil, false
+	}
+	return cfg, epoch, state, true
 }
 
 // Workers returns the worker-pool size.
@@ -374,24 +387,13 @@ func (s *Scheduler) Import(id string, epoch int64, cfg JobConfig, checkpoint []b
 func (s *Scheduler) Adopt(id string, epoch int64, cfg JobConfig) (Snapshot, error) {
 	var checkpoint []byte
 	if s.cfg.CheckpointDir != "" {
-		if data, err := os.ReadFile(filepath.Join(s.cfg.CheckpointDir, id+".ckpt")); err == nil {
-			fileCfg, fileEpoch, state, derr := decodeJobCheckpoint(data)
-			if derr != nil && errors.Is(derr, core.ErrDeltaChainBroken) {
-				// The dead worker tore its final delta append: adopt from
-				// the intact chain prefix.
-				s.metrics.checkpointsTruncated.Add(1)
-				derr = nil
-			}
-			if derr == nil {
-				cfg, checkpoint = fileCfg, state
-				if fileEpoch > epoch {
-					// Never adopt backwards: the store already carries a
-					// higher epoch than the controller sent (a replayed WAL
-					// lagging a later adoption).
-					epoch = fileEpoch
-				}
-			} else {
-				s.metrics.checkpointsCorrupt.Add(1)
+		if fileCfg, fileEpoch, state, ok := s.readJobFile(id); ok {
+			cfg, checkpoint = fileCfg, state
+			if fileEpoch > epoch {
+				// Never adopt backwards: the store already carries a
+				// higher epoch than the controller sent (a replayed WAL
+				// lagging a later adoption).
+				epoch = fileEpoch
 			}
 		}
 	}

@@ -39,7 +39,6 @@ package nestdiff
 import (
 	"fmt"
 	"io"
-	"net/http"
 
 	"nestdiff/internal/alloc"
 	"nestdiff/internal/core"
@@ -50,7 +49,6 @@ import (
 	"nestdiff/internal/perfmodel"
 	"nestdiff/internal/redist"
 	"nestdiff/internal/scenario"
-	"nestdiff/internal/service"
 	"nestdiff/internal/topology"
 	"nestdiff/internal/viz"
 	"nestdiff/internal/wrfsim"
@@ -335,43 +333,6 @@ func LoadWeatherModel(r io.Reader) (*WeatherModel, error) { return wrfsim.Load(r
 func (s *System) RestoreTracker(r io.Reader) (*Tracker, error) {
 	return core.RestoreTracker(r, s.Net, s.Model, s.Oracle)
 }
-
-// Service: the concurrent simulation-job scheduler behind cmd/nestserved.
-type (
-	// Scheduler runs many pipelines concurrently on a bounded worker pool
-	// with per-job lifecycle, pause/resume checkpoints and graceful drain.
-	Scheduler = service.Scheduler
-	// SchedulerConfig tunes the worker pool.
-	SchedulerConfig = service.SchedulerConfig
-	// JobConfig describes one simulation job (machine, strategy, scenario,
-	// pipeline shape) — the POST /jobs body.
-	JobConfig = service.JobConfig
-	// JobSnapshot is a job's externally visible progress.
-	JobSnapshot = service.Snapshot
-	// JobState is one stage of the job lifecycle.
-	JobState = service.JobState
-)
-
-// Job lifecycle states.
-const (
-	JobQueued    = service.StateQueued
-	JobRunning   = service.StateRunning
-	JobPaused    = service.StatePaused
-	JobDone      = service.StateDone
-	JobFailed    = service.StateFailed
-	JobCancelled = service.StateCancelled
-)
-
-// NewScheduler starts a simulation-job scheduler with the given
-// worker-pool size.
-func NewScheduler(cfg SchedulerConfig) *Scheduler { return service.NewScheduler(cfg) }
-
-// NewServiceHandler returns the nestserved JSON API (jobs CRUD,
-// pause/resume/cancel, events, Prometheus metrics) over a scheduler.
-func NewServiceHandler(s *Scheduler) http.Handler { return service.NewHandler(s) }
-
-// DefaultJobConfig returns a laptop-scale monsoon job on a 256-core torus.
-func DefaultJobConfig() JobConfig { return service.DefaultJobConfig() }
 
 // RestorePipeline rebuilds a pipeline from a checkpoint written by
 // Pipeline.SaveState, attached to this system's machine and models. The
