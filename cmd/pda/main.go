@@ -1,6 +1,7 @@
 // Command pda runs the parallel data analysis algorithm over a directory
-// of split files (written by nestsim or the wrfsim library) and prints the
-// detected regions of interest — the standalone version of Algorithm 1.
+// of split files in wrfsim's per-rank format (wrfsim.Model.WriteSplitFiles
+// writes them) and prints the detected regions of interest — the
+// standalone version of Algorithm 1.
 //
 // Usage:
 //

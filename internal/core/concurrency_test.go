@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"nestdiff/internal/geom"
@@ -13,13 +14,13 @@ import (
 
 // These tests pin the concurrency contract of Pipeline.stepNests: nests
 // touch pairwise-disjoint state, so stepping them from a bounded worker
-// group must produce results bit-identical to sequential stepping —
-// the same parent field, the same nest fields, the same adaptation
-// events, the same nest identities.
+// group (GOMAXPROCS wide) must produce results bit-identical to
+// sequential stepping (GOMAXPROCS 1) — the same parent field, the same
+// nest fields, the same adaptation events, the same nest identities.
 
-// concurrencyPipeline builds a seeded multi-storm pipeline with the given
-// nest worker bound. testing.TB so benchmarks can share it.
-func concurrencyPipeline(tb testing.TB, nestWorkers int, distributed bool) *Pipeline {
+// concurrencyPipeline builds a seeded multi-storm pipeline. testing.TB so
+// benchmarks can share it.
+func concurrencyPipeline(tb testing.TB, distributed bool) *Pipeline {
 	tb.Helper()
 	wcfg := wrfsim.DefaultConfig()
 	wcfg.NX, wcfg.NY = 96, 72
@@ -59,12 +60,21 @@ func concurrencyPipeline(tb testing.TB, nestWorkers int, distributed bool) *Pipe
 		PDA:           pda.DefaultOptions(),
 		MaxNests:      6,
 		Distributed:   distributed,
-		NestWorkers:   nestWorkers,
 	})
 	if err != nil {
 		tb.Fatal(err)
 	}
 	return p
+}
+
+// runWithProcs runs p for steps with GOMAXPROCS set to procs, so serial
+// nests step on that many workers.
+func runWithProcs(tb testing.TB, p *Pipeline, procs, steps int) {
+	tb.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	if err := p.Run(steps); err != nil {
+		tb.Fatal(err)
+	}
 }
 
 func sameEvents(t *testing.T, seq, conc []AdaptationEvent) {
@@ -89,15 +99,11 @@ func sameEvents(t *testing.T, seq, conc []AdaptationEvent) {
 }
 
 func TestConcurrentSerialNestsMatchSequential(t *testing.T) {
-	seq := concurrencyPipeline(t, 1, false)
-	conc := concurrencyPipeline(t, 4, false)
+	seq := concurrencyPipeline(t, false)
+	conc := concurrencyPipeline(t, false)
 	const steps = 40
-	if err := seq.Run(steps); err != nil {
-		t.Fatal(err)
-	}
-	if err := conc.Run(steps); err != nil {
-		t.Fatal(err)
-	}
+	runWithProcs(t, seq, 1, steps)
+	runWithProcs(t, conc, 4, steps)
 
 	sameEvents(t, seq.Events(), conc.Events())
 	for i := range seq.Model().QCloud().Data {
@@ -126,15 +132,11 @@ func TestConcurrentSerialNestsMatchSequential(t *testing.T) {
 }
 
 func TestConcurrentDistributedNestsMatchSequential(t *testing.T) {
-	seq := concurrencyPipeline(t, 1, true)
-	conc := concurrencyPipeline(t, 4, true)
+	seq := concurrencyPipeline(t, true)
+	conc := concurrencyPipeline(t, true)
 	const steps = 40
-	if err := seq.Run(steps); err != nil {
-		t.Fatal(err)
-	}
-	if err := conc.Run(steps); err != nil {
-		t.Fatal(err)
-	}
+	runWithProcs(t, seq, 1, steps)
+	runWithProcs(t, conc, 4, steps)
 
 	sameEvents(t, seq.Events(), conc.Events())
 	if len(seq.DistributedNests()) == 0 {
@@ -163,7 +165,7 @@ func TestConcurrentDistributedNestsMatchSequential(t *testing.T) {
 }
 
 func TestNestStepEventsEmitted(t *testing.T) {
-	p := concurrencyPipeline(t, 0, false)
+	p := concurrencyPipeline(t, false)
 	tr := obs.New(obs.Options{})
 	p.SetTracer(tr)
 	if err := p.Run(20); err != nil {
@@ -190,8 +192,9 @@ func TestNestStepEventsEmitted(t *testing.T) {
 // BenchmarkPipelineStepMultiNest measures whole pipeline steps while
 // several nests are live, sequentially and with the bounded worker group.
 func BenchmarkPipelineStepMultiNest(b *testing.B) {
-	run := func(b *testing.B, workers int) {
-		p := concurrencyPipeline(b, workers, false)
+	run := func(b *testing.B, procs int) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		p := concurrencyPipeline(b, false)
 		// Run until the storms are detected and nests exist, then measure.
 		if err := p.Run(25); err != nil {
 			b.Fatal(err)
@@ -208,5 +211,5 @@ func BenchmarkPipelineStepMultiNest(b *testing.B) {
 		}
 	}
 	b.Run("sequential", func(b *testing.B) { run(b, 1) })
-	b.Run("concurrent", func(b *testing.B) { run(b, 0) })
+	b.Run("concurrent", func(b *testing.B) { run(b, runtime.GOMAXPROCS(0)) })
 }

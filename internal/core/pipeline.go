@@ -46,13 +46,6 @@ type PipelineConfig struct {
 	// runtime arrangement. When false, nests run as serial simulations
 	// and redistribution is modelled analytically only.
 	Distributed bool
-	// NestWorkers bounds how many serial nests step concurrently within
-	// one parent step (they touch disjoint state, so results are identical
-	// to sequential stepping). Zero means runtime.GOMAXPROCS(0); one
-	// forces sequential stepping. Distributed nests step in one dispatch
-	// over their owner ranks, and checkpoints encode nests one after
-	// another, whatever its value.
-	NestWorkers int
 }
 
 // DefaultPipelineConfig returns a laptop-scale configuration: a 16×16
@@ -186,9 +179,6 @@ func (p *Pipeline) SetFaultPlan(fp *faults.Plan) {
 	}
 }
 
-// FaultPlan returns the installed fault-injection plan (nil when clean).
-func (p *Pipeline) FaultPlan() *faults.Plan { return p.faults }
-
 // SetTracer installs a structured tracer on the pipeline, its tracker
 // and its live distributed nests (nil removes it). With a nil tracer
 // every event site costs one pointer check — the same discipline as the
@@ -200,9 +190,6 @@ func (p *Pipeline) SetTracer(tr *obs.Tracer) {
 		n.SetTracer(tr)
 	}
 }
-
-// ObsTracer returns the installed tracer (nil when tracing is off).
-func (p *Pipeline) ObsTracer() *obs.Tracer { return p.tracer }
 
 // SnapshotSink receives the pipeline at the end of every completed step
 // — a consistent boundary where no model, nest or tracker state is
@@ -265,7 +252,7 @@ func (p *Pipeline) Step() error {
 // stepNests advances every live nest by one parent step. Distributed
 // nests go through one wrfsim.StepNests dispatch over exactly the ranks
 // that own a nest block — the ranks are the concurrency. Serial nests own
-// their fine fields and only read the parent, so up to NestWorkers of them
+// their fine fields and only read the parent, so up to GOMAXPROCS of them
 // step concurrently with results bit-identical to sequential stepping, in
 // any schedule.
 func (p *Pipeline) stepNests(step int) error {
@@ -311,7 +298,7 @@ func (p *Pipeline) stepNests(step int) error {
 			f(id)
 		}
 	})
-	runBounded(p.nestWorkers(len(ids)), len(ids), func(i int) {
+	runBounded(min(runtime.GOMAXPROCS(0), len(ids)), len(ids), func(i int) {
 		nest := p.nests[ids[i]]
 		var t0 time.Time
 		if tr != nil {
@@ -334,15 +321,6 @@ func (p *Pipeline) sortedNestIDs(n int, each func(func(int))) []int {
 	p.idScratch = ids
 	slices.Sort(ids)
 	return ids
-}
-
-// nestWorkers resolves the effective nest worker count for n nests.
-func (p *Pipeline) nestWorkers(n int) int {
-	w := p.cfg.NestWorkers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	return min(w, n)
 }
 
 // runBounded invokes fn(i) for every i in [0, n) using at most workers
@@ -531,8 +509,8 @@ func (p *Pipeline) traceAdaptation(step int, newSet scenario.Set, diff scenario.
 }
 
 // reconcileSerial updates the serial nested simulations: delete vanished
-// nests (feeding their state back), respawn retained nests whose region
-// moved, spawn new nests.
+// nests (feeding their state back) and spawn new nests. A retained nest
+// keeps its region (MatchROIs), so it steps on as it is.
 func (p *Pipeline) reconcileSerial(newSet scenario.Set, diff scenario.Diff) error {
 	for _, id := range diff.Deleted {
 		if nest, ok := p.nests[id]; ok {
@@ -541,14 +519,8 @@ func (p *Pipeline) reconcileSerial(newSet scenario.Set, diff scenario.Diff) erro
 		}
 	}
 	for _, spec := range newSet {
-		old, exists := p.nests[spec.ID]
-		if exists && old.Region == spec.Region {
+		if _, exists := p.nests[spec.ID]; exists {
 			continue
-		}
-		if exists {
-			// The region drifted: fold the fine state back, then
-			// re-interpolate over the new region.
-			old.Feedback(p.model)
 		}
 		nest, err := p.model.SpawnNest(spec.ID, spec.Region)
 		if err != nil {

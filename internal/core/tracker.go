@@ -148,12 +148,6 @@ func (t *Tracker) Grid() geom.Grid { return t.grid }
 // Net returns the tracker's network model.
 func (t *Tracker) Net() topology.Network { return t.net }
 
-// Strategy returns the reallocation policy the tracker applies.
-func (t *Tracker) Strategy() Strategy { return t.strategy }
-
-// Options returns the tracker's cost-model options.
-func (t *Tracker) Options() Options { return t.opts }
-
 // Steps returns the per-adaptation-point metrics recorded so far.
 func (t *Tracker) Steps() []StepMetrics { return t.steps }
 

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"nestdiff/internal/core"
 	"nestdiff/internal/obs"
 	"nestdiff/internal/perfmodel"
 )
@@ -52,26 +53,19 @@ type AutoscalerConfig struct {
 	// Cooldown is the per-job minimum spacing between resizes, in either
 	// direction — the anti-thrash guard (0 = 30s).
 	Cooldown time.Duration
-	// Horizon is the number of upcoming steps a resize must pay for
-	// itself within (0 = 50).
-	Horizon int
 	// GrowMargin is how many times the modelled redistribution cost the
 	// predicted saving must exceed before growing (0 = 2). Together with
-	// IdleNests < HotNests it forms the hysteresis band.
+	// HotNests (only nest-free jobs shrink) it forms the hysteresis band.
 	GrowMargin float64
 	// HotNests is the nest count at or above which a job is hot and a
 	// grow is considered (0 = 3).
 	HotNests int
-	// IdleNests is the nest count at or below which a job is idle and a
-	// shrink is considered (0 = 0, i.e. only nest-free jobs shrink).
-	IdleNests int
-	// MinProcs floors every job (0 = 4); MaxProcs caps it (0 = Budget).
+	// MinProcs floors every job (0 = 4); Budget caps it.
 	MinProcs int
-	MaxProcs int
-	// ElemBytes and RedistBytesPerSec parameterize the modelled resize
-	// cost: moving NX·NY·9·ElemBytes of fine-grid state at the contended
-	// all-to-all rate (0 = 4096 bytes and 2 GB/s, the tracker defaults).
-	ElemBytes         int
+	// RedistBytesPerSec prices the modelled resize cost: moving
+	// NX·NY·9·ElemBytes of fine-grid state, at the tracker's default
+	// ElemBytes, at the contended all-to-all rate (0 = 2 GB/s, the
+	// tracker default).
 	RedistBytesPerSec float64
 	// Model overrides the profiled execution model (nil builds one).
 	Model *perfmodel.ExecModel
@@ -84,26 +78,14 @@ func (c AutoscalerConfig) withDefaults() AutoscalerConfig {
 	if c.Cooldown <= 0 {
 		c.Cooldown = 30 * time.Second
 	}
-	if c.Horizon <= 0 {
-		c.Horizon = 50
-	}
 	if c.GrowMargin <= 0 {
 		c.GrowMargin = 2
 	}
 	if c.HotNests <= 0 {
 		c.HotNests = 3
 	}
-	if c.IdleNests < 0 {
-		c.IdleNests = 0
-	}
 	if c.MinProcs <= 0 {
 		c.MinProcs = 4
-	}
-	if c.MaxProcs <= 0 {
-		c.MaxProcs = c.Budget
-	}
-	if c.ElemBytes <= 0 {
-		c.ElemBytes = 4096
 	}
 	if c.RedistBytesPerSec <= 0 {
 		c.RedistBytesPerSec = 2e9
@@ -123,10 +105,10 @@ type Decision struct {
 // Autoscaler shifts processors between jobs against a fleet-wide budget:
 // hot jobs (many nests, predicted to speed up by more than the resize
 // costs within the horizon) grow; idle jobs shrink, returning cores to
-// the budget. Hysteresis (HotNests > IdleNests), a per-job cooldown and
-// the payoff test keep it from thrashing — the same discipline as the
-// paper's dynamic strategy, which only reallocates when the predicted
-// gain beats the redistribution bill.
+// the budget. Hysteresis (hot at HotNests nests, idle only at none), a
+// per-job cooldown and the payoff test keep it from thrashing — the same
+// discipline as the paper's dynamic strategy, which only reallocates when
+// the predicted gain beats the redistribution bill.
 type Autoscaler struct {
 	target Target
 	cfg    AutoscalerConfig
@@ -222,12 +204,13 @@ func (a *Autoscaler) Tick(now time.Time) []Decision {
 		out = append(out, d)
 	}
 
-	// Shrink pass: idle running jobs halve (floored at MinProcs).
+	// Shrink pass: idle (nest-free) running jobs halve (floored at
+	// MinProcs).
 	for _, j := range jobs {
 		if j.State != "running" || j.Cores <= a.cfg.MinProcs || !a.cooledDown(j.ID, now) {
 			continue
 		}
-		if j.ActiveNests > a.cfg.IdleNests {
+		if j.ActiveNests > 0 {
 			continue
 		}
 		to := max(j.Cores/2, a.cfg.MinProcs)
@@ -236,7 +219,7 @@ func (a *Autoscaler) Tick(now time.Time) []Decision {
 		}
 	}
 
-	// Grow pass: hot jobs double (capped at MaxProcs and the budget)
+	// Grow pass: hot jobs double (capped at the budget)
 	// when the predicted saving over the horizon beats the modelled
 	// redistribution cost by the configured margin.
 	for _, j := range jobs {
@@ -246,7 +229,7 @@ func (a *Autoscaler) Tick(now time.Time) []Decision {
 		if j.ActiveNests < a.cfg.HotNests {
 			continue
 		}
-		to := min(j.Cores*2, a.cfg.MaxProcs)
+		to := min(j.Cores*2, a.cfg.Budget)
 		if to <= j.Cores || used+(to-j.Cores) > a.cfg.Budget {
 			continue
 		}
@@ -255,7 +238,7 @@ func (a *Autoscaler) Tick(now time.Time) []Decision {
 			continue
 		}
 		apply(j, to, fmt.Sprintf("hot: %d nests, predicted saving %.3gs vs resize cost %.3gs over %d steps",
-			j.ActiveNests, saving, cost, a.cfg.Horizon))
+			j.ActiveNests, saving, cost, payoffHorizon))
 	}
 	return out
 }
@@ -267,6 +250,10 @@ func (a *Autoscaler) cooledDown(id string, now time.Time) bool {
 	t, ok := a.last[id]
 	return !ok || now.Sub(t) >= a.cfg.Cooldown
 }
+
+// payoffHorizon is the number of upcoming steps a resize must pay for
+// itself within.
+const payoffHorizon = 50
 
 // payoff estimates whether growing job j to `to` cores pays for itself:
 // the predicted per-step execution saving, summed over the smaller of
@@ -285,11 +272,11 @@ func (a *Autoscaler) payoff(j JobLoad, to int) (saving, cost float64, ok bool) {
 	if err != nil {
 		return 0, 0, false
 	}
-	steps := a.cfg.Horizon
+	steps := payoffHorizon
 	if j.StepsLeft > 0 && j.StepsLeft < steps {
 		steps = j.StepsLeft
 	}
 	saving = (cur - grown) * float64(steps)
-	cost = float64(nx) * float64(ny) * 9 * float64(a.cfg.ElemBytes) / a.cfg.RedistBytesPerSec
+	cost = float64(nx) * float64(ny) * 9 * float64(core.DefaultOptions().ElemBytes) / a.cfg.RedistBytesPerSec
 	return saving, cost, true
 }

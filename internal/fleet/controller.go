@@ -93,6 +93,12 @@ type Controller struct {
 	wal      *durable.Log[walRecord] // nil without StateDir
 	instance string                  // fresh per process; lets agents detect restarts
 
+	// walMu orders compactions against journal-then-mutate pairs: held
+	// across a record's append and its table mutation (journalThen) and
+	// across CompactWAL's snapshot and rewrite, so a compaction never
+	// squashes a record whose mutation its snapshot lacks.
+	walMu sync.Mutex
+
 	mu         sync.Mutex
 	placements map[string]*placement
 	order      []string
@@ -251,6 +257,17 @@ func (c *Controller) allocEpoch(p *placement) int64 {
 	return next
 }
 
+// journalThen journals rec and then applies its mutation, both under
+// walMu (see Controller.walMu). A mutation applied before its record is
+// journaled needs no such guard: a compaction in between snapshots the
+// mutation, and replaying the record again after it changes nothing.
+func (c *Controller) journalThen(rec walRecord, apply func()) {
+	c.walMu.Lock()
+	defer c.walMu.Unlock()
+	c.journal(rec)
+	apply()
+}
+
 // journal appends one mutation to the WAL (a no-op without StateDir).
 func (c *Controller) journal(rec walRecord) {
 	if c.wal == nil {
@@ -267,12 +284,6 @@ func (c *Controller) journal(rec walRecord) {
 	c.metrics.walRecords.Add(1)
 	c.walAppends.Add(1)
 }
-
-// Instance returns the controller's process-unique instance ID. Heartbeat
-// replies carry it; an agent seeing it change knows the controller
-// restarted and re-registers (cheap insurance even with a WAL — and the
-// only healing path without one).
-func (c *Controller) Instance() string { return c.instance }
 
 // linkDown reports whether the controller→worker direction of a link is
 // partitioned by the fault plan (nil-safe; always false outside chaos
@@ -367,6 +378,8 @@ func (c *Controller) CompactWAL() error {
 	if c.wal == nil {
 		return nil
 	}
+	c.walMu.Lock()
+	defer c.walMu.Unlock()
 	if err := c.wal.Compact(c.snapshotRecords()); err != nil {
 		c.metrics.walFailures.Add(1)
 		return err
@@ -406,13 +419,14 @@ func (c *Controller) adoptOrphans() {
 			c.metrics.adoptionFailures.Add(1)
 			continue
 		}
-		c.journal(walRecord{Op: walOpAdopt, JobID: p.ID, Worker: target.ID, Epoch: epoch})
-		c.mu.Lock()
-		p.WorkerID = target.ID
-		p.Epoch = epoch
-		p.Adoptions++
-		p.State = snap.State
-		c.mu.Unlock()
+		c.journalThen(walRecord{Op: walOpAdopt, JobID: p.ID, Worker: target.ID, Epoch: epoch}, func() {
+			c.mu.Lock()
+			p.WorkerID = target.ID
+			p.Epoch = epoch
+			p.Adoptions++
+			p.State = snap.State
+			c.mu.Unlock()
+		})
 		c.metrics.adoptions.Add(1)
 	}
 }
@@ -526,11 +540,12 @@ func (c *Controller) place(cfg service.JobConfig) (service.Snapshot, WorkerInfo,
 		c.metrics.placementFailures.Add(1)
 		return service.Snapshot{}, target, fmt.Errorf("fleet: worker %s rejected placement with status %d", target.ID, code)
 	}
-	c.journal(walRecord{Op: walOpPlace, JobID: id, Worker: target.ID, Epoch: initialEpoch, Cfg: journalConfig(cfg)})
-	c.mu.Lock()
-	c.placements[id] = &placement{ID: id, WorkerID: target.ID, State: snap.State, Epoch: initialEpoch, floor: initialEpoch, cfg: cfg}
-	c.order = append(c.order, id)
-	c.mu.Unlock()
+	c.journalThen(walRecord{Op: walOpPlace, JobID: id, Worker: target.ID, Epoch: initialEpoch, Cfg: journalConfig(cfg)}, func() {
+		c.mu.Lock()
+		c.placements[id] = &placement{ID: id, WorkerID: target.ID, State: snap.State, Epoch: initialEpoch, floor: initialEpoch, cfg: cfg}
+		c.order = append(c.order, id)
+		c.mu.Unlock()
+	})
 	c.metrics.jobsPlaced.Add(1)
 	return snap, target, nil
 }

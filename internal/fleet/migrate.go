@@ -179,12 +179,13 @@ func (c *Controller) migrate(p *placement, from, to WorkerInfo) bool {
 		// exactly one worker owns the job.
 		c.metrics.migrationFailures.Add(1)
 	}
-	c.journal(walRecord{Op: walOpMove, JobID: id, Worker: to.ID, Epoch: newEpoch})
-	c.mu.Lock()
-	p.WorkerID = to.ID
-	p.Epoch = newEpoch
-	p.State = service.StateQueued
-	c.mu.Unlock()
+	c.journalThen(walRecord{Op: walOpMove, JobID: id, Worker: to.ID, Epoch: newEpoch}, func() {
+		c.mu.Lock()
+		p.WorkerID = to.ID
+		p.Epoch = newEpoch
+		p.State = service.StateQueued
+		c.mu.Unlock()
+	})
 	c.metrics.migrations.Add(1)
 	// Kill the paused source copy. Best-effort: if this fails the epoch
 	// fence still protects the store, and the next heartbeat report fences

@@ -3,11 +3,13 @@ package fleet
 import (
 	"encoding/json"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -346,4 +348,90 @@ func TestControllerRestartServesSamePlacementTable(t *testing.T) {
 	pollFleet(t, srvB.URL, snap.ID, "done after restart", func(sn service.Snapshot) bool {
 		return sn.State == service.StateDone
 	})
+}
+
+// TestWALCompactionKeepsConcurrentPlacements races placements against WAL
+// compactions. A compaction that snapshots the table after a place record
+// was appended but before the placement was inserted must not squash that
+// record: a controller restarted from the WAL finds every job that was
+// placed.
+func TestWALCompactionKeepsConcurrentPlacements(t *testing.T) {
+	stateDir := t.TempDir()
+	cfg := Config{LivenessDeadline: time.Hour, SweepInterval: time.Hour, StateDir: stateDir}
+	// A worker that accepts every placement at once and echoes its ID.
+	worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var msg struct {
+			ID string `json:"id"`
+		}
+		json.NewDecoder(r.Body).Decode(&msg)
+		w.WriteHeader(http.StatusCreated)
+		json.NewEncoder(w).Encode(service.Snapshot{ID: msg.ID, State: service.StateQueued})
+	}))
+	defer worker.Close()
+
+	ctl := NewController(cfg)
+	ctl.reg.upsert("w1", worker.URL, time.Now())
+	ctl.journal(walRecord{Op: walOpRegister, Worker: "w1", URL: worker.URL})
+
+	const placers, perPlacer = 8, 40
+	var (
+		mu     sync.Mutex
+		placed []string
+		wg     sync.WaitGroup
+	)
+	stop := make(chan struct{})
+	compactions := 0
+	compacted := make(chan struct{})
+	go func() {
+		defer close(compacted)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := ctl.CompactWAL(); err != nil {
+				t.Error(err)
+				return
+			}
+			compactions++
+		}
+	}()
+	for range placers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range perPlacer {
+				snap, _, err := ctl.place(fleetJob(10))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				mu.Lock()
+				placed = append(placed, snap.ID)
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	<-compacted
+	ctl.Close()
+
+	restarted := NewController(cfg)
+	defer restarted.Close()
+	have := map[string]bool{}
+	for _, p := range restarted.Placements() {
+		have[p.ID] = true
+	}
+	var lost []string
+	for _, id := range placed {
+		if !have[id] {
+			lost = append(lost, id)
+		}
+	}
+	if len(lost) > 0 {
+		t.Fatalf("%d of %d placed jobs lost across a restart after %d compactions: %v",
+			len(lost), len(placed), compactions, lost)
+	}
 }

@@ -15,9 +15,6 @@ type Point struct {
 	X, Y int
 }
 
-// Add returns the component-wise sum of p and q.
-func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
-
 // Manhattan returns the L1 distance between p and q.
 func (p Point) Manhattan(q Point) int {
 	return abs(p.X-q.X) + abs(p.Y-q.Y)

@@ -7,7 +7,7 @@ import (
 
 // barrier is a reusable n-party sense-reversing rendezvous. Arrival is a
 // single atomic increment; the last arriver runs the optional hook (the
-// collectives combine clocks and reduce values in it) and then releases
+// collectives combine clocks and price the exchange in it) and then releases
 // every waiter through its private one-token channel. Compared to the
 // two-phase mutex+cond barrier this replaces, there is no lock convoy on a
 // shared mutex and no thundering-herd Broadcast: each generation costs one

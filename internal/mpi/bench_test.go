@@ -81,28 +81,6 @@ func BenchmarkAlltoallvIntoSteady(b *testing.B) {
 	}
 }
 
-// BenchmarkAllreduce exercises the reduction rendezvous (10 max + 10 sum
-// reductions per Run).
-func BenchmarkAllreduce(b *testing.B) {
-	w := benchWorld(b, 64)
-	all, err := w.All()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := w.Run(func(r *Rank) {
-			for k := 0; k < 10; k++ {
-				all.AllreduceMax(r, float64(r.ID()+k))
-				all.AllreduceSum(r, float64(k))
-			}
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkBarrier(b *testing.B) {
 	w := benchWorld(b, 64)
 	all, err := w.All()

@@ -14,14 +14,13 @@ import (
 // indexed by *communicator* rank (0..Size-1); the mapping to world ranks
 // is fixed at creation (sorted ascending).
 //
-// Data collectives (BcastInto, GathervInto, ScattervInto, AlltoallvInto,
-// AllgathervInto) use two rendezvous: members publish buffers, the first
-// rendezvous' hook prices the exchange, members copy their results out
-// into caller-owned buffers or a per-rank Scratch, and the second
-// rendezvous guarantees every member finished copying before any sender
-// may reuse its buffer. Barrier and the Allreduce reductions carry only a
-// scalar, so their reduce and release are fused into a single rendezvous
-// with a parity-double-buffered result slot.
+// The data collectives (AlltoallvInto for redistribution, GathervInto for
+// PDA) use two rendezvous: members publish buffers, the first rendezvous'
+// hook prices the exchange, members copy their results out into a per-rank
+// Scratch, and the second rendezvous guarantees every member finished
+// copying before any sender may reuse its buffer. Barrier carries only a
+// clock, so its reduce and release are fused into a single rendezvous with
+// a parity-double-buffered result slot.
 type Comm struct {
 	world  *World
 	ranks  []int       // comm rank → world rank, ascending
@@ -33,7 +32,7 @@ type Comm struct {
 	// collective call. clocks is written by each member (own slot only)
 	// before the rendezvous and read only inside rendezvous hooks.
 	rows   [][][]float64 // per comm rank: the rows it published
-	flat   [][]float64   // per comm rank: single buffer (bcast/gather)
+	flat   [][]float64   // per comm rank: single buffer (gather)
 	clocks []float64
 	sync   float64
 
@@ -42,18 +41,11 @@ type Comm struct {
 	// happens-before edges, so one buffer serves all of them.
 	msgs []topology.Message
 
-	// Fused reductions publish inputs into redVals (own slot, hook-only
-	// readers) and read their result from redOut, double-buffered by
+	// barSync is Barrier's synchronized clock, double-buffered by
 	// rendezvous parity: a member may still be reading its generation's
 	// slot while another member has entered the next (opposite-parity)
-	// collective, but never while anyone is two generations ahead.
-	redVals []float64
-	redOut  [2]redResult
-}
-
-type redResult struct {
-	sync float64
-	val  float64
+	// barrier, but never while anyone is two generations ahead.
+	barSync [2]float64
 }
 
 // NewComm builds a communicator over the given world ranks (duplicates are
@@ -75,14 +67,13 @@ func (w *World) NewComm(ranks []int) (*Comm, error) {
 		index[r] = i
 	}
 	c := &Comm{
-		world:   w,
-		ranks:   sorted,
-		index:   index,
-		bar:     newBarrier(len(sorted)),
-		rows:    make([][][]float64, len(sorted)),
-		flat:    make([][]float64, len(sorted)),
-		clocks:  make([]float64, len(sorted)),
-		redVals: make([]float64, len(sorted)),
+		world:  w,
+		ranks:  sorted,
+		index:  index,
+		bar:    newBarrier(len(sorted)),
+		rows:   make([][][]float64, len(sorted)),
+		flat:   make([][]float64, len(sorted)),
+		clocks: make([]float64, len(sorted)),
 	}
 	w.register(c)
 	return c, nil
@@ -121,9 +112,6 @@ func (c *Comm) Free() {
 // Size returns the number of communicator members.
 func (c *Comm) Size() int { return len(c.ranks) }
 
-// WorldRank translates a comm rank to its world rank.
-func (c *Comm) WorldRank(commRank int) int { return c.ranks[commRank] }
-
 // CommRank translates a world rank to its comm rank, with ok=false for
 // non-members.
 func (c *Comm) CommRank(worldRank int) (int, bool) {
@@ -157,77 +145,9 @@ func (c *Comm) Barrier(r *Rank) {
 	p := c.bar.phase(me)
 	c.clocks[me] = r.clock
 	c.bar.await(me, func() {
-		c.redOut[p].sync = maxOf(c.clocks)
+		c.barSync[p] = maxOf(c.clocks)
 	})
-	r.clock = c.redOut[p].sync
-}
-
-// AllreduceMax returns the maximum of v over all members, advancing clocks
-// like a barrier.
-func (c *Comm) AllreduceMax(r *Rank, v float64) float64 {
-	me := c.me(r)
-	p := c.bar.phase(me)
-	c.clocks[me] = r.clock
-	c.redVals[me] = v
-	c.bar.await(me, func() {
-		m := c.redVals[0]
-		for _, b := range c.redVals[1:] {
-			if b > m {
-				m = b
-			}
-		}
-		c.redOut[p] = redResult{sync: maxOf(c.clocks), val: m}
-	})
-	out := c.redOut[p]
-	r.clock = out.sync
-	return out.val
-}
-
-// AllreduceSum returns the sum of v over all members, advancing clocks
-// like a barrier.
-func (c *Comm) AllreduceSum(r *Rank, v float64) float64 {
-	me := c.me(r)
-	p := c.bar.phase(me)
-	c.clocks[me] = r.clock
-	c.redVals[me] = v
-	c.bar.await(me, func() {
-		s := 0.0
-		for _, b := range c.redVals {
-			s += b
-		}
-		c.redOut[p] = redResult{sync: maxOf(c.clocks), val: s}
-	})
-	out := c.redOut[p]
-	r.clock = out.sync
-	return out.val
-}
-
-// BcastInto distributes root's buffer to every member, each receiving its
-// copy in buf (reused from length zero, grown only if too small) so
-// steady-state broadcasts allocate nothing. Clocks advance to the
-// synchronized maximum plus the modelled time of the slowest root→member
-// message.
-func (c *Comm) BcastInto(r *Rank, root int, data []float64, buf []float64) []float64 {
-	me := c.me(r)
-	c.clocks[me] = r.clock
-	if me == root {
-		c.flat[root] = data
-	}
-	c.bar.await(me, func() {
-		worst := 0.0
-		from := c.ranks[root]
-		bytes := 8 * len(c.flat[root])
-		for _, to := range c.ranks {
-			if t := c.world.pairTime(from, to, bytes); t > worst {
-				worst = t
-			}
-		}
-		c.sync = maxOf(c.clocks) + worst
-	})
-	out := append(buf[:0], c.flat[root]...)
-	r.clock = c.sync
-	c.bar.await(me, func() { c.flat[root] = nil })
-	return out
+	r.clock = c.barSync[p]
 }
 
 // GathervInto collects every member's buffer at root. Root receives a
@@ -309,76 +229,6 @@ func (c *Comm) AlltoallvInto(r *Rank, send [][]float64, s *Scratch) [][]float64 
 	c.bar.await(me, func() {
 		for i := range c.rows {
 			c.rows[i] = nil
-		}
-	})
-	return out
-}
-
-// ScattervInto distributes root's per-member buffers: member i receives
-// send[i] in buf (reused from length zero, grown only if too small). Only
-// root's send argument is consulted; other members pass nil. Clocks
-// advance to the synchronized maximum plus the slowest root→member
-// message.
-func (c *Comm) ScattervInto(r *Rank, root int, send [][]float64, buf []float64) []float64 {
-	me := c.me(r)
-	c.clocks[me] = r.clock
-	if me == root {
-		if len(send) != len(c.ranks) {
-			panic(fmt.Sprintf("mpi: Scatterv send has %d rows for %d members", len(send), len(c.ranks)))
-		}
-		c.rows[root] = send
-	}
-	c.bar.await(me, func() {
-		worst := 0.0
-		from := c.ranks[root]
-		for i, to := range c.ranks {
-			if t := c.world.pairTime(from, to, 8*len(c.rows[root][i])); t > worst {
-				worst = t
-			}
-		}
-		c.sync = maxOf(c.clocks) + worst
-	})
-	out := append(buf[:0], c.rows[root][me]...)
-	r.clock = c.sync
-	c.bar.await(me, func() { c.rows[root] = nil })
-	return out
-}
-
-// AllgathervInto collects every member's buffer at every member: the
-// result is indexed by comm rank, each payload copied into buffers from s
-// (valid until s.Reset). Modelled as a gather to rank 0 followed by a
-// broadcast of the concatenation.
-func (c *Comm) AllgathervInto(r *Rank, data []float64, s *Scratch) [][]float64 {
-	me := c.me(r)
-	c.clocks[me] = r.clock
-	c.flat[me] = data
-	c.bar.await(me, func() {
-		// Gather phase: slowest member→0 message.
-		worst := 0.0
-		total := 0
-		for i, from := range c.ranks {
-			if t := c.world.pairTime(from, c.ranks[0], 8*len(c.flat[i])); t > worst {
-				worst = t
-			}
-			total += len(c.flat[i])
-		}
-		// Broadcast phase: slowest 0→member message of the concatenation.
-		bc := 0.0
-		for _, to := range c.ranks {
-			if t := c.world.pairTime(c.ranks[0], to, 8*total); t > bc {
-				bc = t
-			}
-		}
-		c.sync = maxOf(c.clocks) + worst + bc
-	})
-	out := s.Rows(len(c.ranks))
-	for i := range c.ranks {
-		out[i] = copyInto(s, c.flat[i])
-	}
-	r.clock = c.sync
-	c.bar.await(me, func() {
-		for i := range c.flat {
-			c.flat[i] = nil
 		}
 	})
 	return out

@@ -2,8 +2,11 @@ package mpi
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"math"
+	"os"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -64,7 +67,7 @@ func runCollectiveSchedule(t *testing.T) []collectiveTrace {
 				tr.payloads = append(tr.payloads, row...)
 			}
 		}
-		var p2pBuf, bcastBuf, scatterBuf []float64
+		var p2pBuf []float64
 		for round := 0; round < 3; round++ {
 			s.Reset()
 			r.Compute(float64(id) * 3e-5)
@@ -88,42 +91,7 @@ func runCollectiveSchedule(t *testing.T) []collectiveTrace {
 			}
 			observe(all.GathervInto(r, round%n, data, s))
 
-			// Bcast from a rotating root.
-			var bc []float64
-			if id == (round+5)%n {
-				bc = make([]float64, 24)
-				for k := range bc {
-					bc[k] = float64(round*1000 + k)
-				}
-			}
-			bcastBuf = all.BcastInto(r, (round+5)%n, bc, bcastBuf)
-			observe([][]float64{bcastBuf})
-
-			// Scatterv from a rotating root.
-			var rows [][]float64
-			if id == (round+2)%n {
-				rows = make([][]float64, n)
-				for i := range rows {
-					rows[i] = make([]float64, i%3+1)
-					for k := range rows[i] {
-						rows[i][k] = float64(i*10 + k + round)
-					}
-				}
-			}
-			scatterBuf = all.ScattervInto(r, (round+2)%n, rows, scatterBuf)
-			observe([][]float64{scatterBuf})
-
-			// Allgatherv.
-			ag := make([]float64, (id*2+round)%5)
-			for k := range ag {
-				ag[k] = float64(id*100 + round*7 + k)
-			}
-			observe(all.AllgathervInto(r, ag, s))
-
-			// Reductions and barrier.
-			tr.payloads = append(tr.payloads,
-				all.AllreduceMax(r, float64((id+round)%7)),
-				all.AllreduceSum(r, float64(id+round)))
+			// Barrier.
 			all.Barrier(r)
 			tr.clocks = append(tr.clocks, r.Clock())
 
@@ -141,16 +109,18 @@ func runCollectiveSchedule(t *testing.T) []collectiveTrace {
 	return traces
 }
 
-// The frozen golden of runCollectiveSchedule, captured from the copying
-// collectives (Alltoallv, Gatherv, Bcast, Scatterv, Allgatherv, Recv)
-// before they were deleted: the trace sizes, an FNV-1a digest over the
-// bits of every rank's clock marks and then payload words in rank order,
-// and the clock every rank ends on.
+// The frozen golden of runCollectiveSchedule (regenerate by running
+// TestPooledCollectivesMatchGolden with MPI_GOLDEN_GEN=1): the trace sizes,
+// an FNV-1a digest over the bits of every rank's clock marks and then
+// payload words in rank order, and the clock every rank ends on. The
+// schedule was shortened when the reductions, Bcast, Scatterv and
+// Allgatherv were deleted; the values come from the pooled collectives
+// that still matched the golden captured from the copying API.
 const (
-	goldenPooledClockMarks   = 288
-	goldenPooledPayloadWords = 3672
-	goldenPooledDigest       = 0x1dccb867417c6aba
-	goldenPooledFinalClock   = 0.0011100457142857144
+	goldenPooledClockMarks   = 180
+	goldenPooledPayloadWords = 1800
+	goldenPooledDigest       = 0x1a4adf5b256ea3c9
+	goldenPooledFinalClock   = 0.0010573257142857144
 )
 
 // TestPooledCollectivesMatchGolden is the collective-equivalence golden
@@ -168,12 +138,21 @@ func TestPooledCollectivesMatchGolden(t *testing.T) {
 		}
 	}
 	marks, words := 0, 0
-	for id, tr := range traces {
+	for _, tr := range traces {
 		hash(tr.clocks)
 		hash(tr.payloads)
 		marks += len(tr.clocks)
 		words += len(tr.payloads)
-		if last := tr.clocks[len(tr.clocks)-1]; last != goldenPooledFinalClock {
+	}
+	final := func(id int) float64 { return traces[id].clocks[len(traces[id].clocks)-1] }
+	if os.Getenv("MPI_GOLDEN_GEN") != "" {
+		fmt.Printf("\tgoldenPooledClockMarks   = %d\n\tgoldenPooledPayloadWords = %d\n"+
+			"\tgoldenPooledDigest       = %#x\n\tgoldenPooledFinalClock   = %s\n",
+			marks, words, h.Sum64(), strconv.FormatFloat(final(0), 'g', 17, 64))
+		return
+	}
+	for id := range traces {
+		if last := final(id); last != goldenPooledFinalClock {
 			t.Errorf("rank %d final clock %.17g, golden %.17g", id, last, goldenPooledFinalClock)
 		}
 	}
@@ -281,8 +260,6 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 			buf := s.Buf(len(sendPayload))
 			send[(id+1)%n] = append(buf, sendPayload...)
 			all.AlltoallvInto(r, send, s)
-			all.AllreduceMax(r, float64(id))
-			all.AllreduceSum(r, float64(k))
 			all.Barrier(r)
 			r.Send((id+1)%n, k, sendPayload)
 			recvBufs[id] = r.RecvInto((id+n-1)%n, k, recvBufs[id])
@@ -302,7 +279,7 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 	base := testing.AllocsPerRun(10, func() { run(empty) })
 	loaded := testing.AllocsPerRun(10, func() { run(workload) })
 	perOp := (loaded - base) / K
-	// 12 ranks × (1 Alltoallv + 2 reductions + 1 barrier + 1 send/recv)
+	// 12 ranks × (1 Alltoallv + 1 barrier + 1 send/recv)
 	// per op: anything above a stray fraction means a steady-state path
 	// allocates.
 	if perOp > 1 {

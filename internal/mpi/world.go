@@ -1,7 +1,7 @@
 // Package mpi is an in-process stand-in for the MPI runtime the paper's
 // framework is built on. Ranks execute concurrently as goroutines and
 // exchange real data (point-to-point sends and the collectives the paper
-// uses: Barrier, Bcast, Gatherv, Alltoallv), while a per-rank virtual
+// uses: Barrier, Gatherv, Alltoallv), while a per-rank virtual
 // clock models time on a pluggable interconnect (internal/topology).
 //
 // The virtual clock is what makes the reproduction possible without a Blue

@@ -116,21 +116,6 @@ type JobConfig struct {
 	Faults *faults.Plan `json:"-"`
 }
 
-// DefaultJobConfig returns a laptop-scale monsoon job on a 256-core torus.
-func DefaultJobConfig() JobConfig {
-	return JobConfig{
-		Cores:         256,
-		Machine:       "torus",
-		Strategy:      "diffusion",
-		Scenario:      "monsoon",
-		Seed:          2607,
-		Steps:         300,
-		Interval:      5,
-		AnalysisRanks: 16,
-		MaxNests:      9,
-	}
-}
-
 // withDefaults fills the zero-valued optional fields.
 func (c JobConfig) withDefaults() JobConfig {
 	if c.Machine == "" {

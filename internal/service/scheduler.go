@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -188,9 +189,6 @@ func (s *Scheduler) readJobFile(id string) (cfg JobConfig, epoch int64, state []
 	return cfg, epoch, state, true
 }
 
-// Workers returns the worker-pool size.
-func (s *Scheduler) Workers() int { return s.cfg.Workers }
-
 // Ready reports whether the scheduler still accepts work — the substance
 // of the /readyz probe. It flips false the moment a drain starts.
 func (s *Scheduler) Ready() bool {
@@ -222,50 +220,15 @@ func (s *Scheduler) SubmitWithID(id string, epoch int64, cfg JobConfig) (Snapsho
 }
 
 func (s *Scheduler) submit(id string, epoch int64, cfg JobConfig) (Snapshot, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
+	j, err := s.register(id, epoch, cfg, false, nil)
+	if err != nil {
 		return Snapshot{}, err
 	}
-	if cfg.Faults == nil {
-		cfg.Faults = s.cfg.Faults
-	}
-	now := time.Now()
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return Snapshot{}, ErrShuttingDown
-	}
-	if id == "" {
-		s.seq++
-		id = fmt.Sprintf("job-%d", s.seq)
-	} else {
-		if _, ok := s.jobs[id]; ok {
-			s.mu.Unlock()
-			return Snapshot{}, fmt.Errorf("%w: %q", ErrJobExists, id)
-		}
-		s.bumpSeqLocked(id)
-	}
-	j := &Job{
-		ID:      id,
-		Cfg:     cfg,
-		state:   StateQueued,
-		epoch:   epoch,
-		pub:     serve.NewPublisher(s.cfg.SnapshotEvery),
-		created: now,
-		updated: now,
-	}
-	s.jobs[j.ID] = j
-	s.order = append(s.order, j.ID)
-	s.mu.Unlock()
-
-	s.attachTracer(j, cfg)
-
 	select {
 	case s.queue <- j:
 	default:
 		s.mu.Lock()
-		delete(s.jobs, j.ID)
-		s.order = s.order[:len(s.order)-1]
+		s.unlinkLocked(j.ID)
 		s.mu.Unlock()
 		j.mu.Lock()
 		if j.ledger != nil {
@@ -276,8 +239,70 @@ func (s *Scheduler) submit(id string, epoch int64, cfg JobConfig) (Snapshot, err
 		return Snapshot{}, fmt.Errorf("%w (%d jobs)", ErrQueueFull, s.cfg.QueueDepth)
 	}
 	s.metrics.jobsSubmitted.Add(1)
-	j.emitJobEvent("submitted", fmt.Sprintf("%s/%s, %d cores, %d steps", cfg.Scenario, cfg.Strategy, cfg.Cores, cfg.Steps))
+	j.emitJobEvent("submitted", fmt.Sprintf("%s/%s, %d cores, %d steps", j.Cfg.Scenario, j.Cfg.Strategy, j.Cfg.Cores, j.Cfg.Steps))
 	return j.Snapshot(), nil
+}
+
+// register is the one way a job enters the table, for Submit and Import
+// alike: it fills the config's defaults (and the scheduler's fault plan),
+// validates it, refuses work once draining, inserts the job under id (""
+// draws the next job-N) and attaches its tracer. A submitted job starts
+// queued; an imported one starts paused on its checkpoint (nil resumes
+// from scratch) and may take its ID over from a terminal copy — a done,
+// failed, cancelled or fenced job no longer owns it, and re-importing over
+// it is how a job migrates back onto a worker that once fenced it. Any
+// other holder of the ID conflicts.
+func (s *Scheduler) register(id string, epoch int64, cfg JobConfig, imported bool, checkpoint []byte) (*Job, error) {
+	cfg = cfg.withDefaults()
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if cfg.Faults == nil {
+		cfg.Faults = s.cfg.Faults
+	}
+	state := StateQueued
+	if imported {
+		state = StatePaused
+	}
+	now := time.Now()
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return nil, ErrShuttingDown
+	}
+	if id == "" {
+		s.seq++
+		id = fmt.Sprintf("job-%d", s.seq)
+	} else if prev, ok := s.jobs[id]; ok {
+		if !imported || !prev.State().Terminal() {
+			s.mu.Unlock()
+			return nil, fmt.Errorf("%w: %q", ErrJobExists, id)
+		}
+		s.unlinkLocked(id)
+	}
+	s.bumpSeqLocked(id)
+	j := &Job{
+		ID:         id,
+		Cfg:        cfg,
+		state:      state,
+		checkpoint: checkpoint,
+		lastGood:   checkpoint,
+		epoch:      epoch,
+		pub:        serve.NewPublisher(s.cfg.SnapshotEvery),
+		created:    now,
+		updated:    now,
+	}
+	s.jobs[id] = j
+	s.order = append(s.order, id)
+	s.mu.Unlock()
+	s.attachTracer(j, cfg)
+	return j, nil
+}
+
+// unlinkLocked removes a job from the table. Callers hold s.mu.
+func (s *Scheduler) unlinkLocked(id string) {
+	delete(s.jobs, id)
+	s.order = slices.DeleteFunc(s.order, func(o string) bool { return o == id })
 }
 
 // attachTracer gives a freshly registered traced job its tracer and
@@ -322,51 +347,10 @@ func (s *Scheduler) Import(id string, epoch int64, cfg JobConfig, checkpoint []b
 	if id == "" {
 		return Snapshot{}, fmt.Errorf("service: empty job ID")
 	}
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
+	j, err := s.register(id, epoch, cfg, true, checkpoint)
+	if err != nil {
 		return Snapshot{}, err
 	}
-	if cfg.Faults == nil {
-		cfg.Faults = s.cfg.Faults
-	}
-	now := time.Now()
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return Snapshot{}, ErrShuttingDown
-	}
-	if prev, ok := s.jobs[id]; ok {
-		// A terminal copy (done, failed, cancelled, fenced) no longer owns
-		// the ID: re-importing over it is how a job migrates back onto a
-		// worker that once fenced it. Live copies still conflict.
-		if !prev.State().Terminal() {
-			s.mu.Unlock()
-			return Snapshot{}, fmt.Errorf("%w: %q", ErrJobExists, id)
-		}
-		delete(s.jobs, id)
-		for i, oid := range s.order {
-			if oid == id {
-				s.order = append(s.order[:i], s.order[i+1:]...)
-				break
-			}
-		}
-	}
-	s.bumpSeqLocked(id)
-	j := &Job{
-		ID:         id,
-		Cfg:        cfg,
-		state:      StatePaused,
-		checkpoint: checkpoint,
-		lastGood:   checkpoint,
-		epoch:      epoch,
-		pub:        serve.NewPublisher(s.cfg.SnapshotEvery),
-		created:    now,
-		updated:    now,
-	}
-	s.jobs[id] = j
-	s.order = append(s.order, id)
-	s.mu.Unlock()
-	s.attachTracer(j, cfg)
 	s.metrics.jobsImported.Add(1)
 	j.emitJobEvent("imported", fmt.Sprintf("%d-byte checkpoint", len(checkpoint)))
 	return j.Snapshot(), nil

@@ -27,7 +27,6 @@ import (
 // Config describes a parent simulation domain.
 type Config struct {
 	NX, NY int     // grid points
-	DX     float64 // grid spacing in km (paper: 12 km parent, 4 km nests)
 	Dt     float64 // time step in seconds
 
 	// Flow is the ambient wind (grid cells per second) advecting cloud
@@ -52,32 +51,22 @@ type Config struct {
 	// is injected at the top of the step that starts at its AtStep. Being
 	// configuration, it travels in every checkpoint of the model.
 	Genesis []TimedCell
-	// DiurnalAmplitude in [0, 1] modulates spontaneous genesis with the
-	// diurnal cycle of tropical convection (peak in the afternoon, minimum
-	// before dawn): the expectation is scaled by
-	// 1 + A·sin(2π·(t−9h)/24h). Zero disables the cycle.
-	DiurnalAmplitude float64
 
 	// MergeEnabled lets drifting cells that overlap coalesce into one
 	// stronger system — the clustering behaviour the paper's introduction
 	// describes ("some clouds may move to different regions and cluster
 	// with other clouds").
 	MergeEnabled bool
-	// MergePeakCap saturates the combined source strength of a merged
-	// system (deep convection cannot intensify without bound). Zero means
-	// the default cap.
-	MergePeakCap float64
 
 	Seed int64
 }
 
 // DefaultConfig returns a laptop-scale Indian-region configuration: the
 // 60°E–120°E, 5°N–40°N domain of §V-B at a coarsened grid so tests run
-// fast, with the paper's 12 km spacing semantics preserved in DX.
+// fast.
 func DefaultConfig() Config {
 	return Config{
 		NX: 180, NY: 105, // 60°x35° at 1/3° — scaled stand-in for 12 km
-		DX:        12,
 		Dt:        120, // PDA cadence: the paper analyzes every 2 minutes
 		FlowU:     2e-3,
 		FlowV:     5e-4,
@@ -263,18 +252,9 @@ func (m *Model) Step() {
 		m.mergeCells()
 	}
 
-	// Spontaneous genesis (Poisson with expectation SpawnRate per hour,
-	// optionally modulated by the diurnal convection cycle).
+	// Spontaneous genesis (Poisson with expectation SpawnRate per hour).
 	if m.cfg.SpawnRate > 0 {
 		expect := m.cfg.SpawnRate * dt / 3600
-		if a := m.cfg.DiurnalAmplitude; a > 0 {
-			const day = 86400.0
-			phase := 2 * math.Pi * (m.time - 9*3600) / day
-			expect *= 1 + a*math.Sin(phase)
-			if expect < 0 {
-				expect = 0
-			}
-		}
 		for expect > 0 {
 			if m.rng.Float64() < expect {
 				m.cells = append(m.cells, m.randomCell())
@@ -359,9 +339,9 @@ func (m *Model) updateOLR() {
 	m.olrStale = false
 }
 
-// defaultMergePeakCap bounds merged-system intensification when the
-// configuration leaves MergePeakCap unset.
-const defaultMergePeakCap = 6.0
+// mergePeakCap saturates the combined source strength of a merged system
+// (deep convection cannot intensify without bound).
+const mergePeakCap = 6.0
 
 // mergeCells coalesces pairs of cells whose cores overlap (centres closer
 // than the sum of their radii) into a single system at the
@@ -382,17 +362,13 @@ func (m *Model) mergeCells() {
 			}
 			ia, ib := a.Intensity(), b.Intensity()
 			wa, wb := ia+1e-12, ib+1e-12
-			peakCap := m.cfg.MergePeakCap
-			if peakCap <= 0 {
-				peakCap = defaultMergePeakCap
-			}
 			fused := Cell{
 				X:      (a.X*wa + b.X*wb) / (wa + wb),
 				Y:      (a.Y*wa + b.Y*wb) / (wa + wb),
 				VX:     (a.VX*wa + b.VX*wb) / (wa + wb),
 				VY:     (a.VY*wa + b.VY*wb) / (wa + wb),
 				Radius: math.Max(a.Radius, b.Radius) * 1.15,
-				Peak:   math.Min(a.Peak+b.Peak, peakCap),
+				Peak:   math.Min(a.Peak+b.Peak, mergePeakCap),
 			}
 			// Keep the phase of the longer-remaining life so the merged
 			// system continues smoothly.

@@ -50,14 +50,11 @@ import (
 	"nestdiff/internal/redist"
 	"nestdiff/internal/scenario"
 	"nestdiff/internal/topology"
-	"nestdiff/internal/viz"
 	"nestdiff/internal/wrfsim"
 )
 
 // Geometry.
 type (
-	// Point is a discrete 2D coordinate.
-	Point = geom.Point
 	// Rect is a half-open rectangle on a discrete grid.
 	Rect = geom.Rect
 	// Grid is a 2D process grid with row-major rank numbering.
@@ -78,21 +75,12 @@ type (
 	WeatherModel = wrfsim.Model
 	// Cell is one convective system.
 	Cell = wrfsim.Cell
-	// Nest is a 3×-resolution nested simulation.
-	Nest = wrfsim.Nest
 	// Split is one rank's split-file output.
 	Split = wrfsim.Split
 	// ParallelWeatherModel is the distributed (block-decomposed,
 	// halo-exchanging) parent simulation, bit-equivalent to WeatherModel.
 	ParallelWeatherModel = wrfsim.ParallelModel
-	// ParallelNest is a nested simulation distributed over its allocated
-	// processor sub-rectangle, with in-place Alltoallv redistribution.
-	ParallelNest = wrfsim.ParallelNest
 )
-
-// NestRatio is the nested-simulation refinement ratio (3, as in the
-// paper).
-const NestRatio = wrfsim.NestRatio
 
 // DefaultWeatherConfig returns the laptop-scale Indian-region
 // configuration.
@@ -112,16 +100,8 @@ type (
 // DefaultPDAOptions returns the paper's detection thresholds.
 func DefaultPDAOptions() PDAOptions { return pda.DefaultOptions() }
 
-// AnalyzeSplits runs the serial detection pipeline (aggregate → sort →
-// NNC → bounding rectangles) over split files.
-func AnalyzeSplits(splits []Split, opt PDAOptions) ([]Rect, []Cluster, error) {
-	return pda.Analyze(splits, opt)
-}
-
 // Scenarios.
 type (
-	// NestSpec identifies a nest and its region of interest.
-	NestSpec = scenario.NestSpec
 	// Set is the active nest configuration at an adaptation point.
 	Set = scenario.Set
 	// SyntheticConfig parameterizes the random churn generator.
@@ -147,24 +127,16 @@ func MonsoonSchedule(cfg MonsoonConfig) []TimedCell { return scenario.MonsoonSch
 
 // Allocation and strategies.
 type (
-	// Allocation assigns processor sub-rectangles to nests.
-	Allocation = alloc.Allocation
 	// AllocationRow is one allocation-table line (Table I format).
 	AllocationRow = alloc.Row
 	// Strategy selects the reallocation policy.
 	Strategy = core.Strategy
 	// Tracker owns nest allocation state across adaptation points.
 	Tracker = core.Tracker
-	// TrackerOptions tunes a Tracker.
-	TrackerOptions = core.Options
-	// StepMetrics records one adaptation point.
-	StepMetrics = core.StepMetrics
 	// Pipeline runs the full simulation + detection + reallocation loop.
 	Pipeline = core.Pipeline
 	// PipelineConfig wires a Pipeline.
 	PipelineConfig = core.PipelineConfig
-	// AdaptationEvent describes one PDA invocation and its consequences.
-	AdaptationEvent = core.AdaptationEvent
 )
 
 // Reallocation strategies.
@@ -177,18 +149,10 @@ const (
 	Dynamic = core.Dynamic
 )
 
-// DefaultTrackerOptions returns the evaluation defaults.
-func DefaultTrackerOptions() TrackerOptions { return core.DefaultOptions() }
-
-// DefaultPipelineConfig returns a laptop-scale pipeline configuration.
-func DefaultPipelineConfig() PipelineConfig { return core.DefaultPipelineConfig() }
-
 // Networks and redistribution.
 type (
 	// Network is a modelled interconnect.
 	Network = topology.Network
-	// RedistMetrics aggregates redistribution measurements.
-	RedistMetrics = redist.Metrics
 	// Transfer describes one nest's redistribution.
 	Transfer = redist.Transfer
 	// Field is a dense 2D scalar grid.
@@ -229,45 +193,10 @@ func NewTorusSystem(cores int) (*System, error) {
 	return newSystem(g, net)
 }
 
-// NewMeshSystem builds a 3D mesh system: like NewTorusSystem but without
-// wraparound links (§IV-C1 covers both mesh and torus networks).
-func NewMeshSystem(cores int) (*System, error) {
-	if cores <= 0 {
-		return nil, fmt.Errorf("nestdiff: invalid core count %d", cores)
-	}
-	px, py := geom.NearSquareFactors(cores)
-	g := geom.NewGrid(px, py)
-	net, err := topology.NewMesh3D(g, topology.TorusDimsFor(cores), topology.DefaultTorusParams())
-	if err != nil {
-		return nil, err
-	}
-	return newSystem(g, net)
-}
-
-// NewSwitchedSystem builds a switched-cluster system ("fist"-style) with
-// the given core count and cores per node.
-func NewSwitchedSystem(cores, perNode int) (*System, error) {
-	if cores <= 0 {
-		return nil, fmt.Errorf("nestdiff: invalid core count %d", cores)
-	}
-	px, py := geom.NearSquareFactors(cores)
-	g := geom.NewGrid(px, py)
-	net, err := topology.NewSwitched(cores, perNode, topology.DefaultSwitchedParams())
-	if err != nil {
-		return nil, err
-	}
-	return newSystem(g, net)
-}
-
 // NewTracker builds a reallocation tracker on the system with default
 // options.
 func (s *System) NewTracker(strategy Strategy) (*Tracker, error) {
 	return core.NewTracker(s.Grid, s.Net, s.Model, s.Oracle, strategy, core.DefaultOptions())
-}
-
-// NewTrackerWithOptions builds a tracker with explicit options.
-func (s *System) NewTrackerWithOptions(strategy Strategy, opts TrackerOptions) (*Tracker, error) {
-	return core.NewTracker(s.Grid, s.Net, s.Model, s.Oracle, strategy, opts)
 }
 
 // NewPipeline assembles the full simulation loop around a weather model
@@ -327,26 +256,3 @@ func AnalyzeSplitsParallel(splits []Split, pg Grid, ranks int, opt PDAOptions) (
 // LoadWeatherModel restores a weather model from a checkpoint written by
 // WeatherModel.Save. The restored model continues bit-identically.
 func LoadWeatherModel(r io.Reader) (*WeatherModel, error) { return wrfsim.Load(r) }
-
-// RestoreTracker rebuilds a tracker from a checkpoint written by
-// Tracker.SaveState, attached to this system's machine and models.
-func (s *System) RestoreTracker(r io.Reader) (*Tracker, error) {
-	return core.RestoreTracker(r, s.Net, s.Model, s.Oracle)
-}
-
-// RestorePipeline rebuilds a pipeline from a checkpoint written by
-// Pipeline.SaveState, attached to this system's machine and models. The
-// restored pipeline continues bit-identically to the saved one.
-func (s *System) RestorePipeline(r io.Reader) (*Pipeline, error) {
-	return core.RestorePipeline(r, s.Net, s.Model, s.Oracle)
-}
-
-// Heatmap renders a field as an ASCII heat map with nest-region overlays.
-func Heatmap(f *Field, cols, rows int, nests map[int]Rect) string {
-	return viz.Heatmap(f, cols, rows, nests)
-}
-
-// AllocationGrid renders a processor allocation as a labelled ASCII grid.
-func AllocationGrid(a *Allocation, maxCols int) string {
-	return viz.AllocationGrid(a, maxCols)
-}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
+
+	"nestdiff/internal/core"
 )
 
 func TestNewTorusSystem(t *testing.T) {
@@ -19,19 +21,6 @@ func TestNewTorusSystem(t *testing.T) {
 	}
 	if _, err := NewTorusSystem(0); err == nil {
 		t.Fatal("zero cores accepted")
-	}
-}
-
-func TestNewSwitchedSystem(t *testing.T) {
-	sys, err := NewSwitchedSystem(64, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sys.Net.Name() != "switched" {
-		t.Fatal("wrong network kind")
-	}
-	if _, err := NewSwitchedSystem(64, 0); err == nil {
-		t.Fatal("zero per-node accepted")
 	}
 }
 
@@ -73,22 +62,6 @@ func TestFacadeTrackerRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFacadeTrackerOptions(t *testing.T) {
-	sys, err := NewTorusSystem(64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := DefaultTrackerOptions()
-	opts.ElemBytes = 8
-	tr, err := sys.NewTrackerWithOptions(Scratch, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tr.Apply(Set{{ID: 1, Region: NewRect(0, 0, 70, 70)}}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestFacadeScenarioHelpers(t *testing.T) {
 	cfg := DefaultSyntheticConfig()
 	cfg.Steps = 3
@@ -105,7 +78,10 @@ func TestFacadeScenarioHelpers(t *testing.T) {
 	}
 }
 
-func TestFacadeWeatherAndPDA(t *testing.T) {
+// stormSplits steps a one-storm weather model and returns its split files
+// over a 4×3 process grid.
+func stormSplits(t *testing.T) ([]Split, Grid) {
+	t.Helper()
 	cfg := DefaultWeatherConfig()
 	cfg.NX, cfg.NY = 48, 36
 	cfg.SpawnRate = 0
@@ -119,23 +95,23 @@ func TestFacadeWeatherAndPDA(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		m.Step()
 	}
-	splits, err := m.Splits(NewGrid(4, 3))
+	pg := NewGrid(4, 3)
+	splits, err := m.Splits(pg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rects, clusters, err := AnalyzeSplits(splits, DefaultPDAOptions())
+	return splits, pg
+}
+
+func TestFacadeWeatherAndPDA(t *testing.T) {
+	splits, pg := stormSplits(t)
+	rects, _, err := AnalyzeSplitsParallel(splits, pg, 4, DefaultPDAOptions())
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(rects) == 0 || len(clusters) != len(rects) {
-		t.Fatalf("detected %d nests / %d clusters", len(rects), len(clusters))
 	}
 	// The strongest cluster must cover the storm core.
-	if !rects[0].Contains(Point{X: 25, Y: 18}) {
-		t.Fatalf("primary nest %v misses the storm core", rects[0])
-	}
-	if NestRatio != 3 {
-		t.Fatal("NestRatio != 3")
+	if len(rects) == 0 || !rects[0].Overlaps(NewRect(25, 18, 1, 1)) {
+		t.Fatalf("primary nest of %v misses the storm core", rects)
 	}
 }
 
@@ -207,19 +183,6 @@ func TestFacadeRedistributeField(t *testing.T) {
 	}
 }
 
-func TestFacadeMeshSystem(t *testing.T) {
-	sys, err := NewMeshSystem(64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sys.Net.Name() != "mesh3d" {
-		t.Fatalf("mesh system network = %q", sys.Net.Name())
-	}
-	if _, err := NewMeshSystem(0); err == nil {
-		t.Fatal("zero cores accepted")
-	}
-}
-
 func TestFacadeParallelWeatherModel(t *testing.T) {
 	sys, err := NewTorusSystem(12)
 	if err != nil {
@@ -244,33 +207,12 @@ func TestFacadeParallelWeatherModel(t *testing.T) {
 	if len(splits) != 12 {
 		t.Fatalf("splits = %d", len(splits))
 	}
-	rects, _, err := AnalyzeSplits(splits, DefaultPDAOptions())
+	rects, _, err := AnalyzeSplitsParallel(splits, sys.Grid, 4, DefaultPDAOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rects) == 0 {
 		t.Fatal("distributed model's splits detected nothing")
-	}
-}
-
-func TestFacadeViz(t *testing.T) {
-	sys, err := NewTorusSystem(64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := sys.NewTracker(Scratch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tr.Apply(Set{{ID: 1, Region: NewRect(0, 0, 61, 61)}}); err != nil {
-		t.Fatal(err)
-	}
-	if out := AllocationGrid(tr.Allocation(), 0); len(out) == 0 {
-		t.Fatal("empty allocation grid")
-	}
-	f := &Field{NX: 10, NY: 10, Data: make([]float64, 100)}
-	if out := Heatmap(f, 10, 10, nil); len(out) == 0 {
-		t.Fatal("empty heatmap")
 	}
 }
 
@@ -313,7 +255,7 @@ func TestFacadeCheckpointRoundTrips(t *testing.T) {
 	if err := tr.SaveState(&buf); err != nil {
 		t.Fatal(err)
 	}
-	tr2, err := sys.RestoreTracker(&buf)
+	tr2, err := core.RestoreTracker(&buf, sys.Net, sys.Model, sys.Oracle)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,24 +265,7 @@ func TestFacadeCheckpointRoundTrips(t *testing.T) {
 }
 
 func TestFacadeAnalyzeSplitsParallel(t *testing.T) {
-	cfg := DefaultWeatherConfig()
-	cfg.NX, cfg.NY = 48, 36
-	cfg.SpawnRate = 0
-	m, err := NewWeatherModel(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.InjectCell(Cell{X: 24, Y: 18, Radius: 4, Peak: 2.5, Life: 7200}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 30; i++ {
-		m.Step()
-	}
-	pg := NewGrid(4, 3)
-	splits, err := m.Splits(pg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	splits, pg := stormSplits(t)
 	rects, clusters, err := AnalyzeSplitsParallel(splits, pg, 4, DefaultPDAOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -350,12 +275,5 @@ func TestFacadeAnalyzeSplitsParallel(t *testing.T) {
 	}
 	if _, _, err := AnalyzeSplitsParallel(splits, pg, 0, DefaultPDAOptions()); err == nil {
 		t.Fatal("zero ranks accepted")
-	}
-}
-
-func TestFacadeDefaultPipelineConfig(t *testing.T) {
-	cfg := DefaultPipelineConfig()
-	if cfg.WRFGrid.Size() == 0 || cfg.AnalysisRanks == 0 || cfg.Interval == 0 {
-		t.Fatalf("defaults incomplete: %+v", cfg)
 	}
 }
