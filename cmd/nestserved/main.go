@@ -67,7 +67,6 @@ func main() {
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this separate address (empty: disabled; never on the public listener)")
 
 		tileCache = flag.Int64("tile-cache-bytes", 64<<20, "byte budget of the quantized tile cache serving GET /jobs/{id}/field")
-		snapEvery = flag.Int("snapshot-every", 0, "materialize each running job's read snapshot every N steps even with no reader (0: demand-driven only)")
 
 		controller = flag.String("controller", "", "nestctl base URL to join as a fleet worker (empty: standalone)")
 		workerID   = flag.String("worker-id", "", "fleet-wide worker ID (required with -controller)")
@@ -91,7 +90,6 @@ func main() {
 		// checkpoints is the controller's adoption decision, not ours.
 		DisableRecovery: *controller != "",
 		TileCacheBytes:  *tileCache,
-		SnapshotEvery:   *snapEvery,
 	})
 	// Listen before joining the fleet: the controller may proxy a job to the
 	// advertised address the moment it has the registration.

@@ -18,17 +18,12 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 
-	"nestdiff/internal/core"
 	"nestdiff/internal/geom"
-	"nestdiff/internal/pda"
-	"nestdiff/internal/perfmodel"
-	"nestdiff/internal/scenario"
+	"nestdiff/internal/service"
 	"nestdiff/internal/topology"
 	vizpkg "nestdiff/internal/viz"
-	"nestdiff/internal/wrfsim"
 )
 
 func main() {
@@ -49,65 +44,29 @@ func main() {
 	)
 	flag.Parse()
 
-	strat, err := parseStrategy(*strategy)
+	strat, err := service.ParseStrategy(*strategy)
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	// Machine: BG/L-style torus over a near-square process grid.
-	px, py := geom.NearSquareFactors(*cores)
-	grid := geom.NewGrid(px, py)
-	net, err := topology.NewTorus3D(grid, topology.TorusDimsFor(*cores), topology.DefaultTorusParams())
-	if err != nil {
-		log.Fatal(err)
-	}
-	oracle := perfmodel.DefaultOracle()
-	model, err := perfmodel.Profile(oracle, perfmodel.DefaultSampleDomains(), perfmodel.DefaultProcSizes())
-	if err != nil {
-		log.Fatal(err)
-	}
-	tracker, err := core.NewTracker(grid, net, model, oracle, strat, core.DefaultOptions())
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	// Weather model driven by the chosen scripted scenario.
-	sched, nx, ny, err := scenario.Scripted(*scen, *steps, *seed)
-	if err != nil {
-		log.Fatal(err)
-	}
-	wcfg := wrfsim.DefaultConfig()
-	wcfg.NX, wcfg.NY = nx, ny
-	wcfg.SpawnRate = 0
-	wcfg.Genesis = sched
-	// The cyclone scenario renews its own core in place; merging those
-	// renewals would double-count the same system.
-	wcfg.MergeEnabled = strings.ToLower(*scen) != "cyclone"
-	// Compact-storm parameterization: sharper OLR signatures keep the
-	// detected clusters storm-sized, so nests track individual systems
-	// instead of one domain-wide cloud shield.
-	wcfg.DecayTau = 2400
-	wcfg.OLRPerQ = 10
-	m, err := wrfsim.NewModel(wcfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	wrfPG := geom.NewGrid(18, 15) // split-file decomposition over the domain
-	pipe, err := core.NewPipeline(m, tracker, core.PipelineConfig{
-		WRFGrid:       wrfPG,
-		AnalysisRanks: *analysis,
+	// The scripted-scenario job nestserved would run for the same flags.
+	pipe, err := service.BuildPipeline(service.JobConfig{
+		Cores:         *cores,
+		Strategy:      *strategy,
+		Scenario:      *scen,
+		Seed:          *seed,
+		Steps:         *steps,
 		Interval:      *interval,
-		PDA:           pda.DefaultOptions(),
-		MaxNests:      9,
+		AnalysisRanks: *analysis,
 		Distributed:   *distrib,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
+	tracker, m := pipe.Tracker(), pipe.Model()
+	grid := tracker.Grid()
 
 	fmt.Printf("nestsim: %d cores (%dx%d grid, %v torus), strategy %s, scenario %s, %d steps\n",
-		*cores, px, py, topology.TorusDimsFor(*cores), strat, *scen, *steps)
+		*cores, grid.Px, grid.Py, topology.TorusDimsFor(*cores), strat, *scen, *steps)
 
 	// Ctrl-C stops the simulation at the next step boundary; the summary
 	// below still covers everything simulated so far.
@@ -131,7 +90,7 @@ func main() {
 				continue
 			}
 			fmt.Printf("t=%5.0f min  nests=%d (+%d -%d =%d)  exec=%6.1fs redist=%6.3fs  overlap=%5.1f%%  [%s]\n",
-				float64(e.Step)*wcfg.Dt/60, len(e.Set),
+				float64(e.Step)*m.Config().Dt/60, len(e.Set),
 				len(e.Diff.Added), len(e.Diff.Deleted), len(e.Diff.Retained),
 				e.Metrics.ExecTime, e.Metrics.RedistTime, e.Metrics.Redist.OverlapPercent,
 				e.Metrics.Used)
@@ -186,16 +145,4 @@ func main() {
 		}
 		fmt.Printf("\nwrote %s\n", *csvPath)
 	}
-}
-
-func parseStrategy(s string) (core.Strategy, error) {
-	switch strings.ToLower(s) {
-	case "scratch":
-		return core.Scratch, nil
-	case "diffusion", "tree", "tree-based":
-		return core.Diffusion, nil
-	case "dynamic":
-		return core.Dynamic, nil
-	}
-	return 0, fmt.Errorf("unknown strategy %q (want scratch, diffusion or dynamic)", s)
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"nestdiff/internal/field"
 	"nestdiff/internal/geom"
 	"nestdiff/internal/mpi"
 	"nestdiff/internal/pda"
@@ -194,4 +195,31 @@ func TestExecutedRedistributionMatchesAnalyticalModel(t *testing.T) {
 		t.Fatal("no executed redistributions to compare")
 	}
 	t.Logf("compared %d executed exchanges against the analytical model", compared)
+}
+
+// TestUsableProcsPassesHaloCheck ties usableProcs to wrfsim's halo check:
+// for every nest size and allocated processor rectangle swept, the clamped
+// rectangle is a north-west-anchored sub-rectangle of the allocation and
+// RestoreParallelNest accepts it, so no rank's block is narrower than the
+// halo.
+func TestUsableProcsPassesHaloCheck(t *testing.T) {
+	pg := geom.NewGrid(12, 10)
+	for rw := 1; rw <= 9; rw++ {
+		for rh := 1; rh <= 9; rh += 2 {
+			region := geom.NewRect(0, 0, rw, rh)
+			fine := field.New(rw*wrfsim.NestRatio, rh*wrfsim.NestRatio)
+			for w := 1; w <= pg.Px; w++ {
+				for h := 1; h <= pg.Py; h += 3 {
+					procs := geom.NewRect(pg.Px-w, (pg.Py-h)/2, w, h)
+					use := usableProcs(procs, fine.NX, fine.NY)
+					if use.X0 != procs.X0 || use.Y0 != procs.Y0 || !procs.ContainsRect(use) {
+						t.Fatalf("usableProcs(%v, %dx%d) = %v: not a north-west sub-rectangle", procs, fine.NX, fine.NY, use)
+					}
+					if _, err := wrfsim.RestoreParallelNest(1, region, pg, use, fine, 0); err != nil {
+						t.Fatalf("usableProcs(%v, %dx%d) = %v: %v", procs, fine.NX, fine.NY, use, err)
+					}
+				}
+			}
+		}
+	}
 }

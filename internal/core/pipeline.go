@@ -578,9 +578,8 @@ func (p *Pipeline) reconcileDistributed(newSet scenario.Set, diff scenario.Diff,
 // the allocation's north-west anchor, so the usable rectangle is always a
 // sub-rectangle of the allocated one.
 func usableProcs(procs geom.Rect, nx, ny int) geom.Rect {
-	const halo = 2 // wrfsim's halo width
-	maxW := max(1, nx/halo)
-	maxH := max(1, ny/halo)
+	maxW := max(1, nx/wrfsim.HaloWidth)
+	maxH := max(1, ny/wrfsim.HaloWidth)
 	w := min(procs.Width(), maxW)
 	h := min(procs.Height(), maxH)
 	return geom.NewRect(procs.X0, procs.Y0, w, h)

@@ -67,8 +67,6 @@ type AutoscalerConfig struct {
 	// ElemBytes, at the contended all-to-all rate (0 = 2 GB/s, the
 	// tracker default).
 	RedistBytesPerSec float64
-	// Model overrides the profiled execution model (nil builds one).
-	Model *perfmodel.ExecModel
 }
 
 func (c AutoscalerConfig) withDefaults() AutoscalerConfig {
@@ -134,12 +132,10 @@ func NewAutoscaler(t Target, cfg AutoscalerConfig, counters AutoscalerCounters) 
 		return nil, fmt.Errorf("elastic: nil autoscaler target")
 	}
 	cfg = cfg.withDefaults()
-	model := cfg.Model
-	if model == nil && cfg.Budget > 0 {
+	var model *perfmodel.ExecModel
+	if cfg.Budget > 0 {
 		var err error
-		model, err = perfmodel.Profile(perfmodel.DefaultOracle(),
-			perfmodel.DefaultSampleDomains(), perfmodel.DefaultProcSizes())
-		if err != nil {
+		if model, _, err = profile(); err != nil {
 			return nil, err
 		}
 	}

@@ -63,10 +63,18 @@ func BuildMachine(cores int, kind string, coresPerNode int) (Machine, error) {
 	if err != nil {
 		return Machine{}, err
 	}
-	oracle := perfmodel.DefaultOracle()
-	model, err := perfmodel.Profile(oracle, perfmodel.DefaultSampleDomains(), perfmodel.DefaultProcSizes())
+	model, oracle, err := profile()
 	if err != nil {
 		return Machine{}, err
 	}
 	return Machine{Grid: g, Net: net, Model: model, Oracle: oracle}, nil
+}
+
+// profile is the one recipe for the profiled execution model: the default
+// oracle timed over the default sample domains and processor sizes. It is
+// deterministic, so every machine's model predicts alike.
+func profile() (*perfmodel.ExecModel, *perfmodel.Oracle, error) {
+	oracle := perfmodel.DefaultOracle()
+	model, err := perfmodel.Profile(oracle, perfmodel.DefaultSampleDomains(), perfmodel.DefaultProcSizes())
+	return model, oracle, err
 }

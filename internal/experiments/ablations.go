@@ -3,6 +3,7 @@ package experiments
 import (
 	"nestdiff/internal/alloc"
 	"nestdiff/internal/geom"
+	"nestdiff/internal/perfmodel"
 	"nestdiff/internal/scenario"
 	"nestdiff/internal/topology"
 )
@@ -97,7 +98,7 @@ func (r *Report) Weights() (*WeightAblationResult, error) {
 		place := func(g geom.Grid, _ *alloc.Allocation, _, _ scenario.Set, w map[int]float64) (*alloc.Allocation, error) {
 			return alloc.Scratch(g, w)
 		}
-		area := func(nx, ny, _ int) (float64, error) { return float64(nx) * float64(ny), nil }
+		area := func(_ *perfmodel.ExecModel, nx, ny, _ int) (float64, error) { return float64(nx) * float64(ny), nil }
 		res := &WeightAblationResult{}
 		var err error
 		if _, res.ModelExec, err = r.allocSweep(predicted, place); err != nil {
@@ -116,27 +117,17 @@ type placeFunc func(g geom.Grid, prev *alloc.Allocation, prevSet, set scenario.S
 
 // predicted weighs a nest by its predicted execution time at an equal
 // processor share, as the trackers do (§IV).
-func predicted(nx, ny, share int) (float64, error) {
-	model, _, err := Model()
-	if err != nil {
-		return 0, err
-	}
-	return model.Predict(nx, ny, share)
-}
+var predicted = (*perfmodel.ExecModel).Predict
 
 // allocSweep allocates every set of the synthetic churn on BG/L 1024 with
 // weigh and place, without a tracker, and returns the mean aspect ratio of
 // the partitions and the mean oracle execution time of the slowest nest.
-func (r *Report) allocSweep(weigh func(nx, ny, share int) (float64, error), place placeFunc) (aspect, exec float64, err error) {
+func (r *Report) allocSweep(weigh func(model *perfmodel.ExecModel, nx, ny, share int) (float64, error), place placeFunc) (aspect, exec float64, err error) {
 	m, err := BGL(1024)
 	if err != nil {
 		return 0, 0, err
 	}
 	sets, err := r.syntheticSets(r.Cases)
-	if err != nil {
-		return 0, 0, err
-	}
-	_, oracle, err := Model()
 	if err != nil {
 		return 0, 0, err
 	}
@@ -147,7 +138,7 @@ func (r *Report) allocSweep(weigh func(nx, ny, share int) (float64, error), plac
 		share := max(1, m.Grid.Size()/max(1, len(set)))
 		for _, spec := range set {
 			nx, ny := spec.FineSize(3)
-			if weights[spec.ID], err = weigh(nx, ny, share); err != nil {
+			if weights[spec.ID], err = weigh(m.Model, nx, ny, share); err != nil {
 				return 0, 0, err
 			}
 		}
@@ -160,7 +151,7 @@ func (r *Report) allocSweep(weigh func(nx, ny, share int) (float64, error), plac
 		for _, spec := range set {
 			nx, ny := spec.FineSize(3)
 			rect := cur.Rects[spec.ID]
-			stepExec = max(stepExec, oracle.ExecTime(nx, ny, rect.Area(), rect.AspectRatio()))
+			stepExec = max(stepExec, m.Oracle.ExecTime(nx, ny, rect.Area(), rect.AspectRatio()))
 		}
 		exec += stepExec
 	}
@@ -175,9 +166,10 @@ func (r *Report) Mapping() ([]*SyntheticResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	net, err := topology.NewTorus3DLinear(m.Grid, topology.TorusDimsFor(m.Cores), topology.DefaultTorusParams())
-	if err != nil {
+	rowMajor := m
+	rowMajor.Name += " (row-major)"
+	if rowMajor.Net, err = topology.NewTorus3DLinear(m.Grid, topology.TorusDimsFor(m.Grid.Size()), topology.DefaultTorusParams()); err != nil {
 		return nil, err
 	}
-	return r.variants(m, Machine{Name: m.Name + " (row-major)", Cores: m.Cores, Grid: m.Grid, Net: net})
+	return r.variants(m, rowMajor)
 }

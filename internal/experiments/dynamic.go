@@ -42,10 +42,6 @@ func (r *Report) Dynamic() (*DynamicResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		model, oracle, err := Model()
-		if err != nil {
-			return nil, err
-		}
 		res := &DynamicResult{
 			Machine:          m.Name,
 			Reconfigurations: r.Reconfigs,
@@ -70,12 +66,12 @@ func (r *Report) Dynamic() (*DynamicResult, error) {
 						continue
 					}
 					nx, ny := spec.FineSize(opts.Ratio)
-					p, err := model.PredictRect(nx, ny, rect)
+					p, err := m.Model.PredictRect(nx, ny, rect)
 					if err != nil {
 						return err
 					}
 					predExec[k] = append(predExec[k], p)
-					actExec[k] = append(actExec[k], oracle.ExecTime(nx, ny, rect.Area(), rect.AspectRatio()))
+					actExec[k] = append(actExec[k], m.Oracle.ExecTime(nx, ny, rect.Area(), rect.AspectRatio()))
 				}
 			}
 			dyn := sms[2]

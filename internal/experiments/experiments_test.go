@@ -198,7 +198,7 @@ func TestMachines(t *testing.T) {
 	if f.Net.Name() != "switched" {
 		t.Fatal("fist should be switched")
 	}
-	if _, _, err := Model(); err != nil {
-		t.Fatal(err)
+	if m.Model == nil || m.Oracle == nil || f.Model == nil {
+		t.Fatal("machine without its profiled models")
 	}
 }

@@ -11,58 +11,32 @@ package experiments
 import (
 	"fmt"
 
-	"nestdiff/internal/geom"
-	"nestdiff/internal/perfmodel"
-	"nestdiff/internal/topology"
+	"nestdiff/internal/elastic"
 )
 
-// Machine is one experimental platform of Table III.
+// Machine is one experimental platform of Table III: the modelled
+// machine under the name the tables print.
 type Machine struct {
-	Name  string
-	Cores int
-	// Grid is the 2D process decomposition (Px·Py = Cores).
-	Grid geom.Grid
-	// Net models the interconnect.
-	Net topology.Network
+	Name string
+	elastic.Machine
 }
 
 // BGL builds a Blue Gene/L partition of the given size: a 3D torus with
 // the folding-based topology-aware mapping of §V-C.
 func BGL(cores int) (Machine, error) {
-	px, py := geom.NearSquareFactors(cores)
-	g := geom.NewGrid(px, py)
-	net, err := topology.NewTorus3D(g, topology.TorusDimsFor(cores), topology.DefaultTorusParams())
+	m, err := elastic.BuildMachine(cores, "torus", 8)
 	if err != nil {
 		return Machine{}, fmt.Errorf("experiments: BGL(%d): %w", cores, err)
 	}
-	return Machine{Name: fmt.Sprintf("BG/L %d cores", cores), Cores: cores, Grid: g, Net: net}, nil
+	return Machine{Name: fmt.Sprintf("BG/L %d cores", cores), Machine: m}, nil
 }
 
 // Fist builds the Intel Xeon / Infiniband cluster of Table III: 8-core
 // nodes on a switched fabric.
 func Fist(cores int) (Machine, error) {
-	px, py := geom.NearSquareFactors(cores)
-	g := geom.NewGrid(px, py)
-	net, err := topology.NewSwitched(cores, 8, topology.DefaultSwitchedParams())
+	m, err := elastic.BuildMachine(cores, "switched", 8)
 	if err != nil {
 		return Machine{}, fmt.Errorf("experiments: fist(%d): %w", cores, err)
 	}
-	return Machine{Name: fmt.Sprintf("fist %d cores", cores), Cores: cores, Grid: g, Net: net}, nil
-}
-
-// sharedModel caches one profiled execution model per process (profiling
-// is deterministic, so sharing is safe).
-var sharedOracle = perfmodel.DefaultOracle()
-var sharedModel *perfmodel.ExecModel
-
-// Model returns the lazily profiled shared execution model.
-func Model() (*perfmodel.ExecModel, *perfmodel.Oracle, error) {
-	if sharedModel == nil {
-		m, err := perfmodel.Profile(sharedOracle, perfmodel.DefaultSampleDomains(), perfmodel.DefaultProcSizes())
-		if err != nil {
-			return nil, nil, err
-		}
-		sharedModel = m
-	}
-	return sharedModel, sharedOracle, nil
+	return Machine{Name: fmt.Sprintf("fist %d cores", cores), Machine: m}, nil
 }

@@ -70,13 +70,10 @@ type lane struct {
 // the initial allocation: it moves no data, so it is not a case. Lanes are
 // independent; each keeps its own accumulation order.
 func replay(sets []scenario.Set, lanes []lane, step func(set scenario.Set, trs []*core.Tracker, sms []core.StepMetrics) error) ([]*core.Tracker, error) {
-	model, oracle, err := Model()
-	if err != nil {
-		return nil, err
-	}
+	var err error
 	trs := make([]*core.Tracker, len(lanes))
 	for k, l := range lanes {
-		if trs[k], err = core.NewTracker(l.m.Grid, l.m.Net, model, oracle, l.strategy, l.opts); err != nil {
+		if trs[k], err = core.NewTracker(l.m.Grid, l.m.Net, l.m.Model, l.m.Oracle, l.strategy, l.opts); err != nil {
 			return nil, err
 		}
 	}

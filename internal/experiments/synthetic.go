@@ -70,7 +70,7 @@ func (r *Report) synthetic(m Machine) (*SyntheticResult, error) {
 // runSets feeds an identical set sequence through both pure strategies and
 // compares them per reconfiguration case.
 func runSets(m Machine, sets []scenario.Set) (*SyntheticResult, error) {
-	res := &SyntheticResult{Machine: m.Name, Cores: m.Cores}
+	res := &SyntheticResult{Machine: m.Name, Cores: m.Grid.Size()}
 	opts := core.DefaultOptions()
 	lanes := []lane{{m, core.Scratch, opts}, {m, core.Diffusion, opts}}
 	_, err := replay(sets, lanes, func(_ scenario.Set, _ []*core.Tracker, sms []core.StepMetrics) error {
@@ -173,9 +173,10 @@ func (r *Report) LinkContention() ([]*SyntheticResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	dor, err := topology.NewDORTorus(m.Net.(*topology.Torus3D))
-	if err != nil {
+	dor := m
+	dor.Name += " (DOR)"
+	if dor.Net, err = topology.NewDORTorus(m.Net.(*topology.Torus3D)); err != nil {
 		return nil, err
 	}
-	return r.variants(m, Machine{Name: m.Name + " (DOR)", Cores: m.Cores, Grid: m.Grid, Net: dor})
+	return r.variants(m, dor)
 }

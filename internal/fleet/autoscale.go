@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"net/http"
 
 	"nestdiff/internal/elastic"
 	"nestdiff/internal/service"
@@ -38,7 +39,7 @@ func (t autoscaleTarget) Jobs() ([]elastic.JobLoad, error) {
 			continue
 		}
 		var snaps []service.Snapshot
-		if err := c.getJSON(w.URL+"/jobs", &snaps); err != nil {
+		if _, err := c.call(http.MethodGet, w.URL+"/jobs", nil, 0, &snaps); err != nil {
 			continue
 		}
 		idx := make(map[string]service.Snapshot, len(snaps))

@@ -1,12 +1,10 @@
 package fleet
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -414,7 +412,8 @@ func (c *Controller) adoptOrphans() {
 			continue // no reachable live workers; retry next sweep
 		}
 		epoch := c.allocEpoch(p)
-		snap, code, err := c.postFleetJob(target.URL+"/fleet/adopt", p.ID, epoch, p.cfg)
+		var snap service.Snapshot
+		code, err := c.call(http.MethodPost, target.URL+"/fleet/adopt", placeBody(p.ID, epoch, p.cfg), 0, &snap)
 		if err != nil || code/100 != 2 {
 			c.metrics.adoptionFailures.Add(1)
 			continue
@@ -460,7 +459,7 @@ func (c *Controller) refreshStates() {
 			continue
 		}
 		var snaps []service.Snapshot
-		if err := c.getJSON(w.URL+"/jobs", &snaps); err != nil {
+		if _, err := c.call(http.MethodGet, w.URL+"/jobs", nil, 0, &snaps); err != nil {
 			continue
 		}
 		for _, sn := range snaps {
@@ -528,7 +527,8 @@ func (c *Controller) place(cfg service.JobConfig) (service.Snapshot, WorkerInfo,
 		return service.Snapshot{}, target, fmt.Errorf("%w: link partitioned", errWorkerUnreachable)
 	}
 	const initialEpoch = 1
-	snap, code, err := c.postFleetJob(target.URL+"/fleet/jobs", id, initialEpoch, cfg)
+	var snap service.Snapshot
+	code, err := c.call(http.MethodPost, target.URL+"/fleet/jobs", placeBody(id, initialEpoch, cfg), 0, &snap)
 	if err != nil {
 		c.metrics.placementFailures.Add(1)
 		return service.Snapshot{}, target, fmt.Errorf("%w: %v", errWorkerUnreachable, err)
@@ -558,51 +558,15 @@ var (
 	errUnknownJob        = errors.New("fleet: no such job")
 )
 
-// postFleetJob sends the {id, epoch, config} control message of placement
-// and adoption and decodes the worker's snapshot reply.
-func (c *Controller) postFleetJob(url, id string, epoch int64, cfg service.JobConfig) (service.Snapshot, int, error) {
-	body, err := json.Marshal(struct {
+// placeBody is the {id, epoch, config} control message of placement and
+// adoption.
+func placeBody(id string, epoch int64, cfg service.JobConfig) []byte {
+	body, _ := json.Marshal(struct {
 		ID     string            `json:"id"`
 		Epoch  int64             `json:"epoch"`
 		Config service.JobConfig `json:"config"`
 	}{id, epoch, cfg})
-	if err != nil {
-		return service.Snapshot{}, 0, err
-	}
-	resp, err := c.client.Post(url, "application/json", bytes.NewReader(body))
-	if err != nil {
-		return service.Snapshot{}, 0, err
-	}
-	defer resp.Body.Close()
-	var snap service.Snapshot
-	if resp.StatusCode/100 == 2 {
-		if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-			return service.Snapshot{}, resp.StatusCode, err
-		}
-	} else {
-		io.Copy(io.Discard, resp.Body)
-	}
-	return snap, resp.StatusCode, nil
-}
-
-// getJSON fetches a worker endpoint into v.
-func (c *Controller) getJSON(url string, v any) error {
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
-		return fmt.Errorf("fleet: GET %s: status %d", url, resp.StatusCode)
-	}
-	return json.NewDecoder(resp.Body).Decode(v)
+	return body
 }
 
 // lookupPlacement resolves a fleet job ID to its placement and the

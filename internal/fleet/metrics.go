@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"io"
+	"net/http"
 	"strings"
 	"sync/atomic"
 
@@ -116,7 +117,12 @@ func (c *Controller) Stats() FleetStats {
 	for _, w := range c.reg.live() {
 		fs.WorkersLive++
 		var ws service.WorkerStats
-		if c.linkDown(w.ID) || c.getJSON(w.URL+"/statz", &ws) != nil {
+		reached := !c.linkDown(w.ID)
+		if reached {
+			_, err := c.call(http.MethodGet, w.URL+"/statz", nil, 0, &ws)
+			reached = err == nil
+		}
+		if !reached {
 			fs.UnreachableWorkers++
 			continue
 		}

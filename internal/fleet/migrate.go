@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -146,7 +147,7 @@ func (c *Controller) migrate(p *placement, from, to WorkerInfo) bool {
 	id := p.ID
 	// Pause; 409 means the job is already paused or terminal, which the
 	// poll below sorts out.
-	if code, _ := c.postWorker(from.URL+"/jobs/"+id+"/pause", nil); code/100 != 2 && code != http.StatusConflict {
+	if code, _ := c.call(http.MethodPost, from.URL+"/jobs/"+id+"/pause", nil, 0, nil); code/100 != 2 && code != http.StatusConflict {
 		c.metrics.migrationFailures.Add(1)
 		return false
 	}
@@ -160,20 +161,20 @@ func (c *Controller) migrate(p *placement, from, to WorkerInfo) bool {
 		c.foldState(p, snap.State)
 		return false
 	}
-	env, err := c.getBytes(from.URL + "/jobs/" + id + "/checkpoint")
-	if err != nil {
+	var env []byte
+	if _, err := c.call(http.MethodGet, from.URL+"/jobs/"+id+"/checkpoint", nil, 0, &env); err != nil {
 		c.metrics.migrationFailures.Add(1)
-		c.postWorker(from.URL+"/jobs/"+id+"/resume", nil)
+		c.call(http.MethodPost, from.URL+"/jobs/"+id+"/resume", nil, 0, nil)
 		return false
 	}
 	newEpoch := c.allocEpoch(p)
-	code, err := c.postEnvelope(to.URL+"/jobs/"+id+"/import", env, newEpoch)
+	code, err := c.call(http.MethodPost, to.URL+"/jobs/"+id+"/import", env, newEpoch, nil)
 	if err != nil || code/100 != 2 {
 		c.metrics.migrationFailures.Add(1)
-		c.postWorker(from.URL+"/jobs/"+id+"/resume", nil)
+		c.call(http.MethodPost, from.URL+"/jobs/"+id+"/resume", nil, 0, nil)
 		return false
 	}
-	if code, _ := c.postWorker(to.URL+"/jobs/"+id+"/resume", nil); code/100 != 2 {
+	if code, _ := c.call(http.MethodPost, to.URL+"/jobs/"+id+"/resume", nil, 0, nil); code/100 != 2 {
 		// Imported but not resumed: the new copy is paused there and the
 		// sweep's refresh will surface it; still complete the move so
 		// exactly one worker owns the job.
@@ -200,7 +201,7 @@ func (c *Controller) awaitPaused(w WorkerInfo, id string) (service.Snapshot, boo
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		var snap service.Snapshot
-		if err := c.getJSON(w.URL+"/jobs/"+id, &snap); err != nil {
+		if _, err := c.call(http.MethodGet, w.URL+"/jobs/"+id, nil, 0, &snap); err != nil {
 			return service.Snapshot{}, false
 		}
 		if snap.State == service.StatePaused || snap.State.Terminal() {
@@ -219,11 +220,8 @@ func (c *Controller) fenceWorkerJob(w WorkerInfo, id string, newEpoch int64) {
 	if c.linkDown(w.ID) {
 		return
 	}
-	body, _ := json.Marshal(struct {
-		ID    string `json:"id"`
-		Epoch int64  `json:"epoch"`
-	}{id, newEpoch})
-	if code, err := c.postWorker(w.URL+"/fleet/fence", body); err == nil && code/100 == 2 {
+	body, _ := json.Marshal(service.JobEpochReport{ID: id, Epoch: newEpoch})
+	if code, err := c.call(http.MethodPost, w.URL+"/fleet/fence", body, 0, nil); err == nil && code/100 == 2 {
 		c.metrics.fencesIssued.Add(1)
 	}
 }
@@ -273,45 +271,45 @@ func (c *Controller) fenceList(workerID string, jobs []service.JobEpochReport) [
 	return fenced
 }
 
-// postWorker POSTs a control message (nil body allowed) to a worker URL.
-func (c *Controller) postWorker(url string, body []byte) (int, error) {
-	resp, err := c.client.Post(url, "application/json", bytes.NewReader(body))
+// call is the one controller→worker request. body (nil allowed) goes as
+// JSON, or as a checkpoint envelope under X-Fleet-Epoch when epoch > 0. A
+// 2xx reply decodes into out: raw into a *[]byte, as JSON otherwise, not
+// at all when out is nil. A GET answered with anything but 200 is an
+// error, and a JSON GET is a poll bounded by 5 s; a POST leaves its status
+// to the caller. The reply body is drained on every path.
+func (c *Controller) call(method, url string, body []byte, epoch int64, out any) (int, error) {
+	ctx := context.Background()
+	if _, raw := out.(*[]byte); method == http.MethodGet && !raw {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, 5*time.Second)
+		defer cancel()
+	}
+	req, err := http.NewRequestWithContext(ctx, method, url, bytes.NewReader(body))
 	if err != nil {
 		return 0, err
 	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, resp.Body)
-	return resp.StatusCode, nil
-}
-
-// postEnvelope ships a checkpoint envelope to a worker's import endpoint
-// under the migration's bumped epoch.
-func (c *Controller) postEnvelope(url string, env []byte, epoch int64) (int, error) {
-	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(env))
-	if err != nil {
-		return 0, err
+	if method == http.MethodPost {
+		req.Header.Set("Content-Type", "application/json")
 	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	req.Header.Set("X-Fleet-Epoch", fmt.Sprintf("%d", epoch))
+	if epoch > 0 {
+		req.Header.Set("Content-Type", "application/octet-stream")
+		req.Header.Set("X-Fleet-Epoch", fmt.Sprintf("%d", epoch))
+	}
 	resp, err := c.client.Do(req)
 	if err != nil {
 		return 0, err
 	}
 	defer resp.Body.Close()
-	io.Copy(io.Discard, resp.Body)
-	return resp.StatusCode, nil
-}
-
-// getBytes fetches a worker endpoint raw (checkpoint envelopes).
-func (c *Controller) getBytes(url string) ([]byte, error) {
-	resp, err := c.client.Get(url)
-	if err != nil {
-		return nil, err
+	defer io.Copy(io.Discard, resp.Body)
+	switch {
+	case method == http.MethodGet && resp.StatusCode != http.StatusOK:
+		return resp.StatusCode, fmt.Errorf("fleet: %s %s: status %d", method, url, resp.StatusCode)
+	case resp.StatusCode/100 != 2 || out == nil:
+		return resp.StatusCode, nil
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
-		return nil, fmt.Errorf("fleet: GET %s: status %d", url, resp.StatusCode)
+	if raw, ok := out.(*[]byte); ok {
+		*raw, err = io.ReadAll(resp.Body)
+		return resp.StatusCode, err
 	}
-	return io.ReadAll(resp.Body)
+	return resp.StatusCode, json.NewDecoder(resp.Body).Decode(out)
 }

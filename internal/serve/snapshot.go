@@ -45,8 +45,8 @@ func (s *Snapshot) VarNames() []string {
 //
 // The protocol is demand-driven so the no-reader path stays free: at
 // every step boundary the worker calls Publish, which with no waiting
-// reader and no proactive interval is a mutex-guarded integer store —
-// zero allocations, zero field copies. When a reader has demanded state
+// reader is a mutex-guarded integer store — zero allocations, zero field
+// copies. When a reader has demanded state
 // (Acquire on a stale or absent snapshot), the next Publish materializes
 // an immutable Snapshot via the fill callback — field pointer copies
 // resolved into private buffers on the worker's side of the step
@@ -57,18 +57,14 @@ type Publisher struct {
 	notify chan struct{} // closed and replaced on every state change
 	step   int           // latest completed step the worker reported
 	epoch  int64         // invalidation epoch (resize/restore bumps)
-	every  int           // proactive publish interval (0: on demand only)
 	demand bool          // a reader wants a snapshot at the next boundary
 	idle   bool          // worker parked or terminal: no future boundaries
 	cur    *Snapshot
 }
 
-// NewPublisher returns a publisher. every > 0 additionally materializes
-// a snapshot proactively at every multiple of that step interval —
-// keeping reads warm at the cost of copies nobody may read — while 0
-// copies only on reader demand.
-func NewPublisher(every int) *Publisher {
-	return &Publisher{notify: make(chan struct{}), every: every}
+// NewPublisher returns a publisher that copies only on reader demand.
+func NewPublisher() *Publisher {
+	return &Publisher{notify: make(chan struct{})}
 }
 
 // wakeLocked signals every waiter that publisher state changed. Callers
@@ -79,8 +75,8 @@ func (p *Publisher) wakeLocked() {
 }
 
 // Publish is the worker's step-boundary hook: it records that step
-// completed and, if a reader demanded state (or the proactive interval
-// hit), materializes a fresh snapshot from fill. fill runs under the
+// completed and, if a reader demanded state, materializes a fresh
+// snapshot from fill. fill runs under the
 // publisher lock on the worker goroutine, so it may read live pipeline
 // state that only that goroutine mutates.
 func (p *Publisher) Publish(step int, fill func() map[string]*field.Field) {
@@ -91,7 +87,7 @@ func (p *Publisher) Publish(step int, fill func() map[string]*field.Field) {
 	defer p.mu.Unlock()
 	p.step = step
 	p.idle = false
-	if !p.demand && !(p.every > 0 && step%p.every == 0) {
+	if !p.demand {
 		return
 	}
 	p.demand = false

@@ -17,7 +17,7 @@ func fillConst(v float64) func() map[string]*field.Field {
 }
 
 func TestPublisherNoReaderNoCopy(t *testing.T) {
-	p := NewPublisher(0)
+	p := NewPublisher()
 	copies := 0
 	for step := 1; step <= 100; step++ {
 		p.Publish(step, func() map[string]*field.Field {
@@ -34,7 +34,7 @@ func TestPublisherNoReaderNoCopy(t *testing.T) {
 }
 
 func TestPublisherDemandDriven(t *testing.T) {
-	p := NewPublisher(0)
+	p := NewPublisher()
 	p.Publish(1, fillConst(1))
 	if p.Current() != nil {
 		t.Fatal("published without demand")
@@ -68,22 +68,8 @@ func TestPublisherDemandDriven(t *testing.T) {
 	}
 }
 
-func TestPublisherProactiveEvery(t *testing.T) {
-	p := NewPublisher(10)
-	copies := 0
-	for step := 1; step <= 25; step++ {
-		p.Publish(step, func() map[string]*field.Field {
-			copies++
-			return nil
-		})
-	}
-	if copies != 2 {
-		t.Fatalf("proactive every=10 materialized %d times over 25 steps, want 2", copies)
-	}
-}
-
 func TestPublisherIdleServesLast(t *testing.T) {
-	p := NewPublisher(0)
+	p := NewPublisher()
 	if _, err := p.Acquire(10 * time.Millisecond); err != ErrNoSnapshot {
 		t.Fatalf("idle publisher with no snapshot: err %v, want ErrNoSnapshot", err)
 	}
@@ -104,7 +90,7 @@ func TestPublisherIdleServesLast(t *testing.T) {
 }
 
 func TestPublisherEpochBumpInvalidatesFreshness(t *testing.T) {
-	p := NewPublisher(0)
+	p := NewPublisher()
 	go func() {
 		time.Sleep(2 * time.Millisecond)
 		p.Publish(1, fillConst(1))
@@ -136,7 +122,7 @@ func TestPublisherEpochBumpInvalidatesFreshness(t *testing.T) {
 }
 
 func TestPublisherConcurrentReaders(t *testing.T) {
-	p := NewPublisher(0)
+	p := NewPublisher()
 	stop := make(chan struct{})
 	var writer sync.WaitGroup
 	writer.Add(1)

@@ -27,9 +27,7 @@ import (
 	"nestdiff/internal/faults"
 	"nestdiff/internal/geom"
 	"nestdiff/internal/pda"
-	"nestdiff/internal/perfmodel"
 	"nestdiff/internal/scenario"
-	"nestdiff/internal/topology"
 	"nestdiff/internal/wrfsim"
 )
 
@@ -171,10 +169,10 @@ func (c JobConfig) Validate() error {
 	if _, err := ParseStrategy(c.withDefaults().Strategy); err != nil {
 		return err
 	}
-	switch strings.ToLower(c.withDefaults().Machine) {
-	case "torus", "mesh", "switched":
-	default:
-		return fmt.Errorf("service: unknown machine %q (want torus, mesh or switched)", c.Machine)
+	// elastic.BuildMachine holds the one list of machine kinds; building
+	// the machine here is the check that the run will build it too.
+	if _, err := elastic.BuildMachine(c.Cores, c.Machine, c.CoresPerNode); err != nil {
+		return err
 	}
 	switch strings.ToLower(c.withDefaults().Scenario) {
 	case "monsoon", "cyclone", "burst":
@@ -199,28 +197,6 @@ func ParseStrategy(s string) (core.Strategy, error) {
 		return core.Dynamic, nil
 	}
 	return 0, fmt.Errorf("service: unknown strategy %q (want scratch, diffusion or dynamic)", s)
-}
-
-// machine bundles the modelled hardware and performance models a job's
-// tracker needs. Each job builds its own so no mutable model state is ever
-// shared between worker goroutines.
-type machine struct {
-	grid   geom.Grid
-	net    topology.Network
-	model  *perfmodel.ExecModel
-	oracle *perfmodel.Oracle
-}
-
-// buildMachine constructs the machine a job config names. It delegates to
-// internal/elastic so a mid-run resize rebuilds the machine through the
-// exact same path a fresh job does — the grid and models only ever differ
-// by the core count.
-func buildMachine(cfg JobConfig) (*machine, error) {
-	m, err := elastic.BuildMachine(cfg.Cores, cfg.Machine, cfg.CoresPerNode)
-	if err != nil {
-		return nil, err
-	}
-	return &machine{grid: m.Grid, net: m.Net, model: m.Model, oracle: m.Oracle}, nil
 }
 
 // buildSchedule resolves the scenario to the model's genesis schedule plus
@@ -265,16 +241,31 @@ func newCkptWriter(cfg JobConfig) *core.CheckpointWriter {
 
 // newRun builds a fresh run from a job config.
 func newRun(cfg JobConfig) (*run, error) {
+	pipe, err := BuildPipeline(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if cfg.Faults != nil {
+		pipe.SetFaultPlan(cfg.Faults)
+	}
+	return &run{pipe: pipe, ckw: newCkptWriter(cfg)}, nil
+}
+
+// BuildPipeline assembles the fresh pipeline a job config names — the
+// machine, the tracker, the scenario's weather model and the pipeline
+// shape, with the config's defaults filled in. It is the one recipe for a
+// job's run; cmd/nestsim runs the same one from its flags.
+func BuildPipeline(cfg JobConfig) (*core.Pipeline, error) {
 	cfg = cfg.withDefaults()
 	strat, err := ParseStrategy(cfg.Strategy)
 	if err != nil {
 		return nil, err
 	}
-	m, err := buildMachine(cfg)
+	m, err := elastic.BuildMachine(cfg.Cores, cfg.Machine, cfg.CoresPerNode)
 	if err != nil {
 		return nil, err
 	}
-	tracker, err := core.NewTracker(m.grid, m.net, m.model, m.oracle, strat, core.DefaultOptions())
+	tracker, err := core.NewTracker(m.Grid, m.Net, m.Model, m.Oracle, strat, core.DefaultOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -288,8 +279,11 @@ func newRun(cfg JobConfig) (*run, error) {
 	wcfg.Genesis = sched
 	wcfg.Seed = cfg.Seed
 	if strings.ToLower(cfg.Scenario) != "cells" {
-		// Compact-storm parameterization (as in cmd/nestsim): sharper OLR
-		// signatures keep detected clusters storm-sized.
+		// Compact-storm parameterization: sharper OLR signatures keep the
+		// detected clusters storm-sized, so nests track individual systems
+		// instead of one domain-wide cloud shield. The cyclone scenario
+		// renews its own core in place; merging those renewals would
+		// double-count the same system.
 		wcfg.MergeEnabled = strings.ToLower(cfg.Scenario) != "cyclone"
 		wcfg.DecayTau = 2400
 		wcfg.OLRPerQ = 10
@@ -303,7 +297,7 @@ func newRun(cfg JobConfig) (*run, error) {
 			return nil, err
 		}
 	}
-	pipe, err := core.NewPipeline(model, tracker, core.PipelineConfig{
+	return core.NewPipeline(model, tracker, core.PipelineConfig{
 		WRFGrid:       wrfGridFor(cfg, nx, ny),
 		AnalysisRanks: cfg.AnalysisRanks,
 		Interval:      cfg.Interval,
@@ -311,13 +305,6 @@ func newRun(cfg JobConfig) (*run, error) {
 		MaxNests:      cfg.MaxNests,
 		Distributed:   cfg.Distributed,
 	})
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Faults != nil {
-		pipe.SetFaultPlan(cfg.Faults)
-	}
-	return &run{pipe: pipe, ckw: newCkptWriter(cfg)}, nil
 }
 
 // restoreRun rebuilds a run from a pause checkpoint: the machine and
@@ -329,17 +316,17 @@ func newRun(cfg JobConfig) (*run, error) {
 // without the storms still to come.
 func restoreRun(cfg JobConfig, checkpoint []byte) (*run, error) {
 	cfg = cfg.withDefaults()
-	m, err := buildMachine(cfg)
+	m, err := elastic.BuildMachine(cfg.Cores, cfg.Machine, cfg.CoresPerNode)
 	if err != nil {
 		return nil, err
 	}
-	pipe, err := core.RestorePipeline(bytes.NewReader(checkpoint), m.net, m.model, m.oracle)
+	pipe, err := core.RestorePipeline(bytes.NewReader(checkpoint), m.Net, m.Model, m.Oracle)
 	if err != nil {
 		return nil, err
 	}
-	if got := pipe.Tracker().Grid(); got != m.grid {
+	if got := pipe.Tracker().Grid(); got != m.Grid {
 		return nil, fmt.Errorf("%w: checkpoint holds a %dx%d grid (%d procs), config names %d cores (%dx%d)",
-			core.ErrProcMismatch, got.Px, got.Py, got.Size(), cfg.Cores, m.grid.Px, m.grid.Py)
+			core.ErrProcMismatch, got.Px, got.Py, got.Size(), cfg.Cores, m.Grid.Px, m.Grid.Py)
 	}
 	sched, _, _, err := buildSchedule(cfg)
 	if err != nil {

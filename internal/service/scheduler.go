@@ -73,11 +73,6 @@ type SchedulerConfig struct {
 	// only. It is how the fleet chaos suite injects faults into jobs that
 	// arrived over HTTP (JobConfig.Faults never crosses the wire).
 	Faults *faults.Plan
-	// SnapshotEvery, when positive, materializes every running job's read
-	// snapshot each N steps even with no waiting reader, trading one field
-	// copy per N steps for instant first reads. Zero (the default) is
-	// purely demand-driven: the no-reader publish path is an integer store.
-	SnapshotEvery int
 	// TileCacheBytes bounds the shared quantized-tile cache serving
 	// GET /jobs/{id}/field. Zero means 64 MiB.
 	TileCacheBytes int64
@@ -288,7 +283,7 @@ func (s *Scheduler) register(id string, epoch int64, cfg JobConfig, imported boo
 		checkpoint: checkpoint,
 		lastGood:   checkpoint,
 		epoch:      epoch,
-		pub:        serve.NewPublisher(s.cfg.SnapshotEvery),
+		pub:        serve.NewPublisher(),
 		created:    now,
 		updated:    now,
 	}

@@ -35,7 +35,7 @@ func TestServeGoldenSnapshotEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j := &Job{ID: "golden", Cfg: cfg, state: StateRunning, pub: serve.NewPublisher(0)}
+	j := &Job{ID: "golden", Cfg: cfg, state: StateRunning, pub: serve.NewPublisher()}
 	served.pipe.SetSnapshotSink(&jobSink{j: j})
 	cache := serve.NewCache(1 << 22)
 
@@ -486,7 +486,7 @@ func BenchmarkStepLatencyUnderReadLoad(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			j := &Job{ID: "bench", Cfg: cfg, state: StateRunning, pub: serve.NewPublisher(0)}
+			j := &Job{ID: "bench", Cfg: cfg, state: StateRunning, pub: serve.NewPublisher()}
 			r.pipe.SetSnapshotSink(&jobSink{j: j})
 			cache := serve.NewCache(64 << 20)
 			stop := make(chan struct{})

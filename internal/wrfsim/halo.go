@@ -9,13 +9,14 @@ import (
 	"nestdiff/internal/mpi"
 )
 
-// haloWidth is the width of the halo border of a rank's extended field and
+// HaloWidth is the width of the halo border of a rank's extended field and
 // so the longest stencil reach (see axisReach) a distributed step supports.
 // The ambient flow moves well under one cell per (sub)step — a reach of one
-// cell — and a flow whose reach exceeds haloWidth is refused by checkReach
+// cell — and a flow whose reach exceeds HaloWidth is refused by checkReach
 // wherever it is first known, because AdvectDecay would fall onto its
 // clamped border path inside ext and silently leave the serial trajectory.
-const haloWidth = 2
+// core clamps a nest's ranks by it, so every rank's block is this wide.
+const HaloWidth = 2
 
 // axisReach is how far outside its own block a rank's advection reads
 // along one axis: lo cells below the block's first sample, hi cells above
@@ -33,13 +34,13 @@ const haloWidth = 2
 type axisReach struct{ lo, hi int }
 
 // reachOf returns the reach of a displacement of u cells per step, or an
-// error naming it when it exceeds haloWidth (or u is not a number).
+// error naming it when it exceeds HaloWidth (or u is not a number).
 func reachOf(u float64) (axisReach, error) {
 	lo := math.Max(0, math.Ceil(u))
 	hi := math.Max(0, math.Floor(-u)+1)
-	if !(lo <= haloWidth && hi <= haloWidth) {
+	if !(lo <= HaloWidth && hi <= HaloWidth) {
 		return axisReach{}, fmt.Errorf("a displacement of %g cells per step reaches %g cells into a neighbouring block, beyond the %d-cell halo",
-			u, math.Max(lo, hi), haloWidth)
+			u, math.Max(lo, hi), HaloWidth)
 	}
 	return axisReach{lo: int(lo), hi: int(hi)}, nil
 }
@@ -110,7 +111,7 @@ type haloLink struct {
 // newHaloPlan builds the plan of the rank at process-grid point me for a
 // domain block-distributed as dist and advected by (ux, vy) cells per step,
 // a displacement checkReach accepts. Every block of dist must be at least
-// haloWidth wide and tall, which keeps each strip inside its sender's block.
+// HaloWidth wide and tall, which keeps each strip inside its sender's block.
 func newHaloPlan(pg geom.Grid, dist geom.BlockDist, me geom.Point, ux, vy float64) haloPlan {
 	if err := checkReach(ux, vy); err != nil {
 		panic(err) // every caller has checked: a flow past the halo is refused at construction
@@ -118,7 +119,7 @@ func newHaloPlan(pg geom.Grid, dist geom.BlockDist, me geom.Point, ux, vy float6
 	rx, _ := reachOf(ux)
 	ry, _ := reachOf(vy)
 	blk := dist.BlockOf(me)
-	hp := haloPlan{ux: ux, vy: vy, ext: field.New(blk.Width()+2*haloWidth, blk.Height()+2*haloWidth)}
+	hp := haloPlan{ux: ux, vy: vy, ext: field.New(blk.Width()+2*HaloWidth, blk.Height()+2*HaloWidth)}
 	for dy := -1; dy <= 1; dy++ {
 		for dx := -1; dx <= 1; dx++ {
 			p := geom.Point{X: me.X + dx, Y: me.Y + dy}
@@ -132,7 +133,7 @@ func newHaloPlan(pg geom.Grid, dist geom.BlockDist, me geom.Point, ux, vy float6
 			if wx, wy := rx.toward(dx), ry.toward(dy); wx > 0 && wy > 0 {
 				strip := stripOf(dist.BlockOf(p), -dx, -dy, wx, wy)
 				hp.recvs = append(hp.recvs, haloLink{peer: peer, tag: tag(-dx, -dy),
-					rect: shift(strip, haloWidth-blk.X0, haloWidth-blk.Y0)})
+					rect: shift(strip, HaloWidth-blk.X0, HaloWidth-blk.Y0)})
 			}
 			// The flow is uniform, so p's kernel has our reach: it reads
 			// towards us, direction (-dx, -dy), the strip of our block
@@ -155,7 +156,7 @@ func newHaloPlan(pg geom.Grid, dist geom.BlockDist, me geom.Point, ux, vy float6
 // transport buffers are warm the exchange allocates nothing.
 func (hp *haloPlan) exchange(r *mpi.Rank, f *field.Field, base int) *field.Field {
 	ext := hp.ext
-	ext.SetSub(geom.NewRect(haloWidth, haloWidth, f.NX, f.NY), f)
+	ext.SetSub(geom.NewRect(HaloWidth, HaloWidth, f.NX, f.NY), f)
 	buf := hp.buf
 	for i := range hp.sends {
 		l := &hp.sends[i]

@@ -26,7 +26,7 @@ var signFlows = [][2]float64{
 }
 
 // TestHaloPlanReachRule pins reachOf: the low-side and high-side reach per
-// displacement, and the displacements a haloWidth-cell halo cannot carry.
+// displacement, and the displacements a HaloWidth-cell halo cannot carry.
 func TestHaloPlanReachRule(t *testing.T) {
 	for _, tc := range []struct {
 		u      float64
@@ -41,7 +41,7 @@ func TestHaloPlanReachRule(t *testing.T) {
 	}
 	for _, u := range []float64{2.5, 2.0000001, -2, -3.2, math.Inf(1), math.Inf(-1), math.NaN()} {
 		if r, err := reachOf(u); err == nil {
-			t.Errorf("reachOf(%g) = %+v accepted by a %d-cell halo", u, r, haloWidth)
+			t.Errorf("reachOf(%g) = %+v accepted by a %d-cell halo", u, r, HaloWidth)
 		}
 	}
 }
@@ -88,8 +88,8 @@ func (ps planSet) check(t *testing.T) {
 	for rank, hp := range ps.plans {
 		blk := ps.dist.BlockOf(ps.pg.Coord(rank))
 		own := geom.NewRect(0, 0, blk.Width(), blk.Height())
-		ext := geom.NewRect(0, 0, blk.Width()+2*haloWidth, blk.Height()+2*haloWidth)
-		interior := shift(own, haloWidth, haloWidth)
+		ext := geom.NewRect(0, 0, blk.Width()+2*HaloWidth, blk.Height()+2*HaloWidth)
+		interior := shift(own, HaloWidth, HaloWidth)
 		if hp.ext.Bounds() != ext {
 			ps.fatalf(t, "rank %d: ext %dx%d for block %v", rank, hp.ext.NX, hp.ext.NY, blk)
 		}
@@ -143,7 +143,7 @@ func (ps planSet) checkCoversReads(t *testing.T, ux, vy float64) {
 		read := geom.Rect{X0: x0, Y0: y0, X1: x1 + 1, Y1: y1 + 1}
 		covered := 0
 		for _, l := range hp.recvs {
-			g := shift(l.rect, blk.X0-haloWidth, blk.Y0-haloWidth)
+			g := shift(l.rect, blk.X0-HaloWidth, blk.Y0-HaloWidth)
 			if !read.ContainsRect(g) {
 				ps.fatalf(t, "rank %d block %v: receives %v but reads only %v", rank, blk, g, read)
 			}
@@ -209,9 +209,9 @@ func fullHaloStep(q *field.Field, dist geom.BlockDist, cells []Cell, dt float64,
 		stamps.addTo(q)
 		next := field.New(q.NX, q.NY)
 		dist.Blocks(func(_ geom.Point, blk geom.Rect) {
-			ext := field.New(blk.Width()+2*haloWidth, blk.Height()+2*haloWidth)
-			win := geom.NewRect(blk.X0-haloWidth, blk.Y0-haloWidth, ext.NX, ext.NY).Intersect(q.Bounds())
-			ext.SetSub(shift(win, haloWidth-blk.X0, haloWidth-blk.Y0), q.Sub(win))
+			ext := field.New(blk.Width()+2*HaloWidth, blk.Height()+2*HaloWidth)
+			win := geom.NewRect(blk.X0-HaloWidth, blk.Y0-HaloWidth, ext.NX, ext.NY).Intersect(q.Bounds())
+			ext.SetSub(shift(win, HaloWidth-blk.X0, HaloWidth-blk.Y0), q.Sub(win))
 			dst := field.New(blk.Width(), blk.Height())
 			spec.GX0, spec.GY0 = blk.X0, blk.Y0
 			field.AdvectDecay(dst, ext, spec)
@@ -233,7 +233,7 @@ func sameSamples(t *testing.T, what string, got, want []float64) {
 
 // TestHaloPlanFollowsTheDecomposition: the plan follows the blocks and the
 // stencil reach of the flow. Over every pair of tabulated displacements and
-// decompositions that are 1 wide, 1 tall, ragged, and exactly haloWidth
+// decompositions that are 1 wide, 1 tall, ragged, and exactly HaloWidth
 // wide, the plans of a decomposition mirror each other, stay inside ext,
 // and cover exactly the cells the kernel reads; and for every sign
 // combination a distributed nest (across two Redistributes and a restore)
@@ -357,7 +357,7 @@ func TestHaloPlanFollowsTheDecomposition(t *testing.T) {
 			ps.check(t)
 			spec := field.AdvectSpec{
 				UX: cfg.FlowU * cfg.Dt, VY: cfg.FlowV * cfg.Dt,
-				OffX: haloWidth, OffY: haloWidth,
+				OffX: HaloWidth, OffY: HaloWidth,
 				Decay: math.Exp(-cfg.Dt / cfg.DecayTau),
 			}
 			want := field.New(cfg.NX, cfg.NY)
@@ -377,7 +377,7 @@ func TestHaloPlanFollowsTheDecomposition(t *testing.T) {
 }
 
 // TestHaloPlanRejectsFlowBeyondTheHalo: a displacement whose stencil reach
-// exceeds haloWidth is an error wherever the flow is first known — never a
+// exceeds HaloWidth is an error wherever the flow is first known — never a
 // distributed field that quietly left the serial trajectory.
 func TestHaloPlanRejectsFlowBeyondTheHalo(t *testing.T) {
 	pg := geom.NewGrid(8, 6)
@@ -386,7 +386,7 @@ func TestHaloPlanRejectsFlowBeyondTheHalo(t *testing.T) {
 		if err == nil {
 			t.Fatalf("%s accepted a reach beyond the halo", what)
 		}
-		for _, part := range []string{"reaches 3 cells", fmt.Sprintf("%d-cell halo", haloWidth)} {
+		for _, part := range []string{"reaches 3 cells", fmt.Sprintf("%d-cell halo", HaloWidth)} {
 			if !strings.Contains(err.Error(), part) {
 				t.Fatalf("%s: error %q does not name %q", what, err, part)
 			}

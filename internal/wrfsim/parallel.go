@@ -12,7 +12,7 @@ import (
 // ParallelModel runs the parent simulation distributed over the ranks of
 // an MPI world, the way WRF itself runs: the domain is block-decomposed
 // over the Px×Py process grid, each rank steps its block locally, and the
-// semi-Lagrangian advection reads up to haloWidth cells into the upwind
+// semi-Lagrangian advection reads up to HaloWidth cells into the upwind
 // neighbours' blocks, exchanged point-to-point each step. Split files
 // come straight from rank-local state — no gather of the global field is
 // ever needed, which is exactly why the paper's analysis pipeline works
@@ -86,9 +86,9 @@ func NewParallelModel(cfg Config, pg geom.Grid, world *mpi.World) (*ParallelMode
 	}
 	for r := 0; r < pg.Size(); r++ {
 		blk := pm.dist.BlockOf(pg.Coord(r))
-		if blk.Width() < haloWidth || blk.Height() < haloWidth {
+		if blk.Width() < HaloWidth || blk.Height() < HaloWidth {
 			return nil, fmt.Errorf("wrfsim: rank %d block %v narrower than the %d-cell halo; use fewer ranks",
-				r, blk, haloWidth)
+				r, blk, HaloWidth)
 		}
 		pm.local[r] = &rankState{
 			block:  blk,
@@ -161,7 +161,7 @@ func (pm *ParallelModel) rankStep(r *mpi.Rank, st *rankState, cells []Cell) {
 		UX: cfg.FlowU * cfg.Dt, VY: cfg.FlowV * cfg.Dt,
 		GX0: st.block.X0, GY0: st.block.Y0,
 		GNX: cfg.NX, GNY: cfg.NY,
-		OffX: haloWidth, OffY: haloWidth,
+		OffX: HaloWidth, OffY: HaloWidth,
 		Decay: math.Exp(-cfg.Dt / cfg.DecayTau),
 	})
 	st.qcloud, st.next = st.next, st.qcloud

@@ -112,9 +112,9 @@ func (n *ParallelNest) scatter(fine *field.Field, procs geom.Rect) error {
 func (n *ParallelNest) checkHalo(dist geom.BlockDist) error {
 	var err error
 	dist.Blocks(func(_ geom.Point, blk geom.Rect) {
-		if err == nil && (blk.Width() < haloWidth || blk.Height() < haloWidth) {
+		if err == nil && (blk.Width() < HaloWidth || blk.Height() < HaloWidth) {
 			err = fmt.Errorf("wrfsim: nest %d block %v over %v narrower than the %d-cell halo; use fewer ranks",
-				n.ID, blk, dist.Procs, haloWidth)
+				n.ID, blk, dist.Procs, HaloWidth)
 		}
 	})
 	return err
@@ -201,7 +201,7 @@ func nestAdvectSpec(cfg Config) field.AdvectSpec {
 	return field.AdvectSpec{
 		UX:   cfg.FlowU * dtFine * NestRatio, // fine cells per substep
 		VY:   cfg.FlowV * dtFine * NestRatio,
-		OffX: haloWidth, OffY: haloWidth,
+		OffX: HaloWidth, OffY: HaloWidth,
 		Decay: math.Exp(-dtFine / cfg.DecayTau),
 	}
 }

@@ -42,6 +42,7 @@ import (
 
 	"nestdiff/internal/alloc"
 	"nestdiff/internal/core"
+	"nestdiff/internal/elastic"
 	"nestdiff/internal/field"
 	"nestdiff/internal/geom"
 	"nestdiff/internal/mpi"
@@ -168,29 +169,16 @@ type System struct {
 	Oracle *perfmodel.Oracle
 }
 
-func newSystem(g Grid, net Network) (*System, error) {
-	oracle := perfmodel.DefaultOracle()
-	model, err := perfmodel.Profile(oracle, perfmodel.DefaultSampleDomains(), perfmodel.DefaultProcSizes())
-	if err != nil {
-		return nil, err
-	}
-	return &System{Grid: g, Net: net, Model: model, Oracle: oracle}, nil
-}
-
 // NewTorusSystem builds a Blue Gene/L-style system: a 3D torus with the
 // folding-based topology-aware mapping over a near-square process grid of
 // the given core count.
 func NewTorusSystem(cores int) (*System, error) {
-	if cores <= 0 {
-		return nil, fmt.Errorf("nestdiff: invalid core count %d", cores)
-	}
-	px, py := geom.NearSquareFactors(cores)
-	g := geom.NewGrid(px, py)
-	net, err := topology.NewTorus3D(g, topology.TorusDimsFor(cores), topology.DefaultTorusParams())
+	m, err := elastic.BuildMachine(cores, "torus", 0)
 	if err != nil {
 		return nil, err
 	}
-	return newSystem(g, net)
+	sys := System(m)
+	return &sys, nil
 }
 
 // NewTracker builds a reallocation tracker on the system with default
