@@ -1,14 +1,16 @@
 // Parallelwrf: the distributed substrate end to end — run the parent
 // simulation block-decomposed over MPI ranks with halo exchange, analyze
 // its rank-local split files with the fully parallel clustering pipeline,
-// and checkpoint/restore the driver model mid-run to show that long
-// campaigns can resume bit-identically.
+// then run the distributed nest pipeline and checkpoint/restore it mid-run
+// to show that long campaigns resume bit-identically.
 package main
 
 import (
 	"bytes"
 	"fmt"
 	"log"
+	"reflect"
+	"slices"
 
 	"nestdiff"
 )
@@ -58,41 +60,6 @@ func main() {
 		fmt.Printf("  system %d: region %v (%d subdomains)\n", i+1, r, len(clusters[i]))
 	}
 
-	// Checkpoint/restore: a serial driver model saved mid-run resumes
-	// bit-identically — the campaign survives restarts.
-	serial, err := nestdiff.NewWeatherModel(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	for _, c := range storms {
-		if err := serial.InjectCell(c); err != nil {
-			log.Fatal(err)
-		}
-	}
-	for i := 0; i < 20; i++ {
-		serial.Step()
-	}
-	var ckpt bytes.Buffer
-	if err := serial.Save(&ckpt); err != nil {
-		log.Fatal(err)
-	}
-	restored, err := nestdiff.LoadWeatherModel(&ckpt)
-	if err != nil {
-		log.Fatal(err)
-	}
-	for i := 0; i < 20; i++ {
-		serial.Step()
-		restored.Step()
-	}
-	identical := true
-	for i := range serial.QCloud().Data {
-		if serial.QCloud().Data[i] != restored.QCloud().Data[i] {
-			identical = false
-			break
-		}
-	}
-	fmt.Printf("checkpoint at step 20, resumed to step 40: bit-identical = %v\n", identical)
-
 	// Finally, the fully distributed pipeline: nests live block-distributed
 	// over their allocated sub-rectangles, and every reallocation executes
 	// a real in-place Alltoallv.
@@ -120,9 +87,41 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := pipe.Run(120); err != nil {
+	if err := pipe.Run(60); err != nil {
 		log.Fatal(err)
 	}
+
+	// Checkpoint/restore: the pipeline saved at step 60 and restored on
+	// the same system resumes bit-identically — the campaign survives
+	// restarts.
+	var ckpt bytes.Buffer
+	if err := pipe.SaveState(&ckpt); err != nil {
+		log.Fatal(err)
+	}
+	restored, err := sys.RestorePipeline(&ckpt)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := pipe.Run(60); err != nil {
+		log.Fatal(err)
+	}
+	if err := restored.Run(60); err != nil {
+		log.Fatal(err)
+	}
+	if !reflect.DeepEqual(pipe.Events(), restored.Events()) {
+		log.Fatal("restored pipeline's adaptation events differ from the uninterrupted run's")
+	}
+	if !slices.Equal(pipe.Model().QCloud().Data, restored.Model().QCloud().Data) {
+		log.Fatal("restored pipeline's parent field differs from the uninterrupted run's")
+	}
+	for id, n := range pipe.DistributedNests() {
+		r, ok := restored.DistributedNests()[id]
+		if !ok || !slices.Equal(n.Gather().Data, r.Gather().Data) {
+			log.Fatalf("restored pipeline's nest %d differs from the uninterrupted run's", id)
+		}
+	}
+	fmt.Printf("checkpoint at step 60, resumed to step %d: bit-identical = true\n", restored.StepCount())
+
 	var executed float64
 	for _, e := range pipe.Events() {
 		executed += e.ExecutedRedistTime

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"encoding/gob"
 	"fmt"
-	"io"
 
 	"nestdiff/internal/alloc"
 	"nestdiff/internal/geom"
@@ -33,8 +31,8 @@ type trackerState struct {
 
 const trackerStateVersion = 1
 
-// state captures the tracker's serializable state (shared by SaveState's
-// gob stream and the pipeline checkpoint's inline metadata).
+// state captures the tracker's serializable state: the tracker record of
+// the pipeline checkpoint's metadata.
 func (t *Tracker) state() trackerState {
 	st := trackerState{
 		Version:  trackerStateVersion,
@@ -58,28 +56,10 @@ func (t *Tracker) state() trackerState {
 	return st
 }
 
-// SaveState writes the tracker's state as a checkpoint.
-func (t *Tracker) SaveState(w io.Writer) error {
-	if err := gob.NewEncoder(w).Encode(t.state()); err != nil {
-		return fmt.Errorf("core: save tracker state: %w", err)
-	}
-	return nil
-}
-
-// RestoreTracker rebuilds a tracker from a checkpoint written by
-// SaveState, attaching the given machine and performance models. The
-// restored tracker continues exactly where the saved one stopped:
-// subsequent Apply calls diffuse from the restored tree.
-func RestoreTracker(r io.Reader, net topology.Network, model *perfmodel.ExecModel, oracle *perfmodel.Oracle) (*Tracker, error) {
-	var st trackerState
-	if err := gob.NewDecoder(r).Decode(&st); err != nil {
-		return nil, fmt.Errorf("core: load tracker state: %w", err)
-	}
-	return restoreTrackerState(st, net, model, oracle)
-}
-
-// restoreTrackerState rebuilds a tracker from an already-decoded state
-// (shared by RestoreTracker and the pipeline checkpoint's inline metadata).
+// restoreTrackerState rebuilds a tracker from a decoded state, attaching
+// the given machine and performance models. The restored tracker
+// continues exactly where the saved one stopped: subsequent Apply calls
+// diffuse from the restored tree.
 func restoreTrackerState(st trackerState, net topology.Network, model *perfmodel.ExecModel, oracle *perfmodel.Oracle) (*Tracker, error) {
 	if st.Version != trackerStateVersion {
 		return nil, fmt.Errorf("core: unsupported tracker state version %d", st.Version)

@@ -77,11 +77,11 @@ func ValidateCheckpoint(data []byte) error {
 // RestorePipeline rebuilds a pipeline from a checkpoint written by
 // SaveState or assembled from a CheckpointWriter's blob chain, attaching
 // the given machine and performance models (they are configuration, not
-// state, like RestoreTracker's). The restored pipeline continues exactly
-// where the saved one stopped. A chain with a broken delta tail restores
-// from the longest valid prefix — the run re-executes the lost steps, which
-// is exactly the crash-retry semantics the scheduler needs — while a
-// damaged base is rejected outright.
+// state). The restored pipeline continues exactly where the saved one
+// stopped. A chain with a broken delta tail restores from the longest valid
+// prefix — the run re-executes the lost steps, which is exactly the
+// crash-retry semantics the scheduler needs — while a damaged base is
+// rejected outright.
 func RestorePipeline(r io.Reader, net topology.Network, model *perfmodel.ExecModel, oracle *perfmodel.Oracle) (*Pipeline, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {

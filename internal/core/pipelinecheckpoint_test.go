@@ -104,8 +104,7 @@ func runRoundTrip(t *testing.T, distributed bool) {
 	}
 
 	// Tracker StepMetrics tails must agree too (the tracker was restored
-	// through Tracker.SaveState/RestoreTracker inside the pipeline
-	// checkpoint).
+	// from the checkpoint metadata's tracker record).
 	refSteps, resSteps := ref.Tracker().Steps(), resumed.Tracker().Steps()
 	if len(refSteps) != len(resSteps) {
 		t.Fatalf("tracker step count diverged: %d vs %d", len(refSteps), len(resSteps))

@@ -3,10 +3,12 @@ package core
 import (
 	"bytes"
 	"encoding/csv"
+	"errors"
 	"strconv"
 	"testing"
 
 	"nestdiff/internal/geom"
+	"nestdiff/internal/htree"
 	"nestdiff/internal/perfmodel"
 	"nestdiff/internal/scenario"
 	"nestdiff/internal/topology"
@@ -334,12 +336,8 @@ func TestTrackerSaveRestoreContinuesIdentically(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var buf bytes.Buffer
-	if err := tr.SaveState(&buf); err != nil {
-		t.Fatal(err)
-	}
 	net, model, oracle := testEnv(t, g)
-	restored, err := RestoreTracker(&buf, net, model, oracle)
+	restored, err := restoreTrackerState(tr.state(), net, model, oracle)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,23 +368,58 @@ func TestTrackerSaveRestoreContinuesIdentically(t *testing.T) {
 	}
 }
 
+// TestRestoreTrackerRejectsGarbage: every guard of restoreTrackerState
+// turns a corrupt tracker record into an error, never a panic.
 func TestRestoreTrackerRejectsGarbage(t *testing.T) {
 	g := geom.NewGrid(8, 8)
+	tr := newTestTracker(t, g, Diffusion)
+	if _, err := tr.Apply(specSet(geom.NewRect(0, 0, 40, 40), geom.NewRect(50, 50, 30, 30))); err != nil {
+		t.Fatal(err)
+	}
 	net, model, oracle := testEnv(t, g)
-	if _, err := RestoreTracker(bytes.NewReader([]byte("bogus")), net, model, oracle); err == nil {
-		t.Fatal("garbage state accepted")
+	small, _, _ := testEnv(t, geom.NewGrid(4, 4))
+	for _, tc := range []struct {
+		name    string
+		corrupt func(*trackerState)
+		net     topology.Network
+		want    error
+	}{
+		{name: "version", corrupt: func(st *trackerState) { st.Version = trackerStateVersion + 1 }},
+		{name: "zero grid", corrupt: func(st *trackerState) { st.GridPx = 0 }},
+		{name: "negative grid", corrupt: func(st *trackerState) { st.GridPy = -8 }},
+		{name: "network smaller than grid", corrupt: func(*trackerState) {}, net: small, want: ErrProcMismatch},
+		{name: "tree with one child", corrupt: func(st *trackerState) {
+			st.Tree = []htree.FlatNode{{ID: -1, Left: 0, Right: -1}}
+		}},
+		{name: "tree child out of range", corrupt: func(st *trackerState) { st.Tree[0].Right = len(st.Tree) }},
+		{name: "rect outside grid", corrupt: func(st *trackerState) { st.Rects[1] = geom.NewRect(0, 0, 9, 9) }},
+		{name: "overlapping rects", corrupt: func(st *trackerState) { st.Rects[2] = st.Rects[1] }},
+	} {
+		st := tr.state()
+		tc.corrupt(&st)
+		n := net
+		if tc.net != nil {
+			n = tc.net
+		}
+		_, err := restoreTrackerState(st, n, model, oracle)
+		if err == nil {
+			t.Errorf("%s: corrupt tracker state accepted", tc.name)
+		} else if tc.want != nil && !errors.Is(err, tc.want) {
+			t.Errorf("%s: error %v, want %v", tc.name, err, tc.want)
+		}
+	}
+	// The uncorrupted record restores: each case above failed on its
+	// corruption alone.
+	if _, err := restoreTrackerState(tr.state(), net, model, oracle); err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestSaveRestoreBeforeFirstApply(t *testing.T) {
 	g := geom.NewGrid(8, 8)
 	tr := newTestTracker(t, g, Scratch)
-	var buf bytes.Buffer
-	if err := tr.SaveState(&buf); err != nil {
-		t.Fatal(err)
-	}
 	net, model, oracle := testEnv(t, g)
-	restored, err := RestoreTracker(&buf, net, model, oracle)
+	restored, err := restoreTrackerState(tr.state(), net, model, oracle)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -189,8 +189,12 @@ func workerDeathAdoptionDrill(t *testing.T, cfg service.JobConfig) {
 	// Death at step 35: past checkpoints 10/20/30, so the survivor must
 	// resume from step 30 and re-execute five steps. The kill is a hard
 	// stop — agent silenced, HTTP torn down, scheduler killed without
-	// parking — exactly a process crash as seen from the fleet.
+	// parking — exactly a process crash as seen from the fleet. It waits
+	// (bounded) until the submit has returned: a death that tears down the
+	// worker's placement reply is a correct 502, and not this drill.
+	placed := make(chan struct{})
 	killVictim = func() {
+		awaitPlaced(placed)
 		victim.agent.Stop()
 		victim.srv.CloseClientConnections()
 		victim.srv.Close()
@@ -207,6 +211,7 @@ func workerDeathAdoptionDrill(t *testing.T, cfg service.JobConfig) {
 	}
 
 	resp := submitJob(t, ctlSrv.URL, cfg)
+	close(placed)
 	if resp.StatusCode != 201 {
 		t.Fatalf("fleet submit = %d", resp.StatusCode)
 	}
@@ -281,6 +286,16 @@ func workerDeathAdoptionDrill(t *testing.T, cfg service.JobConfig) {
 	}
 }
 
+// awaitPlaced holds a KillWorker drill's kill until the test's submit
+// has returned (closing placed), or 10 s pass. A victim's job can reach
+// its kill step before the controller has the worker's placement reply.
+func awaitPlaced(placed <-chan struct{}) {
+	select {
+	case <-placed:
+	case <-time.After(10 * time.Second):
+	}
+}
+
 // TestFleetChaosDeathBeforeFirstCheckpointRestartsFromScratch: a worker
 // that dies before its job's first auto-checkpoint leaves nothing in the
 // shared store; adoption must fall back to restarting the job from its
@@ -321,7 +336,10 @@ func TestFleetChaosDeathBeforeFirstCheckpointRestartsFromScratch(t *testing.T) {
 	victim := startFleetNode(t, ctlSrv.URL, victimID, ckptDir, plan)
 	survivor := startFleetNode(t, ctlSrv.URL, survivorID, ckptDir, nil)
 
+	// As above, the kill waits until the placement reply is through.
+	placed := make(chan struct{})
 	killVictim = func() {
+		awaitPlaced(placed)
 		victim.agent.Stop()
 		victim.srv.CloseClientConnections()
 		victim.srv.Close()
@@ -334,6 +352,7 @@ func TestFleetChaosDeathBeforeFirstCheckpointRestartsFromScratch(t *testing.T) {
 	}
 
 	resp := submitJob(t, ctlSrv.URL, cfg)
+	close(placed)
 	if resp.StatusCode != 201 {
 		t.Fatalf("fleet submit = %d", resp.StatusCode)
 	}

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"container/list"
-	"hash/fnv"
 	"sync"
 	"sync/atomic"
 )
@@ -23,31 +22,22 @@ type Key struct {
 	X0, Y0, X1, Y1 int
 }
 
-// cacheShards is the shard count; keys hash to shards by FNV-64a so
-// concurrent readers of different tiles rarely contend on one mutex.
-const cacheShards = 16
-
-// Cache is a sharded LRU of encoded tile blobs with byte-budget
-// eviction and singleflight fill: concurrent misses on one key encode
-// the tile exactly once. All methods are safe for concurrent use and
-// safe on a nil *Cache (fills run uncached), so a disabled cache costs
-// one pointer check.
+// Cache is an LRU of encoded tile blobs with byte-budget eviction and
+// singleflight fill: concurrent misses on one key encode the tile exactly
+// once. One mutex guards the maps and the list; fills run unlocked. All
+// methods are safe for concurrent use and safe on a nil *Cache (fills run
+// uncached), so a disabled cache costs one pointer check.
 type Cache struct {
-	shards [cacheShards]shard
+	mu       sync.Mutex
+	ll       *list.List // front = most recently used
+	items    map[Key]*list.Element
+	inflight map[Key]*call
+	budget   int64
 
 	hits      atomic.Int64
 	misses    atomic.Int64
 	evictions atomic.Int64
 	bytes     atomic.Int64
-}
-
-type shard struct {
-	mu       sync.Mutex
-	ll       *list.List // front = most recently used
-	items    map[Key]*list.Element
-	inflight map[Key]*call
-	bytes    int64
-	budget   int64
 }
 
 type entry struct {
@@ -62,50 +52,18 @@ type call struct {
 	err  error
 }
 
-// NewCache returns a cache bounded to roughly budgetBytes of blob
-// payload (split evenly across shards; a non-positive budget gets a
-// 64 MiB default).
+// NewCache returns a cache bounded to budgetBytes of blob payload (a
+// non-positive budget gets a 64 MiB default).
 func NewCache(budgetBytes int64) *Cache {
 	if budgetBytes <= 0 {
 		budgetBytes = 64 << 20
 	}
-	c := &Cache{}
-	per := budgetBytes / cacheShards
-	if per < 1 {
-		per = 1
+	return &Cache{
+		ll:       list.New(),
+		items:    make(map[Key]*list.Element),
+		inflight: make(map[Key]*call),
+		budget:   budgetBytes,
 	}
-	for i := range c.shards {
-		c.shards[i] = shard{
-			ll:       list.New(),
-			items:    make(map[Key]*list.Element),
-			inflight: make(map[Key]*call),
-			budget:   per,
-		}
-	}
-	return c
-}
-
-func (c *Cache) shardFor(k Key) *shard {
-	h := fnv.New64a()
-	h.Write([]byte(k.Job))
-	h.Write([]byte{0})
-	h.Write([]byte(k.Var))
-	var buf [64]byte
-	putInt := func(off int, v int64) {
-		for i := 0; i < 8; i++ {
-			buf[off+i] = byte(v >> (8 * i))
-		}
-	}
-	putInt(0, k.Epoch)
-	putInt(8, int64(k.Step))
-	putInt(16, int64(k.TX))
-	putInt(24, int64(k.TY))
-	putInt(32, int64(k.X0))
-	putInt(40, int64(k.Y0))
-	putInt(48, int64(k.X1))
-	putInt(56, int64(k.Y1))
-	h.Write(buf[:])
-	return &c.shards[h.Sum64()%cacheShards]
 }
 
 // GetOrFill returns the cached blob for key, or runs fill once to
@@ -116,17 +74,16 @@ func (c *Cache) GetOrFill(key Key, fill func() ([]byte, error)) ([]byte, error) 
 	if c == nil {
 		return fill()
 	}
-	s := c.shardFor(key)
-	s.mu.Lock()
-	if el, ok := s.items[key]; ok {
-		s.ll.MoveToFront(el)
+	c.mu.Lock()
+	if el, ok := c.items[key]; ok {
+		c.ll.MoveToFront(el)
 		blob := el.Value.(*entry).blob
-		s.mu.Unlock()
+		c.mu.Unlock()
 		c.hits.Add(1)
 		return blob, nil
 	}
-	if cl, ok := s.inflight[key]; ok {
-		s.mu.Unlock()
+	if cl, ok := c.inflight[key]; ok {
+		c.mu.Unlock()
 		<-cl.done
 		if cl.err != nil {
 			return nil, cl.err
@@ -135,43 +92,41 @@ func (c *Cache) GetOrFill(key Key, fill func() ([]byte, error)) ([]byte, error) 
 		return cl.blob, nil
 	}
 	cl := &call{done: make(chan struct{})}
-	s.inflight[key] = cl
-	s.mu.Unlock()
+	c.inflight[key] = cl
+	c.mu.Unlock()
 
 	cl.blob, cl.err = fill()
 	c.misses.Add(1)
 
-	s.mu.Lock()
-	delete(s.inflight, key)
+	c.mu.Lock()
+	delete(c.inflight, key)
 	if cl.err == nil {
-		c.insertLocked(s, key, cl.blob)
+		c.insertLocked(key, cl.blob)
 	}
-	s.mu.Unlock()
+	c.mu.Unlock()
 	close(cl.done)
 	return cl.blob, cl.err
 }
 
 // insertLocked adds a blob and evicts from the LRU tail past the byte
-// budget. Callers hold s.mu.
-func (c *Cache) insertLocked(s *shard, key Key, blob []byte) {
-	if el, ok := s.items[key]; ok {
+// budget. Callers hold c.mu.
+func (c *Cache) insertLocked(key Key, blob []byte) {
+	if el, ok := c.items[key]; ok {
 		// A racing fill beat us; keep the incumbent.
-		s.ll.MoveToFront(el)
+		c.ll.MoveToFront(el)
 		return
 	}
-	s.items[key] = s.ll.PushFront(&entry{key: key, blob: blob})
-	s.bytes += int64(len(blob))
+	c.items[key] = c.ll.PushFront(&entry{key: key, blob: blob})
 	c.bytes.Add(int64(len(blob)))
-	for s.bytes > s.budget && s.ll.Len() > 1 {
-		c.evictLocked(s, s.ll.Back())
+	for c.bytes.Load() > c.budget && c.ll.Len() > 1 {
+		c.evictLocked(c.ll.Back())
 	}
 }
 
-func (c *Cache) evictLocked(s *shard, el *list.Element) {
+func (c *Cache) evictLocked(el *list.Element) {
 	e := el.Value.(*entry)
-	s.ll.Remove(el)
-	delete(s.items, e.key)
-	s.bytes -= int64(len(e.blob))
+	c.ll.Remove(el)
+	delete(c.items, e.key)
 	c.bytes.Add(-int64(len(e.blob)))
 	c.evictions.Add(1)
 }
@@ -183,17 +138,14 @@ func (c *Cache) InvalidateJob(job string) {
 	if c == nil {
 		return
 	}
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		for el := s.ll.Front(); el != nil; {
-			next := el.Next()
-			if el.Value.(*entry).key.Job == job {
-				c.evictLocked(s, el)
-			}
-			el = next
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for el := c.ll.Front(); el != nil; {
+		next := el.Next()
+		if el.Value.(*entry).key.Job == job {
+			c.evictLocked(el)
 		}
-		s.mu.Unlock()
+		el = next
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package serve is the read-path serving tier of the nestdiff runtime:
 // copy-on-write field snapshots published by running jobs at step
-// boundaries, a float32-quantized tile encoder with a sharded LRU tile
-// cache, and a Server-Sent-Events streamer over the internal/obs tracer
-// ring. It turns the daemon from a batch scheduler into a live weather
+// boundaries, a float32-quantized tile encoder with an LRU tile cache,
+// and a Server-Sent-Events streamer over the internal/obs tracer ring.
+// It turns the daemon from a batch scheduler into a live weather
 // service: readers see immutable step-boundary state and never touch —
 // or slow down — the simulation's hot stepping loop.
 package serve

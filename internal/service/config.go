@@ -2,7 +2,7 @@
 // Scheduler runs many core.Pipeline instances concurrently on a bounded
 // worker pool, with per-job lifecycle (queued → running → paused →
 // done/failed/cancelled), progress snapshots, pause/resume backed by the
-// gob pipeline checkpoints, graceful drain on shutdown, and a Prometheus
+// NDCP pipeline checkpoints, graceful drain on shutdown, and a Prometheus
 // text-format metrics surface. cmd/nestserved exposes it over HTTP.
 //
 // Concurrency model: each job is executed by exactly one worker goroutine

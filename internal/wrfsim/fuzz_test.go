@@ -55,32 +55,3 @@ func FuzzReadSplit(f *testing.F) {
 		}
 	})
 }
-
-// FuzzCheckpointLoad hardens the checkpoint decoder.
-func FuzzCheckpointLoad(f *testing.F) {
-	cfg := DefaultConfig()
-	cfg.NX, cfg.NY = 16, 12
-	cfg.SpawnRate = 0
-	m, err := NewModel(cfg)
-	if err != nil {
-		f.Fatal(err)
-	}
-	m.Step()
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		f.Fatal(err)
-	}
-	valid := buf.Bytes()
-	f.Add(valid)
-	f.Add(valid[:len(valid)/3])
-	f.Add([]byte("not a gob stream"))
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := Load(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		// Anything accepted must be steppable.
-		m.Step()
-	})
-}

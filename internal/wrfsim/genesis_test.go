@@ -1,7 +1,6 @@
 package wrfsim
 
 import (
-	"bytes"
 	"reflect"
 	"slices"
 	"strings"
@@ -98,8 +97,7 @@ func TestGenesisMatchesExternalInjection(t *testing.T) {
 
 // TestGenesisSurvivesRestore: a model saved in the middle of its schedule
 // — including at a step with an entry still due — and brought back by
-// Load or by RestoreModel continues bit-identically to the uninterrupted
-// run.
+// RestoreModel continues bit-identically to the uninterrupted run.
 func TestGenesisSurvivesRestore(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Genesis = testGenesis()
@@ -108,27 +106,17 @@ func TestGenesisSurvivesRestore(t *testing.T) {
 		for s := 0; s < at; s++ {
 			ref.Step()
 		}
-		var buf bytes.Buffer
-		if err := ref.Save(&buf); err != nil {
-			t.Fatal(err)
-		}
-		loaded, err := Load(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
 		restored, err := RestoreModel(ref.Config(), slices.Clone(ref.QCloud().Data), ref.Cells(),
 			ref.RNGState(), ref.Time(), ref.StepCount())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(loaded.Config().Genesis, cfg.Genesis) {
-			t.Fatalf("saved at step %d: Load returned schedule %+v", at, loaded.Config().Genesis)
+		if !reflect.DeepEqual(restored.Config().Genesis, cfg.Genesis) {
+			t.Fatalf("saved at step %d: RestoreModel returned schedule %+v", at, restored.Config().Genesis)
 		}
 		for s := at; s < 20; s++ {
 			ref.Step()
-			loaded.Step()
 			restored.Step()
-			sameModel(t, "Load", s+1, loaded, ref)
 			sameModel(t, "RestoreModel", s+1, restored, ref)
 		}
 	}

@@ -40,13 +40,7 @@ func (m *Model) SpawnNest(id int, region geom.Rect) (*Nest, error) {
 		return nil, fmt.Errorf("wrfsim: nest region %v outside parent %dx%d",
 			region, m.cfg.NX, m.cfg.NY)
 	}
-	qc := field.Refine(m.qcloud, region, NestRatio)
-	return &Nest{
-		ID:      id,
-		Region:  region,
-		qcloud:  qc,
-		scratch: field.New(qc.NX, qc.NY),
-	}, nil
+	return RestoreNest(id, region, field.Refine(m.qcloud, region, NestRatio), 0)
 }
 
 // QCloud returns the nest's live fine-resolution cloud-water field.

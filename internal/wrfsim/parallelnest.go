@@ -72,25 +72,11 @@ func (m *Model) NewParallelNest(id int, region geom.Rect, pg geom.Grid, procs ge
 	if region.Empty() || !m.qcloud.Bounds().ContainsRect(region) {
 		return nil, fmt.Errorf("wrfsim: invalid nest region %v", region)
 	}
-	if procs.Empty() || !pg.Bounds().ContainsRect(procs) {
-		return nil, fmt.Errorf("wrfsim: invalid processor sub-rectangle %v", procs)
-	}
 	spec := nestAdvectSpec(m.cfg)
 	if err := checkReach(spec.UX, spec.VY); err != nil {
 		return nil, err
 	}
-	fine := field.Refine(m.qcloud, region, NestRatio)
-	n := &ParallelNest{
-		ID:     id,
-		Region: region,
-		pg:     pg,
-		nx:     fine.NX,
-		ny:     fine.NY,
-	}
-	if err := n.scatter(fine, procs); err != nil {
-		return nil, err
-	}
-	return n, nil
+	return RestoreParallelNest(id, region, pg, procs, field.Refine(m.qcloud, region, NestRatio), 0)
 }
 
 // scatter distributes a full fine field into per-rank blocks over procs.

@@ -1,7 +1,6 @@
 package wrfsim
 
 import (
-	"bytes"
 	"math"
 	"slices"
 	"testing"
@@ -319,15 +318,6 @@ func TestOLROnDemandMatchesEagerRecompute(t *testing.T) {
 	check("after distributed nest feedback", m)
 
 	m.Step() // restore from a model whose own OLR is stale
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("after Load", loaded)
 	restored, err := RestoreModel(m.Config(), append([]float64(nil), m.QCloud().Data...),
 		m.Cells(), m.RNGState(), m.Time(), m.StepCount())
 	if err != nil {

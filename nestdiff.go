@@ -241,6 +241,9 @@ func AnalyzeSplitsParallel(splits []Split, pg Grid, ranks int, opt PDAOptions) (
 	return res.Rects, res.Clusters, nil
 }
 
-// LoadWeatherModel restores a weather model from a checkpoint written by
-// WeatherModel.Save. The restored model continues bit-identically.
-func LoadWeatherModel(r io.Reader) (*WeatherModel, error) { return wrfsim.Load(r) }
+// RestorePipeline rebuilds a pipeline on this system from a checkpoint
+// written by Pipeline.SaveState. The restored pipeline continues
+// bit-identically to the one that was saved.
+func (s *System) RestorePipeline(r io.Reader) (*Pipeline, error) {
+	return core.RestorePipeline(r, s.Net, s.Model, s.Oracle)
+}

@@ -3,9 +3,9 @@ package nestdiff
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
-
-	"nestdiff/internal/core"
 )
 
 func TestNewTorusSystem(t *testing.T) {
@@ -216,51 +216,81 @@ func TestFacadeParallelWeatherModel(t *testing.T) {
 	}
 }
 
+// TestFacadeCheckpointRoundTrips: a serial pipeline saved with
+// Pipeline.SaveState and brought back by System.RestorePipeline ends with
+// the events and parent field of the uninterrupted run.
 func TestFacadeCheckpointRoundTrips(t *testing.T) {
-	// Weather model.
+	sys, err := NewTorusSystem(48)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg := DefaultWeatherConfig()
-	cfg.NX, cfg.NY = 48, 36
+	cfg.NX, cfg.NY = 96, 72
+	cfg.SpawnRate = 0
 	m, err := NewWeatherModel(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 5; i++ {
-		m.Step()
-	}
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := LoadWeatherModel(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored.StepCount() != 5 {
-		t.Fatalf("restored steps = %d", restored.StepCount())
-	}
-
-	// Tracker.
-	sys, err := NewTorusSystem(64)
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range []Cell{
+		{X: 20, Y: 18, Radius: 5, Peak: 2.5, Life: 4 * 3600},
+		{X: 70, Y: 50, VX: -1.5e-3, Radius: 4, Peak: 2.0, Life: 5 * 3600},
+	} {
+		if err := m.InjectCell(c); err != nil {
+			t.Fatal(err)
+		}
 	}
 	tr, err := sys.NewTracker(Diffusion)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tr.Apply(Set{{ID: 1, Region: NewRect(0, 0, 70, 70)}}); err != nil {
-		t.Fatal(err)
-	}
-	buf.Reset()
-	if err := tr.SaveState(&buf); err != nil {
-		t.Fatal(err)
-	}
-	tr2, err := core.RestoreTracker(&buf, sys.Net, sys.Model, sys.Oracle)
+	ref, err := sys.NewPipeline(m, tr, PipelineConfig{
+		WRFGrid:       NewGrid(8, 6),
+		AnalysisRanks: 6,
+		Interval:      5,
+		PDA:           DefaultPDAOptions(),
+		MaxNests:      4,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tr2.Allocation().Rects) != 1 {
-		t.Fatal("tracker state lost")
+	if err := ref.Run(30); err != nil {
+		t.Fatal(err)
+	}
+	if len(ref.Nests()) == 0 {
+		t.Fatal("no nest live at the checkpoint; the round trip would not restore one")
+	}
+	var buf bytes.Buffer
+	if err := ref.SaveState(&buf); err != nil {
+		t.Fatal(err)
+	}
+	eventsAtSave := len(ref.Events())
+	restored, err := sys.RestorePipeline(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.Run(30); err != nil {
+		t.Fatal(err)
+	}
+	if err := restored.Run(30); err != nil {
+		t.Fatal(err)
+	}
+	if len(ref.Events()) == eventsAtSave {
+		t.Fatal("no adaptation after the checkpoint; the comparison is vacuous")
+	}
+	if !reflect.DeepEqual(restored.Events(), ref.Events()) {
+		t.Fatalf("events diverged:\nrestored      %+v\nuninterrupted %+v", restored.Events(), ref.Events())
+	}
+	if !slices.Equal(restored.Model().QCloud().Data, ref.Model().QCloud().Data) {
+		t.Fatal("restored parent field differs from the uninterrupted run's")
+	}
+	if len(restored.Nests()) != len(ref.Nests()) {
+		t.Fatalf("restored run has %d nests, uninterrupted %d", len(restored.Nests()), len(ref.Nests()))
+	}
+	for id, n := range ref.Nests() {
+		r, ok := restored.Nests()[id]
+		if !ok || !slices.Equal(r.QCloud().Data, n.QCloud().Data) {
+			t.Fatalf("restored nest %d differs from the uninterrupted run's", id)
+		}
 	}
 }
 
