@@ -120,6 +120,8 @@ type Tracker struct {
 
 	tracer    *obs.Tracer
 	traceStep int // pipeline step of the decision about to be made
+
+	meter redist.Meter // prices the candidates; its scratch outlives an Apply
 }
 
 // NewTracker builds a tracker for the given process grid and network.
@@ -229,13 +231,14 @@ type candidate struct {
 	metrics   redist.Metrics
 }
 
-// evaluate builds and measures the redistribution from the current
-// allocation to a. One Measure serves both sides of the comparison: the
+// evaluate prices the redistribution from the current allocation to a in
+// one walk of the retained nests' block overlaps (redist.Meter: no plans
+// are built). One measurement serves both sides of the comparison: the
 // §IV-C1 per-pair time plus the predictor's calibrated contention estimate
 // is the prediction, the same time plus the contention term the predictor
 // does not see is the actual.
 func (t *Tracker) evaluate(strategy Strategy, a *alloc.Allocation, set scenario.Set, sizes map[int][2]int) (candidate, error) {
-	plans, err := redist.PlansForChange(t.grid, t.cur.Rects, a.Rects, sizes, t.opts.ElemBytes)
+	m, err := t.meter.MeasureChange(t.net, t.grid, t.cur.Rects, a.Rects, sizes, t.opts.ElemBytes)
 	if err != nil {
 		return candidate{}, err
 	}
@@ -243,7 +246,6 @@ func (t *Tracker) evaluate(strategy Strategy, a *alloc.Allocation, set scenario.
 	if err != nil {
 		return candidate{}, err
 	}
-	m := redist.Measure(t.net, plans)
 	predRe, actRe := m.Time, m.Time
 	if t.opts.PredictedContentionBytesPerSec > 0 {
 		predRe += m.HopBytes / t.opts.PredictedContentionBytesPerSec

@@ -24,11 +24,14 @@ type span struct {
 }
 
 // axisSpans merges the cuts that divide n cells into p and into q blocks
-// and returns their non-empty overlaps ordered by p-block, then q-block.
-// Blocks left empty because a side has more blocks than cells fall out as
-// empty overlaps.
-func axisSpans(n, p, q int) []span {
-	out := make([]span, 0, p+q)
+// and returns their non-empty overlaps in out's storage (grown to the p+q
+// bound when short), ordered by p-block, then q-block. Blocks left empty
+// because a side has more blocks than cells fall out as empty overlaps.
+func axisSpans(out []span, n, p, q int) []span {
+	if cap(out) < p+q {
+		out = make([]span, 0, p+q)
+	}
+	out = out[:0]
 	for i, k := 0, 0; i < p && k < q; {
 		iEnd, kEnd := (i+1)*n/p, (k+1)*n/q
 		if lo, hi := max(i*n/p, k*n/q), min(iEnd, kEnd); lo < hi {
@@ -48,15 +51,21 @@ func axisSpans(n, p, q int) []span {
 // Overlaps returns the intersections of b's blocks (the senders) with the
 // blocks of to (the receivers). Both must distribute the same domain.
 func (b BlockDist) Overlaps(to BlockDist) BlockOverlaps {
-	if b.NX != to.NX || b.NY != to.NY {
-		panic(fmt.Sprintf("geom: overlaps of a %dx%d domain with a %dx%d domain", b.NX, b.NY, to.NX, to.NY))
+	var o BlockOverlaps
+	o.Set(b, to)
+	return o
+}
+
+// Set makes o the intersections of from's blocks with the blocks of to,
+// rebuilding the axis tables in o's storage: a reused BlockOverlaps
+// allocates only when a table outgrows it.
+func (o *BlockOverlaps) Set(from, to BlockDist) {
+	if from.NX != to.NX || from.NY != to.NY {
+		panic(fmt.Sprintf("geom: overlaps of a %dx%d domain with a %dx%d domain", from.NX, from.NY, to.NX, to.NY))
 	}
-	return BlockOverlaps{
-		from: b,
-		to:   to,
-		xs:   axisSpans(b.NX, b.Procs.Width(), to.Procs.Width()),
-		ys:   axisSpans(b.NY, b.Procs.Height(), to.Procs.Height()),
-	}
+	o.from, o.to = from, to
+	o.xs = axisSpans(o.xs, from.NX, from.Procs.Width(), to.Procs.Width())
+	o.ys = axisSpans(o.ys, from.NY, from.Procs.Height(), to.Procs.Height())
 }
 
 // Len returns the number of intersections Each visits.

@@ -36,10 +36,11 @@ type Comm struct {
 	clocks []float64
 	sync   float64
 
-	// msgs is hook-only scratch for the Alltoallv cost model. Hooks of
-	// successive generations are serialized by the rendezvous
-	// happens-before edges, so one buffer serves all of them.
-	msgs []topology.Message
+	// acc is hook-only scratch for the Alltoallv cost model, built by the
+	// first priced exchange. Hooks of successive generations are
+	// serialized by the rendezvous happens-before edges, so one
+	// accumulator serves all of them.
+	acc topology.Alltoallv
 
 	// barSync is Barrier's synchronized clock, double-buffered by
 	// rendezvous parity: a member may still be reading its generation's
@@ -202,23 +203,7 @@ func (c *Comm) AlltoallvInto(r *Rank, send [][]float64, s *Scratch) [][]float64 
 	}
 	c.clocks[me] = r.clock
 	c.rows[me] = send
-	c.bar.await(me, func() {
-		msgs := c.msgs[:0]
-		for i, rows := range c.rows {
-			for j, payload := range rows {
-				if len(payload) == 0 || i == j {
-					continue
-				}
-				msgs = append(msgs, topology.Message{
-					From:  c.ranks[i],
-					To:    c.ranks[j],
-					Bytes: 8 * len(payload),
-				})
-			}
-		}
-		c.msgs = msgs
-		c.sync = maxOf(c.clocks) + c.world.alltoallvTime(msgs)
-	})
+	c.bar.await(me, func() { c.sync = maxOf(c.clocks) + c.alltoallvTime() })
 	out := s.Rows(len(c.ranks))
 	for i := range c.ranks {
 		if row := c.rows[i]; row != nil && len(row[me]) > 0 {
@@ -232,6 +217,38 @@ func (c *Comm) AlltoallvInto(r *Rank, send [][]float64, s *Scratch) [][]float64 
 		}
 	})
 	return out
+}
+
+// alltoallvTime models the exchange the members published in rows: the
+// network's aggregation rule (the per-pair direct-algorithm time on a
+// torus) plus the world's optional contention term, in one pass that
+// computes each message's hops once.
+func (c *Comm) alltoallvTime() float64 {
+	net := c.world.cfg.Net
+	if net == nil {
+		return 0
+	}
+	if c.acc == nil {
+		c.acc = net.NewAlltoallv()
+	}
+	c.acc.Reset()
+	var hopBytes float64
+	for i, rows := range c.rows {
+		for j, payload := range rows {
+			if len(payload) == 0 || i == j {
+				continue
+			}
+			m := topology.Message{From: c.ranks[i], To: c.ranks[j], Bytes: 8 * len(payload)}
+			h := net.Hops(m.From, m.To)
+			c.acc.Add(m, h)
+			hopBytes += float64(h) * float64(m.Bytes)
+		}
+	}
+	t := c.acc.Time()
+	if cb := c.world.cfg.ContentionBytesPerSec; cb > 0 {
+		t += hopBytes / cb
+	}
+	return t
 }
 
 func maxOf(xs []float64) float64 {

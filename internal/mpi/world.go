@@ -220,26 +220,6 @@ func (w *World) pairTime(from, to, bytes int) float64 {
 	return w.cfg.Net.PairTime(bytes, w.cfg.Net.Hops(from, to))
 }
 
-// alltoallvTime models the full exchange: the per-pair direct-algorithm
-// time from the network model plus the optional contention term.
-func (w *World) alltoallvTime(msgs []topology.Message) float64 {
-	if w.cfg.Net == nil {
-		return 0
-	}
-	t := w.cfg.Net.AlltoallvTime(msgs)
-	if w.cfg.ContentionBytesPerSec > 0 {
-		var hopBytes float64
-		for _, m := range msgs {
-			if m.Bytes == 0 || m.From == m.To {
-				continue
-			}
-			hopBytes += float64(w.cfg.Net.Hops(m.From, m.To)) * float64(m.Bytes)
-		}
-		t += hopBytes / w.cfg.ContentionBytesPerSec
-	}
-	return t
-}
-
 // panicPoisoned is the sentinel raised by blocked operations after a rank
 // failure elsewhere; Run's recover reports it.
 var panicPoisoned = fmt.Errorf("mpi: world poisoned by a failed rank")

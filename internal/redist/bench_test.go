@@ -64,3 +64,21 @@ func BenchmarkMeasure(b *testing.B) {
 		Measure(net, plans)
 	}
 }
+
+// BenchmarkMeasureChange prices BenchmarkMeasure's transfer straight from
+// the block overlaps, on a warm Meter.
+func BenchmarkMeasureChange(b *testing.B) {
+	g := geom.NewGrid(32, 32)
+	net := benchNet(b, g)
+	old := map[int]geom.Rect{1: geom.NewRect(0, 0, 16, 16)}
+	nw := map[int]geom.Rect{1: geom.NewRect(8, 8, 16, 16)}
+	sizes := map[int][2]int{1: {600, 600}}
+	var mt Meter
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := mt.MeasureChange(net, g, old, nw, sizes, 4096); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

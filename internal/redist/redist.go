@@ -43,33 +43,50 @@ type Plan struct {
 // sub-grids: ascending rank on both sides, the order Exchange's Alltoallv
 // prices them in.
 func BuildPlan(g geom.Grid, tr Transfer) (Plan, error) {
-	if tr.ElemBytes <= 0 {
-		return Plan{}, fmt.Errorf("redist: nest %d: non-positive element size %d", tr.NestID, tr.ElemBytes)
+	if err := tr.check(g); err != nil {
+		return Plan{}, err
 	}
-	if !g.Bounds().ContainsRect(tr.Old) || !g.Bounds().ContainsRect(tr.New) {
-		return Plan{}, fmt.Errorf("redist: nest %d: sub-grid outside process grid", tr.NestID)
-	}
-	if tr.Old.Empty() || tr.New.Empty() {
-		return Plan{}, fmt.Errorf("redist: nest %d: empty sub-grid", tr.NestID)
-	}
-	ov := geom.NewBlockDist(tr.NX, tr.NY, tr.Old).Overlaps(geom.NewBlockDist(tr.NX, tr.NY, tr.New))
+	ov := tr.dist(tr.Old).Overlaps(tr.dist(tr.New))
 	p := Plan{Transfer: tr, TotalBytes: tr.NX * tr.NY * tr.ElemBytes}
 	if n := ov.Len() - ov.Kept(); n > 0 { // a plan that moves nothing keeps Msgs nil
 		p.Msgs = make([]topology.Message, 0, n)
 	}
+	p.LocalBytes = tr.messages(g, &ov, func(m topology.Message) { p.Msgs = append(p.Msgs, m) })
+	return p, nil
+}
+
+// check rejects a transfer BuildPlan cannot plan on the process grid g.
+func (tr Transfer) check(g geom.Grid) error {
+	if tr.ElemBytes <= 0 {
+		return fmt.Errorf("redist: nest %d: non-positive element size %d", tr.NestID, tr.ElemBytes)
+	}
+	if !g.Bounds().ContainsRect(tr.Old) || !g.Bounds().ContainsRect(tr.New) {
+		return fmt.Errorf("redist: nest %d: sub-grid outside process grid", tr.NestID)
+	}
+	if tr.Old.Empty() || tr.New.Empty() {
+		return fmt.Errorf("redist: nest %d: empty sub-grid", tr.NestID)
+	}
+	return nil
+}
+
+// dist is the block distribution of the nest over procs.
+func (tr Transfer) dist(procs geom.Rect) geom.BlockDist {
+	return geom.NewBlockDist(tr.NX, tr.NY, procs)
+}
+
+// messages walks ov, the overlaps of tr's old and new distributions, in
+// plan order: it passes each remote message to send and returns the bytes
+// that stay local.
+func (tr Transfer) messages(g geom.Grid, ov *geom.BlockOverlaps, send func(topology.Message)) (local int) {
 	ov.Each(func(sender, receiver geom.Point, cells geom.Rect) {
 		bytes := cells.Area() * tr.ElemBytes
 		if sender == receiver {
-			p.LocalBytes += bytes
+			local += bytes
 			return
 		}
-		p.Msgs = append(p.Msgs, topology.Message{
-			From:  g.Rank(sender),
-			To:    g.Rank(receiver),
-			Bytes: bytes,
-		})
+		send(topology.Message{From: g.Rank(sender), To: g.Rank(receiver), Bytes: bytes})
 	})
-	return p, nil
+	return local
 }
 
 // Metrics aggregates the paper's redistribution measurements over one or
@@ -101,24 +118,51 @@ type Metrics struct {
 
 // Measure evaluates plans against a network model.
 func Measure(net topology.Network, plans []Plan) Metrics {
-	var m Metrics
+	t := tally{net: net, acc: net.NewAlltoallv()}
 	for _, p := range plans {
-		m.Time += net.AlltoallvTime(p.Msgs)
-		m.TotalBytes += p.TotalBytes
-		m.LocalBytes += p.LocalBytes
 		for _, msg := range p.Msgs {
-			if msg.Bytes == 0 {
-				continue
-			}
-			h := net.Hops(msg.From, msg.To)
-			m.RemoteBytes += msg.Bytes
-			m.HopBytes += float64(h) * float64(msg.Bytes)
-			m.Messages++
-			if h > m.MaxHops {
-				m.MaxHops = h
-			}
+			t.send(msg)
 		}
+		t.endNest(p.LocalBytes, p.TotalBytes)
 	}
+	return t.metrics()
+}
+
+// tally is the one per-message account behind Measure and
+// Meter.MeasureChange: a message's hops are computed once and feed the
+// byte and hop-byte totals and the network's Alltoallv accumulator, in the
+// order the messages arrive.
+type tally struct {
+	net topology.Network
+	acc topology.Alltoallv // the current nest's exchange
+	m   Metrics
+}
+
+func (t *tally) send(msg topology.Message) {
+	if msg.Bytes == 0 {
+		return
+	}
+	h := t.net.Hops(msg.From, msg.To)
+	t.m.RemoteBytes += msg.Bytes
+	t.m.HopBytes += float64(h) * float64(msg.Bytes)
+	t.m.Messages++
+	if h > t.m.MaxHops {
+		t.m.MaxHops = h
+	}
+	t.acc.Add(msg, h)
+}
+
+// endNest closes one nest's Alltoallv: its time joins the total, and the
+// accumulator is emptied for the next nest.
+func (t *tally) endNest(localBytes, totalBytes int) {
+	t.m.Time += t.acc.Time()
+	t.acc.Reset()
+	t.m.TotalBytes += totalBytes
+	t.m.LocalBytes += localBytes
+}
+
+func (t *tally) metrics() Metrics {
+	m := t.m
 	if m.TotalBytes > 0 {
 		m.AvgHopBytes = m.HopBytes / float64(m.TotalBytes)
 		m.OverlapPercent = 100 * float64(m.LocalBytes) / float64(m.TotalBytes)
@@ -131,31 +175,79 @@ func Measure(net topology.Network, plans []Plan) Metrics {
 // and elemBytes; nests missing from either allocation are skipped (they
 // were inserted or deleted, not redistributed).
 func PlansForChange(g geom.Grid, old, nw map[int]geom.Rect, sizes map[int][2]int, elemBytes int) ([]Plan, error) {
-	var ids []int
-	for id := range nw {
-		if _, ok := old[id]; ok {
-			ids = append(ids, id)
-		}
-	}
-	slices.Sort(ids)
+	ids := retained(nil, old, nw)
 	plans := make([]Plan, 0, len(ids))
 	for _, id := range ids {
-		sz, ok := sizes[id]
-		if !ok {
-			return nil, fmt.Errorf("redist: no domain size for nest %d", id)
+		tr, err := transferFor(id, old, nw, sizes, elemBytes)
+		if err != nil {
+			return nil, err
 		}
-		p, err := BuildPlan(g, Transfer{
-			NestID:    id,
-			NX:        sz[0],
-			NY:        sz[1],
-			Old:       old[id],
-			New:       nw[id],
-			ElemBytes: elemBytes,
-		})
+		p, err := BuildPlan(g, tr)
 		if err != nil {
 			return nil, err
 		}
 		plans = append(plans, p)
 	}
 	return plans, nil
+}
+
+// retained returns, in ids' storage, the ascending IDs of the nests in
+// both allocations.
+func retained(ids []int, old, nw map[int]geom.Rect) []int {
+	ids = ids[:0]
+	for id := range nw {
+		if _, ok := old[id]; ok {
+			ids = append(ids, id)
+		}
+	}
+	slices.Sort(ids)
+	return ids
+}
+
+// transferFor is the transfer of retained nest id between two allocations.
+func transferFor(id int, old, nw map[int]geom.Rect, sizes map[int][2]int, elemBytes int) (Transfer, error) {
+	sz, ok := sizes[id]
+	if !ok {
+		return Transfer{}, fmt.Errorf("redist: no domain size for nest %d", id)
+	}
+	return Transfer{NestID: id, NX: sz[0], NY: sz[1], Old: old[id], New: nw[id], ElemBytes: elemBytes}, nil
+}
+
+// A Meter prices the redistribution between two allocations straight from
+// the block overlaps: no plan and no message list is built, and each
+// message's hops are computed once. It keeps its scratch (the ID list, the
+// axis tables and the network's accumulator) across calls, so a warm Meter
+// allocates nothing. The zero value is ready to use; a Meter is not safe
+// for concurrent use.
+type Meter struct {
+	net topology.Network
+	acc topology.Alltoallv
+	ids []int
+	ov  geom.BlockOverlaps
+}
+
+// MeasureChange returns Measure(net, PlansForChange(g, old, nw, sizes,
+// elemBytes)), field for field and bit for bit: it visits the same
+// messages in the same order (retained nests by ascending ID, each nest's
+// overlaps in plan order) and fails where PlansForChange fails.
+func (mt *Meter) MeasureChange(net topology.Network, g geom.Grid, old, nw map[int]geom.Rect, sizes map[int][2]int, elemBytes int) (Metrics, error) {
+	if mt.net != net {
+		mt.net, mt.acc = net, net.NewAlltoallv()
+	}
+	mt.acc.Reset()
+	t := tally{net: net, acc: mt.acc}
+	mt.ids = retained(mt.ids, old, nw)
+	for _, id := range mt.ids {
+		tr, err := transferFor(id, old, nw, sizes, elemBytes)
+		if err != nil {
+			return Metrics{}, err
+		}
+		if err := tr.check(g); err != nil {
+			return Metrics{}, err
+		}
+		mt.ov.Set(tr.dist(tr.Old), tr.dist(tr.New))
+		local := tr.messages(g, &mt.ov, t.send)
+		t.endNest(local, tr.NX*tr.NY*tr.ElemBytes)
+	}
+	return t.metrics(), nil
 }

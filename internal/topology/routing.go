@@ -64,42 +64,9 @@ func (t *Torus3D) LinkLoads(msgs []Message) map[Link]int {
 	return loads
 }
 
-// MaxLinkLoad returns the byte load of the most contended link.
-func (t *Torus3D) MaxLinkLoad(msgs []Message) int {
-	worst := 0
-	for _, load := range t.LinkLoads(msgs) {
-		if load > worst {
-			worst = load
-		}
-	}
-	return worst
-}
-
-// AlltoallvTimeDOR models the exchange with per-link contention: the time
-// for the most loaded link to drain, plus the latency of the longest
-// route. It is never smaller than serializing the largest single message
-// over one link.
-func (t *Torus3D) AlltoallvTimeDOR(msgs []Message) float64 {
-	maxLoad := t.MaxLinkLoad(msgs)
-	if maxLoad == 0 {
-		return 0
-	}
-	maxHops := 0
-	for _, m := range msgs {
-		if m.Bytes == 0 || m.From == m.To {
-			continue
-		}
-		if h := t.Hops(m.From, m.To); h > maxHops {
-			maxHops = h
-		}
-	}
-	return t.params.Latency + float64(maxHops)*t.params.HopLatency +
-		float64(maxLoad)/t.params.BytesPerSec
-}
-
 // DORTorus wraps a Torus3D so that the Network interface's AlltoallvTime
-// uses the link-contention model instead of the per-pair maximum. All
-// other behaviour is inherited.
+// and NewAlltoallv use the link-contention model instead of the per-pair
+// maximum. All other behaviour is inherited.
 type DORTorus struct {
 	*Torus3D
 }
@@ -119,5 +86,73 @@ func (d *DORTorus) Name() string { return d.Torus3D.Name() + "-dor" }
 
 // AlltoallvTime implements Network with the link-contention model.
 func (d *DORTorus) AlltoallvTime(msgs []Message) float64 {
-	return d.AlltoallvTimeDOR(msgs)
+	return alltoallvTime(d, d.NewAlltoallv(), msgs)
+}
+
+// NewAlltoallv implements Network with the link-contention rule. It must
+// not be the embedded torus's: that one prices the per-pair maximum.
+func (d *DORTorus) NewAlltoallv() Alltoallv {
+	return &linkLoads{t: d.Torus3D, loads: make([]int, 6*d.Size())}
+}
+
+// linkLoads is the link-contention aggregation rule: every message is
+// routed dimension-ordered, and the exchange takes the time for the most
+// loaded link to drain plus the latency of the longest route. It is never
+// smaller than serializing the largest single message over one link.
+type linkLoads struct {
+	t       *Torus3D
+	loads   []int // bytes per directed link, indexed by linkIndex
+	used    []int // links with a non-zero load: what Reset clears
+	maxLoad int
+	maxHops int
+}
+
+func (a *linkLoads) Add(m Message, hops int) {
+	if !m.crosses() {
+		return
+	}
+	a.maxHops = max(a.maxHops, hops)
+	a.t.route(a.t.coords[m.From], a.t.coords[m.To], func(l Link) {
+		i := a.t.linkIndex(l)
+		if a.loads[i] == 0 {
+			a.used = append(a.used, i)
+		}
+		a.loads[i] += m.Bytes
+		// Loads only grow, so the running maximum is the final one.
+		a.maxLoad = max(a.maxLoad, a.loads[i])
+	})
+}
+
+func (a *linkLoads) Time() float64 {
+	if a.maxLoad == 0 {
+		return 0
+	}
+	p := a.t.params
+	return p.Latency + float64(a.maxHops)*p.HopLatency + float64(a.maxLoad)/p.BytesPerSec
+}
+
+func (a *linkLoads) Reset() {
+	for _, i := range a.used {
+		a.loads[i] = 0
+	}
+	a.used = a.used[:0]
+	a.maxLoad, a.maxHops = 0, 0
+}
+
+// linkIndex numbers the directed link l among the 6 leaving each node: its
+// source node, its dimension and whether it steps forward (+1 around the
+// ring) or back. On a ring of two nodes both directions reach the same
+// neighbour and get the same number, so numbers and (From, To) pairs
+// correspond one to one, as in LinkLoads.
+func (t *Torus3D) linkIndex(l Link) int {
+	node := l.From[0] + t.dims[0]*(l.From[1]+t.dims[1]*l.From[2])
+	d := 0
+	for l.From[d] == l.To[d] {
+		d++
+	}
+	back := 0
+	if l.To[d] != (l.From[d]+1)%t.dims[d] {
+		back = 1
+	}
+	return 6*node + 2*d + back
 }

@@ -119,6 +119,28 @@ func TestDORTorusInterface(t *testing.T) {
 	if dor.AlltoallvTime(nil) != 0 {
 		t.Fatal("empty exchange should be free")
 	}
+	// An incast: both the fold and the accumulator reached through the
+	// Network interface must price link contention, not the embedded
+	// torus's per-pair maximum.
+	var incast []Message
+	for from := 1; from < 64; from++ {
+		incast = append(incast, Message{From: from, To: 0, Bytes: 1 << 16})
+	}
+	pair, want := tor.AlltoallvTime(incast), linkLoadsOracle(tor, incast)
+	if pair == want {
+		t.Fatalf("incast priced %v by both models; the test cannot tell them apart", pair)
+	}
+	if got := dor.AlltoallvTime(incast); got != want {
+		t.Fatalf("DOR AlltoallvTime = %v, link-contention model %v (per-pair maximum %v)", got, want, pair)
+	}
+	var net Network = dor
+	acc := net.NewAlltoallv()
+	for _, m := range incast {
+		acc.Add(m, net.Hops(m.From, m.To))
+	}
+	if got := acc.Time(); got != want {
+		t.Fatalf("DOR accumulator = %v, link-contention model %v (per-pair maximum %v)", got, want, pair)
+	}
 	if _, err := NewDORTorus(nil); err == nil {
 		t.Fatal("nil torus accepted")
 	}

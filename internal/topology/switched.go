@@ -67,18 +67,46 @@ func (s *Switched) PairTime(bytes, hops int) float64 {
 // AlltoallvTime implements Network using the per-sender serialization
 // model for switched fabrics.
 func (s *Switched) AlltoallvTime(msgs []Message) float64 {
-	perSender := make(map[int]float64)
-	for _, m := range msgs {
-		if m.Bytes == 0 || m.From == m.To {
-			continue
-		}
-		perSender[m.From] += s.PairTime(m.Bytes, s.Hops(m.From, m.To))
+	return alltoallvTime(s, s.NewAlltoallv(), msgs)
+}
+
+// NewAlltoallv implements Network with the per-sender sum rule.
+func (s *Switched) NewAlltoallv() Alltoallv {
+	return &senderSums{params: s.params, sums: make([]float64, s.size)}
+}
+
+// senderSums is the aggregation rule on a switched fabric (§IV-C1): each
+// sender serializes its messages, and the exchange takes as long as its
+// slowest sender.
+type senderSums struct {
+	params  LinkParams
+	sums    []float64 // seconds per sending rank
+	senders []int     // ranks whose sum is non-zero: what Time and Reset visit
+}
+
+func (a *senderSums) Add(m Message, hops int) {
+	if !m.crosses() {
+		return
 	}
+	if a.sums[m.From] == 0 {
+		a.senders = append(a.senders, m.From)
+	}
+	a.sums[m.From] += a.params.PairTime(m.Bytes, hops)
+}
+
+func (a *senderSums) Time() float64 {
 	var worst float64
-	for _, t := range perSender {
-		if t > worst {
-			worst = t
+	for _, r := range a.senders {
+		if a.sums[r] > worst {
+			worst = a.sums[r]
 		}
 	}
 	return worst
+}
+
+func (a *senderSums) Reset() {
+	for _, r := range a.senders {
+		a.sums[r] = 0
+	}
+	a.senders = a.senders[:0]
 }

@@ -6,7 +6,9 @@
 // cost (for the Alltoallv performance model, §IV-C1) and the aggregation
 // rule for Alltoallv — maximum over sender/receiver pairs on mesh/torus
 // networks (direct algorithm [11]) versus per-sender sums on switched
-// networks. All three are reproduced analytically here.
+// networks. All three are reproduced analytically here; each network's
+// aggregation rule is written once, as the Alltoallv accumulator its
+// NewAlltoallv returns, and AlltoallvTime is a fold over it.
 package topology
 
 import "fmt"
@@ -15,6 +17,27 @@ import "fmt"
 type Message struct {
 	From, To int // ranks
 	Bytes    int
+}
+
+// crosses reports whether m costs anything: a message that moves no bytes
+// or stays on its rank is free under every aggregation rule.
+func (m Message) crosses() bool { return m.Bytes != 0 && m.From != m.To }
+
+// Alltoallv folds the messages of one exchange under a network's
+// aggregation rule. The caller passes each message's hop count, so a caller
+// that also needs the hops (for hop-bytes) routes every message once.
+// Free messages (no bytes, or to the sender itself) are ignored. An
+// accumulator is reused across exchanges through Reset and is not safe for
+// concurrent use.
+type Alltoallv interface {
+	// Add folds one message that travels hops links: Hops(m.From, m.To)
+	// on the network that built the accumulator.
+	Add(m Message, hops int)
+	// Time returns the modelled seconds of the exchange made of the
+	// messages added since the last Reset.
+	Time() float64
+	// Reset empties the accumulator and keeps its storage.
+	Reset()
 }
 
 // Network is the modelled interconnect under a set of ranks. Rank numbering
@@ -34,6 +57,20 @@ type Network interface {
 	// AlltoallvTime returns the modelled seconds for the whole exchange,
 	// using the network-appropriate aggregation rule.
 	AlltoallvTime(msgs []Message) float64
+	// NewAlltoallv returns an empty accumulator of the network's
+	// aggregation rule, the one AlltoallvTime folds its messages into.
+	NewAlltoallv() Alltoallv
+}
+
+// alltoallvTime folds msgs into acc, a fresh accumulator of net: the one
+// body of every network's AlltoallvTime.
+func alltoallvTime(net Network, acc Alltoallv, msgs []Message) float64 {
+	for _, m := range msgs {
+		if m.crosses() {
+			acc.Add(m, net.Hops(m.From, m.To))
+		}
+	}
+	return acc.Time()
 }
 
 // LinkParams are the cost-model constants of a network. The defaults are

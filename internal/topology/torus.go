@@ -199,17 +199,32 @@ func (t *Torus3D) PairTime(bytes, hops int) float64 {
 // AlltoallvTime implements Network: the exchange completes when the
 // slowest sender/receiver pair completes (direct algorithm on a torus).
 func (t *Torus3D) AlltoallvTime(msgs []Message) float64 {
-	var worst float64
-	for _, m := range msgs {
-		if m.Bytes == 0 || m.From == m.To {
-			continue
-		}
-		if dt := t.PairTime(m.Bytes, t.Hops(m.From, m.To)); dt > worst {
-			worst = dt
-		}
-	}
-	return worst
+	return alltoallvTime(t, t.NewAlltoallv(), msgs)
 }
+
+// NewAlltoallv implements Network with the slowest-pair rule.
+func (t *Torus3D) NewAlltoallv() Alltoallv { return &slowestPair{params: t.params} }
+
+// slowestPair is the direct algorithm's aggregation rule on a mesh or torus
+// (Kumar et al. [11], §IV-C1): the time of the slowest sender/receiver
+// pair.
+type slowestPair struct {
+	params LinkParams
+	worst  float64
+}
+
+func (a *slowestPair) Add(m Message, hops int) {
+	if !m.crosses() {
+		return
+	}
+	if dt := a.params.PairTime(m.Bytes, hops); dt > a.worst {
+		a.worst = dt
+	}
+}
+
+func (a *slowestPair) Time() float64 { return a.worst }
+
+func (a *slowestPair) Reset() { a.worst = 0 }
 
 // MaxDilation returns the largest hop distance between ranks that are
 // neighbours in the process grid g. It quantifies the quality of the
