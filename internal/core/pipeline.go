@@ -140,6 +140,16 @@ func NewPipeline(m *wrfsim.Model, tr *Tracker, cfg PipelineConfig) (*Pipeline, e
 	return p, nil
 }
 
+// Close stops the rank workers of the pipeline's mpi worlds (see
+// mpi.World.Close). It is idempotent; a step that needs a world after
+// Close fails.
+func (p *Pipeline) Close() {
+	p.world.Close()
+	if p.compWorld != nil {
+		p.compWorld.Close()
+	}
+}
+
 // Events returns the adaptation events recorded so far.
 func (p *Pipeline) Events() []AdaptationEvent { return p.events }
 
@@ -532,14 +542,15 @@ func (p *Pipeline) reconcileSerial(newSet scenario.Set, diff scenario.Diff) erro
 }
 
 // reconcileDistributed updates the distributed nests: vanished nests feed
-// back and free their ranks; retained nests whose processor sub-rectangle
-// changed execute the in-place Alltoallv; new nests scatter onto their
-// allocated sub-rectangles. The executed exchange time is recorded on the
-// event.
+// back and release their rank shares for later nests; retained nests
+// whose processor sub-rectangle changed execute the in-place Alltoallv;
+// new nests scatter onto their allocated sub-rectangles. The executed
+// exchange time is recorded on the event.
 func (p *Pipeline) reconcileDistributed(newSet scenario.Set, diff scenario.Diff, event *AdaptationEvent) error {
 	for _, id := range diff.Deleted {
 		if nest, ok := p.dnests[id]; ok {
 			nest.Feedback(p.model)
+			nest.Release()
 			delete(p.dnests, id)
 		}
 	}

@@ -270,8 +270,8 @@ func parseReplay(b []byte) (*replayDirective, error) {
 }
 
 // restore rebuilds the pipeline from a decoded chain's base and re-executes
-// it to the last intact delta's step.
-func (st *chainV2) restore(net topology.Network, model *perfmodel.ExecModel, oracle *perfmodel.Oracle) (*Pipeline, error) {
+// it to the last intact delta's step. A pipeline it gives up on is closed.
+func (st *chainV2) restore(net topology.Network, model *perfmodel.ExecModel, oracle *perfmodel.Oracle) (_ *Pipeline, err error) {
 	meta := st.meta
 	m, err := wrfsim.RestoreModel(meta.MCfg, st.model, meta.Cells, meta.RNG, meta.Time, meta.Step)
 	if err != nil {
@@ -285,6 +285,11 @@ func (st *chainV2) restore(net topology.Network, model *perfmodel.ExecModel, ora
 	if err != nil {
 		return nil, err
 	}
+	defer func() {
+		if err != nil {
+			p.Close()
+		}
+	}()
 	p.set = meta.Set
 	p.nextID = meta.NextID
 	p.events = meta.Events

@@ -49,8 +49,9 @@ type ResizeReport struct {
 // new size all along.
 //
 // On error the pipeline is left unchanged: every replacement structure is
-// built before any of them is committed.
-func (p *Pipeline) ResizeGrid(g geom.Grid, net topology.Network, model *perfmodel.ExecModel, oracle *perfmodel.Oracle) (ResizeReport, error) {
+// built before any of them is committed. The transition world, and on
+// success the compute world the new one replaces, are closed.
+func (p *Pipeline) ResizeGrid(g geom.Grid, net topology.Network, model *perfmodel.ExecModel, oracle *perfmodel.Oracle) (rep ResizeReport, err error) {
 	if net == nil || model == nil || oracle == nil {
 		return ResizeReport{}, fmt.Errorf("core: resize with nil machine dependency")
 	}
@@ -58,7 +59,7 @@ func (p *Pipeline) ResizeGrid(g geom.Grid, net topology.Network, model *perfmode
 		return ResizeReport{}, fmt.Errorf("core: resize to empty grid %v", g)
 	}
 	oldGrid := p.tracker.grid
-	rep := ResizeReport{OldProcs: oldGrid.Size(), NewProcs: g.Size()}
+	rep = ResizeReport{OldProcs: oldGrid.Size(), NewProcs: g.Size()}
 	if g == oldGrid {
 		return rep, nil // already at this size
 	}
@@ -87,6 +88,11 @@ func (p *Pipeline) ResizeGrid(g geom.Grid, net topology.Network, model *perfmode
 	if err != nil {
 		return ResizeReport{}, err
 	}
+	defer func() {
+		if err != nil {
+			compWorld.Close()
+		}
+	}()
 
 	// Every nest moves from its old sub-rectangle (old-grid coordinates)
 	// to its new one (new-grid coordinates). One transition grid spanning
@@ -105,6 +111,7 @@ func (p *Pipeline) ResizeGrid(g geom.Grid, net topology.Network, model *perfmode
 		if err != nil {
 			return ResizeReport{}, err
 		}
+		defer tw.Close()
 		rects := tr.Allocation().Rects
 		ids := make([]int, 0, len(p.dnests))
 		for id := range p.dnests {
@@ -145,6 +152,10 @@ func (p *Pipeline) ResizeGrid(g geom.Grid, net topology.Network, model *perfmode
 	}
 
 	compWorld.SetFaults(p.faults)
+	p.compWorld.Close()
+	for _, n := range p.dnests {
+		n.Release()
+	}
 	p.tracker = tr
 	p.compWorld = compWorld
 	p.dnests = newNests

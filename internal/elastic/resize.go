@@ -17,6 +17,9 @@ import (
 // allocations are history-dependent, so only the nest sets and model
 // evolution — not the modelled redistribution costs — are preserved).
 //
+// The replaced compute world's rank workers are stopped, and the replaced
+// nests' rank shares released.
+//
 // On error the pipeline is unchanged and still runnable at its old size.
 func Resize(p *core.Pipeline, newProcs int, machineKind string, coresPerNode int) (core.ResizeReport, error) {
 	if p == nil {

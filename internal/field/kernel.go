@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"sync"
+
+	"nestdiff/internal/geom"
 )
 
 // This file is the optimized kernel layer: the fused, row-wise
@@ -228,13 +230,26 @@ func (s *GaussStamp) Build(cx, cy, amp, inv float64, x0, y0, x1, y1, offX, offY 
 	}
 }
 
-// AddTo accumulates the stamp into f. The window the stamp was built for
-// must lie inside f.
-func (s *GaussStamp) AddTo(f *Field) {
-	for j, rowAmp := range s.wy {
-		base := (s.y0+j)*f.NX + s.x0
-		row := f.Data[base : base+len(s.wx)]
-		for i, wv := range s.wx {
+// AddTo accumulates the stamp into f, the field it was built for.
+func (s *GaussStamp) AddTo(f *Field) { s.AddWindow(f, geom.NewRect(0, 0, f.NX, f.NY)) }
+
+// AddWindow accumulates the part of the stamp inside win into f, a field
+// holding just win: f's (0, 0) sample is win's north-west corner, in the
+// coordinates of the field the stamp was built for. One stamp built over a
+// whole grid thus deposits into each block of a decomposition, and every
+// sample gets the bits AddTo over the whole grid would give it: a weight
+// depends only on its grid coordinate, and each sample takes one product.
+func (s *GaussStamp) AddWindow(f *Field, win geom.Rect) {
+	x0, x1 := max(s.x0, win.X0), min(s.x0+len(s.wx), win.X1)
+	y0, y1 := max(s.y0, win.Y0), min(s.y0+len(s.wy), win.Y1)
+	if x1 <= x0 || y1 <= y0 {
+		return
+	}
+	wx := s.wx[x0-s.x0 : x1-s.x0]
+	for y, rowAmp := range s.wy[y0-s.y0 : y1-s.y0] {
+		base := (y0+y-win.Y0)*f.NX + x0 - win.X0
+		row := f.Data[base : base+len(wx)]
+		for i, wv := range wx {
 			row[i] += rowAmp * wv
 		}
 	}

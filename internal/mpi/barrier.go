@@ -36,16 +36,36 @@ type counter struct {
 	_ [56]byte
 }
 
-func newBarrier(n int) *barrier {
+// newBarrier builds an n-member barrier. Its token channels come from
+// spare, as many as it holds (taken from its end), the rest are made; the
+// shortened spare list is returned.
+func newBarrier(n int, spare []chan struct{}) (*barrier, []chan struct{}) {
 	b := &barrier{
 		n:      n,
 		chans:  make([]chan struct{}, n),
 		senses: make([]counter, n),
 	}
-	for i := range b.chans {
+	k := copy(b.chans, spare[max(0, len(spare)-n):])
+	clear(spare[len(spare)-k:])
+	for i := k; i < n; i++ {
 		b.chans[i] = make(chan struct{}, 1)
 	}
-	return b
+	return b, spare[:len(spare)-k]
+}
+
+// idle reports whether the barrier can hand its token channels to a new
+// one: not poisoned, and no token left unconsumed. That holds once every
+// member has returned from its last rendezvous.
+func (b *barrier) idle() bool {
+	if b.dead.Load() {
+		return false
+	}
+	for _, ch := range b.chans {
+		if len(ch) != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // phase returns the parity of member me's next rendezvous. Collectives

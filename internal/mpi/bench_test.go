@@ -100,8 +100,9 @@ func BenchmarkBarrier(b *testing.B) {
 }
 
 // BenchmarkSendRecvPingPongPooled bounces a payload between two ranks:
-// RecvInto reuses a caller buffer and recycles the transport box, so Send
-// draws from the payload pool instead of allocating.
+// RecvInto reuses a caller buffer and leaves the transport buffer in its
+// mailbox slot, where the pair's next Send copies into it instead of
+// allocating.
 func BenchmarkSendRecvPingPongPooled(b *testing.B) {
 	w := benchWorld(b, 16)
 	payload := make([]float64, 1024)

@@ -71,11 +71,13 @@ func (w *World) NewComm(ranks []int) (*Comm, error) {
 		world:  w,
 		ranks:  sorted,
 		index:  index,
-		bar:    newBarrier(len(sorted)),
 		rows:   make([][][]float64, len(sorted)),
 		flat:   make([][]float64, len(sorted)),
 		clocks: make([]float64, len(sorted)),
 	}
+	w.mu.Lock()
+	c.bar, w.spareChans = newBarrier(len(sorted), w.spareChans)
+	w.mu.Unlock()
 	w.register(c)
 	return c, nil
 }
@@ -95,9 +97,10 @@ func (w *World) All() (*Comm, error) {
 
 // Free releases a communicator built with NewComm for one exchange: the
 // world forgets it, so a long run that builds a communicator per
-// redistribution holds none of them. Call it after the dispatch that used
-// the communicator has returned; a freed communicator must not be used
-// again (a later world failure no longer reaches it).
+// redistribution holds none of them, and the next communicator reuses its
+// barrier's token channels. Call it after the dispatch that used the
+// communicator has returned; a freed communicator must not be used again
+// (a later world failure no longer reaches it).
 func (c *Comm) Free() {
 	if c.shared {
 		return
@@ -106,6 +109,11 @@ func (c *Comm) Free() {
 	w.mu.Lock()
 	if i := slices.Index(w.comms, c); i >= 0 {
 		w.comms = slices.Delete(w.comms, i, i+1)
+		// fail marks the world under this lock before it poisons the
+		// barriers, so a barrier about to be poisoned is never recycled.
+		if !w.poisoned && c.bar.idle() {
+			w.spareChans = append(w.spareChans, c.bar.chans...)
+		}
 	}
 	w.mu.Unlock()
 }

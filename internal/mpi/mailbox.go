@@ -1,54 +1,69 @@
 package mpi
 
 import (
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// envelope is one in-flight point-to-point message.
+// envelope is one point-to-point message slot of a peerQueue. A slot
+// keeps its transport buffer after the message is consumed, so the next
+// send on the same (sender, receiver) pair copies into it: steady-state
+// traffic allocates nothing and needs no shared pool.
 type envelope struct {
-	pb       *payloadBuf
-	tag      int
-	sentAt   float64 // sender's virtual clock when the send was posted
-	pairTime float64 // modelled network time for this message
-	dead     bool    // tombstone: already consumed by an out-of-order match
-}
-
-// payloadBuf boxes a pooled payload buffer. Pooling the box (rather than
-// the bare slice) means recycling it costs no allocation: sync.Pool stores
-// interface values, and a *payloadBuf pointer fits in one without boxing a
-// slice header on every Put.
-type payloadBuf struct {
-	data []float64
+	data    []float64
+	tag     int
+	arrival float64 // modelled arrival time: sender clock + message time
+	dead    bool    // consumed (tombstone, or a free slot past the tail)
 }
 
 // peerQueue is the FIFO of in-flight messages from one sender, a deque
 // over a reusable backing slice. Receives may match tags out of order;
 // entries consumed from the middle become tombstones that the head index
 // skips over, and the backing array is compacted in place when the tail
-// reaches its end, so steady-state traffic never reallocates.
+// reaches its end, so steady-state traffic never reallocates. Payloads are
+// copied in and out under the queue's lock, which is what lets a slot's
+// buffer be reused as soon as its message is consumed.
 type peerQueue struct {
 	mu   sync.Mutex
 	buf  []envelope
 	head int
 }
 
-func (q *peerQueue) put(tag int, e envelope) {
-	e.tag = tag
+func (q *peerQueue) put(tag int, data []float64, arrival float64) {
 	q.mu.Lock()
 	if len(q.buf) == cap(q.buf) && q.head > 0 {
-		n := copy(q.buf, q.buf[q.head:])
+		// Rotate rather than copy: the consumed slots move behind the live
+		// ones with their buffers, ready for the appends below.
+		n := len(q.buf) - q.head
+		for i := 0; i < n; i++ {
+			q.buf[i], q.buf[q.head+i] = q.buf[q.head+i], q.buf[i]
+		}
 		q.buf = q.buf[:n]
 		q.head = 0
 	}
-	q.buf = append(q.buf, e)
+	if len(q.buf) < cap(q.buf) {
+		q.buf = q.buf[:len(q.buf)+1] // a slot that keeps its old buffer
+	} else {
+		q.buf = append(q.buf, envelope{})
+	}
+	e := &q.buf[len(q.buf)-1]
+	if cap(e.data) < len(data) {
+		// Power-of-two sizes: a slot that carries messages of varying
+		// lengths reallocates a handful of times, not whenever one is longer
+		// than the last.
+		e.data = make([]float64, 0, 1<<bits.Len(uint(len(data)-1)))
+	}
+	e.data = append(e.data[:0], data...)
+	e.tag, e.arrival, e.dead = tag, arrival, false
 	q.mu.Unlock()
 }
 
-// take removes and returns the oldest live message with the given tag, or
-// ok=false when none is queued.
-func (q *peerQueue) take(tag int) (envelope, bool) {
+// take removes the oldest live message with the given tag, copying its
+// payload into dst (reused from length zero, grown only if too small), or
+// reports ok=false when none is queued.
+func (q *peerQueue) take(tag int, dst []float64) (out []float64, arrival float64, ok bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for i := q.head; i < len(q.buf); i++ {
@@ -62,9 +77,8 @@ func (q *peerQueue) take(tag int) (envelope, bool) {
 		if e.tag != tag {
 			continue
 		}
-		out := *e
+		out = append(dst[:0], e.data...)
 		e.dead = true
-		e.pb = nil
 		if i == q.head {
 			q.head++
 		}
@@ -72,9 +86,9 @@ func (q *peerQueue) take(tag int) (envelope, bool) {
 			q.buf = q.buf[:0]
 			q.head = 0
 		}
-		return out, true
+		return out, e.arrival, true
 	}
-	return envelope{}, false
+	return dst, 0, false
 }
 
 // mailbox is a rank's receive side: one queue per peer, replacing the old
@@ -97,8 +111,8 @@ func (b *mailbox) init(n int) {
 	b.signal = make(chan struct{}, 1)
 }
 
-func (b *mailbox) put(from, tag int, e envelope) {
-	b.peers[from].put(tag, e)
+func (b *mailbox) put(from, tag int, data []float64, arrival float64) {
+	b.peers[from].put(tag, data, arrival)
 	if b.waiting.Load() == int32(from)+1 {
 		b.wake()
 	}
@@ -113,17 +127,18 @@ func (b *mailbox) wake() {
 	}
 }
 
-// get dequeues the next (from, tag) message, blocking until it arrives.
-// A positive timeout bounds the wait (fault injection only): when it
-// expires with no message, get returns ok=false instead of blocking
-// forever on a dropped message.
+// get dequeues the next (from, tag) message into dst, blocking until it
+// arrives, and returns the filled buffer and the message's modelled
+// arrival time. A positive timeout bounds the wait (fault injection
+// only): when it expires with no message, get returns ok=false instead of
+// blocking forever on a dropped message.
 //
 // Lost wakeups are impossible: the consumer publishes the peer it waits on
 // and then re-scans before parking, while that peer's producers enqueue
 // and then check the flag — sequential consistency of the atomics means at
 // least one side sees the other. A token left over from a wait that the
 // re-scan satisfied only costs a later wait one spurious pass of the loop.
-func (b *mailbox) get(from, tag int, timeout time.Duration) (envelope, bool) {
+func (b *mailbox) get(from, tag int, dst []float64, timeout time.Duration) ([]float64, float64, bool) {
 	q := &b.peers[from]
 	var expired <-chan time.Time
 	if timeout > 0 {
@@ -135,13 +150,13 @@ func (b *mailbox) get(from, tag int, timeout time.Duration) (envelope, bool) {
 		if b.poisoned.Load() {
 			panic(panicPoisoned)
 		}
-		if e, ok := q.take(tag); ok {
-			return e, true
+		if out, at, ok := q.take(tag, dst); ok {
+			return out, at, true
 		}
 		b.waiting.Store(int32(from) + 1)
-		if e, ok := q.take(tag); ok {
+		if out, at, ok := q.take(tag, dst); ok {
 			b.waiting.Store(0)
-			return e, true
+			return out, at, true
 		}
 		if expired == nil {
 			// A plain receive, as in barrier.await: poison buffers a token
@@ -152,7 +167,7 @@ func (b *mailbox) get(from, tag int, timeout time.Duration) (envelope, bool) {
 			case <-b.signal:
 			case <-expired:
 				b.waiting.Store(0)
-				return q.take(tag)
+				return q.take(tag, dst)
 			}
 		}
 		b.waiting.Store(0)

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"math"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -406,5 +407,44 @@ func TestVirtualTimeDeterminism(t *testing.T) {
 		if b := run(); b != a || math.IsNaN(b) {
 			t.Fatalf("virtual time not deterministic: %g vs %g", a, b)
 		}
+	}
+}
+
+// TestCommRegistryRecyclesOnlyHealthyBarrierChannels: a freed
+// communicator hands its barrier's token channels to the next one, but not
+// once the world has failed — not even in the window where World.fail has
+// marked the world and not yet poisoned the barriers, or the poison would
+// leave a token in a channel the next barrier owns.
+func TestCommRegistryRecyclesOnlyHealthyBarrierChannels(t *testing.T) {
+	w, err := NewWorld(4, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	a, err := w.NewComm([]int{0, 1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.RunOn([]int{0, 1, 2}, a.Barrier); err != nil {
+		t.Fatal(err)
+	}
+	freed := slices.Clone(a.bar.chans)
+	a.Free()
+	b, err := w.NewComm([]int{1, 2, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, ch := range b.bar.chans {
+		if !slices.Contains(freed, ch) {
+			t.Fatalf("member %d of the next barrier got a new channel, not a freed one", i)
+		}
+	}
+
+	w.mu.Lock()
+	w.poisoned = true // what fail does before it poisons the barriers
+	w.mu.Unlock()
+	b.Free()
+	if n := len(w.spareChans); n != 0 {
+		t.Fatalf("a communicator freed during a failure recycled %d channels", n)
 	}
 }

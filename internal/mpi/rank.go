@@ -28,12 +28,13 @@ func (r *Rank) Compute(seconds float64) {
 	r.clock += seconds
 }
 
-// Send posts a message to another world rank. The payload is copied into a
-// buffer from the world's pool (recycled by RecvInto on the receiving
-// side), so the caller may reuse its buffer immediately. The sender is
-// charged the configured send overhead; transit time is charged to the
-// receiver. Under a fault plan the message may be silently dropped (never
-// delivered) or have extra virtual transit time injected.
+// Send posts a message to another world rank. The payload is copied into
+// the transport buffer of a slot in the receiver's queue for this sender
+// (the buffer a consumed message left there), so the caller may reuse its
+// buffer immediately. The sender is charged the configured send overhead;
+// transit time is charged to the receiver. Under a fault plan the message
+// may be silently dropped (never delivered) or have extra virtual transit
+// time injected.
 func (r *Rank) Send(to, tag int, data []float64) {
 	if to < 0 || to >= r.world.n {
 		panic(fmt.Sprintf("mpi: send to invalid rank %d", to))
@@ -47,21 +48,17 @@ func (r *Rank) Send(to, tag int, data []float64) {
 		}
 		extra = delay
 	}
-	pb := r.world.getPayload()
-	pb.data = append(pb.data[:0], data...)
-	r.world.boxes[to].put(r.id, tag, envelope{
-		pb:       pb,
-		sentAt:   r.clock,
-		pairTime: r.world.pairTime(r.id, to, 8*len(data)) + extra,
-	})
+	arrival := r.clock + (r.world.pairTime(r.id, to, 8*len(data)) + extra)
+	r.world.boxes[to].put(r.id, tag, data, arrival)
 	r.clock += r.world.cfg.SendOverhead
 }
 
 // RecvInto blocks until a message with the given source and tag arrives,
 // copies its payload into buf (reused from length zero, grown only if too
-// small) and recycles the transport buffer, so steady-state point-to-point
-// traffic allocates nothing. It returns the filled buffer. The rank's
-// clock advances to the message's modelled arrival time if that is later.
+// small) and leaves the transport buffer in its slot for the pair's next
+// send, so steady-state point-to-point traffic allocates nothing. It
+// returns the filled buffer. The rank's clock advances to the message's
+// modelled arrival time if that is later.
 // Under a fault plan with a receive timeout, a receive that outlives the
 // bound (a dropped message) panics the rank; World.Run recovers it and
 // reports the failure.
@@ -69,14 +66,12 @@ func (r *Rank) RecvInto(from, tag int, buf []float64) []float64 {
 	if from < 0 || from >= r.world.n {
 		panic(fmt.Sprintf("mpi: recv from invalid rank %d", from))
 	}
-	e, ok := r.world.boxes[r.id].get(from, tag, r.world.faults.Load().RecvTimeout())
+	out, arrival, ok := r.world.boxes[r.id].get(from, tag, buf, r.world.faults.Load().RecvTimeout())
 	if !ok {
 		panic(fmt.Sprintf("mpi: rank %d receive from rank %d tag %d timed out (message lost?)", r.id, from, tag))
 	}
-	if arrival := e.sentAt + e.pairTime; arrival > r.clock {
+	if arrival > r.clock {
 		r.clock = arrival
 	}
-	out := append(buf[:0], e.pb.data...)
-	r.world.putPayload(e.pb)
 	return out
 }

@@ -112,7 +112,7 @@ func TestMailboxPoisonWakesPlainReceive(t *testing.T) {
 	woke := make(chan any, 1)
 	go func() {
 		defer func() { woke <- recover() }()
-		b.get(1, 0, 0)
+		b.get(1, 0, nil, 0)
 	}()
 	for b.waiting.Load() == 0 { // until the consumer has published its wait
 		time.Sleep(time.Millisecond)
@@ -132,7 +132,7 @@ func TestMailboxPoisonWakesPlainReceive(t *testing.T) {
 			t.Fatalf("receive on a poisoned mailbox ended with %v", p)
 		}
 	}()
-	b.get(0, 0, 0)
+	b.get(0, 0, nil, 0)
 }
 
 // TestMailboxTargetedWakeupStress: two producers and one consumer that
@@ -180,23 +180,23 @@ func TestMailboxTargetedWakeupStress(t *testing.T) {
 func TestMailboxIgnoresOtherPeersWhileParked(t *testing.T) {
 	var b mailbox
 	b.init(3)
-	got := make(chan envelope, 1)
+	got := make(chan float64, 1)
 	go func() {
-		e, _ := b.get(2, 5, 0)
-		got <- e
+		_, arrival, _ := b.get(2, 5, nil, 0)
+		got <- arrival
 	}()
 	for b.waiting.Load() == 0 {
 		time.Sleep(time.Millisecond)
 	}
-	b.put(1, 5, envelope{sentAt: 1})
+	b.put(1, 5, nil, 1)
 	if len(b.signal) != 0 {
 		t.Fatal("a put from another peer signalled the parked consumer")
 	}
-	b.put(2, 5, envelope{sentAt: 2})
+	b.put(2, 5, nil, 2)
 	select {
-	case e := <-got:
-		if e.sentAt != 2 {
-			t.Fatalf("consumer took the message sent at %g, want the one from peer 2", e.sentAt)
+	case arrival := <-got:
+		if arrival != 2 {
+			t.Fatalf("consumer took the message arriving at %g, want the one from peer 2", arrival)
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("the awaited peer's put did not wake the consumer")

@@ -13,7 +13,9 @@
 package mpi
 
 import (
+	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -49,10 +51,12 @@ type World struct {
 	boxes  []mailbox
 	faults atomic.Pointer[faults.Plan]
 
-	// payloads recycles point-to-point transport buffers: Send draws from
-	// it, RecvInto returns to it, so steady-state traffic allocates
-	// nothing.
-	payloads sync.Pool
+	// dispatch serializes RunOn and Close: it is held for a whole dispatch,
+	// which owns ranks, wg and the sends to the parked workers.
+	dispatch sync.Mutex
+	ranks    []Rank // one per world rank, reset by each dispatch that runs it
+	wg       sync.WaitGroup
+	workers  *workerSet
 
 	// The all-ranks communicator, built by the first All.
 	allOnce sync.Once
@@ -63,18 +67,9 @@ type World struct {
 	failures []error
 	comms    []*Comm // live communicators: the poison list
 	poisoned bool
-}
-
-func (w *World) getPayload() *payloadBuf {
-	if pb, ok := w.payloads.Get().(*payloadBuf); ok {
-		return pb
-	}
-	return &payloadBuf{}
-}
-
-func (w *World) putPayload(pb *payloadBuf) {
-	pb.data = pb.data[:0]
-	w.payloads.Put(pb)
+	// spareChans are the barrier token channels of freed communicators,
+	// each empty, for NewComm to reuse.
+	spareChans []chan struct{}
 }
 
 // NewWorld creates a world of n ranks.
@@ -86,15 +81,24 @@ func NewWorld(n int, cfg Config) (*World, error) {
 		return nil, fmt.Errorf("mpi: network has %d ranks, world needs %d", cfg.Net.Size(), n)
 	}
 	w := &World{
-		n:     n,
-		cfg:   cfg,
-		all:   make([]int, n),
-		boxes: make([]mailbox, n),
+		n:       n,
+		cfg:     cfg,
+		all:     make([]int, n),
+		boxes:   make([]mailbox, n),
+		ranks:   make([]Rank, n),
+		workers: &workerSet{tasks: make([]chan rankTask, n), live: new(sync.WaitGroup)},
 	}
 	for i := range w.boxes {
 		w.all[i] = i
 		w.boxes[i].init(n)
+		w.ranks[i] = Rank{id: i, world: w}
 	}
+	// Only the world references its worker set (the workers hold just
+	// their channels), so a world dropped without Close still releases its
+	// workers once it is collected. The finalizer cannot sit on the World:
+	// World and its communicators reference each other, and a finalizer on
+	// an object in a cycle never runs.
+	runtime.SetFinalizer(w.workers, (*workerSet).close)
 	if cfg.Faults != nil {
 		w.faults.Store(cfg.Faults)
 	}
@@ -115,18 +119,26 @@ func (w *World) SetFaults(p *faults.Plan) { w.faults.Store(p) }
 func (w *World) Run(fn func(r *Rank)) error { return w.RunOn(w.all, fn) }
 
 // RunOn is Run over a subset of the world: fn executes once on each of
-// the given ranks (strictly ascending world rank numbers) and no
-// goroutine is spawned for any other rank — a step in which 40 of 256
-// ranks own work dispatches 40. Under a fault plan the crash point of
-// every rank left out is still evaluated, inline, so an injected crash of
-// an idle rank fails the same dispatch it would have failed under Run. A
-// world that has already failed runs nothing and reports its first
-// failure.
+// the given ranks (strictly ascending world rank numbers) and no other
+// rank is woken — a step in which 40 of 256 ranks own work dispatches 40.
+// Each listed rank runs fn on the world's parked worker for that rank,
+// started by the rank's first dispatch and reused by every later one, so
+// a steady dispatch spawns no goroutine and allocates nothing. Under a
+// fault plan the crash point of every rank left out is still evaluated,
+// inline, so an injected crash of an idle rank fails the same dispatch it
+// would have failed under Run. A world that has already failed runs
+// nothing and reports its first failure. Dispatches on one world run one
+// at a time, and a dispatch after Close returns an error.
 func (w *World) RunOn(ranks []int, fn func(r *Rank)) error {
 	for i, id := range ranks {
 		if id < 0 || id >= w.n || (i > 0 && id <= ranks[i-1]) {
 			return fmt.Errorf("mpi: RunOn ranks must be ascending in [0,%d), got %d at %d", w.n, id, i)
 		}
+	}
+	w.dispatch.Lock()
+	defer w.dispatch.Unlock()
+	if err := w.workers.start(ranks); err != nil {
+		return err
 	}
 	plan := w.faults.Load()
 	if plan != nil && len(ranks) < w.n {
@@ -142,29 +154,115 @@ func (w *World) RunOn(ranks []int, fn func(r *Rank)) error {
 	if err := w.failure(); err != nil {
 		return err
 	}
-	// One Rank array per dispatch, not one Rank per goroutine.
-	rs := make([]Rank, len(ranks))
-	var wg sync.WaitGroup
-	wg.Add(len(ranks))
-	for i, id := range ranks {
-		rs[i] = Rank{id: id, world: w}
-		go w.runRank(&rs[i], plan, fn, &wg)
+	w.wg.Add(len(ranks))
+	for _, id := range ranks {
+		r := &w.ranks[id]
+		r.clock = 0
+		// Never blocks: the worker took its previous task before that
+		// dispatch's Wait returned.
+		w.workers.tasks[id] <- rankTask{r: r, plan: plan, fn: fn, wg: &w.wg}
 	}
-	wg.Wait()
+	w.wg.Wait()
 	return w.failure()
 }
 
-// runRank is one rank's goroutine: the injected crash point, then fn,
-// with any panic turned into a world failure.
-func (w *World) runRank(r *Rank, plan *faults.Plan, fn func(r *Rank), wg *sync.WaitGroup) {
-	defer wg.Done()
-	defer w.recoverRank(r.id)
-	plan.CrashPoint(r.id) // may panic: an injected rank crash
-	fn(r)
+// Close stops the world's parked rank workers and returns once they have
+// exited. It waits for a dispatch in flight, is idempotent, and leaves the
+// world refusing further dispatches. A world dropped without Close
+// releases its workers when it is collected.
+func (w *World) Close() {
+	w.dispatch.Lock()
+	defer w.dispatch.Unlock()
+	w.workers.close()
+	w.workers.live.Wait()
+}
+
+// errClosed is RunOn's error on a closed world.
+var errClosed = errors.New("mpi: dispatch on a closed world")
+
+// workerSet is a world's parked rank workers: one goroutine per rank that
+// has been dispatched, each blocked on its own task channel.
+type workerSet struct {
+	mu     sync.Mutex
+	tasks  []chan rankTask // per world rank; nil until its first dispatch
+	closed bool
+	// live counts the running workers. It is a separate allocation because
+	// the workers hold it, and they must not hold the set.
+	live *sync.WaitGroup
+}
+
+// start makes sure every listed rank has a worker, or reports a closed
+// set.
+func (ws *workerSet) start(ranks []int) error {
+	ws.mu.Lock()
+	defer ws.mu.Unlock()
+	if ws.closed {
+		return errClosed
+	}
+	for _, id := range ranks {
+		if ws.tasks[id] == nil {
+			ws.tasks[id] = make(chan rankTask, 1)
+			ws.live.Add(1)
+			go work(ws.tasks[id], ws.live)
+		}
+	}
+	return nil
+}
+
+// close ends every worker: each drains its channel and exits.
+func (ws *workerSet) close() {
+	ws.mu.Lock()
+	defer ws.mu.Unlock()
+	if ws.closed {
+		return
+	}
+	ws.closed = true
+	for _, ch := range ws.tasks {
+		if ch != nil {
+			close(ch)
+		}
+	}
+}
+
+// rankTask is one rank's share of a dispatch.
+type rankTask struct {
+	r    *Rank
+	plan *faults.Plan
+	fn   func(r *Rank)
+	wg   *sync.WaitGroup
+}
+
+// work is a parked rank worker. Between tasks it holds nothing but its
+// channel and the live count, so it never keeps a dropped world reachable.
+func work(tasks chan rankTask, live *sync.WaitGroup) {
+	clean := false
+	defer func() {
+		if clean {
+			live.Done()
+			return
+		}
+		// A task called runtime.Goexit (a test's FailNow inside a rank):
+		// its dispatch still completed, and a fresh worker takes over the
+		// rank's channel and its place in live.
+		go work(tasks, live)
+	}()
+	for t := range tasks {
+		t.run()
+	}
+	clean = true
+}
+
+// run is one rank's turn in a dispatch: the injected crash point, then
+// fn, with any panic turned into a world failure.
+func (t rankTask) run() {
+	defer t.wg.Done()
+	defer t.r.world.recoverRank(t.r.id)
+	t.plan.CrashPoint(t.r.id) // may panic: an injected rank crash
+	t.fn(t.r)
 }
 
 // crashPoint evaluates the fault plan's crash point for a rank RunOn does
-// not spawn.
+// not run.
 func (w *World) crashPoint(plan *faults.Plan, id int) {
 	defer w.recoverRank(id)
 	plan.CrashPoint(id)

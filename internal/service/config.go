@@ -11,9 +11,10 @@
 // simulation state, so the only cross-goroutine surfaces are the Job's
 // snapshot fields (guarded by Job.mu), the Scheduler's registry (guarded
 // by Scheduler.mu) and the atomic metrics counters. The virtual-time MPI
-// runtime spawns goroutines *within* a job (one per rank), but those are
-// created and joined inside a single pipeline step, entirely under the
-// owning worker.
+// runtime runs goroutines *within* a job (one parked worker per rank),
+// but every dispatch to them is joined inside a single pipeline step,
+// entirely under the owning worker, and the attempt closes the worlds
+// when it ends.
 package service
 
 import (
@@ -314,7 +315,7 @@ func BuildPipeline(cfg JobConfig) (*core.Pipeline, error) {
 // is not the one the config generates is refused: it was written for
 // another job, or before the model carried its schedule, and would resume
 // without the storms still to come.
-func restoreRun(cfg JobConfig, checkpoint []byte) (*run, error) {
+func restoreRun(cfg JobConfig, checkpoint []byte) (_ *run, err error) {
 	cfg = cfg.withDefaults()
 	m, err := elastic.BuildMachine(cfg.Cores, cfg.Machine, cfg.CoresPerNode)
 	if err != nil {
@@ -324,6 +325,11 @@ func restoreRun(cfg JobConfig, checkpoint []byte) (*run, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer func() {
+		if err != nil {
+			pipe.Close()
+		}
+	}()
 	if got := pipe.Tracker().Grid(); got != m.Grid {
 		return nil, fmt.Errorf("%w: checkpoint holds a %dx%d grid (%d procs), config names %d cores (%dx%d)",
 			core.ErrProcMismatch, got.Px, got.Py, got.Size(), cfg.Cores, m.Grid.Px, m.Grid.Py)

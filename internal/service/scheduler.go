@@ -794,6 +794,9 @@ func (s *Scheduler) runJob(j *Job) {
 		s.retryOrFail(j, err)
 		return
 	}
+	// The attempt owns the pipeline's mpi worlds: stop their rank workers
+	// however it ends.
+	defer r.pipe.Close()
 	if tr != nil {
 		r.pipe.SetTracer(tr)
 	}

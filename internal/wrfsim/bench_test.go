@@ -195,3 +195,64 @@ func BenchmarkRedistribute(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkStepNests measures one parent step of the distributed nests in
+// the shape the end-to-end distributed workload runs them: three nests
+// over disjoint sub-rectangles covering a 256-rank world, about 40 fine
+// cells per block, so the dispatch, the stamps and the halo messages
+// dominate the compute. msgs/op counts the halo messages of one dispatch.
+func BenchmarkStepNests(b *testing.B) {
+	m := benchModel(b, 96, 72)
+	for _, c := range []Cell{
+		{X: 14, Y: 12, Radius: 4, Peak: 2, Life: 1e9},
+		{X: 52, Y: 11, Radius: 5, Peak: 1.5, Life: 1e9},
+		{X: 26, Y: 48, Radius: 6, Peak: 2.5, Life: 1e9},
+	} {
+		if err := m.InjectCell(c); err != nil {
+			b.Fatal(err)
+		}
+	}
+	m.Step()
+	pg := geom.NewGrid(16, 16)
+	net, err := topology.NewTorus3D(pg, topology.TorusDimsFor(pg.Size()), topology.DefaultTorusParams())
+	if err != nil {
+		b.Fatal(err)
+	}
+	w, err := mpi.NewWorld(pg.Size(), mpi.Config{Net: net})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer w.Close()
+	var nests []*ParallelNest
+	for i, nc := range []struct{ region, procs geom.Rect }{
+		{geom.NewRect(4, 4, 20, 16), geom.NewRect(0, 0, 8, 9)},    // fine 60x48 over 72 ranks
+		{geom.NewRect(40, 4, 24, 14), geom.NewRect(8, 0, 8, 9)},   // fine 72x42 over 72 ranks
+		{geom.NewRect(10, 40, 32, 16), geom.NewRect(0, 9, 16, 7)}, // fine 96x48 over 112 ranks
+	} {
+		n, err := m.NewParallelNest(i+1, nc.region, pg, nc.procs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		nests = append(nests, n)
+	}
+	cfg, cells := m.Config(), m.Cells()
+	if err := StepNests(w, cfg, cells, nests); err != nil { // start the workers, build the plans
+		b.Fatal(err)
+	}
+	msgs := 0
+	for _, n := range nests {
+		for _, st := range n.local {
+			if st != nil {
+				msgs += NestRatio * len(st.halo.sends)
+			}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := StepNests(w, cfg, cells, nests); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(msgs), "msgs/op")
+}

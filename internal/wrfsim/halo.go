@@ -3,6 +3,7 @@ package wrfsim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"nestdiff/internal/field"
 	"nestdiff/internal/geom"
@@ -82,12 +83,17 @@ func checkReach(ux, vy float64) error {
 // decomposition — at construction for the parent model, by a nest's first
 // step after scatter or Redistribute — and a step re-dispatches it instead
 // of rediscovering neighbours and strips per exchange (the
-// execution-template idea of Mashayekhi et al.). Only the owning rank's
+// execution-template idea of Mashayekhi et al.). A rebuild reuses the
+// plan's slices and fields, so a nest rank that is re-planned after a
+// redistribution allocates only what outgrows them. Only the owning rank's
 // goroutine touches it.
 type haloPlan struct {
-	ux, vy float64    // the displacement the links were derived from
-	sends  []haloLink // rect: strip of our block, block coordinates
-	recvs  []haloLink // rect: where the peer's strip lands, ext coordinates
+	pg     geom.Grid      // the process grid that numbers the peers,
+	dist   geom.BlockDist // the decomposition the links were derived from,
+	me     geom.Point     // the rank's place in it
+	ux, vy float64        // and the displacement
+	sends  []haloLink     // rect: strip of our block, block coordinates
+	recvs  []haloLink     // rect: where the peer's strip lands, ext coordinates
 	// ext is the halo-extended source field. Only the cells a recv link
 	// covers are ever written: border cells the kernel does not read — the
 	// downwind side, the domain edge, the part of the halo beyond the
@@ -108,18 +114,33 @@ type haloLink struct {
 	rect geom.Rect
 }
 
-// newHaloPlan builds the plan of the rank at process-grid point me for a
-// domain block-distributed as dist and advected by (ux, vy) cells per step,
-// a displacement checkReach accepts. Every block of dist must be at least
-// HaloWidth wide and tall, which keeps each strip inside its sender's block.
-func newHaloPlan(pg geom.Grid, dist geom.BlockDist, me geom.Point, ux, vy float64) haloPlan {
+// builtFor reports whether hp is the plan of the rank at me for dist under
+// (ux, vy), its peers numbered by pg. A plan recycled with its nest rank
+// share from a nest on another process grid therefore never serves: the
+// same point of the same decomposition has other peers there.
+func (hp *haloPlan) builtFor(pg geom.Grid, dist geom.BlockDist, me geom.Point, ux, vy float64) bool {
+	return hp.ext != nil && hp.pg == pg && hp.dist == dist && hp.me == me && hp.ux == ux && hp.vy == vy
+}
+
+// reset rebuilds hp in place as the plan of the rank at process-grid point
+// me for a domain block-distributed as dist and advected by (ux, vy) cells
+// per step, a displacement checkReach accepts. Every block of dist must be
+// at least HaloWidth wide and tall, which keeps each strip inside its
+// sender's block.
+func (hp *haloPlan) reset(pg geom.Grid, dist geom.BlockDist, me geom.Point, ux, vy float64) {
 	if err := checkReach(ux, vy); err != nil {
 		panic(err) // every caller has checked: a flow past the halo is refused at construction
 	}
 	rx, _ := reachOf(ux)
 	ry, _ := reachOf(vy)
 	blk := dist.BlockOf(me)
-	hp := haloPlan{ux: ux, vy: vy, ext: field.New(blk.Width()+2*HaloWidth, blk.Height()+2*HaloWidth)}
+	hp.pg, hp.dist, hp.me, hp.ux, hp.vy = pg, dist, me, ux, vy
+	if hp.sends == nil { // at most one link per neighbour
+		hp.sends, hp.recvs = make([]haloLink, 0, 8), make([]haloLink, 0, 8)
+	}
+	hp.sends, hp.recvs = hp.sends[:0], hp.recvs[:0]
+	hp.ext = reuseField(hp.ext, blk.Width()+2*HaloWidth, blk.Height()+2*HaloWidth)
+	clear(hp.ext.Data) // the cells no link covers must read zero
 	for dy := -1; dy <= 1; dy++ {
 		for dx := -1; dx <= 1; dx++ {
 			p := geom.Point{X: me.X + dx, Y: me.Y + dy}
@@ -145,15 +166,43 @@ func newHaloPlan(pg geom.Grid, dist geom.BlockDist, me geom.Point, ux, vy float6
 			}
 		}
 	}
-	return hp
+	strip := 0
+	for _, links := range [2][]haloLink{hp.sends, hp.recvs} {
+		for _, l := range links {
+			strip = max(strip, l.rect.Area())
+		}
+	}
+	hp.buf = roomFor(hp.buf, strip)
+}
+
+// reuseField reshapes f (a new field when f is nil) to nx×ny on storage
+// from roomFor. Samples carried over are stale: the caller overwrites or
+// clears them.
+func reuseField(f *field.Field, nx, ny int) *field.Field {
+	if f == nil {
+		f = new(field.Field)
+	}
+	f.NX, f.NY, f.Data = nx, ny, roomFor(f.Data, nx*ny)[:nx*ny]
+	return f
+}
+
+// roomFor returns s emptied, on its own array when that holds n values,
+// else on a new one sized to the next power of two: a buffer that serves
+// blocks and strips of varying sizes reallocates a handful of times over
+// its life, not whenever a size exceeds the last.
+func roomFor(s []float64, n int) []float64 {
+	if cap(s) >= n {
+		return s[:0]
+	}
+	return make([]float64, 0, 1<<bits.Len(uint(n-1)))
 }
 
 // exchange sends the strips of f its neighbours' advection reads and
 // assembles the halo-extended field: interior from f, border from the
 // strips received. Sends are posted first (mailbox sends never block), then
 // receives; tags are base plus the link's direction tag. Strips are packed
-// and unpacked a row at a time, and once the staging buffer and the pooled
-// transport buffers are warm the exchange allocates nothing.
+// and unpacked a row at a time, and once the staging buffer and the mailbox
+// slots' transport buffers are warm the exchange allocates nothing.
 func (hp *haloPlan) exchange(r *mpi.Rank, f *field.Field, base int) *field.Field {
 	ext := hp.ext
 	ext.SetSub(geom.NewRect(HaloWidth, HaloWidth, f.NX, f.NY), f)

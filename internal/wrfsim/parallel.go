@@ -90,14 +90,15 @@ func NewParallelModel(cfg Config, pg geom.Grid, world *mpi.World) (*ParallelMode
 			return nil, fmt.Errorf("wrfsim: rank %d block %v narrower than the %d-cell halo; use fewer ranks",
 				r, blk, HaloWidth)
 		}
-		pm.local[r] = &rankState{
+		st := &rankState{
 			block:  blk,
 			qcloud: field.New(blk.Width(), blk.Height()),
 			olr:    field.New(blk.Width(), blk.Height()),
 			next:   field.New(blk.Width(), blk.Height()),
-			halo:   newHaloPlan(pg, pm.dist, pg.Coord(r), ux, vy),
 		}
-		pm.local[r].olr.Fill(cfg.OLRClear)
+		st.halo.reset(pg, pm.dist, pg.Coord(r), ux, vy)
+		st.olr.Fill(cfg.OLRClear)
+		pm.local[r] = st
 	}
 	return pm, nil
 }

@@ -3,6 +3,7 @@ package wrfsim
 import (
 	"fmt"
 	"math"
+	"sync"
 	"time"
 
 	"nestdiff/internal/field"
@@ -30,34 +31,61 @@ type ParallelNest struct {
 	nx    int       // fine extents
 	ny    int
 	// local[rank] is that rank's share of the nest (nil for ranks outside
-	// the sub-grid), rebuilt whenever procs changes. A slice, not a map:
-	// each rank's goroutine touches only its own element, which is
-	// race-free.
-	local []*nestRank
-	// redistScratch[rank] is that rank's Alltoallv arena, reused across
-	// redistributions (indexed and touched like local).
-	redistScratch []mpi.Scratch
-	steps         int
+	// the sub-grid). A slice, not a map: each rank's goroutine touches only
+	// its own element, which is race-free. staged is Redistribute's table
+	// of the new owners' shares, swapped with local once the exchange is
+	// done.
+	local  []*nestRank
+	staged []*nestRank
+	steps  int
+	// stamps is the parent step's source term over the whole fine grid,
+	// built once per step on the calling goroutine; each owner rank adds
+	// the part inside its block.
+	stamps sourceStamps
 
 	// tracer, when set, receives one redist event per executed Alltoallv.
 	// It is runtime wiring, not state: checkpoints never carry it.
 	tracer *obs.Tracer
 }
 
-// nestRank is one owner rank's share of a distributed nest: its block of
-// the fine field plus step scratch: the advection double buffer, the
-// cached halo plan and the parent step's source stamps. The scratch is
-// built by the rank's first step on a decomposition (next == nil until
-// then), so scatter and Redistribute stay as cheap as moving the data; it
-// carries no state between substeps and is never checkpointed. scatter and
-// Redistribute replace the whole nestRank, so a plan never outlives the
-// blocks it was built for.
+// nestRank is one rank's share of a distributed nest: its block of the
+// fine field plus step scratch: the advection double buffer and the cached
+// halo plan. Shares are recycled through rankShares, so a share's buffers
+// outlive the decomposition, and the nest, they served: a rank that stays
+// an owner across Redistribute keeps its share, one that joins draws a
+// share that a leaving rank, or a released nest, gave back. The scratch is
+// rebuilt by the rank's first step on a decomposition, on whatever buffers
+// the share holds, so scatter and Redistribute stay as cheap as moving the
+// data; it carries no state between substeps and is never checkpointed.
+// The plan records the process grid, the decomposition and the rank it
+// was built for, so it never serves another: a share that crosses into a
+// nest on another grid re-plans before its first exchange there.
 type nestRank struct {
-	block  geom.Rect // owned fine cells
-	f      *field.Field
-	next   *field.Field
-	halo   haloPlan
-	stamps sourceStamps
+	block geom.Rect // owned fine cells
+	f     *field.Field
+	next  *field.Field
+	halo  haloPlan
+}
+
+// rankShares recycles nest rank shares between nests and decompositions.
+// Every sample of a recycled share's block is overwritten (by the scatter
+// copy or the exchange) before it is read.
+var rankShares = sync.Pool{New: func() any { return new(nestRank) }}
+
+// exchangeArenas recycles the per-rank Alltoallv arenas of Redistribute,
+// one per world rank, between redistributions of every nest.
+var exchangeArenas = sync.Pool{New: func() any { return new([]mpi.Scratch) }}
+
+// Release returns the nest's rank shares to the pool that later nests and
+// redistributions draw theirs from. The nest must not be used afterwards:
+// a step of it is an error, and a second Release does nothing.
+func (n *ParallelNest) Release() {
+	for _, st := range n.local {
+		if st != nil {
+			rankShares.Put(st)
+		}
+	}
+	n.local, n.staged = nil, nil
 }
 
 // SetTracer installs a structured tracer on the nest (nil removes it);
@@ -87,10 +115,13 @@ func (n *ParallelNest) scatter(fine *field.Field, procs geom.Rect) error {
 	}
 	n.procs = procs
 	n.local = make([]*nestRank, n.pg.Size())
+	n.staged = make([]*nestRank, n.pg.Size())
 	dist.Blocks(func(p geom.Point, blk geom.Rect) {
-		n.local[n.pg.Rank(p)] = &nestRank{block: blk, f: fine.Sub(blk)}
+		st := rankShares.Get().(*nestRank)
+		st.block = blk
+		st.f = fine.SubInto(reuseField(st.f, blk.Width(), blk.Height()), blk)
+		n.local[n.pg.Rank(p)] = st
 	})
-	n.redistScratch = make([]mpi.Scratch, n.pg.Size())
 	return nil
 }
 
@@ -126,9 +157,12 @@ func (n *ParallelNest) Step(w *mpi.World, cfg Config, cells []Cell) error {
 // substeps, mirroring the serial Nest physics — in a single dispatch over
 // exactly the ranks that own a nest block: "each nested simulation is
 // executed on disjoint subsets of the total number of processors", all of
-// them at once, and ranks that own nothing are never woken. Each rank runs
-// its substeps back to back; the halo messages, tagged by substep, are the
-// only synchronisation the physics needs.
+// them at once, and ranks that own nothing are never woken. Each nest's
+// source stamps are built once, over its whole fine grid, before the
+// dispatch; each rank then adds the part inside its block and runs its
+// substeps back to back, and the halo messages, tagged by substep, are the
+// only synchronisation the physics needs. A steady dispatch allocates
+// nothing.
 //
 // Nests whose processor sub-rectangles overlap would share mailbox
 // (from, tag) keys, so when the owner table finds one rank claimed twice
@@ -141,11 +175,19 @@ func StepNests(w *mpi.World, cfg Config, cells []Cell, nests []*ParallelNest) er
 	if err := checkReach(spec.UX, spec.VY); err != nil {
 		return err
 	}
-	owner := make([]*ParallelNest, w.Size())
-	ranks := make([]int, 0, w.Size())
+	sp := steppers.Get().(*stepper)
+	defer sp.release()
+	if cap(sp.owner) < w.Size() {
+		sp.owner = make([]*ParallelNest, w.Size())
+	}
+	sp.owner = sp.owner[:w.Size()]
+	owner := sp.owner
 	for _, n := range nests {
 		if w.Size() != n.pg.Size() {
 			return fmt.Errorf("wrfsim: world of %d ranks for grid of %d", w.Size(), n.pg.Size())
+		}
+		if n.local == nil {
+			return fmt.Errorf("wrfsim: nest %d stepped after Release", n.ID)
 		}
 		for rank, st := range n.local {
 			if st == nil {
@@ -162,21 +204,45 @@ func StepNests(w *mpi.World, cfg Config, cells []Cell, nests []*ParallelNest) er
 			owner[rank] = n
 		}
 	}
+	sp.ranks = sp.ranks[:0]
 	for rank, n := range owner {
 		if n != nil {
-			ranks = append(ranks, rank)
+			sp.ranks = append(sp.ranks, rank)
 		}
 	}
-	err := w.RunOn(ranks, func(r *mpi.Rank) {
-		owner[r.ID()].stepRank(r, cfg, cells, spec)
-	})
-	if err != nil {
+	for _, n := range nests {
+		n.stamps.build(cells, cfg.Dt, NestRatio, geom.Point{X: n.Region.X0, Y: n.Region.Y0}, geom.NewRect(0, 0, n.nx, n.ny))
+	}
+	sp.spec = spec
+	if err := w.RunOn(sp.ranks, sp.run); err != nil {
 		return err
 	}
 	for _, n := range nests {
 		n.steps += NestRatio
 	}
 	return nil
+}
+
+// stepper is StepNests' dispatch scratch: the owner table, the rank list
+// and the rank function, bound once to the stepper, so that a steady
+// dispatch allocates none of them.
+type stepper struct {
+	owner []*ParallelNest // by world rank
+	ranks []int
+	spec  field.AdvectSpec
+	run   func(r *mpi.Rank)
+}
+
+var steppers = sync.Pool{New: func() any {
+	sp := new(stepper)
+	sp.run = func(r *mpi.Rank) { sp.owner[r.ID()].stepRank(r, sp.spec) }
+	return sp
+}}
+
+// release returns the stepper to the pool holding no nest.
+func (sp *stepper) release() {
+	clear(sp.owner)
+	steppers.Put(sp)
 }
 
 // nestAdvectSpec is the block-independent part of a distributed nest's
@@ -193,23 +259,21 @@ func nestAdvectSpec(cfg Config) field.AdvectSpec {
 }
 
 // stepRank is one owner rank's work for one parent step of the nest.
-func (n *ParallelNest) stepRank(r *mpi.Rank, cfg Config, cells []Cell, spec field.AdvectSpec) {
+func (n *ParallelNest) stepRank(r *mpi.Rank, spec field.AdvectSpec) {
 	st := n.local[r.ID()]
 	blk := st.block
-	if st.next == nil {
-		st.next = field.New(blk.Width(), blk.Height())
-	}
+	st.next = reuseField(st.next, blk.Width(), blk.Height())
 	// The plan follows the flow as well as the blocks, and the flow arrives
 	// with every step's cfg.
-	if st.halo.ext == nil || st.halo.ux != spec.UX || st.halo.vy != spec.VY {
-		st.halo = newHaloPlan(n.pg, geom.NewBlockDist(n.nx, n.ny, n.procs), n.pg.Coord(r.ID()), spec.UX, spec.VY)
+	dist, me := geom.NewBlockDist(n.nx, n.ny, n.procs), n.pg.Coord(r.ID())
+	if !st.halo.builtFor(n.pg, dist, me, spec.UX, spec.VY) {
+		st.halo.reset(n.pg, dist, me, spec.UX, spec.VY)
 	}
 	spec.GX0, spec.GY0 = blk.X0, blk.Y0
 	spec.GNX, spec.GNY = n.nx, n.ny
-	st.stamps.build(cells, cfg.Dt, NestRatio, geom.Point{X: n.Region.X0, Y: n.Region.Y0}, blk)
 	for s := 0; s < NestRatio; s++ {
 		// Deposit the sources into the owned block.
-		st.stamps.addTo(st.f)
+		n.stamps.addWindow(st.f, blk)
 		r.Compute(float64(blk.Area()) * 5e-9)
 
 		ext := st.halo.exchange(r, st.f, (n.steps+s)*16)
@@ -246,22 +310,55 @@ func (n *ParallelNest) Redistribute(w *mpi.World, newProcs geom.Rect) (float64, 
 		wallStart = time.Now()
 	}
 	oldProcs := n.procs
-	newLocal := make([]*nestRank, n.pg.Size())
+	// Each new owner receives into the double buffer, free between steps,
+	// of its share: the one it holds if it owns an old block too, else one
+	// from the pool. The old blocks are only read, so a failed exchange
+	// leaves the nest as it was.
 	newDist.Blocks(func(p geom.Point, blk geom.Rect) {
-		newLocal[n.pg.Rank(p)] = &nestRank{block: blk, f: field.New(blk.Width(), blk.Height())}
+		rank := n.pg.Rank(p)
+		st := n.local[rank]
+		if st == nil {
+			st = rankShares.Get().(*nestRank)
+		}
+		st.next = reuseField(st.next, blk.Width(), blk.Height())
+		n.staged[rank] = st
 	})
-	window := func(local []*nestRank) func(rank int) redist.Window {
-		return func(rank int) redist.Window {
-			st := local[rank]
-			return redist.Window{F: st.f, X0: st.block.X0, Y0: st.block.Y0}
+	src := func(rank int) redist.Window {
+		st := n.local[rank]
+		return redist.Window{F: st.f, X0: st.block.X0, Y0: st.block.Y0}
+	}
+	dst := func(rank int) redist.Window {
+		blk := newDist.BlockOf(n.pg.Coord(rank))
+		return redist.Window{F: n.staged[rank].next, X0: blk.X0, Y0: blk.Y0}
+	}
+	arenas := exchangeArenas.Get().(*[]mpi.Scratch)
+	if len(*arenas) < n.pg.Size() {
+		*arenas = make([]mpi.Scratch, n.pg.Size())
+	}
+	elapsed, moved, err := redist.Exchange(w, n.pg, oldDist, newDist, *arenas, src, dst)
+	exchangeArenas.Put(arenas)
+	// Whichever side is abandoned returns its shares to the pool: the
+	// staged ones from the pool on failure, the leaving owners' on success.
+	keep, drop := n.staged, n.local
+	if err != nil {
+		keep, drop = n.local, n.staged
+	}
+	for rank, st := range drop {
+		if st != nil && keep[rank] != st {
+			rankShares.Put(st)
 		}
 	}
-	elapsed, moved, err := redist.Exchange(w, n.pg, oldDist, newDist, n.redistScratch, window(n.local), window(newLocal))
+	clear(drop)
 	if err != nil {
 		return 0, err
 	}
+	newDist.Blocks(func(p geom.Point, blk geom.Rect) {
+		st := n.staged[n.pg.Rank(p)]
+		st.block = blk
+		st.f, st.next = st.next, st.f
+	})
 	n.procs = newProcs
-	n.local = newLocal
+	n.local, n.staged = n.staged, n.local
 	if tr != nil {
 		tr.Emit(obs.Event{
 			Kind:        obs.KindRedist,

@@ -157,6 +157,50 @@ func TestSourceStampsMatchPerSubstepDeposits(t *testing.T) {
 	})
 }
 
+// TestNestWideStampsMatchPerBlockBuild: a distributed nest's stamps are
+// built once over its whole fine grid and each rank adds the part inside
+// its block (GaussStamp.AddWindow). That must give every block exactly the
+// bits of stamps built for the block alone, over one rank, a regular
+// grid, ragged blocks and blocks exactly HaloWidth wide, with windows
+// straddling block edges, block corners and the nest's own edges.
+func TestNestWideStampsMatchPerBlockBuild(t *testing.T) {
+	const dt = 120.0
+	region := geom.NewRect(12, 10, 24, 20)
+	fnx, fny := region.Width()*NestRatio, region.Height()*NestRatio
+	origin := geom.Point{X: region.X0, Y: region.Y0}
+	cells := append(stampCells(),
+		Cell{X: 12.4, Y: 10.3, Radius: 2, Peak: 1.7, Age: 900, Life: 7200}, // across the nest's north-west corner
+		Cell{X: 35.8, Y: 29.6, Radius: 1, Peak: 2.2, Age: 900, Life: 7200}, // across its south-east corner
+		Cell{X: 24.02, Y: 20.1, Radius: 0.4, Peak: 1, Age: 50, Life: 3600}, // a window of a few fine cells
+	)
+	var whole sourceStamps
+	whole.build(cells, dt, NestRatio, origin, geom.NewRect(0, 0, fnx, fny))
+	var block sourceStamps // one buffer across all blocks: reuse must not leak state
+	for _, dc := range []struct {
+		name  string
+		procs geom.Rect
+	}{
+		{"1x1", geom.NewRect(0, 0, 1, 1)},
+		{"4x3", geom.NewRect(0, 0, 4, 3)},
+		{"ragged", geom.NewRect(2, 1, 7, 4)}, // 72 columns over 7 ranks
+		{"halo-wide", geom.NewRect(0, 0, fnx/HaloWidth, fny/HaloWidth)},
+	} {
+		geom.NewBlockDist(fnx, fny, dc.procs).Blocks(func(_ geom.Point, blk geom.Rect) {
+			want := field.New(blk.Width(), blk.Height())
+			for i := range want.Data {
+				want.Data[i] = float64(i%11) * 0.25
+			}
+			got := want.Clone()
+			block.build(cells, dt, NestRatio, origin, blk)
+			for s := 0; s < NestRatio; s++ {
+				block.addTo(want)
+				whole.addWindow(got, blk)
+			}
+			requireSameBits(t, dc.name+" "+blk.String(), got, want)
+		})
+	}
+}
+
 func stormModel(t *testing.T) *Model {
 	t.Helper()
 	cfg := DefaultConfig()

@@ -1,9 +1,14 @@
 package wrfsim
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
+	"time"
 
+	"nestdiff/internal/faults"
 	"nestdiff/internal/geom"
+	"nestdiff/internal/mpi"
 )
 
 // twoNests spawns nests 1 and 2 of the setupNestPair model over the given
@@ -78,11 +83,15 @@ func TestStepNestsMatchesPerNestStep(t *testing.T) {
 	}
 }
 
-// TestStepNestsAmortisedAllocations: a steady-state dispatch allocates per
-// rank it spawns (the goroutine's closure) plus a fixed handful — the
-// owner table, the rank list, the Rank array — and nothing per message.
-// Every rank here exchanges up to 3 strips each way in each of 3 substeps,
-// so a per-message allocation would show up as tens per rank.
+// TestStepNestsAmortisedAllocations: a steady-state dispatch allocates
+// nothing — the rank workers are parked, the owner table, rank list and
+// rank function are pooled, the stamps and halo plans are reused and every
+// message copies into its mailbox slot's buffer. Every rank here exchanges
+// up to 3 strips each way in each of 3 substeps, so a per-message
+// allocation would show up as tens per rank. The first dispatch after a
+// Redistribute re-plans each owner rank on the buffers of the share it
+// kept or drew from the pool, so once the shares have seen both
+// decompositions it allocates nothing either.
 func TestStepNestsAmortisedAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is perturbed by the race detector")
@@ -96,13 +105,132 @@ func TestStepNestsAmortisedAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < 3; i++ { // warm the world's payload pool
+	for i := 0; i < 3; i++ { // start the workers, fill the mailbox slots
 		run()
 	}
 	const ranks = 4*3 + 3*4
 	allocs := testing.AllocsPerRun(20, run)
 	t.Logf("%.0f allocations per dispatch of %d ranks", allocs, ranks)
-	if allocs > ranks+16 {
-		t.Errorf("%.0f allocations per dispatch of %d ranks, want at most %d", allocs, ranks, ranks+16)
+	if allocs != 0 {
+		t.Errorf("%.0f allocations per steady dispatch of %d ranks, want 0", allocs, ranks)
 	}
+
+	// Nest 1 alternates between two overlapping sub-rectangles; the first
+	// round trips warm the shares on both.
+	procs := []geom.Rect{geom.NewRect(0, 0, 4, 2), geom.NewRect(0, 0, 4, 3)}
+	hop := func(i int) {
+		if _, err := nests[0].Redistribute(w, procs[i%2]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 20; i++ {
+		hop(i)
+		run()
+	}
+	const hops = 10
+	var total uint64
+	var before, after runtime.MemStats
+	for i := 0; i < hops; i++ {
+		hop(i)
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		total += after.Mallocs - before.Mallocs
+	}
+	// A share rebuilt from nothing costs about a dozen allocations, so the
+	// bound leaves room for a GC that empties the share pool once or twice;
+	// rebuilding every owner rank's scratch from nothing costs about 180
+	// per dispatch here.
+	t.Logf("%d allocations over %d dispatches right after a Redistribute", total, hops)
+	if total > 3*hops {
+		t.Errorf("%d allocations over %d dispatches right after a Redistribute, want at most %d", total, hops, 3*hops)
+	}
+}
+
+// TestRedistributeChainMatchesRestore: a nest moved A -> B -> A -> C over
+// overlapping sub-rectangles holds, after every hop, exactly the field it
+// held before, and then steps 5 parent steps bit-identically to a nest
+// rebuilt on the new sub-rectangle with RestoreParallelNest from that
+// field. Both run on recycled rank shares: each hop's twin is released
+// afterwards, so the next twin, and the ranks the live nest gains, draw
+// shares whose buffers still hold another block's samples.
+func TestRedistributeChainMatchesRestore(t *testing.T) {
+	a, b, c := geom.NewRect(0, 0, 4, 3), geom.NewRect(2, 1, 5, 4), geom.NewRect(1, 1, 7, 5)
+	m, _, par, pg := setupNestPair(t, a)
+	w, wTwin := parallelWorld(t, pg.Size()), parallelWorld(t, pg.Size())
+	defer w.Close()
+	defer wTwin.Close()
+	step := func(w *mpi.World, n *ParallelNest) {
+		t.Helper()
+		if err := StepNests(w, m.Config(), m.Cells(), []*ParallelNest{n}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.Step()
+	step(w, par)
+	for hop, procs := range []geom.Rect{b, a, c} {
+		before := par.Gather()
+		if _, err := par.Redistribute(w, procs); err != nil {
+			t.Fatal(err)
+		}
+		what := fmt.Sprintf("hop %d to %v", hop, procs)
+		requireSameBits(t, what+": gathered field", par.Gather(), before)
+		twin, err := RestoreParallelNest(par.ID, par.Region, pg, procs, before, par.StepCount())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 5; i++ {
+			m.Step()
+			step(w, par)
+			step(wTwin, twin)
+			requireSameBits(t, fmt.Sprintf("%s, step %d", what, i+1), par.Gather(), twin.Gather())
+		}
+		twin.Release()
+	}
+}
+
+// TestReleasedShareOnAnotherGridReplans: a nest built on a process grid of
+// another shape draws the rank shares a released nest gave back, with the
+// same fine extents, sub-rectangle and block points, so every recycled
+// plan matches its new decomposition point for point. Its peers are
+// numbered by the other grid, though, and the plan must be rebuilt: the
+// nest then steps like the serial nest (a stale plan would send its strips
+// to the old grid's ranks and time out or mix the wrong samples in).
+func TestReleasedShareOnAnotherGridReplans(t *testing.T) {
+	procs := geom.NewRect(0, 0, 4, 3)
+	m, _, old, pg := setupNestPair(t, procs)
+	w := parallelWorld(t, pg.Size())
+	defer w.Close()
+	m.Step()
+	if err := old.Step(w, m.Config(), m.Cells()); err != nil {
+		t.Fatal(err)
+	}
+	old.Release()
+	if err := old.Step(w, m.Config(), m.Cells()); err == nil {
+		t.Fatal("a released nest stepped")
+	}
+
+	other := geom.NewGrid(pg.Py, pg.Px)
+	serial, err := m.SpawnNest(2, old.Region)
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, err := m.NewParallelNest(2, old.Region, other, procs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wOther := parallelWorld(t, other.Size())
+	defer wOther.Close()
+	wOther.SetFaults(faults.NewPlan(1).WithRecvTimeout(time.Second))
+	for i := 0; i < 4; i++ {
+		m.Step()
+		serial.Step(m)
+		if err := par.Step(wOther, m.Config(), m.Cells()); err != nil {
+			t.Fatalf("step %d: %v", i+1, err)
+		}
+		if d := maxAbsDiff(par.Gather().Data, serial.QCloud().Data); d > 1e-12 {
+			t.Fatalf("step %d: distributed nest deviates from serial by %g", i+1, d)
+		}
+	}
+	checkNestScratch(t, par, true)
 }

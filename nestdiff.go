@@ -201,6 +201,7 @@ func (s *System) RedistributeField(tr Transfer, src *Field) (*Field, float64, er
 	if err != nil {
 		return nil, 0, err
 	}
+	defer w.Close()
 	return core.RedistributeField(w, s.Grid, tr, src)
 }
 
@@ -228,6 +229,7 @@ func AnalyzeSplitsParallel(splits []Split, pg Grid, ranks int, opt PDAOptions) (
 	if err != nil {
 		return nil, nil, err
 	}
+	defer w.Close()
 	loader := func(rank int) (Split, error) {
 		if rank < 0 || rank >= len(splits) {
 			return Split{}, fmt.Errorf("nestdiff: no split for rank %d", rank)
