@@ -62,6 +62,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer pipe.Close()
 	tracker, m := pipe.Tracker(), pipe.Model()
 	grid := tracker.Grid()
 

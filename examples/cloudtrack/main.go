@@ -46,6 +46,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer pipe.Close()
 
 	if err := pipe.Run(mc.Steps); err != nil {
 		log.Fatal(err)

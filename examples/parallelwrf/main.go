@@ -1,8 +1,7 @@
-// Parallelwrf: the distributed substrate end to end — run the parent
-// simulation block-decomposed over MPI ranks with halo exchange, analyze
-// its rank-local split files with the fully parallel clustering pipeline,
-// then run the distributed nest pipeline and checkpoint/restore it mid-run
-// to show that long campaigns resume bit-identically.
+// Parallelwrf: the distributed substrate end to end — analyze the parent
+// simulation's per-rank split files with the fully parallel clustering
+// pipeline, then run the distributed nest pipeline and checkpoint/restore
+// it mid-run to show that long campaigns resume bit-identically.
 package main
 
 import (
@@ -18,8 +17,8 @@ import (
 func main() {
 	log.SetFlags(0)
 
-	// A 48-core machine runs the parent simulation: one rank per core,
-	// 2-cell halos exchanged every step.
+	// A 48-core machine: the parent simulation writes one split file per
+	// rank of its 8x6 process grid.
 	sys, err := nestdiff.NewTorusSystem(48)
 	if err != nil {
 		log.Fatal(err)
@@ -27,7 +26,7 @@ func main() {
 	cfg := nestdiff.DefaultWeatherConfig()
 	cfg.NX, cfg.NY = 96, 72
 	cfg.SpawnRate = 0
-	pm, err := sys.NewParallelWeatherModel(cfg)
+	parent, err := nestdiff.NewWeatherModel(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -36,21 +35,22 @@ func main() {
 		{X: 70, Y: 50, VX: -1.5e-3, Radius: 4, Peak: 2.0, Life: 5 * 3600},
 	}
 	for _, c := range storms {
-		if err := pm.InjectCell(c); err != nil {
+		if err := parent.InjectCell(c); err != nil {
 			log.Fatal(err)
 		}
 	}
 	for i := 0; i < 40; i++ {
-		if err := pm.Step(); err != nil {
-			log.Fatal(err)
-		}
+		parent.Step()
 	}
-	fmt.Printf("distributed run: %d ranks, %d steps, %.0f simulated minutes\n",
-		sys.Grid.Size(), pm.StepCount(), pm.Time()/60)
+	fmt.Printf("parent run: %d steps, %.0f simulated minutes, split over %d ranks\n",
+		parent.StepCount(), parent.Time()/60, sys.Grid.Size())
 
-	// Detect organized systems straight from rank-local split files with
+	// Detect organized systems straight from the per-rank split files with
 	// the parallel clustering pipeline (no sequential bottleneck).
-	splits := pm.Splits()
+	splits, err := parent.Splits(sys.Grid)
+	if err != nil {
+		log.Fatal(err)
+	}
 	rects, clusters, err := nestdiff.AnalyzeSplitsParallel(splits, sys.Grid, 12, nestdiff.DefaultPDAOptions())
 	if err != nil {
 		log.Fatal(err)
@@ -87,6 +87,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer pipe.Close()
 	if err := pipe.Run(60); err != nil {
 		log.Fatal(err)
 	}
@@ -102,6 +103,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer restored.Close()
 	if err := pipe.Run(60); err != nil {
 		log.Fatal(err)
 	}

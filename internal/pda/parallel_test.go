@@ -20,6 +20,8 @@ func memLoader(splits []wrfsim.Split) func(rank int) (wrfsim.Split, error) {
 	}
 }
 
+// analysisWorld is a switched world of n analysis ranks, closed when the
+// test ends.
 func analysisWorld(t testing.TB, n int) *mpi.World {
 	t.Helper()
 	net, err := topology.NewSwitched(n, 8, topology.DefaultSwitchedParams())
@@ -30,6 +32,7 @@ func analysisWorld(t testing.TB, n int) *mpi.World {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(w.Close)
 	return w
 }
 

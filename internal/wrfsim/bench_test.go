@@ -1,7 +1,6 @@
 package wrfsim
 
 import (
-	"fmt"
 	"testing"
 
 	"nestdiff/internal/geom"
@@ -64,57 +63,34 @@ func BenchmarkSplits(b *testing.B) {
 	}
 }
 
-func benchParallelModel(b *testing.B, px, py int) (*ParallelModel, *mpi.World) {
-	b.Helper()
-	cfg := DefaultConfig()
-	return benchParallelModelFlow(b, px, py, cfg.FlowU*cfg.Dt, cfg.FlowV*cfg.Dt)
-}
-
-// benchParallelModelFlow is benchParallelModel under a flow of (ux, vy)
-// cells per step.
-func benchParallelModelFlow(b *testing.B, px, py int, ux, vy float64) (*ParallelModel, *mpi.World) {
+// benchWholeGridNest builds a 96x72 model under a flow of (ux, vy) cells
+// per step and a distributed nest over its 32x24 centre (fine 96x72, one
+// 16x18 block per rank) on the whole 6x4 process grid, stepped once to warm
+// its plans and buffers.
+func benchWholeGridNest(b *testing.B, ux, vy float64) (*Model, *ParallelNest, *mpi.World) {
 	b.Helper()
 	cfg := DefaultConfig()
 	cfg.NX, cfg.NY = 96, 72
 	cfg.SpawnRate = 0
 	cfg.FlowU, cfg.FlowV = ux/cfg.Dt, vy/cfg.Dt
-	pg := geom.NewGrid(px, py)
-	net, err := topology.NewTorus3D(pg, topology.TorusDimsFor(pg.Size()), topology.DefaultTorusParams())
+	m, err := NewModel(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	w, err := mpi.NewWorld(pg.Size(), mpi.Config{Net: net})
+	if err := m.InjectCell(Cell{X: 48, Y: 36, Radius: 5, Peak: 2, Life: 1e9}); err != nil {
+		b.Fatal(err)
+	}
+	m.Step()
+	pg := geom.NewGrid(6, 4)
+	w := parallelWorld(b, pg.Size())
+	n, err := m.NewParallelNest(1, geom.NewRect(32, 24, 32, 24), pg, pg.Bounds())
 	if err != nil {
 		b.Fatal(err)
 	}
-	pm, err := NewParallelModel(cfg, pg, w)
-	if err != nil {
+	if err := n.Step(w, m.Config(), m.Cells()); err != nil {
 		b.Fatal(err)
 	}
-	if err := pm.InjectCell(Cell{X: 48, Y: 36, Radius: 5, Peak: 2, Life: 1e9}); err != nil {
-		b.Fatal(err)
-	}
-	return pm, w
-}
-
-// BenchmarkParallelModelStep measures one distributed parent step: deposit,
-// halo exchange (the mailbox hot path), fused advection, OLR.
-func BenchmarkParallelModelStep(b *testing.B) {
-	for _, ranks := range [][2]int{{4, 3}, {6, 4}} {
-		b.Run(fmt.Sprintf("ranks=%d", ranks[0]*ranks[1]), func(b *testing.B) {
-			pm, _ := benchParallelModel(b, ranks[0], ranks[1])
-			if err := pm.Step(); err != nil { // warm per-rank buffers
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := pm.Step(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+	return m, n, w
 }
 
 // BenchmarkHaloExchange isolates the halo exchange (strip staging,
@@ -134,12 +110,9 @@ func BenchmarkHaloExchange(b *testing.B) {
 		{"zero-flow", 0, 0},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			pm, w := benchParallelModelFlow(b, 6, 4, tc.ux, tc.vy)
-			if err := pm.Step(); err != nil { // warm per-rank buffers
-				b.Fatal(err)
-			}
+			_, n, w := benchWholeGridNest(b, tc.ux, tc.vy)
 			msgs, cells := 0, 0
-			for _, st := range pm.local {
+			for _, st := range n.local {
 				msgs += len(st.halo.sends)
 				for _, l := range st.halo.sends {
 					cells += l.rect.Area()
@@ -149,8 +122,8 @@ func BenchmarkHaloExchange(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if err := w.Run(func(r *mpi.Rank) {
-					st := pm.local[r.ID()]
-					st.halo.exchange(r, st.qcloud, pm.step*16)
+					st := n.local[r.ID()]
+					st.halo.exchange(r, st.f, n.steps*16)
 				}); err != nil {
 					b.Fatal(err)
 				}
@@ -164,20 +137,10 @@ func BenchmarkHaloExchange(b *testing.B) {
 // BenchmarkRedistribute ping-pongs a distributed nest between two processor
 // sub-rectangles, measuring the block-intersection Alltoallv of §IV.
 func BenchmarkRedistribute(b *testing.B) {
-	pm, w := benchParallelModel(b, 6, 4)
-	if err := pm.Step(); err != nil {
-		b.Fatal(err)
-	}
 	cfg := DefaultConfig()
-	cfg.NX, cfg.NY = 96, 72
-	cfg.SpawnRate = 0
-	m, err := NewModel(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	m.Step()
+	m, _, w := benchWholeGridNest(b, cfg.FlowU*cfg.Dt, cfg.FlowV*cfg.Dt)
 	pg := geom.NewGrid(6, 4)
-	n, err := m.NewParallelNest(1, geom.NewRect(20, 16, 40, 30), pg, geom.NewRect(0, 0, 3, 4))
+	n, err := m.NewParallelNest(2, geom.NewRect(20, 16, 40, 30), pg, geom.NewRect(0, 0, 3, 4))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -5,8 +5,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-
-	"nestdiff/internal/geom"
 )
 
 // testGenesis is a storm schedule with a step-0 entry, two entries due at
@@ -46,7 +44,7 @@ func sameModel(t *testing.T, what string, step int, got, want *Model) {
 
 // TestGenesisMatchesExternalInjection: a model whose Config carries the
 // schedule is bit-identical, every step, to one fed the same cells by the
-// external inject-then-step loop, serial and distributed alike.
+// external inject-then-step loop.
 func TestGenesisMatchesExternalInjection(t *testing.T) {
 	const steps = 20
 	sched := testGenesis()
@@ -63,34 +61,6 @@ func TestGenesisMatchesExternalInjection(t *testing.T) {
 			want.Step()
 			got.Step()
 			sameModel(t, "Genesis vs external loop", s+1, got, want)
-		}
-	})
-
-	t.Run("ParallelModel", func(t *testing.T) {
-		pg := geom.NewGrid(3, 3)
-		got, err := NewParallelModel(scripted, pg, parallelWorld(t, pg.Size()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := NewParallelModel(plain, pg, parallelWorld(t, pg.Size()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		next := 0
-		for s := 0; s < steps; s++ {
-			injectDue(t, sched, &next, want.StepCount(), want.InjectCell)
-			if err := want.Step(); err != nil {
-				t.Fatal(err)
-			}
-			if err := got.Step(); err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got.cells, want.cells) {
-				t.Fatalf("step %d: cells %+v, want %+v", s+1, got.cells, want.cells)
-			}
-			if !slices.Equal(got.Gather().Data, want.Gather().Data) {
-				t.Fatalf("step %d: QCloud differs", s+1)
-			}
 		}
 	})
 }
@@ -139,10 +109,6 @@ func TestNewModelRejectsBadGenesis(t *testing.T) {
 		}
 		if _, err := RestoreModel(cfg, make([]float64, cfg.NX*cfg.NY), nil, 0, 0, 0); err == nil {
 			t.Errorf("%s: RestoreModel accepted the schedule", tc.name)
-		}
-		pg := geom.NewGrid(2, 2)
-		if _, err := NewParallelModel(cfg, pg, parallelWorld(t, pg.Size())); err == nil {
-			t.Errorf("%s: NewParallelModel accepted the schedule", tc.name)
 		}
 	}
 }

@@ -225,6 +225,16 @@ func fullHaloStep(q *field.Field, dist geom.BlockDist, cells []Cell, dt float64,
 	return q
 }
 
+func clampF(v, lo, hi float64) float64 {
+	if v < lo {
+		return lo
+	}
+	if v > hi {
+		return hi
+	}
+	return v
+}
+
 func sameSamples(t *testing.T, what string, got, want []float64) {
 	t.Helper()
 	for i := range want {
@@ -239,11 +249,11 @@ func sameSamples(t *testing.T, what string, got, want []float64) {
 // decompositions that are 1 wide, 1 tall, ragged, and exactly HaloWidth
 // wide, the plans of a decomposition mirror each other, stay inside ext,
 // and cover exactly the cells the kernel reads; and for every sign
-// combination a distributed nest (across two Redistributes and a restore)
-// and a distributed parent model stay on the trajectory of a full
-// 8-neighbour halo bit for bit, and of their serial counterparts to the
-// 1e-12 a block-decomposed advection has always been held to (the two
-// round a block-border sample differently in the last place).
+// combination a distributed nest — across Redistributes onto ragged
+// blocks, one row and the whole grid, and a restore — stays on the
+// trajectory of a full 8-neighbour halo bit for bit, and of the serial
+// nest to the 1e-12 a block-decomposed advection has always been held to
+// (the two round a block-border sample differently in the last place).
 func TestHaloPlanFollowsTheDecomposition(t *testing.T) {
 	pg := geom.NewGrid(8, 6)
 	t.Run("links", func(t *testing.T) {
@@ -332,50 +342,13 @@ func TestHaloPlanFollowsTheDecomposition(t *testing.T) {
 			// Same sub-rectangle, so the owner table steps them one dispatch each.
 			nests = append(nests, restored)
 			step(7)
-		}
-	})
-
-	t.Run("model", func(t *testing.T) {
-		for _, d := range signFlows {
-			cfg := DefaultConfig()
-			cfg.NX, cfg.NY = 96, 72
-			cfg.SpawnRate = 0
-			cfg.FlowU, cfg.FlowV = d[0]/cfg.Dt, d[1]/cfg.Dt
-			serial, err := NewModel(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pm, err := NewParallelModel(cfg, pg, parallelWorld(t, pg.Size()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, c := range testCells() {
-				if serial.InjectCell(c) != nil || pm.InjectCell(c) != nil {
-					t.Fatal("test cell refused")
+			for _, n := range nests { // every rank an owner
+				if _, err := n.Redistribute(w, pg.Bounds()); err != nil {
+					t.Fatal(err)
 				}
+				checkNestScratch(t, n, false)
 			}
-			ps := planSet{what: fmt.Sprintf("model under %v", d), pg: pg, dist: pm.dist, plans: map[int]*haloPlan{}}
-			for r, st := range pm.local {
-				ps.plans[r] = &st.halo
-			}
-			ps.check(t)
-			spec := field.AdvectSpec{
-				UX: cfg.FlowU * cfg.Dt, VY: cfg.FlowV * cfg.Dt,
-				OffX: HaloWidth, OffY: HaloWidth,
-				Decay: math.Exp(-cfg.Dt / cfg.DecayTau),
-			}
-			want := field.New(cfg.NX, cfg.NY)
-			for s := 0; s < 20; s++ {
-				serial.Step()
-				if err := pm.Step(); err != nil {
-					t.Fatalf("flow %v: %v", d, err)
-				}
-				want = fullHaloStep(want, pm.dist, pm.cells, cfg.Dt, 1, geom.Point{}, spec)
-			}
-			sameSamples(t, fmt.Sprintf("flow %v vs full halo", d), pm.Gather().Data, want.Data)
-			if diff := maxAbsDiff(want.Data, serial.QCloud().Data); diff > 1e-12 {
-				t.Fatalf("flow %v: parallel model deviates from serial by %g", d, diff)
-			}
+			step(7)
 		}
 	})
 }
@@ -409,8 +382,6 @@ func TestHaloPlanRejectsFlowBeyondTheHalo(t *testing.T) {
 		before := restored.Gather()
 
 		cfg.FlowU, cfg.FlowV = d[0]/cfg.Dt, d[1]/cfg.Dt
-		_, err = NewParallelModel(cfg, pg, parallelWorld(t, pg.Size()))
-		wantErr("NewParallelModel", err)
 		m, err := NewModel(cfg) // the serial model clamps inside one field: any flow is fine
 		if err != nil {
 			t.Fatal(err)
@@ -428,7 +399,15 @@ func TestHaloPlanRejectsFlowBeyondTheHalo(t *testing.T) {
 	cfg.NX, cfg.NY = 96, 72
 	cfg.SpawnRate = 0
 	cfg.FlowU, cfg.FlowV = 2/cfg.Dt, -1.9/cfg.Dt
-	if _, err := NewParallelModel(cfg, pg, parallelWorld(t, pg.Size())); err != nil {
+	m, err := NewModel(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := m.NewParallelNest(1, geom.NewRect(12, 10, 24, 20), pg, geom.NewRect(0, 0, 4, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := StepNests(parallelWorld(t, pg.Size()), cfg, m.Cells(), []*ParallelNest{n}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -291,9 +291,9 @@ type sourceStamps []field.GaussStamp
 // the parent with its (0, 0) sample at parent grid point origin. own is
 // the part of that grid the target field holds, in the grid's own
 // coordinates, the field's (0, 0) sample at own's north-west corner: the
-// whole grid for the serial model and nests, one rank's block for the
-// distributed ones. A grid refined ratio× takes ratio substeps per parent
-// step, and each deposits 1/ratio of the parent's per-step source.
+// whole grid, bar the one-block reference that tests check grid-wide
+// nest stamps against. A grid refined ratio× takes ratio substeps per
+// parent step, and each deposits 1/ratio of the parent's per-step source.
 func (s *sourceStamps) build(cells []Cell, dt float64, ratio int, origin geom.Point, own geom.Rect) {
 	st := (*s)[:0]
 	r := float64(ratio)

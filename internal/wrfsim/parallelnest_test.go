@@ -5,7 +5,35 @@ import (
 	"testing"
 
 	"nestdiff/internal/geom"
+	"nestdiff/internal/mpi"
+	"nestdiff/internal/topology"
 )
+
+// parallelWorld is a world of n ranks on a torus, closed when the test
+// ends.
+func parallelWorld(t testing.TB, n int) *mpi.World {
+	t.Helper()
+	px, py := geom.NearSquareFactors(n)
+	g := geom.NewGrid(px, py)
+	net, err := topology.NewTorus3D(g, topology.TorusDimsFor(n), topology.DefaultTorusParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := mpi.NewWorld(n, mpi.Config{Net: net})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(w.Close)
+	return w
+}
+
+func testCells() []Cell {
+	return []Cell{
+		{X: 20, Y: 18, Radius: 5, Peak: 2.5, Life: 14400},
+		{X: 70, Y: 50, VX: -1.5e-3, VY: 3e-4, Radius: 4, Peak: 2.0, Life: 10800},
+		{X: 45, Y: 30, Radius: 3, Peak: 1.2, Life: 7200},
+	}
+}
 
 // setupNestPair builds a serial nest and a distributed nest over the same
 // region of the same model state.
@@ -63,6 +91,7 @@ func TestParallelNestMatchesSerial(t *testing.T) {
 		geom.NewRect(0, 0, 1, 1), // single rank
 		geom.NewRect(0, 0, 4, 3),
 		geom.NewRect(2, 1, 5, 4), // offset sub-grid
+		geom.NewRect(0, 0, 8, 6), // the whole grid
 	} {
 		m, serial, par, pg := setupNestPair(t, procs)
 		w := parallelWorld(t, pg.Size())

@@ -158,8 +158,6 @@ func TestRedistributeChainMatchesRestore(t *testing.T) {
 	a, b, c := geom.NewRect(0, 0, 4, 3), geom.NewRect(2, 1, 5, 4), geom.NewRect(1, 1, 7, 5)
 	m, _, par, pg := setupNestPair(t, a)
 	w, wTwin := parallelWorld(t, pg.Size()), parallelWorld(t, pg.Size())
-	defer w.Close()
-	defer wTwin.Close()
 	step := func(w *mpi.World, n *ParallelNest) {
 		t.Helper()
 		if err := StepNests(w, m.Config(), m.Cells(), []*ParallelNest{n}); err != nil {
@@ -200,7 +198,6 @@ func TestReleasedShareOnAnotherGridReplans(t *testing.T) {
 	procs := geom.NewRect(0, 0, 4, 3)
 	m, _, old, pg := setupNestPair(t, procs)
 	w := parallelWorld(t, pg.Size())
-	defer w.Close()
 	m.Step()
 	if err := old.Step(w, m.Config(), m.Cells()); err != nil {
 		t.Fatal(err)
@@ -220,7 +217,6 @@ func TestReleasedShareOnAnotherGridReplans(t *testing.T) {
 		t.Fatal(err)
 	}
 	wOther := parallelWorld(t, other.Size())
-	defer wOther.Close()
 	wOther.SetFaults(faults.NewPlan(1).WithRecvTimeout(time.Second))
 	for i := 0; i < 4; i++ {
 		m.Step()

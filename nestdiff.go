@@ -78,9 +78,6 @@ type (
 	Cell = wrfsim.Cell
 	// Split is one rank's split-file output.
 	Split = wrfsim.Split
-	// ParallelWeatherModel is the distributed (block-decomposed,
-	// halo-exchanging) parent simulation, bit-equivalent to WeatherModel.
-	ParallelWeatherModel = wrfsim.ParallelModel
 )
 
 // DefaultWeatherConfig returns the laptop-scale Indian-region
@@ -203,17 +200,6 @@ func (s *System) RedistributeField(tr Transfer, src *Field) (*Field, float64, er
 	}
 	defer w.Close()
 	return core.RedistributeField(w, s.Grid, tr, src)
-}
-
-// NewParallelWeatherModel builds the distributed parent simulation over
-// the system's process grid and network — one MPI rank per processor,
-// halo exchange each step, split files straight from rank-local state.
-func (s *System) NewParallelWeatherModel(cfg WeatherConfig) (*ParallelWeatherModel, error) {
-	w, err := mpi.NewWorld(s.Grid.Size(), mpi.Config{Net: s.Net})
-	if err != nil {
-		return nil, err
-	}
-	return wrfsim.NewParallelModel(cfg, s.Grid, w)
 }
 
 // AnalyzeSplitsParallel runs the fully parallel analysis pipeline (local

@@ -183,39 +183,6 @@ func TestFacadeRedistributeField(t *testing.T) {
 	}
 }
 
-func TestFacadeParallelWeatherModel(t *testing.T) {
-	sys, err := NewTorusSystem(12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultWeatherConfig()
-	cfg.NX, cfg.NY = 48, 36
-	cfg.SpawnRate = 0
-	pm, err := sys.NewParallelWeatherModel(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := pm.InjectCell(Cell{X: 24, Y: 18, Radius: 4, Peak: 2, Life: 7200}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		if err := pm.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	splits := pm.Splits()
-	if len(splits) != 12 {
-		t.Fatalf("splits = %d", len(splits))
-	}
-	rects, _, err := AnalyzeSplitsParallel(splits, sys.Grid, 4, DefaultPDAOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rects) == 0 {
-		t.Fatal("distributed model's splits detected nothing")
-	}
-}
-
 // TestFacadeCheckpointRoundTrips: a serial pipeline saved with
 // Pipeline.SaveState and brought back by System.RestorePipeline ends with
 // the events and parent field of the uninterrupted run.
