@@ -24,13 +24,16 @@ type Key struct {
 
 // Cache is an LRU of encoded tile blobs with byte-budget eviction and
 // singleflight fill: concurrent misses on one key encode the tile exactly
-// once. One mutex guards the maps and the list; fills run unlocked. All
-// methods are safe for concurrent use and safe on a nil *Cache (fills run
-// uncached), so a disabled cache costs one pointer check.
+// once. Entries are indexed per job, so dropping one job's entries
+// touches only those. One mutex guards the maps and the list; fills run
+// unlocked. All methods are safe for concurrent use and safe on a nil
+// *Cache (fills run uncached), so a disabled cache costs one pointer
+// check.
 type Cache struct {
 	mu       sync.Mutex
 	ll       *list.List // front = most recently used
 	items    map[Key]*list.Element
+	jobs     map[string]map[Key]struct{} // the keys of items, by Key.Job
 	inflight map[Key]*call
 	budget   int64
 
@@ -61,6 +64,7 @@ func NewCache(budgetBytes int64) *Cache {
 	return &Cache{
 		ll:       list.New(),
 		items:    make(map[Key]*list.Element),
+		jobs:     make(map[string]map[Key]struct{}),
 		inflight: make(map[Key]*call),
 		budget:   budgetBytes,
 	}
@@ -117,6 +121,12 @@ func (c *Cache) insertLocked(key Key, blob []byte) {
 		return
 	}
 	c.items[key] = c.ll.PushFront(&entry{key: key, blob: blob})
+	keys := c.jobs[key.Job]
+	if keys == nil {
+		keys = make(map[Key]struct{})
+		c.jobs[key.Job] = keys
+	}
+	keys[key] = struct{}{}
 	c.bytes.Add(int64(len(blob)))
 	for c.bytes.Load() > c.budget && c.ll.Len() > 1 {
 		c.evictLocked(c.ll.Back())
@@ -127,25 +137,28 @@ func (c *Cache) evictLocked(el *list.Element) {
 	e := el.Value.(*entry)
 	c.ll.Remove(el)
 	delete(c.items, e.key)
+	keys := c.jobs[e.key.Job]
+	delete(keys, e.key)
+	if len(keys) == 0 {
+		delete(c.jobs, e.key.Job)
+	}
 	c.bytes.Add(-int64(len(e.blob)))
 	c.evictions.Add(1)
 }
 
-// InvalidateJob drops every cached tile of one job — called after a
-// resize or restore so the stale grid's bytes are reclaimed immediately
-// (the epoch in the key already guarantees they could never be served).
+// InvalidateJob drops every cached tile of one job, touching only that
+// job's entries. It is called after a resize or restore, so the stale
+// grid's bytes are reclaimed immediately (the epoch in the key already
+// guarantees they could never be served), and whenever the job publishes
+// a fresh snapshot, since older steps are no longer servable.
 func (c *Cache) InvalidateJob(job string) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for el := c.ll.Front(); el != nil; {
-		next := el.Next()
-		if el.Value.(*entry).key.Job == job {
-			c.evictLocked(el)
-		}
-		el = next
+	for key := range c.jobs[job] {
+		c.evictLocked(c.items[key])
 	}
 }
 

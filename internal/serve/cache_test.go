@@ -104,6 +104,44 @@ func TestCacheInvalidateJob(t *testing.T) {
 	if fills != 10 {
 		t.Fatalf("refills = %d, want exactly the 10 invalidated keys", fills)
 	}
+
+	// A fresh snapshot drops the job's older steps: invalidation leaves the
+	// other job's bytes exact, a rolled-back step caches again, and a job
+	// with no entries left keeps no index behind.
+	c.InvalidateJob("a")
+	if got, want := c.Stats().Bytes, int64(4*10); got != want {
+		t.Fatalf("after invalidating a: %d bytes, want %d (all of b)", got, want)
+	}
+	if _, ok := c.jobs["a"]; ok {
+		t.Fatal("an invalidated job left its index entry behind")
+	}
+	fills = 0
+	for i := 0; i < 2; i++ {
+		c.GetOrFill(Key{Job: "a", Var: "v", Step: 0}, func() ([]byte, error) {
+			fills++
+			return []byte("xxxx"), nil
+		})
+	}
+	if fills != 1 {
+		t.Fatalf("a step-0 fill after invalidation ran %d times, want 1 (cached)", fills)
+	}
+	c.InvalidateJob("a")
+	c.InvalidateJob("a")
+	c.InvalidateJob("b")
+	if st := c.Stats(); st.Bytes != 0 || len(c.jobs) != 0 || len(c.items) != 0 || c.ll.Len() != 0 {
+		t.Fatalf("after invalidating every job: %d bytes, %d indexed jobs, %d items, %d entries", st.Bytes, len(c.jobs), len(c.items), c.ll.Len())
+	}
+}
+
+func TestCacheEvictionDropsEmptyJobIndex(t *testing.T) {
+	c := NewCache(8)
+	c.GetOrFill(Key{Job: "a"}, func() ([]byte, error) { return []byte("xxxx"), nil })
+	for i := 0; i < 2; i++ {
+		c.GetOrFill(Key{Job: "b", Step: i}, func() ([]byte, error) { return []byte("xxxx"), nil })
+	}
+	if _, ok := c.jobs["a"]; ok || len(c.jobs["b"]) != 2 {
+		t.Fatalf("after budget eviction the index holds %v, want only b's 2 keys", c.jobs)
+	}
 }
 
 func TestCacheNilSafe(t *testing.T) {

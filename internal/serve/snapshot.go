@@ -51,20 +51,35 @@ func (s *Snapshot) VarNames() []string {
 // an immutable Snapshot via the fill callback — field pointer copies
 // resolved into private buffers on the worker's side of the step
 // boundary, so the copy can never race the pipeline's own double-buffer
-// swaps, resizes or restores — and wakes every waiter.
+// swaps, resizes or restores — and wakes every waiter. A worker parked
+// between steps (a throttled job) selects on Demanded and publishes the
+// boundary it is parked at, so the read need not wait for the next step.
 type Publisher struct {
-	mu     sync.Mutex
-	notify chan struct{} // closed and replaced on every state change
-	step   int           // latest completed step the worker reported
-	epoch  int64         // invalidation epoch (resize/restore bumps)
-	demand bool          // a reader wants a snapshot at the next boundary
-	idle   bool          // worker parked or terminal: no future boundaries
-	cur    *Snapshot
+	mu       sync.Mutex
+	notify   chan struct{} // closed and replaced on every state change
+	demanded chan struct{} // one token while demand is set
+	step     int           // latest completed step the worker reported
+	epoch    int64         // invalidation epoch (resize/restore bumps)
+	demand   bool          // a reader wants a snapshot at the next boundary
+	idle     bool          // worker parked or terminal: no future boundaries
+	cur      *Snapshot
 }
 
 // NewPublisher returns a publisher that copies only on reader demand.
 func NewPublisher() *Publisher {
-	return &Publisher{notify: make(chan struct{})}
+	return &Publisher{notify: make(chan struct{}), demanded: make(chan struct{}, 1)}
+}
+
+// Demanded delivers a token when a reader demands a snapshot the worker
+// has not yet materialized. Only a worker parked at a completed boundary
+// may answer it, by calling Publish for that boundary; a worker mid-step
+// leaves the token for the boundary that ends the step. Nil on a nil
+// publisher, so a select on it never fires.
+func (p *Publisher) Demanded() <-chan struct{} {
+	if p == nil {
+		return nil
+	}
+	return p.demanded
 }
 
 // wakeLocked signals every waiter that publisher state changed. Callers
@@ -76,23 +91,50 @@ func (p *Publisher) wakeLocked() {
 
 // Publish is the worker's step-boundary hook: it records that step
 // completed and, if a reader demanded state, materializes a fresh
-// snapshot from fill. fill runs under the
-// publisher lock on the worker goroutine, so it may read live pipeline
-// state that only that goroutine mutates.
-func (p *Publisher) Publish(step int, fill func() map[string]*field.Field) {
+// snapshot from fill and returns it (nil when nothing was materialized).
+// fill runs under the publisher lock on the worker goroutine, so it may
+// read live pipeline state that only that goroutine mutates.
+func (p *Publisher) Publish(step int, fill func() map[string]*field.Field) *Snapshot {
 	if p == nil {
-		return
+		return nil
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	return p.publishLocked(step, fill)
+}
+
+// PublishIfStale is the worker's last publish before the attempt goes
+// idle at a boundary (park, drain, deadline, done): when a snapshot was
+// ever materialized and it is no longer of step, it materializes step
+// even without a waiting reader, so readers of the paused or finished job
+// see the boundary it stopped at rather than whatever step they last
+// demanded. A job nobody read stays copy-free.
+func (p *Publisher) PublishIfStale(step int, fill func() map[string]*field.Field) *Snapshot {
+	if p == nil {
+		return nil
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.cur != nil && (p.cur.Step != step || p.cur.Epoch != p.epoch) {
+		p.demand = true
+	}
+	return p.publishLocked(step, fill)
+}
+
+func (p *Publisher) publishLocked(step int, fill func() map[string]*field.Field) *Snapshot {
 	p.step = step
 	p.idle = false
 	if !p.demand {
-		return
+		return nil
 	}
 	p.demand = false
+	select {
+	case <-p.demanded:
+	default:
+	}
 	p.cur = &Snapshot{Step: step, Epoch: p.epoch, Vars: fill()}
 	p.wakeLocked()
+	return p.cur
 }
 
 // BumpEpoch advances the invalidation epoch — the worker calls it after
@@ -135,10 +177,12 @@ func (p *Publisher) SetIdle(idle bool) {
 // Acquire returns a snapshot of the job's latest completed step: the
 // current one if it is already fresh (same step and epoch), otherwise it
 // demands materialization and waits — bounded by maxWait — for the
-// worker's next step boundary. When the worker is idle or the wait times
-// out, the last published snapshot is returned (readers of a paused or
-// finished job see its final state); ErrNoSnapshot means nothing was
-// ever published.
+// worker to publish. A worker parked between steps answers at once with
+// the boundary it is parked at; a stepping worker answers at the boundary
+// that ends its step. When the worker is idle or the wait times out, the
+// last published snapshot is returned: the worker publishes the boundary
+// it stops at before going idle, so readers of a paused or finished job
+// see its final state. ErrNoSnapshot means nothing was ever published.
 func (p *Publisher) Acquire(maxWait time.Duration) (*Snapshot, error) {
 	if p == nil {
 		return nil, ErrNoSnapshot
@@ -160,6 +204,10 @@ func (p *Publisher) Acquire(maxWait time.Duration) (*Snapshot, error) {
 			return nil, ErrNoSnapshot
 		}
 		p.demand = true
+		select {
+		case p.demanded <- struct{}{}:
+		default:
+		}
 		ch := p.notify
 		p.mu.Unlock()
 		select {

@@ -178,3 +178,81 @@ func TestPublisherNilSafe(t *testing.T) {
 		t.Fatal("nil publisher leaked state")
 	}
 }
+
+// TestPublisherDemandedSignal checks the parked worker's wake-up: a token
+// arrives only while a reader's demand is unmet, and the publish that
+// answers the demand consumes it.
+func TestPublisherDemandedSignal(t *testing.T) {
+	p := NewPublisher()
+	p.Publish(1, fillConst(1))
+	select {
+	case <-p.Demanded():
+		t.Fatal("demand token with no reader")
+	default:
+	}
+	done := make(chan *Snapshot, 1)
+	go func() {
+		snap, err := p.Acquire(5 * time.Second)
+		if err != nil {
+			t.Error(err)
+		}
+		done <- snap
+	}()
+	select {
+	case <-p.Demanded():
+	case <-time.After(5 * time.Second):
+		t.Fatal("a waiting reader sent no demand token")
+	}
+	// The parked worker answers with the boundary it sits at.
+	if snap := p.Publish(1, fillConst(1)); snap == nil || snap.Step != 1 {
+		t.Fatalf("demanded publish returned %v, want the step-1 snapshot", snap)
+	}
+	if snap := <-done; snap == nil || snap.Step != 1 {
+		t.Fatalf("reader got %v, want the parked step 1", snap)
+	}
+	// A fresh snapshot needs no demand.
+	if _, err := p.Acquire(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-p.Demanded():
+		t.Fatal("demand token left behind by a fresh read")
+	default:
+	}
+	if p.Demanded() == nil || (*Publisher)(nil).Demanded() != nil {
+		t.Fatal("Demanded: want a channel, and nil on a nil publisher")
+	}
+}
+
+// TestPublisherPublishIfStale checks the going-idle publish: copy-free for
+// a job nobody read, a fresh materialization when a reader's snapshot has
+// fallen behind, and nothing when it is already current.
+func TestPublisherPublishIfStale(t *testing.T) {
+	p := NewPublisher()
+	p.Publish(3, fillConst(3))
+	if snap := p.PublishIfStale(3, fillConst(3)); snap != nil {
+		t.Fatal("materialized a snapshot nobody ever read")
+	}
+	go func() {
+		time.Sleep(2 * time.Millisecond)
+		p.Publish(4, fillConst(4))
+	}()
+	if snap, err := p.Acquire(5 * time.Second); err != nil || snap.Step != 4 {
+		t.Fatalf("Acquire: %v %v", snap, err)
+	}
+	p.Publish(9, fillConst(9))
+	snap := p.PublishIfStale(9, fillConst(9))
+	if snap == nil || snap.Step != 9 || snap.Vars["qcloud"].At(0, 0) != 9 {
+		t.Fatalf("stale publish returned %v, want the step-9 snapshot", snap)
+	}
+	if again := p.PublishIfStale(9, fillConst(9)); again != nil {
+		t.Fatal("re-materialized a current snapshot")
+	}
+	p.SetIdle(true)
+	if got, err := p.Acquire(time.Millisecond); err != nil || got != snap {
+		t.Fatalf("idle read got %v, %v; want the step-9 snapshot", got, err)
+	}
+	if (*Publisher)(nil).PublishIfStale(1, nil) != nil {
+		t.Fatal("nil publisher materialized")
+	}
+}

@@ -804,7 +804,8 @@ func (s *Scheduler) runJob(j *Job) {
 	// boundary; when the attempt ends — for any reason, including a panic —
 	// the publisher goes idle so field readers get the last snapshot (or a
 	// clean miss) instead of waiting out their timeout.
-	r.pipe.SetSnapshotSink(&jobSink{j: j})
+	sink := &jobSink{j: j, tiles: s.tiles}
+	r.pipe.SetSnapshotSink(sink)
 	j.pub.SetIdle(false)
 	defer j.pub.SetIdle(true)
 	if len(checkpoint) > 0 {
@@ -834,6 +835,7 @@ func (s *Scheduler) runJob(j *Job) {
 		}
 		switch to, fx, _ := s.settle(j, ev, nil); {
 		case fx.park:
+			sink.publishIfStale(r.pipe)
 			s.park(j, r)
 			return
 		case to != StateRunning:
@@ -843,6 +845,7 @@ func (s *Scheduler) runJob(j *Job) {
 			s.resizeRun(j, r, &cfg, procs)
 		}
 		if deadline > 0 && time.Since(started) > deadline {
+			sink.publishIfStale(r.pipe)
 			s.settle(j, evDeadline, fmt.Errorf("%w (%s over %d steps, %d done)",
 				ErrDeadlineExceeded, deadline, cfg.Steps, r.pipe.StepCount()))
 			return
@@ -877,13 +880,10 @@ func (s *Scheduler) runJob(j *Job) {
 			s.autoCheckpoint(j, r)
 		}
 		if delay > 0 {
-			sleepStart := time.Now()
-			time.Sleep(delay)
-			if tr != nil {
-				tr.EmitPhase(r.pipe.StepCount(), "sleep", time.Since(sleepStart))
-			}
+			sink.wait(r.pipe, delay, tr)
 		}
 	}
+	sink.publishIfStale(r.pipe)
 	s.settle(j, evDone, nil)
 }
 

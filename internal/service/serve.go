@@ -18,8 +18,9 @@ import (
 var errStaleStep = errors.New("service: requested step is not the latest snapshot")
 
 // fieldAcquireWait bounds how long a field read waits for the running
-// job's next step boundary before settling for the last published
-// snapshot (or 404 when none exists yet).
+// job to publish — at once when its worker is parked between steps, at
+// the end of the current step otherwise — before settling for the last
+// published snapshot (or 404 when none exists yet).
 const fieldAcquireWait = 5 * time.Second
 
 // exportFreshWait bounds how long a checkpoint export waits for the
@@ -31,15 +32,60 @@ const exportFreshWait = 2 * time.Second
 // jobSink adapts a job's snapshot publisher to the pipeline's
 // step-boundary hook: with no waiting reader it is an integer store;
 // with one, it materializes the copy-on-write snapshot on the worker's
-// side of the boundary.
+// side of the boundary and drops the job's older tiles from tiles (nil:
+// no cache).
 type jobSink struct {
-	j *Job
+	j     *Job
+	tiles *serve.Cache
 }
 
 func (k *jobSink) PublishStep(p *core.Pipeline) {
-	k.j.publisher().Publish(p.StepCount(), func() map[string]*field.Field {
+	k.retire(k.j.publisher().Publish(p.StepCount(), func() map[string]*field.Field {
 		return materializeVars(p)
-	})
+	}))
+}
+
+// publishIfStale publishes the boundary the attempt is about to go idle
+// at, if a reader ever saw an older one (see Publisher.PublishIfStale).
+func (k *jobSink) publishIfStale(p *core.Pipeline) {
+	k.retire(k.j.publisher().PublishIfStale(p.StepCount(), func() map[string]*field.Field {
+		return materializeVars(p)
+	}))
+}
+
+// retire drops the job's cached tiles once a fresh snapshot is
+// materialized: steps only rise within an epoch and every restore bumps
+// it, so each cached entry belongs to an older, no longer servable step.
+func (k *jobSink) retire(snap *serve.Snapshot) {
+	if snap != nil {
+		k.tiles.InvalidateJob(k.j.ID)
+	}
+}
+
+// wait parks the worker between steps of a throttled job for delay, and
+// answers any read demanded meanwhile by publishing the boundary it is
+// parked at — a read no longer waits out the delay for the next step.
+// Only the calling worker goroutine touches the pipeline. With a tracer,
+// the time spent materializing is the "publish" phase and "sleep" covers
+// only the time asleep.
+func (k *jobSink) wait(p *core.Pipeline, delay time.Duration, tr *obs.Tracer) {
+	start := time.Now()
+	timer := time.NewTimer(delay)
+	defer timer.Stop()
+	var published time.Duration
+	for {
+		select {
+		case <-timer.C:
+			tr.EmitPhase(p.StepCount(), "sleep", time.Since(start)-published)
+			return
+		case <-k.j.publisher().Demanded():
+			t0 := time.Now()
+			k.PublishStep(p)
+			d := time.Since(t0)
+			published += d
+			tr.EmitPhase(p.StepCount(), "publish", d)
+		}
+	}
 }
 
 // materializeVars copies the pipeline's readable field state into
@@ -67,8 +113,11 @@ func (s *Scheduler) TileCache() *serve.Cache { return s.tiles }
 
 // ReadField serves GET /jobs/{id}/field: it acquires the job's latest
 // step-boundary snapshot (demanding one from the running worker when
-// stale) and assembles the quantized tile response for the requested
-// var and rect through the shared tile cache.
+// stale: a throttled worker parked between steps publishes the boundary
+// it is parked at, a stepping one the boundary that ends its step) and
+// assembles the quantized tile response for the requested var and rect
+// through the shared tile cache, from which each fresh snapshot drops
+// the job's older steps.
 //
 // varName defaults to "qcloud"; rectStr is "x0,y0,w,h" (empty: full
 // domain); stepStr, when set, must name the latest snapshot's step —

@@ -15,14 +15,33 @@ import (
 	"testing"
 	"time"
 
+	"nestdiff/internal/obs"
 	"nestdiff/internal/serve"
 )
+
+// phaseCount is how many times a tracer timed the named phase.
+func phaseCount(tr *obs.Tracer, name string) int64 {
+	for _, ps := range tr.Summaries() {
+		if ps.Kind == obs.KindPhase && ps.Name == name {
+			return ps.Count
+		}
+	}
+	return 0
+}
 
 // TestServeGoldenSnapshotEquivalence is the golden test of the serving
 // tier's zero-interference claim: a run hammered by concurrent snapshot
 // readers for its whole duration produces bit-identical final fields and
 // identical adaptation events to a run with no serving attached at all.
+// The throttled case parks the served run between steps the way runJob
+// does, so reads are also answered by materializations inside the wait
+// (and drop the tile cache's older steps).
 func TestServeGoldenSnapshotEquivalence(t *testing.T) {
+	t.Run("unthrottled", func(t *testing.T) { goldenSnapshotEquivalence(t, 0) })
+	t.Run("throttled", func(t *testing.T) { goldenSnapshotEquivalence(t, 2*time.Millisecond) })
+}
+
+func goldenSnapshotEquivalence(t *testing.T, delay time.Duration) {
 	cfg := smallJob(60).withDefaults()
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
@@ -36,8 +55,14 @@ func TestServeGoldenSnapshotEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	j := &Job{ID: "golden", Cfg: cfg, state: StateRunning, pub: serve.NewPublisher()}
-	served.pipe.SetSnapshotSink(&jobSink{j: j})
+	sink := &jobSink{j: j}
+	served.pipe.SetSnapshotSink(sink)
 	cache := serve.NewCache(1 << 22)
+	var tr *obs.Tracer
+	if delay > 0 {
+		sink.tiles = cache
+		tr = obs.New(obs.Options{})
+	}
 
 	stop := make(chan struct{})
 	var readers sync.WaitGroup
@@ -70,9 +95,15 @@ func TestServeGoldenSnapshotEquivalence(t *testing.T) {
 		if err := served.pipe.Step(); err != nil {
 			t.Fatal(err)
 		}
+		if delay > 0 {
+			sink.wait(served.pipe, delay, tr)
+		}
 	}
 	close(stop)
 	readers.Wait()
+	if delay > 0 && phaseCount(tr, "publish") == 0 {
+		t.Fatal("no read was answered inside the inter-step wait")
+	}
 
 	if served.pipe.StepCount() != plain.pipe.StepCount() {
 		t.Fatalf("step counts diverged: %d vs %d", served.pipe.StepCount(), plain.pipe.StepCount())
@@ -142,6 +173,132 @@ func TestServeReadFieldRunningJob(t *testing.T) {
 		}
 	} else if after := s.TileCache().Stats(); after.Hits <= before.Hits {
 		t.Fatalf("rect re-read hit nothing: %+v -> %+v", before, after)
+	}
+	if err := s.Cancel(snap.ID); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestServeThrottledReadServedAtParkedBoundary reads a job throttled to
+// one step per 2 s right after each new step: the worker, parked between
+// steps, publishes the boundary it sits at, so the read returns at once
+// with the step Get reported instead of waiting out the delay.
+func TestServeThrottledReadServedAtParkedBoundary(t *testing.T) {
+	s := NewScheduler(SchedulerConfig{Workers: 1})
+	defer s.Shutdown(context.Background())
+	cfg := smallJob(5000)
+	cfg.StepDelayMS = 2000
+	snap, err := s.Submit(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := 0
+	// The first read finds no snapshot at all; the second finds a stale one.
+	for i := 0; i < 2; i++ {
+		at := waitFor(t, s, snap.ID, "a new step", func(sn Snapshot) bool { return sn.Step > last }).Step
+		start := time.Now()
+		body, err := s.ReadField(snap.ID, "", "", "")
+		elapsed := time.Since(start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := serve.DecodeResponse(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if elapsed >= 500*time.Millisecond {
+			t.Fatalf("read %d took %s: it waited for the next step instead of the parked one", i, elapsed)
+		}
+		if resp.Step != at {
+			t.Fatalf("read %d returned step %d, want the parked step %d", i, resp.Step, at)
+		}
+		last = at
+	}
+	if err := s.Cancel(snap.ID); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestServeReadAfterPauseSeesPausedStep reads a job once, lets it run on,
+// pauses it, and reads again: the paused job serves the step it parked
+// at, not the older step the first read materialized.
+func TestServeReadAfterPauseSeesPausedStep(t *testing.T) {
+	s := NewScheduler(SchedulerConfig{Workers: 1})
+	defer s.Shutdown(context.Background())
+	cfg := smallJob(5000)
+	cfg.StepDelayMS = 5
+	snap, err := s.Submit(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, s, snap.ID, "running", func(sn Snapshot) bool { return sn.State == StateRunning && sn.Step > 0 })
+	read := func() int {
+		t.Helper()
+		body, err := s.ReadField(snap.ID, "", "", "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := serve.DecodeResponse(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.Step
+	}
+	first := read()
+	waitFor(t, s, snap.ID, "steps past the read", func(sn Snapshot) bool { return sn.Step > first+3 })
+	if err := s.Pause(snap.ID); err != nil {
+		t.Fatal(err)
+	}
+	paused := waitFor(t, s, snap.ID, "paused", func(sn Snapshot) bool { return sn.State == StatePaused })
+	if got := read(); got != paused.Step {
+		t.Fatalf("paused job read returned step %d (first read %d), want the paused step %d", got, first, paused.Step)
+	}
+}
+
+// TestServeTileCacheKeepsOneStepOfThrottledJob reads a throttled job at
+// 50 successive steps: each published step drops the older steps'
+// tiles, so the cache ends holding exactly one step's entries.
+func TestServeTileCacheKeepsOneStepOfThrottledJob(t *testing.T) {
+	s := NewScheduler(SchedulerConfig{Workers: 1})
+	defer s.Shutdown(context.Background())
+	cfg := smallJob(5000)
+	cfg.StepDelayMS = 10
+	snap, err := s.Submit(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := 0
+	for i := 0; i < 50; i++ {
+		waitFor(t, s, snap.ID, "a new step", func(sn Snapshot) bool { return sn.Step > last })
+		body, err := s.ReadField(snap.ID, "", "", "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := serve.DecodeResponse(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Step <= last {
+			t.Fatalf("read %d returned step %d, not past %d", i, resp.Step, last)
+		}
+		last = resp.Step
+	}
+	got := s.TileCache().Stats().Bytes
+	// No read since the last one: the job published nothing more.
+	j, err := s.lookup(snap.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur := j.publisher().Current()
+	if cur == nil || cur.Step != last {
+		t.Fatalf("current snapshot %v, want step %d", cur, last)
+	}
+	one := serve.NewCache(0)
+	if _, err := serve.BuildResponse(one, snap.ID, "qcloud", cur, cur.Vars["qcloud"].Bounds()); err != nil {
+		t.Fatal(err)
+	}
+	if want := one.Stats().Bytes; got != want {
+		t.Fatalf("tile cache holds %d bytes after 50 stepped reads, want one step's %d", got, want)
 	}
 	if err := s.Cancel(snap.ID); err != nil {
 		t.Fatal(err)

@@ -51,7 +51,9 @@ type Timeline struct {
 	Enabled    bool     `json:"enabled"`
 	// TotalNS sums the wall time of completed run attempts; PhaseNS sums
 	// the durations of the leaf phases (build, model, nests, pda, realloc,
-	// reconcile, observe, checkpoint, sleep). Phases are non-overlapping,
+	// reconcile, observe, checkpoint, publish, sleep). publish is a read
+	// answered while a throttled job waits between steps; sleep is the
+	// rest of that wait. Phases are non-overlapping,
 	// so for a finished job the two agree to within the instrumentation
 	// gaps between phases.
 	TotalNS int64 `json:"total_ns"`

@@ -280,3 +280,75 @@ func TestMetricsExposeQueueAndHistogramSeries(t *testing.T) {
 		}
 	}
 }
+
+// TestServeTracedWaitSplitsPublishFromSleep reads a traced throttled job
+// while it waits between steps: each read answered in the wait is its own
+// "publish" phase, and "sleep" covers only the time asleep — per wait,
+// sleep plus its publishes fit between the event that precedes the wait
+// and the sleep event's own emission, which double counting would exceed.
+func TestServeTracedWaitSplitsPublishFromSleep(t *testing.T) {
+	s := NewScheduler(SchedulerConfig{Workers: 1})
+	defer shutdownNow(t, s)
+	cfg := tracedJob(12, 0)
+	cfg.StepDelayMS = 30
+	snap, err := s.Submit(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, s, snap.ID, "running", func(sn Snapshot) bool { return sn.Step > 0 })
+	for {
+		if _, err := s.ReadField(snap.ID, "", "", ""); err != nil {
+			t.Fatal(err)
+		}
+		if sn, err := s.Get(snap.ID); err != nil || sn.State.Terminal() {
+			break
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	waitFor(t, s, snap.ID, "done", func(sn Snapshot) bool { return sn.State == StateDone })
+
+	tl, err := s.JobTimeline(snap.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := map[string]int64{}
+	for _, p := range tl.Phases {
+		counts[p.Name] = p.Count
+	}
+	if counts["sleep"] != int64(cfg.Steps) {
+		t.Fatalf("%d sleep phases, want one per step (%d)", counts["sleep"], cfg.Steps)
+	}
+	if counts["publish"] == 0 {
+		t.Fatalf("no publish phase although the job was read during its waits (phases %v)", counts)
+	}
+
+	tr, err := s.JobTrace(snap.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitStart := -1 // index of the first event of the current wait
+	for i, e := range tr.Events {
+		if e.Kind != obs.KindPhase || (e.Phase != "publish" && e.Phase != "sleep") {
+			waitStart = -1
+			continue
+		}
+		if waitStart < 0 {
+			waitStart = i
+		}
+		if e.Phase != "sleep" {
+			continue
+		}
+		if waitStart == 0 {
+			t.Fatal("a wait opens the trace: nothing precedes it")
+		}
+		var accounted int64
+		for _, w := range tr.Events[waitStart : i+1] {
+			accounted += w.DurNS
+		}
+		if bound := e.T.Sub(tr.Events[waitStart-1].T).Nanoseconds(); accounted > bound {
+			t.Fatalf("step %d: sleep %d ns + publish %d ns exceed the %d ns the wait can have lasted",
+				e.Step, e.DurNS, accounted-e.DurNS, bound)
+		}
+		waitStart = -1
+	}
+}
