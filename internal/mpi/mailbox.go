@@ -174,6 +174,44 @@ func (b *mailbox) get(from, tag int, dst []float64, timeout time.Duration) ([]fl
 	}
 }
 
+// await blocks until seq reaches want, published by rank from, on the
+// same signal and with the same publish-then-recheck protocol as get: the
+// waiter publishes the peer it waits on and re-reads the counter before
+// parking, while the peer raises the counter and then checks the flag
+// (Rank.Notify). It reports false when a positive timeout expires first.
+func (b *mailbox) await(from int, seq *atomic.Int64, want int64, timeout time.Duration) bool {
+	var expired <-chan time.Time
+	if timeout > 0 {
+		t := time.NewTimer(timeout)
+		defer t.Stop()
+		expired = t.C
+	}
+	for {
+		if b.poisoned.Load() {
+			panic(panicPoisoned)
+		}
+		if seq.Load() >= want {
+			return true
+		}
+		b.waiting.Store(int32(from) + 1)
+		if seq.Load() >= want {
+			b.waiting.Store(0)
+			return true
+		}
+		if expired == nil {
+			<-b.signal
+		} else {
+			select {
+			case <-b.signal:
+			case <-expired:
+				b.waiting.Store(0)
+				return seq.Load() >= want
+			}
+		}
+		b.waiting.Store(0)
+	}
+}
+
 // poison permanently breaks the mailbox: a consumer parked now, or parking
 // later, wakes on the buffered token and panics with panicPoisoned.
 func (b *mailbox) poison() {

@@ -108,6 +108,11 @@ func NewWorld(n int, cfg Config) (*World, error) {
 // Size returns the number of ranks.
 func (w *World) Size() int { return w.n }
 
+// Clock returns rank id's virtual time at the end of the last dispatch that
+// ran it (zero before its first). Call it between dispatches, not while
+// ranks are executing.
+func (w *World) Clock(id int) float64 { return w.ranks[id].clock }
+
 // SetFaults installs (or, with nil, removes) a fault-injection plan.
 // Call it between Run invocations, not while ranks are executing.
 func (w *World) SetFaults(p *faults.Plan) { w.faults.Store(p) }

@@ -804,7 +804,7 @@ func (s *Scheduler) runJob(j *Job) {
 	// boundary; when the attempt ends — for any reason, including a panic —
 	// the publisher goes idle so field readers get the last snapshot (or a
 	// clean miss) instead of waiting out their timeout.
-	sink := &jobSink{j: j, tiles: s.tiles}
+	sink := &jobSink{j: j, tiles: s.tiles, quit: s.quit, kill: s.kill}
 	r.pipe.SetSnapshotSink(sink)
 	j.pub.SetIdle(false)
 	defer j.pub.SetIdle(true)

@@ -276,6 +276,50 @@ func TestSchedulerConcurrentJobs(t *testing.T) {
 	}
 }
 
+// TestSchedulerShutdownEndsThrottledWait: a drain or a kill reaches a
+// throttled job parked between steps at once, not when its step delay
+// runs out — a job whose delay outlasts the drain timeout still parks
+// with its checkpoint, and a killed worker stops at the boundary.
+func TestSchedulerShutdownEndsThrottledWait(t *testing.T) {
+	start := func(t *testing.T) (*Scheduler, string) {
+		s := NewScheduler(SchedulerConfig{Workers: 1})
+		cfg := smallJob(50)
+		cfg.StepDelayMS = 60_000
+		snap, err := s.Submit(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, s, snap.ID, "step 1", func(sn Snapshot) bool { return sn.State == StateRunning && sn.Step > 0 })
+		return s, snap.ID
+	}
+	t.Run("drain", func(t *testing.T) {
+		s, id := start(t)
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		if err := s.Shutdown(ctx); err != nil {
+			t.Fatalf("drain of a job inside its 60 s step delay: %v", err)
+		}
+		after, err := s.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if after.State != StatePaused || !after.HasCheckpoint || after.Step != 1 {
+			t.Fatalf("drained job = %+v, want paused at step 1 with checkpoint", after)
+		}
+	})
+	t.Run("kill", func(t *testing.T) {
+		s, _ := start(t)
+		s.Kill()
+		stopped := make(chan struct{})
+		go func() { s.wg.Wait(); close(stopped) }()
+		select {
+		case <-stopped:
+		case <-time.After(5 * time.Second):
+			t.Fatal("a killed worker is still waiting out its 60 s step delay")
+		}
+	})
+}
+
 func TestSchedulerShutdownDrainsRunningJobs(t *testing.T) {
 	s := NewScheduler(SchedulerConfig{Workers: 2})
 	cfg := smallJob(5000)

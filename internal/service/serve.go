@@ -37,6 +37,9 @@ const exportFreshWait = 2 * time.Second
 type jobSink struct {
 	j     *Job
 	tiles *serve.Cache
+	// quit and kill are the scheduler's drain and kill signals, which end
+	// a wait between steps early (nil: never).
+	quit, kill <-chan struct{}
 }
 
 func (k *jobSink) PublishStep(p *core.Pipeline) {
@@ -65,9 +68,11 @@ func (k *jobSink) retire(snap *serve.Snapshot) {
 // wait parks the worker between steps of a throttled job for delay, and
 // answers any read demanded meanwhile by publishing the boundary it is
 // parked at — a read no longer waits out the delay for the next step.
-// Only the calling worker goroutine touches the pipeline. With a tracer,
-// the time spent materializing is the "publish" phase and "sleep" covers
-// only the time asleep.
+// A drain or a kill ends the wait at once, so the step loop parks or
+// stops at this boundary instead of after the delay. Only the calling
+// worker goroutine touches the pipeline. With a tracer, the time spent
+// materializing is the "publish" phase and "sleep" covers only the time
+// asleep.
 func (k *jobSink) wait(p *core.Pipeline, delay time.Duration, tr *obs.Tracer) {
 	start := time.Now()
 	timer := time.NewTimer(delay)
@@ -76,15 +81,18 @@ func (k *jobSink) wait(p *core.Pipeline, delay time.Duration, tr *obs.Tracer) {
 	for {
 		select {
 		case <-timer.C:
-			tr.EmitPhase(p.StepCount(), "sleep", time.Since(start)-published)
-			return
+		case <-k.quit:
+		case <-k.kill:
 		case <-k.j.publisher().Demanded():
 			t0 := time.Now()
 			k.PublishStep(p)
 			d := time.Since(t0)
 			published += d
 			tr.EmitPhase(p.StepCount(), "publish", d)
+			continue
 		}
+		tr.EmitPhase(p.StepCount(), "sleep", time.Since(start)-published)
+		return
 	}
 }
 

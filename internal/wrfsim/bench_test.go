@@ -8,7 +8,7 @@ import (
 	"nestdiff/internal/topology"
 )
 
-func benchModel(b *testing.B, nx, ny int) *Model {
+func benchModel(b testing.TB, nx, ny int) *Model {
 	b.Helper()
 	cfg := DefaultConfig()
 	cfg.NX, cfg.NY = nx, ny
@@ -93,14 +93,16 @@ func benchWholeGridNest(b *testing.B, ux, vy float64) (*Model, *ParallelNest, *m
 	return m, n, w
 }
 
-// BenchmarkHaloExchange isolates the halo exchange (strip staging,
-// point-to-point sends, receive + scatter into the extended field) from
-// the rest of the distributed step, so the mailbox and receive-path cost is
-// measured without the compute kernels. msgs/exchange and bytes/exchange
-// count one exchange of the whole 6x4 world: an 8-neighbour exchange of
-// 2-cell strips there was 136 messages and 22 656 bytes; the stencil reach
-// of an oblique sub-cell flow needs 53 one-cell strips (3 of 8 per interior
-// rank), and zero flow keeps as many for its weight-zero high-side reads.
+// BenchmarkHaloExchange isolates the halo exchange (publication, the wait
+// on the upwind neighbours and the strip copies into the extended field)
+// from the rest of the distributed step, so the exchange's cost is
+// measured without the compute kernels. Each iteration is one substep's
+// exchange over the whole 6x4 world, in a dispatch of its own.
+// msgs/exchange and bytes/exchange count its strips: an 8-neighbour
+// exchange of 2-cell strips there was 136 strips and 22 656 bytes; the
+// stencil reach of an oblique sub-cell flow needs 53 one-cell strips (3 of
+// 8 per interior rank), and zero flow keeps as many for its weight-zero
+// high-side reads.
 func BenchmarkHaloExchange(b *testing.B) {
 	for _, tc := range []struct {
 		name   string
@@ -118,13 +120,16 @@ func BenchmarkHaloExchange(b *testing.B) {
 					cells += l.rect.Area()
 				}
 			}
+			base := n.steps
+			exchange := func(r *mpi.Rank) {
+				st := n.local[r.ID()]
+				st.exchange(r, n.local, st.f, 0, base)
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := w.Run(func(r *mpi.Rank) {
-					st := n.local[r.ID()]
-					st.halo.exchange(r, st.f, n.steps*16)
-				}); err != nil {
+				base++ // each exchange publishes a substep of its own
+				if err := w.Run(exchange); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -159,33 +164,32 @@ func BenchmarkRedistribute(b *testing.B) {
 	}
 }
 
-// BenchmarkStepNests measures one parent step of the distributed nests in
-// the shape the end-to-end distributed workload runs them: three nests
-// over disjoint sub-rectangles covering a 256-rank world, about 40 fine
-// cells per block, so the dispatch, the stamps and the halo messages
-// dominate the compute. msgs/op counts the halo messages of one dispatch.
-func BenchmarkStepNests(b *testing.B) {
-	m := benchModel(b, 96, 72)
+// stepNestsLayout builds the distributed nests in the shape the end-to-end
+// distributed workload runs them: three nests over disjoint sub-rectangles
+// covering a 256-rank torus world, about 40 fine cells per block.
+func stepNestsLayout(tb testing.TB) (*Model, *mpi.World, []*ParallelNest) {
+	tb.Helper()
+	m := benchModel(tb, 96, 72)
 	for _, c := range []Cell{
 		{X: 14, Y: 12, Radius: 4, Peak: 2, Life: 1e9},
 		{X: 52, Y: 11, Radius: 5, Peak: 1.5, Life: 1e9},
 		{X: 26, Y: 48, Radius: 6, Peak: 2.5, Life: 1e9},
 	} {
 		if err := m.InjectCell(c); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	m.Step()
 	pg := geom.NewGrid(16, 16)
 	net, err := topology.NewTorus3D(pg, topology.TorusDimsFor(pg.Size()), topology.DefaultTorusParams())
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	w, err := mpi.NewWorld(pg.Size(), mpi.Config{Net: net})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	defer w.Close()
+	tb.Cleanup(w.Close)
 	var nests []*ParallelNest
 	for i, nc := range []struct{ region, procs geom.Rect }{
 		{geom.NewRect(4, 4, 20, 16), geom.NewRect(0, 0, 8, 9)},    // fine 60x48 over 72 ranks
@@ -194,10 +198,18 @@ func BenchmarkStepNests(b *testing.B) {
 	} {
 		n, err := m.NewParallelNest(i+1, nc.region, pg, nc.procs)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		nests = append(nests, n)
 	}
+	return m, w, nests
+}
+
+// BenchmarkStepNests measures one parent step of the distributed nests of
+// stepNestsLayout, where the dispatch, the stamps and the halo messages
+// dominate the compute. msgs/op counts the halo messages of one dispatch.
+func BenchmarkStepNests(b *testing.B) {
+	m, w, nests := stepNestsLayout(b)
 	cfg, cells := m.Config(), m.Cells()
 	if err := StepNests(w, cfg, cells, nests); err != nil { // start the workers, build the plans
 		b.Fatal(err)

@@ -79,19 +79,20 @@ func checkReach(ux, vy float64) error {
 // flow: a rank trades strips only with the neighbours on the upwind side —
 // 3 of the 8 for a sub-cell flow oblique to the grid — and a strip is as
 // wide as the reach, not as the halo. The plan depends only on the block
-// decomposition and the per-step displacement, so it is built once per
-// decomposition — at construction for the parent model, by a nest's first
-// step after scatter or Redistribute — and a step re-dispatches it instead
-// of rediscovering neighbours and strips per exchange (the
-// execution-template idea of Mashayekhi et al.). A rebuild reuses the
-// plan's slices and fields, so a nest rank that is re-planned after a
-// redistribution allocates only what outgrows them. Only the owning rank's
-// goroutine touches it.
+// decomposition and the per-step displacement, so a nest's first step
+// after scatter or Redistribute builds it and every later step
+// re-dispatches it instead of rediscovering neighbours and strips per
+// exchange (the execution-template idea of Mashayekhi et al.). Each send
+// link's modelled transit time is fixed too, so it is priced once per
+// plan and world. A rebuild reuses the plan's slices and fields, so a nest
+// rank that is re-planned after a redistribution allocates only what
+// outgrows them. Only the owning rank's goroutine touches it.
 type haloPlan struct {
 	pg     geom.Grid      // the process grid that numbers the peers,
 	dist   geom.BlockDist // the decomposition the links were derived from,
 	me     geom.Point     // the rank's place in it
 	ux, vy float64        // and the displacement
+	world  *mpi.World     // the world the sends were priced on; nil: unpriced
 	sends  []haloLink     // rect: strip of our block, block coordinates
 	recvs  []haloLink     // rect: where the peer's strip lands, ext coordinates
 	// ext is the halo-extended source field. Only the cells a recv link
@@ -99,10 +100,6 @@ type haloPlan struct {
 	// downwind side, the domain edge, the part of the halo beyond the
 	// reach — stay zero.
 	ext *field.Field
-	// buf stages one strip at a time, outgoing then incoming: Rank.Send
-	// copies its payload and RecvInto fills the buffer it is handed, so
-	// one buffer serves every link.
-	buf []float64
 }
 
 // haloLink is one strip of a halo exchange, sent or received.
@@ -112,14 +109,22 @@ type haloLink struct {
 	// the receiver, so a send link and the recv link it feeds carry the same.
 	tag  int
 	rect geom.Rect
+	// src is a recv link's strip in the sender's block coordinates: where
+	// the receiver reads it.
+	src geom.Rect
+	// transit is a send link's modelled time in flight (mpi.Rank.LinkTime),
+	// set when the plan is priced.
+	transit float64
 }
 
 // builtFor reports whether hp is the plan of the rank at me for dist under
-// (ux, vy), its peers numbered by pg. A plan recycled with its nest rank
-// share from a nest on another process grid therefore never serves: the
-// same point of the same decomposition has other peers there.
-func (hp *haloPlan) builtFor(pg geom.Grid, dist geom.BlockDist, me geom.Point, ux, vy float64) bool {
-	return hp.ext != nil && hp.pg == pg && hp.dist == dist && hp.me == me && hp.ux == ux && hp.vy == vy
+// (ux, vy), its peers numbered by pg, priced on world w. A plan recycled
+// with its nest rank share from a nest on another process grid therefore
+// never serves: the same point of the same decomposition has other peers
+// there; nor does one priced on another world, whose network may price
+// its links differently.
+func (hp *haloPlan) builtFor(w *mpi.World, pg geom.Grid, dist geom.BlockDist, me geom.Point, ux, vy float64) bool {
+	return hp.world == w && hp.ext != nil && hp.pg == pg && hp.dist == dist && hp.me == me && hp.ux == ux && hp.vy == vy
 }
 
 // reset rebuilds hp in place as the plan of the rank at process-grid point
@@ -134,7 +139,7 @@ func (hp *haloPlan) reset(pg geom.Grid, dist geom.BlockDist, me geom.Point, ux, 
 	rx, _ := reachOf(ux)
 	ry, _ := reachOf(vy)
 	blk := dist.BlockOf(me)
-	hp.pg, hp.dist, hp.me, hp.ux, hp.vy = pg, dist, me, ux, vy
+	hp.pg, hp.dist, hp.me, hp.ux, hp.vy, hp.world = pg, dist, me, ux, vy, nil
 	if hp.sends == nil { // at most one link per neighbour
 		hp.sends, hp.recvs = make([]haloLink, 0, 8), make([]haloLink, 0, 8)
 	}
@@ -152,9 +157,11 @@ func (hp *haloPlan) reset(pg geom.Grid, dist geom.BlockDist, me geom.Point, ux, 
 			// past our block towards p: the strip of p's block facing us,
 			// which p tags with its direction towards us, (-dx, -dy).
 			if wx, wy := rx.toward(dx), ry.toward(dy); wx > 0 && wy > 0 {
-				strip := stripOf(dist.BlockOf(p), -dx, -dy, wx, wy)
+				from := dist.BlockOf(p)
+				strip := stripOf(from, -dx, -dy, wx, wy)
 				hp.recvs = append(hp.recvs, haloLink{peer: peer, tag: tag(-dx, -dy),
-					rect: shift(strip, HaloWidth-blk.X0, HaloWidth-blk.Y0)})
+					rect: shift(strip, HaloWidth-blk.X0, HaloWidth-blk.Y0),
+					src:  shift(strip, -from.X0, -from.Y0)})
 			}
 			// The flow is uniform, so p's kernel has our reach: it reads
 			// towards us, direction (-dx, -dy), the strip of our block
@@ -166,67 +173,78 @@ func (hp *haloPlan) reset(pg geom.Grid, dist geom.BlockDist, me geom.Point, ux, 
 			}
 		}
 	}
-	strip := 0
-	for _, links := range [2][]haloLink{hp.sends, hp.recvs} {
-		for _, l := range links {
-			strip = max(strip, l.rect.Area())
-		}
-	}
-	hp.buf = roomFor(hp.buf, strip)
 }
 
-// reuseField reshapes f (a new field when f is nil) to nx×ny on storage
-// from roomFor. Samples carried over are stale: the caller overwrites or
-// clears them.
+// price sets each send link's modelled transit time on r's world w, the
+// world the plan is then built for.
+func (hp *haloPlan) price(w *mpi.World, r *mpi.Rank) {
+	for i := range hp.sends {
+		l := &hp.sends[i]
+		l.transit = r.LinkTime(l.peer, 8*l.rect.Area()) // one float64 per cell
+	}
+	hp.world = w
+}
+
+// reuseField reshapes f (a new field when f is nil) to nx×ny, on its own
+// storage when that holds nx·ny samples, else on a new array sized to the
+// next power of two: a buffer that serves blocks of varying sizes
+// reallocates a handful of times over its life, not whenever a block
+// exceeds the last. Samples carried over are stale: the caller overwrites
+// or clears them.
 func reuseField(f *field.Field, nx, ny int) *field.Field {
 	if f == nil {
 		f = new(field.Field)
 	}
-	f.NX, f.NY, f.Data = nx, ny, roomFor(f.Data, nx*ny)[:nx*ny]
+	if n := nx * ny; cap(f.Data) < n {
+		f.Data = make([]float64, 1<<bits.Len(uint(n-1)))
+	}
+	f.NX, f.NY, f.Data = nx, ny, f.Data[:nx*ny]
 	return f
 }
 
-// roomFor returns s emptied, on its own array when that holds n values,
-// else on a new one sized to the next power of two: a buffer that serves
-// blocks and strips of varying sizes reallocates a handful of times over
-// its life, not whenever a size exceeds the last.
-func roomFor(s []float64, n int) []float64 {
-	if cap(s) >= n {
-		return s[:0]
-	}
-	return make([]float64, 0, 1<<bits.Len(uint(n-1)))
-}
-
-// exchange sends the strips of f its neighbours' advection reads and
-// assembles the halo-extended field: interior from f, border from the
-// strips received. Sends are posted first (mailbox sends never block), then
-// receives; tags are base plus the link's direction tag. Strips are packed
-// and unpacked a row at a time, and once the staging buffer and the mailbox
-// slots' transport buffers are warm the exchange allocates nothing.
-func (hp *haloPlan) exchange(r *mpi.Rank, f *field.Field, base int) *field.Field {
-	ext := hp.ext
-	ext.SetSub(geom.NewRect(HaloWidth, HaloWidth, f.NX, f.NY), f)
-	buf := hp.buf
+// exchange is substep s of the dispatch that started at nest substep
+// base, one-sided: st publishes f, the block it has just deposited into,
+// and then assembles its halo-extended field, the interior from f and the
+// border straight from its upwind neighbours' published blocks (peers, by
+// world rank) — MPI_Get semantics, with no message copied or queued. The
+// publication is the block itself, each send link's modelled arrival
+// (Rank.Post: the clock arithmetic and fault rules of a send, tagged
+// base-relative as the strip's message was) and the sequence counter,
+// raised to base+s+1 last; a reader waits for the counter (Rank.Await),
+// takes the arrival into its clock (Rank.Arrive) and copies its strip out
+// of the published block. Writers never wait for their readers: f stays
+// untouched for the rest of the dispatch (the stepping rank advects into
+// the next buffer of its ring), and the next dispatch, which reuses it,
+// starts only after every reader has returned. An exchange allocates
+// nothing.
+func (st *nestRank) exchange(r *mpi.Rank, peers []*nestRank, f *field.Field, s, base int) *field.Field {
+	hp := &st.halo
+	tags := (base + s) * 16
+	st.pub[s] = f
 	for i := range hp.sends {
 		l := &hp.sends[i]
-		buf = buf[:0]
-		for y := l.rect.Y0; y < l.rect.Y1; y++ {
-			buf = append(buf, f.Data[y*f.NX+l.rect.X0:y*f.NX+l.rect.X1]...)
-		}
-		r.Send(l.peer, base+l.tag, buf)
+		at, lost := r.Post(l.peer, tags+l.tag, l.transit)
+		st.arrive[s][l.tag] = arrival{at: at, lost: lost}
 	}
+	want := int64(base + s + 1)
+	st.seq.Store(want)
+	for i := range hp.sends {
+		r.Notify(hp.sends[i].peer)
+	}
+
+	ext := hp.ext
+	ext.SetSub(geom.NewRect(HaloWidth, HaloWidth, f.NX, f.NY), f)
 	for i := range hp.recvs {
 		l := &hp.recvs[i]
-		buf = r.RecvInto(l.peer, base+l.tag, buf)
-		if len(buf) != l.rect.Area() {
-			panic(fmt.Sprintf("halo payload %d != strip %v", len(buf), l.rect))
-		}
-		w := l.rect.Width()
-		for y, row := l.rect.Y0, buf; y < l.rect.Y1; y, row = y+1, row[w:] {
-			copy(ext.Data[y*ext.NX+l.rect.X0:], row[:w])
+		from := peers[l.peer]
+		r.Await(l.peer, &from.seq, want)
+		p := from.arrive[s][l.tag]
+		r.Arrive(l.peer, tags+l.tag, p.at, p.lost)
+		blk, w := from.pub[s], l.rect.Width()
+		for y, sy := l.rect.Y0, l.src.Y0; y < l.rect.Y1; y, sy = y+1, sy+1 {
+			copy(ext.Data[y*ext.NX+l.rect.X0:][:w], blk.Data[sy*blk.NX+l.src.X0:][:w])
 		}
 	}
-	hp.buf = buf
 	return ext
 }
 

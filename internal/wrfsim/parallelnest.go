@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"nestdiff/internal/field"
@@ -49,28 +50,61 @@ type ParallelNest struct {
 }
 
 // nestRank is one rank's share of a distributed nest: its block of the
-// fine field plus step scratch: the advection double buffer and the cached
-// halo plan. Shares are recycled through rankShares, so a share's buffers
-// outlive the decomposition, and the nest, they served: a rank that stays
-// an owner across Redistribute keeps its share, one that joins draws a
-// share that a leaving rank, or a released nest, gave back. The scratch is
-// rebuilt by the rank's first step on a decomposition, on whatever buffers
-// the share holds, so scatter and Redistribute stay as cheap as moving the
-// data; it carries no state between substeps and is never checkpointed.
-// The plan records the process grid, the decomposition and the rank it
-// was built for, so it never serves another: a share that crosses into a
-// nest on another grid re-plans before its first exchange there.
+// fine field plus step scratch: the ring of advection buffers, the cached
+// halo plan and the one-sided publication its downwind neighbours read
+// their halo strips from. Shares are recycled through rankShares, so a
+// share's buffers outlive the decomposition, and the nest, they served: a
+// rank that stays an owner across Redistribute keeps its share, one that
+// joins draws a share that a leaving rank, or a released nest, gave back.
+// The scratch is rebuilt by the rank's first step on a decomposition, on
+// whatever buffers the share holds, so scatter and Redistribute stay as
+// cheap as moving the data; it carries no state between parent steps and
+// is never checkpointed. The plan records the process grid, the
+// decomposition, the rank and the world it was built for, so it never
+// serves another: a share that crosses into a nest on another grid
+// re-plans before its first exchange there.
 type nestRank struct {
 	block geom.Rect // owned fine cells
+	// f is the block between steps. A step runs its substeps through a ring
+	// of NestRatio+1 buffers — f, next and spare — each substep advecting
+	// the block it deposited into the next, so every block it published
+	// stays intact while a downwind reader may still copy from it; at the
+	// end of the step the ring turns to put the result in f.
 	f     *field.Field
 	next  *field.Field
+	spare [NestRatio - 1]*field.Field
 	halo  haloPlan
+	// The publication of the step in flight (see exchange): the block of
+	// each substep, each send link's arrival by direction tag, and the
+	// nest substep the rank has published up to, which rises with the
+	// nest's step count and starts from zero in a share fresh from the
+	// pool.
+	pub    [NestRatio]*field.Field
+	arrive [NestRatio][9]arrival
+	seq    atomic.Int64
+}
+
+// arrival is one send link's modelled arrival for one substep, or its loss
+// to an injected fault.
+type arrival struct {
+	at   float64
+	lost bool
 }
 
 // rankShares recycles nest rank shares between nests and decompositions.
 // Every sample of a recycled share's block is overwritten (by the scatter
-// copy or the exchange) before it is read.
+// copy or the exchange) before it is read. Shares enter it through
+// recycle.
 var rankShares = sync.Pool{New: func() any { return new(nestRank) }}
+
+// recycle returns st to rankShares with its publication counter at zero,
+// below any substep of the nest that draws it next, and its plan holding
+// no world, so the pool keeps no dropped world reachable.
+func (st *nestRank) recycle() {
+	st.seq.Store(0)
+	st.halo.world = nil
+	rankShares.Put(st)
+}
 
 // exchangeArenas recycles the per-rank Alltoallv arenas of Redistribute,
 // one per world rank, between redistributions of every nest.
@@ -82,7 +116,7 @@ var exchangeArenas = sync.Pool{New: func() any { return new([]mpi.Scratch) }}
 func (n *ParallelNest) Release() {
 	for _, st := range n.local {
 		if st != nil {
-			rankShares.Put(st)
+			st.recycle()
 		}
 	}
 	n.local, n.staged = nil, nil
@@ -160,14 +194,17 @@ func (n *ParallelNest) Step(w *mpi.World, cfg Config, cells []Cell) error {
 // them at once, and ranks that own nothing are never woken. Each nest's
 // source stamps are built once, over its whole fine grid, before the
 // dispatch; each rank then adds the part inside its block and runs its
-// substeps back to back, and the halo messages, tagged by substep, are the
-// only synchronisation the physics needs. A steady dispatch allocates
-// nothing.
+// substeps back to back, and the one-sided halo exchange — each rank
+// waits for its upwind neighbours to publish the substep and reads its
+// strips out of their blocks — is the only synchronisation the physics
+// needs. A steady dispatch allocates nothing.
 //
-// Nests whose processor sub-rectangles overlap would share mailbox
-// (from, tag) keys, so when the owner table finds one rank claimed twice
-// the nests are stepped one dispatch each, in the order given. cells must
-// be the parent model's current cell population.
+// A rank runs one share per dispatch, so when the owner table finds one
+// rank claimed by two nests whose processor sub-rectangles overlap, the
+// nests are stepped one dispatch each, in the order given: a rank stepping
+// one of its nests would keep the other's downwind readers waiting, and
+// two such ranks could wait on each other. cells must be the parent
+// model's current cell population.
 func StepNests(w *mpi.World, cfg Config, cells []Cell, nests []*ParallelNest) error {
 	// A restored nest meets the flow here first, so this is where a reach
 	// beyond the halo is refused for it.
@@ -213,8 +250,17 @@ func StepNests(w *mpi.World, cfg Config, cells []Cell, nests []*ParallelNest) er
 	for _, n := range nests {
 		n.stamps.build(cells, cfg.Dt, NestRatio, geom.Point{X: n.Region.X0, Y: n.Region.Y0}, geom.NewRect(0, 0, n.nx, n.ny))
 	}
-	sp.spec = spec
+	sp.spec, sp.world = spec, w
 	if err := w.RunOn(sp.ranks, sp.run); err != nil {
+		// The counters of a failed step are ahead of the nests' step
+		// counts: a later step would take them for its own substeps.
+		for _, n := range nests {
+			for _, st := range n.local {
+				if st != nil {
+					st.seq.Store(0)
+				}
+			}
+		}
 		return err
 	}
 	for _, n := range nests {
@@ -230,18 +276,20 @@ type stepper struct {
 	owner []*ParallelNest // by world rank
 	ranks []int
 	spec  field.AdvectSpec
+	world *mpi.World
 	run   func(r *mpi.Rank)
 }
 
 var steppers = sync.Pool{New: func() any {
 	sp := new(stepper)
-	sp.run = func(r *mpi.Rank) { sp.owner[r.ID()].stepRank(r, sp.spec) }
+	sp.run = func(r *mpi.Rank) { sp.owner[r.ID()].stepRank(sp.world, r, sp.spec) }
 	return sp
 }}
 
-// release returns the stepper to the pool holding no nest.
+// release returns the stepper to the pool holding no nest and no world.
 func (sp *stepper) release() {
 	clear(sp.owner)
+	sp.world = nil
 	steppers.Put(sp)
 }
 
@@ -258,32 +306,41 @@ func nestAdvectSpec(cfg Config) field.AdvectSpec {
 	}
 }
 
-// stepRank is one owner rank's work for one parent step of the nest.
-func (n *ParallelNest) stepRank(r *mpi.Rank, spec field.AdvectSpec) {
+// stepRank is one owner rank's work for one parent step of the nest on
+// world w.
+func (n *ParallelNest) stepRank(w *mpi.World, r *mpi.Rank, spec field.AdvectSpec) {
 	st := n.local[r.ID()]
 	blk := st.block
+	var ring [NestRatio + 1]*field.Field
+	ring[0] = st.f
 	st.next = reuseField(st.next, blk.Width(), blk.Height())
+	ring[1] = st.next
+	for i := range st.spare {
+		st.spare[i] = reuseField(st.spare[i], blk.Width(), blk.Height())
+		ring[2+i] = st.spare[i]
+	}
 	// The plan follows the flow as well as the blocks, and the flow arrives
 	// with every step's cfg.
 	dist, me := geom.NewBlockDist(n.nx, n.ny, n.procs), n.pg.Coord(r.ID())
-	if !st.halo.builtFor(n.pg, dist, me, spec.UX, spec.VY) {
+	if !st.halo.builtFor(w, n.pg, dist, me, spec.UX, spec.VY) {
 		st.halo.reset(n.pg, dist, me, spec.UX, spec.VY)
+		st.halo.price(w, r)
 	}
 	spec.GX0, spec.GY0 = blk.X0, blk.Y0
 	spec.GNX, spec.GNY = n.nx, n.ny
 	for s := 0; s < NestRatio; s++ {
 		// Deposit the sources into the owned block.
-		n.stamps.addWindow(st.f, blk)
+		n.stamps.addWindow(ring[s], blk)
 		r.Compute(float64(blk.Area()) * 5e-9)
 
-		ext := st.halo.exchange(r, st.f, (n.steps+s)*16)
+		ext := st.exchange(r, n.local, ring[s], s, n.steps)
 
-		// Advect+decay into the double buffer, then swap it with the
-		// owned block.
-		field.AdvectDecay(st.next, ext, spec)
-		st.f, st.next = st.next, st.f
+		// Advect+decay into the ring's next buffer.
+		field.AdvectDecay(ring[s+1], ext, spec)
 		r.Compute(float64(blk.Area()) * 2e-8)
 	}
+	st.f, st.next = ring[NestRatio], ring[0]
+	copy(st.spare[:], ring[1:NestRatio])
 }
 
 // Redistribute moves the nest's distributed state from its current
@@ -345,7 +402,7 @@ func (n *ParallelNest) Redistribute(w *mpi.World, newProcs geom.Rect) (float64, 
 	}
 	for rank, st := range drop {
 		if st != nil && keep[rank] != st {
-			rankShares.Put(st)
+			st.recycle()
 		}
 	}
 	clear(drop)

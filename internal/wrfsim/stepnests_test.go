@@ -1,8 +1,13 @@
 package wrfsim
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
+	"hash/fnv"
+	"math"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -229,4 +234,105 @@ func TestReleasedShareOnAnotherGridReplans(t *testing.T) {
 		}
 	}
 	checkNestScratch(t, par, true)
+}
+
+// TestStepNestsClocksFrozen pins the virtual clocks and the fields of
+// BenchmarkStepNests' layout over 4 parent steps, with and without a
+// delay rule on one live halo link: a digest of every owner rank's clock
+// bits at the end of each dispatch, and a CRC of each nest's gathered
+// field. The halo exchange may change how strips travel, but neither what
+// a rank computes nor what its clock reads.
+func TestStepNestsClocksFrozen(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		delay  bool
+		clocks uint64
+		last   float64 // the latest owner clock of the last dispatch
+		fields [3]uint32
+	}{
+		{"clean", false, 0x3ebdc48c74c20a05, 1.4195714285714286e-05, [3]uint32{0xc6e36c00, 0x6e87a2d5, 0x9f77c97d}},
+		{"delayed-link", true, 0xd4a904911560e3c5, 0.0020135578571428567, [3]uint32{0xc6e36c00, 0x6e87a2d5, 0x9f77c97d}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, w, nests := stepNestsLayout(t)
+			if tc.delay {
+				// A receive link of a rank inside nest 1, from its upwind
+				// neighbour to it: every message on it is delayed by 2 ms.
+				n, me := nests[0], geom.Point{X: 3, Y: 4}
+				spec := nestAdvectSpec(m.Config())
+				var hp haloPlan
+				hp.reset(n.pg, geom.NewBlockDist(n.nx, n.ny, n.procs), me, spec.UX, spec.VY)
+				to := n.pg.Rank(me)
+				from := hp.recvs
+				w.SetFaults(faults.NewPlan(1).DelayMessage(from[0].peer, to, faults.Wildcard, 1, 2e-3))
+			}
+			h := fnv.New64a()
+			var last float64
+			for step := 0; step < 4; step++ {
+				m.Step()
+				if err := StepNests(w, m.Config(), m.Cells(), nests); err != nil {
+					t.Fatal(err)
+				}
+				last = 0
+				for _, n := range nests {
+					for rank, st := range n.local {
+						if st == nil {
+							continue
+						}
+						c := w.Clock(rank)
+						last = max(last, c)
+						binary.Write(h, binary.LittleEndian, [2]uint64{uint64(rank), math.Float64bits(c)})
+					}
+				}
+			}
+			var fields [3]uint32
+			for i, n := range nests {
+				crc := crc32.NewIEEE()
+				binary.Write(crc, binary.LittleEndian, n.Gather().Data)
+				fields[i] = crc.Sum32()
+			}
+			if got := h.Sum64(); got != tc.clocks || last != tc.last {
+				t.Errorf("owner clocks digest %#x, latest %v; want %#x, %v", got, last, tc.clocks, tc.last)
+			}
+			if fields != tc.fields {
+				t.Errorf("nest field CRCs %#x, want %#x", fields, tc.fields)
+			}
+		})
+	}
+}
+
+// TestStepNestsCrashedOwnerWakesParkedReaders: an injected crash of an
+// owner rank on the upwind side of a multi-rank nest fails the step with
+// the crash, while the downwind ranks that wait on its strips wake and
+// unwind instead of staying parked.
+func TestStepNestsCrashedOwnerWakesParkedReaders(t *testing.T) {
+	m, _, par, pg := setupNestPair(t, geom.NewRect(0, 0, 4, 3))
+	w := parallelWorld(t, pg.Size())
+	m.Step()
+	if err := par.Step(w, m.Config(), m.Cells()); err != nil {
+		t.Fatal(err)
+	}
+	// Under the default flow every other rank of the sub-rectangle reads,
+	// directly or through its neighbours, from the corner at (0, 0).
+	upwind := pg.Rank(geom.Point{X: 0, Y: 0})
+	if len(par.local[upwind].halo.sends) == 0 {
+		t.Fatal("the upwind corner sends no strip")
+	}
+	w.SetFaults(faults.NewPlan(1).CrashRank(0, upwind))
+	m.Step()
+	done := make(chan error, 1)
+	go func() { done <- StepNests(w, m.Config(), m.Cells(), []*ParallelNest{par}) }()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "injected crash of rank") {
+			t.Fatalf("step returned %v, want the injected crash of rank %d", err, upwind)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("step hung on the crashed owner")
+	}
+	buf := make([]byte, 1<<20)
+	stacks := string(buf[:runtime.Stack(buf, true)])
+	if strings.Contains(stacks, "wrfsim.(*ParallelNest).stepRank") {
+		t.Fatalf("a rank is still inside its step after the dispatch failed:\n%s", stacks)
+	}
 }
