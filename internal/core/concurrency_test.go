@@ -189,6 +189,58 @@ func TestNestStepEventsEmitted(t *testing.T) {
 	}
 }
 
+// TestPhasesPartitionTheStep: a step's timed phases are non-overlapping
+// leaves of its span, so they never sum past it (nestbench's
+// core.share.other, the step time no phase covers, is never negative).
+// The "model" phase is the parent's cell half; its field half runs inside
+// the "nests" phase — beside the nests of a serial pipeline, before the
+// dispatch of a distributed one — and is reported once per step as its
+// own parent-field event, which the "nests" phase contains.
+func TestPhasesPartitionTheStep(t *testing.T) {
+	for _, distributed := range []bool{false, true} {
+		p := concurrencyPipeline(t, distributed)
+		tr := obs.New(obs.Options{Buffer: 1 << 14})
+		p.SetTracer(tr)
+		const steps = 30
+		if err := p.Run(steps); err != nil {
+			t.Fatal(err)
+		}
+		p.Close()
+		events, dropped := tr.Events()
+		if dropped != 0 {
+			t.Fatalf("ring evicted %d events", dropped)
+		}
+		phases := map[int]int64{}
+		nestsPhase := map[int]int64{}
+		stepSpan := map[int]int64{}
+		field := map[int][]int64{}
+		for _, e := range events {
+			switch e.Kind {
+			case obs.KindPhase:
+				phases[e.Step] += e.DurNS
+				if e.Phase == "nests" {
+					nestsPhase[e.Step] = e.DurNS
+				}
+			case obs.KindStep:
+				stepSpan[e.Step] = e.DurNS
+			case obs.KindParentField:
+				field[e.Step] = append(field[e.Step], e.DurNS)
+			}
+		}
+		for s := 1; s <= steps; s++ {
+			if phases[s] > stepSpan[s] {
+				t.Fatalf("distributed=%v step %d: phases sum to %d ns, past the step's %d ns", distributed, s, phases[s], stepSpan[s])
+			}
+			if len(field[s]) != 1 {
+				t.Fatalf("distributed=%v step %d: %d parent-field events, want 1", distributed, s, len(field[s]))
+			}
+			if field[s][0] > nestsPhase[s] {
+				t.Fatalf("distributed=%v step %d: parent field half %d ns outside the %d ns nests phase", distributed, s, field[s][0], nestsPhase[s])
+			}
+		}
+	}
+}
+
 // BenchmarkPipelineStepMultiNest measures whole pipeline steps while
 // several nests are live, sequentially and with the bounded worker group.
 func BenchmarkPipelineStepMultiNest(b *testing.B) {

@@ -94,11 +94,13 @@ type Pipeline struct {
 	snaps  SnapshotSink
 
 	// Step scratch, reused across steps: the cell snapshot and nest list
-	// handed to distributed nest stepping, the sorted nest-ID work list and
-	// the split files of the last PDA invocation.
+	// handed to distributed nest stepping, the sorted nest-ID work list,
+	// the serial nest phase's task list and the split files of the last
+	// PDA invocation.
 	cellScratch  []wrfsim.Cell
 	nestScratch  []*wrfsim.ParallelNest
 	idScratch    []int
+	taskScratch  []stepTask
 	splitScratch []wrfsim.Split
 }
 
@@ -232,7 +234,9 @@ func (p *Pipeline) Step() error {
 		stepStart = time.Now()
 		t0 = stepStart
 	}
-	p.model.Step()
+	// The cell half alone is the "model" phase: the field half runs in
+	// the "nests" phase, beside the nests (stepNests).
+	p.model.StepCells()
 	step := p.model.StepCount()
 	if tr != nil {
 		now := time.Now()
@@ -259,15 +263,18 @@ func (p *Pipeline) Step() error {
 	return nil
 }
 
-// stepNests advances every live nest by one parent step. Distributed
-// nests go through one wrfsim.StepNests dispatch over exactly the ranks
-// that own a nest block — the ranks are the concurrency. Serial nests own
-// their fine fields and only read the parent, so up to GOMAXPROCS of them
-// step concurrently with results bit-identical to sequential stepping, in
-// any schedule.
+// stepNests advances the parent's field half (wrfsim.Model.StepField)
+// and every live nest by one parent step. Distributed nests go through one
+// wrfsim.StepNests dispatch over exactly the ranks that own a nest block —
+// the ranks are the concurrency — right after the field half. Serial nests
+// own their fine fields and read only the parent's cells, as does the
+// field half, so the field half and the nests run as one bounded task
+// pool, up to GOMAXPROCS at a time and largest first, with results
+// bit-identical to sequential stepping in any schedule.
 func (p *Pipeline) stepNests(step int) error {
 	tr := p.tracer
 	if p.cfg.Distributed {
+		p.stepField(step)
 		if len(p.dnests) == 0 {
 			return nil
 		}
@@ -301,6 +308,9 @@ func (p *Pipeline) stepNests(step int) error {
 		return nil
 	}
 	if len(p.nests) == 0 {
+		// Nothing to run beside: no task pool, whose closure would
+		// allocate.
+		p.stepField(step)
 		return nil
 	}
 	ids := p.sortedNestIDs(len(p.nests), func(f func(int)) {
@@ -308,8 +318,23 @@ func (p *Pipeline) stepNests(step int) error {
 			f(id)
 		}
 	})
-	runBounded(min(runtime.GOMAXPROCS(0), len(ids)), len(ids), func(i int) {
-		nest := p.nests[ids[i]]
+	// The field half is the task with no nest. Its work is one pass over
+	// the parent grid; a nest's is NestRatio substeps over its fine grid.
+	cfg := p.model.Config()
+	tasks := append(p.taskScratch[:0], stepTask{work: cfg.NX * cfg.NY})
+	for _, id := range ids {
+		n := p.nests[id]
+		nx, ny := n.Size()
+		tasks = append(tasks, stepTask{nest: n, work: nx * ny * wrfsim.NestRatio})
+	}
+	slices.SortStableFunc(tasks, func(a, b stepTask) int { return b.work - a.work })
+	p.taskScratch = tasks
+	runBounded(min(runtime.GOMAXPROCS(0), len(tasks)), len(tasks), func(i int) {
+		nest := tasks[i].nest
+		if nest == nil {
+			p.stepField(step)
+			return
+		}
 		var t0 time.Time
 		if tr != nil {
 			t0 = time.Now()
@@ -317,10 +342,32 @@ func (p *Pipeline) stepNests(step int) error {
 		nest.Step(p.model)
 		if tr != nil {
 			tr.Emit(obs.Event{Kind: obs.KindNestStep, Step: step,
-				NestID: ids[i], DurNS: time.Since(t0).Nanoseconds()})
+				NestID: nest.ID, DurNS: time.Since(t0).Nanoseconds()})
 		}
 	})
 	return nil
+}
+
+// stepTask is one unit of a serial step's nest phase: a nest's step, or
+// the parent's field half when nest is nil. work orders the tasks, largest
+// first, so the longest task never starts last.
+type stepTask struct {
+	nest *wrfsim.Nest
+	work int
+}
+
+// stepField runs the parent's field half and reports its duration as its
+// own event, as each nest's step is.
+func (p *Pipeline) stepField(step int) {
+	tr := p.tracer
+	var t0 time.Time
+	if tr != nil {
+		t0 = time.Now()
+	}
+	p.model.StepField()
+	if tr != nil {
+		tr.Emit(obs.Event{Kind: obs.KindParentField, Step: step, DurNS: time.Since(t0).Nanoseconds()})
+	}
 }
 
 // sortedNestIDs fills the pipeline's reusable ID scratch from the given

@@ -46,12 +46,15 @@ type AdvectSpec struct {
 
 // advectScratch is the pooled per-column table of one AdvectDecay call:
 // for every fast-path column its departure sample index and the two
-// bilinear x weights. A sync.Pool keeps concurrent callers — parallel
-// ranks, concurrently stepped nests — allocation-free without sharing
-// mutable state.
+// bilinear x weights, and one source row's horizontal interpolation
+// (l·wx + r·fx per column), which the contiguous path carries from one
+// destination row, where it is the bottom row, to the next, where it is
+// the top. A sync.Pool keeps concurrent callers — parallel ranks,
+// concurrently stepped nests — allocation-free without sharing mutable
+// state.
 type advectScratch struct {
-	x0     []int
-	fx, wx []float64
+	x0          []int
+	fx, wx, top []float64
 }
 
 var advectPool = sync.Pool{New: func() any { return new(advectScratch) }}
@@ -69,8 +72,10 @@ var advectPool = sync.Pool{New: func() any { return new(advectScratch) }}
 //
 // When the departure index is the column index plus one constant — always
 // so for a flow under one cell per step — the row loop reads its source
-// rows contiguously with no gather and no bounds check; otherwise it
-// gathers through the index table.
+// rows contiguously with no gather and no bounds check, and interpolates
+// each source row horizontally once: the bottom row of one destination row
+// is, unclamped, the top row of the next, so its interpolation is kept and
+// reused with the same bits. Otherwise it gathers through the index table.
 //
 // dst and src must not alias; dst extents are the iteration space.
 func AdvectDecay(dst, src *Field, sp AdvectSpec) {
@@ -120,8 +125,9 @@ func AdvectDecay(dst, src *Field, sp AdvectSpec) {
 		s.x0 = make([]int, n)
 		s.fx = make([]float64, n)
 		s.wx = make([]float64, n)
+		s.top = make([]float64, n)
 	}
-	x0s, fxs, wxs := s.x0[:n], s.fx[:n], s.wx[:n]
+	x0s, fxs, wxs, tops := s.x0[:n], s.fx[:n], s.wx[:n], s.top[:n]
 	shift, contiguous := 0, true
 	for i := range x0s {
 		px := (float64(sp.GX0+xLo+i) - sp.UX) - shiftX
@@ -136,6 +142,9 @@ func AdvectDecay(dst, src *Field, sp AdvectSpec) {
 	}
 
 	decay := sp.Decay
+	// topRow is the source row whose horizontal interpolation tops holds;
+	// -1 before the first contiguous row (the pooled buffer is stale).
+	topRow := -1
 	for y := 0; y < dst.NY; y++ {
 		gy := clampF(float64(sp.GY0+y)-sp.VY, 0, hiGY)
 		py := gy - shiftY
@@ -175,15 +184,25 @@ func AdvectDecay(dst, src *Field, sp AdvectSpec) {
 		// sample over from the previous column and index the right one by
 		// i, so every slice below has length n and needs no bounds check.
 		lo := xLo + shift
-		l0, l1 := row0[lo], row1[lo]
-		r0s, r1s := row0[lo+1:][:n], row1[lo+1:][:n]
-		for i, fx := range fxs {
-			r0, r1 := r0s[i], r1s[i]
-			top := l0*wxs[i] + r0*fx
-			bot := l1*wxs[i] + r1*fx
-			out[i] = (top*wy0 + bot*fy) * decay
-			l0, l1 = r0, r1
+		if topRow != y0 {
+			// The previous row's bottom is not this row's top: a first
+			// row, or a row whose departure clamps at the top.
+			l0, r0s := row0[lo], row0[lo+1:][:n]
+			for i, fx := range fxs {
+				r0 := r0s[i]
+				tops[i] = l0*wxs[i] + r0*fx
+				l0 = r0
+			}
 		}
+		l1, r1s := row1[lo], row1[lo+1:][:n]
+		for i, fx := range fxs {
+			r1 := r1s[i]
+			bot := l1*wxs[i] + r1*fx
+			out[i] = (tops[i]*wy0 + bot*fy) * decay
+			tops[i] = bot
+			l1 = r1
+		}
+		topRow = y1
 	}
 	advectPool.Put(s)
 }

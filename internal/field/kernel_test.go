@@ -160,6 +160,57 @@ func TestAdvectDecayWideFieldCrossesBinades(t *testing.T) {
 	}
 }
 
+// TestAdvectDecayRowReuseMatchesReference pins the contiguous path's
+// carried row: the horizontal interpolation of one destination row's
+// bottom source row is reused as the next row's top only where the two are
+// the same source row. Every case changes the carried row a different way
+// — departure rows clamped at the top (consecutive rows share y0), y1 ==
+// y0 at the bottom, a flow of more than one row either way, one- and
+// two-row fields, halo-block windows — and the gather path, which carries
+// nothing, stays exact beside it.
+func TestAdvectDecayRowReuseMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(131))
+	const halo = 2
+	for _, c := range []struct {
+		name         string
+		gnx, gny     int
+		x0, y0, w, h int
+		off          int
+		ux, vy       float64
+	}{
+		{"top clamp, shared y0", 47, 31, 0, 0, 47, 31, 0, 0.24, 2.5},
+		{"top clamp, integral flow", 47, 31, 0, 0, 47, 31, 0, 0.24, 3},
+		{"bottom y1 == y0", 47, 31, 0, 0, 47, 31, 0, 0.24, -2.5},
+		{"bottom, sub-row flow", 47, 31, 0, 0, 47, 31, 0, 0.24, -0.4},
+		{"flow over one row", 47, 31, 0, 0, 47, 31, 0, 0.6, 1.7},
+		{"negative flow over one row", 47, 31, 0, 0, 47, 31, 0, -0.6, -1.7},
+		{"far past the domain", 47, 31, 0, 0, 47, 31, 0, 0.3, 250},
+		{"one row", 47, 1, 0, 0, 47, 1, 0, 0.24, 0.06},
+		{"two rows", 47, 2, 0, 0, 47, 2, 0, 0.24, 0.06},
+		{"two rows, bottom clamp", 47, 2, 0, 0, 47, 2, 0, 0.24, -0.7},
+		{"halo block, north border", 60, 44, 20, 0, 25, 21, halo, 0.4, 1.3},
+		{"halo block, south border", 60, 44, 20, 23, 25, 21, halo, 0.4, -1.3},
+		{"halo block, interior", 60, 44, 20, 11, 20, 22, halo, -0.4, 0.7},
+		{"halo block, one row", 60, 44, 20, 11, 20, 1, halo, 0.4, 0.7},
+		// x − UX rounds to x on some columns and not on others: the gather
+		// path, beside rows clamped at both ends.
+		{"gather, top clamp", 47, 31, 0, 0, 47, 31, 0, 1e-16, 2.5},
+		{"gather, bottom clamp", 47, 31, 0, 0, 47, 31, 0, 1e-16, -2.5},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			sp := AdvectSpec{
+				UX: c.ux, VY: c.vy, GX0: c.x0, GY0: c.y0, GNX: c.gnx, GNY: c.gny,
+				OffX: c.off, OffY: c.off, Decay: 0.96,
+			}
+			// Two sources of one shape in a row: the second call must not
+			// start from the first one's carried row in the pooled scratch.
+			for range 2 {
+				checkAdvectMatchesReference(t, randomField(rng, c.w+2*c.off, c.h+2*c.off), c.w, c.h, sp)
+			}
+		})
+	}
+}
+
 // FuzzAdvectDecay holds the kernel to the per-point reference, bit for
 // bit, over arbitrary flows, block placements and halo widths.
 func FuzzAdvectDecay(f *testing.F) {
@@ -193,6 +244,19 @@ func FuzzAdvectDecay(f *testing.F) {
 	f.Add(-1.3, 0.2, 60, 44, 54, 11, 6, 5, 2, int64(13))  // east
 	f.Add(0.4, -0.7, 60, 44, 20, 0, 25, 21, 2, int64(14)) // north
 	f.Add(2.5, 1.9, 60, 44, 20, 23, 25, 21, 2, int64(15)) // south
+	// The contiguous path's carried row: departure rows clamped at the top
+	// (shared y0), y1 == y0 at the bottom, more than one row either way,
+	// two-row fields, halo blocks on the north and south borders, and the
+	// gather path beside both clamps.
+	f.Add(0.24, 2.5, 47, 31, 0, 0, 47, 31, 0, int64(16))
+	f.Add(0.24, -2.5, 47, 31, 0, 0, 47, 31, 0, int64(17))
+	f.Add(-0.6, -1.7, 47, 31, 0, 0, 47, 31, 0, int64(18))
+	f.Add(0.24, 0.06, 47, 2, 0, 0, 47, 2, 0, int64(19))
+	f.Add(0.24, -0.7, 47, 2, 0, 0, 47, 2, 0, int64(20))
+	f.Add(0.4, 1.3, 60, 44, 20, 0, 25, 21, 2, int64(21))
+	f.Add(0.4, -1.3, 60, 44, 20, 23, 25, 21, 2, int64(22))
+	f.Add(1e-16, 2.5, 47, 31, 0, 0, 47, 31, 0, int64(23))
+	f.Add(1e-16, -2.5, 47, 31, 0, 0, 47, 31, 0, int64(24))
 	f.Fuzz(func(t *testing.T, ux, vy float64, gnx, gny, x0, y0, w, h, halo int, seed int64) {
 		if math.IsNaN(ux) || math.IsNaN(vy) {
 			t.Skip("the reference formula indexes out of range on a NaN flow")

@@ -54,6 +54,12 @@ const (
 	// other and the enclosing "nests" phase — they feed a per-nest latency
 	// aggregate, never timeline phase sums.
 	KindNestStep Kind = "nest-step"
+	// KindParentField is the parent model's field half within a pipeline
+	// step (wrfsim.Model.StepField): source deposition and advection. It
+	// runs inside the "nests" phase, beside the nest steps on a serial
+	// pipeline, so like KindNestStep it feeds its own latency aggregate,
+	// never timeline phase sums.
+	KindParentField Kind = "parent-field"
 	// KindJob records job lifecycle transitions (submitted, attempt,
 	// paused, retry, done, failed, cancelled).
 	KindJob Kind = "job"
@@ -157,8 +163,8 @@ func New(opts Options) *Tracer {
 
 // aggName maps an event to its streaming-aggregate series ("" = none):
 // phases aggregate under their phase name, whole steps under "step",
-// executed redistributions under "redist", and job attempts under
-// "attempt".
+// executed redistributions under "redist", nest steps and the parent's
+// field half under their kind, and job attempts under "attempt".
 func aggName(e Event) string {
 	switch e.Kind {
 	case KindPhase:
@@ -169,6 +175,8 @@ func aggName(e Event) string {
 		return "redist"
 	case KindNestStep:
 		return "nest-step"
+	case KindParentField:
+		return "parent-field"
 	case KindJob:
 		if e.Phase == "attempt" {
 			return "attempt"

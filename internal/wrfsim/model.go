@@ -179,6 +179,10 @@ type Model struct {
 	// genesis indexes the next cfg.Genesis entry, derived from step and
 	// never checkpointed.
 	genesis int
+	// fieldDue is set between a StepCells and its StepField, when the
+	// cells are a step ahead of the cloud water. A step boundary never has
+	// it set.
+	fieldDue bool
 }
 
 // NewModel builds a model from cfg. It returns an error on non-physical
@@ -240,11 +244,22 @@ func (m *Model) InjectCell(c Cell) error {
 	return nil
 }
 
-// Step advances the simulation by one Dt: scripted genesis, cell life
-// cycles and drift, spontaneous genesis, source deposition, semi-Lagrangian
-// advection and exponential decay. The OLR diagnostic is left stale for
-// OLR() to refresh.
+// Step advances the simulation by one Dt: StepCells, then StepField.
 func (m *Model) Step() {
+	m.StepCells()
+	m.StepField()
+}
+
+// StepCells is the cell half of Step: scripted genesis, cell life cycles
+// and drift, merging, spontaneous genesis and the clock. After it, the
+// cells, time and step count are the new step's, while the cloud water is
+// still the old step's until StepField runs. A nest steps from the cells
+// alone (Nest.Step, StepNests), so the nests of a step may advance while
+// StepField runs.
+func (m *Model) StepCells() {
+	if m.fieldDue {
+		panic("wrfsim: StepCells before the previous step's StepField")
+	}
 	dt := m.cfg.Dt
 	m.cells = m.cfg.advanceCells(m.cells, &m.genesis, m.step)
 
@@ -263,6 +278,22 @@ func (m *Model) Step() {
 		}
 	}
 
+	m.time += dt
+	m.step++
+	m.fieldDue = true
+}
+
+// StepField is the field half of Step, once per StepCells: source
+// deposition from the cells StepCells left, then semi-Lagrangian advection
+// and exponential decay. It reads the cells and the configuration and
+// writes only the cloud water and its derived state, so it may run
+// concurrently with nest steps that read the same model. The OLR
+// diagnostic is left stale for OLR() to refresh.
+func (m *Model) StepField() {
+	if !m.fieldDue {
+		panic("wrfsim: StepField without a StepCells")
+	}
+	dt := m.cfg.Dt
 	// Source deposition.
 	m.stamps.build(m.cells, dt, 1, geom.Point{}, m.qcloud.Bounds())
 	m.stamps.addTo(m.qcloud)
@@ -276,9 +307,7 @@ func (m *Model) Step() {
 	})
 	m.qcloud, m.scratch = m.scratch, m.qcloud
 	m.olrStale = true
-
-	m.time += dt
-	m.step++
+	m.fieldDue = false
 }
 
 // sourceStamps is one target field's share of a parent step's cloud-water

@@ -90,9 +90,10 @@ func TestStepNestsMatchesPerNestStep(t *testing.T) {
 
 // TestStepNestsAmortisedAllocations: a steady-state dispatch allocates
 // nothing — the rank workers are parked, the owner table, rank list and
-// rank function are pooled, the stamps and halo plans are reused and every
-// message copies into its mailbox slot's buffer. Every rank here exchanges
-// up to 3 strips each way in each of 3 substeps, so a per-message
+// rank function are pooled, the stamps and halo plans are reused, and every
+// strip is copied straight out of the upwind neighbour's block published in
+// its ring of substep buffers. Every rank here reads up to 3 strips and
+// publishes for up to 3 readers in each of 3 substeps, so a per-strip
 // allocation would show up as tens per rank. The first dispatch after a
 // Redistribute re-plans each owner rank on the buffers of the share it
 // kept or drew from the pool, so once the shares have seen both
@@ -197,8 +198,9 @@ func TestRedistributeChainMatchesRestore(t *testing.T) {
 // same fine extents, sub-rectangle and block points, so every recycled
 // plan matches its new decomposition point for point. Its peers are
 // numbered by the other grid, though, and the plan must be rebuilt: the
-// nest then steps like the serial nest (a stale plan would send its strips
-// to the old grid's ranks and time out or mix the wrong samples in).
+// nest then steps like the serial nest (a stale plan would read its strips
+// out of the blocks of the old grid's rank numbers: it would wait on a rank
+// that publishes none, or mix the wrong samples in).
 func TestReleasedShareOnAnotherGridReplans(t *testing.T) {
 	procs := geom.NewRect(0, 0, 4, 3)
 	m, _, old, pg := setupNestPair(t, procs)
