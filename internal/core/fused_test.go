@@ -65,11 +65,7 @@ func (r *monsoonRun) stepPerNest(t testing.TB) {
 	t.Helper()
 	p := r.p
 	p.model.Step()
-	ids := p.sortedNestIDs(len(p.dnests), func(f func(int)) {
-		for id := range p.dnests {
-			f(id)
-		}
-	})
+	ids := sortedIDs(&p.idScratch, p.dnests)
 	for _, id := range ids {
 		if err := p.dnests[id].Step(p.compWorld, p.model.Config(), p.model.Cells()); err != nil {
 			t.Fatal(err)

@@ -95,12 +95,13 @@ type Pipeline struct {
 
 	// Step scratch, reused across steps: the cell snapshot and nest list
 	// handed to distributed nest stepping, the sorted nest-ID work list,
-	// the serial nest phase's task list and the split files of the last
-	// PDA invocation.
+	// the serial nest phase's task list and its worker pool, and the split
+	// files of the last PDA invocation.
 	cellScratch  []wrfsim.Cell
 	nestScratch  []*wrfsim.ParallelNest
 	idScratch    []int
 	taskScratch  []stepTask
+	tasks        taskPool
 	splitScratch []wrfsim.Split
 }
 
@@ -132,6 +133,7 @@ func NewPipeline(m *wrfsim.Model, tr *Tracker, cfg PipelineConfig) (*Pipeline, e
 		nests:   make(map[int]*wrfsim.Nest),
 		nextID:  1,
 	}
+	p.tasks.fn = p.runStepTask
 	if cfg.Distributed {
 		p.dnests = make(map[int]*wrfsim.ParallelNest)
 		p.compWorld, err = mpi.NewWorld(tr.Grid().Size(), mpi.Config{Net: tr.Net()})
@@ -278,11 +280,7 @@ func (p *Pipeline) stepNests(step int) error {
 		if len(p.dnests) == 0 {
 			return nil
 		}
-		ids := p.sortedNestIDs(len(p.dnests), func(f func(int)) {
-			for id := range p.dnests {
-				f(id)
-			}
-		})
+		ids := sortedIDs(&p.idScratch, p.dnests)
 		nests := p.nestScratch[:0]
 		for _, id := range ids {
 			nests = append(nests, p.dnests[id])
@@ -308,16 +306,11 @@ func (p *Pipeline) stepNests(step int) error {
 		return nil
 	}
 	if len(p.nests) == 0 {
-		// Nothing to run beside: no task pool, whose closure would
-		// allocate.
+		// Nothing to run beside: no task pool.
 		p.stepField(step)
 		return nil
 	}
-	ids := p.sortedNestIDs(len(p.nests), func(f func(int)) {
-		for id := range p.nests {
-			f(id)
-		}
-	})
+	ids := sortedIDs(&p.idScratch, p.nests)
 	// The field half is the task with no nest. Its work is one pass over
 	// the parent grid; a nest's is NestRatio substeps over its fine grid.
 	cfg := p.model.Config()
@@ -329,23 +322,30 @@ func (p *Pipeline) stepNests(step int) error {
 	}
 	slices.SortStableFunc(tasks, func(a, b stepTask) int { return b.work - a.work })
 	p.taskScratch = tasks
-	runBounded(min(runtime.GOMAXPROCS(0), len(tasks)), len(tasks), func(i int) {
-		nest := tasks[i].nest
-		if nest == nil {
-			p.stepField(step)
-			return
-		}
-		var t0 time.Time
-		if tr != nil {
-			t0 = time.Now()
-		}
-		nest.Step(p.model)
-		if tr != nil {
-			tr.Emit(obs.Event{Kind: obs.KindNestStep, Step: step,
-				NestID: nest.ID, DurNS: time.Since(t0).Nanoseconds()})
-		}
-	})
+	p.tasks.run(runtime.GOMAXPROCS(0), len(tasks))
 	return nil
+}
+
+// runStepTask runs task i of the serial nest phase (p.taskScratch): the
+// parent's field half, or one nest's step. It is the pipeline's task pool
+// function, bound once, so handing it to the pool allocates nothing.
+func (p *Pipeline) runStepTask(i int) {
+	step := p.model.StepCount()
+	nest := p.taskScratch[i].nest
+	if nest == nil {
+		p.stepField(step)
+		return
+	}
+	tr := p.tracer
+	var t0 time.Time
+	if tr != nil {
+		t0 = time.Now()
+	}
+	nest.Step(p.model)
+	if tr != nil {
+		tr.Emit(obs.Event{Kind: obs.KindNestStep, Step: step,
+			NestID: nest.ID, DurNS: time.Since(t0).Nanoseconds()})
+	}
 }
 
 // stepTask is one unit of a serial step's nest phase: a nest's step, or
@@ -370,61 +370,73 @@ func (p *Pipeline) stepField(step int) {
 	}
 }
 
-// sortedNestIDs fills the pipeline's reusable ID scratch from the given
-// key iterator and sorts it, giving nest work a deterministic order.
-func (p *Pipeline) sortedNestIDs(n int, each func(func(int))) []int {
-	ids := p.idScratch[:0]
-	each(func(id int) { ids = append(ids, id) })
-	p.idScratch = ids
+// sortedIDs fills *scratch with the keys of a nest map, sorted: nest work
+// in a deterministic order, with no allocation once the scratch has grown.
+func sortedIDs[N any](scratch *[]int, nests map[int]N) []int {
+	ids := (*scratch)[:0]
+	for id := range nests {
+		ids = append(ids, id)
+	}
 	slices.Sort(ids)
+	*scratch = ids
 	return ids
 }
 
-// runBounded invokes fn(i) for every i in [0, n) using at most workers
-// goroutines; one worker (or one item) runs inline on the caller. A panic
-// in any fn is re-raised on the caller after the group drains, so callers'
-// recover paths behave as they do for sequential stepping.
-func runBounded(workers, n int, fn func(int)) {
+// taskPool invokes fn(i) for every i in [0, n) on at most workers
+// goroutines, the caller's among them; one worker (or one item) runs
+// inline. A panic in any fn is re-raised on the caller after the group
+// drains, so callers' recover paths behave as they do for sequential
+// stepping. The pipeline keeps one pool, with fn bound once, so a run
+// allocates nothing but the goroutines it starts.
+type taskPool struct {
+	fn      func(int)
+	n       int
+	next    atomic.Int64
+	wg      sync.WaitGroup
+	panicMu sync.Mutex
+	panicV  any
+}
+
+func (g *taskPool) run(workers, n int) {
 	if workers <= 1 || n <= 1 {
 		for i := 0; i < n; i++ {
-			fn(i)
+			g.fn(i)
 		}
 		return
 	}
-	if workers > n {
-		workers = n
+	workers = min(workers, n)
+	g.n = n
+	g.next.Store(0)
+	g.wg.Add(workers)
+	for w := 1; w < workers; w++ {
+		go g.work()
 	}
-	var (
-		next    atomic.Int64
-		wg      sync.WaitGroup
-		panicMu sync.Mutex
-		panicV  any
-	)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panicMu.Lock()
-					if panicV == nil {
-						panicV = r
-					}
-					panicMu.Unlock()
-				}
-			}()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
+	g.work()
+	g.wg.Wait()
+	if v := g.panicV; v != nil {
+		g.panicV = nil
+		panic(v)
+	}
+}
+
+// work runs items until none is left, keeping the first panic for run.
+func (g *taskPool) work() {
+	defer g.wg.Done()
+	defer func() {
+		if r := recover(); r != nil {
+			g.panicMu.Lock()
+			if g.panicV == nil {
+				g.panicV = r
 			}
-		}()
-	}
-	wg.Wait()
-	if panicV != nil {
-		panic(panicV)
+			g.panicMu.Unlock()
+		}
+	}()
+	for {
+		i := int(g.next.Add(1)) - 1
+		if i >= g.n {
+			return
+		}
+		g.fn(i)
 	}
 }
 

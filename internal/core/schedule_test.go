@@ -4,6 +4,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"nestdiff/internal/geom"
@@ -49,11 +50,7 @@ func schedulePipeline(t *testing.T) *Pipeline {
 func (p *Pipeline) stepSequential(t *testing.T) {
 	t.Helper()
 	p.model.Step()
-	ids := p.sortedNestIDs(len(p.nests), func(f func(int)) {
-		for id := range p.nests {
-			f(id)
-		}
-	})
+	ids := sortedIDs(&p.idScratch, p.nests)
 	for _, id := range ids {
 		p.nests[id].Step(p.model)
 	}
@@ -128,5 +125,89 @@ func TestSerialStepScheduleMatchesSequential(t *testing.T) {
 			}
 			t.Logf("GOMAXPROCS %d: %d spawned, %d retired, %d bare steps, up to %d nests", procs, spawned, retired, bare, maxNests)
 		}()
+	}
+}
+
+// TestSerialStepAllocatesOnlyItsGoroutines pins a plain serial step with
+// nests — no analysis, so no reallocation — to the allocations of the
+// goroutines its task pool starts: the pool's state lives in the pipeline,
+// its task function is bound once, and the caller is the last worker, so a
+// step starts GOMAXPROCS−1 goroutines, and none at GOMAXPROCS 1. Each costs
+// its go statement's closure, and now and then the runtime's goroutine
+// record when no exited one is free to reuse yet: at most two.
+func TestSerialStepAllocatesOnlyItsGoroutines(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is perturbed by the race detector")
+	}
+	for _, procs := range []int{1, 2} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			p := schedulePipeline(t)
+			defer p.Close()
+			for len(p.Nests()) == 0 {
+				if p.StepCount() > 50 {
+					t.Fatal("no nest spawned in 50 steps")
+				}
+				if err := p.Step(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			p.cfg.Interval = math.MaxInt32   // plain steps from here on
+			if err := p.Step(); err != nil { // warm the nests' buffers
+				t.Fatal(err)
+			}
+			const steps = 40
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			for range steps {
+				if err := p.Step(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&m1)
+			perStep := float64(m1.Mallocs-m0.Mallocs) / steps
+			if want := float64(2 * (procs - 1)); perStep > want {
+				t.Fatalf("GOMAXPROCS %d, %d nests: %.2f allocations per plain step, want <= %.0f",
+					procs, len(p.Nests()), perStep, want)
+			}
+			t.Logf("GOMAXPROCS %d, %d nests: %.2f allocations per plain step", procs, len(p.Nests()), perStep)
+		}()
+	}
+}
+
+// TestTaskPoolReraisesPanicAfterDraining: a task's panic reaches the
+// caller of run — whichever worker, the caller's own or a started one, ran
+// the task — only after every other task has run, and the pool runs cleanly
+// again afterwards.
+func TestTaskPoolReraisesPanicAfterDraining(t *testing.T) {
+	const n = 9
+	for bad := range n {
+		var ran [n]atomic.Bool
+		g := taskPool{fn: func(i int) {
+			ran[i].Store(true)
+			if i == bad {
+				panic(i)
+			}
+		}}
+		func() {
+			defer func() {
+				if r := recover(); r != bad {
+					t.Fatalf("task %d panicked: run re-raised %v", bad, r)
+				}
+				for i := range ran {
+					if !ran[i].Load() {
+						t.Fatalf("task %d panicked: task %d never ran", bad, i)
+					}
+				}
+			}()
+			g.run(3, n)
+		}()
+		g.fn = func(i int) { ran[i].Store(false) }
+		g.run(3, n)
+		for i := range ran {
+			if ran[i].Load() {
+				t.Fatalf("after task %d's panic: task %d did not run again", bad, i)
+			}
+		}
 	}
 }

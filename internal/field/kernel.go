@@ -77,6 +77,13 @@ var advectPool = sync.Pool{New: func() any { return new(advectScratch) }}
 // is, unclamped, the top row of the next, so its interpolation is kept and
 // reused with the same bits. Otherwise it gathers through the index table.
 //
+// The contiguous path's two row loops (rows.go) run in AVX2 assembly on an
+// amd64 CPU that has it, four columns per instruction, and as portable Go
+// everywhere else; the border columns and the gather path are Go on every
+// host. The assembly does the Go loops' multiplies and adds in the same
+// order and never fuses them, so every sample has the bits the Go loops give
+// at the default GOAMD64=v1, whichever path runs.
+//
 // dst and src must not alias; dst extents are the iteration space.
 func AdvectDecay(dst, src *Field, sp AdvectSpec) {
 	if dst == src {
@@ -180,28 +187,14 @@ func AdvectDecay(dst, src *Field, sp AdvectSpec) {
 			}
 			continue
 		}
-		// Column i reads source samples lo+i and lo+i+1: carry the left
-		// sample over from the previous column and index the right one by
-		// i, so every slice below has length n and needs no bounds check.
+		// Column i reads source samples lo+i and lo+i+1 (rows.go).
 		lo := xLo + shift
 		if topRow != y0 {
 			// The previous row's bottom is not this row's top: a first
 			// row, or a row whose departure clamps at the top.
-			l0, r0s := row0[lo], row0[lo+1:][:n]
-			for i, fx := range fxs {
-				r0 := r0s[i]
-				tops[i] = l0*wxs[i] + r0*fx
-				l0 = r0
-			}
+			interpRow(tops, row0[lo:lo+n+1], wxs, fxs)
 		}
-		l1, r1s := row1[lo], row1[lo+1:][:n]
-		for i, fx := range fxs {
-			r1 := r1s[i]
-			bot := l1*wxs[i] + r1*fx
-			out[i] = (tops[i]*wy0 + bot*fy) * decay
-			tops[i] = bot
-			l1 = r1
-		}
+		advectRow(out, tops, row1[lo:lo+n+1], wxs, fxs, wy0, fy, decay)
 		topRow = y1
 	}
 	advectPool.Put(s)
@@ -213,6 +206,11 @@ func AdvectDecay(dst, src *Field, sp AdvectSpec) {
 // the same source several times (a nest's substeps) builds once and applies
 // many times; a stamp's tables are reused across builds, so a long-lived
 // stamp allocates nothing in steady state. The zero value is an empty stamp.
+//
+// AddTo and AddWindow accumulate each window row, row[i] += amp·wx[i], in
+// AVX2 assembly on an amd64 CPU that has it and in Go everywhere else; the
+// assembly does the Go loop's multiply and add, never fused, so every
+// sample has the bits the Go loop gives at the default GOAMD64=v1.
 type GaussStamp struct {
 	x0, y0 int       // window origin in the target field's own coordinates
 	wx     []float64 // exp(−(x−cx)²·inv) per window column
@@ -267,10 +265,7 @@ func (s *GaussStamp) AddWindow(f *Field, win geom.Rect) {
 	wx := s.wx[x0-s.x0 : x1-s.x0]
 	for y, rowAmp := range s.wy[y0-s.y0 : y1-s.y0] {
 		base := (y0+y-win.Y0)*f.NX + x0 - win.X0
-		row := f.Data[base : base+len(wx)]
-		for i, wv := range wx {
-			row[i] += rowAmp * wv
-		}
+		addScaled(f.Data[base:base+len(wx)], wx, rowAmp)
 	}
 }
 

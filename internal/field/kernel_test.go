@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"nestdiff/internal/geom"
 )
 
 // referenceAdvectDecay is the pre-kernel per-point formula AdvectDecay
@@ -129,18 +131,35 @@ func TestAdvectDecayRandomizedExactEquivalence(t *testing.T) {
 	}
 }
 
-// checkAdvectMatchesReference runs the kernel and the per-point reference
-// on one spec and requires every sample to agree bit-for-bit.
+// portableRows runs fn with the assembly row loops switched off, so it
+// runs the portable Go loops of rows.go on any host.
+func portableRows(fn func()) {
+	saved := useAVX2
+	useAVX2 = false
+	defer func() { useAVX2 = saved }()
+	fn()
+}
+
+// checkAdvectMatchesReference runs the kernel with the row loops this host
+// selects (the AVX2 assembly where the CPU has it), the kernel with the
+// portable loops, and the per-point reference on one spec, and requires
+// every sample of the three to agree bit-for-bit.
 func checkAdvectMatchesReference(t *testing.T, src *Field, w, h int, sp AdvectSpec) {
 	t.Helper()
 	want := New(w, h)
 	referenceAdvectDecay(want, src, sp)
 	got := New(w, h)
 	AdvectDecay(got, src, sp)
+	portable := New(w, h)
+	portableRows(func() { AdvectDecay(portable, src, sp) })
 	for i := range want.Data {
+		if math.Float64bits(portable.Data[i]) != math.Float64bits(want.Data[i]) {
+			t.Fatalf("%dx%d %+v: portable sample (%d,%d) = %g, want %g (must be bit-identical)",
+				w, h, sp, i%w, i/w, portable.Data[i], want.Data[i])
+		}
 		if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
-			t.Fatalf("%dx%d %+v: sample (%d,%d) = %g, want %g (must be bit-identical)",
-				w, h, sp, i%w, i/w, got.Data[i], want.Data[i])
+			t.Fatalf("%dx%d %+v (vector rows %v): sample (%d,%d) = %g, want %g (must be bit-identical)",
+				w, h, sp, useAVX2, i%w, i/w, got.Data[i], want.Data[i])
 		}
 	}
 }
@@ -257,6 +276,12 @@ func FuzzAdvectDecay(f *testing.F) {
 	f.Add(0.4, -1.3, 60, 44, 20, 23, 25, 21, 2, int64(22))
 	f.Add(1e-16, 2.5, 47, 31, 0, 0, 47, 31, 0, int64(23))
 	f.Add(1e-16, -2.5, 47, 31, 0, 0, 47, 31, 0, int64(24))
+	// Whole fields n+1 columns wide under a sub-cell flow: a fast path of
+	// n = 1–8 columns, so the vector row loops see rows shorter than one
+	// vector, every tail length, 0–3, after one vector, and two whole ones.
+	for n := 1; n <= 8; n++ {
+		f.Add(0.24, 0.06, n, 30, 0, 0, n, 30, 0, int64(24+n))
+	}
 	f.Fuzz(func(t *testing.T, ux, vy float64, gnx, gny, x0, y0, w, h, halo int, seed int64) {
 		if math.IsNaN(ux) || math.IsNaN(vy) {
 			t.Skip("the reference formula indexes out of range on a NaN flow")
@@ -272,6 +297,40 @@ func FuzzAdvectDecay(f *testing.F) {
 			OffX: halo, OffY: halo, Decay: 0.96,
 		})
 	})
+}
+
+// TestAddWindowVectorMatchesPortable holds GaussStamp.AddWindow, with the
+// row loops this host selects and with the portable ones, to the per-sample
+// accumulate f(x, y) += wy·wx bit for bit, on windows 0–9 columns wide (every
+// vector tail, and rows shorter than one vector) at offsets that clip the
+// stamp on either side.
+func TestAddWindowVectorMatchesPortable(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	var s GaussStamp
+	s.Build(12.3, 8.6, 1.7, 0.02, 0, 0, 23, 17, 0, 0)
+	for width := 0; width <= 9; width++ {
+		for _, off := range [][2]int{{0, 0}, {3, 5}, {14, 9}, {20, 15}, {-2, -1}} {
+			win := geom.NewRect(off[0], off[1], width, 3)
+			base := randomField(rng, max(width, 1), 3)
+			want := base.Clone()
+			for y := max(win.Y0, s.y0); y < min(win.Y1, s.y0+len(s.wy)); y++ {
+				for x := max(win.X0, s.x0); x < min(win.X1, s.x0+len(s.wx)); x++ {
+					i := (y-win.Y0)*want.NX + x - win.X0
+					want.Data[i] += s.wy[y-s.y0] * s.wx[x-s.x0]
+				}
+			}
+			got, portable := base.Clone(), base.Clone()
+			s.AddWindow(got, win)
+			portableRows(func() { s.AddWindow(portable, win) })
+			for i := range want.Data {
+				if math.Float64bits(portable.Data[i]) != math.Float64bits(want.Data[i]) ||
+					math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+					t.Fatalf("window %v: sample %d = %g (portable %g), want %g (must be bit-identical)",
+						win, i, got.Data[i], portable.Data[i], want.Data[i])
+				}
+			}
+		}
+	}
 }
 
 func TestAdvectDecayPanics(t *testing.T) {

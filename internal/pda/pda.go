@@ -11,8 +11,9 @@
 package pda
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"nestdiff/internal/geom"
 	"nestdiff/internal/wrfsim"
@@ -158,11 +159,14 @@ func distanceOK(element, member SubdomainInfo, cluster Cluster, hop int, opt Opt
 // (Algorithm 1 line 13), with rank as a deterministic tie-break.
 func sortByQCloud(infos []SubdomainInfo) []SubdomainInfo {
 	out := append([]SubdomainInfo(nil), infos...)
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].QCloud != out[j].QCloud {
-			return out[i].QCloud > out[j].QCloud
+	slices.SortStableFunc(out, func(a, b SubdomainInfo) int {
+		if a.QCloud != b.QCloud {
+			if a.QCloud > b.QCloud {
+				return -1
+			}
+			return 1
 		}
-		return out[i].Rank < out[j].Rank
+		return cmp.Compare(a.Rank, b.Rank)
 	})
 	return out
 }
