@@ -14,10 +14,11 @@ const (
 )
 
 // TestV2ChainFixtureCrossCommitRestore pins the v2 chain format across
-// reader and writer rewrites: the committed file was cut by the writer as
-// it stood before the field-diff records were retired (distributed
-// pipeline, MaxDeltas 64: a base at step 60 and three replay deltas 20
-// steps apart). gob's map order makes a
+// reader and writer rewrites: the committed file is a chain cut by an
+// earlier writer (distributed pipeline, MaxDeltas 64: a base at step 60
+// and three replay deltas 20 steps apart). It was cut again when
+// distributed nests came to step the serial nests' bits, since its replay
+// CRCs record the fields a restore must reproduce. gob's map order makes a
 // base's bytes differ run to run, so this file, not a digest of fresh
 // output, is what proves old chains keep restoring — it must validate,
 // restore at the last delta's step, and continue exactly as a run that

@@ -7,7 +7,6 @@ import (
 	"hash/crc32"
 	"slices"
 
-	"nestdiff/internal/field"
 	"nestdiff/internal/geom"
 	"nestdiff/internal/scenario"
 	"nestdiff/internal/wrfsim"
@@ -81,11 +80,9 @@ type CheckpointWriter struct {
 	meta    ckptMetaV2
 
 	// Reused encode scratch. ids is the live nest IDs of the current
-	// Encode in ascending order; gathers[i] is the pooled gather target of
-	// ids[i] (distributed nests only).
-	ids     []int
-	gathers []*field.Field
-	cells   []wrfsim.Cell
+	// Encode in ascending order.
+	ids   []int
+	cells []wrfsim.Cell
 }
 
 // NewCheckpointWriter returns a writer whose first Encode emits a full
@@ -206,22 +203,15 @@ func (cw *CheckpointWriter) collectNests(p *Pipeline) {
 	}
 	slices.Sort(ids)
 	cw.ids = ids
-	for len(cw.gathers) < len(ids) {
-		cw.gathers = append(cw.gathers, nil)
-	}
-	clear(cw.gathers[len(ids):])
 }
 
-// nestSamples returns the fine field of nest ids[i]: the nest's own array
-// in serial mode, the blocks gathered into the position's pooled target in
-// distributed mode (reallocated only when the nest at that position
-// changes shape).
+// nestSamples returns the fine field of nest ids[i]: the nest's own array,
+// serial or nest-wide distributed.
 func (cw *CheckpointWriter) nestSamples(p *Pipeline, i int) []float64 {
 	if !p.cfg.Distributed {
 		return p.nests[cw.ids[i]].QCloud().Data
 	}
-	cw.gathers[i] = p.dnests[cw.ids[i]].GatherInto(cw.gathers[i])
-	return cw.gathers[i].Data
+	return p.dnests[cw.ids[i]].QCloud().Data
 }
 
 // encodeNest appends the complete record of nest ids[i] to buf. A base

@@ -192,9 +192,8 @@ func TestCheckpointWriterNegativeMaxDeltasAlwaysFull(t *testing.T) {
 }
 
 // TestCheckpointDeltaCutZeroAlloc: once the chain's base is cut, a delta
-// cut allocates nothing — not for the metadata record, the field CRCs or
-// the gathers of distributed nests — in either nest mode, at several
-// states of a run with live nests.
+// cut allocates nothing — not for the metadata record or the field CRCs —
+// in either nest mode, at several states of a run with live nests.
 func TestCheckpointDeltaCutZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is perturbed by the race detector")

@@ -115,16 +115,7 @@ func TestTrackerDrivesDistributedNestRedistribution(t *testing.T) {
 	}
 
 	step(4)
-	var worst float64
-	got := par.Gather()
-	for i := range got.Data {
-		if d := math.Abs(got.Data[i] - serial.QCloud().Data[i]); d > worst {
-			worst = d
-		}
-	}
-	if worst > 1e-12 {
-		t.Fatalf("distributed nest deviates from serial by %g after reallocation", worst)
-	}
+	sameField(t, "distributed vs serial nest after reallocation", par.Gather().Data, serial.QCloud().Data, 0)
 }
 
 func TestExecutedRedistributionMatchesAnalyticalModel(t *testing.T) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"slices"
@@ -96,9 +97,8 @@ func sameField(t *testing.T, what string, got, want []float64, tol float64) {
 // live nests give the same adaptation events, nest fields and parent field
 // whether the nests advance in one fused dispatch or in one dispatch per
 // nest, bit for bit. A run with serial nests makes the same adaptation
-// decisions too; its fields agree to the 1e-12 a block-decomposed advection
-// has always been held to against the serial kernel (the two round a
-// block-border sample differently in the last place).
+// decisions and holds the same fields bit for bit too: each rank advects
+// its window of the nest-wide field with the serial nest's arithmetic.
 func TestFusedNestSteppingMatchesPerNestAndSerial(t *testing.T) {
 	const steps, seed = 60, 4 // three nests from step 40 on, moved at 45 and 50
 	fused, perNest, serial := newMonsoonRun(t, seed, true), newMonsoonRun(t, seed, true), newMonsoonRun(t, seed, false)
@@ -128,11 +128,10 @@ func TestFusedNestSteppingMatchesPerNestAndSerial(t *testing.T) {
 		t.Fatal("no nest was redistributed; the drill never rebuilt a halo plan mid-run")
 	}
 
-	const serialTol = 1e-12
 	sameField(t, "parent qcloud, fused vs per-nest",
 		fused.p.Model().QCloud().Data, perNest.p.Model().QCloud().Data, 0)
 	sameField(t, "parent qcloud, fused vs serial",
-		fused.p.Model().QCloud().Data, serial.p.Model().QCloud().Data, serialTol)
+		fused.p.Model().QCloud().Data, serial.p.Model().QCloud().Data, 0)
 	for id, n := range fused.p.DistributedNests() {
 		other, ok := perNest.p.DistributedNests()[id]
 		if !ok || other.Procs() != n.Procs() || other.StepCount() != n.StepCount() {
@@ -144,7 +143,47 @@ func TestFusedNestSteppingMatchesPerNestAndSerial(t *testing.T) {
 		if !ok {
 			t.Fatalf("nest %d missing from the serial run", id)
 		}
-		sameField(t, "nest field, fused vs serial", got, sn.QCloud().Data, serialTol)
+		sameField(t, "nest field, fused vs serial", got, sn.QCloud().Data, 0)
+	}
+}
+
+// TestDistributedNestFieldsMatchSerialEveryStep steps the track-distributed
+// shape — monsoon genesis, the 16x16 torus, up to 9 nests, adaptation every
+// 5 steps — for 300 steps with distributed and with serial nests, and
+// requires, after every step, the same live nests holding the same fine
+// fields, and the same parent field, bit for bit: across spawns, releases
+// and the executed redistributions of nests the allocator moved.
+func TestDistributedNestFieldsMatchSerialEveryStep(t *testing.T) {
+	const steps, seed = 300, 11
+	dist, serial := newMonsoonRun(t, seed, true), newMonsoonRun(t, seed, false)
+	compared := 0
+	for step := 1; step <= steps; step++ {
+		dist.run(t, 1)
+		serial.run(t, 1)
+		dn, sn := dist.p.DistributedNests(), serial.p.Nests()
+		if len(dn) != len(sn) {
+			t.Fatalf("step %d: %d distributed nests, %d serial", step, len(dn), len(sn))
+		}
+		for id, n := range dn {
+			s, ok := sn[id]
+			if !ok || s.StepCount() != n.StepCount() {
+				t.Fatalf("step %d: distributed nest %d at substep %d has no serial twin", step, id, n.StepCount())
+			}
+			sameField(t, fmt.Sprintf("step %d, nest %d field", step, id), n.QCloud().Data, s.QCloud().Data, 0)
+			compared++
+		}
+		sameField(t, fmt.Sprintf("step %d, parent qcloud", step),
+			dist.p.Model().QCloud().Data, serial.p.Model().QCloud().Data, 0)
+	}
+	moves := 0
+	for _, e := range dist.p.Events() {
+		if e.ExecutedRedistTime > 0 {
+			moves++
+		}
+	}
+	t.Logf("%d nest fields compared over %d steps; %d adaptations executed a redistribution", compared, steps, moves)
+	if moves == 0 {
+		t.Fatal("no nest was redistributed; the drill never crossed a Redistribute")
 	}
 }
 

@@ -342,7 +342,6 @@ func replayToDirective(p *Pipeline, rp *replayDirective) error {
 		return fmt.Errorf("core: load pipeline state: %d nests after delta replay, checkpoint recorded %d",
 			live, len(rp.nests))
 	}
-	var gather *field.Field
 	for _, rn := range rp.nests {
 		var cur []float64
 		if p.cfg.Distributed {
@@ -350,8 +349,7 @@ func replayToDirective(p *Pipeline, rp *replayDirective) error {
 			if n == nil {
 				return fmt.Errorf("core: load pipeline state: nest %d missing after delta replay", rn.id)
 			}
-			gather = n.GatherInto(gather)
-			cur = gather.Data
+			cur = n.QCloud().Data
 		} else {
 			n := p.nests[rn.id]
 			if n == nil {

@@ -135,7 +135,7 @@ func (p *Pipeline) ResizeGrid(g geom.Grid, net topology.Network, model *perfmode
 				Old: nest.Procs(), New: newRect,
 				ElemBytes: p.tracker.opts.ElemBytes,
 			}
-			fine, elapsed, err := RedistributeField(tw, tg, xfer, nest.Gather())
+			fine, elapsed, err := RedistributeField(tw, tg, xfer, nest.QCloud())
 			if err != nil {
 				return ResizeReport{}, fmt.Errorf("core: resize nest %d: %w", id, err)
 			}

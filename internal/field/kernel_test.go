@@ -231,7 +231,9 @@ func TestAdvectDecayRowReuseMatchesReference(t *testing.T) {
 }
 
 // FuzzAdvectDecay holds the kernel to the per-point reference, bit for
-// bit, over arbitrary flows, block placements and halo widths.
+// bit, over arbitrary flows, block placements and halo widths, and, on the
+// same flow and domain, window by window over a tiling of the whole domain
+// against the whole-field pass and the reference (checkWindowsMatchWhole).
 func FuzzAdvectDecay(f *testing.F) {
 	ulp := func(v float64, n int) float64 {
 		for ; n > 0; n-- {
@@ -291,32 +293,91 @@ func FuzzAdvectDecay(f *testing.F) {
 		w, h = 1+norm(w, gnx), 1+norm(h, gny)
 		x0, y0 = norm(x0, gnx-w+1), norm(y0, gny-h+1)
 		halo = norm(halo, 4)
-		src := randomField(rand.New(rand.NewSource(seed)), w+2*halo, h+2*halo)
+		rng := rand.New(rand.NewSource(seed))
+		src := randomField(rng, w+2*halo, h+2*halo)
 		checkAdvectMatchesReference(t, src, w, h, AdvectSpec{
 			UX: ux, VY: vy, GX0: x0, GY0: y0, GNX: gnx, GNY: gny,
 			OffX: halo, OffY: halo, Decay: 0.96,
 		})
+		// Windowed: the whole domain cut into a seed-drawn tiling.
+		whole := randomField(rng, gnx, gny)
+		checkWindowsMatchWhole(t, rng, whole, AdvectSpec{UX: ux, VY: vy, GNX: gnx, GNY: gny, Decay: 0.96})
 	})
+}
+
+// cuts splits [0, n) into consecutive spans 1–9 cells long, the nine
+// lengths in a seed-drawn order and then again, so a domain at least 45
+// cells long holds a span of every length. It returns the span bounds.
+func cuts(rng *rand.Rand, n int) []int {
+	order := rng.Perm(9)
+	out := []int{0}
+	for i := 0; out[len(out)-1] < n; i++ {
+		out = append(out, min(n, out[len(out)-1]+1+order[i%9]))
+	}
+	return out
+}
+
+// checkWindowsMatchWhole cuts src's domain into a tiling of windows 1–9
+// cells on a side (every vector tail length, and rows shorter than one
+// vector), advects each window into one domain-wide dst with a plan of its
+// own, prepared once and run twice, with this host's row loops and with
+// the portable ones, and requires every sample to have the bits of the
+// whole-field AdvectDecay and of the per-point reference. sp must describe
+// a source holding the whole domain.
+func checkWindowsMatchWhole(t *testing.T, rng *rand.Rand, src *Field, sp AdvectSpec) {
+	t.Helper()
+	want := New(src.NX, src.NY)
+	referenceAdvectDecay(want, src, sp)
+	whole := New(src.NX, src.NY)
+	AdvectDecay(whole, src, sp)
+	xs, ys := cuts(rng, src.NX), cuts(rng, src.NY)
+	plans := make([]AdvectPlan, (len(xs)-1)*(len(ys)-1))
+	for _, portable := range []bool{false, true} {
+		got := New(src.NX, src.NY)
+		got.Fill(math.NaN()) // a sample no window writes fails the comparison
+		tiled := func() {
+			for pass := 0; pass < 2; pass++ {
+				for j := 1; j < len(ys); j++ {
+					for i := 1; i < len(xs); i++ {
+						p := &plans[(j-1)*(len(xs)-1)+i-1]
+						p.Prepare(sp, geom.Rect{X0: xs[i-1], Y0: ys[j-1], X1: xs[i], Y1: ys[j]}, src.NX)
+						p.Advect(got, src)
+					}
+				}
+			}
+		}
+		if portable {
+			portableRows(tiled)
+		} else {
+			tiled()
+		}
+		for k := range want.Data {
+			if math.Float64bits(got.Data[k]) != math.Float64bits(want.Data[k]) ||
+				math.Float64bits(whole.Data[k]) != math.Float64bits(want.Data[k]) {
+				t.Fatalf("%dx%d %+v, columns %v, rows %v (portable rows %v): sample (%d,%d) = %g windowed, %g whole, want %g",
+					src.NX, src.NY, sp, xs, ys, portable, k%src.NX, k/src.NX, got.Data[k], whole.Data[k], want.Data[k])
+			}
+		}
+	}
 }
 
 // TestAddWindowVectorMatchesPortable holds GaussStamp.AddWindow, with the
 // row loops this host selects and with the portable ones, to the per-sample
 // accumulate f(x, y) += wy·wx bit for bit, on windows 0–9 columns wide (every
-// vector tail, and rows shorter than one vector) at offsets that clip the
-// stamp on either side.
+// vector tail, and rows shorter than one vector) at places that clip the
+// stamp on either side, and leaves every sample outside the window alone.
 func TestAddWindowVectorMatchesPortable(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	var s GaussStamp
-	s.Build(12.3, 8.6, 1.7, 0.02, 0, 0, 23, 17, 0, 0)
+	s.Build(12.3, 8.6, 1.7, 0.02, 3, 2, 19, 14, 0, 0)
 	for width := 0; width <= 9; width++ {
-		for _, off := range [][2]int{{0, 0}, {3, 5}, {14, 9}, {20, 15}, {-2, -1}} {
-			win := geom.NewRect(off[0], off[1], width, 3)
-			base := randomField(rng, max(width, 1), 3)
+		for _, off := range [][2]int{{0, 0}, {3, 5}, {14, 9}, {20, 15}, {1, 12}} {
+			base := randomField(rng, 24, 18)
+			win := geom.NewRect(off[0], off[1], width, 3).Intersect(base.Bounds())
 			want := base.Clone()
 			for y := max(win.Y0, s.y0); y < min(win.Y1, s.y0+len(s.wy)); y++ {
 				for x := max(win.X0, s.x0); x < min(win.X1, s.x0+len(s.wx)); x++ {
-					i := (y-win.Y0)*want.NX + x - win.X0
-					want.Data[i] += s.wy[y-s.y0] * s.wx[x-s.x0]
+					want.Add(x, y, s.wy[y-s.y0]*s.wx[x-s.x0])
 				}
 			}
 			got, portable := base.Clone(), base.Clone()
@@ -333,6 +394,62 @@ func TestAddWindowVectorMatchesPortable(t *testing.T) {
 	}
 }
 
+// TestAddWindowTilingMatchesAddTo: a stamp deposited window by window over
+// a tiling of the field it was built for — one window, a regular grid,
+// ragged windows, windows 1–9 wide and tall — gives every sample the bits
+// one AddTo gives it, for stamps inside the field, across each of its
+// edges and corners, and covering it whole.
+func TestAddWindowTilingMatchesAddTo(t *testing.T) {
+	const nx, ny = 47, 31
+	rng := rand.New(rand.NewSource(83))
+	regular := func(k, n int) []int {
+		out := make([]int, k+1)
+		for i := range out {
+			out[i] = i * n / k
+		}
+		return out
+	}
+	for _, st := range []struct {
+		name           string
+		cx, cy, rad    float64
+		x0, y0, x1, y1 int
+	}{
+		{"inside", 20.4, 13.7, 3, 11, 4, 30, 23},
+		{"north-west corner", 1.2, 0.6, 4, 0, 0, 13, 12},
+		{"south-east corner", 45.1, 29.9, 3, 36, 20, 46, 30},
+		{"east edge", 46.5, 15, 2, 40, 9, 46, 21},
+		{"whole field", 23, 15, 20, 0, 0, nx - 1, ny - 1},
+		{"one sample", 9, 9, 0.3, 9, 9, 9, 9},
+	} {
+		var s GaussStamp
+		s.Build(st.cx, st.cy, 1.3, 1/(2*st.rad*st.rad), st.x0, st.y0, st.x1, st.y1, 0, 0)
+		for _, tl := range []struct {
+			name   string
+			xs, ys []int
+		}{
+			{"1x1", []int{0, nx}, []int{0, ny}},
+			{"4x3", regular(4, nx), regular(3, ny)},
+			{"ragged 7x4", regular(7, nx), regular(4, ny)},
+			{"1-9 wide", cuts(rng, nx), cuts(rng, ny)},
+		} {
+			base := randomField(rng, nx, ny)
+			want, got := base.Clone(), base.Clone()
+			s.AddTo(want)
+			for j := 1; j < len(tl.ys); j++ {
+				for i := 1; i < len(tl.xs); i++ {
+					s.AddWindow(got, geom.Rect{X0: tl.xs[i-1], Y0: tl.ys[j-1], X1: tl.xs[i], Y1: tl.ys[j]})
+				}
+			}
+			for k := range want.Data {
+				if math.Float64bits(got.Data[k]) != math.Float64bits(want.Data[k]) {
+					t.Fatalf("stamp %s, tiling %s: sample (%d,%d) = %g, want %g (must be bit-identical)",
+						st.name, tl.name, k%nx, k/nx, got.Data[k], want.Data[k])
+				}
+			}
+		}
+	}
+}
+
 func TestAdvectDecayPanics(t *testing.T) {
 	f := New(4, 4)
 	mustPanic(t, "aliased dst", func() {
@@ -341,6 +458,13 @@ func TestAdvectDecayPanics(t *testing.T) {
 	mustPanic(t, "bad extents", func() {
 		AdvectDecay(New(4, 4), f, AdvectSpec{GNX: 0, GNY: 4, Decay: 1})
 	})
+	sp := AdvectSpec{GNX: 4, GNY: 4, Decay: 1}
+	var p AdvectPlan
+	mustPanic(t, "unprepared plan", func() { p.Advect(New(4, 4), f) })
+	mustPanic(t, "empty window", func() { p.Prepare(sp, geom.Rect{}, 4) })
+	p.Prepare(sp, geom.NewRect(2, 2, 2, 2), 4)
+	mustPanic(t, "window outside dst", func() { p.Advect(New(3, 3), f) })
+	mustPanic(t, "source of another width", func() { p.Advect(New(4, 4), New(5, 4)) })
 }
 
 func TestSeparableGaussianMatchesFusedWithin1e12(t *testing.T) {
@@ -393,9 +517,10 @@ func mustPanic(t *testing.T, name string, fn func()) {
 }
 
 // BenchmarkAdvect compares the fused kernel against the per-point
-// reference it replaced, on the default parent domain extents and on a
-// 25×21 halo block (a distributed nest rank's share), where per-call
-// set-up is a visible part of the cost.
+// reference it replaced, on the default parent domain extents, and runs a
+// prepared plan over a 25×21 window of a 150×126 field (a distributed nest
+// rank's share of its nest-wide field), where per-call set-up would be a
+// visible part of the cost.
 func BenchmarkAdvect(b *testing.B) {
 	fill := func(f *Field) *Field {
 		for i := range f.Data {
@@ -403,31 +528,32 @@ func BenchmarkAdvect(b *testing.B) {
 		}
 		return f
 	}
-	const halo = 2
-	for _, c := range []struct {
-		name     string
-		dst, src *Field
-		sp       AdvectSpec
-	}{
-		{"180x105", New(180, 105), fill(New(180, 105)),
-			AdvectSpec{UX: 0.45, VY: 0.3, GNX: 180, GNY: 105, Decay: 0.95}},
-		{"halo25x21", New(25, 21), fill(New(25+2*halo, 21+2*halo)),
-			AdvectSpec{UX: 0.24, VY: 0.06, GX0: 25, GY0: 42, GNX: 150, GNY: 126,
-				OffX: halo, OffY: halo, Decay: 0.95}},
-	} {
-		for _, k := range []struct {
-			name string
-			fn   func(dst, src *Field, sp AdvectSpec)
-		}{{"fused", AdvectDecay}, {"reference", referenceAdvectDecay}} {
-			b.Run(c.name+"/"+k.name, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					k.fn(c.dst, c.src, c.sp)
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(c.dst.Data)), "ns/cell")
-			})
-		}
+	dst, src := New(180, 105), fill(New(180, 105))
+	sp := AdvectSpec{UX: 0.45, VY: 0.3, GNX: 180, GNY: 105, Decay: 0.95}
+	for _, k := range []struct {
+		name string
+		fn   func(dst, src *Field, sp AdvectSpec)
+	}{{"fused", AdvectDecay}, {"reference", referenceAdvectDecay}} {
+		b.Run("180x105/"+k.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				k.fn(dst, src, sp)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(dst.Data)), "ns/cell")
+		})
 	}
+	b.Run("window25x21/plan", func(b *testing.B) {
+		dst, src := New(150, 126), fill(New(150, 126))
+		win := geom.NewRect(25, 42, 25, 21)
+		var p AdvectPlan
+		p.Prepare(AdvectSpec{UX: 0.24, VY: 0.06, GNX: 150, GNY: 126, Decay: 0.95}, win, src.NX)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			p.Advect(dst, src)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*win.Area()), "ns/cell")
+	})
 }
 
 // BenchmarkDeposit compares the separable Gaussian deposit against the

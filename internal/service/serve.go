@@ -98,9 +98,8 @@ func (k *jobSink) wait(p *core.Pipeline, delay time.Duration, tr *obs.Tracer) {
 
 // materializeVars copies the pipeline's readable field state into
 // private buffers: the parent model's qcloud and OLR, plus each live
-// nest's fine field under "nest:<id>". Distributed nests are gathered —
-// Gather reassembles the block decomposition by pure memory reads, no
-// collectives — so readers see one contiguous fine grid either way.
+// nest's fine field under "nest:<id>". A distributed nest's ranks step
+// one nest-wide field, so readers see one contiguous fine grid either way.
 func materializeVars(p *core.Pipeline) map[string]*field.Field {
 	m := p.Model()
 	vars := make(map[string]*field.Field, 2+len(p.Nests())+len(p.DistributedNests()))
@@ -110,7 +109,7 @@ func materializeVars(p *core.Pipeline) map[string]*field.Field {
 		vars[fmt.Sprintf("nest:%d", id)] = n.QCloud().Clone()
 	}
 	for id, n := range p.DistributedNests() {
-		vars[fmt.Sprintf("nest:%d", id)] = n.Gather()
+		vars[fmt.Sprintf("nest:%d", id)] = n.QCloud().Clone()
 	}
 	return vars
 }

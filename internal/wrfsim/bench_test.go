@@ -93,16 +93,16 @@ func benchWholeGridNest(b *testing.B, ux, vy float64) (*Model, *ParallelNest, *m
 	return m, n, w
 }
 
-// BenchmarkHaloExchange isolates the halo exchange (publication, the wait
-// on the upwind neighbours and the strip copies into the extended field)
-// from the rest of the distributed step, so the exchange's cost is
+// BenchmarkHaloExchange isolates the halo exchange (publication and the
+// wait on the upwind neighbours, whose windows the advection then reads in
+// place) from the rest of the distributed step, so the exchange's cost is
 // measured without the compute kernels. Each iteration is one substep's
 // exchange over the whole 6x4 world, in a dispatch of its own.
-// msgs/exchange and bytes/exchange count its strips: an 8-neighbour
-// exchange of 2-cell strips there was 136 strips and 22 656 bytes; the
-// stencil reach of an oblique sub-cell flow needs 53 one-cell strips (3 of
-// 8 per interior rank), and zero flow keeps as many for its weight-zero
-// high-side reads.
+// msgs/exchange and bytes/exchange count its strips, the cells whose
+// transfer the clock prices: an 8-neighbour exchange of 2-cell strips
+// there was 136 strips and 22 656 bytes; the stencil reach of an oblique
+// sub-cell flow needs 53 one-cell strips (3 of 8 per interior rank), and
+// zero flow keeps as many for its weight-zero high-side reads.
 func BenchmarkHaloExchange(b *testing.B) {
 	for _, tc := range []struct {
 		name   string
@@ -123,7 +123,7 @@ func BenchmarkHaloExchange(b *testing.B) {
 			base := n.steps
 			exchange := func(r *mpi.Rank) {
 				st := n.local[r.ID()]
-				st.exchange(r, n.local, st.f, 0, base)
+				st.exchange(r, n.local, 0, base)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -3,20 +3,20 @@ package wrfsim
 import (
 	"fmt"
 	"math"
-	"math/bits"
 
-	"nestdiff/internal/field"
 	"nestdiff/internal/geom"
 	"nestdiff/internal/mpi"
 )
 
-// HaloWidth is the width of the halo border of a rank's extended field and
-// so the longest stencil reach (see axisReach) a distributed step supports.
-// The ambient flow moves well under one cell per (sub)step — a reach of one
-// cell — and a flow whose reach exceeds HaloWidth is refused by checkReach
-// wherever it is first known, because AdvectDecay would fall onto its
-// clamped border path inside ext and silently leave the serial trajectory.
-// core clamps a nest's ranks by it, so every rank's block is this wide.
+// HaloWidth is the longest stencil reach (see axisReach) a distributed
+// step supports: how far past its own window a rank's advection may read
+// the nest-wide field. The ambient flow moves well under one cell per
+// (sub)step — a reach of one cell — and a flow whose reach exceeds
+// HaloWidth is refused by checkReach wherever it is first known. core
+// clamps a nest's ranks by it, and checkHalo refuses a decomposition
+// otherwise, so every rank's block is this wide: then every cell a rank
+// reads lies in its own window or one of its 8 neighbours', the only ranks
+// whose publication it can wait on.
 const HaloWidth = 2
 
 // axisReach is how far outside its own block a rank's advection reads
@@ -62,7 +62,7 @@ func (a axisReach) toward(d int) int {
 
 // checkReach rejects a per-step displacement (ux, vy), in cells of the grid
 // being advected, whose stencil reach exceeds the halo: the distributed
-// kernels would read past the strips a halo exchange can deliver.
+// kernels would read cells of ranks they never wait on.
 func checkReach(ux, vy float64) error {
 	for _, u := range [2]float64{ux, vy} {
 		if _, err := reachOf(u); err != nil {
@@ -73,45 +73,41 @@ func checkReach(ux, vy float64) error {
 }
 
 // haloPlan is one rank's cached halo-exchange template: which of its
-// up-to-8 neighbours' advection reads a strip of its block (sends), and
-// which strips of theirs its own advection reads and where each lands in
-// its halo-extended field (recvs). Both follow the stencil reach of the
-// flow: a rank trades strips only with the neighbours on the upwind side —
-// 3 of the 8 for a sub-cell flow oblique to the grid — and a strip is as
-// wide as the reach, not as the halo. The plan depends only on the block
-// decomposition and the per-step displacement, so a nest's first step
-// after scatter or Redistribute builds it and every later step
-// re-dispatches it instead of rediscovering neighbours and strips per
-// exchange (the execution-template idea of Mashayekhi et al.). Each send
-// link's modelled transit time is fixed too, so it is priced once per
-// plan and world. A rebuild reuses the plan's slices and fields, so a nest
-// rank that is re-planned after a redistribution allocates only what
-// outgrows them. Only the owning rank's goroutine touches it.
+// up-to-8 neighbours' advection reads a strip of its window (sends: the
+// downwind ranks it publishes to), and which strips of theirs its own
+// advection reads (recvs: the upwind ranks it waits on before it reads
+// them in place). Both follow the stencil reach of the flow: a rank trades
+// strips only with the neighbours on the upwind side — 3 of the 8 for a
+// sub-cell flow oblique to the grid — and a strip is as wide as the reach,
+// not as the halo. The plan depends only on the block decomposition and
+// the per-step displacement, so a nest's first step after it is placed or
+// redistributed builds it and every later step re-dispatches it instead of
+// rediscovering neighbours per exchange (the execution-template idea of
+// Mashayekhi et al.). Each send link's modelled transit time is fixed too,
+// so it is priced once per plan and world. A plan holds its links in
+// place, so building one allocates nothing. Only the owning rank's
+// goroutine touches it.
 type haloPlan struct {
 	pg     geom.Grid      // the process grid that numbers the peers,
 	dist   geom.BlockDist // the decomposition the links were derived from,
 	me     geom.Point     // the rank's place in it
 	ux, vy float64        // and the displacement
 	world  *mpi.World     // the world the sends were priced on; nil: unpriced
-	sends  []haloLink     // rect: strip of our block, block coordinates
-	recvs  []haloLink     // rect: where the peer's strip lands, ext coordinates
-	// ext is the halo-extended source field. Only the cells a recv link
-	// covers are ever written: border cells the kernel does not read — the
-	// downwind side, the domain edge, the part of the halo beyond the
-	// reach — stay zero.
-	ext *field.Field
+	sends  []haloLink
+	recvs  []haloLink
+	// links backs sends and recvs: at most one link per neighbour each.
+	links [2][8]haloLink
 }
 
-// haloLink is one strip of a halo exchange, sent or received.
+// haloLink is one link of a halo exchange, sent or received, and its
+// strip: the cells of the sender's window, in nest coordinates, that the
+// receiver's advection reads in place once the sender has published them.
 type haloLink struct {
 	peer int // world rank
 	// tag is the direction tag of the strip: the sender's direction towards
 	// the receiver, so a send link and the recv link it feeds carry the same.
 	tag  int
 	rect geom.Rect
-	// src is a recv link's strip in the sender's block coordinates: where
-	// the receiver reads it.
-	src geom.Rect
 	// transit is a send link's modelled time in flight (mpi.Rank.LinkTime),
 	// set when the plan is priced.
 	transit float64
@@ -124,14 +120,14 @@ type haloLink struct {
 // there; nor does one priced on another world, whose network may price
 // its links differently.
 func (hp *haloPlan) builtFor(w *mpi.World, pg geom.Grid, dist geom.BlockDist, me geom.Point, ux, vy float64) bool {
-	return hp.world == w && hp.ext != nil && hp.pg == pg && hp.dist == dist && hp.me == me && hp.ux == ux && hp.vy == vy
+	return hp.world == w && hp.pg == pg && hp.dist == dist && hp.me == me && hp.ux == ux && hp.vy == vy
 }
 
 // reset rebuilds hp in place as the plan of the rank at process-grid point
 // me for a domain block-distributed as dist and advected by (ux, vy) cells
 // per step, a displacement checkReach accepts. Every block of dist must be
 // at least HaloWidth wide and tall, which keeps each strip inside its
-// sender's block.
+// sender's window.
 func (hp *haloPlan) reset(pg geom.Grid, dist geom.BlockDist, me geom.Point, ux, vy float64) {
 	if err := checkReach(ux, vy); err != nil {
 		panic(err) // every caller has checked: a flow past the halo is refused at construction
@@ -140,12 +136,7 @@ func (hp *haloPlan) reset(pg geom.Grid, dist geom.BlockDist, me geom.Point, ux, 
 	ry, _ := reachOf(vy)
 	blk := dist.BlockOf(me)
 	hp.pg, hp.dist, hp.me, hp.ux, hp.vy, hp.world = pg, dist, me, ux, vy, nil
-	if hp.sends == nil { // at most one link per neighbour
-		hp.sends, hp.recvs = make([]haloLink, 0, 8), make([]haloLink, 0, 8)
-	}
-	hp.sends, hp.recvs = hp.sends[:0], hp.recvs[:0]
-	hp.ext = reuseField(hp.ext, blk.Width()+2*HaloWidth, blk.Height()+2*HaloWidth)
-	clear(hp.ext.Data) // the cells no link covers must read zero
+	hp.sends, hp.recvs = hp.links[0][:0], hp.links[1][:0]
 	for dy := -1; dy <= 1; dy++ {
 		for dx := -1; dx <= 1; dx++ {
 			p := geom.Point{X: me.X + dx, Y: me.Y + dy}
@@ -154,22 +145,18 @@ func (hp *haloPlan) reset(pg geom.Grid, dist geom.BlockDist, me geom.Point, ux, 
 			}
 			peer := pg.Rank(p)
 			// Our kernel reads wx by wy cells (whole edges where d == 0)
-			// past our block towards p: the strip of p's block facing us,
+			// past our window towards p: the strip of p's window facing us,
 			// which p tags with its direction towards us, (-dx, -dy).
 			if wx, wy := rx.toward(dx), ry.toward(dy); wx > 0 && wy > 0 {
-				from := dist.BlockOf(p)
-				strip := stripOf(from, -dx, -dy, wx, wy)
 				hp.recvs = append(hp.recvs, haloLink{peer: peer, tag: tag(-dx, -dy),
-					rect: shift(strip, HaloWidth-blk.X0, HaloWidth-blk.Y0),
-					src:  shift(strip, -from.X0, -from.Y0)})
+					rect: stripOf(dist.BlockOf(p), -dx, -dy, wx, wy)})
 			}
 			// The flow is uniform, so p's kernel has our reach: it reads
-			// towards us, direction (-dx, -dy), the strip of our block
+			// towards us, direction (-dx, -dy), the strip of our window
 			// facing it.
 			if wx, wy := rx.toward(-dx), ry.toward(-dy); wx > 0 && wy > 0 {
-				strip := stripOf(blk, dx, dy, wx, wy)
 				hp.sends = append(hp.sends, haloLink{peer: peer, tag: tag(dx, dy),
-					rect: shift(strip, -blk.X0, -blk.Y0)})
+					rect: stripOf(blk, dx, dy, wx, wy)})
 			}
 		}
 	}
@@ -185,42 +172,24 @@ func (hp *haloPlan) price(w *mpi.World, r *mpi.Rank) {
 	hp.world = w
 }
 
-// reuseField reshapes f (a new field when f is nil) to nx×ny, on its own
-// storage when that holds nx·ny samples, else on a new array sized to the
-// next power of two: a buffer that serves blocks of varying sizes
-// reallocates a handful of times over its life, not whenever a block
-// exceeds the last. Samples carried over are stale: the caller overwrites
-// or clears them.
-func reuseField(f *field.Field, nx, ny int) *field.Field {
-	if f == nil {
-		f = new(field.Field)
-	}
-	if n := nx * ny; cap(f.Data) < n {
-		f.Data = make([]float64, 1<<bits.Len(uint(n-1)))
-	}
-	f.NX, f.NY, f.Data = nx, ny, f.Data[:nx*ny]
-	return f
-}
-
 // exchange is substep s of the dispatch that started at nest substep
-// base, one-sided: st publishes f, the block it has just deposited into,
-// and then assembles its halo-extended field, the interior from f and the
-// border straight from its upwind neighbours' published blocks (peers, by
-// world rank) — MPI_Get semantics, with no message copied or queued. The
-// publication is the block itself, each send link's modelled arrival
-// (Rank.Post: the clock arithmetic and fault rules of a send, tagged
-// base-relative as the strip's message was) and the sequence counter,
-// raised to base+s+1 last; a reader waits for the counter (Rank.Await),
-// takes the arrival into its clock (Rank.Arrive) and copies its strip out
-// of the published block. Writers never wait for their readers: f stays
-// untouched for the rest of the dispatch (the stepping rank advects into
-// the next buffer of its ring), and the next dispatch, which reuses it,
-// starts only after every reader has returned. An exchange allocates
-// nothing.
-func (st *nestRank) exchange(r *mpi.Rank, peers []*nestRank, f *field.Field, s, base int) *field.Field {
+// base, one-sided: st publishes its window of the substep's buffer, which
+// it has just deposited into, and then waits until each upwind neighbour
+// (peers, by world rank) has published its own — MPI_Win_sync and
+// MPI_Get semantics on a shared-memory window, with no sample copied or
+// queued: the caller's advection then reads the neighbours' windows in
+// place. The publication is each send link's modelled arrival (Rank.Post:
+// the clock arithmetic and fault rules of a send, tagged base-relative as
+// the strip's message was) and the sequence counter, raised to base+s+1
+// last; a reader waits for the counter (Rank.Await) and takes the arrival
+// into its clock (Rank.Arrive). Writers never wait for their readers: a
+// published window stays untouched for the rest of the dispatch (the
+// stepping rank advects into the ring's next buffer), and the next
+// dispatch, which reuses it, starts only after every reader has returned.
+// An exchange allocates nothing.
+func (st *nestRank) exchange(r *mpi.Rank, peers []*nestRank, s, base int) {
 	hp := &st.halo
 	tags := (base + s) * 16
-	st.pub[s] = f
 	for i := range hp.sends {
 		l := &hp.sends[i]
 		at, lost := r.Post(l.peer, tags+l.tag, l.transit)
@@ -231,21 +200,13 @@ func (st *nestRank) exchange(r *mpi.Rank, peers []*nestRank, f *field.Field, s, 
 	for i := range hp.sends {
 		r.Notify(hp.sends[i].peer)
 	}
-
-	ext := hp.ext
-	ext.SetSub(geom.NewRect(HaloWidth, HaloWidth, f.NX, f.NY), f)
 	for i := range hp.recvs {
 		l := &hp.recvs[i]
 		from := peers[l.peer]
 		r.Await(l.peer, &from.seq, want)
 		p := from.arrive[s][l.tag]
 		r.Arrive(l.peer, tags+l.tag, p.at, p.lost)
-		blk, w := from.pub[s], l.rect.Width()
-		for y, sy := l.rect.Y0, l.src.Y0; y < l.rect.Y1; y, sy = y+1, sy+1 {
-			copy(ext.Data[y*ext.NX+l.rect.X0:][:w], blk.Data[sy*blk.NX+l.src.X0:][:w])
-		}
 	}
-	return ext
 }
 
 // stripOf returns the part of block within wx columns (dx != 0) and wy rows
@@ -265,11 +226,6 @@ func stripOf(block geom.Rect, dx, dy, wx, wy int) geom.Rect {
 		out.Y0 = max(out.Y0, out.Y1-wy)
 	}
 	return out
-}
-
-// shift translates r by (dx, dy).
-func shift(r geom.Rect, dx, dy int) geom.Rect {
-	return geom.Rect{X0: r.X0 + dx, Y0: r.Y0 + dy, X1: r.X1 + dx, Y1: r.Y1 + dy}
 }
 
 // tag encodes a neighbour direction into a message tag in [0, 9).

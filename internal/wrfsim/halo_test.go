@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"nestdiff/internal/faults"
-	"nestdiff/internal/field"
 	"nestdiff/internal/geom"
 )
 
@@ -65,10 +64,11 @@ func buildPlanSet(what string, pg geom.Grid, dist geom.BlockDist, ux, vy float64
 }
 
 // check verifies the plans against each other and against their blocks:
-// every send link has exactly one receive link at its peer with the same tag
-// and area, and the other way round; every sent strip is a non-empty part
-// of its block; every received strip lies in the halo border of ext, clear
-// of the interior and of every other received strip.
+// every send link has exactly one receive link at its peer with the same
+// tag and strip, and the other way round; every sent strip is a non-empty
+// part of its block; every received strip is a non-empty part of its
+// sender's block, outside the receiver's and clear of every other
+// received strip.
 func (ps planSet) fatalf(t *testing.T, format string, args ...any) {
 	t.Helper()
 	t.Fatalf(ps.what+": "+format, args...)
@@ -79,8 +79,7 @@ func (ps planSet) check(t *testing.T) {
 	matches := func(links []haloLink, peer int, l haloLink) int {
 		n := 0
 		for _, back := range links {
-			if back.peer == peer && back.tag == l.tag &&
-				back.rect.Width() == l.rect.Width() && back.rect.Height() == l.rect.Height() {
+			if back.peer == peer && back.tag == l.tag && back.rect == l.rect {
 				n++
 			}
 		}
@@ -88,14 +87,8 @@ func (ps planSet) check(t *testing.T) {
 	}
 	for rank, hp := range ps.plans {
 		blk := ps.dist.BlockOf(ps.pg.Coord(rank))
-		own := geom.NewRect(0, 0, blk.Width(), blk.Height())
-		ext := geom.NewRect(0, 0, blk.Width()+2*HaloWidth, blk.Height()+2*HaloWidth)
-		interior := shift(own, HaloWidth, HaloWidth)
-		if hp.ext.Bounds() != ext {
-			ps.fatalf(t, "rank %d: ext %dx%d for block %v", rank, hp.ext.NX, hp.ext.NY, blk)
-		}
 		for _, l := range hp.sends {
-			if l.rect.Empty() || !own.ContainsRect(l.rect) {
+			if l.rect.Empty() || !blk.ContainsRect(l.rect) {
 				ps.fatalf(t, "rank %d sends %v to %d, outside block %v", rank, l.rect, l.peer, blk)
 			}
 			peer, ok := ps.plans[l.peer]
@@ -104,8 +97,9 @@ func (ps planSet) check(t *testing.T) {
 			}
 		}
 		for i, l := range hp.recvs {
-			if l.rect.Empty() || !ext.ContainsRect(l.rect) || !l.rect.Intersect(interior).Empty() {
-				ps.fatalf(t, "rank %d receives %v from %d, outside the halo of ext %v", rank, l.rect, l.peer, ext)
+			from := ps.dist.BlockOf(ps.pg.Coord(l.peer))
+			if l.rect.Empty() || !from.ContainsRect(l.rect) || !l.rect.Intersect(blk).Empty() {
+				ps.fatalf(t, "rank %d (block %v) receives %v from %d, outside its block %v", rank, blk, l.rect, l.peer, from)
 			}
 			for _, other := range hp.recvs[:i] {
 				if !l.rect.Intersect(other.rect).Empty() {
@@ -121,10 +115,11 @@ func (ps planSet) check(t *testing.T) {
 }
 
 // checkCoversReads recomputes, sample by sample, which cells outside its own
-// block each rank's advection evaluates — the two source indices per axis
+// window each rank's advection evaluates — the two source indices per axis
 // of the reference formula in field.AdvectSpec — and requires the received
 // strips to cover exactly those (of them, the ones inside the domain: past
-// its edge nobody owns a cell to send).
+// its edge there is no cell). The rank reads those cells in place, so a
+// cell the plan missed would be read without waiting for its owner.
 func (ps planSet) checkCoversReads(t *testing.T, ux, vy float64) {
 	t.Helper()
 	nx, ny := ps.dist.NX, ps.dist.NY
@@ -144,11 +139,10 @@ func (ps planSet) checkCoversReads(t *testing.T, ux, vy float64) {
 		read := geom.Rect{X0: x0, Y0: y0, X1: x1 + 1, Y1: y1 + 1}
 		covered := 0
 		for _, l := range hp.recvs {
-			g := shift(l.rect, blk.X0-HaloWidth, blk.Y0-HaloWidth)
-			if !read.ContainsRect(g) {
-				ps.fatalf(t, "rank %d block %v: receives %v but reads only %v", rank, blk, g, read)
+			if !read.ContainsRect(l.rect) {
+				ps.fatalf(t, "rank %d block %v: receives %v but reads only %v", rank, blk, l.rect, read)
 			}
-			covered += g.Area()
+			covered += l.rect.Area()
 		}
 		// Received strips are disjoint and outside the block (check), so
 		// matching areas means the cover is exact.
@@ -159,14 +153,24 @@ func (ps planSet) checkCoversReads(t *testing.T, ux, vy float64) {
 	}
 }
 
-// checkNestScratch verifies every owner rank's share of the nest against
-// its current decomposition: the block; after the first step on it, a
-// double buffer of the block's shape and a consistent plan set built for
-// this decomposition. Before that step a share may still hold the scratch
-// of an earlier one (shares keep their buffers across Redistribute and
-// between nests), and the first step re-plans it.
+// checkNestScratch verifies the nest's step state against its current
+// decomposition: NestRatio+1 distinct nest-wide ring buffers, and every
+// owner rank's share holding its block and, after the first step on it, a
+// consistent plan set built for this decomposition. Before that step a
+// share may still hold the plan of an earlier one (shares keep their plans
+// across Redistribute and between nests), and the first step re-plans it.
 func checkNestScratch(t *testing.T, n *ParallelNest, stepped bool) {
 	t.Helper()
+	for i, f := range n.ring {
+		if f == nil || f.NX != n.nx || f.NY != n.ny || len(f.Data) != n.nx*n.ny {
+			t.Fatalf("ring buffer %d is %+v, want %dx%d", i, f, n.nx, n.ny)
+		}
+		for _, g := range n.ring[:i] {
+			if &g.Data[0] == &f.Data[0] {
+				t.Fatalf("ring buffer %d shares its samples with another", i)
+			}
+		}
+	}
 	ps := planSet{what: fmt.Sprintf("nest %d on %v", n.ID, n.procs), pg: n.pg, dist: geom.NewBlockDist(n.nx, n.ny, n.procs), plans: map[int]*haloPlan{}}
 	for rank, st := range n.local {
 		p := n.pg.Coord(rank)
@@ -177,14 +181,11 @@ func checkNestScratch(t *testing.T, n *ParallelNest, stepped bool) {
 			continue
 		}
 		blk := ps.dist.BlockOf(p)
-		if st == nil || st.block != blk || st.f.NX != blk.Width() || st.f.NY != blk.Height() {
+		if st == nil || st.block != blk {
 			t.Fatalf("rank %d: state %+v, want block %v", rank, st, blk)
 		}
 		if !stepped {
 			continue
-		}
-		if st.next.NX != st.f.NX || st.next.NY != st.f.NY {
-			t.Fatalf("rank %d: double buffer %dx%d for block %v", rank, st.next.NX, st.next.NY, blk)
 		}
 		if hp := st.halo; hp.pg != n.pg || hp.dist != ps.dist || hp.me != p {
 			t.Fatalf("rank %d steps on the plan of %v in %v on %v, want %v in %v on %v",
@@ -195,34 +196,6 @@ func checkNestScratch(t *testing.T, n *ParallelNest, stepped bool) {
 	if stepped {
 		ps.check(t)
 	}
-}
-
-// fullHaloStep advances a whole (gathered) field by one parent step the way
-// the distributed models do — same deposits, then per block of dist the same
-// kernel under the same spec on a halo-extended copy — except that every
-// halo cell inside the domain holds its neighbour's value, as after an
-// exchange with all 8 neighbours. A run on reach-driven plans must match it
-// bit for bit: cells the plan leaves zero are cells the kernel weighs zero
-// or never reads.
-func fullHaloStep(q *field.Field, dist geom.BlockDist, cells []Cell, dt float64, ratio int, origin geom.Point, spec field.AdvectSpec) *field.Field {
-	spec.GNX, spec.GNY = q.NX, q.NY
-	var stamps sourceStamps
-	stamps.build(cells, dt, ratio, origin, q.Bounds())
-	for s := 0; s < ratio; s++ {
-		stamps.addTo(q)
-		next := field.New(q.NX, q.NY)
-		dist.Blocks(func(_ geom.Point, blk geom.Rect) {
-			ext := field.New(blk.Width()+2*HaloWidth, blk.Height()+2*HaloWidth)
-			win := geom.NewRect(blk.X0-HaloWidth, blk.Y0-HaloWidth, ext.NX, ext.NY).Intersect(q.Bounds())
-			ext.SetSub(shift(win, HaloWidth-blk.X0, HaloWidth-blk.Y0), q.Sub(win))
-			dst := field.New(blk.Width(), blk.Height())
-			spec.GX0, spec.GY0 = blk.X0, blk.Y0
-			field.AdvectDecay(dst, ext, spec)
-			next.SetSub(blk, dst)
-		})
-		q = next
-	}
-	return q
 }
 
 func clampF(v, lo, hi float64) float64 {
@@ -247,13 +220,13 @@ func sameSamples(t *testing.T, what string, got, want []float64) {
 // TestHaloPlanFollowsTheDecomposition: the plan follows the blocks and the
 // stencil reach of the flow. Over every pair of tabulated displacements and
 // decompositions that are 1 wide, 1 tall, ragged, and exactly HaloWidth
-// wide, the plans of a decomposition mirror each other, stay inside ext,
-// and cover exactly the cells the kernel reads; and for every sign
+// wide, the plans of a decomposition mirror each other, stay inside their
+// blocks, and cover exactly the cells the kernel reads; and for every sign
 // combination a distributed nest — across Redistributes onto ragged
-// blocks, one row and the whole grid, and a restore — stays on the
-// trajectory of a full 8-neighbour halo bit for bit, and of the serial
-// nest to the 1e-12 a block-decomposed advection has always been held to
-// (the two round a block-border sample differently in the last place).
+// blocks, one row and the whole grid, and a restore — stays on the serial
+// nest's trajectory bit for bit: each rank computes its window's samples
+// with the serial nest's arithmetic, reading the neighbours' windows in
+// place.
 func TestHaloPlanFollowsTheDecomposition(t *testing.T) {
 	pg := geom.NewGrid(8, 6)
 	t.Run("links", func(t *testing.T) {
@@ -300,8 +273,6 @@ func TestHaloPlanFollowsTheDecomposition(t *testing.T) {
 		for _, d := range signFlows {
 			m, serial, par, _ := setupNestPairFlow(t, geom.NewRect(0, 0, 4, 3), d[0]/cfg.Dt, d[1]/cfg.Dt)
 			w := parallelWorld(t, pg.Size())
-			origin := geom.Point{X: par.Region.X0, Y: par.Region.Y0}
-			want := par.Gather()
 			nests := []*ParallelNest{par}
 			step := func(k int) {
 				t.Helper()
@@ -311,15 +282,10 @@ func TestHaloPlanFollowsTheDecomposition(t *testing.T) {
 					if err := StepNests(w, m.Config(), m.Cells(), nests); err != nil {
 						t.Fatalf("flow %v: %v", d, err)
 					}
-					want = fullHaloStep(want, geom.NewBlockDist(par.nx, par.ny, par.procs),
-						m.Cells(), m.Config().Dt, NestRatio, origin, nestAdvectSpec(m.Config()))
 				}
 				for _, n := range nests {
 					checkNestScratch(t, n, true)
-					sameSamples(t, fmt.Sprintf("flow %v on %v vs full halo", d, n.procs), n.Gather().Data, want.Data)
-				}
-				if diff := maxAbsDiff(want.Data, serial.QCloud().Data); diff > 1e-12 {
-					t.Fatalf("flow %v on %v: nest deviates from serial by %g", d, par.procs, diff)
+					sameSamples(t, fmt.Sprintf("flow %v on %v vs serial", d, n.procs), n.Gather().Data, serial.QCloud().Data)
 				}
 			}
 			checkNestScratch(t, par, false)

@@ -357,9 +357,9 @@ func (s sourceStamps) addTo(f *field.Field) {
 	}
 }
 
-// addWindow deposits the part of the stamped sources inside win into f, a
-// field holding just win of the grid they were built for, in cell order:
-// one rank's block of stamps built once for the whole grid.
+// addWindow deposits the part of the stamped sources inside win into f, the
+// grid-wide field they were built for, in cell order: one rank's window of
+// stamps built once for the whole grid.
 func (s sourceStamps) addWindow(f *field.Field, win geom.Rect) {
 	for i := range s {
 		s[i].AddWindow(f, win)

@@ -14,15 +14,19 @@ import (
 	"nestdiff/internal/redist"
 )
 
-// ParallelNest is a nested simulation whose fine-resolution field lives
-// block-distributed over the processor sub-rectangle the allocator gave
-// it — the paper's actual runtime arrangement ("each nested simulation is
-// executed on disjoint subsets of the total number of processors"). It
-// steps with halo exchange on its sub-grid, and when the allocator moves
-// it to a different sub-rectangle, Redistribute performs the
-// block-intersection Alltoallv in place: the new owners receive exactly
-// the state they need and continue stepping, bit-identically to a serial
-// nest (verified in tests).
+// ParallelNest is a nested simulation stepped by the processor
+// sub-rectangle the allocator gave it — the paper's actual runtime
+// arrangement ("each nested simulation is executed on disjoint subsets of
+// the total number of processors"). The ranks share one address space, so
+// the nest's fine field is one nest-wide field, and each owner rank
+// deposits into and advects its window of it, its block of the
+// decomposition, reading its upwind neighbours' windows in place once they
+// have published them: the MPI-3 shared-memory window arrangement. Every
+// sample therefore takes the serial nest's arithmetic, and the nest steps
+// bit-identically to a serial nest (verified in tests). When the allocator
+// moves it to a different sub-rectangle, Redistribute performs the
+// block-intersection Alltoallv: the new owners receive exactly the windows
+// they need and continue stepping.
 type ParallelNest struct {
 	ID     int
 	Region geom.Rect // region of interest in parent grid points
@@ -31,6 +35,14 @@ type ParallelNest struct {
 	procs geom.Rect // current processor sub-rectangle
 	nx    int       // fine extents
 	ny    int
+	// ring is the nest-wide fine field in NestRatio+1 buffers. ring[0]
+	// holds the nest between steps. Substep s of a step deposits into
+	// ring[s] and advects from the whole of it into ring[s+1], each owner
+	// rank in its own window, so every window a rank published stays intact
+	// while a downwind reader may still read it; the ring turns after the
+	// dispatch to put the result in ring[0]. Between steps ring[1] is
+	// Redistribute's receive buffer.
+	ring [NestRatio + 1]*field.Field
 	// local[rank] is that rank's share of the nest (nil for ranks outside
 	// the sub-grid). A slice, not a map: each rank's goroutine touches only
 	// its own element, which is race-free. staged is Redistribute's table
@@ -41,7 +53,7 @@ type ParallelNest struct {
 	steps  int
 	// stamps is the parent step's source term over the whole fine grid,
 	// built once per step on the calling goroutine; each owner rank adds
-	// the part inside its block.
+	// the part inside its window.
 	stamps sourceStamps
 
 	// tracer, when set, receives one redist event per executed Alltoallv.
@@ -49,37 +61,29 @@ type ParallelNest struct {
 	tracer *obs.Tracer
 }
 
-// nestRank is one rank's share of a distributed nest: its block of the
-// fine field plus step scratch: the ring of advection buffers, the cached
-// halo plan and the one-sided publication its downwind neighbours read
-// their halo strips from. Shares are recycled through rankShares, so a
-// share's buffers outlive the decomposition, and the nest, they served: a
-// rank that stays an owner across Redistribute keeps its share, one that
-// joins draws a share that a leaving rank, or a released nest, gave back.
-// The scratch is rebuilt by the rank's first step on a decomposition, on
-// whatever buffers the share holds, so scatter and Redistribute stay as
-// cheap as moving the data; it carries no state between parent steps and
-// is never checkpointed. The plan records the process grid, the
-// decomposition, the rank and the world it was built for, so it never
-// serves another: a share that crosses into a nest on another grid
-// re-plans before its first exchange there.
+// nestRank is one rank's share of a distributed nest: its window of the
+// nest-wide field and the step's plans for it — the halo plan naming the
+// upwind neighbours it waits on and the downwind ones it publishes to, and
+// the advection plan holding its window's column table — with the
+// one-sided publication its downwind neighbours wait on. Shares are
+// recycled through rankShares, so a share's plans outlive the
+// decomposition, and the nest, they served: a rank that stays an owner
+// across Redistribute keeps its share, one that joins draws a share that a
+// leaving rank, or a released nest, gave back. The plans are rebuilt by
+// the rank's first step on a decomposition and flow, on whatever slices the
+// share holds; they carry no state between parent steps and are never
+// checkpointed. The halo plan records the process grid, the decomposition,
+// the rank and the world it was built for, so it never serves another: a
+// share that crosses into a nest on another grid re-plans before its first
+// exchange there.
 type nestRank struct {
-	block geom.Rect // owned fine cells
-	// f is the block between steps. A step runs its substeps through a ring
-	// of NestRatio+1 buffers — f, next and spare — each substep advecting
-	// the block it deposited into the next, so every block it published
-	// stays intact while a downwind reader may still copy from it; at the
-	// end of the step the ring turns to put the result in f.
-	f     *field.Field
-	next  *field.Field
-	spare [NestRatio - 1]*field.Field
-	halo  haloPlan
-	// The publication of the step in flight (see exchange): the block of
-	// each substep, each send link's arrival by direction tag, and the
-	// nest substep the rank has published up to, which rises with the
-	// nest's step count and starts from zero in a share fresh from the
-	// pool.
-	pub    [NestRatio]*field.Field
+	block  geom.Rect // owned fine cells: the rank's window
+	halo   haloPlan
+	advect field.AdvectPlan
+	// The publication of the step in flight (see exchange): each send
+	// link's arrival by direction tag and substep, and the nest substep the
+	// rank has published up to, which rises with the nest's step count and
+	// starts from zero in a share fresh from the pool.
 	arrive [NestRatio][9]arrival
 	seq    atomic.Int64
 }
@@ -91,10 +95,9 @@ type arrival struct {
 	lost bool
 }
 
-// rankShares recycles nest rank shares between nests and decompositions.
-// Every sample of a recycled share's block is overwritten (by the scatter
-// copy or the exchange) before it is read. Shares enter it through
-// recycle.
+// rankShares recycles nest rank shares between nests and decompositions,
+// so that a rank joining a nest steps on the plan slices of a share that
+// has stepped before. Shares enter it through recycle.
 var rankShares = sync.Pool{New: func() any { return new(nestRank) }}
 
 // recycle returns st to rankShares with its publication counter at zero,
@@ -127,9 +130,8 @@ func (n *ParallelNest) Release() {
 func (n *ParallelNest) SetTracer(tr *obs.Tracer) { n.tracer = tr }
 
 // NewParallelNest spawns a distributed nest over the given processor
-// sub-rectangle, initializing each owner's block by interpolating the
-// parent model's field (exactly like the serial SpawnNest, then
-// scattered).
+// sub-rectangle, initializing its field by interpolating the parent
+// model's field exactly like the serial SpawnNest.
 func (m *Model) NewParallelNest(id int, region geom.Rect, pg geom.Grid, procs geom.Rect) (*ParallelNest, error) {
 	if region.Empty() || !m.qcloud.Bounds().ContainsRect(region) {
 		return nil, fmt.Errorf("wrfsim: invalid nest region %v", region)
@@ -141,25 +143,30 @@ func (m *Model) NewParallelNest(id int, region geom.Rect, pg geom.Grid, procs ge
 	return RestoreParallelNest(id, region, pg, procs, field.Refine(m.qcloud, region, NestRatio), 0)
 }
 
-// scatter distributes a full fine field into per-rank blocks over procs.
-func (n *ParallelNest) scatter(fine *field.Field, procs geom.Rect) error {
+// place puts the nest on procs: the fine field fine becomes ring[0], and
+// each owner rank draws a share for its window.
+func (n *ParallelNest) place(fine *field.Field, procs geom.Rect) error {
 	dist := geom.NewBlockDist(n.nx, n.ny, procs)
 	if err := n.checkHalo(dist); err != nil {
 		return err
 	}
 	n.procs = procs
+	n.ring[0] = fine
+	for i := 1; i < len(n.ring); i++ {
+		n.ring[i] = field.New(n.nx, n.ny)
+	}
 	n.local = make([]*nestRank, n.pg.Size())
 	n.staged = make([]*nestRank, n.pg.Size())
 	dist.Blocks(func(p geom.Point, blk geom.Rect) {
 		st := rankShares.Get().(*nestRank)
 		st.block = blk
-		st.f = fine.SubInto(reuseField(st.f, blk.Width(), blk.Height()), blk)
 		n.local[n.pg.Rank(p)] = st
 	})
 	return nil
 }
 
-// checkHalo rejects a decomposition with a block narrower than the halo.
+// checkHalo rejects a decomposition with a block narrower than the halo:
+// a rank's reads would reach past its 8 neighbours' windows.
 func (n *ParallelNest) checkHalo(dist geom.BlockDist) error {
 	var err error
 	dist.Blocks(func(_ geom.Point, blk geom.Rect) {
@@ -193,11 +200,12 @@ func (n *ParallelNest) Step(w *mpi.World, cfg Config, cells []Cell) error {
 // executed on disjoint subsets of the total number of processors", all of
 // them at once, and ranks that own nothing are never woken. Each nest's
 // source stamps are built once, over its whole fine grid, before the
-// dispatch; each rank then adds the part inside its block and runs its
+// dispatch; each rank then adds the part inside its window and runs its
 // substeps back to back, and the one-sided halo exchange — each rank
-// waits for its upwind neighbours to publish the substep and reads its
-// strips out of their blocks — is the only synchronisation the physics
-// needs. A steady dispatch allocates nothing.
+// waits for its upwind neighbours to publish the substep and then reads
+// their windows of the nest-wide field in place — is the only
+// synchronisation the physics needs. The nests' rings turn once the
+// dispatch has returned. A steady dispatch allocates nothing.
 //
 // A rank runs one share per dispatch, so when the owner table finds one
 // rank claimed by two nests whose processor sub-rectangles overlap, the
@@ -264,6 +272,9 @@ func StepNests(w *mpi.World, cfg Config, cells []Cell, nests []*ParallelNest) er
 		return err
 	}
 	for _, n := range nests {
+		last := n.ring[NestRatio]
+		copy(n.ring[1:], n.ring[:NestRatio])
+		n.ring[0] = last
 		n.steps += NestRatio
 	}
 	return nil
@@ -293,61 +304,52 @@ func (sp *stepper) release() {
 	steppers.Put(sp)
 }
 
-// nestAdvectSpec is the block-independent part of a distributed nest's
-// advection pass under cfg: the serial Nest's flow and decay per fine
-// substep, reading a halo-extended source.
+// nestAdvectSpec is a distributed nest's advection pass under cfg: the
+// serial Nest's flow and decay per fine substep, over a source holding the
+// whole nest.
 func nestAdvectSpec(cfg Config) field.AdvectSpec {
 	dtFine := cfg.Dt / NestRatio
 	return field.AdvectSpec{
-		UX:   cfg.FlowU * dtFine * NestRatio, // fine cells per substep
-		VY:   cfg.FlowV * dtFine * NestRatio,
-		OffX: HaloWidth, OffY: HaloWidth,
+		UX:    cfg.FlowU * dtFine * NestRatio, // fine cells per substep
+		VY:    cfg.FlowV * dtFine * NestRatio,
 		Decay: math.Exp(-dtFine / cfg.DecayTau),
 	}
 }
 
 // stepRank is one owner rank's work for one parent step of the nest on
-// world w.
+// world w: in each substep, the deposit into its window of the substep's
+// buffer, the exchange, and the advection of its window of the next buffer
+// out of the whole of this one.
 func (n *ParallelNest) stepRank(w *mpi.World, r *mpi.Rank, spec field.AdvectSpec) {
 	st := n.local[r.ID()]
 	blk := st.block
-	var ring [NestRatio + 1]*field.Field
-	ring[0] = st.f
-	st.next = reuseField(st.next, blk.Width(), blk.Height())
-	ring[1] = st.next
-	for i := range st.spare {
-		st.spare[i] = reuseField(st.spare[i], blk.Width(), blk.Height())
-		ring[2+i] = st.spare[i]
-	}
-	// The plan follows the flow as well as the blocks, and the flow arrives
+	// The plans follow the flow as well as the blocks, and the flow arrives
 	// with every step's cfg.
 	dist, me := geom.NewBlockDist(n.nx, n.ny, n.procs), n.pg.Coord(r.ID())
 	if !st.halo.builtFor(w, n.pg, dist, me, spec.UX, spec.VY) {
 		st.halo.reset(n.pg, dist, me, spec.UX, spec.VY)
 		st.halo.price(w, r)
 	}
-	spec.GX0, spec.GY0 = blk.X0, blk.Y0
 	spec.GNX, spec.GNY = n.nx, n.ny
+	st.advect.Prepare(spec, blk, n.nx)
 	for s := 0; s < NestRatio; s++ {
-		// Deposit the sources into the owned block.
-		n.stamps.addWindow(ring[s], blk)
+		n.stamps.addWindow(n.ring[s], blk)
 		r.Compute(float64(blk.Area()) * 5e-9)
 
-		ext := st.exchange(r, n.local, ring[s], s, n.steps)
+		st.exchange(r, n.local, s, n.steps)
 
-		// Advect+decay into the ring's next buffer.
-		field.AdvectDecay(ring[s+1], ext, spec)
+		st.advect.Advect(n.ring[s+1], n.ring[s])
 		r.Compute(float64(blk.Area()) * 2e-8)
 	}
-	st.f, st.next = ring[NestRatio], ring[0]
-	copy(st.spare[:], ring[1:NestRatio])
 }
 
 // Redistribute moves the nest's distributed state from its current
 // sub-rectangle to newProcs with one Alltoallv (§IV, Fig. 3): senders ship
-// the intersections of their old block with each receiver's new block
-// (redist.Exchange, dispatched on the old and new owners only). Returns
-// the modelled exchange time.
+// the intersections of their old window with each receiver's new window
+// (redist.Exchange, dispatched on the old and new owners only), out of the
+// nest-wide field into a second nest-wide buffer, which then becomes the
+// field. So the executed exchange moves every byte it prices. Returns the
+// modelled exchange time.
 func (n *ParallelNest) Redistribute(w *mpi.World, newProcs geom.Rect) (float64, error) {
 	if w.Size() != n.pg.Size() {
 		return 0, fmt.Errorf("wrfsim: world of %d ranks for grid of %d", w.Size(), n.pg.Size())
@@ -367,27 +369,20 @@ func (n *ParallelNest) Redistribute(w *mpi.World, newProcs geom.Rect) (float64, 
 		wallStart = time.Now()
 	}
 	oldProcs := n.procs
-	// Each new owner receives into the double buffer, free between steps,
-	// of its share: the one it holds if it owns an old block too, else one
-	// from the pool. The old blocks are only read, so a failed exchange
-	// leaves the nest as it was.
+	// Each new owner draws a share: the one it holds if it owns an old
+	// block too, else one from the pool. The old windows are read out of
+	// ring[0] and the new ones written into ring[1], free between steps,
+	// so a failed exchange leaves the nest as it was.
 	newDist.Blocks(func(p geom.Point, blk geom.Rect) {
 		rank := n.pg.Rank(p)
 		st := n.local[rank]
 		if st == nil {
 			st = rankShares.Get().(*nestRank)
 		}
-		st.next = reuseField(st.next, blk.Width(), blk.Height())
 		n.staged[rank] = st
 	})
-	src := func(rank int) redist.Window {
-		st := n.local[rank]
-		return redist.Window{F: st.f, X0: st.block.X0, Y0: st.block.Y0}
-	}
-	dst := func(rank int) redist.Window {
-		blk := newDist.BlockOf(n.pg.Coord(rank))
-		return redist.Window{F: n.staged[rank].next, X0: blk.X0, Y0: blk.Y0}
-	}
+	src := func(int) redist.Window { return redist.Window{F: n.ring[0]} }
+	dst := func(int) redist.Window { return redist.Window{F: n.ring[1]} }
 	arenas := exchangeArenas.Get().(*[]mpi.Scratch)
 	if len(*arenas) < n.pg.Size() {
 		*arenas = make([]mpi.Scratch, n.pg.Size())
@@ -410,10 +405,9 @@ func (n *ParallelNest) Redistribute(w *mpi.World, newProcs geom.Rect) (float64, 
 		return 0, err
 	}
 	newDist.Blocks(func(p geom.Point, blk geom.Rect) {
-		st := n.staged[n.pg.Rank(p)]
-		st.block = blk
-		st.f, st.next = st.next, st.f
+		n.staged[n.pg.Rank(p)].block = blk
 	})
+	n.ring[0], n.ring[1] = n.ring[1], n.ring[0]
 	n.procs = newProcs
 	n.local, n.staged = n.staged, n.local
 	if tr != nil {
@@ -429,31 +423,18 @@ func (n *ParallelNest) Redistribute(w *mpi.World, newProcs geom.Rect) (float64, 
 	return elapsed, nil
 }
 
-// Gather reassembles the full fine field (testing/feedback only).
-func (n *ParallelNest) Gather() *field.Field {
-	return n.GatherInto(nil)
-}
+// QCloud returns the nest's live fine-resolution cloud-water field, the
+// one nest-wide field its ranks step (do not mutate). It is valid until the
+// next step or Redistribute, which may move the nest to another buffer.
+func (n *ParallelNest) QCloud() *field.Field { return n.ring[0] }
 
-// GatherInto reassembles the full fine field into out, reallocating only
-// when out is nil or the wrong shape — the allocation-free counterpart of
-// Gather for callers (the checkpoint encoder) that keep a scratch field
-// across intervals. The blocks tile the fine grid exactly, so every sample
-// of out is overwritten.
-func (n *ParallelNest) GatherInto(out *field.Field) *field.Field {
-	if out == nil || out.NX != n.nx || out.NY != n.ny {
-		out = field.New(n.nx, n.ny)
-	}
-	dist := geom.NewBlockDist(n.nx, n.ny, n.procs)
-	dist.Blocks(func(p geom.Point, blk geom.Rect) {
-		out.SetSub(blk, n.local[n.pg.Rank(p)].f)
-	})
-	return out
-}
+// Gather returns a copy of the full fine field.
+func (n *ParallelNest) Gather() *field.Field { return n.ring[0].Clone() }
 
 // Feedback coarsens the distributed nest's state back onto the parent
 // domain (two-way nesting), like the serial Nest.Feedback.
 func (n *ParallelNest) Feedback(m *Model) {
-	coarse := field.Coarsen(n.Gather(), NestRatio)
+	coarse := field.Coarsen(n.ring[0], NestRatio)
 	m.qcloud.SetSub(n.Region, coarse)
 	m.olrStale = true
 }

@@ -1,6 +1,7 @@
 package wrfsim
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -105,10 +106,7 @@ func TestParallelNestMatchesSerial(t *testing.T) {
 		if par.StepCount() != serial.StepCount() {
 			t.Fatalf("substep counts differ: %d vs %d", par.StepCount(), serial.StepCount())
 		}
-		got := par.Gather()
-		if d := maxAbsDiff(got.Data, serial.QCloud().Data); d > 1e-12 {
-			t.Fatalf("procs %v: distributed nest deviates from serial by %g", procs, d)
-		}
+		sameSamples(t, fmt.Sprintf("procs %v: distributed vs serial", procs), par.Gather().Data, serial.QCloud().Data)
 	}
 }
 
@@ -142,9 +140,7 @@ func TestParallelNestRedistributeMidRun(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if d := maxAbsDiff(par.Gather().Data, serial.QCloud().Data); d > 1e-12 {
-		t.Fatalf("post-redistribution nest deviates from serial by %g", d)
-	}
+	sameSamples(t, "post-redistribution distributed vs serial", par.Gather().Data, serial.QCloud().Data)
 }
 
 func TestParallelNestRedistributeOverlapCheaper(t *testing.T) {

@@ -32,11 +32,11 @@ func RestoreNest(id int, region geom.Rect, fine *field.Field, steps int) (*Nest,
 	}, nil
 }
 
-// RestoreParallelNest builds a distributed nest from its state: the
-// gathered fine field is scattered over the processor sub-rectangle, and
-// the substep counter is restored so halo-exchange tags continue their
-// sequence. It is the one distributed-nest constructor, like RestoreNest
-// for serial nests.
+// RestoreParallelNest builds a distributed nest from its state: the fine
+// field, placed on the processor sub-rectangle, and the substep counter,
+// restored so halo-exchange tags continue their sequence. It is the one
+// distributed-nest constructor, like RestoreNest for serial nests, and
+// like it takes ownership of fine.
 func RestoreParallelNest(id int, region geom.Rect, pg geom.Grid, procs geom.Rect, fine *field.Field, steps int) (*ParallelNest, error) {
 	if region.Empty() {
 		return nil, fmt.Errorf("wrfsim: empty nest region")
@@ -59,7 +59,7 @@ func RestoreParallelNest(id int, region geom.Rect, pg geom.Grid, procs geom.Rect
 		ny:     fine.NY,
 		steps:  steps,
 	}
-	if err := n.scatter(fine, procs); err != nil {
+	if err := n.place(fine, procs); err != nil {
 		return nil, err
 	}
 	return n, nil

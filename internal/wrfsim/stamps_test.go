@@ -159,10 +159,11 @@ func TestSourceStampsMatchPerSubstepDeposits(t *testing.T) {
 
 // TestNestWideStampsMatchPerBlockBuild: a distributed nest's stamps are
 // built once over its whole fine grid and each rank adds the part inside
-// its block (GaussStamp.AddWindow). That must give every block exactly the
-// bits of stamps built for the block alone, over one rank, a regular
-// grid, ragged blocks and blocks exactly HaloWidth wide, with windows
-// straddling block edges, block corners and the nest's own edges.
+// its block to its window of the nest-wide field (GaussStamp.AddWindow).
+// That must give every block exactly the bits of stamps built for the
+// block alone, over one rank, a regular grid, ragged blocks and blocks
+// exactly HaloWidth wide, with stamps straddling block edges, block corners
+// and the nest's own edges.
 func TestNestWideStampsMatchPerBlockBuild(t *testing.T) {
 	const dt = 120.0
 	region := geom.NewRect(12, 10, 24, 20)
@@ -185,18 +186,19 @@ func TestNestWideStampsMatchPerBlockBuild(t *testing.T) {
 		{"ragged", geom.NewRect(2, 1, 7, 4)}, // 72 columns over 7 ranks
 		{"halo-wide", geom.NewRect(0, 0, fnx/HaloWidth, fny/HaloWidth)},
 	} {
+		got := field.New(fnx, fny)
+		for i := range got.Data {
+			got.Data[i] = float64(i%11) * 0.25
+		}
+		seed := got.Clone()
 		geom.NewBlockDist(fnx, fny, dc.procs).Blocks(func(_ geom.Point, blk geom.Rect) {
-			want := field.New(blk.Width(), blk.Height())
-			for i := range want.Data {
-				want.Data[i] = float64(i%11) * 0.25
-			}
-			got := want.Clone()
+			want := seed.Sub(blk)
 			block.build(cells, dt, NestRatio, origin, blk)
 			for s := 0; s < NestRatio; s++ {
 				block.addTo(want)
 				whole.addWindow(got, blk)
 			}
-			requireSameBits(t, dc.name+" "+blk.String(), got, want)
+			requireSameBits(t, dc.name+" "+blk.String(), got.Sub(blk), want)
 		})
 	}
 }

@@ -90,14 +90,14 @@ func TestStepNestsMatchesPerNestStep(t *testing.T) {
 
 // TestStepNestsAmortisedAllocations: a steady-state dispatch allocates
 // nothing — the rank workers are parked, the owner table, rank list and
-// rank function are pooled, the stamps and halo plans are reused, and every
-// strip is copied straight out of the upwind neighbour's block published in
-// its ring of substep buffers. Every rank here reads up to 3 strips and
-// publishes for up to 3 readers in each of 3 substeps, so a per-strip
-// allocation would show up as tens per rank. The first dispatch after a
-// Redistribute re-plans each owner rank on the buffers of the share it
-// kept or drew from the pool, so once the shares have seen both
-// decompositions it allocates nothing either.
+// rank function are pooled, the stamps, halo plans and column tables are
+// reused, and every strip is read in place out of the upwind neighbour's
+// window of the nest's ring of substep buffers. Every rank here reads up
+// to 3 strips and publishes for up to 3 readers in each of 3 substeps, so
+// a per-strip allocation would show up as tens per rank. The first
+// dispatch after a Redistribute re-plans each owner rank on the slices of
+// the share it kept or drew from the pool, so once the shares have seen
+// both decompositions it allocates nothing either.
 func TestStepNestsAmortisedAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is perturbed by the race detector")
@@ -198,9 +198,9 @@ func TestRedistributeChainMatchesRestore(t *testing.T) {
 // same fine extents, sub-rectangle and block points, so every recycled
 // plan matches its new decomposition point for point. Its peers are
 // numbered by the other grid, though, and the plan must be rebuilt: the
-// nest then steps like the serial nest (a stale plan would read its strips
-// out of the blocks of the old grid's rank numbers: it would wait on a rank
-// that publishes none, or mix the wrong samples in).
+// nest then steps bit for bit like the serial nest (a stale plan would
+// wait on the old grid's rank numbers: on a rank that publishes none, or
+// on the wrong neighbour, and read a window before its owner wrote it).
 func TestReleasedShareOnAnotherGridReplans(t *testing.T) {
 	procs := geom.NewRect(0, 0, 4, 3)
 	m, _, old, pg := setupNestPair(t, procs)
@@ -231,9 +231,7 @@ func TestReleasedShareOnAnotherGridReplans(t *testing.T) {
 		if err := par.Step(wOther, m.Config(), m.Cells()); err != nil {
 			t.Fatalf("step %d: %v", i+1, err)
 		}
-		if d := maxAbsDiff(par.Gather().Data, serial.QCloud().Data); d > 1e-12 {
-			t.Fatalf("step %d: distributed nest deviates from serial by %g", i+1, d)
-		}
+		sameSamples(t, fmt.Sprintf("step %d: distributed vs serial", i+1), par.Gather().Data, serial.QCloud().Data)
 	}
 	checkNestScratch(t, par, true)
 }
@@ -243,7 +241,9 @@ func TestReleasedShareOnAnotherGridReplans(t *testing.T) {
 // delay rule on one live halo link: a digest of every owner rank's clock
 // bits at the end of each dispatch, and a CRC of each nest's gathered
 // field. The halo exchange may change how strips travel, but neither what
-// a rank computes nor what its clock reads.
+// a rank computes nor what its clock reads. The field CRCs are also those
+// of serial nests stepped beside the distributed ones, so the pin is an
+// oracle: a distributed nest holds the serial nest's bits.
 func TestStepNestsClocksFrozen(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -252,11 +252,19 @@ func TestStepNestsClocksFrozen(t *testing.T) {
 		last   float64 // the latest owner clock of the last dispatch
 		fields [3]uint32
 	}{
-		{"clean", false, 0x3ebdc48c74c20a05, 1.4195714285714286e-05, [3]uint32{0xc6e36c00, 0x6e87a2d5, 0x9f77c97d}},
-		{"delayed-link", true, 0xd4a904911560e3c5, 0.0020135578571428567, [3]uint32{0xc6e36c00, 0x6e87a2d5, 0x9f77c97d}},
+		{"clean", false, 0x3ebdc48c74c20a05, 1.4195714285714286e-05, [3]uint32{0xa27fd405, 0x6ec8d770, 0xe3a6188b}},
+		{"delayed-link", true, 0xd4a904911560e3c5, 0.0020135578571428567, [3]uint32{0xa27fd405, 0x6ec8d770, 0xe3a6188b}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m, w, nests := stepNestsLayout(t)
+			serial := make([]*Nest, len(nests))
+			for i, n := range nests {
+				sn, err := m.SpawnNest(n.ID, n.Region)
+				if err != nil {
+					t.Fatal(err)
+				}
+				serial[i] = sn
+			}
 			if tc.delay {
 				// A receive link of a rank inside nest 1, from its upwind
 				// neighbour to it: every message on it is delayed by 2 ms.
@@ -272,6 +280,9 @@ func TestStepNestsClocksFrozen(t *testing.T) {
 			var last float64
 			for step := 0; step < 4; step++ {
 				m.Step()
+				for _, sn := range serial {
+					sn.Step(m)
+				}
 				if err := StepNests(w, m.Config(), m.Cells(), nests); err != nil {
 					t.Fatal(err)
 				}
@@ -287,17 +298,21 @@ func TestStepNestsClocksFrozen(t *testing.T) {
 					}
 				}
 			}
-			var fields [3]uint32
-			for i, n := range nests {
+			crcOf := func(data []float64) uint32 {
 				crc := crc32.NewIEEE()
-				binary.Write(crc, binary.LittleEndian, n.Gather().Data)
-				fields[i] = crc.Sum32()
+				binary.Write(crc, binary.LittleEndian, data)
+				return crc.Sum32()
+			}
+			var fields, serialFields [3]uint32
+			for i, n := range nests {
+				fields[i] = crcOf(n.Gather().Data)
+				serialFields[i] = crcOf(serial[i].QCloud().Data)
 			}
 			if got := h.Sum64(); got != tc.clocks || last != tc.last {
 				t.Errorf("owner clocks digest %#x, latest %v; want %#x, %v", got, last, tc.clocks, tc.last)
 			}
-			if fields != tc.fields {
-				t.Errorf("nest field CRCs %#x, want %#x", fields, tc.fields)
+			if fields != tc.fields || serialFields != tc.fields {
+				t.Errorf("nest field CRCs %#x, serial nests' %#x; want %#x", fields, serialFields, tc.fields)
 			}
 		})
 	}
