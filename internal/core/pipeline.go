@@ -96,7 +96,7 @@ type Pipeline struct {
 	// Step scratch, reused across steps: the cell snapshot and nest list
 	// handed to distributed nest stepping, the sorted nest-ID work list,
 	// the serial nest phase's task list and its worker pool, and the split
-	// files of the last PDA invocation.
+	// windows of the last PDA invocation.
 	cellScratch  []wrfsim.Cell
 	nestScratch  []*wrfsim.ParallelNest
 	idScratch    []int
@@ -470,7 +470,7 @@ func (p *Pipeline) adapt() error {
 	if tr != nil {
 		t0 = time.Now()
 	}
-	splits, err := p.model.SplitsInto(p.splitScratch, p.cfg.WRFGrid)
+	splits, err := p.model.SplitWindows(p.splitScratch, p.cfg.WRFGrid)
 	if err != nil {
 		return err
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"nestdiff/internal/geom"
+	"nestdiff/internal/wrfsim"
 )
 
 func randomInfos(rng *rand.Rand, n, px int) []SubdomainInfo {
@@ -36,16 +37,30 @@ func BenchmarkNNC(b *testing.B) {
 	}
 }
 
+// BenchmarkAnalyzeSplit aggregates one split at a time, over block-sized
+// copies (a split file) and over windows of the model's fields (the
+// pipeline's in-place path).
 func BenchmarkAnalyzeSplit(b *testing.B) {
 	m := stormModel(b)
-	splits, err := m.Splits(geom.NewGrid(8, 6))
+	pg := geom.NewGrid(8, 6)
+	copies, err := m.Splits(pg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	windows, err := m.SplitWindows(nil, pg)
 	if err != nil {
 		b.Fatal(err)
 	}
 	opt := DefaultOptions()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		AnalyzeSplit(splits[i%len(splits)], opt)
+	for _, bc := range []struct {
+		name   string
+		splits []wrfsim.Split
+	}{{"copies", copies}, {"windows", windows}} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				AnalyzeSplit(bc.splits[i%len(bc.splits)], opt)
+			}
+		})
 	}
 }
 

@@ -42,7 +42,9 @@ func decodeDecomposition(data []byte) (pg geom.Grid, ranks, steps int, qcloudOnl
 // exactly the rectangles and clusters of Analyze, in the same order,
 // whatever the WRF grid (ragged blocks included) and N ≤ P. The root sorts
 // the gathered aggregates by a total order (QCLOUD, then rank), so the
-// order in which the ranks' rows arrive cannot show.
+// order in which the ranks' rows arrive cannot show. RunParallel over
+// Model.SplitWindows — the ranks reading their blocks in place out of the
+// model's fields, as the pipeline does — returns the same again.
 func FuzzPDADecomposition(f *testing.F) {
 	// px, py, N, steps, flags, then per cell: x, y, radius, peak, drift.
 	f.Add([]byte{7, 5, 47, 39, 0, 53, 64, 3, 255, 128, 186, 178, 2, 200, 128})   // 8x6, one rank per file
@@ -86,6 +88,21 @@ func FuzzPDADecomposition(f *testing.F) {
 		}
 		if !reflect.DeepEqual(res.Clusters, wantClusters) {
 			t.Fatalf("%v over %d ranks: clusters %+v, serial %+v", pg, ranks, res.Clusters, wantClusters)
+		}
+		windows, err := m.SplitWindows(nil, pg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inPlace, err := RunParallel(analysisWorld(t, ranks), pg, memLoader(windows), opt)
+		if err != nil {
+			t.Fatalf("%v over %d ranks, in place: %v", pg, ranks, err)
+		}
+		if !reflect.DeepEqual(inPlace.Rects, wantRects) || !reflect.DeepEqual(inPlace.Clusters, wantClusters) {
+			t.Fatalf("%v over %d ranks, in place: rects %v clusters %+v, copies %v %+v",
+				pg, ranks, inPlace.Rects, inPlace.Clusters, wantRects, wantClusters)
+		}
+		if inPlace.RootClock != res.RootClock {
+			t.Fatalf("%v over %d ranks: root clock %v in place, %v over copies", pg, ranks, inPlace.RootClock, res.RootClock)
 		}
 	})
 }

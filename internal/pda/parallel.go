@@ -18,23 +18,24 @@ var gatherScratch = sync.Pool{New: func() any { return new(mpi.Scratch) }}
 // rank, bounds (x0, y0, w, h), qcloud, olrfraction.
 const infoWords = 7
 
-func encodeInfo(info SubdomainInfo) []float64 {
-	return []float64{
+// appendInfo appends info's wire form to dst.
+func appendInfo(dst []float64, info SubdomainInfo) []float64 {
+	return append(dst,
 		float64(info.Rank),
 		float64(info.Bounds.X0), float64(info.Bounds.Y0),
 		float64(info.Bounds.Width()), float64(info.Bounds.Height()),
 		info.QCloud, info.OLRFraction,
-	}
+	)
 }
 
-func decodeInfos(buf []float64, px int) ([]SubdomainInfo, error) {
+// appendInfos decodes the infos of one gathered buffer onto dst.
+func appendInfos(dst []SubdomainInfo, buf []float64, px int) ([]SubdomainInfo, error) {
 	if len(buf)%infoWords != 0 {
-		return nil, fmt.Errorf("pda: gathered buffer of %d words is not a multiple of %d", len(buf), infoWords)
+		return dst, fmt.Errorf("pda: gathered buffer of %d words is not a multiple of %d", len(buf), infoWords)
 	}
-	out := make([]SubdomainInfo, 0, len(buf)/infoWords)
 	for i := 0; i < len(buf); i += infoWords {
 		rank := int(buf[i])
-		out = append(out, SubdomainInfo{
+		dst = append(dst, SubdomainInfo{
 			Rank:        rank,
 			Pos:         geom.Point{X: rank % px, Y: rank / px},
 			Bounds:      geom.NewRect(int(buf[i+1]), int(buf[i+2]), int(buf[i+3]), int(buf[i+4])),
@@ -42,7 +43,7 @@ func decodeInfos(buf []float64, px int) ([]SubdomainInfo, error) {
 			OLRFraction: buf[i+6],
 		})
 	}
-	return out, nil
+	return dst, nil
 }
 
 // Result is the output of a parallel analysis, available at the root rank.
@@ -94,7 +95,14 @@ func RunParallel(w *mpi.World, wrfGrid geom.Grid, loader func(rank int) (wrfsim.
 		me := geom.Point{X: r.ID() % ax, Y: r.ID() / ax}
 		myFiles := fileDist.BlockOf(me)
 
-		var payload []float64
+		// The payload and the root's gather rows come from a pooled
+		// rank-local scratch arena, not per-row heap copies; they are
+		// decoded before the closure returns, so the arena's lifetime
+		// trivially covers theirs.
+		s := gatherScratch.Get().(*mpi.Scratch)
+		s.Reset()
+		defer gatherScratch.Put(s)
+		payload := s.Buf(myFiles.Area() * infoWords)
 		points := 0
 		myFiles.Cells(func(p geom.Point) {
 			split, err := loader(wrfGrid.Rank(p))
@@ -104,33 +112,31 @@ func RunParallel(w *mpi.World, wrfGrid geom.Grid, loader func(rank int) (wrfsim.
 			points += split.Bounds.Area()
 			info := AnalyzeSplit(split, opt)
 			if info.OLRFraction > 0 { // files with no OLR≤200 region send nothing
-				payload = append(payload, encodeInfo(info)...)
+				payload = appendInfo(payload, info)
 			}
 		})
 		r.Compute(float64(points) * perPointCost)
 
-		// The root's gather rows come from a pooled rank-local scratch
-		// arena, not per-row heap copies; they are decoded before the
-		// closure returns, so the arena's lifetime trivially covers theirs.
-		s := gatherScratch.Get().(*mpi.Scratch)
-		s.Reset()
-		defer gatherScratch.Put(s)
 		gathered := all.GathervInto(r, 0, payload, s)
 		if r.ID() != 0 {
 			return
 		}
-		var infos []SubdomainInfo
+		ix := clusterIndexes.Get().(*clusterIndex)
+		defer clusterIndexes.Put(ix)
+		elems := ix.elems[:0]
 		for _, buf := range gathered {
-			decoded, err := decodeInfos(buf, wrfGrid.Px)
-			if err != nil {
+			var err error
+			if elems, err = appendInfos(elems, buf, wrfGrid.Px); err != nil {
 				panic(err.Error())
 			}
-			infos = append(infos, decoded...)
 		}
-		clusters := NNC(infos, opt)
+		ix.elems = elems
+		clusters := ix.cluster(opt)
 		// The sequential clustering runs entirely on the root — the
-		// bottleneck the parallel-NNC variant removes.
-		r.Compute(float64(len(infos)*len(infos)) * perPairCost)
+		// bottleneck the parallel-NNC variant removes. Its modelled charge
+		// is Algorithm 2's quadratic scan, whatever the index saves.
+		k := len(ix.elems)
+		r.Compute(float64(k*k) * perPairCost)
 		rects := make([]geom.Rect, len(clusters))
 		for i, c := range clusters {
 			rects[i] = c.BoundingRect()

@@ -146,3 +146,61 @@ func TestRunParallelFromFiles(t *testing.T) {
 		t.Fatalf("file-based analysis found %d nests, want 2", len(res.Rects))
 	}
 }
+
+// TestRunParallelAllocationsFlatInAggregates: on a warm world, an analysis
+// round over in-place windows allocates the same count whatever the
+// number of aggregates — per rank and at the root, encoding, gathering,
+// decoding and clustering draw on reused buffers; only the closures, the
+// result and its one backing array per slice are new. Two storm
+// populations on one grid must read the same count.
+func TestRunParallelAllocationsFlatInAggregates(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is not meaningful under the race detector")
+	}
+	pg := geom.NewGrid(12, 9)
+	w := analysisWorld(t, 6)
+	opt := DefaultOptions()
+	round := func(m *wrfsim.Model) (allocs float64, aggregates, clusters int) {
+		windows, err := m.SplitWindows(nil, pg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		loader := memLoader(windows)
+		var res *Result
+		run := func() {
+			if res, err = RunParallel(w, pg, loader, opt); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for range 5 {
+			run()
+		}
+		allocs = testing.AllocsPerRun(50, run)
+		for _, c := range res.Clusters {
+			clusters++
+			aggregates += len(c)
+		}
+		return allocs, aggregates, clusters
+	}
+	few, fewAggs, fewClusters := round(stormModel(t))
+	many, manyAggs, manyClusters := round(manyStormModel(t))
+	t.Logf("%d clustered aggregates in %d clusters: %v allocations; %d in %d: %v",
+		fewAggs, fewClusters, few, manyAggs, manyClusters, many)
+	if manyAggs < 2*fewAggs || manyClusters <= fewClusters {
+		t.Fatalf("populations too alike to compare: %d vs %d aggregates, %d vs %d clusters",
+			fewAggs, manyAggs, fewClusters, manyClusters)
+	}
+	if many != few {
+		t.Fatalf("a round allocates %v objects for %d aggregates but %v for %d", many, manyAggs, few, fewAggs)
+	}
+}
+
+// manyStormModel is stormModel's domain with eight storms over it.
+func manyStormModel(t testing.TB) *wrfsim.Model {
+	t.Helper()
+	var storms []wrfsim.Cell
+	for i := range 8 {
+		storms = append(storms, wrfsim.Cell{X: float64(10 + 24*(i%4)), Y: float64(14 + 40*(i/4)), Radius: 5, Peak: 2.5, Life: 14400})
+	}
+	return matureModel(t, storms)
+}

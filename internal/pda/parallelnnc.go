@@ -117,7 +117,7 @@ func encodeClusters(clusters []Cluster) []float64 {
 	for _, c := range clusters {
 		out = append(out, float64(len(c)))
 		for _, info := range c {
-			out = append(out, encodeInfo(info)...)
+			out = appendInfo(out, info)
 		}
 	}
 	return out
@@ -132,7 +132,7 @@ func decodeClusters(buf []float64, px int) ([]Cluster, error) {
 		if n <= 0 || i+n*infoWords > len(buf) {
 			return nil, fmt.Errorf("pda: corrupt cluster encoding at word %d", i-1)
 		}
-		members, err := decodeInfos(buf[i:i+n*infoWords], px)
+		members, err := appendInfos(nil, buf[i:i+n*infoWords], px)
 		if err != nil {
 			return nil, err
 		}

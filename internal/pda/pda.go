@@ -66,25 +66,40 @@ type SubdomainInfo struct {
 }
 
 // AnalyzeSplit performs lines 4–9 of Algorithm 1 on one split file:
-// aggregate QCLOUD where OLR ≤ 200 and compute the OLR fraction.
+// aggregate QCLOUD where OLR ≤ 200 and compute the OLR fraction. It walks
+// the block's samples in row-major order, out of block-sized fields or out
+// of the domain-sized fields a window split carries (wrfsim.Split.Window),
+// so both give the same sums to the bit.
 func AnalyzeSplit(s wrfsim.Split, opt Options) SubdomainInfo {
 	info := SubdomainInfo{
 		Rank:   s.Rank,
 		Pos:    geom.Point{X: s.Rank % s.Px, Y: s.Rank / s.Px},
 		Bounds: s.Bounds,
 	}
+	w, h := s.Bounds.Width(), s.Bounds.Height()
+	qc, qStride := s.Window(s.QCloud)
 	if opt.QCloudOnly {
-		for _, q := range s.QCloud.Data {
-			info.QCloud += q
+		for y := 0; y < h; y++ {
+			for _, q := range qc[y*qStride : y*qStride+w] {
+				info.QCloud += q
+			}
 		}
 		info.OLRFraction = 1 // bypass the fraction filter
 		return info
 	}
+	olr, oStride := s.Window(s.OLR)
+	if qStride == w && oStride == w { // rows back to back: one run
+		w, h = w*h, 1
+	}
 	count := 0
-	for i, olr := range s.OLR.Data {
-		if olr <= opt.OLRThreshold {
-			info.QCloud += s.QCloud.Data[i]
-			count++
+	for y := 0; y < h; y++ {
+		o := olr[y*oStride : y*oStride+w]
+		q := qc[y*qStride : y*qStride+w][:len(o)]
+		for i, v := range o {
+			if v <= opt.OLRThreshold {
+				info.QCloud += q[i]
+				count++
+			}
 		}
 	}
 	area := s.Bounds.Area()
@@ -136,75 +151,23 @@ func hopDistance(a, b geom.Point) int {
 	return dy
 }
 
-// distanceOK is the DISTANCE function of Algorithm 2: the element must be
-// exactly hop away from the member, and adding it must not deviate the
-// cluster's mean QCLOUD by more than the configured fraction.
-func distanceOK(element, member SubdomainInfo, cluster Cluster, hop int, opt Options) bool {
-	if hopDistance(element.Pos, member.Pos) != hop {
-		return false
+// byQCloud orders aggregates by decreasing QCLOUD (Algorithm 1 line 13),
+// with rank as a deterministic tie-break.
+func byQCloud(a, b SubdomainInfo) int {
+	if a.QCloud != b.QCloud {
+		if a.QCloud > b.QCloud {
+			return -1
+		}
+		return 1
 	}
-	oldMean := cluster.MeanQCloud()
-	newMean := (oldMean*float64(len(cluster)) + element.QCloud) / float64(len(cluster)+1)
-	if oldMean == 0 {
-		return true
-	}
-	dev := (newMean - oldMean) / oldMean
-	if dev < 0 {
-		dev = -dev
-	}
-	return dev <= opt.MeanDeviation
+	return cmp.Compare(a.Rank, b.Rank)
 }
 
-// sortByQCloud returns infos sorted by decreasing aggregate QCLOUD
-// (Algorithm 1 line 13), with rank as a deterministic tie-break.
+// sortByQCloud returns a copy of infos in byQCloud order.
 func sortByQCloud(infos []SubdomainInfo) []SubdomainInfo {
 	out := append([]SubdomainInfo(nil), infos...)
-	slices.SortStableFunc(out, func(a, b SubdomainInfo) int {
-		if a.QCloud != b.QCloud {
-			if a.QCloud > b.QCloud {
-				return -1
-			}
-			return 1
-		}
-		return cmp.Compare(a.Rank, b.Rank)
-	})
+	slices.SortStableFunc(out, byQCloud)
 	return out
-}
-
-// NNC is Algorithm 2: elements (processed in decreasing QCLOUD order) join
-// the first cluster containing a member at 1 hop; failing that, at 2
-// hops; failing that, they found a new cluster. Sub-threshold elements are
-// dropped.
-func NNC(infos []SubdomainInfo, opt Options) []Cluster {
-	var clusters []Cluster
-	for _, element := range sortByQCloud(infos) {
-		if element.QCloud < opt.QCloudThreshold || element.OLRFraction < opt.OLRFractionThreshold {
-			continue
-		}
-		if idx := findCluster(clusters, element, opt); idx >= 0 {
-			clusters[idx] = append(clusters[idx], element)
-			continue
-		}
-		clusters = append(clusters, Cluster{element})
-	}
-	return clusters
-}
-
-// findCluster scans all clusters for a 1-hop member first, then — only if
-// no 1-hop match exists anywhere — for a 2-hop member (§V-A: "we check
-// for 2 hop distance only if the list element is not within 1 hop from an
-// existing cluster"). This keeps clusters disjoint in space.
-func findCluster(clusters []Cluster, element SubdomainInfo, opt Options) int {
-	for _, hop := range []int{1, 2} {
-		for i, cluster := range clusters {
-			for _, member := range cluster {
-				if distanceOK(element, member, cluster, hop, opt) {
-					return i
-				}
-			}
-		}
-	}
-	return -1
 }
 
 // SimpleNNC is the baseline of Fig. 9(a): a single pass that joins the

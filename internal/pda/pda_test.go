@@ -12,16 +12,22 @@ import (
 // locations and steps it until they are mature.
 func stormModel(t testing.TB) *wrfsim.Model {
 	t.Helper()
+	return matureModel(t, []wrfsim.Cell{
+		{X: 20, Y: 18, Radius: 5, Peak: 2.5, Life: 14400},
+		{X: 70, Y: 50, Radius: 4, Peak: 2.0, Life: 14400},
+	})
+}
+
+// matureModel is a 96x72 model with the given storms and no genesis,
+// stepped 40 times.
+func matureModel(t testing.TB, storms []wrfsim.Cell) *wrfsim.Model {
+	t.Helper()
 	cfg := wrfsim.DefaultConfig()
 	cfg.NX, cfg.NY = 96, 72
 	cfg.SpawnRate = 0
 	m, err := wrfsim.NewModel(cfg)
 	if err != nil {
 		t.Fatal(err)
-	}
-	storms := []wrfsim.Cell{
-		{X: 20, Y: 18, Radius: 5, Peak: 2.5, Life: 14400},
-		{X: 70, Y: 50, Radius: 4, Peak: 2.0, Life: 14400},
 	}
 	for _, c := range storms {
 		if err := m.InjectCell(c); err != nil {
@@ -312,14 +318,14 @@ func TestEncodeDecodeInfoRoundTrip(t *testing.T) {
 		QCloud:      3.25,
 		OLRFraction: 0.5,
 	}
-	decoded, err := decodeInfos(encodeInfo(info), 8)
+	decoded, err := appendInfos(nil, appendInfo(nil, info), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(decoded) != 1 || decoded[0] != info {
 		t.Fatalf("round trip = %+v, want %+v", decoded, info)
 	}
-	if _, err := decodeInfos(make([]float64, infoWords+1), 8); err == nil {
+	if _, err := appendInfos(nil, make([]float64, infoWords+1), 8); err == nil {
 		t.Fatal("ragged buffer accepted")
 	}
 }

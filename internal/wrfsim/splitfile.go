@@ -17,6 +17,10 @@ import (
 // block of the parent domain with its QCLOUD and OLR samples. This is what
 // "each process running WRF generates ... and writes into a split file"
 // (§III).
+//
+// The fields are either block-sized, as Splits copies them and ReadSplit
+// reads them, or the whole domain's, as SplitWindows hands them out;
+// Window finds the block in either.
 type Split struct {
 	Rank   int
 	Px, Py int       // the WRF process grid the domain was decomposed over
@@ -26,17 +30,41 @@ type Split struct {
 	OLR    *field.Field
 }
 
-// Splits decomposes the model's current state over a Px×Py process grid
-// and returns one Split per rank, in rank order. The result is the
-// caller's: nothing the model does later changes it.
-func (m *Model) Splits(pg geom.Grid) ([]Split, error) { return m.SplitsInto(nil, pg) }
+// Window returns f, one of the split's fields, from the first sample of
+// the split's block on, and the stride between the block's rows in it. A
+// block-sized f holds the block alone; any other f is the domain the
+// block is a window of, indexed through Bounds. The two readings agree
+// where they overlap: a domain-sized field has the block's extents only
+// when the block is the whole domain.
+func (s *Split) Window(f *field.Field) (data []float64, stride int) {
+	if f.NX == s.Bounds.Width() && f.NY == s.Bounds.Height() {
+		return f.Data, f.NX
+	}
+	return f.Data[s.Bounds.Y0*f.NX+s.Bounds.X0:], f.NX
+}
 
-// SplitsInto is Splits into the caller's buffer: buf's backing array and
-// the fields of the splits it already holds are overwritten and returned
-// wherever their shapes still fit, so a caller that hands each call's
-// result to the next allocates nothing once the buffer is warm. Whatever
-// was read out of buf before the call is invalid after it.
-func (m *Model) SplitsInto(buf []Split, pg geom.Grid) ([]Split, error) {
+// Splits decomposes the model's current state over a Px×Py process grid
+// and returns one Split per rank, in rank order, each holding a copy of
+// its block. The result is the caller's: nothing the model does later
+// changes it.
+func (m *Model) Splits(pg geom.Grid) ([]Split, error) {
+	splits, err := m.SplitWindows(nil, pg)
+	if err != nil {
+		return nil, err
+	}
+	for i := range splits {
+		s := &splits[i]
+		s.QCloud, s.OLR = s.QCloud.Sub(s.Bounds), s.OLR.Sub(s.Bounds)
+	}
+	return splits, nil
+}
+
+// SplitWindows is Splits without the copies: every split's fields are the
+// model's live qcloud and OLR, and its Bounds is the window its rank
+// reads. The windows are valid until the model next steps. buf's backing
+// array is reused when it is large enough, so a caller that hands each
+// call's result to the next allocates nothing once the buffer is warm.
+func (m *Model) SplitWindows(buf []Split, pg geom.Grid) ([]Split, error) {
 	if pg.Px > m.cfg.NX || pg.Py > m.cfg.NY {
 		return nil, fmt.Errorf("wrfsim: process grid %dx%d larger than domain %dx%d",
 			pg.Px, pg.Py, m.cfg.NX, m.cfg.NY)
@@ -45,15 +73,14 @@ func (m *Model) SplitsInto(buf []Split, pg geom.Grid) ([]Split, error) {
 	bd := geom.NewBlockDist(m.cfg.NX, m.cfg.NY, pg.Bounds())
 	buf = slices.Grow(buf[:0], pg.Size())[:pg.Size()]
 	bd.Blocks(func(p geom.Point, blk geom.Rect) {
-		s := &buf[pg.Rank(p)]
-		*s = Split{
+		buf[pg.Rank(p)] = Split{
 			Rank:   pg.Rank(p),
 			Px:     pg.Px,
 			Py:     pg.Py,
 			Bounds: blk,
 			Step:   m.step,
-			QCloud: m.qcloud.SubInto(s.QCloud, blk),
-			OLR:    olr.SubInto(s.OLR, blk),
+			QCloud: m.qcloud,
+			OLR:    olr,
 		}
 	})
 	return buf, nil

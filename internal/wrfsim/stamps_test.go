@@ -228,25 +228,38 @@ func cloneSplits(in []Split) []Split {
 	return out
 }
 
+// requireSplitsEqual holds got to want header for header and, read
+// through Split.Window, block for block: a window split and a copied one
+// compare by the samples of their blocks.
 func requireSplitsEqual(t *testing.T, what string, got, want []Split) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d splits, want %d", what, len(got), len(want))
 	}
 	for i := range want {
-		g, w := got[i], want[i]
+		g, w := &got[i], &want[i]
 		if g.Rank != w.Rank || g.Px != w.Px || g.Py != w.Py || g.Bounds != w.Bounds || g.Step != w.Step {
-			t.Fatalf("%s: split %d header %+v, want %+v", what, i, g, w)
+			t.Fatalf("%s: split %d header %+v, want %+v", what, i, *g, *w)
 		}
-		requireSameBits(t, what+" qcloud", g.QCloud, w.QCloud)
-		requireSameBits(t, what+" olr", g.OLR, w.OLR)
+		for _, f := range [][2]*field.Field{{g.QCloud, w.QCloud}, {g.OLR, w.OLR}} {
+			gd, gs := g.Window(f[0])
+			wd, ws := w.Window(f[1])
+			for y := 0; y < w.Bounds.Height(); y++ {
+				for x := 0; x < w.Bounds.Width(); x++ {
+					if gv, wv := gd[y*gs+x], wd[y*ws+x]; math.Float64bits(gv) != math.Float64bits(wv) {
+						t.Fatalf("%s: split %d sample (%d,%d) = %g, want %g (must be bit-identical)",
+							what, i, x, y, gv, wv)
+					}
+				}
+			}
+		}
 	}
 }
 
 // TestSplitsAreCallerOwned: what Splits returned must survive later steps
-// and later SplitsInto calls on other buffers, and SplitsInto on a used
-// buffer must produce exactly what a fresh Splits does — on the same grid
-// and on one whose blocks no longer fit the buffer's fields.
+// and SplitWindows calls, and SplitWindows on a used buffer must read
+// exactly what a fresh Splits copies — on the same grid and on ones of
+// another size — straight out of the model's live fields.
 func TestSplitsAreCallerOwned(t *testing.T) {
 	m := stormModel(t)
 	pg := geom.NewGrid(4, 3)
@@ -259,45 +272,47 @@ func TestSplitsAreCallerOwned(t *testing.T) {
 	var buf []Split
 	for _, grid := range []geom.Grid{pg, pg, geom.NewGrid(6, 4), geom.NewGrid(2, 2), pg} {
 		m.Step()
-		if buf, err = m.SplitsInto(buf, grid); err != nil {
+		if buf, err = m.SplitWindows(buf, grid); err != nil {
 			t.Fatal(err)
 		}
 		fresh, err := m.Splits(grid)
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireSplitsEqual(t, "reused buffer", buf, fresh)
-		for i := range fresh {
-			if fresh[i].QCloud == buf[i].QCloud || fresh[i].OLR == buf[i].OLR {
-				t.Fatalf("Splits handed out the fields of an earlier SplitsInto buffer (split %d)", i)
+		requireSplitsEqual(t, "windows", buf, fresh)
+		for i := range buf {
+			if buf[i].QCloud != m.QCloud() || buf[i].OLR != m.OLR() {
+				t.Fatalf("window %d does not read the model's live fields", i)
 			}
 		}
 	}
 	requireSplitsEqual(t, "first Splits result after later steps", first, frozen)
 
-	if _, err := m.SplitsInto(buf, geom.NewGrid(100, 3)); err == nil {
+	if _, err := m.SplitWindows(buf, geom.NewGrid(100, 3)); err == nil {
 		t.Fatal("oversized process grid accepted")
 	}
 }
 
-func TestSplitsIntoWarmBufferZeroAlloc(t *testing.T) {
+// TestSplitWindowsWarmBufferZeroAlloc: a step and the next analysis's
+// windows, OLR pass included, allocate nothing once the buffer is warm.
+func TestSplitWindowsWarmBufferZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is not meaningful under the race detector")
 	}
 	m := stormModel(t)
 	pg := geom.NewGrid(18, 15) // more ranks than the domain divides evenly: two block shapes per axis
-	buf, err := m.SplitsInto(nil, pg)
+	buf, err := m.SplitWindows(nil, pg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
 		m.Step()
-		if buf, err = m.SplitsInto(buf, pg); err != nil {
+		if buf, err = m.SplitWindows(buf, pg); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("Step + SplitsInto on a warm buffer allocates %v objects, want 0", allocs)
+		t.Fatalf("Step + SplitWindows on a warm buffer allocates %v objects, want 0", allocs)
 	}
 }
 
