@@ -99,10 +99,7 @@ func main() {
 	}
 
 	exec, redist := tracker.Totals()
-	liveNests := len(pipe.Nests())
-	if *distrib {
-		liveNests = len(pipe.DistributedNests())
-	}
+	liveNests := len(pipe.Nests()) + len(pipe.DistributedNests()) // one of them is empty
 	fmt.Printf("\nsummary: %d adaptation points, %d live nests at end\n",
 		len(pipe.Events()), liveNests)
 	fmt.Printf("total modelled execution time:      %8.1f s\n", exec)

@@ -118,7 +118,7 @@ func main() {
 	}
 	for id, n := range pipe.DistributedNests() {
 		r, ok := restored.DistributedNests()[id]
-		if !ok || !slices.Equal(n.Gather().Data, r.Gather().Data) {
+		if !ok || !slices.Equal(n.QCloud().Data, r.QCloud().Data) {
 			log.Fatalf("restored pipeline's nest %d differs from the uninterrupted run's", id)
 		}
 	}

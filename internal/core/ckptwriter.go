@@ -5,9 +5,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"hash/crc32"
-	"slices"
 
-	"nestdiff/internal/geom"
 	"nestdiff/internal/scenario"
 	"nestdiff/internal/wrfsim"
 )
@@ -153,14 +151,14 @@ func (cw *CheckpointWriter) Encode(p *Pipeline) (blob []byte, full bool, err err
 	buf = append(buf, cw.metaRaw.Bytes()...)
 	buf = endRecord(buf, start)
 
-	cw.collectNests(p)
+	sortedIDs(&cw.ids, p.nests)
 	if full {
 		q := p.model.QCloud()
 		buf, start = beginRecord(buf, recModelRaw)
 		buf = appendField(buf, q.NX, q.NY, q.Data)
 		buf = endRecord(buf, start)
-		for i := range cw.ids {
-			buf = cw.encodeNest(buf, p, i)
+		for _, id := range cw.ids {
+			buf = appendNest(buf, p.nests[id])
 		}
 	} else {
 		buf = cw.encodeReplay(buf, p)
@@ -187,59 +185,24 @@ func (cw *CheckpointWriter) Encode(p *Pipeline) (blob []byte, full bool, err err
 	return buf, full, nil
 }
 
-// collectNests fills cw.ids with the pipeline's live nest IDs in ascending
-// order and sizes the gather targets to match, dropping those of positions
-// that no longer exist.
-func (cw *CheckpointWriter) collectNests(p *Pipeline) {
-	ids := cw.ids[:0]
-	if p.cfg.Distributed {
-		for id := range p.dnests {
-			ids = append(ids, id)
-		}
-	} else {
-		for id := range p.nests {
-			ids = append(ids, id)
-		}
-	}
-	slices.Sort(ids)
-	cw.ids = ids
-}
-
-// nestSamples returns the fine field of nest ids[i]: the nest's own array,
-// serial or nest-wide distributed.
-func (cw *CheckpointWriter) nestSamples(p *Pipeline, i int) []float64 {
-	if !p.cfg.Distributed {
-		return p.nests[cw.ids[i]].QCloud().Data
-	}
-	return p.dnests[cw.ids[i]].QCloud().Data
-}
-
-// encodeNest appends the complete record of nest ids[i] to buf. A base
-// appends its nests one after another in ID order: with samples encoded as
-// one copy of their memory, a concurrent per-nest encode did not pay.
-func (cw *CheckpointWriter) encodeNest(buf []byte, p *Pipeline, i int) []byte {
-	id := cw.ids[i]
-	var region, procs geom.Rect
-	var nx, ny, steps int
+// appendNest appends the complete record of nest n to buf: a placed
+// nest is flagged distributed and carries its processor sub-rectangle. A
+// base appends its nests one after another in ID order: with samples
+// encoded as one copy of their memory, a concurrent per-nest encode did
+// not pay.
+func appendNest(buf []byte, n *wrfsim.Nest) []byte {
+	nx, ny := n.Size()
 	var flags byte
-	if p.cfg.Distributed {
-		n := p.dnests[id]
-		region, procs, steps = n.Region, n.Procs(), n.StepCount()
-		nx, ny = n.Size()
+	if !n.Procs().Empty() {
 		flags = nestFlagDistributed
-	} else {
-		n := p.nests[id]
-		q := n.QCloud()
-		region, steps = n.Region, n.StepCount()
-		nx, ny = q.NX, q.NY
 	}
 	buf, start := beginRecord(buf, recNestFull)
-	buf = appendU32(buf, uint32(id))
-	buf = appendRect(buf, region)
-	buf = appendU32(buf, uint32(steps))
+	buf = appendU32(buf, uint32(n.ID))
+	buf = appendRect(buf, n.Region)
+	buf = appendU32(buf, uint32(n.StepCount()))
 	buf = append(buf, flags)
-	buf = appendRect(buf, procs)
-	buf = appendField(buf, nx, ny, cw.nestSamples(p, i))
+	buf = appendRect(buf, n.Procs())
+	buf = appendField(buf, nx, ny, n.QCloud().Data)
 	return endRecord(buf, start)
 }
 
@@ -251,9 +214,9 @@ func (cw *CheckpointWriter) encodeReplay(buf []byte, p *Pipeline) []byte {
 	buf = appendU32(buf, uint32(p.model.StepCount()))
 	buf = appendU32(buf, fieldCRC(p.model.QCloud().Data))
 	buf = appendUvarint(buf, uint64(len(cw.ids)))
-	for i, id := range cw.ids {
+	for _, id := range cw.ids {
 		buf = appendU32(buf, uint32(id))
-		buf = appendU32(buf, fieldCRC(cw.nestSamples(p, i)))
+		buf = appendU32(buf, fieldCRC(p.nests[id].QCloud().Data))
 	}
 	return endRecord(buf, start)
 }

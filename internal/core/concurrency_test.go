@@ -154,7 +154,7 @@ func TestConcurrentDistributedNestsMatchSequential(t *testing.T) {
 		if a.Procs() != b.Procs() {
 			t.Fatalf("nest %d procs differ: %v vs %v", id, a.Procs(), b.Procs())
 		}
-		ga, gb := a.Gather(), b.Gather()
+		ga, gb := a.QCloud(), b.QCloud()
 		for i := range ga.Data {
 			if ga.Data[i] != gb.Data[i] {
 				t.Fatalf("nest %d sample %d differs between worker counts", id, i)

@@ -70,8 +70,11 @@ func TestTrackerDrivesDistributedNestRedistribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := m.NewParallelNest(1, region1, g, procs1)
+	par, err := m.SpawnNest(1, region1)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := par.Place(g, procs1); err != nil {
 		t.Fatal(err)
 	}
 
@@ -80,7 +83,7 @@ func TestTrackerDrivesDistributedNestRedistribution(t *testing.T) {
 		for i := 0; i < n; i++ {
 			m.Step()
 			serial.Step(m)
-			if err := par.Step(world, m.Config(), m.Cells()); err != nil {
+			if err := wrfsim.StepNests(world, m.Config(), m.Cells(), []*wrfsim.Nest{par}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -115,7 +118,7 @@ func TestTrackerDrivesDistributedNestRedistribution(t *testing.T) {
 	}
 
 	step(4)
-	sameField(t, "distributed vs serial nest after reallocation", par.Gather().Data, serial.QCloud().Data, 0)
+	sameField(t, "distributed vs serial nest after reallocation", par.QCloud().Data, serial.QCloud().Data, 0)
 }
 
 func TestExecutedRedistributionMatchesAnalyticalModel(t *testing.T) {
@@ -191,7 +194,7 @@ func TestExecutedRedistributionMatchesAnalyticalModel(t *testing.T) {
 // TestUsableProcsPassesHaloCheck ties usableProcs to wrfsim's halo check:
 // for every nest size and allocated processor rectangle swept, the clamped
 // rectangle is a north-west-anchored sub-rectangle of the allocation and
-// RestoreParallelNest accepts it, so no rank's block is narrower than the
+// a nest restored on it can be placed there, so no rank's block is narrower than the
 // halo.
 func TestUsableProcsPassesHaloCheck(t *testing.T) {
 	pg := geom.NewGrid(12, 10)
@@ -206,7 +209,11 @@ func TestUsableProcsPassesHaloCheck(t *testing.T) {
 					if use.X0 != procs.X0 || use.Y0 != procs.Y0 || !procs.ContainsRect(use) {
 						t.Fatalf("usableProcs(%v, %dx%d) = %v: not a north-west sub-rectangle", procs, fine.NX, fine.NY, use)
 					}
-					if _, err := wrfsim.RestoreParallelNest(1, region, pg, use, fine, 0); err != nil {
+					n, err := wrfsim.RestoreNest(1, region, fine, 0)
+					if err == nil {
+						err = n.Place(pg, use)
+					}
+					if err != nil {
 						t.Fatalf("usableProcs(%v, %dx%d) = %v: %v", procs, fine.NX, fine.NY, use, err)
 					}
 				}

@@ -60,15 +60,15 @@ func (r *monsoonRun) run(t testing.TB, steps int) {
 }
 
 // stepPerNest is Pipeline.Step with the distributed nests advanced the way
-// they were before the fused dispatch: one ParallelNest.Step — one world
+// they were before the fused dispatch: one StepNests call — one world
 // dispatch — per nest, in nest-ID order.
 func (r *monsoonRun) stepPerNest(t testing.TB) {
 	t.Helper()
 	p := r.p
 	p.model.Step()
-	ids := sortedIDs(&p.idScratch, p.dnests)
+	ids := sortedIDs(&p.idScratch, p.nests)
 	for _, id := range ids {
-		if err := p.dnests[id].Step(p.compWorld, p.model.Config(), p.model.Cells()); err != nil {
+		if err := wrfsim.StepNests(p.compWorld, p.model.Config(), p.model.Cells(), []*wrfsim.Nest{p.nests[id]}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -137,8 +137,8 @@ func TestFusedNestSteppingMatchesPerNestAndSerial(t *testing.T) {
 		if !ok || other.Procs() != n.Procs() || other.StepCount() != n.StepCount() {
 			t.Fatalf("nest %d: per-nest run has %+v", id, other)
 		}
-		got := n.Gather().Data
-		sameField(t, "nest field, fused vs per-nest", got, other.Gather().Data, 0)
+		got := n.QCloud().Data
+		sameField(t, "nest field, fused vs per-nest", got, other.QCloud().Data, 0)
 		sn, ok := serial.p.Nests()[id]
 		if !ok {
 			t.Fatalf("nest %d missing from the serial run", id)
@@ -198,7 +198,7 @@ func idleAndLinkedRanks(t *testing.T, p *Pipeline) (idle, from, to int) {
 	g := p.tracker.Grid()
 	owned := make([]bool, g.Size())
 	from = -1
-	for _, n := range p.dnests {
+	for _, n := range p.nests {
 		procs := n.Procs()
 		for _, r := range g.Ranks(procs) {
 			owned[r] = true

@@ -41,7 +41,7 @@ type PipelineConfig struct {
 	// order). Zero means unlimited.
 	MaxNests int
 	// Distributed, when true, runs every nest block-distributed over its
-	// allocated processor sub-rectangle (wrfsim.ParallelNest) and executes
+	// allocated processor sub-rectangle (wrfsim.Nest.Place) and executes
 	// each reallocation as a real in-place Alltoallv — the paper's actual
 	// runtime arrangement. When false, nests run as serial simulations
 	// and redistribution is modelled analytically only.
@@ -80,10 +80,10 @@ type Pipeline struct {
 	tracker *Tracker
 	world   *mpi.World // analysis world (N ranks)
 
-	// Serial mode.
-	nests map[int]*wrfsim.Nest
-	// Distributed mode: nests over the compute world (P ranks).
-	dnests    map[int]*wrfsim.ParallelNest
+	// nests are the live nests. In distributed mode each is placed on its
+	// processor sub-rectangle of the compute world (P ranks); compWorld is
+	// nil otherwise.
+	nests     map[int]*wrfsim.Nest
 	compWorld *mpi.World
 
 	set    scenario.Set
@@ -98,7 +98,7 @@ type Pipeline struct {
 	// the serial nest phase's task list and its worker pool, and the split
 	// windows of the last PDA invocation.
 	cellScratch  []wrfsim.Cell
-	nestScratch  []*wrfsim.ParallelNest
+	nestScratch  []*wrfsim.Nest
 	idScratch    []int
 	taskScratch  []stepTask
 	tasks        taskPool
@@ -135,7 +135,6 @@ func NewPipeline(m *wrfsim.Model, tr *Tracker, cfg PipelineConfig) (*Pipeline, e
 	}
 	p.tasks.fn = p.runStepTask
 	if cfg.Distributed {
-		p.dnests = make(map[int]*wrfsim.ParallelNest)
 		p.compWorld, err = mpi.NewWorld(tr.Grid().Size(), mpi.Config{Net: tr.Net()})
 		if err != nil {
 			return nil, err
@@ -157,13 +156,25 @@ func (p *Pipeline) Close() {
 // Events returns the adaptation events recorded so far.
 func (p *Pipeline) Events() []AdaptationEvent { return p.events }
 
-// Nests returns the live serial nested simulations, keyed by nest ID
-// (empty in distributed mode).
-func (p *Pipeline) Nests() map[int]*wrfsim.Nest { return p.nests }
+// Nests returns the live nested simulations of a serial pipeline, keyed by
+// nest ID (empty in distributed mode, see DistributedNests).
+func (p *Pipeline) Nests() map[int]*wrfsim.Nest {
+	if p.compWorld != nil {
+		return nil
+	}
+	return p.nests
+}
 
-// DistributedNests returns the live distributed nests, keyed by nest ID
-// (empty unless the pipeline runs in distributed mode).
-func (p *Pipeline) DistributedNests() map[int]*wrfsim.ParallelNest { return p.dnests }
+// DistributedNests returns the live nests of a distributed pipeline, each
+// placed on its processor sub-rectangle, keyed by nest ID (empty unless the
+// pipeline runs in distributed mode). It is the map Nests returns in
+// serial mode.
+func (p *Pipeline) DistributedNests() map[int]*wrfsim.Nest {
+	if p.compWorld == nil {
+		return nil
+	}
+	return p.nests
+}
 
 // ActiveSet returns the current nest configuration.
 func (p *Pipeline) ActiveSet() scenario.Set { return p.set }
@@ -194,13 +205,13 @@ func (p *Pipeline) SetFaultPlan(fp *faults.Plan) {
 }
 
 // SetTracer installs a structured tracer on the pipeline, its tracker
-// and its live distributed nests (nil removes it). With a nil tracer
+// and its live nests (nil removes it). With a nil tracer
 // every event site costs one pointer check — the same discipline as the
 // fault-injection hooks.
 func (p *Pipeline) SetTracer(tr *obs.Tracer) {
 	p.tracer = tr
 	p.tracker.SetTracer(tr)
-	for _, n := range p.dnests {
+	for _, n := range p.nests {
 		n.SetTracer(tr)
 	}
 }
@@ -274,16 +285,18 @@ func (p *Pipeline) Step() error {
 // pool, up to GOMAXPROCS at a time and largest first, with results
 // bit-identical to sequential stepping in any schedule.
 func (p *Pipeline) stepNests(step int) error {
-	tr := p.tracer
-	if p.cfg.Distributed {
+	if len(p.nests) == 0 {
+		// Nothing to run beside: no task pool.
 		p.stepField(step)
-		if len(p.dnests) == 0 {
-			return nil
-		}
-		ids := sortedIDs(&p.idScratch, p.dnests)
+		return nil
+	}
+	tr := p.tracer
+	ids := sortedIDs(&p.idScratch, p.nests)
+	if p.compWorld != nil {
+		p.stepField(step)
 		nests := p.nestScratch[:0]
 		for _, id := range ids {
-			nests = append(nests, p.dnests[id])
+			nests = append(nests, p.nests[id])
 		}
 		p.nestScratch = nests
 		// One cell snapshot serves every nest: they only read it.
@@ -305,12 +318,6 @@ func (p *Pipeline) stepNests(step int) error {
 		}
 		return nil
 	}
-	if len(p.nests) == 0 {
-		// Nothing to run beside: no task pool.
-		p.stepField(step)
-		return nil
-	}
-	ids := sortedIDs(&p.idScratch, p.nests)
 	// The field half is the task with no nest. Its work is one pass over
 	// the parent grid; a nest's is NestRatio substeps over its fine grid.
 	cfg := p.model.Config()
@@ -341,7 +348,9 @@ func (p *Pipeline) runStepTask(i int) {
 	if tr != nil {
 		t0 = time.Now()
 	}
-	nest.Step(p.model)
+	if err := nest.Step(p.model); err != nil {
+		panic(err) // a serial pipeline never places a nest
+	}
 	if tr != nil {
 		tr.Emit(obs.Event{Kind: obs.KindNestStep, Step: step,
 			NestID: nest.ID, DurNS: time.Since(t0).Nanoseconds()})
@@ -520,11 +529,7 @@ func (p *Pipeline) adapt() error {
 		Diff:    diff,
 		Metrics: metrics,
 	}
-	if p.cfg.Distributed {
-		if err := p.reconcileDistributed(newSet, diff, &event); err != nil {
-			return err
-		}
-	} else if err := p.reconcileSerial(newSet, diff); err != nil {
+	if err := p.reconcile(newSet, diff, &event); err != nil {
 		return err
 	}
 	if tr != nil {
@@ -577,68 +582,64 @@ func (p *Pipeline) traceAdaptation(step int, newSet scenario.Set, diff scenario.
 	})
 }
 
-// reconcileSerial updates the serial nested simulations: delete vanished
-// nests (feeding their state back) and spawn new nests. A retained nest
-// keeps its region (MatchROIs), so it steps on as it is.
-func (p *Pipeline) reconcileSerial(newSet scenario.Set, diff scenario.Diff) error {
+// reconcile updates the nested simulations: vanished nests feed their
+// state back and release their rank shares for later nests, and new nests
+// spawn from the parent. In distributed mode every nest runs on the usable
+// part of its allocated processor sub-rectangle: a new nest is placed
+// there, and a retained nest whose sub-rectangle changed executes the
+// in-place Alltoallv, whose time the event records. A serial nest is
+// unplaced, so a retained one, which keeps its region (MatchROIs), steps
+// on as it is.
+func (p *Pipeline) reconcile(newSet scenario.Set, diff scenario.Diff, event *AdaptationEvent) error {
 	for _, id := range diff.Deleted {
 		if nest, ok := p.nests[id]; ok {
 			nest.Feedback(p.model)
+			nest.Release()
 			delete(p.nests, id)
 		}
 	}
 	for _, spec := range newSet {
-		if _, exists := p.nests[spec.ID]; exists {
+		var procs geom.Rect
+		if p.compWorld != nil {
+			alloc, ok := p.tracker.Allocation().Rects[spec.ID]
+			if !ok {
+				return fmt.Errorf("core: nest %d has no allocation", spec.ID)
+			}
+			nx, ny := spec.FineSize(wrfsim.NestRatio)
+			procs = usableProcs(alloc, nx, ny)
+		}
+		nest, exists := p.nests[spec.ID]
+		if !exists {
+			spawned, err := p.model.SpawnNest(spec.ID, spec.Region)
+			if err != nil {
+				return err
+			}
+			if err := p.adopt(spawned, procs); err != nil {
+				return err
+			}
 			continue
 		}
-		nest, err := p.model.SpawnNest(spec.ID, spec.Region)
-		if err != nil {
-			return err
-		}
-		p.nests[spec.ID] = nest
-	}
-	return nil
-}
-
-// reconcileDistributed updates the distributed nests: vanished nests feed
-// back and release their rank shares for later nests; retained nests
-// whose processor sub-rectangle changed execute the in-place Alltoallv;
-// new nests scatter onto their allocated sub-rectangles. The executed
-// exchange time is recorded on the event.
-func (p *Pipeline) reconcileDistributed(newSet scenario.Set, diff scenario.Diff, event *AdaptationEvent) error {
-	for _, id := range diff.Deleted {
-		if nest, ok := p.dnests[id]; ok {
-			nest.Feedback(p.model)
-			nest.Release()
-			delete(p.dnests, id)
-		}
-	}
-	rects := p.tracker.Allocation().Rects
-	for _, spec := range newSet {
-		procs, ok := rects[spec.ID]
-		if !ok {
-			return fmt.Errorf("core: nest %d has no allocation", spec.ID)
-		}
-		nx, ny := spec.FineSize(wrfsim.NestRatio)
-		procs = usableProcs(procs, nx, ny)
-		if nest, exists := p.dnests[spec.ID]; exists {
-			if nest.Procs() == procs {
-				continue
-			}
+		if nest.Procs() != procs {
 			elapsed, err := nest.Redistribute(p.compWorld, procs)
 			if err != nil {
 				return err
 			}
 			event.ExecutedRedistTime += elapsed
-			continue
 		}
-		nest, err := p.model.NewParallelNest(spec.ID, spec.Region, p.tracker.Grid(), procs)
-		if err != nil {
+	}
+	return nil
+}
+
+// adopt makes n a live nest of the pipeline: in distributed mode placed on
+// procs of the tracker's grid first, and traced like the pipeline.
+func (p *Pipeline) adopt(n *wrfsim.Nest, procs geom.Rect) error {
+	if p.compWorld != nil {
+		if err := n.Place(p.tracker.Grid(), procs); err != nil {
 			return err
 		}
-		nest.SetTracer(p.tracer)
-		p.dnests[spec.ID] = nest
 	}
+	n.SetTracer(p.tracer)
+	p.nests[n.ID] = n
 	return nil
 }
 

@@ -337,7 +337,7 @@ func TestDistributedPipelineEndToEnd(t *testing.T) {
 	}
 	// The distributed nests carry real state: cloud water is present.
 	for id, nest := range dn {
-		if nest.Gather().Max() <= 0 {
+		if nest.QCloud().Max() <= 0 {
 			t.Fatalf("nest %d holds no cloud state", id)
 		}
 	}

@@ -34,10 +34,10 @@ const ckptMaxPayload = 1 << 32
 var ckptCRC = crc32.MakeTable(crc32.Castagnoli)
 
 // SaveState writes a checkpoint of the whole pipeline: parent model, live
-// nests (serial or distributed), tracker, active set and event history,
-// as a single full v2 base blob. A pipeline restored from it via
-// RestorePipeline continues bit-identically, so a paused run resumed later
-// produces the same StepMetrics tail as an uninterrupted one. Callers that
+// nests, tracker, active set and event history, as a single full v2 base
+// blob. A pipeline restored from it via RestorePipeline continues
+// bit-identically, so a paused run resumed later produces the same
+// StepMetrics tail as an uninterrupted one. Callers that
 // checkpoint repeatedly should hold a CheckpointWriter instead: it reuses
 // its buffers and emits delta blobs between bases.
 func (p *Pipeline) SaveState(w io.Writer) error {
@@ -294,19 +294,12 @@ func (st *chainV2) restore(net topology.Network, model *perfmodel.ExecModel, ora
 	p.nextID = meta.NextID
 	p.events = meta.Events
 	for _, ns := range st.nests {
-		fine := &field.Field{NX: ns.nx, NY: ns.ny, Data: ns.data}
-		if meta.Cfg.Distributed {
-			n, err := wrfsim.RestoreParallelNest(ns.id, ns.region, tr.Grid(), ns.procs, fine, ns.steps)
-			if err != nil {
-				return nil, fmt.Errorf("core: restore nest %d: %w", ns.id, err)
-			}
-			p.dnests[ns.id] = n
-		} else {
-			n, err := wrfsim.RestoreNest(ns.id, ns.region, fine, ns.steps)
-			if err != nil {
-				return nil, fmt.Errorf("core: restore nest %d: %w", ns.id, err)
-			}
-			p.nests[ns.id] = n
+		n, err := wrfsim.RestoreNest(ns.id, ns.region, &field.Field{NX: ns.nx, NY: ns.ny, Data: ns.data}, ns.steps)
+		if err == nil {
+			err = p.adopt(n, ns.procs)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("core: restore nest %d: %w", ns.id, err)
 		}
 	}
 	if st.replay != nil {
@@ -337,27 +330,16 @@ func replayToDirective(p *Pipeline, rp *replayDirective) error {
 		return fmt.Errorf("core: load pipeline state: model field diverged during delta replay (checkpoint crc %#x, replayed %#x)",
 			rp.modelCRC, got)
 	}
-	live := len(p.nests) + len(p.dnests)
-	if live != len(rp.nests) {
+	if len(p.nests) != len(rp.nests) {
 		return fmt.Errorf("core: load pipeline state: %d nests after delta replay, checkpoint recorded %d",
-			live, len(rp.nests))
+			len(p.nests), len(rp.nests))
 	}
 	for _, rn := range rp.nests {
-		var cur []float64
-		if p.cfg.Distributed {
-			n := p.dnests[rn.id]
-			if n == nil {
-				return fmt.Errorf("core: load pipeline state: nest %d missing after delta replay", rn.id)
-			}
-			cur = n.QCloud().Data
-		} else {
-			n := p.nests[rn.id]
-			if n == nil {
-				return fmt.Errorf("core: load pipeline state: nest %d missing after delta replay", rn.id)
-			}
-			cur = n.QCloud().Data
+		n := p.nests[rn.id]
+		if n == nil {
+			return fmt.Errorf("core: load pipeline state: nest %d missing after delta replay", rn.id)
 		}
-		if got := fieldCRC(cur); got != rn.crc {
+		if got := fieldCRC(n.QCloud().Data); got != rn.crc {
 			return fmt.Errorf("core: load pipeline state: nest %d field diverged during delta replay (checkpoint crc %#x, replayed %#x)",
 				rn.id, rn.crc, got)
 		}

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"slices"
 
 	"nestdiff/internal/geom"
 	"nestdiff/internal/mpi"
@@ -79,7 +78,7 @@ func (p *Pipeline) ResizeGrid(g geom.Grid, net topology.Network, model *perfmode
 	}
 	tr.SetTracer(p.tracer)
 
-	if !p.cfg.Distributed {
+	if p.compWorld == nil {
 		p.tracker = tr
 		return rep, nil
 	}
@@ -100,8 +99,8 @@ func (p *Pipeline) ResizeGrid(g geom.Grid, net topology.Network, model *perfmode
 	// both valid sub-rectangles of it, so the exchange is exactly the
 	// paper's redistribution with the union of old and new ranks
 	// participating.
-	newNests := make(map[int]*wrfsim.ParallelNest, len(p.dnests))
-	if len(p.dnests) > 0 {
+	newNests := make(map[int]*wrfsim.Nest, len(p.nests))
+	if len(p.nests) > 0 {
 		tg := geom.NewGrid(max(oldGrid.Px, g.Px), max(oldGrid.Py, g.Py))
 		tnet, err := topology.NewSwitched(tg.Size(), 8, topology.DefaultSwitchedParams())
 		if err != nil {
@@ -113,13 +112,9 @@ func (p *Pipeline) ResizeGrid(g geom.Grid, net topology.Network, model *perfmode
 		}
 		defer tw.Close()
 		rects := tr.Allocation().Rects
-		ids := make([]int, 0, len(p.dnests))
-		for id := range p.dnests {
-			ids = append(ids, id)
-		}
-		slices.Sort(ids)
-		for _, id := range ids {
-			nest := p.dnests[id]
+		var ids []int
+		for _, id := range sortedIDs(&ids, p.nests) {
+			nest := p.nests[id]
 			spec, ok := p.set.ByID(id)
 			if !ok {
 				return ResizeReport{}, fmt.Errorf("core: resize: nest %d not in active set", id)
@@ -139,7 +134,10 @@ func (p *Pipeline) ResizeGrid(g geom.Grid, net topology.Network, model *perfmode
 			if err != nil {
 				return ResizeReport{}, fmt.Errorf("core: resize nest %d: %w", id, err)
 			}
-			nn, err := wrfsim.RestoreParallelNest(id, spec.Region, g, newRect, fine, nest.StepCount())
+			nn, err := wrfsim.RestoreNest(id, spec.Region, fine, nest.StepCount())
+			if err == nil {
+				err = nn.Place(g, newRect)
+			}
 			if err != nil {
 				return ResizeReport{}, fmt.Errorf("core: resize nest %d: %w", id, err)
 			}
@@ -153,11 +151,11 @@ func (p *Pipeline) ResizeGrid(g geom.Grid, net topology.Network, model *perfmode
 
 	compWorld.SetFaults(p.faults)
 	p.compWorld.Close()
-	for _, n := range p.dnests {
+	for _, n := range p.nests {
 		n.Release()
 	}
 	p.tracker = tr
 	p.compWorld = compWorld
-	p.dnests = newNests
+	p.nests = newNests
 	return rep, nil
 }

@@ -153,7 +153,7 @@ func TestResizeGoldenEquivalence(t *testing.T) {
 		if gn.Procs() != wn.Procs() {
 			t.Fatalf("nest %d on procs %v vs %v", id, gn.Procs(), wn.Procs())
 		}
-		gf, wf := gn.Gather(), wn.Gather()
+		gf, wf := gn.QCloud(), wn.QCloud()
 		if len(gf.Data) != len(wf.Data) {
 			t.Fatalf("nest %d field %d samples vs %d", id, len(gf.Data), len(wf.Data))
 		}

@@ -18,31 +18,22 @@ import (
 // fused two-dimensional exponential to a few ULPs (see the golden tests in
 // kernel_test.go).
 
-// AdvectSpec describes one uniform-flow semi-Lagrangian advection pass.
-// The destination sample (x, y) is filled from the source field at the
-// departure point of the constant flow (UX, VY), computed and clamped in
-// global domain coordinates and then shifted into source coordinates:
+// AdvectSpec describes one uniform-flow semi-Lagrangian advection pass
+// over a source and a destination that both hold the whole domain. The
+// destination sample (x, y) is filled from the source field at the
+// departure point of the constant flow (UX, VY), clamped to the domain:
 //
-//	gx := clampF(float64(GX0+x)-UX, 0, float64(GNX-1))
-//	gy := clampF(float64(GY0+y)-VY, 0, float64(GNY-1))
-//	dst(x, y) = src.Bilinear(gx-float64(GX0-OffX), gy-float64(GY0-OffY)) * Decay
+//	gx := clampF(float64(x)-UX, 0, float64(GNX-1))
+//	gy := clampF(float64(y)-VY, 0, float64(GNY-1))
+//	dst(x, y) = src.Bilinear(gx, gy) * Decay
 //
-// A caller whose source holds the whole domain — a serial field advected
-// in place, or a window of a nest-wide field — has GX0 == OffX and
-// GY0 == OffY (zero, as a rule) and GNX×GNY equal to the source extents;
-// then every sample's formula is the whole-domain one, whichever window of
-// dst it is computed in. The origins and offsets also place a dst or src
-// that holds only part of the domain.
+// Every sample's formula is thus the whole-domain one, whichever window of
+// dst it is computed in.
 type AdvectSpec struct {
 	// UX, VY is the flow displacement per step in grid cells.
 	UX, VY float64
-	// GX0, GY0 is the global coordinate of dst's (0, 0) sample.
-	GX0, GY0 int
-	// GNX, GNY are the global domain extents departure points clamp to.
+	// GNX, GNY are the domain extents departure points clamp to.
 	GNX, GNY int
-	// OffX, OffY locate the global point (GX0, GY0) inside src: src sample
-	// (OffX, OffY) holds global sample (GX0, GY0).
-	OffX, OffY int
 	// Decay is the exponential-decay multiplier folded into the same pass.
 	Decay float64
 }
@@ -74,8 +65,7 @@ type AdvectPlan struct {
 }
 
 // advectPool backs the one-shot AdvectDecay. A sync.Pool keeps concurrent
-// callers — concurrently stepped nests, the parent field beside them —
-// allocation-free without sharing a plan's scratch.
+// callers allocation-free without sharing a plan's scratch.
 var advectPool = sync.Pool{New: func() any { return new(AdvectPlan) }}
 
 // AdvectDecay fills dst with the uniform-flow semi-Lagrangian advection of
@@ -97,24 +87,19 @@ func (p *AdvectPlan) Prepare(sp AdvectSpec, win geom.Rect, srcNX int) {
 		return
 	}
 	if sp.GNX < 1 || sp.GNY < 1 {
-		panic(fmt.Sprintf("field: AdvectDecay invalid global extents %dx%d", sp.GNX, sp.GNY))
+		panic(fmt.Sprintf("field: AdvectDecay invalid domain extents %dx%d", sp.GNX, sp.GNY))
 	}
 	if win.Empty() {
 		panic(fmt.Sprintf("field: AdvectDecay empty window %v", win))
 	}
 	p.sp, p.win, p.srcNX, p.built = sp, win, srcNX, true
-	shiftX := float64(sp.GX0 - sp.OffX)
 	hiGX := float64(sp.GNX - 1)
-	// interiorX reports whether column x is on the fast path: the global
+	// interiorX reports whether column x is on the fast path: the domain
 	// clamp is a no-op, and the position is far enough inside src that
 	// Bilinear's own clamp and the x0+1 neighbour access are no-ops too.
 	interiorX := func(x int) bool {
-		g := float64(sp.GX0+x) - sp.UX
-		if g < 0 || g > hiGX {
-			return false
-		}
-		px := g - shiftX
-		return px >= 0 && px < float64(srcNX-1)
+		g := float64(x) - sp.UX
+		return g >= 0 && g <= hiGX && g < float64(srcNX-1)
 	}
 	// Each interior condition is a one-sided threshold on a nondecreasing
 	// sequence, so the fast-path columns form one contiguous run [xLo, xHi).
@@ -141,7 +126,7 @@ func (p *AdvectPlan) Prepare(sp AdvectSpec, win geom.Rect, srcNX int) {
 	p.x0, p.fx, p.wx, p.top = p.x0[:n], p.fx[:n], p.wx[:n], p.top[:n]
 	shift, contiguous := 0, true
 	for i := range p.x0 {
-		px := (float64(sp.GX0+xLo+i) - sp.UX) - shiftX
+		px := float64(xLo+i) - sp.UX
 		x0 := int(px) // px >= 0 on the fast path, so truncation == floor
 		fx := px - float64(x0)
 		p.x0[i], p.fx[i], p.wx[i] = x0, fx, 1-fx
@@ -186,15 +171,8 @@ func (p *AdvectPlan) Advect(dst, src *Field) {
 			p.win, p.srcNX, dst.NX, dst.NY, src.NX, src.NY))
 	}
 	sp := &p.sp
-	shiftX := float64(sp.GX0 - sp.OffX)
-	shiftY := float64(sp.GY0 - sp.OffY)
 	hiGX := float64(sp.GNX - 1)
 	hiGY := float64(sp.GNY - 1)
-	// srcX is one column's departure x in src coordinates, computed exactly
-	// as the reference formula does: global clamp first, then the shift.
-	srcX := func(x int) float64 {
-		return clampF(float64(sp.GX0+x)-sp.UX, 0, hiGX) - shiftX
-	}
 	win, xLo, xHi := p.win, p.xLo, p.xHi
 	n := xHi - xLo
 	x0s, fxs, wxs, tops := p.x0, p.fx, p.wx, p.top
@@ -203,15 +181,14 @@ func (p *AdvectPlan) Advect(dst, src *Field) {
 	// -1 before the first contiguous row (the plan's scratch is stale).
 	topRow := -1
 	for y := win.Y0; y < win.Y1; y++ {
-		gy := clampF(float64(sp.GY0+y)-sp.VY, 0, hiGY)
-		py := gy - shiftY
+		py := clampF(float64(y)-sp.VY, 0, hiGY)
 		out := dst.Data[y*dst.NX : y*dst.NX+dst.NX]
 		// Border columns where a clamp may engage: exact scalar path.
 		for x := win.X0; x < xLo; x++ {
-			out[x] = src.Bilinear(srcX(x), py) * decay
+			out[x] = src.Bilinear(clampF(float64(x)-sp.UX, 0, hiGX), py) * decay
 		}
 		for x := xHi; x < win.X1; x++ {
-			out[x] = src.Bilinear(srcX(x), py) * decay
+			out[x] = src.Bilinear(clampF(float64(x)-sp.UX, 0, hiGX), py) * decay
 		}
 		if n == 0 {
 			continue

@@ -98,17 +98,18 @@ func (k *jobSink) wait(p *core.Pipeline, delay time.Duration, tr *obs.Tracer) {
 
 // materializeVars copies the pipeline's readable field state into
 // private buffers: the parent model's qcloud and OLR, plus each live
-// nest's fine field under "nest:<id>". A distributed nest's ranks step
-// one nest-wide field, so readers see one contiguous fine grid either way.
+// nest's fine field under "nest:<id>" (Nests, or DistributedNests in
+// distributed mode).
 func materializeVars(p *core.Pipeline) map[string]*field.Field {
 	m := p.Model()
-	vars := make(map[string]*field.Field, 2+len(p.Nests())+len(p.DistributedNests()))
+	nests := p.Nests()
+	if nests == nil {
+		nests = p.DistributedNests()
+	}
+	vars := make(map[string]*field.Field, 2+len(nests))
 	vars["qcloud"] = m.QCloud().Clone()
 	vars["olr"] = m.OLR().Clone()
-	for id, n := range p.Nests() {
-		vars[fmt.Sprintf("nest:%d", id)] = n.QCloud().Clone()
-	}
-	for id, n := range p.DistributedNests() {
+	for id, n := range nests {
 		vars[fmt.Sprintf("nest:%d", id)] = n.QCloud().Clone()
 	}
 	return vars

@@ -67,7 +67,7 @@ func BenchmarkSplits(b *testing.B) {
 // per step and a distributed nest over its 32x24 centre (fine 96x72, one
 // 16x18 block per rank) on the whole 6x4 process grid, stepped once to warm
 // its plans and buffers.
-func benchWholeGridNest(b *testing.B, ux, vy float64) (*Model, *ParallelNest, *mpi.World) {
+func benchWholeGridNest(b *testing.B, ux, vy float64) (*Model, *Nest, *mpi.World) {
 	b.Helper()
 	cfg := DefaultConfig()
 	cfg.NX, cfg.NY = 96, 72
@@ -83,11 +83,11 @@ func benchWholeGridNest(b *testing.B, ux, vy float64) (*Model, *ParallelNest, *m
 	m.Step()
 	pg := geom.NewGrid(6, 4)
 	w := parallelWorld(b, pg.Size())
-	n, err := m.NewParallelNest(1, geom.NewRect(32, 24, 32, 24), pg, pg.Bounds())
+	n, err := placeNest(m, 1, geom.NewRect(32, 24, 32, 24), pg, pg.Bounds())
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := n.Step(w, m.Config(), m.Cells()); err != nil {
+	if err := StepNests(w, m.Config(), m.Cells(), []*Nest{n}); err != nil {
 		b.Fatal(err)
 	}
 	return m, n, w
@@ -145,7 +145,7 @@ func BenchmarkRedistribute(b *testing.B) {
 	cfg := DefaultConfig()
 	m, _, w := benchWholeGridNest(b, cfg.FlowU*cfg.Dt, cfg.FlowV*cfg.Dt)
 	pg := geom.NewGrid(6, 4)
-	n, err := m.NewParallelNest(2, geom.NewRect(20, 16, 40, 30), pg, geom.NewRect(0, 0, 3, 4))
+	n, err := placeNest(m, 2, geom.NewRect(20, 16, 40, 30), pg, geom.NewRect(0, 0, 3, 4))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func BenchmarkRedistribute(b *testing.B) {
 // stepNestsLayout builds the distributed nests in the shape the end-to-end
 // distributed workload runs them: three nests over disjoint sub-rectangles
 // covering a 256-rank torus world, about 40 fine cells per block.
-func stepNestsLayout(tb testing.TB) (*Model, *mpi.World, []*ParallelNest) {
+func stepNestsLayout(tb testing.TB) (*Model, *mpi.World, []*Nest) {
 	tb.Helper()
 	m := benchModel(tb, 96, 72)
 	for _, c := range []Cell{
@@ -190,13 +190,13 @@ func stepNestsLayout(tb testing.TB) (*Model, *mpi.World, []*ParallelNest) {
 		tb.Fatal(err)
 	}
 	tb.Cleanup(w.Close)
-	var nests []*ParallelNest
+	var nests []*Nest
 	for i, nc := range []struct{ region, procs geom.Rect }{
 		{geom.NewRect(4, 4, 20, 16), geom.NewRect(0, 0, 8, 9)},    // fine 60x48 over 72 ranks
 		{geom.NewRect(40, 4, 24, 14), geom.NewRect(8, 0, 8, 9)},   // fine 72x42 over 72 ranks
 		{geom.NewRect(10, 40, 32, 16), geom.NewRect(0, 9, 16, 7)}, // fine 96x48 over 112 ranks
 	} {
-		n, err := m.NewParallelNest(i+1, nc.region, pg, nc.procs)
+		n, err := placeNest(m, i+1, nc.region, pg, nc.procs)
 		if err != nil {
 			tb.Fatal(err)
 		}

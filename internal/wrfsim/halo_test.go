@@ -159,8 +159,11 @@ func (ps planSet) checkCoversReads(t *testing.T, ux, vy float64) {
 // consistent plan set built for this decomposition. Before that step a
 // share may still hold the plan of an earlier one (shares keep their plans
 // across Redistribute and between nests), and the first step re-plans it.
-func checkNestScratch(t *testing.T, n *ParallelNest, stepped bool) {
+func checkNestScratch(t *testing.T, n *Nest, stepped bool) {
 	t.Helper()
+	if len(n.ring) != NestRatio+1 {
+		t.Fatalf("a placed nest turns %d ring buffers, want %d", len(n.ring), NestRatio+1)
+	}
 	for i, f := range n.ring {
 		if f == nil || f.NX != n.nx || f.NY != n.ny || len(f.Data) != n.nx*n.ny {
 			t.Fatalf("ring buffer %d is %+v, want %dx%d", i, f, n.nx, n.ny)
@@ -273,7 +276,7 @@ func TestHaloPlanFollowsTheDecomposition(t *testing.T) {
 		for _, d := range signFlows {
 			m, serial, par, _ := setupNestPairFlow(t, geom.NewRect(0, 0, 4, 3), d[0]/cfg.Dt, d[1]/cfg.Dt)
 			w := parallelWorld(t, pg.Size())
-			nests := []*ParallelNest{par}
+			nests := []*Nest{par}
 			step := func(k int) {
 				t.Helper()
 				for i := 0; i < k; i++ {
@@ -285,7 +288,7 @@ func TestHaloPlanFollowsTheDecomposition(t *testing.T) {
 				}
 				for _, n := range nests {
 					checkNestScratch(t, n, true)
-					sameSamples(t, fmt.Sprintf("flow %v on %v vs serial", d, n.procs), n.Gather().Data, serial.QCloud().Data)
+					sameSamples(t, fmt.Sprintf("flow %v on %v vs serial", d, n.procs), n.QCloud().Data, serial.QCloud().Data)
 				}
 			}
 			checkNestScratch(t, par, false)
@@ -297,7 +300,7 @@ func TestHaloPlanFollowsTheDecomposition(t *testing.T) {
 			step(7)
 			// A restore onto the sub-rectangle the live nest moves to next:
 			// both build their plans there lazily, from the flow alone.
-			restored, err := RestoreParallelNest(par.ID, par.Region, pg, geom.NewRect(2, 4, 5, 1), par.Gather(), par.StepCount())
+			restored, err := restorePlaced(par.ID, par.Region, pg, geom.NewRect(2, 4, 5, 1), par.QCloud().Clone(), par.StepCount())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -341,11 +344,11 @@ func TestHaloPlanRejectsFlowBeyondTheHalo(t *testing.T) {
 		cfg.SpawnRate = 0
 		// A restored nest sees no Config until it steps.
 		_, _, par, _ := setupNestPair(t, geom.NewRect(0, 0, 4, 3))
-		restored, err := RestoreParallelNest(par.ID, par.Region, pg, par.Procs(), par.Gather(), par.StepCount())
+		restored, err := restorePlaced(par.ID, par.Region, pg, par.Procs(), par.QCloud().Clone(), par.StepCount())
 		if err != nil {
 			t.Fatal(err)
 		}
-		before := restored.Gather()
+		before := restored.QCloud().Clone()
 
 		cfg.FlowU, cfg.FlowV = d[0]/cfg.Dt, d[1]/cfg.Dt
 		m, err := NewModel(cfg) // the serial model clamps inside one field: any flow is fine
@@ -354,11 +357,11 @@ func TestHaloPlanRejectsFlowBeyondTheHalo(t *testing.T) {
 		}
 		_, err = m.NewParallelNest(1, geom.NewRect(12, 10, 24, 20), pg, geom.NewRect(0, 0, 4, 3))
 		wantErr("NewParallelNest", err)
-		wantErr("StepNests", StepNests(parallelWorld(t, pg.Size()), cfg, nil, []*ParallelNest{restored}))
+		wantErr("StepNests", StepNests(parallelWorld(t, pg.Size()), cfg, nil, []*Nest{restored}))
 		if restored.StepCount() != par.StepCount() {
 			t.Fatalf("refused step advanced the nest to substep %d", restored.StepCount())
 		}
-		sameSamples(t, "refused step", restored.Gather().Data, before.Data)
+		sameSamples(t, "refused step", restored.QCloud().Data, before.Data)
 	}
 	// The longest reaches the halo carries are accepted.
 	cfg := DefaultConfig()
@@ -369,11 +372,11 @@ func TestHaloPlanRejectsFlowBeyondTheHalo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := m.NewParallelNest(1, geom.NewRect(12, 10, 24, 20), pg, geom.NewRect(0, 0, 4, 3))
+	n, err := placeNest(m, 1, geom.NewRect(12, 10, 24, 20), pg, geom.NewRect(0, 0, 4, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := StepNests(parallelWorld(t, pg.Size()), cfg, m.Cells(), []*ParallelNest{n}); err != nil {
+	if err := StepNests(parallelWorld(t, pg.Size()), cfg, m.Cells(), []*Nest{n}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -386,16 +389,16 @@ func TestHaloPlanRejectsFlowBeyondTheHalo(t *testing.T) {
 // written against the wrong pair from passing vacuously.
 func TestStepNestsDroppedHaloMessage(t *testing.T) {
 	m, _, par, pg := setupNestPair(t, geom.NewRect(0, 0, 4, 3))
-	clean, err := m.NewParallelNest(par.ID, par.Region, pg, par.Procs()) // par's twin, on a world of its own
+	clean, err := placeNest(m, par.ID, par.Region, pg, par.Procs()) // par's twin, on a world of its own
 	if err != nil {
 		t.Fatal(err)
 	}
 	w, wClean := parallelWorld(t, pg.Size()), parallelWorld(t, pg.Size())
 	m.Step()
-	if err := par.Step(w, m.Config(), m.Cells()); err != nil {
+	if err := StepNests(w, m.Config(), m.Cells(), []*Nest{par}); err != nil {
 		t.Fatal(err)
 	}
-	if err := clean.Step(wClean, m.Config(), m.Cells()); err != nil {
+	if err := StepNests(wClean, m.Config(), m.Cells(), []*Nest{clean}); err != nil {
 		t.Fatal(err)
 	}
 	// A receive link of a rank in the middle of the sub-rectangle: from its
@@ -415,22 +418,22 @@ func TestStepNestsDroppedHaloMessage(t *testing.T) {
 	downwind := faults.NewPlan(1).DropMessage(to, from, faults.Wildcard, 1).WithRecvTimeout(100 * time.Millisecond)
 	w.SetFaults(downwind)
 	m.Step()
-	if err := par.Step(w, m.Config(), m.Cells()); err != nil {
+	if err := StepNests(w, m.Config(), m.Cells(), []*Nest{par}); err != nil {
 		t.Fatalf("a drop rule on the downwind pair %d -> %d failed the step: %v", to, from, err)
 	}
-	if err := clean.Step(wClean, m.Config(), m.Cells()); err != nil {
+	if err := StepNests(wClean, m.Config(), m.Cells(), []*Nest{clean}); err != nil {
 		t.Fatal(err)
 	}
 	if inj := downwind.Injections(); len(inj) != 0 {
 		t.Fatalf("downwind pair %d -> %d carried a message: %+v", to, from, inj)
 	}
-	sameNestFields(t, "downwind drop rule", []*ParallelNest{par}, []*ParallelNest{clean})
+	sameNestFields(t, "downwind drop rule", []*Nest{par}, []*Nest{clean})
 
 	live := faults.NewPlan(1).DropMessage(from, to, faults.Wildcard, 1).WithRecvTimeout(100 * time.Millisecond)
 	w.SetFaults(live)
 	m.Step()
 	done := make(chan error, 1)
-	go func() { done <- StepNests(w, m.Config(), m.Cells(), []*ParallelNest{par}) }()
+	go func() { done <- StepNests(w, m.Config(), m.Cells(), []*Nest{par}) }()
 	select {
 	case err := <-done:
 		if err == nil || !strings.Contains(err.Error(), "timed out") {

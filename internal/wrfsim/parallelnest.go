@@ -14,52 +14,8 @@ import (
 	"nestdiff/internal/redist"
 )
 
-// ParallelNest is a nested simulation stepped by the processor
-// sub-rectangle the allocator gave it — the paper's actual runtime
-// arrangement ("each nested simulation is executed on disjoint subsets of
-// the total number of processors"). The ranks share one address space, so
-// the nest's fine field is one nest-wide field, and each owner rank
-// deposits into and advects its window of it, its block of the
-// decomposition, reading its upwind neighbours' windows in place once they
-// have published them: the MPI-3 shared-memory window arrangement. Every
-// sample therefore takes the serial nest's arithmetic, and the nest steps
-// bit-identically to a serial nest (verified in tests). When the allocator
-// moves it to a different sub-rectangle, Redistribute performs the
-// block-intersection Alltoallv: the new owners receive exactly the windows
-// they need and continue stepping.
-type ParallelNest struct {
-	ID     int
-	Region geom.Rect // region of interest in parent grid points
-
-	pg    geom.Grid
-	procs geom.Rect // current processor sub-rectangle
-	nx    int       // fine extents
-	ny    int
-	// ring is the nest-wide fine field in NestRatio+1 buffers. ring[0]
-	// holds the nest between steps. Substep s of a step deposits into
-	// ring[s] and advects from the whole of it into ring[s+1], each owner
-	// rank in its own window, so every window a rank published stays intact
-	// while a downwind reader may still read it; the ring turns after the
-	// dispatch to put the result in ring[0]. Between steps ring[1] is
-	// Redistribute's receive buffer.
-	ring [NestRatio + 1]*field.Field
-	// local[rank] is that rank's share of the nest (nil for ranks outside
-	// the sub-grid). A slice, not a map: each rank's goroutine touches only
-	// its own element, which is race-free. staged is Redistribute's table
-	// of the new owners' shares, swapped with local once the exchange is
-	// done.
-	local  []*nestRank
-	staged []*nestRank
-	steps  int
-	// stamps is the parent step's source term over the whole fine grid,
-	// built once per step on the calling goroutine; each owner rank adds
-	// the part inside its window.
-	stamps sourceStamps
-
-	// tracer, when set, receives one redist event per executed Alltoallv.
-	// It is runtime wiring, not state: checkpoints never carry it.
-	tracer *obs.Tracer
-}
+// A nest's placement (Nest.Place): StepNests steps placed nests on their
+// owner ranks, and Redistribute moves one to another sub-rectangle.
 
 // nestRank is one rank's share of a distributed nest: its window of the
 // nest-wide field and the step's plans for it — the halo plan naming the
@@ -113,61 +69,55 @@ func (st *nestRank) recycle() {
 // one per world rank, between redistributions of every nest.
 var exchangeArenas = sync.Pool{New: func() any { return new([]mpi.Scratch) }}
 
-// Release returns the nest's rank shares to the pool that later nests and
-// redistributions draw theirs from. The nest must not be used afterwards:
-// a step of it is an error, and a second Release does nothing.
-func (n *ParallelNest) Release() {
+// Release returns a placed nest's rank shares to the pool that later nests
+// and redistributions draw theirs from, leaving the nest unplaced: a
+// StepNests or Redistribute of it is then an error. On an unplaced nest it
+// does nothing.
+func (n *Nest) Release() {
 	for _, st := range n.local {
 		if st != nil {
 			st.recycle()
 		}
 	}
-	n.local, n.staged = nil, nil
+	n.pg, n.procs, n.local, n.staged = geom.Grid{}, geom.Rect{}, nil, nil
 }
 
 // SetTracer installs a structured tracer on the nest (nil removes it);
 // Redistribute then emits one event per executed exchange.
-func (n *ParallelNest) SetTracer(tr *obs.Tracer) { n.tracer = tr }
+func (n *Nest) SetTracer(tr *obs.Tracer) { n.tracer = tr }
 
-// NewParallelNest spawns a distributed nest over the given processor
-// sub-rectangle, initializing its field by interpolating the parent
-// model's field exactly like the serial SpawnNest.
-func (m *Model) NewParallelNest(id int, region geom.Rect, pg geom.Grid, procs geom.Rect) (*ParallelNest, error) {
-	if region.Empty() || !m.qcloud.Bounds().ContainsRect(region) {
-		return nil, fmt.Errorf("wrfsim: invalid nest region %v", region)
+// Place puts an unplaced nest on the processor sub-rectangle procs of the
+// process grid pg: the ring grows to NestRatio+1 buffers, each owner rank
+// draws a share for its window of the nest-wide field, and from then on
+// StepNests steps the nest.
+func (n *Nest) Place(pg geom.Grid, procs geom.Rect) error {
+	if n.local != nil {
+		return fmt.Errorf("wrfsim: nest %d is already placed on %v", n.ID, n.procs)
 	}
-	spec := nestAdvectSpec(m.cfg)
-	if err := checkReach(spec.UX, spec.VY); err != nil {
-		return nil, err
+	if procs.Empty() || !pg.Bounds().ContainsRect(procs) {
+		return fmt.Errorf("wrfsim: invalid processor sub-rectangle %v", procs)
 	}
-	return RestoreParallelNest(id, region, pg, procs, field.Refine(m.qcloud, region, NestRatio), 0)
-}
-
-// place puts the nest on procs: the fine field fine becomes ring[0], and
-// each owner rank draws a share for its window.
-func (n *ParallelNest) place(fine *field.Field, procs geom.Rect) error {
 	dist := geom.NewBlockDist(n.nx, n.ny, procs)
 	if err := n.checkHalo(dist); err != nil {
 		return err
 	}
-	n.procs = procs
-	n.ring[0] = fine
-	for i := 1; i < len(n.ring); i++ {
-		n.ring[i] = field.New(n.nx, n.ny)
+	for len(n.ring) < NestRatio+1 {
+		n.ring = append(n.ring, field.New(n.nx, n.ny))
 	}
-	n.local = make([]*nestRank, n.pg.Size())
-	n.staged = make([]*nestRank, n.pg.Size())
+	n.pg, n.procs = pg, procs
+	n.local = make([]*nestRank, pg.Size())
+	n.staged = make([]*nestRank, pg.Size())
 	dist.Blocks(func(p geom.Point, blk geom.Rect) {
 		st := rankShares.Get().(*nestRank)
 		st.block = blk
-		n.local[n.pg.Rank(p)] = st
+		n.local[pg.Rank(p)] = st
 	})
 	return nil
 }
 
 // checkHalo rejects a decomposition with a block narrower than the halo:
 // a rank's reads would reach past its 8 neighbours' windows.
-func (n *ParallelNest) checkHalo(dist geom.BlockDist) error {
+func (n *Nest) checkHalo(dist geom.BlockDist) error {
 	var err error
 	dist.Blocks(func(_ geom.Point, blk geom.Rect) {
 		if err == nil && (blk.Width() < HaloWidth || blk.Height() < HaloWidth) {
@@ -178,20 +128,39 @@ func (n *ParallelNest) checkHalo(dist geom.BlockDist) error {
 	return err
 }
 
-// Procs returns the current processor sub-rectangle.
-func (n *ParallelNest) Procs() geom.Rect { return n.procs }
+// Procs returns the current processor sub-rectangle: empty for an
+// unplaced nest.
+func (n *Nest) Procs() geom.Rect { return n.procs }
 
-// Size returns the fine-grid extents.
-func (n *ParallelNest) Size() (nx, ny int) { return n.nx, n.ny }
+// ParallelNest is a nest placed at spawn, as NewParallelNest returns it.
+// It exists for the benchmark harness's distributed-step probe
+// (cmd/nestbench); everything else places a Nest with Place and steps it
+// with StepNests.
+type ParallelNest struct{ *Nest }
 
-// StepCount returns completed fine substeps.
-func (n *ParallelNest) StepCount() int { return n.steps }
+// NewParallelNest spawns a nest over the given parent region and places it
+// on the processor sub-rectangle procs of pg. A flow whose stencil reach
+// exceeds the halo is refused here.
+func (m *Model) NewParallelNest(id int, region geom.Rect, pg geom.Grid, procs geom.Rect) (*ParallelNest, error) {
+	spec := nestAdvectSpec(m.cfg)
+	if err := checkReach(spec.UX, spec.VY); err != nil {
+		return nil, err
+	}
+	n, err := m.SpawnNest(id, region)
+	if err != nil {
+		return nil, err
+	}
+	if err := n.Place(pg, procs); err != nil {
+		return nil, err
+	}
+	return &ParallelNest{n}, nil
+}
 
-// Step advances the nest through NestRatio fine substeps on the world: the
-// one-nest case of StepNests. cells must be the parent model's current
-// cell population.
-func (n *ParallelNest) Step(w *mpi.World, cfg Config, cells []Cell) error {
-	return StepNests(w, cfg, cells, []*ParallelNest{n})
+// Step advances the nest by one parent step on the world: the one-nest
+// case of StepNests. cells must be the parent model's current cell
+// population.
+func (pn *ParallelNest) Step(w *mpi.World, cfg Config, cells []Cell) error {
+	return StepNests(w, cfg, cells, []*Nest{pn.Nest})
 }
 
 // StepNests advances every given nest by one parent step — NestRatio fine
@@ -213,7 +182,7 @@ func (n *ParallelNest) Step(w *mpi.World, cfg Config, cells []Cell) error {
 // one of its nests would keep the other's downwind readers waiting, and
 // two such ranks could wait on each other. cells must be the parent
 // model's current cell population.
-func StepNests(w *mpi.World, cfg Config, cells []Cell, nests []*ParallelNest) error {
+func StepNests(w *mpi.World, cfg Config, cells []Cell, nests []*Nest) error {
 	// A restored nest meets the flow here first, so this is where a reach
 	// beyond the halo is refused for it.
 	spec := nestAdvectSpec(cfg)
@@ -223,24 +192,24 @@ func StepNests(w *mpi.World, cfg Config, cells []Cell, nests []*ParallelNest) er
 	sp := steppers.Get().(*stepper)
 	defer sp.release()
 	if cap(sp.owner) < w.Size() {
-		sp.owner = make([]*ParallelNest, w.Size())
+		sp.owner = make([]*Nest, w.Size())
 	}
 	sp.owner = sp.owner[:w.Size()]
 	owner := sp.owner
 	for _, n := range nests {
+		if n.local == nil {
+			return fmt.Errorf("wrfsim: nest %d is not placed; step it with Nest.Step", n.ID)
+		}
 		if w.Size() != n.pg.Size() {
 			return fmt.Errorf("wrfsim: world of %d ranks for grid of %d", w.Size(), n.pg.Size())
-		}
-		if n.local == nil {
-			return fmt.Errorf("wrfsim: nest %d stepped after Release", n.ID)
 		}
 		for rank, st := range n.local {
 			if st == nil {
 				continue
 			}
 			if owner[rank] != nil {
-				for _, one := range nests {
-					if err := one.Step(w, cfg, cells); err != nil {
+				for i := range nests {
+					if err := StepNests(w, cfg, cells, nests[i:i+1]); err != nil {
 						return err
 					}
 				}
@@ -272,10 +241,7 @@ func StepNests(w *mpi.World, cfg Config, cells []Cell, nests []*ParallelNest) er
 		return err
 	}
 	for _, n := range nests {
-		last := n.ring[NestRatio]
-		copy(n.ring[1:], n.ring[:NestRatio])
-		n.ring[0] = last
-		n.steps += NestRatio
+		n.turn()
 	}
 	return nil
 }
@@ -284,7 +250,7 @@ func StepNests(w *mpi.World, cfg Config, cells []Cell, nests []*ParallelNest) er
 // and the rank function, bound once to the stepper, so that a steady
 // dispatch allocates none of them.
 type stepper struct {
-	owner []*ParallelNest // by world rank
+	owner []*Nest // by world rank
 	ranks []int
 	spec  field.AdvectSpec
 	world *mpi.World
@@ -304,9 +270,9 @@ func (sp *stepper) release() {
 	steppers.Put(sp)
 }
 
-// nestAdvectSpec is a distributed nest's advection pass under cfg: the
-// serial Nest's flow and decay per fine substep, over a source holding the
-// whole nest.
+// nestAdvectSpec is a nest's advection pass under cfg, over a source
+// holding the whole nest: the parent's flow and decay per fine substep.
+// The caller adds the nest's extents.
 func nestAdvectSpec(cfg Config) field.AdvectSpec {
 	dtFine := cfg.Dt / NestRatio
 	return field.AdvectSpec{
@@ -320,7 +286,7 @@ func nestAdvectSpec(cfg Config) field.AdvectSpec {
 // world w: in each substep, the deposit into its window of the substep's
 // buffer, the exchange, and the advection of its window of the next buffer
 // out of the whole of this one.
-func (n *ParallelNest) stepRank(w *mpi.World, r *mpi.Rank, spec field.AdvectSpec) {
+func (n *Nest) stepRank(w *mpi.World, r *mpi.Rank, spec field.AdvectSpec) {
 	st := n.local[r.ID()]
 	blk := st.block
 	// The plans follow the flow as well as the blocks, and the flow arrives
@@ -333,12 +299,13 @@ func (n *ParallelNest) stepRank(w *mpi.World, r *mpi.Rank, spec field.AdvectSpec
 	spec.GNX, spec.GNY = n.nx, n.ny
 	st.advect.Prepare(spec, blk, n.nx)
 	for s := 0; s < NestRatio; s++ {
-		n.stamps.addWindow(n.ring[s], blk)
+		src, dst := n.substep(s)
+		n.stamps.addWindow(src, blk)
 		r.Compute(float64(blk.Area()) * 5e-9)
 
 		st.exchange(r, n.local, s, n.steps)
 
-		st.advect.Advect(n.ring[s+1], n.ring[s])
+		st.advect.Advect(dst, src)
 		r.Compute(float64(blk.Area()) * 2e-8)
 	}
 }
@@ -350,7 +317,10 @@ func (n *ParallelNest) stepRank(w *mpi.World, r *mpi.Rank, spec field.AdvectSpec
 // nest-wide field into a second nest-wide buffer, which then becomes the
 // field. So the executed exchange moves every byte it prices. Returns the
 // modelled exchange time.
-func (n *ParallelNest) Redistribute(w *mpi.World, newProcs geom.Rect) (float64, error) {
+func (n *Nest) Redistribute(w *mpi.World, newProcs geom.Rect) (float64, error) {
+	if n.local == nil {
+		return 0, fmt.Errorf("wrfsim: nest %d is not placed", n.ID)
+	}
 	if w.Size() != n.pg.Size() {
 		return 0, fmt.Errorf("wrfsim: world of %d ranks for grid of %d", w.Size(), n.pg.Size())
 	}
@@ -421,20 +391,4 @@ func (n *ParallelNest) Redistribute(w *mpi.World, newProcs geom.Rect) (float64, 
 		})
 	}
 	return elapsed, nil
-}
-
-// QCloud returns the nest's live fine-resolution cloud-water field, the
-// one nest-wide field its ranks step (do not mutate). It is valid until the
-// next step or Redistribute, which may move the nest to another buffer.
-func (n *ParallelNest) QCloud() *field.Field { return n.ring[0] }
-
-// Gather returns a copy of the full fine field.
-func (n *ParallelNest) Gather() *field.Field { return n.ring[0].Clone() }
-
-// Feedback coarsens the distributed nest's state back onto the parent
-// domain (two-way nesting), like the serial Nest.Feedback.
-func (n *ParallelNest) Feedback(m *Model) {
-	coarse := field.Coarsen(n.ring[0], NestRatio)
-	m.qcloud.SetSub(n.Region, coarse)
-	m.olrStale = true
 }

@@ -3,8 +3,10 @@ package wrfsim
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
+	"nestdiff/internal/field"
 	"nestdiff/internal/geom"
 	"nestdiff/internal/mpi"
 	"nestdiff/internal/topology"
@@ -38,7 +40,7 @@ func testCells() []Cell {
 
 // setupNestPair builds a serial nest and a distributed nest over the same
 // region of the same model state.
-func setupNestPair(t *testing.T, procs geom.Rect) (*Model, *Nest, *ParallelNest, geom.Grid) {
+func setupNestPair(t *testing.T, procs geom.Rect) (*Model, *Nest, *Nest, geom.Grid) {
 	t.Helper()
 	cfg := DefaultConfig()
 	return setupNestPairFlow(t, procs, cfg.FlowU, cfg.FlowV)
@@ -46,7 +48,7 @@ func setupNestPair(t *testing.T, procs geom.Rect) (*Model, *Nest, *ParallelNest,
 
 // setupNestPairFlow is setupNestPair under an ambient flow of (flowU, flowV)
 // grid points per second.
-func setupNestPairFlow(t *testing.T, procs geom.Rect, flowU, flowV float64) (*Model, *Nest, *ParallelNest, geom.Grid) {
+func setupNestPairFlow(t *testing.T, procs geom.Rect, flowU, flowV float64) (*Model, *Nest, *Nest, geom.Grid) {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.NX, cfg.NY = 96, 72
@@ -70,11 +72,35 @@ func setupNestPairFlow(t *testing.T, procs geom.Rect, flowU, flowV float64) (*Mo
 		t.Fatal(err)
 	}
 	pg := geom.NewGrid(8, 6)
-	par, err := m.NewParallelNest(1, region, pg, procs)
+	par, err := placeNest(m, 1, region, pg, procs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return m, serial, par, pg
+}
+
+// placeNest spawns nest id over region of m and places it on procs of pg.
+func placeNest(m *Model, id int, region geom.Rect, pg geom.Grid, procs geom.Rect) (*Nest, error) {
+	n, err := m.SpawnNest(id, region)
+	if err != nil {
+		return nil, err
+	}
+	if err := n.Place(pg, procs); err != nil {
+		return nil, err
+	}
+	return n, nil
+}
+
+// restorePlaced restores a nest from its state and places it on procs of pg.
+func restorePlaced(id int, region geom.Rect, pg geom.Grid, procs geom.Rect, fine *field.Field, steps int) (*Nest, error) {
+	n, err := RestoreNest(id, region, fine, steps)
+	if err != nil {
+		return nil, err
+	}
+	if err := n.Place(pg, procs); err != nil {
+		return nil, err
+	}
+	return n, nil
 }
 
 func maxAbsDiff(a, b []float64) float64 {
@@ -99,14 +125,14 @@ func TestParallelNestMatchesSerial(t *testing.T) {
 		for i := 0; i < 8; i++ {
 			m.Step()
 			serial.Step(m)
-			if err := par.Step(w, m.Config(), m.Cells()); err != nil {
+			if err := StepNests(w, m.Config(), m.Cells(), []*Nest{par}); err != nil {
 				t.Fatalf("procs %v: %v", procs, err)
 			}
 		}
 		if par.StepCount() != serial.StepCount() {
 			t.Fatalf("substep counts differ: %d vs %d", par.StepCount(), serial.StepCount())
 		}
-		sameSamples(t, fmt.Sprintf("procs %v: distributed vs serial", procs), par.Gather().Data, serial.QCloud().Data)
+		sameSamples(t, fmt.Sprintf("procs %v: distributed vs serial", procs), par.QCloud().Data, serial.QCloud().Data)
 	}
 }
 
@@ -119,7 +145,7 @@ func TestParallelNestRedistributeMidRun(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		m.Step()
 		serial.Step(m)
-		if err := par.Step(w, m.Config(), m.Cells()); err != nil {
+		if err := StepNests(w, m.Config(), m.Cells(), []*Nest{par}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -136,11 +162,11 @@ func TestParallelNestRedistributeMidRun(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		m.Step()
 		serial.Step(m)
-		if err := par.Step(w, m.Config(), m.Cells()); err != nil {
+		if err := StepNests(w, m.Config(), m.Cells(), []*Nest{par}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	sameSamples(t, "post-redistribution distributed vs serial", par.Gather().Data, serial.QCloud().Data)
+	sameSamples(t, "post-redistribution distributed vs serial", par.QCloud().Data, serial.QCloud().Data)
 }
 
 func TestParallelNestRedistributeOverlapCheaper(t *testing.T) {
@@ -177,7 +203,7 @@ func TestParallelNestValidation(t *testing.T) {
 	}
 	// World size mismatch.
 	wrong := parallelWorld(t, 12)
-	if err := par.Step(wrong, m.Config(), nil); err == nil {
+	if err := StepNests(wrong, m.Config(), nil, []*Nest{par}); err == nil {
 		t.Error("world size mismatch accepted by Step")
 	}
 	if _, err := par.Redistribute(wrong, geom.NewRect(0, 0, 2, 2)); err == nil {
@@ -189,7 +215,7 @@ func TestParallelNestValidation(t *testing.T) {
 	}
 	// A decomposition whose blocks fall below the halo width: a tiny nest
 	// spread over many ranks.
-	tiny, err := m.NewParallelNest(3, geom.NewRect(0, 0, 4, 4), pg, geom.NewRect(0, 0, 2, 2))
+	tiny, err := placeNest(m, 3, geom.NewRect(0, 0, 4, 4), pg, geom.NewRect(0, 0, 2, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +227,7 @@ func TestParallelNestValidation(t *testing.T) {
 func TestParallelNestIdentityRedistributionIsFree(t *testing.T) {
 	_, _, par, pg := setupNestPair(t, geom.NewRect(1, 1, 4, 3))
 	w := parallelWorld(t, pg.Size())
-	before := par.Gather()
+	before := par.QCloud().Clone()
 	elapsed, err := par.Redistribute(w, geom.NewRect(1, 1, 4, 3))
 	if err != nil {
 		t.Fatal(err)
@@ -209,7 +235,70 @@ func TestParallelNestIdentityRedistributionIsFree(t *testing.T) {
 	if elapsed != 0 {
 		t.Fatalf("identity redistribution cost %g", elapsed)
 	}
-	if d := maxAbsDiff(par.Gather().Data, before.Data); d != 0 {
+	if d := maxAbsDiff(par.QCloud().Data, before.Data); d != 0 {
 		t.Fatal("identity redistribution corrupted data")
 	}
+}
+
+// TestNestPlacementSteps: one nest stepped on the caller, then placed and
+// stepped by StepNests, then redistributed and stepped again, and at last
+// released and stepped on the caller once more, equals after every step a
+// nest that Step stepped all along. The two refused calls — Step on a
+// placed nest, StepNests on an unplaced one — return their errors and
+// leave the nest as it was.
+func TestNestPlacementSteps(t *testing.T) {
+	m, ref, _, pg := setupNestPair(t, geom.NewRect(0, 0, 1, 1))
+	n, err := m.SpawnNest(ref.ID, ref.Region)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := parallelWorld(t, pg.Size())
+	same := func(what string) {
+		t.Helper()
+		if n.StepCount() != ref.StepCount() {
+			t.Fatalf("%s: substep %d, want %d", what, n.StepCount(), ref.StepCount())
+		}
+		sameSamples(t, what, n.QCloud().Data, ref.QCloud().Data)
+	}
+	onCaller := func() error { return n.Step(m) }
+	onRanks := func() error { return StepNests(w, m.Config(), m.Cells(), []*Nest{n}) }
+	steps := func(what string, step func() error) {
+		t.Helper()
+		for i := 0; i < 3; i++ {
+			m.Step()
+			if err := ref.Step(m); err != nil {
+				t.Fatal(err)
+			}
+			if err := step(); err != nil {
+				t.Fatalf("%s, step %d: %v", what, i+1, err)
+			}
+			same(fmt.Sprintf("%s, step %d", what, i+1))
+		}
+	}
+
+	steps("unplaced", onCaller)
+	if err := onRanks(); err == nil || !strings.Contains(err.Error(), "not placed") {
+		t.Fatalf("StepNests of an unplaced nest returned %v, want a refusal", err)
+	}
+	same("after the refused StepNests")
+	if err := n.Place(pg, geom.NewRect(0, 0, 4, 3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Place(pg, geom.NewRect(0, 0, 4, 3)); err == nil {
+		t.Fatal("a placed nest was placed again")
+	}
+	if err := onCaller(); err == nil || !strings.Contains(err.Error(), "is placed") {
+		t.Fatalf("Step of a placed nest returned %v, want a refusal", err)
+	}
+	same("after the refused Step")
+	steps("placed", onRanks)
+	if _, err := n.Redistribute(w, geom.NewRect(2, 1, 5, 4)); err != nil {
+		t.Fatal(err)
+	}
+	steps("redistributed", onRanks)
+	n.Release()
+	if !n.Procs().Empty() {
+		t.Fatalf("a released nest is still placed on %v", n.Procs())
+	}
+	steps("released", onCaller)
 }

@@ -7,11 +7,12 @@ import (
 	"nestdiff/internal/geom"
 )
 
-// RestoreNest builds a serial nest from its state: the region it covers,
-// its fine-resolution field, and its substep counter. It is the one nest
-// constructor — SpawnNest passes a freshly refined field and step 0, the
-// checkpoint codec the saved ones — and takes ownership of fine. A
-// restored nest continues bit-identically to the one that was saved.
+// RestoreNest builds an unplaced nest from its state: the region it
+// covers, its fine-resolution field, and its substep counter. It is the one
+// nest constructor — SpawnNest passes a freshly refined field and step 0,
+// the checkpoint codec the saved ones, and Place then puts a distributed
+// nest on its processors — and takes ownership of fine. A restored nest
+// continues bit-identically to the one that was saved.
 func RestoreNest(id int, region geom.Rect, fine *field.Field, steps int) (*Nest, error) {
 	if region.Empty() {
 		return nil, fmt.Errorf("wrfsim: empty nest region")
@@ -23,46 +24,8 @@ func RestoreNest(id int, region geom.Rect, fine *field.Field, steps int) (*Nest,
 	if steps < 0 {
 		return nil, fmt.Errorf("wrfsim: negative substep count %d", steps)
 	}
-	return &Nest{
-		ID:      id,
-		Region:  region,
-		qcloud:  fine,
-		scratch: field.New(fine.NX, fine.NY),
-		steps:   steps,
-	}, nil
-}
-
-// RestoreParallelNest builds a distributed nest from its state: the fine
-// field, placed on the processor sub-rectangle, and the substep counter,
-// restored so halo-exchange tags continue their sequence. It is the one
-// distributed-nest constructor, like RestoreNest for serial nests, and
-// like it takes ownership of fine.
-func RestoreParallelNest(id int, region geom.Rect, pg geom.Grid, procs geom.Rect, fine *field.Field, steps int) (*ParallelNest, error) {
-	if region.Empty() {
-		return nil, fmt.Errorf("wrfsim: empty nest region")
-	}
-	if procs.Empty() || !pg.Bounds().ContainsRect(procs) {
-		return nil, fmt.Errorf("wrfsim: invalid processor sub-rectangle %v", procs)
-	}
-	if fine == nil || fine.NX != region.Width()*NestRatio || fine.NY != region.Height()*NestRatio {
-		return nil, fmt.Errorf("wrfsim: nest %d fine field does not match region %v at ratio %d",
-			id, region, NestRatio)
-	}
-	if steps < 0 {
-		return nil, fmt.Errorf("wrfsim: negative substep count %d", steps)
-	}
-	n := &ParallelNest{
-		ID:     id,
-		Region: region,
-		pg:     pg,
-		nx:     fine.NX,
-		ny:     fine.NY,
-		steps:  steps,
-	}
-	if err := n.place(fine, procs); err != nil {
-		return nil, err
-	}
-	return n, nil
+	ring := []*field.Field{fine, field.New(fine.NX, fine.NY)}
+	return &Nest{ID: id, Region: region, nx: fine.NX, ny: fine.NY, ring: ring, steps: steps}, nil
 }
 
 // RNGState exposes the PRNG state for checkpointing.

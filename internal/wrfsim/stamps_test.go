@@ -366,12 +366,12 @@ func TestOLROnDemandMatchesEagerRecompute(t *testing.T) {
 	check("after serial nest feedback", m)
 
 	pg := geom.NewGrid(8, 6)
-	par, err := m.NewParallelNest(2, region, pg, geom.NewRect(0, 0, 4, 3))
+	par, err := placeNest(m, 2, region, pg, geom.NewRect(0, 0, 4, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	m.Step()
-	if err := par.Step(parallelWorld(t, pg.Size()), m.Config(), m.Cells()); err != nil {
+	if err := StepNests(parallelWorld(t, pg.Size()), m.Config(), m.Cells(), []*Nest{par}); err != nil {
 		t.Fatal(err)
 	}
 	m.OLR()

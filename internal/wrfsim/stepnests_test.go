@@ -18,26 +18,26 @@ import (
 
 // twoNests spawns nests 1 and 2 of the setupNestPair model over the given
 // processor sub-rectangles of its 8x6 grid.
-func twoNests(t testing.TB, m *Model, pg geom.Grid, procsA, procsB geom.Rect) []*ParallelNest {
+func twoNests(t testing.TB, m *Model, pg geom.Grid, procsA, procsB geom.Rect) []*Nest {
 	t.Helper()
-	a, err := m.NewParallelNest(1, geom.NewRect(12, 10, 24, 20), pg, procsA)
+	a, err := placeNest(m, 1, geom.NewRect(12, 10, 24, 20), pg, procsA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := m.NewParallelNest(2, geom.NewRect(60, 40, 21, 17), pg, procsB)
+	b, err := placeNest(m, 2, geom.NewRect(60, 40, 21, 17), pg, procsB)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return []*ParallelNest{a, b}
+	return []*Nest{a, b}
 }
 
-func sameNestFields(t *testing.T, what string, got, want []*ParallelNest) {
+func sameNestFields(t *testing.T, what string, got, want []*Nest) {
 	t.Helper()
 	for i := range want {
 		if got[i].StepCount() != want[i].StepCount() {
 			t.Fatalf("%s: nest %d at substep %d, want %d", what, want[i].ID, got[i].StepCount(), want[i].StepCount())
 		}
-		g, w := got[i].Gather(), want[i].Gather()
+		g, w := got[i].QCloud(), want[i].QCloud()
 		for k := range w.Data {
 			if g.Data[k] != w.Data[k] {
 				t.Fatalf("%s: nest %d sample %d differs: %g vs %g", what, want[i].ID, k, g.Data[k], w.Data[k])
@@ -68,7 +68,7 @@ func TestStepNestsMatchesPerNestStep(t *testing.T) {
 				t.Fatalf("%s: %v", tc.name, err)
 			}
 			for _, n := range each {
-				if err := n.Step(we, m.Config(), m.Cells()); err != nil {
+				if err := StepNests(we, m.Config(), m.Cells(), []*Nest{n}); err != nil {
 					t.Fatalf("%s: %v", tc.name, err)
 				}
 			}
@@ -83,7 +83,7 @@ func TestStepNestsMatchesPerNestStep(t *testing.T) {
 	if err := StepNests(parallelWorld(t, 48), m.Config(), nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := StepNests(parallelWorld(t, 12), m.Config(), nil, []*ParallelNest{par}); err == nil {
+	if err := StepNests(parallelWorld(t, 12), m.Config(), nil, []*Nest{par}); err == nil {
 		t.Fatal("world size mismatch accepted")
 	}
 }
@@ -156,7 +156,7 @@ func TestStepNestsAmortisedAllocations(t *testing.T) {
 // TestRedistributeChainMatchesRestore: a nest moved A -> B -> A -> C over
 // overlapping sub-rectangles holds, after every hop, exactly the field it
 // held before, and then steps 5 parent steps bit-identically to a nest
-// rebuilt on the new sub-rectangle with RestoreParallelNest from that
+// rebuilt on the new sub-rectangle with RestoreNest and Place from that
 // field. Both run on recycled rank shares: each hop's twin is released
 // afterwards, so the next twin, and the ranks the live nest gains, draw
 // shares whose buffers still hold another block's samples.
@@ -164,22 +164,22 @@ func TestRedistributeChainMatchesRestore(t *testing.T) {
 	a, b, c := geom.NewRect(0, 0, 4, 3), geom.NewRect(2, 1, 5, 4), geom.NewRect(1, 1, 7, 5)
 	m, _, par, pg := setupNestPair(t, a)
 	w, wTwin := parallelWorld(t, pg.Size()), parallelWorld(t, pg.Size())
-	step := func(w *mpi.World, n *ParallelNest) {
+	step := func(w *mpi.World, n *Nest) {
 		t.Helper()
-		if err := StepNests(w, m.Config(), m.Cells(), []*ParallelNest{n}); err != nil {
+		if err := StepNests(w, m.Config(), m.Cells(), []*Nest{n}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	m.Step()
 	step(w, par)
 	for hop, procs := range []geom.Rect{b, a, c} {
-		before := par.Gather()
+		before := par.QCloud().Clone()
 		if _, err := par.Redistribute(w, procs); err != nil {
 			t.Fatal(err)
 		}
 		what := fmt.Sprintf("hop %d to %v", hop, procs)
-		requireSameBits(t, what+": gathered field", par.Gather(), before)
-		twin, err := RestoreParallelNest(par.ID, par.Region, pg, procs, before, par.StepCount())
+		requireSameBits(t, what+": gathered field", par.QCloud(), before)
+		twin, err := restorePlaced(par.ID, par.Region, pg, procs, before, par.StepCount())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,7 +187,7 @@ func TestRedistributeChainMatchesRestore(t *testing.T) {
 			m.Step()
 			step(w, par)
 			step(wTwin, twin)
-			requireSameBits(t, fmt.Sprintf("%s, step %d", what, i+1), par.Gather(), twin.Gather())
+			requireSameBits(t, fmt.Sprintf("%s, step %d", what, i+1), par.QCloud(), twin.QCloud())
 		}
 		twin.Release()
 	}
@@ -206,11 +206,11 @@ func TestReleasedShareOnAnotherGridReplans(t *testing.T) {
 	m, _, old, pg := setupNestPair(t, procs)
 	w := parallelWorld(t, pg.Size())
 	m.Step()
-	if err := old.Step(w, m.Config(), m.Cells()); err != nil {
+	if err := StepNests(w, m.Config(), m.Cells(), []*Nest{old}); err != nil {
 		t.Fatal(err)
 	}
 	old.Release()
-	if err := old.Step(w, m.Config(), m.Cells()); err == nil {
+	if err := StepNests(w, m.Config(), m.Cells(), []*Nest{old}); err == nil {
 		t.Fatal("a released nest stepped")
 	}
 
@@ -219,7 +219,7 @@ func TestReleasedShareOnAnotherGridReplans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := m.NewParallelNest(2, old.Region, other, procs)
+	par, err := placeNest(m, 2, old.Region, other, procs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,10 +228,10 @@ func TestReleasedShareOnAnotherGridReplans(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		m.Step()
 		serial.Step(m)
-		if err := par.Step(wOther, m.Config(), m.Cells()); err != nil {
+		if err := StepNests(wOther, m.Config(), m.Cells(), []*Nest{par}); err != nil {
 			t.Fatalf("step %d: %v", i+1, err)
 		}
-		sameSamples(t, fmt.Sprintf("step %d: distributed vs serial", i+1), par.Gather().Data, serial.QCloud().Data)
+		sameSamples(t, fmt.Sprintf("step %d: distributed vs serial", i+1), par.QCloud().Data, serial.QCloud().Data)
 	}
 	checkNestScratch(t, par, true)
 }
@@ -305,7 +305,7 @@ func TestStepNestsClocksFrozen(t *testing.T) {
 			}
 			var fields, serialFields [3]uint32
 			for i, n := range nests {
-				fields[i] = crcOf(n.Gather().Data)
+				fields[i] = crcOf(n.QCloud().Data)
 				serialFields[i] = crcOf(serial[i].QCloud().Data)
 			}
 			if got := h.Sum64(); got != tc.clocks || last != tc.last {
@@ -326,7 +326,7 @@ func TestStepNestsCrashedOwnerWakesParkedReaders(t *testing.T) {
 	m, _, par, pg := setupNestPair(t, geom.NewRect(0, 0, 4, 3))
 	w := parallelWorld(t, pg.Size())
 	m.Step()
-	if err := par.Step(w, m.Config(), m.Cells()); err != nil {
+	if err := StepNests(w, m.Config(), m.Cells(), []*Nest{par}); err != nil {
 		t.Fatal(err)
 	}
 	// Under the default flow every other rank of the sub-rectangle reads,
@@ -338,7 +338,7 @@ func TestStepNestsCrashedOwnerWakesParkedReaders(t *testing.T) {
 	w.SetFaults(faults.NewPlan(1).CrashRank(0, upwind))
 	m.Step()
 	done := make(chan error, 1)
-	go func() { done <- StepNests(w, m.Config(), m.Cells(), []*ParallelNest{par}) }()
+	go func() { done <- StepNests(w, m.Config(), m.Cells(), []*Nest{par}) }()
 	select {
 	case err := <-done:
 		if err == nil || !strings.Contains(err.Error(), "injected crash of rank") {
@@ -349,7 +349,7 @@ func TestStepNestsCrashedOwnerWakesParkedReaders(t *testing.T) {
 	}
 	buf := make([]byte, 1<<20)
 	stacks := string(buf[:runtime.Stack(buf, true)])
-	if strings.Contains(stacks, "wrfsim.(*ParallelNest).stepRank") {
+	if strings.Contains(stacks, "wrfsim.(*Nest).stepRank") {
 		t.Fatalf("a rank is still inside its step after the dispatch failed:\n%s", stacks)
 	}
 }

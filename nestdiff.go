@@ -204,8 +204,12 @@ func (s *System) RedistributeField(tr Transfer, src *Field) (*Field, float64, er
 
 // AnalyzeSplitsParallel runs the fully parallel analysis pipeline (local
 // clustering per rank + cluster-level merge at the root — the paper's
-// future-work extension) over the splits of the process grid pg with the
-// given number of analysis ranks.
+// future-work extension, pda.RunParallelNNC) over the splits of the
+// process grid pg with the given number of analysis ranks. It is not the
+// analysis a Pipeline runs (pda.RunParallel: aggregates gathered at the
+// root, one NNC there), and on the same state it can return other
+// clusters: on FuzzPDADecomposition's ragged-7x7-over-13-ranks case it
+// finds 2 where the pipeline finds 3 (EXPERIMENTS.md, "PDA in place").
 func AnalyzeSplitsParallel(splits []Split, pg Grid, ranks int, opt PDAOptions) ([]Rect, []Cluster, error) {
 	net, err := topology.NewSwitched(ranks, 8, topology.DefaultSwitchedParams())
 	if err != nil {
