@@ -13,29 +13,30 @@ import "fmt"
 // intersect.
 type BlockOverlaps struct {
 	from, to BlockDist
-	xs, ys   []span
+	xs, ys   []Span
 }
 
-// span is one non-empty overlap along one axis: cells [lo, hi) are owned by
-// block from of the sending distribution and block to of the receiving one.
-type span struct {
-	from, to int
-	lo, hi   int
+// Span is one non-empty overlap along one axis: cells [Lo, Hi) are owned by
+// block From of the sending distribution and block To of the receiving one,
+// both counted from their sub-grid's origin.
+type Span struct {
+	From, To int
+	Lo, Hi   int
 }
 
 // axisSpans merges the cuts that divide n cells into p and into q blocks
 // and returns their non-empty overlaps in out's storage (grown to the p+q
 // bound when short), ordered by p-block, then q-block. Blocks left empty
 // because a side has more blocks than cells fall out as empty overlaps.
-func axisSpans(out []span, n, p, q int) []span {
+func axisSpans(out []Span, n, p, q int) []Span {
 	if cap(out) < p+q {
-		out = make([]span, 0, p+q)
+		out = make([]Span, 0, p+q)
 	}
 	out = out[:0]
 	for i, k := 0, 0; i < p && k < q; {
 		iEnd, kEnd := (i+1)*n/p, (k+1)*n/q
 		if lo, hi := max(i*n/p, k*n/q), min(iEnd, kEnd); lo < hi {
-			out = append(out, span{from: i, to: k, lo: lo, hi: hi})
+			out = append(out, Span{From: i, To: k, Lo: lo, Hi: hi})
 		}
 		// Whichever block ends first is done; on a shared cut both are.
 		if iEnd <= kEnd {
@@ -71,13 +72,21 @@ func (o *BlockOverlaps) Set(from, to BlockDist) {
 // Len returns the number of intersections Each visits.
 func (o BlockOverlaps) Len() int { return len(o.xs) * len(o.ys) }
 
+// Axes returns the x and the y table, each ordered by sending block, then
+// receiving block. Every pair of an x-span x and a y-span y is one
+// intersection: cells {x.Lo, y.Lo, x.Hi, y.Hi}, sent from sub-grid point
+// (x.From, y.From) of the sending distribution to (x.To, y.To) of the
+// receiving one. The tables are o's storage, valid until the next Set;
+// callers read them and must not modify them.
+func (o *BlockOverlaps) Axes() (xs, ys []Span) { return o.xs, o.ys }
+
 // Kept returns how many of the intersections have the same processor on
 // both sides: data that stays where it is.
 func (o BlockOverlaps) Kept() int {
-	kept := func(spans []span, fromOrigin, toOrigin int) int {
+	kept := func(spans []Span, fromOrigin, toOrigin int) int {
 		n := 0
 		for _, s := range spans {
-			if fromOrigin+s.from == toOrigin+s.to {
+			if fromOrigin+s.From == toOrigin+s.To {
 				n++
 			}
 		}
@@ -96,12 +105,12 @@ func (o BlockOverlaps) Each(fn func(from, to Point, cells Rect)) {
 		y1 := runEnd(o.ys, y0)
 		for x0 := 0; x0 < len(o.xs); {
 			x1 := runEnd(o.xs, x0)
-			sender := Point{o.from.Procs.X0 + o.xs[x0].from, o.from.Procs.Y0 + o.ys[y0].from}
+			sender := Point{o.from.Procs.X0 + o.xs[x0].From, o.from.Procs.Y0 + o.ys[y0].From}
 			for _, y := range o.ys[y0:y1] {
 				for _, x := range o.xs[x0:x1] {
 					fn(sender,
-						Point{o.to.Procs.X0 + x.to, o.to.Procs.Y0 + y.to},
-						Rect{X0: x.lo, Y0: y.lo, X1: x.hi, Y1: y.hi})
+						Point{o.to.Procs.X0 + x.To, o.to.Procs.Y0 + y.To},
+						Rect{X0: x.Lo, Y0: y.Lo, X1: x.Hi, Y1: y.Hi})
 				}
 			}
 			x0 = x1
@@ -111,9 +120,9 @@ func (o BlockOverlaps) Each(fn func(from, to Point, cells Rect)) {
 }
 
 // runEnd returns the end of the run of spans sharing spans[i]'s sender.
-func runEnd(spans []span, i int) int {
+func runEnd(spans []Span, i int) int {
 	j := i + 1
-	for j < len(spans) && spans[j].from == spans[i].from {
+	for j < len(spans) && spans[j].From == spans[i].From {
 		j++
 	}
 	return j

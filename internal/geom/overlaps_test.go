@@ -70,6 +70,26 @@ func FuzzBlockOverlaps(f *testing.F) {
 		if ov.Kept() != kept {
 			t.Fatalf("%v -> %v: Kept %d, %d overlaps keep their processor", from, to, ov.Kept(), kept)
 		}
+		// The product of the axis tables is the same set of intersections.
+		xs, ys := ov.Axes()
+		product := map[overlap]bool{}
+		for _, y := range ys {
+			for _, x := range xs {
+				product[overlap{
+					Point{from.Procs.X0 + x.From, from.Procs.Y0 + y.From},
+					Point{to.Procs.X0 + x.To, to.Procs.Y0 + y.To},
+					Rect{X0: x.Lo, Y0: y.Lo, X1: x.Hi, Y1: y.Hi},
+				}] = true
+			}
+		}
+		for _, o := range got {
+			if !product[o] {
+				t.Fatalf("%v -> %v: overlap %v is not in the product of the axis tables", from, to, o)
+			}
+		}
+		if len(product) != len(got) {
+			t.Fatalf("%v -> %v: the axis tables' product has %d intersections, Each %d", from, to, len(product), len(got))
+		}
 	})
 }
 

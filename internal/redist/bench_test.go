@@ -66,19 +66,33 @@ func BenchmarkMeasure(b *testing.B) {
 }
 
 // BenchmarkMeasureChange prices BenchmarkMeasure's transfer straight from
-// the block overlaps, on a warm Meter.
+// the block overlaps, on a warm Meter, and then 32x32 -> 16x32 of the same
+// nest, where 600 cells divide raggedly over 32 and over 16 ranks: every
+// run of one sender's messages is one receiver long in the first case and
+// one or two in the second.
 func BenchmarkMeasureChange(b *testing.B) {
 	g := geom.NewGrid(32, 32)
 	net := benchNet(b, g)
-	old := map[int]geom.Rect{1: geom.NewRect(0, 0, 16, 16)}
-	nw := map[int]geom.Rect{1: geom.NewRect(8, 8, 16, 16)}
-	sizes := map[int][2]int{1: {600, 600}}
-	var mt Meter
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := mt.MeasureChange(net, g, old, nw, sizes, 4096); err != nil {
-			b.Fatal(err)
+	for _, c := range []struct{ old, new geom.Rect }{
+		{geom.NewRect(0, 0, 16, 16), geom.NewRect(8, 8, 16, 16)},
+		{geom.NewRect(0, 0, 32, 32), geom.NewRect(16, 0, 16, 32)},
+	} {
+		name := fmt.Sprintf("subgrid=%dx%d", c.old.Width(), c.old.Height())
+		if c.new.Width() != c.old.Width() {
+			name += fmt.Sprintf("->%dx%d", c.new.Width(), c.new.Height())
 		}
+		b.Run(name, func(b *testing.B) {
+			old := map[int]geom.Rect{1: c.old}
+			nw := map[int]geom.Rect{1: c.new}
+			sizes := map[int][2]int{1: {600, 600}}
+			var mt Meter
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := mt.MeasureChange(net, g, old, nw, sizes, 4096); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

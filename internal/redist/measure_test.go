@@ -98,6 +98,15 @@ func FuzzMeasureChange(f *testing.F) {
 	f.Add([]byte{15, 15, 0, 16, 0, 96, 210, 3, 4, 6, 4, 3, 4, 6, 4, 2, 9, 9, 0, 0, 1, 1}) // a kept nest and a deleted one
 	f.Add([]byte{11, 9, 100, 1, 1, 250, 90, 0, 0, 5, 9, 6, 0, 5, 9, 0, 40, 40, 6, 0, 5, 9, 0, 0, 5, 9,
 		3, 60, 60, 0, 0, 1, 1, 0, 0, 11, 9}) // two swapped halves and an inserted nest
+	// The largest hop-byte sums the decoder reaches: eight 256x256 nests of
+	// 65 536-byte points, each moved from the whole 32x32 grid to 17
+	// columns at another offset, 256 cells cut raggedly over 17.
+	largest := []byte{31, 31, 255, 255}
+	for _, x := range []byte{15, 0, 7, 3, 11, 1, 14, 9} {
+		largest = append(largest, 0, 255, 255, 0, 0, 31, 31, x, 0, 16, 31)
+	}
+	f.Add(largest)
+	f.Add([]byte{7, 7, 7, 0, 0, 6, 6, 0, 0, 1, 1, 1, 1, 2, 2}) // 2x2 -> 3x3 of 7x7: each sender's run spans two receivers on both axes
 	var mt Meter
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := decodeChange(data)

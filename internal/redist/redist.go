@@ -51,7 +51,14 @@ func BuildPlan(g geom.Grid, tr Transfer) (Plan, error) {
 	if n := ov.Len() - ov.Kept(); n > 0 { // a plan that moves nothing keeps Msgs nil
 		p.Msgs = make([]topology.Message, 0, n)
 	}
-	p.LocalBytes = tr.messages(g, &ov, func(m topology.Message) { p.Msgs = append(p.Msgs, m) })
+	ov.Each(func(sender, receiver geom.Point, cells geom.Rect) {
+		bytes := cells.Area() * tr.ElemBytes
+		if sender == receiver {
+			p.LocalBytes += bytes
+			return
+		}
+		p.Msgs = append(p.Msgs, topology.Message{From: g.Rank(sender), To: g.Rank(receiver), Bytes: bytes})
+	})
 	return p, nil
 }
 
@@ -72,21 +79,6 @@ func (tr Transfer) check(g geom.Grid) error {
 // dist is the block distribution of the nest over procs.
 func (tr Transfer) dist(procs geom.Rect) geom.BlockDist {
 	return geom.NewBlockDist(tr.NX, tr.NY, procs)
-}
-
-// messages walks ov, the overlaps of tr's old and new distributions, in
-// plan order: it passes each remote message to send and returns the bytes
-// that stay local.
-func (tr Transfer) messages(g geom.Grid, ov *geom.BlockOverlaps, send func(topology.Message)) (local int) {
-	ov.Each(func(sender, receiver geom.Point, cells geom.Rect) {
-		bytes := cells.Area() * tr.ElemBytes
-		if sender == receiver {
-			local += bytes
-			return
-		}
-		send(topology.Message{From: g.Rank(sender), To: g.Rank(receiver), Bytes: bytes})
-	})
-	return local
 }
 
 // Metrics aggregates the paper's redistribution measurements over one or
@@ -130,12 +122,15 @@ func Measure(net topology.Network, plans []Plan) Metrics {
 
 // tally is the one per-message account behind Measure and
 // Meter.MeasureChange: a message's hops are computed once and feed the
-// byte and hop-byte totals and the network's Alltoallv accumulator, in the
-// order the messages arrive.
+// byte and hop-byte totals and the network's Alltoallv accumulator. The
+// byte counts and hop-bytes are integer sums (hop-bytes converted once, in
+// metrics) and MaxHops a maximum, so within a nest only the accumulator's
+// rule could depend on the order the messages arrive in.
 type tally struct {
-	net topology.Network
-	acc topology.Alltoallv // the current nest's exchange
-	m   Metrics
+	net      topology.Network
+	acc      topology.Alltoallv // the current nest's exchange
+	hopBytes int
+	m        Metrics
 }
 
 func (t *tally) send(msg topology.Message) {
@@ -144,12 +139,38 @@ func (t *tally) send(msg topology.Message) {
 	}
 	h := t.net.Hops(msg.From, msg.To)
 	t.m.RemoteBytes += msg.Bytes
-	t.m.HopBytes += float64(h) * float64(msg.Bytes)
+	t.hopBytes += h * msg.Bytes
 	t.m.Messages++
 	if h > t.m.MaxHops {
 		t.m.MaxHops = h
 	}
 	t.acc.Add(msg, h)
+}
+
+// overlaps sends every remote message of ov, the overlaps of tr's old and
+// new distributions on the process grid g, and returns the bytes that stay
+// local. It walks the product of ov's axis tables, y-span by y-span and
+// x-span by x-span within one, with both ranks from per-axis offsets. That
+// is not BuildPlan's sender-major order, but it visits the same messages
+// and each sender's own in plan order, so no network's Alltoallv rule can
+// tell the two apart: per-sender sums add in the same order, and maxima
+// and integer link loads do not depend on it.
+func (t *tally) overlaps(g geom.Grid, tr Transfer, ov *geom.BlockOverlaps) (local int) {
+	xs, ys := ov.Axes()
+	for _, y := range ys {
+		from := (tr.Old.Y0+y.From)*g.Px + tr.Old.X0
+		to := (tr.New.Y0+y.To)*g.Px + tr.New.X0
+		rowBytes := (y.Hi - y.Lo) * tr.ElemBytes
+		for _, x := range xs {
+			msg := topology.Message{From: from + x.From, To: to + x.To, Bytes: (x.Hi - x.Lo) * rowBytes}
+			if msg.From == msg.To {
+				local += msg.Bytes
+				continue
+			}
+			t.send(msg)
+		}
+	}
+	return local
 }
 
 // endNest closes one nest's Alltoallv: its time joins the total, and the
@@ -163,6 +184,7 @@ func (t *tally) endNest(localBytes, totalBytes int) {
 
 func (t *tally) metrics() Metrics {
 	m := t.m
+	m.HopBytes = float64(t.hopBytes)
 	if m.TotalBytes > 0 {
 		m.AvgHopBytes = m.HopBytes / float64(m.TotalBytes)
 		m.OverlapPercent = 100 * float64(m.LocalBytes) / float64(m.TotalBytes)
@@ -227,9 +249,10 @@ type Meter struct {
 }
 
 // MeasureChange returns Measure(net, PlansForChange(g, old, nw, sizes,
-// elemBytes)), field for field and bit for bit: it visits the same
-// messages in the same order (retained nests by ascending ID, each nest's
-// overlaps in plan order) and fails where PlansForChange fails.
+// elemBytes)), field for field and bit for bit, and fails where
+// PlansForChange fails. It visits the retained nests by ascending ID and
+// each nest's messages once, the same messages as its plan with each
+// sender's in plan order, though not the plan's order across senders.
 func (mt *Meter) MeasureChange(net topology.Network, g geom.Grid, old, nw map[int]geom.Rect, sizes map[int][2]int, elemBytes int) (Metrics, error) {
 	if mt.net != net {
 		mt.net, mt.acc = net, net.NewAlltoallv()
@@ -246,8 +269,7 @@ func (mt *Meter) MeasureChange(net topology.Network, g geom.Grid, old, nw map[in
 			return Metrics{}, err
 		}
 		mt.ov.Set(tr.dist(tr.Old), tr.dist(tr.New))
-		local := tr.messages(g, &mt.ov, t.send)
-		t.endNest(local, tr.NX*tr.NY*tr.ElemBytes)
+		t.endNest(t.overlaps(g, tr, &mt.ov), tr.NX*tr.NY*tr.ElemBytes)
 	}
 	return t.metrics(), nil
 }

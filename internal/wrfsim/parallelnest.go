@@ -54,7 +54,36 @@ type arrival struct {
 // rankShares recycles nest rank shares between nests and decompositions,
 // so that a rank joining a nest steps on the plan slices of a share that
 // has stepped before. Shares enter it through recycle.
-var rankShares = sync.Pool{New: func() any { return new(nestRank) }}
+var rankShares sharePool
+
+// sharePool is a free list of rank shares. Unlike a sync.Pool, which a
+// garbage collection empties, it keeps every share given back, so a share
+// drawn after a collection still holds its plans' slices. It holds at most
+// as many shares as were ever drawn at once.
+type sharePool struct {
+	mu   sync.Mutex
+	free []*nestRank
+}
+
+// get returns the share given back last, or a new one.
+func (p *sharePool) get() *nestRank {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := len(p.free)
+	if n == 0 {
+		return new(nestRank)
+	}
+	st := p.free[n-1]
+	p.free[n-1] = nil
+	p.free = p.free[:n-1]
+	return st
+}
+
+func (p *sharePool) put(st *nestRank) {
+	p.mu.Lock()
+	p.free = append(p.free, st)
+	p.mu.Unlock()
+}
 
 // recycle returns st to rankShares with its publication counter at zero,
 // below any substep of the nest that draws it next, and its plan holding
@@ -62,7 +91,7 @@ var rankShares = sync.Pool{New: func() any { return new(nestRank) }}
 func (st *nestRank) recycle() {
 	st.seq.Store(0)
 	st.halo.world = nil
-	rankShares.Put(st)
+	rankShares.put(st)
 }
 
 // exchangeArenas recycles the per-rank Alltoallv arenas of Redistribute,
@@ -108,7 +137,7 @@ func (n *Nest) Place(pg geom.Grid, procs geom.Rect) error {
 	n.local = make([]*nestRank, pg.Size())
 	n.staged = make([]*nestRank, pg.Size())
 	dist.Blocks(func(p geom.Point, blk geom.Rect) {
-		st := rankShares.Get().(*nestRank)
+		st := rankShares.get()
 		st.block = blk
 		n.local[pg.Rank(p)] = st
 	})
@@ -347,7 +376,7 @@ func (n *Nest) Redistribute(w *mpi.World, newProcs geom.Rect) (float64, error) {
 		rank := n.pg.Rank(p)
 		st := n.local[rank]
 		if st == nil {
-			st = rankShares.Get().(*nestRank)
+			st = rankShares.get()
 		}
 		n.staged[rank] = st
 	})

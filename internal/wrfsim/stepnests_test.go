@@ -8,6 +8,7 @@ import (
 	"math"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -144,13 +145,106 @@ func TestStepNestsAmortisedAllocations(t *testing.T) {
 		total += after.Mallocs - before.Mallocs
 	}
 	// A share rebuilt from nothing costs about a dozen allocations, so the
-	// bound leaves room for a GC that empties the share pool once or twice;
-	// rebuilding every owner rank's scratch from nothing costs about 180
-	// per dispatch here.
+	// bound leaves room for one or two of those (the share pool survives a
+	// GC, which still empties the dispatch scratch's sync.Pool); rebuilding
+	// every owner rank's scratch from nothing costs about 180 per dispatch
+	// here.
 	t.Logf("%d allocations over %d dispatches right after a Redistribute", total, hops)
 	if total > 3*hops {
 		t.Errorf("%d allocations over %d dispatches right after a Redistribute, want at most %d", total, hops, 3*hops)
 	}
+}
+
+// TestRankSharesSurviveGC: the shares a released nest gives back keep
+// their plans' slices across garbage collections. Two collections (which
+// empty a sync.Pool) come before each new nest's placement: once while the
+// last nest still holds the shares, once after it gave them back. The new
+// nest's first dispatch allocates no more in the second case than in the
+// first; shares a collection had dropped would rebuild their column
+// tables.
+func TestRankSharesSurviveGC(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is perturbed by the race detector")
+	}
+	m, _, _, pg := setupNestPair(t, geom.NewRect(0, 0, 1, 1))
+	w := parallelWorld(t, pg.Size())
+	region, procs := geom.NewRect(12, 10, 24, 20), geom.NewRect(0, 0, 4, 3)
+	step := func(n *Nest) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := StepNests(w, m.Config(), m.Cells(), []*Nest{n}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	var last *Nest
+	// next releases the last nest, places nest id on the shares it gave
+	// back and steps it a few times, collecting twice before the release
+	// or after it; it returns the first dispatch's allocations.
+	next := func(id int, collectReleased bool) uint64 {
+		collect := func() {
+			runtime.GC()
+			runtime.GC()
+		}
+		if last != nil && !collectReleased {
+			collect()
+		}
+		if last != nil {
+			last.Release()
+		}
+		if collectReleased {
+			collect()
+		}
+		n, err := placeNest(m, id, region, pg, procs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last = n
+		first := step(n)
+		for i := 0; i < 3; i++ {
+			step(n)
+		}
+		return first
+	}
+	next(2, false) // start the workers, build the shares' plans
+	held := next(3, false)
+	released := next(4, true)
+	last.Release()
+	t.Logf("first dispatch of a new nest: %d allocations, %d with the collections after the release", held, released)
+	if released > held {
+		t.Errorf("first dispatch on shares released before two collections allocates %d times, on shares held through them %d", released, held)
+	}
+}
+
+// TestSharePoolConcurrentUse: shares drawn and given back from several
+// goroutines at once, as the nests of two jobs in one daemon are placed
+// and released, are never out twice at the same time.
+func TestSharePoolConcurrentUse(t *testing.T) {
+	var p sharePool
+	var mu sync.Mutex
+	out := map[*nestRank]bool{}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				st := p.get()
+				mu.Lock()
+				if out[st] {
+					t.Error("a share drawn while it was out")
+				}
+				out[st] = true
+				mu.Unlock()
+				mu.Lock()
+				delete(out, st)
+				mu.Unlock()
+				p.put(st)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestRedistributeChainMatchesRestore: a nest moved A -> B -> A -> C over
