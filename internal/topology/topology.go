@@ -16,7 +16,7 @@ import "fmt"
 // Message is one point-to-point transfer inside a collective.
 type Message struct {
 	From, To int // ranks
-	Bytes    int
+	Bytes    int // never negative
 }
 
 // crosses reports whether m costs anything: a message that moves no bytes
